@@ -15,10 +15,10 @@ bootstrap workload:
 import pytest
 
 from repro.arch.area import ChipAreaModel
-from repro.core.compiler import CinnamonCompiler, CompilerOptions
+from repro.core.compiler import CompilerDriver, CompilerOptions
 from repro.core.ir.bootstrap_graph import BootstrapPlan
 from repro.fhe.params import ArchParams
-from repro.sim import CINNAMON_4, CycleSimulator
+from repro.sim import CINNAMON_4, SimulatorEngine
 
 # A reduced bootstrap keeps the ablation sweeps affordable; the relative
 # effects carry to the full plan.
@@ -32,13 +32,13 @@ def _compile(**overrides):
     options = CompilerOptions(num_chips=4, bootstrap_plan=PLAN, **overrides)
     from repro.workloads.kernels import bootstrap_kernel
 
-    return CinnamonCompiler(params, options).compile(bootstrap_kernel(PLAN))
+    return CompilerDriver(params, options).compile(bootstrap_kernel(PLAN))
 
 
 @pytest.fixture(scope="module")
 def baseline():
     compiled = _compile()
-    return compiled, CycleSimulator(CINNAMON_4).run(compiled.isa)
+    return compiled, SimulatorEngine(CINNAMON_4).run(compiled.isa)
 
 
 class TestBcuLanesAblation:
@@ -47,7 +47,7 @@ class TestBcuLanesAblation:
 
         def sweep():
             full = CINNAMON_4.scaled(bconv_lanes_per_cluster=256)
-            return CycleSimulator(full).run(compiled.isa)
+            return SimulatorEngine(full).run(compiled.isa)
 
         full_result = once(sweep)
         # Doubling BCU lanes can only help timing...
@@ -68,7 +68,7 @@ class TestEvalkeyRegenerationAblation:
 
         def no_regen():
             compiled = _compile(regenerate_evalkeys=False)
-            return CycleSimulator(CINNAMON_4).run(compiled.isa)
+            return SimulatorEngine(CINNAMON_4).run(compiled.isa)
 
         streamed = once(no_regen)
         assert streamed.hbm_bytes > base.hbm_bytes * 1.1
@@ -80,7 +80,7 @@ class TestDigitCountAblation:
     def test_digit_count_tradeoff(self, digits, once):
         def run():
             compiled = _compile(num_digits=digits)
-            result = CycleSimulator(CINNAMON_4).run(compiled.isa)
+            result = SimulatorEngine(CINNAMON_4).run(compiled.isa)
             return compiled, result
 
         compiled, result = once(run)

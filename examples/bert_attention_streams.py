@@ -10,11 +10,11 @@ single-ciphertext program cannot.
 Run:  python examples/bert_attention_streams.py
 """
 
-from repro.core import CinnamonCompiler, CinnamonProgram, CompilerOptions
+from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.core.dsl import StreamPool
 from repro.core.ir.bootstrap_graph import bsgs_matmul_ops
 from repro.fhe import ArchParams
-from repro.sim import CINNAMON_4, CINNAMON_8, CINNAMON_12, CycleSimulator
+from repro.sim import CINNAMON_4, CINNAMON_8, CINNAMON_12, SimulatorEngine
 from repro.sim.config import config_for
 
 
@@ -49,8 +49,8 @@ def main():
         program = attention_program(streams)
         options = CompilerOptions(num_chips=machine.num_chips,
                                   chips_per_stream=chips_per_stream)
-        compiled = CinnamonCompiler(params, options).compile(program)
-        result = CycleSimulator(machine).run(compiled.isa)
+        compiled = CompilerDriver(params, options).compile(program)
+        result = SimulatorEngine(machine).run(compiled.isa)
         per_head_us = result.seconds * 1e6 / streams
         if reference_us is None:
             reference_us = per_head_us

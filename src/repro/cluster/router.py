@@ -2,17 +2,18 @@
 
 ``ClusterRouter`` is API-compatible with
 :class:`~repro.serve.CinnamonServer` (``submit``/``drain``/``shutdown``/
-``metrics_snapshot``/``trace``/context manager), but instead of a pool
-of in-process thread shards it owns N *worker processes*, each hosting
-one :class:`~repro.runtime.session.CinnamonSession` — so compiles and
+``metrics_snapshot``/``trace``/context manager) and drives the same
+:class:`~repro.serve.lifecycle.RequestLifecycle`, but its *executor* is
+N worker processes instead of in-process thread shards, each hosting one
+:class:`~repro.runtime.session.CinnamonSession` — so compiles and
 simulations run on separate interpreters and the GIL stops being the
 cluster's throughput ceiling.
 
 Data path of one request::
 
-    submit() --fingerprint/tuning-swap--> FairShareQueue (quotas)
+    submit() --admit--> trust checks --> FairShareQueue (quotas)
         --dispatcher--> HashRing.owner(fingerprint) --> worker socket
-        --worker session--> result frame --> RequestHandle
+        --worker session--> result frame --> ok/fail/timeout
 
 Design notes:
 
@@ -30,7 +31,8 @@ Design notes:
   ``force=True`` (bypassing quotas and the drain-closed check: they were
   already admitted once), and lets the monitor respawn a replacement up
   to the current target.  Requests exceeding ``max_retries`` failovers
-  resolve FAILED.  Zero requests are ever dropped.
+  resolve FAILED, as do the orphans of a worker lost during shutdown
+  (nothing is left to re-run them).  Zero requests are ever dropped.
 * **Autoscaling.**  The monitor thread feeds queue-depth/inflight
   observations to :class:`~repro.cluster.autoscaler.Autoscaler` and
   spawns or drains workers between ``min_workers``/``max_workers``.
@@ -57,16 +59,13 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import tracer
-from ..runtime.fingerprint import fingerprint
-from ..runtime.session import resolve_request_options
 from ..runtime.trace import TraceRecorder
-from ..serve.metrics import MetricsRegistry
-from ..serve.queue import Empty, QueueClosedError, QueueSaturatedError
-from ..serve.request import (InferenceRequest, LatencyBreakdown,
-                             RequestHandle, RequestResult, RequestStatus)
-from ..serve.server import ServerClosedError
-from ..sim.config import resolve_machine
+from ..serve.lifecycle import (IDLE_POLL_S, RequestLifecycle,
+                               ServingFrontend)
+from ..serve.queue import Empty
+from ..serve.request import InferenceRequest, RequestHandle
 from ..trust.errors import FreshnessError, KeyVaultError
 from ..trust.freshness import (DEFAULT_WINDOW_S, EnvelopeMinter,
                                ReplayGuard)
@@ -77,9 +76,6 @@ from .protocol import (ConnectionClosed, ProtocolError, TOKEN_ENV,
                        unpack_telemetry)
 from .quotas import FairShareQueue, QuotaExceededError, TenantQuota
 from .ring import HashRing
-
-#: Dispatcher poll period while idle.
-_IDLE_POLL_S = 0.05
 
 
 class _Worker:
@@ -96,7 +92,6 @@ class _Worker:
         self.connected = threading.Event()
         self.drained = threading.Event()
         self.pending: Dict[int, InferenceRequest] = {}
-        self.dispatched_at: Dict[int, float] = {}
         self.last_pong = time.monotonic()
         self.draining = False
         self.retired = False
@@ -118,7 +113,7 @@ class _Worker:
             send_frame(sock, header, blob, token=self.token or None)
 
 
-class ClusterRouter:
+class ClusterRouter(ServingFrontend):
     """Multi-process scale-out serving front-end (see module docstring).
 
     ``num_workers`` is the initial (and, without autoscaling, constant)
@@ -159,8 +154,6 @@ class ClusterRouter:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.max_retries = max_retries
-        self.request_timeout_s = request_timeout_s
-        self.default_machine = default_machine
         self.worker_threads = worker_threads
         self.capacity = capacity
         self.heartbeat_s = heartbeat_s
@@ -176,21 +169,12 @@ class ClusterRouter:
         # None = workers run memory-only sessions (bench isolation mode).
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
 
-        self._tuning_db = tuning_db
-        if tuned and self._tuning_db is None:
-            from ..tune.db import TuningDB, default_db_path
-
-            self._tuning_db = TuningDB(default_db_path(self.cache_dir))
-
         self._queue = FairShareQueue(maxsize=queue_depth, quotas=quotas,
                                      default_quota=default_quota)
         self._ring = HashRing()
         self._recorder = TraceRecorder()
         self._workers: Dict[str, _Worker] = {}
         self._worker_seq = itertools.count()
-        self._handles: Dict[int, RequestHandle] = {}
-        self._attempts: Dict[int, int] = {}
-        self._pending_cond = threading.Condition()
         self._lock = threading.RLock()
         self._target = num_workers
         self._autoscaler = autoscaler
@@ -226,30 +210,11 @@ class ClusterRouter:
         self._cluster_span = None
 
         self.metrics = metrics or MetricsRegistry()
+        self.lifecycle = RequestLifecycle(
+            self.metrics, self._recorder, default_machine=default_machine,
+            request_timeout_s=request_timeout_s, tuned=tuned,
+            tuning_db=tuning_db, cache_dir=self.cache_dir)
         m = self.metrics
-        self._requests_total = {
-            status: m.counter("serve_requests_total",
-                              "Requests by terminal status.",
-                              labels={"status": status.value})
-            for status in RequestStatus
-        }
-        self._retries_total = m.counter(
-            "serve_retries_total", "Request re-dispatches after failover.")
-        self._tuned_total = m.counter(
-            "serve_tuned_requests_total",
-            "Requests whose options came from the tuning DB.")
-        self._queue_depth_g = m.gauge(
-            "serve_queue_depth", "Requests waiting for dispatch.")
-        self._inflight_g = m.gauge(
-            "serve_inflight_requests", "Requests dispatched, not resolved.")
-        self._queue_wait_h = m.histogram(
-            "serve_queue_wait_seconds",
-            "Admission wait before dispatch to a worker.")
-        self._execute_h = m.histogram(
-            "serve_execute_seconds", "Worker-side execution time.")
-        self._latency_h = m.histogram(
-            "serve_request_latency_seconds",
-            "End-to-end latency, submit to resolution.")
         self._workers_g = m.gauge(
             "cluster_workers", "Live (connected, serving) workers.")
         self._deaths_total = m.counter(
@@ -298,7 +263,7 @@ class ClusterRouter:
                 workers_fn=self._worker_table)
 
     # ------------------------------------------------------------------ #
-    # Lifecycle
+    # Start / stop
 
     def start(self) -> "ClusterRouter":
         if self._started:
@@ -330,12 +295,6 @@ class ClusterRouter:
                 self._spawn_worker()
         return self
 
-    def __enter__(self) -> "ClusterRouter":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(drain=exc_type is None)
-
     def wait_ready(self, count: Optional[int] = None,
                    timeout: float = 30.0) -> bool:
         """Block until ``count`` (default: the target) workers are
@@ -349,34 +308,11 @@ class ClusterRouter:
             time.sleep(0.02)
         return False
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Stop admission and wait until all accepted work resolves."""
-        self._queue.close()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._pending_cond:
-            while len(self._handles) > 0:
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._pending_cond.wait(
-                    remaining if remaining is not None else 0.1)
-        return True
-
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> None:
         if self._stopping:
             return
-        self._queue.close()
-        if drain and self._started:
-            self.drain(timeout=timeout)
-        else:
-            while True:
-                try:
-                    request = self._queue.get(timeout=0)
-                except Empty:
-                    break
-                self._resolve_rejected(request, "cluster shut down")
+        self._close_admission(drain and self._started, timeout)
         self._stopping = True
         self._monitor_stop.set()
         if self._dispatcher is not None:
@@ -427,57 +363,20 @@ class ClusterRouter:
             self._tmpdir = None
 
     # ------------------------------------------------------------------ #
-    # Admission (mirrors CinnamonServer.submit)
+    # Admission: quotas and trust checks on top of the shared submit()
 
     def submit(self, request: InferenceRequest) -> RequestHandle:
-        """Admit one request; raises
-        :class:`~repro.serve.queue.QueueSaturatedError` under
-        backpressure, :class:`~repro.cluster.quotas.QuotaExceededError`
-        over quota, and :class:`~repro.serve.server.ServerClosedError`
-        after shutdown."""
-        if not self._started:
-            self.start()
-        if request.machine is None and request.options is None \
-                and self.default_machine is not None:
-            request.machine = self.default_machine
-        if request.deadline_s is None:
-            request.deadline_s = self.request_timeout_s
-        options = resolve_request_options(request.machine, request.options)
-        request.machine_name = resolve_machine(
-            request.machine if request.machine is not None
-            else (options.machine or options.num_chips)).name
-        if self._tuning_db is not None:
-            tuned_options = self._tuning_db.tuned_options(
-                request.program, request.params, request.machine_name,
-                options)
-            if tuned_options is not None:
-                options = tuned_options
-                request.options = tuned_options
-                request.machine = None
-                request.tuned = True
-                self._tuned_total.inc()
-        # The resolved options ship to the worker so its session computes
-        # the identical fingerprint (shared disk-cache affinity).
-        request.options = options
-        request.machine = None
-        request.key = fingerprint(request.program, request.params, options)
-        request.submitted_at = time.monotonic()
-        tr = tracer()
-        request.span = tr.begin(
-            f"serve:{request.label}", kind="serve", parent=None,
-            attrs={"request_id": request.request_id,
-                   "machine": request.machine_name,
-                   "tenant": request.tenant,
-                   "fingerprint": request.key})
-        request.queue_span = tr.begin("queue", kind="queue",
-                                      parent=request.span)
-        handle = RequestHandle(request)
-        with self._pending_cond:
-            self._handles[request.request_id] = handle
-        self._attempts[request.request_id] = 0
-        # Trust admission: key-version staleness, then replay/freshness.
-        # Typed errors propagate to the caller; the handle resolves
-        # REJECTED so an attacker's submit can never hang a waiter.
+        """As :meth:`ServingFrontend.submit`; additionally raises
+        :class:`~repro.cluster.quotas.QuotaExceededError` over quota and
+        the typed :mod:`repro.trust` errors of :meth:`_check_admission`."""
+        try:
+            return super().submit(request)
+        except QuotaExceededError:
+            self._quota_rejected_total.inc()
+            raise
+
+    def _check_admission(self, request: InferenceRequest) -> None:
+        """Trust admission: key-version staleness, then replay/freshness."""
         if self.keyvault is not None:
             try:
                 self.keyvault.validate(request.tenant, request.key_version)
@@ -487,45 +386,22 @@ class ClusterRouter:
                     "stale_key", target=request.tenant, request=request,
                     detail={"key_version": request.key_version,
                             "error": str(exc)})
-                self._resolve_rejected(request, str(exc))
                 raise
         if request.envelope is not None:
             try:
                 self._replay_guard.check(request.envelope)
             except FreshnessError as exc:
                 reason = getattr(exc, "reason", "stale-request")
+                replay = reason in ("nonce-reuse", "sequence-reorder")
                 self._trust_rejected_total[
-                    "replay" if reason in ("nonce-reuse",
-                                           "sequence-reorder")
-                    else "stale-request"].inc()
-                event = ("replay_rejected"
-                         if reason in ("nonce-reuse", "sequence-reorder")
-                         else "stale_request")
+                    "replay" if replay else "stale-request"].inc()
                 self._record_trust(
-                    event, target=request.tenant, request=request,
+                    "replay_rejected" if replay else "stale_request",
+                    target=request.tenant, request=request,
                     detail={"reason": reason,
                             "nonce": getattr(exc, "nonce", ""),
                             "name": request.label})
-                self._resolve_rejected(request, str(exc))
                 raise
-        try:
-            self._queue.put(request)
-        except QuotaExceededError:
-            self._quota_rejected_total.inc()
-            self._resolve_rejected(request, "tenant quota exceeded")
-            raise
-        except QueueSaturatedError:
-            self._resolve_rejected(request, "admission queue saturated")
-            raise
-        except QueueClosedError as exc:
-            self._resolve_rejected(request, "cluster shutting down")
-            raise ServerClosedError(str(exc)) from exc
-        self._queue_depth_g.set(self._queue.depth())
-        return handle
-
-    def submit_many(self, requests: Sequence[InferenceRequest]
-                    ) -> List[RequestHandle]:
-        return [self.submit(request) for request in requests]
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -533,18 +409,13 @@ class ClusterRouter:
     def _dispatch_loop(self) -> None:
         while not self._stopping:
             try:
-                request = self._queue.get(timeout=_IDLE_POLL_S)
+                request = self._queue.get(timeout=IDLE_POLL_S)
             except Empty:
-                if (self._queue.closed and self._queue.depth() == 0
-                        and self._total_pending() == 0):
+                if self._queue.closed and self.lifecycle.wait_drained(0):
                     return
                 continue
             self._dispatch(request)
-            self._queue_depth_g.set(self._queue.depth())
-
-    def _total_pending(self) -> int:
-        with self._lock:
-            return sum(len(w.pending) for w in self._workers.values())
+            self.lifecycle.queue_depth.set(self._queue.depth())
 
     def _live_workers(self) -> List[_Worker]:
         with self._lock:
@@ -553,7 +424,7 @@ class ClusterRouter:
     def _dispatch(self, request: InferenceRequest) -> None:
         now = time.monotonic()
         if request.expired(now):
-            self._resolve_timeout(request, now, stage="queued")
+            self.lifecycle.timeout(request, now)
             return
         worker = self._pick_worker(request.key)
         if worker is None:
@@ -563,20 +434,18 @@ class ClusterRouter:
             time.sleep(0.02)
             self._queue.put(request, force=True)
             return
-        self._attempts[request.request_id] = \
-            self._attempts.get(request.request_id, 0) + 1
-        span = request.span
+        request.attempts += 1
         # A fresh envelope per dispatch attempt: the worker-side replay
         # guard must accept a legitimate failover re-dispatch.
         header, blob = pack_submit(
             request, request.options, request.key,
-            trace_id=span.trace_id if span is not None else None,
-            parent_span_id=span.span_id if span is not None else None,
+            trace_id=request.span.trace_id,
+            parent_span_id=request.span.span_id,
             envelope=self._minter.mint(),
             key_version=request.key_version)
         with self._lock:
             worker.pending[request.request_id] = request
-            worker.dispatched_at[request.request_id] = now
+        self.lifecycle.dispatched([request], now)
         try:
             worker.send(header, blob)
         except OSError:
@@ -586,9 +455,8 @@ class ClusterRouter:
             # would tight-loop the corpse until the EOF lands.
             with self._lock:
                 worker.pending.pop(request.request_id, None)
-                worker.dispatched_at.pop(request.request_id, None)
-                self._attempts[request.request_id] = max(
-                    0, self._attempts.get(request.request_id, 1) - 1)
+            request.attempts -= 1
+            self.lifecycle.requeued(request)
             worker.connected.clear()
             try:
                 worker.sock.close()
@@ -597,7 +465,6 @@ class ClusterRouter:
             self._queue.put(request, force=True)
             return
         self._dispatch_total.inc()
-        self._inflight_g.set(self._total_pending())
 
     def _pick_worker(self, key: str) -> Optional[_Worker]:
         with self._lock:
@@ -761,10 +628,8 @@ class ClusterRouter:
         request_id = header.get("request_id")
         with self._lock:
             request = worker.pending.pop(request_id, None)
-            dispatched_at = worker.dispatched_at.pop(request_id, None)
         if request is None:
             return  # already resolved (e.g. raced with a timeout)
-        self._inflight_g.set(self._total_pending())
         try:
             result = unpack_result(header, blob)
         except Exception as exc:
@@ -776,40 +641,27 @@ class ClusterRouter:
             self._fail_or_retry(request, result.error or "worker refused")
             return
         if request.expired(now):
-            self._resolve_timeout(request, now, stage="dispatched",
-                                  shard=worker.index)
+            self.lifecycle.timeout(request, now, shard=worker.index)
             return
-        queue_s = ((dispatched_at or now)
-                   - (request.submitted_at or now))
-        latency = LatencyBreakdown(
-            queue_s=max(0.0, queue_s),
-            execute_s=result.latency.execute_s,
-            total_s=now - (request.submitted_at or now))
-        final = RequestResult(
-            request_id=request.request_id, name=request.label,
-            status=result.status, latency=latency,
-            attempts=self._attempts.get(request.request_id, 1),
-            shard=worker.index, batch_size=result.batch_size,
-            cache=result.cache, cycles=result.cycles,
-            error=result.error, cost=result.cost)
-        self._queue_wait_h.observe(latency.queue_s)
-        self._execute_h.observe(latency.execute_s)
-        self._finish(request, final)
+        outcome = dict(
+            started=request.dispatched_at,
+            execute_s=result.latency.execute_s, shard=worker.index,
+            batch_size=result.batch_size, cache=result.cache,
+            cycles=result.cycles, cost=result.cost)
+        if result.ok:
+            self.lifecycle.ok(request, now, **outcome)
+        else:
+            self.lifecycle.fail(request, result.error, now, **outcome)
 
     def _fail_or_retry(self, request: InferenceRequest,
                        error: str) -> None:
-        attempts = self._attempts.get(request.request_id, 1)
-        if attempts > self.max_retries:
-            now = time.monotonic()
-            result = RequestResult(
-                request_id=request.request_id, name=request.label,
-                status=RequestStatus.FAILED,
-                latency=LatencyBreakdown(
-                    total_s=now - (request.submitted_at or now)),
-                attempts=attempts, error=error)
-            self._finish(request, result)
+        if request.attempts > self.max_retries or self._stopping:
+            # Out of retries — or the dispatcher has exited, so a
+            # requeue would hang the handle instead of re-running it.
+            self.lifecycle.fail(request, error)
             return
-        self._retries_total.inc()
+        self.lifecycle.retries_total.inc()
+        self.lifecycle.requeued(request)
         self._queue.put(request, force=True)
 
     def _on_worker_lost(self, worker: _Worker) -> None:
@@ -820,7 +672,6 @@ class ClusterRouter:
             self._ring.remove(worker.id)
             orphans = list(worker.pending.values())
             worker.pending.clear()
-            worker.dispatched_at.clear()
         waiter = self._stats_waiters.pop(worker.id, None)
         if waiter is not None:
             waiter.set()
@@ -829,25 +680,27 @@ class ClusterRouter:
         if worker.retired or self._stopping:
             self._record_cluster("worker_exit", worker=worker.id,
                                  detail={"pid": worker.proc.pid})
-            return
-        self._deaths_total.inc()
-        self._record_cluster(
-            "worker_lost", worker=worker.id,
-            detail={"pid": worker.proc.pid,
-                    "orphaned_requests": len(orphans),
-                    "ring_size": len(self._ring)})
-        if self.live is not None:
-            # Post-mortem bundle first (the worker's last telemetry is
-            # still in the store), then drop the dead source so its
-            # gauges stop contributing to cluster levels.
-            if self.live.flight is not None:
-                self.live.flight.dump(
-                    "worker_death", key=worker.id,
-                    extra={"pid": worker.proc.pid,
-                           "orphaned_requests": len(orphans)})
-            self.live.forget(worker.id)
-        # Zero-loss failover: everything in flight on the dead worker
-        # goes back through the dispatcher to the ring's survivors.
+        else:
+            self._deaths_total.inc()
+            self._record_cluster(
+                "worker_lost", worker=worker.id,
+                detail={"pid": worker.proc.pid,
+                        "orphaned_requests": len(orphans),
+                        "ring_size": len(self._ring)})
+            if self.live is not None:
+                # Post-mortem bundle first (the worker's last telemetry
+                # is still in the store), then drop the dead source so
+                # its gauges stop contributing to cluster levels.
+                if self.live.flight is not None:
+                    self.live.flight.dump(
+                        "worker_death", key=worker.id,
+                        extra={"pid": worker.proc.pid,
+                               "orphaned_requests": len(orphans)})
+                self.live.forget(worker.id)
+        # Zero-loss failover: everything in flight on the lost worker —
+        # also one that died while being retired or shut down — goes
+        # back through the dispatcher to the ring's survivors, or
+        # resolves FAILED once the dispatcher has stopped.
         for request in orphans:
             self._requeued_total.inc()
             self._record_cluster(
@@ -856,7 +709,6 @@ class ClusterRouter:
                         "name": request.label})
             self._fail_or_retry(request,
                                 f"worker {worker.id} died mid-request")
-        self._inflight_g.set(self._total_pending())
 
     # ------------------------------------------------------------------ #
     # Monitor: heartbeats, respawn, autoscale, stats polling
@@ -904,7 +756,7 @@ class ClusterRouter:
         live = self._live_workers()
         state = AutoscalerState(workers=len(live),
                                 queue_depth=self._queue.depth(),
-                                inflight=self._total_pending())
+                                inflight=int(self.lifecycle.inflight.value))
         target = self._autoscaler.decide(state)
         if target > self._target:
             self._autoscale_total["up"].inc()
@@ -968,7 +820,7 @@ class ClusterRouter:
                 event.wait(remaining)
 
     # ------------------------------------------------------------------ #
-    # Resolution
+    # Journal rows and key replication
 
     def _record_cluster(self, event: str, worker: Optional[str] = None,
                         detail: Optional[dict] = None) -> None:
@@ -1015,94 +867,8 @@ class ClusterRouter:
                         "records": len(doc.get("records", ()))})
         return shipped
 
-    def _bill_tenant(self, request: InferenceRequest,
-                     result: RequestResult) -> None:
-        """Per-tenant cost attribution: every terminal outcome counts a
-        request; executed ones also bill their cost rollup (schema 8)."""
-        m = self.metrics
-        tenant = request.tenant
-        m.counter("cluster_tenant_requests_total",
-                  "Requests by tenant and terminal status.",
-                  labels={"tenant": tenant,
-                          "status": result.status.value}).inc()
-        cost = result.cost or {}
-        if not cost:
-            return
-        m.counter("cluster_tenant_sim_cycles_total",
-                  "Simulated accelerator cycles billed to the tenant.",
-                  labels={"tenant": tenant}).inc(
-                      cost.get("sim_cycles", 0) or 0)
-        m.counter("cluster_tenant_bootstraps_total",
-                  "Bootstrap operations billed to the tenant.",
-                  labels={"tenant": tenant}).inc(
-                      cost.get("bootstraps", 0) or 0)
-        m.counter("cluster_tenant_bytes_total",
-                  "HBM + network bytes moved for the tenant.",
-                  labels={"tenant": tenant}).inc(
-                      cost.get("bytes", 0) or 0)
-        m.counter("cluster_tenant_compile_seconds_total",
-                  "Compile wall seconds billed (cache misses only).",
-                  labels={"tenant": tenant}).inc(
-                      cost.get("compile_s", 0.0) or 0.0)
-
-    def _finish(self, request: InferenceRequest,
-                result: RequestResult) -> None:
-        self._requests_total[result.status].inc()
-        self._latency_h.observe(result.latency.total_s)
-        self._bill_tenant(request, result)
-        tr = tracer()
-        for span in (request.queue_span, request.span):
-            if span is not None:
-                span.finish()
-        if request.span is not None:
-            request.span.set_attr("status", result.status.value)
-            request.span.set_attr("shard", result.shard)
-        with tr.use_span(request.span):
-            self._recorder.record_serve(
-                job=request.label, status=result.status.value,
-                machine=request.machine_name or "", shard=result.shard,
-                attempts=result.attempts, batch_size=result.batch_size,
-                cache=result.cache, seconds=result.latency.total_s,
-                queue_s=result.latency.queue_s,
-                execute_s=result.latency.execute_s,
-                tenant=request.tenant, cost=result.cost)
-        self._attempts.pop(request.request_id, None)
-        with self._pending_cond:
-            handle = self._handles.pop(request.request_id, None)
-            self._pending_cond.notify_all()
-        if handle is not None:
-            handle.resolve(result)
-
-    def _elapsed(self, request: InferenceRequest, now: float) -> float:
-        return now - (request.submitted_at or now)
-
-    def _resolve_timeout(self, request, now: float, *, stage: str,
-                         shard: Optional[int] = None) -> None:
-        result = RequestResult(
-            request_id=request.request_id, name=request.label,
-            status=RequestStatus.TIMEOUT,
-            latency=LatencyBreakdown(total_s=self._elapsed(request, now)),
-            attempts=self._attempts.get(request.request_id, 0),
-            shard=shard,
-            error=f"deadline of {request.deadline_s}s exceeded "
-                  f"while {stage}")
-        self._finish(request, result)
-
-    def _resolve_rejected(self, request, reason: str) -> None:
-        result = RequestResult(
-            request_id=request.request_id, name=request.label,
-            status=RequestStatus.REJECTED,
-            latency=LatencyBreakdown(
-                total_s=self._elapsed(request, time.monotonic())),
-            error=reason)
-        self._finish(request, result)
-
     # ------------------------------------------------------------------ #
     # Introspection (CinnamonServer-compatible surface)
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queue.depth()
 
     @property
     def num_workers(self) -> int:
@@ -1152,14 +918,6 @@ class ClusterRouter:
         if not self._stopping:
             self._poll_stats(timeout=2.0)
         return self._recorder.document(self._cache_totals())
-
-    def export_trace(self, path):
-        import json
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.trace(), indent=2))
-        return path
 
     def metrics_prometheus(self) -> str:
         return self.metrics.render_prometheus()

@@ -15,7 +15,6 @@ This subpackage is the paper's primary contribution, reimplemented:
 
 from .dsl import CinnamonProgram, StreamPool
 from .compiler import (
-    CinnamonCompiler,
     CompiledProgram,
     CompilerDriver,
     CompilerOptions,
@@ -35,7 +34,6 @@ from .ir.passes import (
 __all__ = [
     "CinnamonProgram",
     "StreamPool",
-    "CinnamonCompiler",
     "CompilerDriver",
     "CompilerOptions",
     "CompiledProgram",

@@ -16,16 +16,14 @@ recorded into a :class:`CompileStats` attached to the produced
 :class:`CompiledProgram` — the observability substrate of the
 :mod:`repro.runtime` session traces.
 
-:class:`CompilerDriver` is the implementation; the historical
-:class:`CinnamonCompiler` entry point survives as a deprecated thin
-wrapper.  New code should go through :func:`repro.compile` or a
+:class:`CompilerDriver` is the implementation; application code should
+go through :func:`repro.compile` or a
 :class:`repro.runtime.CinnamonSession`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -315,17 +313,3 @@ class CompilerDriver:
                                      plan=self.options.bootstrap_plan)
         return program
 
-
-class CinnamonCompiler(CompilerDriver):
-    """Deprecated alias of :class:`CompilerDriver`.
-
-    Prefer :func:`repro.compile` (one-shot) or
-    :class:`repro.runtime.CinnamonSession` (cached + traced).
-    """
-
-    def __init__(self, params, options: CompilerOptions = None):
-        warnings.warn(
-            "CinnamonCompiler is deprecated; use repro.compile(...) or "
-            "repro.runtime.CinnamonSession",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(params, options)

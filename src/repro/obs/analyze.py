@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from .metrics import CYCLE_BUCKETS, MetricsRegistry
+from .metrics import CYCLE_BUCKETS, MetricsRegistry, bill_tenant
 
 #: Breakdown phases, in report order.
 PHASES = ("queue", "batch", "compile", "sim", "recovery", "other")
@@ -177,31 +177,9 @@ def registry_from_journal(document: dict,
             # Schema 8: serve rows carry the tenant and a cost rollup —
             # replaying them rebuilds the router's per-tenant billing
             # families offline.
-            tenant = row.get("tenant")
-            if tenant:
-                registry.counter(
-                    "cluster_tenant_requests_total",
-                    "Requests by tenant and terminal status.",
-                    labels={"tenant": tenant,
-                            "status": row.get("status", "?")}).inc()
-                cost = row.get("cost") or {}
-                for metric, field, help_text in (
-                        ("cluster_tenant_sim_cycles_total", "sim_cycles",
-                         "Simulated accelerator cycles billed to the "
-                         "tenant."),
-                        ("cluster_tenant_bootstraps_total", "bootstraps",
-                         "Bootstrap operations billed to the tenant."),
-                        ("cluster_tenant_bytes_total", "bytes",
-                         "HBM + network bytes moved for the tenant."),
-                        ("cluster_tenant_compile_seconds_total",
-                         "compile_s",
-                         "Compile wall seconds billed (cache misses "
-                         "only).")):
-                    value = cost.get(field, 0) or 0
-                    if value:
-                        registry.counter(
-                            metric, help_text,
-                            labels={"tenant": tenant}).inc(value)
+            if row.get("tenant"):
+                bill_tenant(registry, row["tenant"],
+                            row.get("status", "?"), row.get("cost"))
         elif kind == "alert":
             # Schema 8: SLO burn-rate alerts journaled by the live
             # telemetry pipeline (repro.obs.live).

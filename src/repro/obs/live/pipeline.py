@@ -27,21 +27,14 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Union
 
-from ..metrics import MetricsRegistry, default_registry
+from ..metrics import TENANT_COST_FAMILIES, MetricsRegistry, \
+    default_registry
 from .flight import FlightRecorder
 from .slo import Alert, SLO, SLOEngine
 from .timeseries import TimeSeriesStore, snapshot_delta
 
 #: Status document version.
 STATUS_SCHEMA_VERSION = 1
-
-#: (metric, column, has_status_label) — the per-tenant cost families.
-_TENANT_FAMILIES = (
-    ("cluster_tenant_sim_cycles_total", "sim_cycles"),
-    ("cluster_tenant_bootstraps_total", "bootstraps"),
-    ("cluster_tenant_bytes_total", "bytes"),
-    ("cluster_tenant_compile_seconds_total", "compile_s"),
-)
 
 
 def tenant_table(snapshot: dict) -> List[dict]:
@@ -66,7 +59,7 @@ def tenant_table(snapshot: dict) -> List[dict]:
             entry["ok"] += value
         else:
             entry["failed"] += value
-    for metric, column in _TENANT_FAMILIES:
+    for metric, column, _help in TENANT_COST_FAMILIES:
         for series in snapshot.get(metric, {}).get("series", ()):
             tenant = series.get("labels", {}).get("tenant", "default")
             row(tenant)[column] += series.get("value") or 0.0

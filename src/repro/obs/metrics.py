@@ -6,11 +6,9 @@ bounded reservoir so the snapshot can report exact-ish p50/p95/p99
 quantiles (Prometheus proper computes those server-side; a self-contained
 loadgen report needs them locally).
 
-Historically this lived in :mod:`repro.serve.metrics` and counted only
-the serving layer; it is now the process-wide home so runtime, cache,
-tuning, and recovery metrics land in the same scrape
-(:func:`default_registry`).  ``repro.serve.metrics`` re-exports
-everything here for backwards compatibility.
+This is the process-wide home of the registry: serving, runtime, cache,
+tuning, and recovery metrics all land in the same scrape
+(:func:`default_registry`).
 
 Two exports:
 
@@ -312,3 +310,36 @@ def default_registry() -> MetricsRegistry:
     report into (the serving layer takes a registry per server so tests
     stay isolated; pass ``metrics=default_registry()`` to merge them)."""
     return _DEFAULT_REGISTRY
+
+
+# ---------------------------------------------------------------------- #
+# Per-tenant cost attribution (trace schema 8).
+
+#: ``(family, cost field, help)`` — one row per field of the
+#: :func:`repro.serve.request.cost_rollup` a request's tenant is billed.
+#: The live serving path, the offline journal replay and the ``obs top``
+#: tenant table all read this one table.
+TENANT_COST_FAMILIES = (
+    ("cluster_tenant_sim_cycles_total", "sim_cycles",
+     "Simulated accelerator cycles billed to the tenant."),
+    ("cluster_tenant_bootstraps_total", "bootstraps",
+     "Bootstrap operations billed to the tenant."),
+    ("cluster_tenant_bytes_total", "bytes",
+     "HBM + network bytes moved for the tenant."),
+    ("cluster_tenant_compile_seconds_total", "compile_s",
+     "Compile wall seconds billed (cache misses only)."),
+)
+
+
+def bill_tenant(registry: MetricsRegistry, tenant: str, status: str,
+                cost: Optional[dict]) -> None:
+    """Count one terminal request outcome against ``tenant``; executed
+    requests (a non-empty ``cost`` rollup) are also billed their cost."""
+    registry.counter("cluster_tenant_requests_total",
+                     "Requests by tenant and terminal status.",
+                     labels={"tenant": tenant, "status": status}).inc()
+    if not cost:
+        return
+    for family, field, help_text in TENANT_COST_FAMILIES:
+        registry.counter(family, help_text,
+                         labels={"tenant": tenant}).inc(cost.get(field) or 0)

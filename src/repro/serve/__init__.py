@@ -37,7 +37,7 @@ from .faults import (
     PoisonedCacheError,
     WorkerCrashError,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from ..obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .queue import AdmissionQueue, QueueClosedError, QueueSaturatedError
 from .request import (
     InferenceRequest,
@@ -47,7 +47,8 @@ from .request import (
     RequestResult,
     RequestStatus,
 )
-from .server import CinnamonServer, ServerClosedError, serve_requests
+from .lifecycle import ServerClosedError
+from .server import CinnamonServer, serve_requests
 
 
 def __getattr__(name):

@@ -1,0 +1,321 @@
+"""The request lifecycle shared by every serving front-end.
+
+:class:`RequestLifecycle` owns everything between ``submit()`` and
+``handle.resolve()`` that does not depend on *where* a request executes::
+
+    admit() --> queued --dispatched()--> dispatched --> ok | failed | timeout
+                   |                          |
+                   +--> rejected | timeout    +--requeued()--> queued
+
+:class:`~repro.serve.CinnamonServer` (thread shards) and
+:class:`~repro.cluster.ClusterRouter` (worker processes) drive it and
+keep only their executor: queueing policy, routing, retries, failover.
+docs/serving.md ("Request lifecycle") says what each transition records.
+"""
+
+from __future__ import annotations
+
+import json
+import threading
+import time
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Sequence
+
+from ..obs.metrics import MetricsRegistry, bill_tenant
+from ..obs.tracing import tracer
+from ..runtime.fingerprint import fingerprint
+from ..runtime.session import resolve_request_options
+from ..runtime.trace import TraceRecorder
+from ..sim.config import resolve_machine
+from .queue import Empty, QueueClosedError
+from .request import InferenceRequest, LatencyBreakdown, RequestHandle, \
+    RequestResult, RequestStatus
+
+#: Poll period of a front-end's dispatcher while its queue is idle.
+IDLE_POLL_S = 0.05
+
+
+class ServerClosedError(RuntimeError):
+    """``submit`` after ``shutdown``/``drain`` began."""
+
+
+class RequestLifecycle:
+    """Admission, accounting and exactly-once resolution of requests.
+
+    With ``tuned=True`` (or an explicit ``tuning_db``) each admitted
+    request consults the persisted tuning DB (:mod:`repro.tune`) and, on
+    a hit for this (program, params, machine), swaps in the tuned
+    compiler options *before* fingerprinting — so routing affinity and
+    cache keys align with the tuned artifact.  Only compiler axes apply;
+    the request's machine is still what gets simulated.
+    """
+
+    def __init__(self, metrics: MetricsRegistry, recorder: TraceRecorder,
+                 default_machine=None,
+                 request_timeout_s: Optional[float] = None,
+                 tuned: bool = False, tuning_db=None, cache_dir=None):
+        self.metrics = metrics
+        self.recorder = recorder
+        self.default_machine = default_machine
+        self.request_timeout_s = request_timeout_s
+        if tuned and tuning_db is None:
+            from ..tune.db import TuningDB, default_db_path
+
+            tuning_db = TuningDB(default_db_path(cache_dir))
+        self.tuning_db = tuning_db
+        self._handles: Dict[int, RequestHandle] = {}
+        self._cond = threading.Condition()
+
+        self.requests_total = {
+            status: metrics.counter("serve_requests_total",
+                                    "Requests by terminal status.",
+                                    labels={"status": status.value})
+            for status in RequestStatus
+        }
+        self.retries_total = metrics.counter(
+            "serve_retries_total",
+            "Execution retries (shard retry or worker failover).")
+        self.tuned_total = metrics.counter(
+            "serve_tuned_requests_total",
+            "Requests whose options came from the tuning DB.")
+        self.queue_depth = metrics.gauge(
+            "serve_queue_depth", "Requests waiting for dispatch.")
+        self.inflight = metrics.gauge(
+            "serve_inflight_requests", "Requests dispatched, not resolved.")
+        self.queue_wait_h = metrics.histogram(
+            "serve_queue_wait_seconds",
+            "Admission (+ batching) wait before execution starts.")
+        self.execute_h = metrics.histogram(
+            "serve_execute_seconds", "Compile+simulate time in the executor.")
+        self.latency_h = metrics.histogram(
+            "serve_request_latency_seconds",
+            "End-to-end latency, submit to resolution.")
+
+    # ------------------------------------------------------------------ #
+    # Admission
+
+    def admit(self, request: InferenceRequest) -> RequestHandle:
+        """Default, resolve, fingerprint and register one request.  The
+        resolved options are pinned on it (``machine=None``) so whichever
+        session executes it computes the identical fingerprint."""
+        if request.machine is None and request.options is None \
+                and self.default_machine is not None:
+            request.machine = self.default_machine
+        if request.deadline_s is None:
+            request.deadline_s = self.request_timeout_s
+        options = resolve_request_options(request.machine, request.options)
+        request.machine_name = resolve_machine(
+            options.machine or options.num_chips).name
+        if self.tuning_db is not None:
+            tuned_options = self.tuning_db.tuned_options(
+                request.program, request.params, request.machine_name,
+                options)
+            if tuned_options is not None:
+                options = tuned_options
+                request.tuned = True
+                self.tuned_total.inc()
+        request.options = options
+        request.machine = None
+        request.key = fingerprint(request.program, request.params, options)
+        request.submitted_at = time.monotonic()
+        # Observability root: one trace per request, opened at admission
+        # and closed at resolution (repro.obs; no-op unless enabled).
+        tr = tracer()
+        request.span = tr.begin(
+            f"serve:{request.label}", kind="serve", parent=None,
+            attrs={"request_id": request.request_id,
+                   "machine": request.machine_name,
+                   "tenant": request.tenant,
+                   "fingerprint": request.key})
+        request.queue_span = tr.begin("queue", kind="queue",
+                                      parent=request.span)
+        handle = RequestHandle(request)
+        with self._cond:
+            self._handles[request.request_id] = handle
+        return handle
+
+    # ------------------------------------------------------------------ #
+    # Queued <-> dispatched
+
+    def dispatched(self, requests: Iterable[InferenceRequest],
+                   now: float) -> None:
+        """``requests`` were handed to an executor at ``now``."""
+        with self._cond:
+            for request in requests:
+                request.dispatched_at = now
+                self.inflight.inc()
+
+    def requeued(self, request: InferenceRequest) -> None:
+        """``request`` left its executor unresolved; it is queued again."""
+        with self._cond:
+            request.dispatched_at = None
+            self.inflight.dec()
+
+    # ------------------------------------------------------------------ #
+    # Terminal transitions
+
+    def finish(self, request: InferenceRequest,
+               result: RequestResult) -> bool:
+        """Resolve ``request`` exactly once: the handle is popped first,
+        so a second attempt (a result frame racing a timeout, a
+        defensive re-fail) returns ``False`` without a second journal
+        row, tenant bill or counter increment.  Runs under the lifecycle
+        lock: once :meth:`wait_drained` sees the handle table empty,
+        every row is journaled and every handle resolved."""
+        with self._cond:
+            handle = self._handles.pop(request.request_id, None)
+            if handle is None:
+                return False
+            if request.dispatched_at is not None:
+                self.inflight.dec()
+            self.requests_total[result.status].inc()
+            self.latency_h.observe(result.latency.total_s)
+            bill_tenant(self.metrics, request.tenant, result.status.value,
+                        result.cost)
+            # Close whatever request spans are still open (a timeout can
+            # resolve a request while its queue/batch span is live), then
+            # journal the outcome under the root span so the serve row
+            # joins the compile/simulate rows on trace_id.
+            for span in (request.queue_span, request.batch_span,
+                         request.span):
+                if span is not None:
+                    span.finish()
+            request.span.set_attr("status", result.status.value)
+            request.span.set_attr("shard", result.shard)
+            with tracer().use_span(request.span):
+                self.recorder.record_serve(
+                    job=request.label, status=result.status.value,
+                    machine=request.machine_name or "", shard=result.shard,
+                    attempts=result.attempts, batch_size=result.batch_size,
+                    cache=result.cache, seconds=result.latency.total_s,
+                    queue_s=result.latency.queue_s,
+                    batch_s=result.latency.batch_s,
+                    execute_s=result.latency.execute_s,
+                    tenant=request.tenant, cost=result.cost)
+            handle.resolve(result)
+            self._cond.notify_all()
+        return True
+
+    def _terminal(self, request: InferenceRequest, status: RequestStatus,
+                  now: Optional[float] = None, *,
+                  started: Optional[float] = None,
+                  execute_s: float = 0.0, **outcome) -> bool:
+        """:meth:`finish` with a result built for ``status``: ``started``
+        (when the executor began the final attempt) splits the wall time,
+        ``outcome`` carries the other :class:`RequestResult` fields."""
+        now = time.monotonic() if now is None else now
+        latency = LatencyBreakdown(total_s=now - request.submitted_at)
+        if started is not None:
+            latency.queue_s = max(0.0, started - request.submitted_at)
+            if request.batched_at is not None:
+                latency.batch_s = started - request.batched_at
+            latency.execute_s = execute_s
+            self.queue_wait_h.observe(latency.queue_s)
+            self.execute_h.observe(latency.execute_s)
+        return self.finish(request, RequestResult(
+            request_id=request.request_id, name=request.label,
+            status=status, latency=latency, attempts=request.attempts,
+            **outcome))
+
+    def ok(self, request: InferenceRequest, now: float, *, started: float,
+           execute_s: float, **outcome) -> bool:
+        return self._terminal(request, RequestStatus.OK, now,
+                              started=started, execute_s=execute_s,
+                              **outcome)
+
+    def fail(self, request: InferenceRequest, error: str,
+             now: Optional[float] = None, **outcome) -> bool:
+        """Retries exhausted, or an executor reported a terminal error."""
+        return self._terminal(request, RequestStatus.FAILED, now,
+                              error=error, **outcome)
+
+    def timeout(self, request: InferenceRequest, now: float,
+                **outcome) -> bool:
+        """The deadline lapsed; the error names the stage it lapsed in."""
+        stage = ("dispatched" if request.dispatched_at is not None
+                 else "queued")
+        return self._terminal(
+            request, RequestStatus.TIMEOUT, now,
+            error=f"deadline of {request.deadline_s}s exceeded "
+                  f"while {stage}", **outcome)
+
+    def reject(self, request: InferenceRequest, reason: str) -> bool:
+        """Admission refused (backpressure, quota, trust, shutdown)."""
+        return self._terminal(request, RequestStatus.REJECTED, error=reason)
+
+    def wait_drained(self, timeout: Optional[float] = None) -> bool:
+        """Block until every admitted request has resolved; ``False`` if
+        ``timeout`` expired with work still outstanding."""
+        with self._cond:
+            return self._cond.wait_for(lambda: not self._handles, timeout)
+
+
+class ServingFrontend:
+    """The serving contract's executor-independent half.  A front-end
+    sets ``lifecycle``, ``_queue`` and ``_started`` and implements
+    ``start``/``shutdown``/``trace``."""
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.shutdown(drain=exc_type is None)
+
+    def submit(self, request: InferenceRequest) -> RequestHandle:
+        """Admit one request.  A refusal — backpressure
+        (:class:`~repro.serve.queue.QueueSaturatedError`), the front-end's
+        admission check, shutdown (:class:`ServerClosedError`) — resolves
+        the handle ``REJECTED`` before the typed error propagates, so a
+        refused submit can never hang a waiter."""
+        if not self._started:
+            self.start()
+        handle = self.lifecycle.admit(request)
+        try:
+            self._check_admission(request)
+            self._queue.put(request)
+        except Exception as exc:
+            self.lifecycle.reject(request, str(exc))
+            if isinstance(exc, QueueClosedError):
+                raise ServerClosedError(str(exc)) from exc
+            raise
+        self.lifecycle.queue_depth.set(self._queue.depth())
+        return handle
+
+    def _check_admission(self, request: InferenceRequest) -> None:
+        """Front-end admission policy: raise to refuse ``request``."""
+
+    def submit_many(self, requests: Sequence[InferenceRequest]
+                    ) -> List[RequestHandle]:
+        return [self.submit(request) for request in requests]
+
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Stop admission and wait until all accepted work resolves;
+        ``False`` if ``timeout`` expired with work pending."""
+        self._queue.close()
+        return self.lifecycle.wait_drained(timeout)
+
+    def _close_admission(self, drain: bool,
+                         timeout: Optional[float]) -> None:
+        """First step of ``shutdown``: finish accepted work (``drain``)
+        or resolve everything still queued as ``REJECTED``."""
+        if drain:
+            self.drain(timeout)
+            return
+        self._queue.close()
+        while True:
+            try:
+                request = self._queue.get(timeout=0)
+            except Empty:
+                return
+            self.lifecycle.reject(request, "shut down")
+
+    @property
+    def queue_depth(self) -> int:
+        return self._queue.depth()
+
+    def export_trace(self, path) -> Path:
+        """Write the merged trace journal to ``path``; returns the path."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(self.trace(), indent=2))
+        return path

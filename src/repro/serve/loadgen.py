@@ -74,7 +74,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..workloads.serving import MixEntry, serving_mix
 from .faults import FaultInjector
-from .metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from .queue import QueueSaturatedError
 from .request import InferenceRequest, Priority, RequestResult, RequestStatus
 from .server import CinnamonServer

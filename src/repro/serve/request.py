@@ -68,11 +68,13 @@ class InferenceRequest:
     envelope: object = None           # trust.freshness.FreshnessEnvelope
     key_version: Optional[int] = None
 
-    # Filled in at admission by the server:
+    # Filled in by the request lifecycle (repro.serve.lifecycle):
     key: Optional[str] = None         # compile fingerprint
     machine_name: Optional[str] = None
     submitted_at: Optional[float] = None  # monotonic
     batched_at: Optional[float] = None    # monotonic; set by the batcher
+    dispatched_at: Optional[float] = None  # monotonic; None while queued
+    attempts: int = 0                 # execution attempts so far
     tuned: bool = False               # options swapped from the tuning DB
     # repro.obs spans carried across the thread hops of the data path
     # (admission thread -> dispatcher -> shard executor):

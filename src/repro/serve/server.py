@@ -2,9 +2,13 @@
 
 Data path of one request::
 
-    submit() --fingerprint--> AdmissionQueue --dispatcher--> AdaptiveBatcher
+    submit() --admit--> AdmissionQueue --dispatcher--> AdaptiveBatcher
         --batch--> shard (hash(fingerprint) % num_workers)
-        --CinnamonSession.run_batch--> RequestResult --> RequestHandle
+        --CinnamonSession.run_batch--> ok/fail/timeout --> RequestHandle
+
+Admission, deadlines, billing, journal rows and handle resolution are
+the shared :class:`~repro.serve.lifecycle.RequestLifecycle`; this module
+is the thread-shard *executor* behind it.
 
 Design notes:
 
@@ -25,7 +29,7 @@ Design notes:
   recompiled; requests whose deadline lapses anywhere along the path
   resolve to ``TIMEOUT`` instead of occupying a shard.
 * **Observability.** Every hop updates the
-  :class:`~repro.serve.metrics.MetricsRegistry` and every resolution
+  :class:`~repro.obs.metrics.MetricsRegistry` and every resolution
   appends a ``serve`` entry to the session-shared
   :class:`~repro.runtime.trace.TraceRecorder` schema.
 """
@@ -38,32 +42,22 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import tracer
 from ..resilience.faults import MachineFaultError, WatchdogTimeout
-from ..runtime.cache import DISK_HIT, MEMORY_HIT
-from ..runtime.fingerprint import fingerprint
-from ..runtime.session import CinnamonSession, CompileJob, \
-    resolve_request_options
+from ..runtime.session import CinnamonSession, CompileJob
 from ..runtime.trace import TraceRecorder
-from ..sim.config import degraded_machine, resolve_machine
+from ..sim.config import degraded_machine
 from .batcher import AdaptiveBatcher, Batch
 from .faults import FaultInjector, NO_FAULTS, PoisonedArtifact, \
     PoisonedCacheError, WorkerCrashError
-from .metrics import MetricsRegistry
-from .queue import AdmissionQueue, Empty, QueueClosedError, \
-    QueueSaturatedError
-from .request import InferenceRequest, LatencyBreakdown, RequestHandle, \
-    RequestResult, RequestStatus, cost_rollup
+from .lifecycle import IDLE_POLL_S, RequestLifecycle, ServingFrontend
+from .queue import AdmissionQueue, Empty, QueueSaturatedError
+from .request import InferenceRequest, RequestResult, RequestStatus, \
+    cost_rollup
 
 #: Buckets for the batch-size histogram (requests per dispatched batch).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
-
-#: Dispatcher poll period while completely idle.
-_IDLE_POLL_S = 0.05
-
-
-class ServerClosedError(RuntimeError):
-    """``submit`` after ``shutdown``/``drain`` began."""
 
 
 class _Shard:
@@ -76,7 +70,7 @@ class _Shard:
             max_workers=1, thread_name_prefix=f"cinnamon-shard-{shard_id}")
 
 
-class CinnamonServer:
+class CinnamonServer(ServingFrontend):
     """Serve encrypted-inference requests over a pool of session shards.
 
     Parameters mirror the knobs of a real inference frontend:
@@ -114,8 +108,6 @@ class CinnamonServer:
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.retry_jitter = retry_jitter
-        self.request_timeout_s = request_timeout_s
-        self.default_machine = default_machine
         #: Shared shard cache directory (None = memory-only shards);
         #: exposed so chaos tooling can aim tamper attacks at the disk
         #: layer (repro.trust).
@@ -132,17 +124,6 @@ class CinnamonServer:
             lambda shard_id: CinnamonSession(cache_dir=cache_dir,
                                              capacity=capacity,
                                              watchdog_s=watchdog_s))
-        #: With ``tuned=True`` each admitted request consults the
-        #: persisted tuning DB (``repro.tune``) and, on a hit for this
-        #: (program, params, machine), swaps in the tuned compiler
-        #: options *before* fingerprinting — so shard affinity and cache
-        #: keys align with the tuned artifact.  Only compiler axes apply;
-        #: the request's machine is still what gets simulated.
-        self._tuning_db = tuning_db
-        if tuned and self._tuning_db is None:
-            from ..tune.db import TuningDB, default_db_path
-
-            self._tuning_db = TuningDB(default_db_path(cache_dir))
         self._shards = [_Shard(i, self._session_factory(i))
                         for i in range(num_workers)]
         self._queue = AdmissionQueue(maxsize=queue_depth)
@@ -150,23 +131,16 @@ class CinnamonServer:
                                         max_wait_s=max_wait_s)
         self._recorder = TraceRecorder()
         self._rng = random.Random(seed)
-        self._handles: Dict[int, RequestHandle] = {}
-        self._inflight = 0
-        self._pending_cond = threading.Condition()
         self._started = False
         self._stopped = False
         self._dispatcher: Optional[threading.Thread] = None
 
         self.metrics = metrics or MetricsRegistry()
+        self.lifecycle = RequestLifecycle(
+            self.metrics, self._recorder, default_machine=default_machine,
+            request_timeout_s=request_timeout_s, tuned=tuned,
+            tuning_db=tuning_db, cache_dir=cache_dir)
         m = self.metrics
-        self._requests_total = {
-            status: m.counter("serve_requests_total",
-                              "Requests by terminal status.",
-                              labels={"status": status.value})
-            for status in RequestStatus
-        }
-        self._retries_total = m.counter(
-            "serve_retries_total", "Batch execution retries.")
         self._restarts_total = m.counter(
             "serve_worker_restarts_total",
             "Shard restarts after an (injected) crash.")
@@ -184,22 +158,7 @@ class CinnamonServer:
             "Simulations cancelled by the per-run watchdog deadline.")
         self._batches_total = m.counter(
             "serve_batches_total", "Batches dispatched to shards.")
-        self._tuned_total = m.counter(
-            "serve_tuned_requests_total",
-            "Requests whose options came from the tuning DB.")
-        self._queue_depth = m.gauge(
-            "serve_queue_depth", "Requests waiting for admission dispatch.")
-        self._inflight_gauge = m.gauge(
-            "serve_inflight_requests", "Requests dispatched, not resolved.")
         m.gauge("serve_shards", "Session shards in the pool.").set(num_workers)
-        self._queue_wait_h = m.histogram(
-            "serve_queue_wait_seconds",
-            "Admission + batching wait before execution starts.")
-        self._execute_h = m.histogram(
-            "serve_execute_seconds", "Compile+simulate time inside a shard.")
-        self._latency_h = m.histogram(
-            "serve_request_latency_seconds",
-            "End-to-end latency, submit to resolution.")
         self._batch_size_h = m.histogram(
             "serve_batch_size", "Requests per dispatched batch.",
             buckets=BATCH_SIZE_BUCKETS)
@@ -220,7 +179,7 @@ class CinnamonServer:
                 snapshot_fn=self.metrics_snapshot)
 
     # ------------------------------------------------------------------ #
-    # Lifecycle
+    # Start / stop
 
     def start(self) -> "CinnamonServer":
         if self._started:
@@ -234,45 +193,13 @@ class CinnamonServer:
             self.live.start()
         return self
 
-    def __enter__(self) -> "CinnamonServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(drain=exc_type is None)
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Stop admission and wait until all accepted work resolves.
-
-        Returns ``False`` if ``timeout`` expired with work pending.
-        """
-        self._queue.close()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._pending_cond:
-            while self._outstanding() > 0:
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._pending_cond.wait(remaining
-                                        if remaining is not None else 0.1)
-        return True
-
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> None:
         """Stop the server; with ``drain`` finish accepted work first,
         otherwise resolve still-queued requests as ``REJECTED``."""
         if self._stopped:
             return
-        self._queue.close()
-        if drain:
-            self.drain(timeout=timeout)
-        else:
-            while True:
-                try:
-                    request = self._queue.get(timeout=0)
-                except Empty:
-                    break
-                self._resolve_rejected(request, "server shut down")
+        self._close_admission(drain, timeout)
         self._stopped = True
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=10)
@@ -282,67 +209,6 @@ class CinnamonServer:
             self.live.stop(final_tick=True)
 
     # ------------------------------------------------------------------ #
-    # Admission
-
-    def submit(self, request: InferenceRequest) -> RequestHandle:
-        """Admit one request; raises :class:`QueueSaturatedError` under
-        backpressure and :class:`ServerClosedError` after shutdown."""
-        if not self._started:
-            self.start()
-        if request.machine is None and request.options is None \
-                and self.default_machine is not None:
-            request.machine = self.default_machine
-        if request.deadline_s is None:
-            request.deadline_s = self.request_timeout_s
-        options = resolve_request_options(request.machine, request.options)
-        request.machine_name = resolve_machine(
-            request.machine if request.machine is not None
-            else (options.machine or options.num_chips)).name
-        if self._tuning_db is not None:
-            tuned_options = self._tuning_db.tuned_options(
-                request.program, request.params, request.machine_name,
-                options)
-            if tuned_options is not None:
-                # Swap before fingerprinting so cache keys and shard
-                # affinity follow the tuned artifact.  machine=None keeps
-                # resolve_request_options from clobbering the tuned
-                # num_chips/registers_per_chip downstream.
-                options = tuned_options
-                request.options = tuned_options
-                request.machine = None
-                request.tuned = True
-                self._tuned_total.inc()
-        request.key = fingerprint(request.program, request.params, options)
-        request.submitted_at = time.monotonic()
-        # Observability root: one trace per request, opened at admission
-        # and closed at resolution (repro.obs; no-op unless enabled).
-        tr = tracer()
-        request.span = tr.begin(
-            f"serve:{request.label}", kind="serve", parent=None,
-            attrs={"request_id": request.request_id,
-                   "machine": request.machine_name,
-                   "fingerprint": request.key})
-        request.queue_span = tr.begin("queue", kind="queue",
-                                      parent=request.span)
-        handle = RequestHandle(request)
-        with self._pending_cond:
-            self._handles[request.request_id] = handle
-        try:
-            self._queue.put(request)
-        except QueueSaturatedError:
-            self._resolve_rejected(request, "admission queue saturated")
-            raise
-        except QueueClosedError as exc:
-            self._resolve_rejected(request, "server shutting down")
-            raise ServerClosedError(str(exc)) from exc
-        self._queue_depth.set(self._queue.depth())
-        return handle
-
-    def submit_many(self, requests: Sequence[InferenceRequest]
-                    ) -> List[RequestHandle]:
-        return [self.submit(request) for request in requests]
-
-    # ------------------------------------------------------------------ #
     # Dispatcher
 
     def _dispatch_loop(self) -> None:
@@ -350,7 +216,7 @@ class CinnamonServer:
             now = time.monotonic()
             wait = self._batcher.next_deadline(now)
             if wait is None:
-                wait = _IDLE_POLL_S
+                wait = IDLE_POLL_S
             drained = False
             try:
                 request = self._queue.get(timeout=wait)
@@ -366,7 +232,7 @@ class CinnamonServer:
                     except Empty:
                         break
                     self._admit_to_batcher(request)
-            self._queue_depth.set(self._queue.depth())
+            self.lifecycle.queue_depth.set(self._queue.depth())
             for batch in self._batcher.ready(time.monotonic(),
                                              force=drained):
                 self._dispatch(batch)
@@ -376,7 +242,7 @@ class CinnamonServer:
     def _admit_to_batcher(self, request: InferenceRequest) -> None:
         now = time.monotonic()
         if request.expired(now):
-            self._resolve_timeout(request, now, stage="queued")
+            self.lifecycle.timeout(request, now)
             return
         full = self._batcher.add(request, now)
         if full is not None:
@@ -386,9 +252,7 @@ class CinnamonServer:
         shard = self._shards[int(batch.fingerprint, 16) % self.num_workers]
         self._batches_total.inc()
         self._batch_size_h.observe(len(batch))
-        with self._pending_cond:
-            self._inflight += len(batch)
-        self._inflight_gauge.set(self._inflight)
+        self.lifecycle.dispatched(batch.requests, time.monotonic())
         shard.executor.submit(self._execute_batch, shard, batch)
 
     # ------------------------------------------------------------------ #
@@ -399,14 +263,13 @@ class CinnamonServer:
             self._execute_batch_inner(shard, batch)
         except BaseException:  # pragma: no cover - defensive: never lose
             for request in batch.requests:  # a request to a bug here
-                self._resolve_failed(request, time.monotonic(), attempts=0,
-                                     batch_size=len(batch),
-                                     shard=shard.id,
-                                     error="internal dispatch error")
+                self.lifecycle.fail(request, "internal dispatch error",
+                                    shard=shard.id, batch_size=len(batch))
             raise
 
     def _execute_batch_inner(self, shard: _Shard, batch: Batch) -> None:
         pending = list(batch.requests)
+        where = {"shard": shard.id, "batch_size": len(batch)}
         last_error: Optional[Exception] = None
         machine_override = None       # degraded machine after a chip loss
         recoveries = 0
@@ -418,10 +281,9 @@ class CinnamonServer:
             live = []
             for request in pending:
                 if request.expired(now):
-                    self._resolve_timeout(request, now, stage="dispatched",
-                                          shard=shard.id,
-                                          batch_size=len(batch))
+                    self.lifecycle.timeout(request, now, **where)
                 else:
+                    request.attempts = attempt
                     live.append(request)
             pending = live
             if not pending:
@@ -509,15 +371,19 @@ class CinnamonServer:
                     if request.expired(done):
                         # Deadline lapsed mid-execution (e.g. a latency
                         # spike): the client already gave up on it.
-                        self._resolve_timeout(request, done,
-                                              stage="dispatched",
-                                              shard=shard.id,
-                                              batch_size=len(batch))
+                        self.lifecycle.timeout(request, done, **where)
                     else:
-                        self._resolve_ok(request, job_result,
-                                         exec_start=exec_start, done=done,
-                                         attempts=attempt, shard=shard.id,
-                                         batch_size=len(batch))
+                        sim = job_result.result
+                        self.lifecycle.ok(
+                            request, done, started=exec_start,
+                            execute_s=done - exec_start,
+                            cache=job_result.cache,
+                            cycles=sim.cycles if sim is not None else None,
+                            sim=sim, compiled=job_result.compiled,
+                            cost=cost_rollup(request.program,
+                                             job_result.cache,
+                                             job_result.compiled, sim),
+                            **where)
                 return
             finally:
                 # Close this attempt's execute spans on every exit path
@@ -525,16 +391,14 @@ class CinnamonServer:
                 for span in exec_spans:
                     span.finish()
             if attempt <= self.max_retries:
-                self._retries_total.inc()
+                self.lifecycle.retries_total.inc()
                 backoff = (self.retry_backoff_s * (2 ** (attempt - 1))
                            * (1.0 + self.retry_jitter * self._rng.random()))
                 time.sleep(backoff)
-        now = time.monotonic()
         for request in pending:
-            self._resolve_failed(
-                request, now, attempts=self.max_retries + 1,
-                shard=shard.id, batch_size=len(batch),
-                error=f"{type(last_error).__name__}: {last_error}")
+            self.lifecycle.fail(
+                request, f"{type(last_error).__name__}: {last_error}",
+                **where)
 
     def _restart_shard(self, shard: _Shard) -> None:
         """Replace a crashed shard's session — the in-memory cache dies
@@ -542,140 +406,7 @@ class CinnamonServer:
         shard.session = self._session_factory(shard.id)
 
     # ------------------------------------------------------------------ #
-    # Resolution
-
-    def _bill_tenant(self, request: InferenceRequest,
-                     result: RequestResult) -> None:
-        """Per-tenant cost attribution (schema 8) — the same families
-        the cluster router bills, so ``obs top`` reads either."""
-        m = self.metrics
-        tenant = request.tenant
-        m.counter("cluster_tenant_requests_total",
-                  "Requests by tenant and terminal status.",
-                  labels={"tenant": tenant,
-                          "status": result.status.value}).inc()
-        cost = result.cost or {}
-        if not cost:
-            return
-        m.counter("cluster_tenant_sim_cycles_total",
-                  "Simulated accelerator cycles billed to the tenant.",
-                  labels={"tenant": tenant}).inc(
-                      cost.get("sim_cycles", 0) or 0)
-        m.counter("cluster_tenant_bootstraps_total",
-                  "Bootstrap operations billed to the tenant.",
-                  labels={"tenant": tenant}).inc(
-                      cost.get("bootstraps", 0) or 0)
-        m.counter("cluster_tenant_bytes_total",
-                  "HBM + network bytes moved for the tenant.",
-                  labels={"tenant": tenant}).inc(
-                      cost.get("bytes", 0) or 0)
-        m.counter("cluster_tenant_compile_seconds_total",
-                  "Compile wall seconds billed (cache misses only).",
-                  labels={"tenant": tenant}).inc(
-                      cost.get("compile_s", 0.0) or 0.0)
-
-    def _finish(self, request: InferenceRequest, result: RequestResult,
-                dispatched: bool) -> None:
-        self._requests_total[result.status].inc()
-        self._latency_h.observe(result.latency.total_s)
-        self._bill_tenant(request, result)
-        # Close whatever request spans are still open (a timeout can
-        # resolve a request while its queue/batch span is live), then
-        # journal the outcome under the root span so the serve row joins
-        # the compile/simulate rows on trace_id.
-        tr = tracer()
-        for span in (request.queue_span, request.batch_span, request.span):
-            if span is not None:
-                span.finish()
-        if request.span is not None:
-            request.span.set_attr("status", result.status.value)
-            request.span.set_attr("shard", result.shard)
-        with tr.use_span(request.span):
-            self._recorder.record_serve(
-                job=request.label, status=result.status.value,
-                machine=request.machine_name or "", shard=result.shard,
-                attempts=result.attempts, batch_size=result.batch_size,
-                cache=result.cache, seconds=result.latency.total_s,
-                queue_s=result.latency.queue_s,
-                batch_s=result.latency.batch_s,
-                execute_s=result.latency.execute_s,
-                tenant=request.tenant, cost=result.cost)
-        with self._pending_cond:
-            handle = self._handles.pop(request.request_id, None)
-            if dispatched:
-                self._inflight -= 1
-            self._pending_cond.notify_all()
-        self._inflight_gauge.set(self._inflight)
-        if handle is not None:
-            handle.resolve(result)
-
-    def _elapsed(self, request: InferenceRequest, now: float) -> float:
-        return now - (request.submitted_at or now)
-
-    def _resolve_ok(self, request, job_result, *, exec_start: float,
-                    done: float, attempts: int, shard: int,
-                    batch_size: int) -> None:
-        latency = LatencyBreakdown(
-            queue_s=exec_start - (request.submitted_at or exec_start),
-            batch_s=(exec_start - request.batched_at
-                     if request.batched_at is not None else 0.0),
-            execute_s=done - exec_start,
-            total_s=self._elapsed(request, done))
-        self._queue_wait_h.observe(latency.queue_s)
-        self._execute_h.observe(latency.execute_s)
-        sim = job_result.result
-        result = RequestResult(
-            request_id=request.request_id, name=request.label,
-            status=RequestStatus.OK, latency=latency, attempts=attempts,
-            shard=shard, batch_size=batch_size, cache=job_result.cache,
-            cycles=sim.cycles if sim is not None else None, sim=sim,
-            compiled=job_result.compiled,
-            cost=cost_rollup(request.program, job_result.cache,
-                             job_result.compiled, sim))
-        self._finish(request, result, dispatched=True)
-
-    def _resolve_timeout(self, request, now: float, *, stage: str,
-                         shard: Optional[int] = None,
-                         batch_size: int = 0) -> None:
-        result = RequestResult(
-            request_id=request.request_id, name=request.label,
-            status=RequestStatus.TIMEOUT,
-            latency=LatencyBreakdown(total_s=self._elapsed(request, now)),
-            shard=shard, batch_size=batch_size,
-            error=f"deadline of {request.deadline_s}s exceeded "
-                  f"while {stage}")
-        self._finish(request, result, dispatched=stage == "dispatched")
-
-    def _resolve_failed(self, request, now: float, *, attempts: int,
-                        shard: int, batch_size: int, error: str) -> None:
-        result = RequestResult(
-            request_id=request.request_id, name=request.label,
-            status=RequestStatus.FAILED,
-            latency=LatencyBreakdown(total_s=self._elapsed(request, now)),
-            attempts=attempts, shard=shard, batch_size=batch_size,
-            error=error)
-        self._finish(request, result, dispatched=True)
-
-    def _resolve_rejected(self, request, reason: str) -> None:
-        result = RequestResult(
-            request_id=request.request_id, name=request.label,
-            status=RequestStatus.REJECTED,
-            latency=LatencyBreakdown(
-                total_s=self._elapsed(request, time.monotonic())),
-            error=reason)
-        self._finish(request, result, dispatched=False)
-
-    # ------------------------------------------------------------------ #
     # Introspection
-
-    def _outstanding(self) -> int:
-        # Every admitted-but-unresolved request holds a handle, whatever
-        # stage (queue, batcher, shard) it is at — no drain race windows.
-        return len(self._handles)
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queue.depth()
 
     def cache_stats(self) -> dict:
         """Aggregated compile-cache counters across all shards."""
@@ -720,15 +451,6 @@ class CinnamonServer:
         for shard in self._shards:
             document["jobs"].extend(shard.session.trace()["jobs"])
         return document
-
-    def export_trace(self, path):
-        import json
-        from pathlib import Path
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.trace(), indent=2))
-        return path
 
 
 # ---------------------------------------------------------------------- #

@@ -24,7 +24,6 @@ from .config import (
     resolve_machine,
 )
 from .simulator import (
-    CycleSimulator,
     SimulationResult,
     SimulationSnapshot,
     SimulatorEngine,
@@ -42,7 +41,6 @@ __all__ = [
     "config_for",
     "degraded_machine",
     "resolve_machine",
-    "CycleSimulator",
     "SimulatorEngine",
     "SimulationResult",
     "SimulationSnapshot",

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -349,8 +348,7 @@ class SimulatorEngine:
     """Simulates one compiled program on one machine configuration.
 
     This is the implementation class used by the runtime
-    (:mod:`repro.runtime`) and :meth:`CompiledProgram.simulate`; the
-    legacy :class:`CycleSimulator` name is a deprecated alias.  Accepts
+    (:mod:`repro.runtime`) and :meth:`CompiledProgram.simulate`.  Accepts
     any machine spec :func:`repro.sim.config.resolve_machine` understands.
     """
 
@@ -651,18 +649,3 @@ class SimulatorEngine:
         chip.pc += 1
         return True
 
-
-class CycleSimulator(SimulatorEngine):
-    """Deprecated alias of :class:`SimulatorEngine`.
-
-    Prefer ``repro.compile(...).simulate(machine)`` or a
-    :class:`repro.runtime.CinnamonSession`, which add caching and tracing.
-    """
-
-    def __init__(self, machine):
-        warnings.warn(
-            "CycleSimulator is deprecated; use "
-            "repro.compile(...).simulate(machine) or "
-            "repro.runtime.CinnamonSession.simulate()",
-            DeprecationWarning, stacklevel=2)
-        super().__init__(machine)

@@ -1,5 +1,7 @@
 """Shared helpers: fast requests + one 2-worker cluster per module."""
 
+import types
+
 import pytest
 
 from repro.fhe import ArchParams
@@ -23,6 +25,15 @@ def make_request(name="req", rotation=1, program_name="cluster-prog",
     return InferenceRequest(
         program=make_program(program_name, rotation), params=PARAMS,
         machine=machine, name=name, **kwargs)
+
+
+def stub_proc():
+    """Stands in for a worker's ``Popen`` in routers built with
+    ``spawn_workers=False``: the failover and teardown paths dereference
+    ``proc.pid`` / ``.poll`` / ``.kill`` / ``.wait``."""
+    return types.SimpleNamespace(pid=4242, poll=lambda: 0,
+                                 kill=lambda: None,
+                                 wait=lambda timeout=None: 0)
 
 
 @pytest.fixture

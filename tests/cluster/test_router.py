@@ -11,10 +11,12 @@ import pytest
 from repro import obs
 from repro.cluster import ClusterRouter, QuotaExceededError, TenantQuota
 from repro.cluster.merge import merged_scalar
+from repro.cluster.protocol import pack_result
+from repro.cluster.router import _Worker
 from repro.obs.analyze import check
-from repro.serve.server import ServerClosedError
+from repro.serve import RequestResult, RequestStatus, ServerClosedError
 
-from .conftest import make_request
+from .conftest import make_request, stub_proc
 
 RESULT_TIMEOUT_S = 120.0
 
@@ -198,3 +200,73 @@ class TestLifecycle:
             events = {row["event"] for row in router.trace()["jobs"]
                       if row["kind"] == "cluster"}
             assert "scale_up" in events
+
+
+class _StubWorker(_Worker):
+    """A connected worker whose socket swallows every frame, so what the
+    router dispatched to it stays in flight until the test says so."""
+
+    def __init__(self, worker_id, index):
+        super().__init__(worker_id, index, proc=stub_proc())
+        self.connected.set()
+
+    def send(self, header, blob=b""):
+        pass
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and not predicate():
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestOrphansOfGracefulExits:
+    """A worker that dies while being retired (autoscaler) or during
+    shutdown is not counted as a death — but whatever was still in
+    flight on it must resolve all the same, or ``drain()`` hangs."""
+
+    @staticmethod
+    def _router_with_inflight_request():
+        router = ClusterRouter(num_workers=1, spawn_workers=False,
+                               disk_cache=False)
+        router.start()
+        victim = _StubWorker("w-victim", 0)
+        router._workers[victim.id] = victim
+        router._ring.add(victim.id)
+        handle = router.submit(make_request(name="orphan"))
+        assert _wait_until(lambda: victim.pending), "never dispatched"
+        return router, victim, handle
+
+    def test_retired_workers_orphans_fail_over(self):
+        router, victim, handle = self._router_with_inflight_request()
+        try:
+            survivor = _StubWorker("w-survivor", 1)
+            router._workers[survivor.id] = survivor
+            router._ring.add(survivor.id)
+            victim.draining = victim.retired = True   # as _retire_one does
+            router._on_worker_lost(victim)            # ... then it dies
+            assert _wait_until(lambda: survivor.pending), \
+                "orphan of a retired worker was dropped"
+            assert handle.request.attempts == 2
+            assert router.metrics.snapshot()["cluster_requeued_total"][
+                "series"][0]["value"] == 1
+            done = RequestResult(
+                request_id=handle.request.request_id, name="orphan",
+                status=RequestStatus.OK, batch_size=1, cycles=7)
+            router._on_result(survivor, *pack_result(done))
+            result = handle.result(timeout=5)
+            assert result.ok and result.shard == 1 and result.attempts == 2
+            assert router.drain(timeout=5)
+        finally:
+            router.shutdown(drain=False)
+
+    def test_orphans_fail_once_the_dispatcher_has_stopped(self):
+        router, victim, handle = self._router_with_inflight_request()
+        router.shutdown(drain=True, timeout=0.2)   # drain times out
+        assert not handle.done()
+        router._on_worker_lost(victim)             # EOF lands afterwards
+        result = handle.result(timeout=5)
+        assert result.status is RequestStatus.FAILED
+        assert "died mid-request" in result.error
+        assert router.drain(timeout=5)

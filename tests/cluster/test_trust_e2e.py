@@ -17,7 +17,7 @@ from repro.trust.errors import (ReplayError, StaleKeyError,
 from repro.trust.freshness import EnvelopeMinter, FreshnessEnvelope
 from repro.trust.keyvault import KeyVault
 
-from .conftest import make_request
+from .conftest import make_request, stub_proc
 
 
 @pytest.fixture
@@ -80,8 +80,8 @@ class TestRouterAdmission:
         request = make_request(key_version=1)
         with pytest.raises(StaleKeyError):
             router.submit(request)
-        assert request.request_id not in router._handles
-        rejected = router._requests_total[RequestStatus.REJECTED]
+        assert router.lifecycle.wait_drained(0)
+        rejected = router.lifecycle.requests_total[RequestStatus.REJECTED]
         assert rejected.value == 1
 
 
@@ -166,14 +166,9 @@ class TestKeyReplication:
         router = ClusterRouter(num_workers=1, spawn_workers=False,
                                disk_cache=False, keyvault=vault)
         router.start()
-        # Register the id by hand (stub process object: the failover and
-        # teardown paths dereference proc.pid/.poll): the accept loop
-        # only admits hellos from ids the router spawned.
-        import types
-        stub_proc = types.SimpleNamespace(
-            pid=4242, poll=lambda: 0, kill=lambda: None,
-            wait=lambda timeout=None: 0)
-        record = _Worker("wfake", 0, proc=stub_proc)
+        # Register the id by hand: the accept loop only admits hellos
+        # from ids the router spawned.
+        record = _Worker("wfake", 0, proc=stub_proc())
         record.token = router._token
         router._workers["wfake"] = record
         client = None

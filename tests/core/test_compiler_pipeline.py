@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CinnamonCompiler, CinnamonProgram, CompilerOptions
+from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.core.dsl import StreamPool
 from repro.core.ir import poly_ir
 from repro.core.ir.limb_ir import (
@@ -17,7 +17,7 @@ def compiled_simple(small_params):
     a, b = prog.input("a"), prog.input("b")
     c = a * b
     prog.output("y", c + c.rotate(1))
-    return CinnamonCompiler(
+    return CompilerDriver(
         small_params, CompilerOptions(num_chips=2)).compile(prog)
 
 
@@ -48,7 +48,7 @@ class TestPolyLowering:
         x = prog.input("x")
         prog.output("y", x.bootstrap())
         # Compilation must route through the expansion, not crash lowering.
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             deep_params, CompilerOptions(num_chips=1)).compile(
                 prog, emit_isa=False)
         assert compiled.ct_program.count("bootstrap") == 0
@@ -60,7 +60,7 @@ class TestLimbLowering:
         prog = CinnamonProgram("part", level=6)
         a, b = prog.input("a"), prog.input("b")
         prog.output("y", a + b)
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             small_params, CompilerOptions(num_chips=3)).compile(prog)
         loads = [op for op in compiled.limb_program.ops
                  if op.opcode == L_LOAD and op.attrs["symbol"].startswith("input")]
@@ -72,7 +72,7 @@ class TestLimbLowering:
         prog = CinnamonProgram("solo", level=6)
         a = prog.input("a")
         prog.output("y", (a * a).rotate(3))
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             small_params, CompilerOptions(num_chips=1)).compile(prog)
         assert compiled.limb_program.comm_events() == 0
 
@@ -100,7 +100,7 @@ class TestLimbLowering:
             prog.output(f"y{sid}", x * x)
 
         StreamPool(prog, 2, fn)
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             small_params, CompilerOptions(num_chips=4)).compile(prog)
         lp = compiled.limb_program
         chips_by_input = {}
@@ -116,7 +116,7 @@ class TestLimbLowering:
         prog = CinnamonProgram("sym", level=10)
         a = prog.input("a")
         prog.output("y", (a * a).rotate(1))
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             ArchParams(max_level=10), CompilerOptions(num_chips=4)).compile(prog)
         assert compiled.instruction_count > 0
         autos = [op for op in compiled.limb_program.ops if op.opcode == L_AUTO]
@@ -130,7 +130,7 @@ class TestCommunicationByPolicy:
         a, b = prog.input("a"), prog.input("b")
         c = a * b
         prog.output("y", c.rotate(1) + c.rotate(2) + c.rotate(3))
-        return CinnamonCompiler(small_params, CompilerOptions(
+        return CompilerDriver(small_params, CompilerOptions(
             num_chips=chips, keyswitch_policy=policy,
             enable_batching=batching)).compile(prog)
 
@@ -156,7 +156,7 @@ class TestIsa:
         for i in range(4):
             acc = acc * b if acc.level > 2 else acc
         prog.output("y", acc)
-        compiled = CinnamonCompiler(small_params, CompilerOptions(
+        compiled = CompilerDriver(small_params, CompilerOptions(
             num_chips=1, registers_per_chip=24)).compile(prog)
         for stream in compiled.isa.streams.values():
             for ins in stream:
@@ -168,9 +168,9 @@ class TestIsa:
         a, b = prog.input("a"), prog.input("b")
         c = a * b
         prog.output("y", c.rotate(1) + c.rotate(2))
-        tight = CinnamonCompiler(small_params, CompilerOptions(
+        tight = CompilerDriver(small_params, CompilerOptions(
             num_chips=1, registers_per_chip=24)).compile(prog)
-        roomy = CinnamonCompiler(small_params, CompilerOptions(
+        roomy = CompilerDriver(small_params, CompilerOptions(
             num_chips=1, registers_per_chip=224)).compile(prog)
 
         def traffic(c):
@@ -188,7 +188,7 @@ class TestLayoutValidation:
         prog = CinnamonProgram("bad", level=4)
         prog.output("y", prog.input("a") * 1.0)
         with pytest.raises(ValueError, match="chips_per_stream"):
-            CinnamonCompiler(small_params, CompilerOptions(
+            CompilerDriver(small_params, CompilerOptions(
                 num_chips=2, chips_per_stream=4)).compile(prog)
 
     def test_more_streams_than_groups_wraps(self, small_params):
@@ -200,7 +200,7 @@ class TestLayoutValidation:
             prog.output(f"y{sid}", x * 1.0)
 
         StreamPool(prog, 3, fn)
-        compiled = CinnamonCompiler(small_params, CompilerOptions(
+        compiled = CompilerDriver(small_params, CompilerOptions(
             num_chips=4, chips_per_stream=2)).compile(prog)
         chips = {op.chip for op in compiled.limb_program.ops}
         assert chips <= {0, 1, 2, 3}

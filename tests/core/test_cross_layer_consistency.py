@@ -8,7 +8,7 @@ covering every limb op.
 
 import pytest
 
-from repro.core import CinnamonCompiler, CinnamonProgram, CompilerOptions
+from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.core.ir import limb_ir as lir
 from repro.core.ir.bootstrap_graph import BootstrapPlan
 from repro.fhe import ArchParams
@@ -23,7 +23,7 @@ def compiled():
     prog = CinnamonProgram("xl", level=2, bootstrap_output_level=2)
     x = prog.input("x")
     prog.output("y", x.bootstrap())
-    return CinnamonCompiler(
+    return CompilerDriver(
         ArchParams(max_level=PLAN.top_level),
         CompilerOptions(num_chips=4, bootstrap_plan=PLAN),
     ).compile(prog)

@@ -8,7 +8,7 @@ check the decrypted outputs.
 import numpy as np
 import pytest
 
-from repro.core import CinnamonCompiler, CinnamonProgram, CompilerOptions
+from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.core.dsl import StreamPool
 from repro.core.isa.emulator import build_memory_image, emulate, IsaEmulator
 from repro.fhe import CKKSContext, make_params
@@ -26,7 +26,7 @@ def env():
 def _run(env, build, inputs, plaintexts=None, chips=2, **opts):
     params, ctx = env
     prog = build()
-    compiled = CinnamonCompiler(
+    compiled = CompilerDriver(
         params, CompilerOptions(num_chips=chips, **opts)).compile(prog)
     bound = {name: ctx.encrypt_values(vec) for name, vec in inputs.items()}
     outs = emulate(compiled, ctx, bound, plaintexts)
@@ -182,7 +182,7 @@ class TestMemoryImage:
         params, ctx = env
         prog = CinnamonProgram("m", level=6)
         prog.output("y", prog.input("a") * 1.0)
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             params, CompilerOptions(num_chips=1)).compile(prog)
         with pytest.raises(KeyError):
             build_memory_image(compiled, ctx, {})
@@ -192,7 +192,7 @@ class TestMemoryImage:
         prog = CinnamonProgram("m2", level=6)
         a = prog.input("a")
         prog.output("y", a * prog.plaintext("w"))
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             params, CompilerOptions(num_chips=1)).compile(prog)
         with pytest.raises(KeyError):
             build_memory_image(compiled, ctx,
@@ -202,7 +202,7 @@ class TestMemoryImage:
         params, ctx = env
         prog = CinnamonProgram("m3", level=6)
         prog.output("y", prog.input("a") * 1.0)
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             params, CompilerOptions(num_chips=1)).compile(prog)
         memory = build_memory_image(
             compiled, ctx, {"a": ctx.encrypt_values([1.0])})

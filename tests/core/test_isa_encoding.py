@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CinnamonCompiler, CinnamonProgram, CompilerOptions
+from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.core.isa.emulator import IsaEmulator, build_memory_image
 from repro.core.isa.encoding import assemble, disassemble
 from repro.fhe import CKKSContext, make_params
@@ -16,7 +16,7 @@ def compiled_env():
     prog = CinnamonProgram("asm", level=5)
     a, b = prog.input("a"), prog.input("b")
     prog.output("y", (a * b).rotate(1))
-    compiled = CinnamonCompiler(params, CompilerOptions(num_chips=2)).compile(prog)
+    compiled = CompilerDriver(params, CompilerOptions(num_chips=2)).compile(prog)
     return params, ctx, compiled
 
 

@@ -1,6 +1,6 @@
 """Tests for the IsaModule container and instruction representation."""
 
-from repro.core import CinnamonCompiler, CinnamonProgram, CompilerOptions
+from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.core.isa.instructions import COMPUTE, MEMORY, NETWORK, Instruction
 
 
@@ -25,7 +25,7 @@ class TestIsaModule:
         prog = CinnamonProgram("m", level=4)
         a = prog.input("a")
         prog.output("y", a + a)
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             small_params, CompilerOptions(num_chips=2)).compile(prog)
         module = compiled.isa
         assert module.count("ld") > 0
@@ -37,7 +37,7 @@ class TestIsaModule:
         prog = CinnamonProgram("m2", level=4)
         a = prog.input("a")
         prog.output("y", a * a)
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             small_params, CompilerOptions(num_chips=2)).compile(prog)
         assert set(compiled.isa.alloc_stats) == {0, 1}
         for stats in compiled.isa.alloc_stats.values():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CinnamonCompiler, CinnamonProgram, CompilerOptions
+from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.core.dsl import program as ct
 from repro.core.ir.optimize import (
     eliminate_common_subexpressions,
@@ -89,7 +89,7 @@ class TestEndToEnd:
         y = a.rotate(2) * b + a.rotate(2) * b  # CSE target
         prog.output("y", y)
 
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             params, CompilerOptions(num_chips=2)).compile(prog)
         # Dedup happened before lowering: a single rotation keyswitch
         # (plus one relinearization for the multiply).
@@ -107,13 +107,13 @@ class TestEndToEnd:
         prog = CinnamonProgram("off", level=6)
         a, b = prog.input("a"), prog.input("b")
         prog.output("y", a.rotate(2) * b + a.rotate(2) * b)
-        on = CinnamonCompiler(params, CompilerOptions(
+        on = CompilerDriver(params, CompilerOptions(
             num_chips=1)).compile(prog, emit_isa=False)
 
         prog2 = CinnamonProgram("off2", level=6)
         a, b = prog2.input("a"), prog2.input("b")
         prog2.output("y", a.rotate(2) * b + a.rotate(2) * b)
-        off = CinnamonCompiler(params, CompilerOptions(
+        off = CompilerDriver(params, CompilerOptions(
             num_chips=1, enable_optimizations=False)).compile(
                 prog2, emit_isa=False)
         assert off.poly_program.keyswitch_count > \

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import CinnamonCompiler, CinnamonProgram, CompilerOptions
+from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.core.isa.emulator import emulate
 from repro.fhe import CKKSContext, Evaluator, make_params
 
@@ -101,7 +101,7 @@ def test_random_programs_agree(env, steps, chips, policy, seed):
     prog.output("out", handles[-1])
     want = expected[-1]
 
-    compiled = CinnamonCompiler(
+    compiled = CompilerDriver(
         params, CompilerOptions(num_chips=chips, keyswitch_policy=policy)
     ).compile(prog)
     inputs = {f"x{i}": ctx.encrypt_values(v) for i, v in enumerate(plain)}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CinnamonCompiler, CinnamonProgram, CompilerOptions
+from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.core.ir import limb_ir as lir
 from repro.core.ir.verifier import VerificationError, verify_limb_program
 from repro.fhe import ArchParams
@@ -14,7 +14,7 @@ def _compile(policy="cinnamon", chips=4, params=None):
     a, b = prog.input("a"), prog.input("b")
     c = a * b
     prog.output("y", c.rotate(1) + c.rotate(2) + c.rotate(3))
-    return CinnamonCompiler(params, CompilerOptions(
+    return CompilerDriver(params, CompilerOptions(
         num_chips=chips, keyswitch_policy=policy)).compile(
             prog, emit_isa=False)
 
@@ -43,7 +43,7 @@ class TestRealLoweringsVerify:
         plan = BootstrapPlan("verify-mini", top_level=14, output_level=2,
                              cts_stages=1, cts_radix=4,
                              eval_mod_degree=7, eval_mod_doublings=0)
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             ArchParams(max_level=14),
             CompilerOptions(num_chips=4, bootstrap_plan=plan),
         ).compile(bootstrap_kernel(plan), emit_isa=False)

@@ -161,6 +161,18 @@ class TestOneTraceId:
         assert costed, "no serve row carries a cost rollup"
         assert all(c["sim_cycles"] > 0 for c in costed)
 
+    def test_serve_rows_share_one_key_set(self, backend_journal):
+        """Both backends journal through RequestLifecycle.finish(), so a
+        ``serve`` row has the same keys whichever one wrote it."""
+        serve_rows = [r for r in backend_journal.document["jobs"]
+                      if r["kind"] == "serve"]
+        assert serve_rows
+        for row in serve_rows:
+            assert set(row) - {"cost"} == {
+                "job", "kind", "status", "machine", "shard", "attempts",
+                "batch_size", "cache", "seconds", "queue_s", "batch_s",
+                "execute_s", "tenant", "trace_id", "span_id"}
+
     def test_cluster_journal_carries_live_alert_rows(self,
                                                     backend_journal):
         if backend_journal.backend != "cluster":

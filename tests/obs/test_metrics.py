@@ -1,29 +1,13 @@
-"""Metrics hoist: serve shim identity + histogram quantile edge cases."""
+"""Histogram quantile edge cases and registry behaviour."""
 
-import repro.obs.metrics as obs_metrics
-import repro.serve.metrics as serve_metrics
+import repro.serve
 from repro.obs.metrics import Histogram, MetricsRegistry, default_registry
 
 
-class TestServeShim:
-    def test_reexports_are_the_same_objects(self):
-        # Back-compat: the serve-layer import path must keep working and
-        # resolve to the very same classes/values, not copies.
-        for name in ("Counter", "Gauge", "Histogram", "MetricsRegistry",
-                     "LabelSet", "DEFAULT_BUCKETS", "CYCLE_BUCKETS",
-                     "RESERVOIR_SIZE", "default_registry"):
-            assert getattr(serve_metrics, name) is \
-                getattr(obs_metrics, name), name
-
-    def test_shim_registry_instances_interoperate(self):
-        registry = serve_metrics.MetricsRegistry()
-        assert isinstance(registry, obs_metrics.MetricsRegistry)
-        counter = registry.counter("x_total", "x")
-        assert isinstance(counter, obs_metrics.Counter)
-
-    def test_default_registry_is_process_global(self):
-        assert serve_metrics.default_registry() is default_registry()
-        assert default_registry() is default_registry()
+def test_default_registry_is_process_global():
+    assert default_registry() is default_registry()
+    # The serve package keeps exporting the one registry class.
+    assert repro.serve.MetricsRegistry is MetricsRegistry
 
 
 class TestHistogramQuantiles:

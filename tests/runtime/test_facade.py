@@ -106,24 +106,6 @@ class TestFacade:
 
 
 class TestDeprecatedEntryPoints:
-    def test_cinnamon_compiler_warns_but_works(self):
-        from repro.core import CinnamonCompiler
-
-        with pytest.warns(DeprecationWarning, match="CinnamonCompiler"):
-            compiler = CinnamonCompiler(PARAMS, CompilerOptions(num_chips=2))
-        compiled = compiler.compile(build_program("legacy"))
-        assert compiled.instruction_count > 0
-        assert compiled.compile_stats is not None  # instrumented either way
-
-    def test_cycle_simulator_warns_but_works(self):
-        from repro.sim import CycleSimulator
-
-        compiled = repro.compile(build_program("legacy-sim"), PARAMS,
-                                 machine=2)
-        with pytest.warns(DeprecationWarning, match="CycleSimulator"):
-            simulator = CycleSimulator(2)
-        assert simulator.run(compiled.isa).cycles > 0
-
     def test_engine_does_not_warn(self):
         from repro.sim import SimulatorEngine
 

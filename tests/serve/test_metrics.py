@@ -54,7 +54,7 @@ class TestHistogram:
         assert {"p50", "p95", "p99"} <= set(snap)
 
     def test_reservoir_bounded(self):
-        from repro.serve.metrics import RESERVOIR_SIZE
+        from repro.obs.metrics import RESERVOIR_SIZE
 
         hist = MetricsRegistry().histogram("big", buckets=(1.0,))
         for v in range(RESERVOIR_SIZE * 2):

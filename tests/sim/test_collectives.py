@@ -5,7 +5,7 @@ import pytest
 from repro.core.isa.codegen import IsaModule
 from repro.core.isa.instructions import Instruction
 from repro.core.isa.regalloc import AllocationStats
-from repro.sim import CINNAMON_4, CycleSimulator
+from repro.sim import CINNAMON_4, SimulatorEngine
 
 
 def _module(streams):
@@ -35,7 +35,7 @@ class TestBroadcast:
                              "prime": 17}),
             ],
         }
-        result = CycleSimulator(CINNAMON_4).run(_module(streams))
+        result = SimulatorEngine(CINNAMON_4).run(_module(streams))
         # Receiver finishes after the sender's load + transfer + latency.
         load_cycles = CINNAMON_4.chip.limb_bytes / \
             CINNAMON_4.chip.hbm_bytes_per_cycle
@@ -48,7 +48,7 @@ class TestBroadcast:
                              "prime": 17})],
         }
         with pytest.raises(RuntimeError, match="deadlock"):
-            CycleSimulator(CINNAMON_4).run(_module(streams))
+            SimulatorEngine(CINNAMON_4).run(_module(streams))
 
 
 class TestPointToPoint:
@@ -58,13 +58,13 @@ class TestPointToPoint:
                                     {"key": 7, "to_chip": 1})],
             1: [Instruction("mov", 0, (), {"key": 7, "from_chip": 0})],
         }
-        result = CycleSimulator(CINNAMON_4).run(_module(streams))
+        result = SimulatorEngine(CINNAMON_4).run(_module(streams))
         assert result.network_bytes == CINNAMON_4.chip.limb_bytes
 
     def test_unmatched_mov_deadlocks(self):
         streams = {0: [Instruction("mov", 0, (), {"key": 3, "from_chip": 1})]}
         with pytest.raises(RuntimeError, match="deadlock"):
-            CycleSimulator(CINNAMON_4).run(_module(streams))
+            SimulatorEngine(CINNAMON_4).run(_module(streams))
 
 
 class TestComputeTiming:
@@ -75,8 +75,8 @@ class TestComputeTiming:
         independent = [_ld(0)] + [
             Instruction("vntt", i, (0,), {"prime": 17}) for i in range(1, 9)
         ]
-        t_chain = CycleSimulator(CINNAMON_4).run(_module({0: chain}))
-        t_indep = CycleSimulator(CINNAMON_4).run(_module({0: independent}))
+        t_chain = SimulatorEngine(CINNAMON_4).run(_module({0: chain}))
+        t_indep = SimulatorEngine(CINNAMON_4).run(_module({0: independent}))
         # Same work, but the chain pays the pipeline latency per hop.
         assert t_chain.cycles > t_indep.cycles
 
@@ -92,8 +92,8 @@ class TestComputeTiming:
         for i in range(4):
             chained.append(Instruction("vadd", 10 + i, (prev, 1), {"prime": 17}))
             prev = 10 + i
-        t_par = CycleSimulator(CINNAMON_4).run(_module({0: parallel}))
-        t_chain = CycleSimulator(CINNAMON_4).run(_module({0: chained}))
+        t_par = SimulatorEngine(CINNAMON_4).run(_module({0: parallel}))
+        t_chain = SimulatorEngine(CINNAMON_4).run(_module({0: chained}))
         assert t_par.cycles < t_chain.cycles
 
     def test_bcu_slower_than_full_width_ops(self):
@@ -102,6 +102,6 @@ class TestComputeTiming:
                                    {"prime": 17, "source_primes": (17,),
                                     "target_prime": 17})]
         add = [_ld(0), Instruction("vadd", 1, (0, 0), {"prime": 17})]
-        t_bcv = CycleSimulator(CINNAMON_4).run(_module({0: bcv}))
-        t_add = CycleSimulator(CINNAMON_4).run(_module({0: add}))
+        t_bcv = SimulatorEngine(CINNAMON_4).run(_module({0: bcv}))
+        t_add = SimulatorEngine(CINNAMON_4).run(_module({0: add}))
         assert t_bcv.fu_busy["bconv"] == 2 * t_add.fu_busy["add"]

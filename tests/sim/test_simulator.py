@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CinnamonCompiler, CinnamonProgram, CompilerOptions
+from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.fhe import ArchParams
 from repro.sim import (
     CINNAMON_1,
@@ -11,7 +11,7 @@ from repro.sim import (
     CINNAMON_12,
     CINNAMON_M,
     ChipConfig,
-    CycleSimulator,
+    SimulatorEngine,
     MachineConfig,
 )
 from repro.sim.config import config_for
@@ -72,67 +72,67 @@ def arch_compiled():
         prog.output("y", c.rotate(1) + c.rotate(2) + c.rotate(3))
         return prog
 
-    one = CinnamonCompiler(params, CompilerOptions(num_chips=1)).compile(build())
-    four = CinnamonCompiler(params, CompilerOptions(num_chips=4)).compile(build())
+    one = CompilerDriver(params, CompilerOptions(num_chips=1)).compile(build())
+    four = CompilerDriver(params, CompilerOptions(num_chips=4)).compile(build())
     return one, four
 
 
 class TestSimulation:
     def test_produces_positive_cycles(self, arch_compiled):
         one, _ = arch_compiled
-        result = CycleSimulator(CINNAMON_1).run(one.isa)
+        result = SimulatorEngine(CINNAMON_1).run(one.isa)
         assert result.cycles > 0
         assert result.seconds > 0
         assert result.instructions == one.instruction_count
 
     def test_four_chips_faster_than_one(self, arch_compiled):
         one, four = arch_compiled
-        t1 = CycleSimulator(CINNAMON_1).run(one.isa)
-        t4 = CycleSimulator(CINNAMON_4).run(four.isa)
+        t1 = SimulatorEngine(CINNAMON_1).run(one.isa)
+        t4 = SimulatorEngine(CINNAMON_4).run(four.isa)
         assert t4.cycles < t1.cycles
 
     def test_utilization_bounded(self, arch_compiled):
         _, four = arch_compiled
-        result = CycleSimulator(CINNAMON_4).run(four.isa)
+        result = SimulatorEngine(CINNAMON_4).run(four.isa)
         for value in result.utilization().values():
             assert 0.0 <= value <= 1.0
 
     def test_network_only_on_multichip(self, arch_compiled):
         one, four = arch_compiled
-        r1 = CycleSimulator(CINNAMON_1).run(one.isa)
-        r4 = CycleSimulator(CINNAMON_4).run(four.isa)
+        r1 = SimulatorEngine(CINNAMON_1).run(one.isa)
+        r4 = SimulatorEngine(CINNAMON_4).run(four.isa)
         assert r1.network_bytes == 0
         assert r4.network_bytes > 0
 
     def test_memory_bytes_accounted(self, arch_compiled):
         one, _ = arch_compiled
-        result = CycleSimulator(CINNAMON_1).run(one.isa)
+        result = SimulatorEngine(CINNAMON_1).run(one.isa)
         loads = sum(1 for ins in one.isa.streams[0]
                     if ins.opcode in ("ld", "st"))
         assert result.hbm_bytes == loads * CINNAMON_1.chip.limb_bytes
 
     def test_more_bandwidth_never_slower(self, arch_compiled):
         _, four = arch_compiled
-        base = CycleSimulator(CINNAMON_4).run(four.isa)
-        fat = CycleSimulator(CINNAMON_4.scaled(hbm_gbps=8192.0)).run(four.isa)
+        base = SimulatorEngine(CINNAMON_4).run(four.isa)
+        fat = SimulatorEngine(CINNAMON_4.scaled(hbm_gbps=8192.0)).run(four.isa)
         assert fat.cycles <= base.cycles
 
     def test_link_bandwidth_matters(self, arch_compiled):
         _, four = arch_compiled
-        slow = CycleSimulator(CINNAMON_4.scaled(link_gbps=32.0)).run(four.isa)
-        fast = CycleSimulator(CINNAMON_4.scaled(link_gbps=1024.0)).run(four.isa)
+        slow = SimulatorEngine(CINNAMON_4.scaled(link_gbps=32.0)).run(four.isa)
+        fast = SimulatorEngine(CINNAMON_4.scaled(link_gbps=1024.0)).run(four.isa)
         assert slow.cycles > fast.cycles
 
     def test_fu_busy_recorded(self, arch_compiled):
         one, _ = arch_compiled
-        result = CycleSimulator(CINNAMON_1).run(one.isa)
+        result = SimulatorEngine(CINNAMON_1).run(one.isa)
         assert result.fu_busy["ntt"] > 0
         assert result.fu_busy["mul"] > 0
 
     def test_deterministic(self, arch_compiled):
         _, four = arch_compiled
-        a = CycleSimulator(CINNAMON_4).run(four.isa)
-        b = CycleSimulator(CINNAMON_4).run(four.isa)
+        a = SimulatorEngine(CINNAMON_4).run(four.isa)
+        b = SimulatorEngine(CINNAMON_4).run(four.isa)
         assert a.cycles == b.cycles
 
 
@@ -147,10 +147,10 @@ class TestLinkOccupancy:
         prog = CinnamonProgram("bcast2", level=12)
         a, b = prog.input("a"), prog.input("b")
         prog.output("y", (a * b).rotate(1))
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             params, CompilerOptions(num_chips=2)).compile(prog)
         machine = config_for(2)
-        return CycleSimulator(machine).run(compiled.isa), machine
+        return SimulatorEngine(machine).run(compiled.isa), machine
 
     def test_every_link_accounted(self, two_chip):
         result, _ = two_chip
@@ -189,7 +189,7 @@ class TestLinkOccupancy:
 
     def test_single_chip_link_stays_idle(self, arch_compiled):
         one, _ = arch_compiled
-        result = CycleSimulator(CINNAMON_1).run(one.isa)
+        result = SimulatorEngine(CINNAMON_1).run(one.isa)
         assert result.link_busy == {0: 0}
         assert result.link_occupancy() == {0: 0.0}
         assert result.as_dict()["links"]["0"]["bytes"] == 0

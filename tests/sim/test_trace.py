@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import CinnamonCompiler, CinnamonProgram, CompilerOptions
+from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.fhe import ArchParams
 from repro.sim import CINNAMON_4
 from repro.sim.trace import TracingSimulator, export_chrome_trace, \
@@ -17,7 +17,7 @@ def compiled():
     prog = CinnamonProgram("trace", level=8)
     a, b = prog.input("a"), prog.input("b")
     prog.output("y", (a * b).rotate(1))
-    return CinnamonCompiler(params, CompilerOptions(num_chips=4)).compile(prog)
+    return CompilerDriver(params, CompilerOptions(num_chips=4)).compile(prog)
 
 
 class TestTimeline:
@@ -73,7 +73,7 @@ def bootstrap_compiled():
 
     params = ArchParams(max_level=16)
     prog = bootstrap_kernel(SMALL_BOOTSTRAP_PLAN, entry_level=2)
-    return CinnamonCompiler(params,
+    return CompilerDriver(params,
                             CompilerOptions(num_chips=2)).compile(prog)
 
 

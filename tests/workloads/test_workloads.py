@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.ir.bootstrap_graph import BOOTSTRAP_13, BOOTSTRAP_21
 from repro.fhe import ArchParams
-from repro.core import CinnamonCompiler, CompilerOptions
+from repro.core import CompilerDriver, CompilerOptions
 from repro.sim.config import CINNAMON_4, CINNAMON_8, ChipConfig, MachineConfig
 from repro.workloads import (
     KernelSpec,
@@ -55,7 +55,7 @@ class TestPrograms:
 
     def test_bootstrap_kernel_compiles(self):
         params = ArchParams(max_level=BOOTSTRAP_13.top_level)
-        compiled = CinnamonCompiler(
+        compiled = CompilerDriver(
             params, CompilerOptions(num_chips=4,
                                     bootstrap_plan=BOOTSTRAP_13)).compile(
             bootstrap_kernel(BOOTSTRAP_13), emit_isa=False)
