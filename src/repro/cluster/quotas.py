@@ -1,8 +1,9 @@
 """Per-tenant token-bucket quotas and fair-share admission.
 
 The cluster front door layers two policies over the single-server
-:class:`~repro.serve.queue.AdmissionQueue` semantics (same exceptions,
-same close/drain contract):
+:class:`~repro.serve.queue.AdmissionQueue` (same lock, wait loop,
+exceptions and close/drain contract — :class:`FairShareQueue` is a
+subclass):
 
 * **Token-bucket quotas** — each tenant owns a bucket refilled at
   ``rate_per_s`` up to ``burst``; an empty bucket rejects the submit
@@ -22,13 +23,13 @@ because the queue closed for drain meanwhile.
 from __future__ import annotations
 
 import heapq
-import itertools
 import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..serve.queue import Empty, QueueClosedError, QueueSaturatedError
+from ..serve.queue import (AdmissionQueue, Empty, QueueClosedError,
+                           QueueSaturatedError)
 from ..serve.request import InferenceRequest
 
 __all__ = [
@@ -105,20 +106,19 @@ class TokenBucket:
             return self._tokens
 
 
-class FairShareQueue:
+class FairShareQueue(AdmissionQueue):
     """Bounded multi-tenant admission queue with round-robin dequeue.
 
-    Drop-in for :class:`~repro.serve.queue.AdmissionQueue` (same
-    ``put``/``get``/``close``/``depth`` surface, same exceptions) plus
-    tenant awareness.  ``maxsize`` bounds the *total* queued depth
-    across tenants; quotas bound per-tenant admission *rate*.
+    An :class:`~repro.serve.queue.AdmissionQueue` plus tenant awareness:
+    ``maxsize`` bounds the *total* queued depth across tenants; quotas
+    bound per-tenant admission *rate*.
     """
 
     def __init__(self, maxsize: int = 0,
                  quotas: Optional[Dict[str, TenantQuota]] = None,
                  default_quota: Optional[TenantQuota] = None,
                  clock=time.monotonic):
-        self.maxsize = maxsize
+        super().__init__(maxsize)
         self.default_quota = default_quota
         self._clock = clock
         self._buckets: Dict[str, TokenBucket] = {}
@@ -126,10 +126,6 @@ class FairShareQueue:
             self._buckets[tenant] = quota.bucket(clock)
         self._heaps: Dict[str, List[Tuple[int, int, InferenceRequest]]] = {}
         self._rotation: List[str] = []   # round-robin order of tenants
-        self._seq = itertools.count()
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._closed = False
         self.rejected_quota = 0          # counters for the cluster view
         self.rejected_saturated = 0
 
@@ -149,47 +145,35 @@ class FairShareQueue:
     def put(self, request: InferenceRequest, force: bool = False) -> None:
         """Admit ``request`` or raise (never blocks).
 
-        ``force`` is the internal requeue path: skips the closed check
-        and the quota charge (the request was already admitted once).
+        ``force`` is the internal requeue path: skips the closed check,
+        the depth bound and the quota charge (the request was already
+        admitted once).
         """
         with self._lock:
-            if self._closed and not force:
-                raise QueueClosedError("admission queue is closed")
-            depth = sum(len(h) for h in self._heaps.values())
-            if not force and self.maxsize > 0 and depth >= self.maxsize:
-                self.rejected_saturated += 1
-                raise QueueSaturatedError(depth, self.maxsize)
             if not force:
-                bucket = self._bucket_for(request.tenant)
-                if bucket is not None and not bucket.try_acquire():
-                    self.rejected_quota += 1
-                    raise QuotaExceededError(
-                        request.tenant, bucket.retry_after_s())
-            heap = self._heaps.get(request.tenant)
-            if heap is None:
-                heap = self._heaps[request.tenant] = []
-                self._rotation.append(request.tenant)
-            heapq.heappush(
-                heap, (int(request.priority), next(self._seq), request))
-            self._not_empty.notify()
+                self._admit(request)
+            self._enqueue(request)
 
-    def get(self, timeout: Optional[float] = None) -> InferenceRequest:
-        """Pop from the next tenant in round-robin order.
+    def _admit(self, request: InferenceRequest) -> None:
+        try:
+            super()._admit(request)
+        except QueueSaturatedError:
+            self.rejected_saturated += 1
+            raise
+        bucket = self._bucket_for(request.tenant)
+        if bucket is not None and not bucket.try_acquire():
+            self.rejected_quota += 1
+            raise QuotaExceededError(request.tenant, bucket.retry_after_s())
 
-        Raises :class:`Empty` on timeout, or immediately once the queue
-        is both closed and drained.
-        """
-        with self._not_empty:
-            while True:
-                request = self._pop_locked()
-                if request is not None:
-                    return request
-                if self._closed:
-                    raise Empty
-                if not self._not_empty.wait(timeout):
-                    raise Empty
+    def _heap_for(self, request: InferenceRequest) -> list:
+        heap = self._heaps.get(request.tenant)
+        if heap is None:
+            heap = self._heaps[request.tenant] = []
+            self._rotation.append(request.tenant)
+        return heap
 
-    def _pop_locked(self) -> Optional[InferenceRequest]:
+    def _pop(self) -> Optional[InferenceRequest]:
+        """Pop from the next tenant in round-robin order."""
         for index, tenant in enumerate(self._rotation):
             heap = self._heaps.get(tenant)
             if heap:
@@ -199,27 +183,10 @@ class FairShareQueue:
                 return request
         return None
 
-    def close(self) -> None:
-        """Stop admitting; queued requests remain retrievable."""
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def depth(self) -> int:
-        with self._lock:
-            return sum(len(h) for h in self._heaps.values())
+    def _depth(self) -> int:
+        return sum(len(h) for h in self._heaps.values())
 
     def depth_by_tenant(self) -> Dict[str, int]:
         with self._lock:
             return {tenant: len(heap)
                     for tenant, heap in self._heaps.items() if heap}
-
-    def __len__(self) -> int:
-        return self.depth()

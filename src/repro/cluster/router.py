@@ -194,8 +194,8 @@ class ClusterRouter(ServingFrontend):
             keyvault.on_event = self._on_key_event
         self._replay_guard = ReplayGuard(window_s=replay_window_s)
         self._minter = EnvelopeMinter(sender="router")
-        # Chaos: every spawned worker injects up to N chip-crash faults
-        # (worker-side degrade-ladder recovery, mirroring the serve path).
+        # Chaos: every spawned worker arms N chip-crash faults on its
+        # executor's FaultInjector.
         self.chaos_chip_crash = chaos_chip_crash
         self.chaos_cycle = chaos_cycle
 
@@ -312,11 +312,22 @@ class ClusterRouter(ServingFrontend):
                  timeout: Optional[float] = None) -> None:
         if self._stopping:
             return
-        self._close_admission(drain and self._started, timeout)
+        drain = drain and self._started
+        if drain:
+            self.drain(timeout)
+        else:
+            self._queue.close()
         self._stopping = True
         self._monitor_stop.set()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=10)
+        # While no worker is live the dispatcher parks each request and
+        # re-queues it, so the queue is final only now that it stopped.
+        if drain:
+            self._sweep_queue(self.lifecycle.fail,
+                              "shut down with the request still queued")
+        else:
+            self._sweep_queue(self.lifecycle.reject, "shut down")
         if self._monitor is not None:
             self._monitor.join(timeout=5)
         # Graceful worker teardown: drain (collect the final journal),

@@ -5,9 +5,11 @@ the router's loopback listener, authenticates with the token the router
 exported in ``CINNAMON_CLUSTER_TOKEN``, and then serves frames until the
 socket closes or a ``shutdown`` frame arrives:
 
-* ``submit`` frames are handed to a small thread pool (default 2) where
-  a :class:`~repro.runtime.session.CinnamonSession` compiles/simulates
-  the job and the ``result`` frame goes back under a send lock;
+* ``submit`` frames go to a small thread pool (default 2) where the
+  process's :class:`~repro.serve.executor.ShardExecutor` — the attempt
+  loop a :class:`~repro.serve.CinnamonServer` shard runs, here as a
+  batch of one with ``max_retries=0`` (the router owns failover) — runs
+  the job; its outcome goes back as a ``result`` frame;
 * ``ping`` is answered inline with ``pong`` (carrying inflight depth) so
   heartbeats stay timely while the pool is busy;
 * ``stats`` streams back the process's metrics snapshot plus the journal
@@ -29,31 +31,22 @@ The worker trusts its socket because the router spawned it and handed it
 a per-cluster random token over the environment — the same trust model
 as ``multiprocessing.connection`` — and listens on loopback only.
 
-Robustness & trust (:mod:`repro.trust`):
+Robustness & trust (:mod:`repro.trust`; details on :meth:`ClusterWorker.run`
+and :meth:`ClusterWorker._trust_check`):
 
-* reads are *bounded* (``read_timeout_s``), never a blocking-forever
-  ``recv`` on a half-open socket: the router heartbeats every ~0.5s, so
-  when no frame of any kind has arrived for ``liveness_timeout_s`` the
-  connection is presumed half-open and the worker reconnects with
-  exponential backoff (re-sending ``hello``); it exits cleanly only
-  when the router stays unreachable;
-* every frame is sent with (and verified against) the cluster token's
+* reads are *bounded* (``read_timeout_s``): silence past
+  ``liveness_timeout_s`` means a half-open socket, and the worker
+  reconnects with exponential backoff, exiting cleanly only when the
+  router stays unreachable;
+* every frame carries (and is verified against) the cluster token's
   HMAC (:func:`~repro.cluster.protocol.frame_auth`);
-* a ``keys`` frame replaces the worker's metadata-only
-  :class:`~repro.trust.keyvault.KeyVault` with the router's signed key
-  manifest (verify-then-install), so the worker re-checks each submit's
-  ``key_version`` independently — rejecting *revoked* or never-issued
-  versions (merely retired ones are left to the router's grace-window
-  adjudication, avoiding a mid-rotation race);
-* submit freshness envelopes pass a worker-side
-  :class:`~repro.trust.freshness.ReplayGuard`, so a replayed frame is
-  refused even if it somehow got past the router;
-* ``--chaos-chip-crash N`` arms N scripted chip-kill faults
-  (:class:`~repro.resilience.FaultSchedule`), one per submit — refunded
-  if a run ends before the crash cycle, so every armed fault fires;
-  the worker recovers in-process by recompiling for the degrade
-  ladder's next rung (mirroring the serve layer's recovery path) so a
-  chaos run loses zero legitimate requests.
+* ``keys`` frames install the router's signed key manifest, so each
+  submit's ``key_version`` and freshness envelope are re-checked on this
+  side of the wire (revoked/unknown keys and replayed frames refused);
+* ``--chaos-chip-crash N`` arms N chip-kill faults on the executor's
+  :class:`~repro.serve.faults.FaultInjector`, one per submit, refunded
+  until each fires; the executor replays one degrade-ladder rung down,
+  so a chaos run loses zero legitimate requests.
 """
 
 from __future__ import annotations
@@ -70,11 +63,10 @@ from typing import Optional
 
 from ..obs import tracing
 from ..obs.metrics import default_registry
-from ..resilience.faults import FaultSchedule, MachineFaultError
-from ..runtime.session import CinnamonSession, CompileJob
-from ..serve.request import (LatencyBreakdown, RequestResult,
-                             RequestStatus, cost_rollup)
-from ..sim.config import degraded_machine
+from ..runtime.session import CinnamonSession
+from ..serve.executor import ShardExecutor
+from ..serve.faults import FaultInjector
+from ..serve.request import InferenceRequest, RequestResult, RequestStatus
 from ..trust.errors import (FreshnessError, ReplayError, StaleKeyError,
                             UnknownKeyError)
 from ..trust.freshness import FreshnessEnvelope, ReplayGuard
@@ -83,10 +75,6 @@ from .protocol import (ConnectionClosed, FrameTimeout, PROTOCOL_VERSION,
                        ProtocolError, TOKEN_ENV, pack_result,
                        pack_telemetry, recv_frame, send_frame,
                        unpack_submit)
-
-#: How many in-process degrade-ladder recoveries one submit may consume
-#: before its chip fault surfaces as a FAILED result.
-MAX_RECOVERIES = 2
 
 
 class ClusterWorker:
@@ -109,10 +97,15 @@ class ClusterWorker:
         self.read_timeout_s = read_timeout_s
         self.liveness_timeout_s = liveness_timeout_s
         self.reconnect_attempts = reconnect_attempts
-        self.chaos_cycle = chaos_cycle
-        self.session = CinnamonSession(cache_dir=cache_dir,
-                                       capacity=capacity,
-                                       watchdog_s=watchdog_s)
+        self._metrics = default_registry()
+        # max_retries=0: a failed attempt goes back to the router, whose
+        # failover re-dispatches it (possibly to another worker).
+        self.executor = ShardExecutor(
+            lambda: CinnamonSession(cache_dir=cache_dir, capacity=capacity),
+            self._metrics, shard=worker_id, max_retries=0,
+            watchdog_s=watchdog_s,
+            faults=FaultInjector().chip_crash(
+                chip=0, cycle=chaos_cycle, count=chaos_chip_crash))
         self._pool = ThreadPoolExecutor(
             max_workers=threads,
             thread_name_prefix=f"cluster-{worker_id}")
@@ -128,12 +121,6 @@ class ClusterWorker:
         # by the router's "keys" frames, and an independent replay guard.
         self._keyvault = KeyVault()
         self._replay_guard = ReplayGuard()
-        # Scripted chip-kill chaos: a thread-safe budget.  A submit
-        # arms one fault; if its simulation finishes before the crash
-        # cycle (short program, simulate=False) the budget is refunded
-        # so the fault re-arms until it actually lands.
-        self._chaos_lock = threading.Lock()
-        self._chaos_remaining = chaos_chip_crash
         # Streaming telemetry (repro.obs.live): a daemon thread pushes
         # delta-encoded metric samples every interval; 0 disables it
         # (the router's stats poll remains the fallback feed).
@@ -142,7 +129,6 @@ class ClusterWorker:
         self._last_telemetry: Optional[dict] = None
         self._telemetry_stop = threading.Event()
         self._telemetry_thread: Optional[threading.Thread] = None
-        self._metrics = default_registry()
         self._submits_total = self._metrics.counter(
             "cluster_worker_submits_total",
             "Submit frames accepted by this worker.")
@@ -274,11 +260,11 @@ class ClusterWorker:
         try:
             count = self._keyvault.install_manifest(pickle.loads(blob))
         except Exception as exc:  # ManifestSignatureError, bad pickle...
-            self.session.record_trust(
+            self.executor.session.record_trust(
                 event="key_manifest_rejected", target=self.worker_id,
                 detail={"error": f"{type(exc).__name__}: {exc}"})
         else:
-            self.session.record_trust(
+            self.executor.session.record_trust(
                 event="keys_installed", target=self.worker_id,
                 detail={"records": count})
 
@@ -301,7 +287,7 @@ class ClusterWorker:
             except FreshnessError as exc:
                 event = ("replay_rejected" if isinstance(exc, ReplayError)
                          else "stale_request")
-                self.session.record_trust(
+                self.executor.session.record_trust(
                     event=event, target=tenant,
                     detail={"worker": self.worker_id,
                             "nonce": envelope.nonce,
@@ -312,34 +298,19 @@ class ClusterWorker:
             try:
                 self._keyvault.validate(tenant, int(version))
             except UnknownKeyError as exc:
-                self.session.record_trust(
+                self.executor.session.record_trust(
                     event="stale_key", target=tenant,
                     detail={"worker": self.worker_id, "version": version,
                             "status": "unknown"})
                 return f"{type(exc).__name__}: {exc}"
             except StaleKeyError as exc:
                 if exc.status == REVOKED:
-                    self.session.record_trust(
+                    self.executor.session.record_trust(
                         event="stale_key", target=tenant,
                         detail={"worker": self.worker_id,
                                 "version": version, "status": REVOKED})
                     return f"{type(exc).__name__}: {exc}"
         return None
-
-    def _take_chaos_fault(self) -> Optional[FaultSchedule]:
-        """Consume one armed chip-kill fault (None once drained)."""
-        if self._chaos_remaining <= 0:
-            return None
-        with self._chaos_lock:
-            if self._chaos_remaining <= 0:
-                return None
-            self._chaos_remaining -= 1
-        return FaultSchedule().chip_crash(chip=0, cycle=self.chaos_cycle)
-
-    def _refund_chaos_fault(self) -> None:
-        """Re-arm a fault that was taken but never fired."""
-        with self._chaos_lock:
-            self._chaos_remaining += 1
 
     # ------------------------------------------------------------------ #
     # Submit execution
@@ -359,7 +330,6 @@ class ClusterWorker:
         self._pool.submit(self._execute, header, blob)
 
     def _execute(self, header: dict, blob: bytes) -> None:
-        started = time.monotonic()
         request_id = header.get("request_id", 0)
         name = header.get("name", f"req-{request_id}")
         span = None
@@ -374,74 +344,19 @@ class ClusterWorker:
                        "request_id": request_id})
             tracing.tracer().add_span(span)
         try:
-            program, params, machine, options = unpack_submit(header, blob)
             # Options arrive pre-resolved (machine folded in, tuning swap
             # applied) so the fingerprint here matches the router's and
-            # the shared disk cache key lines up; machine=None keeps the
-            # session from re-resolving on top.
-            schedule = self._take_chaos_fault()
-            recoveries = 0
-            attempts = 0
-            while True:
-                attempts += 1
-                job = CompileJob(
-                    program=program, params=params, machine=None,
-                    options=options,
-                    simulate=header.get("simulate", True),
-                    tag=header.get("tag", ""), name=name,
-                    fault_schedule=schedule, span=span)
-                try:
-                    job_result = self.session.run(job)
-                    if schedule is not None:
-                        # Armed but never fired — the program ended
-                        # before the crash cycle.  Put the budget back
-                        # so a later submit triggers the drill.
-                        self._refund_chaos_fault()
-                    break
-                except MachineFaultError as exc:
-                    # A die died mid-simulation (chaos or real): recover
-                    # in-process by recompiling for the degrade ladder's
-                    # next rung, exactly like the serve layer.  The
-                    # fault budget was spent on the faulted attempt, so
-                    # the replay runs clean.
-                    schedule = None
-                    if recoveries >= MAX_RECOVERIES:
-                        raise
-                    machine_name = exc.machine or getattr(
-                        getattr(options, "machine", None), "name", "")
-                    try:
-                        degraded = degraded_machine(machine_name)
-                    except (ValueError, TypeError):
-                        raise exc  # out of rungs (or unresolvable)
-                    recoveries += 1
-                    self.session.record_recovery(
-                        job=name,
-                        fault=(exc.fault.kind if exc.fault
-                               else "chip_crash"),
-                        chip=exc.chip, cycle=exc.cycle,
-                        machine_from=machine_name,
-                        machine_to=degraded.name,
-                        detection_s=time.monotonic() - started)
-                    options = options.with_machine(degraded)
-            done = time.monotonic()
-            sim = job_result.result
+            # the shared disk cache key lines up.
+            program, params, _machine, options = unpack_submit(header, blob)
+            (result,) = self.executor.execute([InferenceRequest(
+                program=program, params=params, options=options,
+                simulate=header.get("simulate", True),
+                tag=header.get("tag", ""), name=name,
+                request_id=request_id, key=header.get("key"), span=span)])
+        except Exception as exc:   # an undecodable submit blob
             result = RequestResult(
                 request_id=request_id, name=name,
-                status=RequestStatus.OK,
-                latency=LatencyBreakdown(execute_s=done - started,
-                                         total_s=done - started),
-                attempts=attempts, shard=None, batch_size=1,
-                cache=job_result.cache,
-                cycles=sim.cycles if sim is not None else None,
-                cost=cost_rollup(program, job_result.cache,
-                                 job_result.compiled, sim))
-        except Exception as exc:
-            result = RequestResult(
-                request_id=request_id, name=name,
-                status=RequestStatus.FAILED,
-                latency=LatencyBreakdown(
-                    total_s=time.monotonic() - started),
-                attempts=1, batch_size=1,
+                status=RequestStatus.FAILED, attempts=1, batch_size=1,
                 error=f"{type(exc).__name__}: {exc}")
         finally:
             if span is not None:
@@ -450,8 +365,6 @@ class ClusterWorker:
                 self._inflight -= 1
                 self._inflight_cond.notify_all()
             self._inflight_gauge.set(self._inflight)
-        res_header, res_blob = pack_result(result)
-        res_header["worker_id"] = self.worker_id
         try:
             # Ship journal rows eagerly *ahead of* every result: any
             # request whose result the router holds also has its
@@ -460,7 +373,7 @@ class ClusterWorker:
             # (A kill between the two frames loses only the result, and
             # the router's failover path re-runs the request.)
             self._ship_journal()
-            self._send(res_header, res_blob)
+            self._send_result(result)
         except OSError:
             pass  # router died; its failover path re-runs the request
 
@@ -468,13 +381,14 @@ class ClusterWorker:
                     retryable: bool = True) -> None:
         """``retryable=False`` marks a terminal rejection (a trust
         refusal): re-dispatching the same frame cannot succeed."""
-        result = RequestResult(
+        self._send_result(RequestResult(
             request_id=header.get("request_id", 0),
             name=header.get("name", "?"), status=RequestStatus.FAILED,
-            error=reason)
+            error=reason), retryable=retryable)
+
+    def _send_result(self, result: RequestResult, **extra) -> None:
         res_header, res_blob = pack_result(result)
-        res_header["worker_id"] = self.worker_id
-        res_header["retryable"] = retryable
+        res_header.update(extra, worker_id=self.worker_id)
         self._send(res_header, res_blob)
 
     # ------------------------------------------------------------------ #
@@ -510,7 +424,7 @@ class ClusterWorker:
         """Journal rows recorded since the last ship (cursor semantics:
         each row crosses the wire exactly once)."""
         with self._journal_lock:
-            jobs = self.session.trace()["jobs"]
+            jobs = self.executor.session.trace()["jobs"]
             fresh = jobs[self._journal_cursor:]
             self._journal_cursor = len(jobs)
         return fresh
@@ -525,11 +439,12 @@ class ClusterWorker:
         payload = {
             "snapshot": self._metrics.snapshot(),
             "journal": self._fresh_journal_rows(),
-            "cache": self.session.cache_stats.as_dict(),
+            "cache": self.executor.session.cache_stats.as_dict(),
             "trust": {
                 "replay": self._replay_guard.stats(),
                 "keys": self._keyvault.counts(),
-                "chaos_chip_crash_remaining": self._chaos_remaining,
+                "chaos_chip_crash_remaining":
+                    self.executor.faults.remaining(),
             },
         }
         self._send({"kind": kind, "worker_id": self.worker_id,

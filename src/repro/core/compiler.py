@@ -78,18 +78,6 @@ class CompilerOptions:
             self.num_chips = resolved.num_chips
             self.registers_per_chip = resolved.chip.registers
 
-    def with_machine(self, machine) -> "CompilerOptions":
-        """These options re-targeted at a different machine.
-
-        Degraded-mode recompilation uses this to keep every optimization
-        switch while re-partitioning limbs across the surviving chip
-        count; ``num_chips``/``registers_per_chip`` are re-derived from
-        the new machine by ``__post_init__``.
-        """
-        from dataclasses import replace
-
-        return replace(self, machine=machine)
-
 
 @dataclass
 class PassTiming:

@@ -23,14 +23,17 @@ finishes even when a die fails mid-run*:
 The loop walks the ladder until the run completes or ``max_recoveries``
 is exhausted, so a 12-chip machine losing two dies lands on 4 chips and
 still produces bit-valid ciphertext outputs.
+
+:func:`descend_ladder` is the one ladder step in the repo, shared with
+the serving layer (:class:`repro.serve.executor.ShardExecutor`).
 """
 
 from __future__ import annotations
 
 import time
 import uuid
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.tracing import tracer
 from .checkpoint import Checkpoint, CheckpointStore
@@ -41,6 +44,7 @@ __all__ = [
     "RecoveryExhausted",
     "ResilientRunResult",
     "RecoveryOrchestrator",
+    "descend_ladder",
     "run_with_recovery",
 ]
 
@@ -70,18 +74,42 @@ class RecoveryEvent:
     replay_s: Optional[float] = None
 
     def as_dict(self) -> dict:
-        return {
-            "fault": self.fault,
-            "chip": self.chip,
-            "cycle": self.cycle,
-            "machine_from": self.machine_from,
-            "machine_to": self.machine_to,
-            "checkpoint_cycle": self.checkpoint_cycle,
-            "lost_cycles": self.lost_cycles,
-            "detection_s": self.detection_s,
-            "recompile_s": self.recompile_s,
-            "replay_s": self.replay_s,
-        }
+        return asdict(self)
+
+
+def descend_ladder(exc: MachineFaultError, current, *, descents: int,
+                   max_recoveries: int, detection_s: float, events=(),
+                   label: str = "run") -> Tuple[object, RecoveryEvent]:
+    """One fault, one rung down — the step every degrade ladder shares.
+
+    ``current`` is the machine the faulted attempt ran on (``None``: the
+    one the simulator named on ``exc``), ``descents`` the rungs this run
+    already took, ``detection_s`` the wall time from the start of that
+    attempt to the fault.  Returns the degraded machine and the
+    ``recovery`` row's fields; the caller recompiles, replays, and
+    reports ``replay_s`` once the replay ends.  Raises
+    :class:`RecoveryExhausted` (carrying ``events``) when
+    ``max_recoveries`` is spent or no rung fits the survivors.
+    """
+    from ..sim.config import degraded_machine, resolve_machine
+
+    source = resolve_machine(current if current is not None
+                             else exc.machine)
+    if descents >= max_recoveries:
+        raise RecoveryExhausted(
+            f"{label}: fault on {source.name} chip {exc.chip} after "
+            f"{descents} recoveries (budget exhausted)", events=events,
+            last_error=exc) from exc
+    try:
+        degraded = degraded_machine(source, dead_chips=1)
+    except ValueError:
+        raise RecoveryExhausted(
+            f"{label}: no degraded configuration left below "
+            f"{source.name}", events=events, last_error=exc) from exc
+    return degraded, RecoveryEvent(
+        fault=exc.fault.kind if exc.fault else "chip_crash",
+        chip=exc.chip, cycle=exc.cycle, machine_from=source.name,
+        machine_to=degraded.name, detection_s=detection_s)
 
 
 @dataclass
@@ -162,7 +190,7 @@ class RecoveryOrchestrator:
     def _run_ladder(self, program, params, machine, *, fault_schedule,
                     inputs, context, plaintexts, run_id, label,
                     emulate_outputs, watchdog_s) -> ResilientRunResult:
-        from ..sim.config import degraded_machine, resolve_machine
+        from ..sim.config import resolve_machine
 
         schedule = fault_schedule or FaultSchedule()
         current = resolve_machine(machine, default_chips=4)
@@ -182,9 +210,9 @@ class RecoveryOrchestrator:
         seq = 1
         checkpoints_taken = 1
         events: List[RecoveryEvent] = []
-        trace_entries: List[dict] = []
+        row: Optional[dict] = None     # journal row of the last descent
 
-        for attempt in range(self.max_recoveries + 1):
+        while True:
             def hook(snapshot):
                 nonlocal seq, checkpoints_taken
                 self.store.save(Checkpoint(
@@ -206,44 +234,30 @@ class RecoveryOrchestrator:
                     watchdog_s=watchdog_s)
             except MachineFaultError as exc:
                 detected = time.perf_counter()
-                if attempt >= self.max_recoveries:
-                    raise RecoveryExhausted(
-                        f"{label}: fault on {current.name} chip "
-                        f"{exc.chip} after {attempt} recoveries "
-                        "(budget exhausted)", events=events,
-                        last_error=exc) from exc
+                degraded, event = descend_ladder(
+                    exc, current, descents=len(events),
+                    max_recoveries=self.max_recoveries,
+                    detection_s=detected - replay_started, events=events,
+                    label=label)
                 restart = self.store.latest(run_id, max_cycle=exc.cycle)
                 checkpoint_cycle = restart.cycle if restart else 0
-                try:
-                    degraded = degraded_machine(current, dead_chips=1)
-                except ValueError:
-                    raise RecoveryExhausted(
-                        f"{label}: no degraded configuration left below "
-                        f"{current.name}", events=events,
-                        last_error=exc) from exc
                 step = tracer().begin(
                     f"ladder:{current.name}->{degraded.name}",
                     kind="recovery-step",
-                    attrs={"fault": exc.fault.kind if exc.fault
-                           else "unknown",
+                    attrs={"fault": event.fault,
                            "chip": exc.chip, "cycle": exc.cycle,
                            "checkpoint_cycle": checkpoint_cycle})
                 recompile_started = time.perf_counter()
                 with tracer().use_span(step):
                     compiled = self.session.compile(
                         program, params, machine=degraded, job=label)
-                    recompile_s = time.perf_counter() - recompile_started
-                    event = RecoveryEvent(
-                        fault=exc.fault.kind if exc.fault else "unknown",
-                        chip=exc.chip, cycle=exc.cycle,
-                        machine_from=current.name, machine_to=degraded.name,
-                        checkpoint_cycle=checkpoint_cycle,
+                    event = replace(
+                        event, checkpoint_cycle=checkpoint_cycle,
                         lost_cycles=max(0, exc.cycle - checkpoint_cycle),
-                        detection_s=detected - replay_started,
-                        recompile_s=recompile_s)
+                        recompile_s=time.perf_counter() - recompile_started)
                     events.append(event)
-                    trace_entries.append(self.session.record_recovery(
-                        job=label, **event.as_dict()))
+                    row = self.session.record_recovery(
+                        job=label, **event.as_dict())
                 step.finish()
                 schedule = schedule.for_survivors(
                     [exc.chip] if exc.chip is not None else [],
@@ -255,9 +269,8 @@ class RecoveryOrchestrator:
                 # Stamp the final replay time onto the last recovery,
                 # both locally and in the already-recorded trace entry
                 # (the recorder holds the dict by reference).
-                events[-1] = RecoveryEvent(
-                    **{**events[-1].as_dict(), "replay_s": replay_s})
-                trace_entries[-1]["replay_s"] = replay_s
+                events[-1] = replace(events[-1], replay_s=replay_s)
+                row["replay_s"] = replay_s
             outputs = None
             if emulate_outputs:
                 if inputs is None or context is None:
@@ -272,8 +285,6 @@ class RecoveryOrchestrator:
                 run_id=run_id, result=result, compiled=compiled,
                 machine=current.name, recoveries=events,
                 checkpoints_taken=checkpoints_taken, outputs=outputs)
-
-        raise AssertionError("unreachable")  # pragma: no cover
 
 
 def run_with_recovery(program, params, machine=None, **kwargs

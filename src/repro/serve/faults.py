@@ -2,8 +2,9 @@
 
 The robustness tests (and any chaos experiment) script failures against a
 live server instead of monkeypatching internals: a :class:`FaultInjector`
-is armed with a budget of faults and consulted by every shard right
-before it executes a batch.  Four fault kinds:
+is armed with a budget of faults and consulted by every
+:class:`~repro.serve.executor.ShardExecutor` right before it executes a
+batch.  Four fault kinds:
 
 * ``crash``   — the shard dies mid-dispatch (:class:`WorkerCrashError`);
   the server restarts it with a fresh session (cold in-memory cache, the
@@ -14,14 +15,17 @@ before it executes a batch.  Four fault kinds:
   :class:`PoisonedArtifact` whose first use raises
   :class:`PoisonedCacheError`; recovery is invalidate-and-recompile.
 * ``chip_crash`` — a *machine* fault: :meth:`FaultInjector.on_dispatch`
-  returns a :class:`~repro.resilience.FaultSchedule` that kills ``chip``
-  at simulated ``cycle``, the shard threads it into the simulation, and
-  the server recovers by recompiling for the degrade ladder's next rung
-  (see :mod:`repro.resilience`).
+  returns the armed :class:`Fault`, whose :meth:`Fault.schedule` kills
+  ``chip`` at simulated ``cycle``; the executor threads it into the
+  simulation and recovers by recompiling for the degrade ladder's next
+  rung (see :mod:`repro.resilience`).
 
 Each fault fires ``count`` times, optionally only for requests whose
 label contains ``match``; a drained injector is inert, so a recovered
 server runs clean afterwards.
+
+These are *process* faults; :mod:`repro.resilience.faults` models
+*machine* faults inside the simulator — two modules on purpose.
 """
 
 from __future__ import annotations
@@ -70,10 +74,14 @@ class Fault:
     chip: int = 0              # chip_crash: which die dies ...
     cycle: int = 1000          # ... and at which simulated cycle
 
+    def schedule(self) -> FaultSchedule:
+        """The machine-fault schedule a ``chip_crash`` arms."""
+        return FaultSchedule().chip_crash(chip=self.chip, cycle=self.cycle)
+
 
 @dataclass
 class FaultInjector:
-    """Scripted fault plan, consumed as the server dispatches batches."""
+    """Scripted fault plan, consumed as executors dispatch batches."""
 
     faults: List[Fault] = field(default_factory=list)
 
@@ -108,8 +116,8 @@ class FaultInjector:
 
     # ------------------------------------------------------------------ #
 
-    def _take(self, batch) -> Optional[Fault]:
-        labels = [req.label for req in batch.requests]
+    def _take(self, requests) -> Optional[Fault]:
+        labels = [req.label for req in requests]
         with self._lock:
             for fault in self.faults:
                 if fault.count <= 0:
@@ -122,31 +130,33 @@ class FaultInjector:
                 return fault
         return None
 
-    def on_dispatch(self, shard_id: int, batch,
-                    session) -> Optional[FaultSchedule]:
-        """Called by a shard before each execution attempt of ``batch``.
+    def on_dispatch(self, shard_id, requests, session) -> Optional[Fault]:
+        """Called by an executor before each execution attempt of
+        ``requests`` (one same-fingerprint batch).
 
-        May sleep (latency), corrupt the shard's cache entry for the
-        batch (poison), raise :class:`WorkerCrashError` (crash), or
-        return a :class:`~repro.resilience.FaultSchedule` the shard must
-        thread into the simulation (chip_crash).  Returns ``None`` for
-        everything but chip_crash.
+        May sleep (latency), corrupt the session's cache entry for the
+        batch (poison) or raise :class:`WorkerCrashError` (crash).
+        Returns the armed fault for chip_crash, else ``None``.
         """
-        fault = self._take(batch)
+        fault = self._take(requests)
         if fault is None:
             return None
         if fault.kind == "latency":
             time.sleep(fault.latency_s)
         elif fault.kind == "poison":
-            session._cache.put(batch.fingerprint, PoisonedArtifact())
-        elif fault.kind == "chip_crash":
-            return FaultSchedule().chip_crash(chip=fault.chip,
-                                              cycle=fault.cycle)
+            session._cache.put(requests[0].key, PoisonedArtifact())
         elif fault.kind == "crash":
             raise WorkerCrashError(
                 f"injected crash of shard {shard_id} while dispatching "
-                f"{len(batch)} request(s)")
-        return None
+                f"{len(requests)} request(s)")
+        return fault if fault.kind == "chip_crash" else None
+
+    def refund(self, fault: Fault) -> None:
+        """Re-arm a chip fault that was taken but never fired (the run
+        ended before its crash cycle), so a later dispatch triggers it."""
+        with self._lock:
+            fault.count += 1
+            self.injected[fault.kind] -= 1
 
     def remaining(self) -> int:
         with self._lock:

@@ -294,20 +294,15 @@ class ServingFrontend:
         self._queue.close()
         return self.lifecycle.wait_drained(timeout)
 
-    def _close_admission(self, drain: bool,
-                         timeout: Optional[float]) -> None:
-        """First step of ``shutdown``: finish accepted work (``drain``)
-        or resolve everything still queued as ``REJECTED``."""
-        if drain:
-            self.drain(timeout)
-            return
-        self._queue.close()
+    def _sweep_queue(self, resolve, reason: str) -> None:
+        """``resolve(request, reason)`` everything still queued.  Final
+        only once admission is closed and nothing re-queues requests."""
         while True:
             try:
                 request = self._queue.get(timeout=0)
             except Empty:
                 return
-            self.lifecycle.reject(request, "shut down")
+            resolve(request, reason)
 
     @property
     def queue_depth(self) -> int:

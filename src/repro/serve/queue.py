@@ -43,7 +43,9 @@ class AdmissionQueue:
     Ordering is (priority, admission sequence): within a priority class
     the queue is FIFO, so equal-priority requests cannot starve each
     other.  ``maxsize <= 0`` means unbounded (the loadgen's closed loop
-    uses this).
+    uses this).  Subclasses override ``_admit`` and the storage hooks
+    (``_heap_for``/``_pop``/``_depth``); the lock, the wait loop and the
+    close/drain contract live here.
     """
 
     def __init__(self, maxsize: int = 0):
@@ -59,28 +61,46 @@ class AdmissionQueue:
     def put(self, request: InferenceRequest) -> None:
         """Admit ``request`` or raise (never blocks)."""
         with self._lock:
-            if self._closed:
-                raise QueueClosedError("admission queue is closed")
-            if self.maxsize > 0 and len(self._heap) >= self.maxsize:
-                raise QueueSaturatedError(len(self._heap), self.maxsize)
-            heapq.heappush(
-                self._heap,
-                (int(request.priority), next(self._seq), request))
-            self._not_empty.notify()
+            self._admit(request)
+            self._enqueue(request)
+
+    def _admit(self, request: InferenceRequest) -> None:
+        if self._closed:
+            raise QueueClosedError("admission queue is closed")
+        depth = self._depth()
+        if self.maxsize > 0 and depth >= self.maxsize:
+            raise QueueSaturatedError(depth, self.maxsize)
+
+    def _enqueue(self, request: InferenceRequest) -> None:
+        heapq.heappush(
+            self._heap_for(request),
+            (int(request.priority), next(self._seq), request))
+        self._not_empty.notify()
+
+    def _heap_for(self, request: InferenceRequest) -> list:
+        return self._heap
+
+    def _pop(self) -> Optional[InferenceRequest]:
+        return heapq.heappop(self._heap)[2] if self._heap else None
+
+    def _depth(self) -> int:
+        return len(self._heap)
 
     def get(self, timeout: Optional[float] = None) -> InferenceRequest:
-        """Pop the highest-priority request, waiting up to ``timeout``.
+        """Pop the next request, waiting up to ``timeout``.
 
         Raises :class:`Empty` on timeout, or immediately once the queue
         is both closed and drained.
         """
         with self._not_empty:
-            while not self._heap:
+            while True:
+                request = self._pop()
+                if request is not None:
+                    return request
                 if self._closed:
                     raise Empty
                 if not self._not_empty.wait(timeout):
                     raise Empty
-            return heapq.heappop(self._heap)[2]
 
     def close(self) -> None:
         """Stop admitting; queued requests remain retrievable."""
@@ -97,7 +117,7 @@ class AdmissionQueue:
 
     def depth(self) -> int:
         with self._lock:
-            return len(self._heap)
+            return self._depth()
 
     def __len__(self) -> int:
         return self.depth()

@@ -125,6 +125,10 @@ class RequestResult:
     #: Per-request cost rollup for tenant attribution (schema 8):
     #: ``{"sim_cycles", "bootstraps", "bytes", "compile_s"}``.
     cost: Optional[dict] = None
+    #: Monotonic stamps of the final execution attempt, as the executor
+    #: saw it (``started`` is None if the request never ran).
+    started: Optional[float] = None
+    done: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -150,8 +154,7 @@ def cost_rollup(program, cache: Optional[str], compiled, sim) -> dict:
     """Per-request cost attribution (schema 8): simulated cycles,
     bootstrap count, HBM+network bytes moved, and compile wall — the
     latter only on cache misses, so a hit is not billed for the compile
-    some earlier request already paid for.  Shared by the cluster worker
-    and the single-process server so both paths bill identically."""
+    some earlier request already paid for."""
     bootstraps = sum(1 for op in getattr(program, "ops", None) or ()
                      if getattr(op, "opcode", None) == "bootstrap")
     stats = getattr(compiled, "compile_stats", None)

@@ -270,3 +270,33 @@ class TestOrphansOfGracefulExits:
         assert result.status is RequestStatus.FAILED
         assert "died mid-request" in result.error
         assert router.drain(timeout=5)
+
+
+class TestShutdownWithNoLiveWorker:
+    """With no worker live the dispatcher parks each request and
+    re-queues it; ``shutdown`` must stop it *before* sweeping the queue,
+    or a request it was holding is left unresolved forever."""
+
+    @staticmethod
+    def _router_with_queued_requests(count=8):
+        router = ClusterRouter(num_workers=1, spawn_workers=False,
+                               disk_cache=False)
+        router.start()
+        handles = [router.submit(make_request(name=f"stranded-{i}"))
+                   for i in range(count)]
+        time.sleep(0.1)     # let the dispatcher start cycling them
+        return router, handles
+
+    def test_shutdown_without_drain_rejects_everything_queued(self):
+        router, handles = self._router_with_queued_requests()
+        router.shutdown(drain=False)
+        results = [h.result(timeout=5) for h in handles]
+        assert {r.status for r in results} == {RequestStatus.REJECTED}
+        assert all("shut down" in r.error for r in results)
+
+    def test_expired_drain_fails_everything_still_queued(self):
+        router, handles = self._router_with_queued_requests()
+        router.shutdown(drain=True, timeout=0.2)
+        results = [h.result(timeout=5) for h in handles]
+        assert {r.status for r in results} == {RequestStatus.FAILED}
+        assert router.drain(timeout=5)

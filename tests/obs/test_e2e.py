@@ -102,6 +102,69 @@ def backend_journal(request, tmp_path_factory):
                            journal_path=str(journal_path))
 
 
+@pytest.fixture(scope="module", params=["server", "cluster"])
+def chaos_journal(request, tmp_path_factory):
+    """One request whose simulation loses chip 0 at cycle 1000, journaled
+    by a 1-shard server and by a 1-worker cluster router."""
+    from repro.serve import FaultInjector
+
+    out = tmp_path_factory.mktemp(f"obs-chaos-{request.param}")
+    journal_path = out / "journal.json"
+    enable(reset=True)
+    try:
+        if request.param == "server":
+            results = serve_requests(
+                [_request("die")], num_workers=1,
+                faults=FaultInjector().chip_crash(chip=0, cycle=1000),
+                trace_out=str(journal_path))
+        else:
+            from repro.cluster import ClusterRouter
+
+            with ClusterRouter(num_workers=1, chaos_chip_crash=1,
+                               chaos_cycle=1000) as router:
+                assert router.wait_ready(timeout=120)
+                results = [router.submit(_request("die")).result(120)]
+                router.export_trace(journal_path)
+    finally:
+        disable()
+    with open(journal_path) as handle:
+        document = json.load(handle)
+    return SimpleNamespace(results=results, document=document,
+                           journal_path=str(journal_path))
+
+
+class TestRecoveryParity:
+    """Both back-ends run the same ShardExecutor, so a chip crash leaves
+    the same ``recovery`` row whichever one served the request."""
+
+    def test_recovery_row_is_the_same_on_both_backends(self, chaos_journal):
+        assert [r.status.value for r in chaos_journal.results] == ["ok"]
+        rows = [r for r in chaos_journal.document["jobs"]
+                if r["kind"] == "recovery"]
+        assert len(rows) == 1
+        row = rows[0]
+        assert set(row) - {"worker"} == {
+            "job", "kind", "fault", "chip", "cycle", "machine_from",
+            "machine_to", "checkpoint_cycle", "lost_cycles",
+            "detection_s", "recompile_s", "replay_s", "trace_id",
+            "span_id"}
+        assert (row["fault"], row["chip"], row["cycle"]) == \
+            ("chip_crash", 0, 1000)
+        assert (row["machine_from"], row["machine_to"]) == \
+            ("Cinnamon-2", "Cinnamon-1")
+        assert row["detection_s"] > 0
+        assert row["replay_s"] is not None and row["replay_s"] > 0
+
+    def test_chaos_journal_checks_clean_and_counts_recovery(
+            self, chaos_journal, capsys):
+        assert obs_main([chaos_journal.journal_path, "--check"]) == 0
+        assert "OK" in capsys.readouterr().out
+        (split,) = [s for s in trace_table(chaos_journal.document).values()
+                    if s["job"] == "die"]
+        assert split["rows"]["recovery"] == 1
+        assert split["recovery"] > 0.0
+
+
 class TestOneTraceId:
     def test_all_requests_served(self, traced):
         assert [r.status.value for r in traced.results] == ["ok"] * 3
