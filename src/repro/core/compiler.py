@@ -211,11 +211,10 @@ class CompiledProgram:
                 broadcast_events=lp.comm_events("broadcast"),
                 aggregate_events=lp.comm_events("aggregate"),
                 comm_limbs=lp.comm_limbs(),
-                limb_ops=len(lp.ops),
+                limb_ops=len(lp.opcodes),
             )
         if release:
-            self.limb_program.ops = []
-            self.limb_program.domains = {}
+            self.limb_program.release()
         return self.comm_summary
 
 
@@ -285,7 +284,7 @@ class CompilerDriver:
         stats.counters = {
             "ct_ops": len(prog.ops),
             "poly_ops": len(poly.ops),
-            "limb_ops": len(limb.ops),
+            "limb_ops": len(limb.opcodes),
             "isa_instructions": compiled.instruction_count,
             "keyswitches": ks_pass.stats.keyswitches,
         }

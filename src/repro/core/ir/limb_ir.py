@@ -24,13 +24,21 @@ lmov      point-to-point limb move between chips
 lcomm     collective (broadcast or aggregate) over a chip group
 lrecv     materialize one limb delivered by a collective on a chip
 ========  ==================================================================
+
+Storage is columnar: a :class:`LimbProgram` holds parallel ``opcodes`` /
+``chips`` / ``inputs`` / ``attrs`` lists indexed by op id, filled only by
+:meth:`LimbProgram.emit`.  :class:`LimbOp` is the value type its read-only
+``ops`` view yields; hundreds of thousands of ops per program made one heap
+object each the dominant compile cost (docs/compiler.md, section 6).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..columns import ColumnView
 from .poly_ir import PolyProgram
 from .passes import KS_CIFHER, KS_INPUT_BROADCAST, KS_OUTPUT_AGGREGATION, \
     KS_SEQUENTIAL
@@ -89,13 +97,49 @@ class PolyValue:
         return len(self.limbs)
 
 
+class _LimbOpsView(ColumnView):
+    """``LimbProgram.ops``: the columns read as a sequence of
+    :class:`LimbOp`.  Each access builds a fresh value whose ``attrs`` is
+    the stored dict *by reference* — treat it as read-only."""
+
+    __slots__ = ("_program",)
+
+    def __init__(self, program: "LimbProgram"):
+        self._program = program
+
+    def __len__(self) -> int:
+        return len(self._program.opcodes)
+
+    def __iter__(self) -> Iterator[LimbOp]:
+        p = self._program
+        return map(LimbOp, itertools.count(), p.opcodes, p.chips, p.inputs,
+                   p.attrs)
+
+    def _at(self, index: int) -> LimbOp:
+        p = self._program
+        return LimbOp(index, p.opcodes[index], p.chips[index],
+                      p.inputs[index], p.attrs[index])
+
+
 class LimbProgram:
-    """A limb-level program for one machine configuration."""
+    """A limb-level program for one machine configuration.
+
+    Ops are stored as four parallel columns indexed by op id —
+    ``opcodes``, ``chips``, ``inputs`` (operand-id tuples) and ``attrs``
+    (the ``**attrs`` dict :meth:`emit` received) — not as one object per
+    op.  The back-end (:mod:`repro.core.isa.codegen`) walks the columns
+    and keeps referring to the ``attrs`` dicts from the instruction
+    streams it writes, so they must not be mutated after :meth:`emit`.
+    :attr:`ops` is the sequence-of-:class:`LimbOp` view for everyone else.
+    """
 
     def __init__(self, name: str, num_chips: int):
         self.name = name
         self.num_chips = num_chips
-        self.ops: List[LimbOp] = []
+        self.opcodes: List[str] = []
+        self.chips: List[int] = []
+        self.inputs: List[Tuple[int, ...]] = []
+        self.attrs: List[dict] = []
         self.domains: Dict[int, str] = {}
         self.plaintext_defs: Dict[str, dict] = {}
         self.evalkeys: set = set()
@@ -106,44 +150,53 @@ class LimbProgram:
 
     def emit(self, opcode: str, chip: int, inputs: Tuple[int, ...] = (),
              domain: str = None, **attrs) -> int:
-        op = LimbOp(len(self.ops), opcode, chip, tuple(inputs), attrs)
-        self.ops.append(op)
+        op_id = len(self.opcodes)
+        self.opcodes.append(opcode)
+        self.chips.append(chip)
+        self.inputs.append(tuple(inputs))
+        self.attrs.append(attrs)
         if domain is not None:
-            self.domains[op.id] = domain
-        return op.id
+            self.domains[op_id] = domain
+        return op_id
 
     def new_comm_id(self) -> int:
         self._comm_counter += 1
         return self._comm_counter - 1
 
+    @property
+    def ops(self) -> _LimbOpsView:
+        return _LimbOpsView(self)
+
+    def release(self) -> None:
+        """Drop the op columns (the streams keep the attrs they refer to)."""
+        self.opcodes, self.chips, self.inputs, self.attrs = [], [], [], []
+        self.domains = {}
+
     # ------------------------------------------------------------------ #
     # Statistics (consumed by benchmarks and the simulator)
 
     def count(self, opcode: str) -> int:
-        return sum(1 for op in self.ops if op.opcode == opcode)
+        return self.opcodes.count(opcode)
 
     def comm_events(self, kind: str = None) -> int:
         return sum(
-            1 for op in self.ops
-            if op.opcode == L_COMM and (kind is None or op.attrs["kind"] == kind)
+            1 for opcode, attrs in zip(self.opcodes, self.attrs)
+            if opcode == L_COMM and (kind is None or attrs["kind"] == kind)
         )
 
     def comm_limbs(self) -> int:
         """Total limb payloads crossing chip boundaries."""
-        total = 0
-        for op in self.ops:
-            if op.opcode == L_COMM:
-                total += op.attrs["limbs_moved"]
-            elif op.opcode == L_MOV:
-                total += 1
-        return total
+        return self.opcodes.count(L_MOV) + sum(
+            attrs["limbs_moved"]
+            for opcode, attrs in zip(self.opcodes, self.attrs)
+            if opcode == L_COMM
+        )
 
     def ops_on_chip(self, chip: int) -> List[LimbOp]:
         return [op for op in self.ops if op.chip == chip or op.opcode == L_COMM]
 
     def dump(self, limit: int = None) -> str:
-        ops = self.ops if limit is None else self.ops[:limit]
-        return "\n".join(repr(op) for op in ops)
+        return "\n".join(repr(op) for op in itertools.islice(self.ops, limit))
 
 
 class _KeyswitchContext:

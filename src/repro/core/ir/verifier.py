@@ -95,7 +95,7 @@ def verify_limb_program(program: lir.LimbProgram,
 
         if op.opcode != lir.L_STORE:
             producer_chip[op.id] = op.chip
-    return len(program.ops)
+    return len(program.opcodes)
 
 
 def _expect_domain(domains, op, COEFF_IN: bool):

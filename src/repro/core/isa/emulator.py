@@ -118,15 +118,18 @@ def build_memory_image(
 
 
 class _Chip:
-    def __init__(self, chip_id: int, stream: List):
+    def __init__(self, chip_id: int, stream):
         self.id = chip_id
         self.stream = stream
+        # Only operation parameters are read here, never ``limb_op``, so
+        # the attrs are taken by reference: no per-instruction objects.
+        self.attrs = stream.operation_attrs()
         self.pc = 0
         self.regs: Dict[int, np.ndarray] = {}
 
     @property
     def done(self) -> bool:
-        return self.pc >= len(self.stream)
+        return self.pc >= len(self.attrs)
 
 
 class IsaEmulator:
@@ -168,10 +171,13 @@ class IsaEmulator:
 
     def _step(self, chip: _Chip) -> bool:
         """Execute one instruction; returns False if it must block."""
-        ins = chip.stream[chip.pc]
-        op = ins.opcode
+        pc = chip.pc
+        stream = chip.stream
+        op = stream.opcodes[pc]
+        dest = stream.dests[pc]
+        srcs = stream.srcs[pc]
         regs = chip.regs
-        attrs = ins.attrs
+        attrs = chip.attrs[pc]
 
         if op == RCV:
             key = (attrs["cid"], attrs["tag"])
@@ -186,59 +192,59 @@ class IsaEmulator:
                 for contribution in arrived:
                     acc = (acc + contribution) % p
                 value = acc
-            regs[ins.dest] = value.copy()
+            regs[dest] = value.copy()
         elif op == MOV:
             if attrs["key"] not in self.p2p:
                 return False
-            regs[ins.dest] = self.p2p.pop(attrs["key"])
+            regs[dest] = self.p2p.pop(attrs["key"])
         elif op == SND:
-            self.p2p[attrs["key"]] = regs[ins.srcs[0]].copy()
+            self.p2p[attrs["key"]] = regs[srcs[0]].copy()
         elif op == COL:
-            for reg, tag in zip(ins.srcs, attrs["tags"]):
+            for reg, tag in zip(srcs, attrs["tags"]):
                 self.mailbox[(attrs["cid"], tag)].append(regs[reg].copy())
         elif op in (LD, VPRNG):
             # vprng regenerates a pseudorandom limb; functionally that is
             # the same data the keychain sampled, so read it from memory.
-            regs[ins.dest] = self.memory[attrs["symbol"]].copy()
+            regs[dest] = self.memory[attrs["symbol"]].copy()
         elif op == ST:
-            self.memory[attrs["symbol"]] = regs[ins.srcs[0]].copy()
+            self.memory[attrs["symbol"]] = regs[srcs[0]].copy()
         elif op == VADD:
             p = UINT(attrs["prime"])
-            regs[ins.dest] = (regs[ins.srcs[0]] + regs[ins.srcs[1]]) % p
+            regs[dest] = (regs[srcs[0]] + regs[srcs[1]]) % p
         elif op == VSUB:
             p = UINT(attrs["prime"])
-            regs[ins.dest] = (regs[ins.srcs[0]] + p - regs[ins.srcs[1]]) % p
+            regs[dest] = (regs[srcs[0]] + p - regs[srcs[1]]) % p
         elif op == VNEG:
             p = UINT(attrs["prime"])
-            regs[ins.dest] = (p - regs[ins.srcs[0]]) % p
+            regs[dest] = (p - regs[srcs[0]]) % p
         elif op == VMUL:
             p = UINT(attrs["prime"])
-            regs[ins.dest] = (regs[ins.srcs[0]] * regs[ins.srcs[1]]) % p
+            regs[dest] = (regs[srcs[0]] * regs[srcs[1]]) % p
         elif op == VMULC:
             p = UINT(attrs["prime"])
-            regs[ins.dest] = (regs[ins.srcs[0]] * UINT(attrs["scalar"])) % p
+            regs[dest] = (regs[srcs[0]] * UINT(attrs["scalar"])) % p
         elif op == VNTT:
-            regs[ins.dest] = ntt(regs[ins.srcs[0]], attrs["prime"])
+            regs[dest] = ntt(regs[srcs[0]], attrs["prime"])
         elif op == VINTT:
-            regs[ins.dest] = intt(regs[ins.srcs[0]], attrs["prime"])
+            regs[dest] = intt(regs[srcs[0]], attrs["prime"])
         elif op == VAUTO:
-            regs[ins.dest] = eval_automorphism(
-                regs[ins.srcs[0]], attrs["galois"])
+            regs[dest] = eval_automorphism(
+                regs[srcs[0]], attrs["galois"])
         elif op == VRSV:
-            signed = centered(regs[ins.srcs[0]], attrs["from_prime"])
-            regs[ins.dest] = from_signed(signed, attrs["to_prime"])
+            signed = centered(regs[srcs[0]], attrs["from_prime"])
+            regs[dest] = from_signed(signed, attrs["to_prime"])
         elif op == VBCV:
             target = attrs["target_prime"]
             sources = attrs["source_primes"]
             p = UINT(target)
-            acc = np.zeros_like(regs[ins.srcs[0]])
+            acc = np.zeros_like(regs[srcs[0]])
             q_total = 1
             for q in sources:
                 q_total *= q
-            for reg, q in zip(ins.srcs, sources):
+            for reg, q in zip(srcs, sources):
                 factor = UINT((q_total // q) % target)
                 acc = (acc + regs[reg] * factor) % p
-            regs[ins.dest] = acc
+            regs[dest] = acc
         else:
             raise ValueError(f"unknown opcode {op!r}")
         chip.pc += 1

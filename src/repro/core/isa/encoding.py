@@ -60,9 +60,11 @@ def assemble(text: str) -> IsaModule:
 
     Attribute values survive as JSON types; tuple-valued attributes come
     back as lists (semantically equivalent for the emulator/simulator).
+    The parsed :class:`Instruction` values become column streams when the
+    module is built.
     """
-    streams: Dict[int, List[Instruction]] = {}
-    current: List[Instruction] = None
+    streams: Dict[int, list] = {}
+    current: list = None
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -27,12 +27,19 @@ snd/mov   point-to-point limb transfer               network
 col       contribute limbs to collective #cid        network
 rcv       rd <- limb `tag` from collective #cid      network
 ========  ========================================  =====================
+
+A chip's stream is an :class:`InstructionStream`: parallel columns, not
+one object per instruction.  :class:`Instruction` is the value type that
+iterating or indexing a stream yields (and that hand-written streams and
+the assembler are built from).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+
+from ..columns import ColumnView
 
 VADD = "vadd"
 VSUB = "vsub"
@@ -78,3 +85,77 @@ class Instruction:
         sym = self.attrs.get("symbol")
         extra = f" [{sym}]" if sym else ""
         return f"{self.opcode} {d}{s}{extra}"
+
+
+class InstructionStream(ColumnView):
+    """One chip's instruction stream, stored column-wise.
+
+    Instruction ``pc`` is ``(opcodes[pc], dests[pc], srcs[pc])`` plus its
+    attrs, which are not stored per instruction: ``side[pc]``, when
+    present, is the complete attrs dict (what codegen and the allocator
+    build themselves — ``col``/``snd``/``mov``/``rcv``, spill stores,
+    reloads and rematerialisations); otherwise the attrs are the limb op's
+    own dict ``limb_attrs[limb_ops[pc]]`` — shared *by reference* with the
+    limb program and every other stream of the module — plus
+    ``"limb_op"``.  :meth:`attrs_at` composes them on demand.
+
+    As a sequence the stream is read-only and yields fresh
+    :class:`Instruction` values; their ``attrs`` may alias the shared
+    dicts, so treat them as read-only too.  Hot consumers (simulator,
+    emulator, counters) read the columns directly.
+    """
+
+    __slots__ = ("opcodes", "dests", "srcs", "limb_ops", "limb_attrs",
+                 "side")
+
+    def __init__(self, limb_attrs: List[dict] = None):
+        self.opcodes: List[str] = []
+        self.dests: List[Optional[int]] = []
+        self.srcs: List[Tuple[int, ...]] = []
+        self.limb_ops: List[Optional[int]] = []
+        self.limb_attrs = limb_attrs
+        self.side: Dict[int, dict] = {}
+
+    @classmethod
+    def from_instructions(cls, instructions: Iterable[Instruction]
+                          ) -> "InstructionStream":
+        """Columns of a hand-built or parsed instruction list."""
+        stream = cls()
+        for pc, ins in enumerate(instructions):
+            stream.opcodes.append(ins.opcode)
+            stream.dests.append(ins.dest)
+            stream.srcs.append(tuple(ins.srcs))
+            stream.limb_ops.append(None)
+            stream.side[pc] = ins.attrs
+        return stream
+
+    def attrs_at(self, pc: int) -> dict:
+        attrs = self.side.get(pc)
+        if attrs is None:
+            limb_op = self.limb_ops[pc]
+            attrs = dict(self.limb_attrs[limb_op])
+            attrs["limb_op"] = limb_op
+        return attrs
+
+    def operation_attrs(self) -> List[dict]:
+        """Every instruction's attrs *by reference*, nothing composed.
+
+        For readers that only look up operation parameters (primes,
+        symbols, collective ids): a plain instruction gets its limb op's
+        own dict, so unlike :meth:`attrs_at` there is no ``"limb_op"`` key
+        — and no dict is built.
+        """
+        side, limb_attrs = self.side, self.limb_attrs
+        return [side[pc] if pc in side else limb_attrs[limb_op]
+                for pc, limb_op in enumerate(self.limb_ops)]
+
+    def __len__(self) -> int:
+        return len(self.opcodes)
+
+    def __iter__(self) -> Iterator[Instruction]:
+        return map(Instruction, self.opcodes, self.dests, self.srcs,
+                   map(self.attrs_at, range(len(self.opcodes))))
+
+    def _at(self, pc: int) -> Instruction:
+        return Instruction(self.opcodes[pc], self.dests[pc], self.srcs[pc],
+                           self.attrs_at(pc))

@@ -7,25 +7,58 @@ memory loads (inputs, evaluation keys, plaintexts) are *rematerialized* by
 re-loading their original symbol; computed values are spilled to HBM and
 reloaded.  The resulting load/store traffic is what makes the register-file
 size sweeps (Figure 6, Figure 16) meaningful.
+
+Both sides of the allocator are columnar.  Its input is an
+:class:`AbstractStream` — one chip's pre-allocation instructions as
+parallel ``opcodes`` / ``defines`` / ``uses`` / ``limb_ops`` lists over SSA
+value ids — and its output an
+:class:`~repro.core.isa.instructions.InstructionStream`; the only object
+an instruction keeps is its ``srcs`` register tuple.  Next-use
+distances come from one backward pass (``following[k]`` is where the
+value in operand slot ``k`` is used next), so the eviction scan is a dict
+lookup per resident value.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .instructions import LD, ST, Instruction
+from .instructions import LD, ST, InstructionStream
+
+_NEVER = 1 << 60
 
 
-@dataclass(slots=True)
-class AbstractInstruction:
-    """Pre-allocation instruction: SSA value ids instead of registers."""
+class AbstractStream:
+    """One chip's pre-allocation instructions: value ids, not registers.
 
-    opcode: str
-    defines: Optional[int] = None
-    uses: Tuple[int, ...] = ()
-    attrs: dict = field(default_factory=dict)
+    Entry ``i`` is ``opcodes[i]`` defining value ``defines[i]`` (or None)
+    from the values ``uses[i]``.  Its attrs follow the
+    :class:`InstructionStream` convention: ``side[i]`` when present is the
+    complete dict, otherwise they are ``limb_attrs[limb_ops[i]]`` —
+    ``limb_attrs`` being the limb program's attrs column.
+    """
+
+    __slots__ = ("opcodes", "defines", "uses", "limb_ops", "limb_attrs",
+                 "side")
+
+    def __init__(self, limb_attrs: List[dict] = None):
+        self.opcodes: List[str] = []
+        self.defines: List[Optional[int]] = []
+        self.uses: List[Tuple[int, ...]] = []
+        self.limb_ops: List[Optional[int]] = []
+        self.limb_attrs = limb_attrs
+        self.side: Dict[int, dict] = {}
+
+    def append(self, opcode: str, defines: Optional[int],
+               uses: Tuple[int, ...], attrs: dict) -> None:
+        """Add an entry that carries its own complete ``attrs``."""
+        self.side[len(self.opcodes)] = attrs
+        self.opcodes.append(opcode)
+        self.defines.append(defines)
+        self.uses.append(uses)
+        self.limb_ops.append(None)
 
 
 @dataclass
@@ -36,10 +69,10 @@ class AllocationStats:
 
 
 def allocate_registers(
-    entries: List[AbstractInstruction],
+    entries: AbstractStream,
     num_registers: int,
-    load_symbols: Dict[int, str],
-) -> Tuple[List[Instruction], AllocationStats]:
+    load_symbols: Dict[int, Tuple[str, str]],
+) -> Tuple[InstructionStream, AllocationStats]:
     """Rewrite one chip's abstract stream with physical registers.
 
     ``load_symbols`` maps value ids that originated from a load (``ld``)
@@ -48,105 +81,116 @@ def allocate_registers(
     """
     if num_registers < 16:
         raise ValueError("register file too small for keyswitch working sets")
+    uses = entries.uses
 
-    # Next-use positions per value, in original indices.
-    use_positions: Dict[int, List[int]] = defaultdict(list)
-    for idx, entry in enumerate(entries):
-        for v in entry.uses:
-            use_positions[v].append(idx)
-    for positions in use_positions.values():
-        positions.reverse()  # pop() yields the earliest remaining use
+    # Backward pass.  Afterwards next_use[v] is v's first use, and
+    # following[k] the next use of the value in the k-th operand slot of
+    # the stream (operands of one instruction share their later uses).
+    next_use: Dict[int, int] = {}
+    following: List[int] = []
+    idx = len(uses)
+    for operands in reversed(uses):
+        idx -= 1
+        if operands:
+            for v in reversed(operands):
+                following.append(next_use.get(v, _NEVER))
+            for v in operands:
+                next_use[v] = idx
+    following.reverse()
 
-    reg_of: Dict[int, int] = {}
-    value_in: Dict[int, int] = {}  # reg -> value
+    out = InstructionStream(entries.limb_attrs)
+    emit_opcode = out.opcodes.append
+    emit_dest = out.dests.append
+    emit_srcs = out.srcs.append
+    emit_limb_op = out.limb_ops.append
+    side = out.side
+    reg_of: Dict[int, int] = {}    # insertion order breaks eviction ties
     free = list(range(num_registers - 1, -1, -1))
     spilled: set = set()
-    out: List[Instruction] = []
+    inserted: List[int] = []       # entry index each extra instruction precedes
     stats = AllocationStats()
 
-    def next_use(value: int, after: int) -> int:
-        positions = use_positions.get(value)
-        if not positions:
-            return 1 << 60
-        for p in reversed(positions):  # positions stored reversed
-            if p >= after:
-                return p
-        return 1 << 60
+    def emit_extra(idx: int, opcode: str, dest, srcs, symbol: str) -> None:
+        side[len(out.opcodes)] = {"symbol": symbol}
+        emit_opcode(opcode)
+        emit_dest(dest)
+        emit_srcs(srcs)
+        emit_limb_op(None)
+        inserted.append(idx)
 
-    def evict(idx: int, pinned: set) -> int:
+    def evict(idx: int, pinned) -> int:
+        pinned = set(pinned)
         victim = None
         victim_use = -1
         for value, reg in reg_of.items():
             if reg in pinned:
                 continue
-            nu = next_use(value, idx)
-            if nu > victim_use:
-                victim_use = nu
+            distance = next_use.get(value, _NEVER)
+            if distance > victim_use:
+                victim_use = distance
                 victim = value
         if victim is None:
             raise RuntimeError("register pressure exceeds pinned operands")
         reg = reg_of.pop(victim)
-        del value_in[reg]
-        if victim_use < (1 << 60) and victim not in load_symbols \
+        if victim_use < _NEVER and victim not in load_symbols \
                 and victim not in spilled:
-            out.append(Instruction(ST, None, (reg,),
-                                   {"symbol": f"spill:{victim}"}))
+            emit_extra(idx, ST, None, (reg,), f"spill:{victim}")
             spilled.add(victim)
             stats.spill_stores += 1
         return reg
 
-    def take_register(idx: int, pinned: set) -> int:
-        if free:
-            return free.pop()
-        return evict(idx, pinned)
+    def load_operands(operands, idx: int) -> Tuple[int, ...]:
+        """Registers of ``operands``, reloading the non-resident ones."""
+        regs = []
+        for value in operands:
+            reg = reg_of.get(value)
+            if reg is None:
+                reg = free.pop() if free else evict(idx, regs)
+                if value in load_symbols:
+                    opcode, symbol = load_symbols[value]
+                elif value in spilled:
+                    opcode, symbol = LD, f"spill:{value}"
+                else:
+                    raise RuntimeError(
+                        f"value %{value} used before definition on this chip"
+                    )
+                emit_extra(idx, opcode, reg, (), symbol)
+                stats.reloads += 1
+                reg_of[value] = reg
+            regs.append(reg)
+        return tuple(regs)
 
-    def ensure_loaded(value: int, idx: int, pinned: set) -> int:
-        if value in reg_of:
-            return reg_of[value]
-        reg = take_register(idx, pinned)
-        if value in load_symbols:
-            opcode, symbol = load_symbols[value]
-        elif value in spilled:
-            opcode, symbol = LD, f"spill:{value}"
+    peak = 0
+    slot = 0
+    for idx, (opcode, define, operands, limb_op) in enumerate(
+            zip(entries.opcodes, entries.defines, uses, entries.limb_ops)):
+        srcs = load_operands(operands, idx)
+        for v in operands:      # consume this use
+            next_use[v] = following[slot]
+            slot += 1
+        if define is None:
+            dest = None
         else:
-            raise RuntimeError(
-                f"value %{value} used before definition on this chip"
-            )
-        out.append(Instruction(opcode, reg, (), {"symbol": symbol}))
-        stats.reloads += 1
-        reg_of[value] = reg
-        value_in[reg] = value
-        return reg
-
-    for idx, entry in enumerate(entries):
-        pinned = set()
-        src_regs = []
-        for v in entry.uses:
-            reg = ensure_loaded(v, idx, pinned)
-            pinned.add(reg)
-            src_regs.append(reg)
-        # Consume this use.
-        for v in entry.uses:
-            positions = use_positions.get(v)
-            while positions and positions[-1] <= idx:
-                positions.pop()
-        dest_reg = None
-        if entry.defines is not None:
-            dest_reg = take_register(idx, pinned)
-            reg_of[entry.defines] = dest_reg
-            value_in[dest_reg] = entry.defines
-        out.append(Instruction(entry.opcode, dest_reg, tuple(src_regs),
-                               dict(entry.attrs)))
-        stats.peak_registers = max(stats.peak_registers, len(reg_of))
-        # Release values with no remaining uses.  Only this instruction's
-        # operands (whose use was just consumed) and a use-less definition
-        # can have died, so the check is O(operands), not O(live values).
-        candidates = set(entry.uses)
-        if entry.defines is not None:
-            candidates.add(entry.defines)
+            dest = free.pop() if free else evict(idx, srcs)
+            reg_of[define] = dest
+        emit_opcode(opcode)
+        emit_dest(dest)
+        emit_srcs(srcs)
+        emit_limb_op(limb_op)
+        if len(reg_of) > peak:
+            peak = len(reg_of)
+        # Release values with no remaining uses: only this instruction's
+        # operands and a use-less definition can have died.  The order
+        # registers return to the free list decides every later register
+        # number: it is the iteration order of this very set.
+        candidates = set(operands)
+        if define is not None:
+            candidates.add(define)
         for v in candidates:
-            if v in reg_of and not use_positions.get(v):
-                reg = reg_of.pop(v)
-                del value_in[reg]
-                free.append(reg)
+            if v in reg_of and next_use.get(v, _NEVER) == _NEVER:
+                free.append(reg_of.pop(v))
+    stats.peak_registers = peak
+
+    for idx, attrs in entries.side.items():
+        side[idx + bisect_right(inserted, idx)] = attrs
     return out, stats

@@ -28,7 +28,10 @@ from ..core.dsl.program import CinnamonProgram
 #: 2: the trust layer (repro.trust) — disk loads verify against the
 #:    signed MANIFEST.json before unpickling, so pre-trust cache
 #:    directories (no manifest rows) must re-compile, not half-load.
-CACHE_SCHEMA_VERSION = 2
+#: 3: columnar limb IR and ISA streams — a pickled artifact holds
+#:    LimbProgram / InstructionStream columns, not LimbOp / Instruction
+#:    lists.
+CACHE_SCHEMA_VERSION = 3
 
 
 def _canonical(value):

@@ -60,72 +60,29 @@ _FU_CLASS = {
     VPRNG: "prng",
 }
 
-# Decoded-instruction kinds (first element of a decode tuple).
-_K_FU, _K_LD, _K_ST, _K_SND, _K_MOV, _K_COL, _K_RCV = range(7)
+_NETWORK_OPCODES = frozenset((SND, MOV, COL, RCV))
 
 
-def _decode_stream(stream) -> list:
-    """Pre-decode one ISA stream for the simulation inner loop.
+def _network_operands(stream) -> Dict[int, tuple]:
+    """``pc -> (key, payload limbs)`` of one stream's network instructions.
 
-    Each instruction becomes a flat ``(kind, arg, dest, srcs, extra)``
-    tuple — opcode class, collective/send keys, and source registers
-    resolved once per module instead of once per simulated instruction.
-    ``arg`` is the FU class (``_K_FU``), the send/recv key (``_K_SND`` /
-    ``_K_MOV``) or the collective id (``_K_COL`` / ``_K_RCV``); ``extra``
-    carries a collective's payload limb count.
+    The only per-run front-end work: everything else the inner loop needs
+    (opcode, dest, srcs) it reads straight from the stream's columns.
+    ``key`` is the send/recv key (``snd``/``mov``) or the collective id
+    (``col``/``rcv``); the payload is a collective contribution's limb
+    count, else None.
     """
-    decoded = []
-    for ins in stream:
-        op = ins.opcode
-        cls = _FU_CLASS.get(op)
-        srcs = tuple(ins.srcs)
-        if cls is not None:
-            decoded.append((_K_FU, cls, ins.dest, srcs, None))
-        elif op == LD:
-            decoded.append((_K_LD, None, ins.dest, srcs, None))
-        elif op == ST:
-            decoded.append((_K_ST, None, None, srcs, None))
-        elif op == SND:
-            decoded.append((_K_SND, ins.attrs["key"], None, srcs, None))
-        elif op == MOV:
-            decoded.append((_K_MOV, ins.attrs["key"], ins.dest, srcs, None))
-        elif op == COL:
-            decoded.append(
-                (_K_COL, ins.attrs["cid"], None, srcs, ins.attrs["bytes"]))
-        elif op == RCV:
-            decoded.append((_K_RCV, ins.attrs["cid"], ins.dest, srcs, None))
-        else:
-            raise ValueError(f"unknown opcode {op!r}")
-    return decoded
-
-
-def _decoded_module(isa_module):
-    """Decoded streams + collective counts, cached on the module object.
-
-    Returns ``(streams, col_expected, rcv_expected)`` where ``streams``
-    maps chip id to the decoded tuple list.  The cache rides on the
-    module instance, so it lives exactly as long as the module does and
-    repeated simulations (autotuner sweeps, serving) skip the decode.
-    """
-    cached = getattr(isa_module, "_sim_decoded", None)
-    if cached is not None:
-        return cached
-    streams = {cid: _decode_stream(s)
-               for cid, s in isa_module.streams.items()}
-    col_expected: Dict[int, int] = defaultdict(int)
-    rcv_expected: Dict[int, int] = defaultdict(int)
-    for code in streams.values():
-        for entry in code:
-            if entry[0] == _K_COL:
-                col_expected[entry[1]] += 1
-            elif entry[0] == _K_RCV:
-                rcv_expected[entry[1]] += 1
-    cached = (streams, dict(col_expected), dict(rcv_expected))
-    try:
-        isa_module._sim_decoded = cached
-    except Exception:  # immutable/slotted module: decode per run
-        pass
-    return cached
+    operands = {}
+    for pc, op in enumerate(stream.opcodes):
+        if op in _NETWORK_OPCODES:
+            attrs = stream.attrs_at(pc)
+            if op == COL:
+                operands[pc] = (attrs["cid"], attrs["bytes"])
+            elif op == RCV:
+                operands[pc] = (attrs["cid"], None)
+            else:
+                operands[pc] = (attrs["key"], None)
+    return operands
 
 
 @dataclass
@@ -296,10 +253,13 @@ class _Bandwidth:
 
 
 class _ChipState:
-    def __init__(self, chip_id: int, stream, code, config):
+    def __init__(self, chip_id: int, stream, config):
         self.id = chip_id
-        self.stream = stream
-        self.code = code                 # decoded tuples, same indexing
+        self.opcodes = stream.opcodes    # the stream's columns, by reference
+        self.dests = stream.dests
+        self.srcs = stream.srcs
+        self.network = _network_operands(stream)
+        self.length = len(stream.opcodes)
         self.pc = 0
         self.reg_ready: Dict[int, int] = defaultdict(int)
         self.issue_time = 0
@@ -312,7 +272,7 @@ class _ChipState:
 
     @property
     def done(self):
-        return self.pc >= len(self.stream)
+        return self.pc >= self.length
 
     def state(self) -> dict:
         return {
@@ -384,12 +344,16 @@ class SimulatorEngine:
         """
         machine = self.machine
         chip_cfg = machine.chip
-        streams = isa_module.streams
-        decoded, col_expected, rcv_expected = _decoded_module(isa_module)
         chips = {
-            cid: _ChipState(cid, stream, decoded[cid], chip_cfg)
-            for cid, stream in streams.items()
+            cid: _ChipState(cid, stream, chip_cfg)
+            for cid, stream in isa_module.streams.items()
         }
+        # Contributions each collective waits for: one per ``col``.
+        col_expected: Dict[int, int] = defaultdict(int)
+        for chip in chips.values():
+            for pc, (cid, _) in chip.network.items():
+                if chip.opcodes[pc] == COL:
+                    col_expected[cid] += 1
         # Collective bookkeeping: (cid, ...) -> contribution ready times.
         col_posted: Dict[int, List[int]] = defaultdict(list)
         col_complete: Dict[tuple, Optional[int]] = {}
@@ -579,7 +543,9 @@ class SimulatorEngine:
     def _step(self, chip: _ChipState, chips, col_posted, col_expected,
               col_complete, col_bytes, snd_ready, occupancies, latency,
               limb_bytes) -> bool:
-        kind, arg, dest, srcs, extra = chip.code[chip.pc]
+        pc = chip.pc
+        op = chip.opcodes[pc]
+        srcs = chip.srcs[pc]
         reg_ready = chip.reg_ready
         earliest = chip.issue_time
         for reg in srcs:
@@ -587,49 +553,54 @@ class SimulatorEngine:
             if ready > earliest:
                 earliest = ready
 
-        if kind == _K_FU:
-            pool = chip.fus[arg]
+        cls = _FU_CLASS.get(op)
+        if cls is not None:
+            pool = chip.fus[cls]
             # For the BCU the stage-1 buffer fill pipelines with the MAC of
             # the previous output limb, so each vbcv is charged only its
             # stage-2 pass (at the BCU's halved lane count).
-            occupancy = occupancies[arg]
+            occupancy = occupancies[cls]
             if chip.occupancy_scale != 1.0:
                 occupancy = max(1, int(math.ceil(
                     occupancy * chip.occupancy_scale)))
             start = pool.reserve(earliest, occupancy)
             done = start + occupancy + latency
+            dest = chip.dests[pc]
             if dest is not None:
                 reg_ready[dest] = done
-        elif kind == _K_LD:
+        elif op == LD:
             done = chip.hbm.reserve(earliest, limb_bytes)
-            reg_ready[dest] = done
-        elif kind == _K_ST:
+            reg_ready[chip.dests[pc]] = done
+        elif op == ST:
             done = chip.hbm.reserve(earliest, limb_bytes)
-        elif kind == _K_SND:
+        elif op == SND:
             done = chip.link.reserve(earliest, limb_bytes)
-            snd_ready[arg] = done
-        elif kind == _K_MOV:
-            if arg not in snd_ready:
+            snd_ready[chip.network[pc][0]] = done
+        elif op == MOV:
+            key = chip.network[pc][0]
+            if key not in snd_ready:
                 return False
-            done = max(earliest, snd_ready.pop(arg)) + \
+            done = max(earliest, snd_ready.pop(key)) + \
                 self.machine.hop_latency
-            reg_ready[dest] = done
-        elif kind == _K_COL:
+            reg_ready[chip.dests[pc]] = done
+        elif op == COL:
+            cid, limbs_moved = chip.network[pc]
             # Contribution: the chip pushes its share onto its links.
             nbytes = len(srcs) * limb_bytes
             done = chip.link.reserve(earliest, nbytes) if nbytes else earliest
-            col_posted[arg].append(done)
+            col_posted[cid].append(done)
             # Total payload the collective moves across chip boundaries
             # (limbs_moved from the limb IR), for the receivers' ingress.
-            col_bytes[arg] = extra * limb_bytes
-        else:  # _K_RCV
+            col_bytes[cid] = limbs_moved * limb_bytes
+        elif op == RCV:
+            cid = chip.network[pc][0]
             # A receive with no matching collective can never complete;
             # blocking here surfaces it as a deadlock instead of a crash.
-            expected = col_expected.get(arg, 0)
-            posted = col_posted[arg]
+            expected = col_expected.get(cid, 0)
+            posted = col_posted[cid]
             if expected == 0 or len(posted) < expected:
                 return False
-            key = (arg, chip.id)
+            key = (cid, chip.id)
             if key not in col_complete:
                 # All contributions posted: this chip pulls its share of
                 # the payload off the interconnect through its own links.
@@ -637,15 +608,16 @@ class SimulatorEngine:
                 n = max(1, len(posted))
                 # Ring/switch collectives pipeline: each chip's links carry
                 # roughly 1/n of the total payload crossing boundaries.
-                per_chip = col_bytes[arg] / n
+                per_chip = col_bytes[cid] / n
                 done = chip.link.reserve(max(earliest, arrive), per_chip)
                 col_complete[key] = done + self.machine.collective_latency
             done = max(earliest, col_complete[key])
-            reg_ready[dest] = done
+            reg_ready[chip.dests[pc]] = done
+        else:
+            raise ValueError(f"unknown opcode {op!r}")
 
         if done > chip.finish:
             chip.finish = done
         chip.issue_time += 1
-        chip.pc += 1
+        chip.pc = pc + 1
         return True
-

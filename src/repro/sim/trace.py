@@ -53,13 +53,14 @@ class TracingSimulator(SimulatorEngine):
             hbm_free = 0
             reg_ready: Dict[int, int] = {}
             count = 0
-            for ins in stream:
+            for opcode, dest, srcs in zip(stream.opcodes, stream.dests,
+                                          stream.srcs):
                 if count >= limit_per_chip:
                     break
-                earliest = max((reg_ready.get(r, 0) for r in ins.srcs),
+                earliest = max((reg_ready.get(r, 0) for r in srcs),
                                default=0)
-                if ins.opcode in _FU_CLASS:
-                    cls = _FU_CLASS[ins.opcode]
+                if opcode in _FU_CLASS:
+                    cls = _FU_CLASS[opcode]
                     units = fu_free[cls]
                     index = min(range(len(units)), key=units.__getitem__)
                     start = max(earliest, units[index])
@@ -67,7 +68,7 @@ class TracingSimulator(SimulatorEngine):
                     units[index] = start + duration
                     done = start + duration + chip_cfg.pipeline_latency
                     lane = f"{cls}{index}"
-                elif ins.opcode in ("ld", "st"):
+                elif opcode in ("ld", "st"):
                     duration = int(chip_cfg.limb_bytes
                                    / chip_cfg.hbm_bytes_per_cycle)
                     start = max(earliest, hbm_free)
@@ -76,10 +77,10 @@ class TracingSimulator(SimulatorEngine):
                     lane = "hbm"
                 else:
                     continue  # network timing needs global state; skip
-                if ins.dest is not None:
-                    reg_ready[ins.dest] = done
+                if dest is not None:
+                    reg_ready[dest] = done
                 events.append(TraceEvent(chip_id, lane,
-                                         ins.opcode, start, duration))
+                                         opcode, start, duration))
                 count += 1
         return events
 

@@ -3,12 +3,20 @@
 import pytest
 
 from repro.core.isa.instructions import LD, ST
-from repro.core.isa.regalloc import AbstractInstruction, allocate_registers
+from repro.core.isa.regalloc import AbstractStream
+from repro.core.isa.regalloc import allocate_registers as allocate_stream
 
 
 def _op(defines=None, uses=(), opcode="vadd", **attrs):
-    return AbstractInstruction(opcode, defines=defines, uses=tuple(uses),
-                               attrs=attrs)
+    return opcode, defines, tuple(uses), attrs
+
+
+def allocate_registers(entries, num_registers, load_symbols):
+    """Feed a list of ``_op`` entries to the columnar allocator."""
+    stream = AbstractStream()
+    for entry in entries:
+        stream.append(*entry)
+    return allocate_stream(stream, num_registers, load_symbols)
 
 
 class TestBasicAllocation:

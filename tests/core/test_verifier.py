@@ -53,8 +53,7 @@ class TestRealLoweringsVerify:
 class TestViolationsDetected:
     def test_forward_reference(self):
         program = lir.LimbProgram("bad", 1)
-        op = lir.LimbOp(0, lir.L_ADD, 0, (5,), {"prime": 17})
-        program.ops.append(op)
+        program.emit(lir.L_ADD, 0, (5,), prime=17)
         with pytest.raises(VerificationError, match="not-yet-defined"):
             verify_limb_program(program)
 

@@ -135,6 +135,24 @@ class TestSimulation:
         b = SimulatorEngine(CINNAMON_4).run(four.isa)
         assert a.cycles == b.cycles
 
+    def test_simulate_does_not_mutate_the_artifact(self):
+        """Regression: the simulator used to cache its decoded streams *on*
+        the module, so an artifact pickled ~9% larger after its first
+        simulate and every cached artifact carried its streams twice."""
+        import pickle
+
+        from repro.runtime import CinnamonSession
+
+        prog = CinnamonProgram("pickle-stable", level=6)
+        a, b = prog.input("a"), prog.input("b")
+        prog.output("y", (a * b).rotate(1) + a)
+        session = CinnamonSession()
+        artifact = session.compile(prog, ArchParams(max_level=6),
+                                   machine="cinnamon_4")
+        before = pickle.dumps(artifact, pickle.HIGHEST_PROTOCOL)
+        session.simulate(artifact, "cinnamon_4")
+        assert pickle.dumps(artifact, pickle.HIGHEST_PROTOCOL) == before
+
 
 class TestLinkOccupancy:
     """Per-network-link accounting (schema-additive ``links`` key)."""
