@@ -21,8 +21,8 @@ The pieces, each importable on its own:
 * :mod:`~repro.cluster.worker` — the ``python -m repro.cluster.worker``
   process;
 * :mod:`~repro.cluster.autoscaler` — hysteretic scale-up/down policy;
-* :mod:`~repro.cluster.merge` — folding per-worker metrics snapshots and
-  trace journals into one cluster view.
+* :mod:`~repro.cluster.merge` — folding per-worker metrics snapshots
+  into one cluster view.
 
 Workers share one on-disk compile cache and one tuning DB — both safe
 for concurrent writers via :mod:`repro.runtime.locking`.
@@ -44,7 +44,6 @@ _LAZY_ATTRS = {
     "TokenBucket": ("repro.cluster.quotas", "TokenBucket"),
     "merge_histogram_values": ("repro.cluster.merge",
                                "merge_histogram_values"),
-    "merge_journals": ("repro.cluster.merge", "merge_journals"),
     "merge_snapshots": ("repro.cluster.merge", "merge_snapshots"),
     "merged_scalar": ("repro.cluster.merge", "merged_scalar"),
 }

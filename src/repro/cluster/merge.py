@@ -1,8 +1,8 @@
-"""Merging per-worker observability into one cluster view.
+"""Merging per-worker metrics into one cluster view.
 
-Each worker process owns its own :class:`~repro.obs.metrics.MetricsRegistry`
-and trace journal; the router periodically pulls ``snapshot()`` dicts and
-journal rows over the ``stats`` protocol message and folds them together:
+Each worker process owns its own :class:`~repro.obs.metrics.MetricsRegistry`;
+every heartbeat ``pong`` carries its ``snapshot()`` dict to the router,
+which folds them together:
 
 * **counters** — summed per (name, labels) series;
 * **gauges** — summed (queue depths, inflight counts: the cluster value
@@ -18,11 +18,9 @@ journal rows over the ``stats`` protocol message and folds them together:
   histograms fall back to count-weighted averages of the per-worker
   quantiles (an approximation, flagged ``"quantiles": "weighted"``).
 
-Journal rows merge by concatenation: rows are self-describing (schema 6
-stamps each absorbed row with its ``worker``) and already carry the
-``trace_id`` the router propagated, so one request's serve row (router
-side) and compile/simulate rows (worker side) join exactly as they do in
-a single process.
+Journal rows need no merge step:
+:meth:`repro.runtime.trace.TraceRecorder.absorb` appends a worker's rows
+to the router's journal as they arrive.
 """
 
 from __future__ import annotations
@@ -138,15 +136,3 @@ def merged_scalar(snapshot: dict, name: str,
         if isinstance(value, (int, float)):
             total += value
     return total
-
-
-def merge_journals(journals: Dict[str, List[dict]]) -> List[dict]:
-    """Concatenate per-worker journal rows, stamping each with its
-    ``worker`` of origin (rows keep their own trace/span ids)."""
-    merged: List[dict] = []
-    for worker_id, rows in journals.items():
-        for row in rows:
-            row = dict(row)
-            row.setdefault("worker", worker_id)
-            merged.append(row)
-    return merged

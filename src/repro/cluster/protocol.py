@@ -19,24 +19,29 @@ Message kinds
 ========== ======== =======================================================
 kind       sender   meaning
 ========== ======== =======================================================
-hello      worker   first frame after connect: worker_id + auth token
+hello      worker   first frame after connect: worker_id + auth token +
+                    ``protocol`` (:data:`PROTOCOL_VERSION`; the router
+                    refuses a mismatch)
 submit     router   one inference request (blob: program/params/machine)
 result     worker   terminal outcome of one submit (blob: RequestResult)
 journal    worker   trace rows recorded since the last ship (eager, sent
-                    right behind each result so a later worker death
+                    right ahead of each result so a later worker death
                     cannot orphan an answered request's trace)
-ping       router   heartbeat probe
-pong       worker   heartbeat answer (carries quick queue stats)
-stats      router   request a metrics/trace snapshot
-stats_reply worker  metrics snapshot + journal rows since last ask
-telemetry  worker   periodic delta-encoded metrics sample (blob: JSON
-                    :func:`repro.obs.live.snapshot_delta` payload) —
-                    the streaming feed of the live telemetry store;
-                    the router's ``stats`` poll stays the fallback
+ping       router   heartbeat probe, carries ``seq``
+pong       worker   heartbeat answer: echoes ``seq``; blob is the worker's
+                    *state* (:func:`pack_state`)
+keys       router   the signed evaluation-key manifest (blob)
 drain      router   stop accepting, finish in-flight, reply ``drained``
-drained    worker   drain complete (carries final journal rows)
+drained    worker   drain complete; blob is the final state
 shutdown   router   exit after this frame
 ========== ======== =======================================================
+
+The heartbeat is the one worker->router state channel.  A *state* blob
+is JSON, never pickle: the worker's cumulative metrics snapshot, its
+compile-cache counters, and the journal rows recorded since the cursor
+that have not already ridden ahead of a result — so every row crosses
+the wire exactly once, and the router's periodic ping is also its
+periodic metrics refresh.
 
 Pickle is only ever exchanged between the router and workers it spawned
 itself over a loopback socket authenticated by a per-cluster random
@@ -44,10 +49,11 @@ token, mirroring :mod:`multiprocessing.connection`'s trust model.
 
 Trust extensions (:mod:`repro.trust`):
 
-* frames may carry an ``auth`` field — an HMAC-SHA256 over the canonical
-  header (sans ``auth``) plus the blob, keyed by the cluster token —
-  verified when present (:func:`frame_auth`); a mismatch is a
-  :class:`ProtocolError`, the frame never reaches pickle;
+* every frame between token-holding peers carries an ``auth`` field —
+  an HMAC-SHA256 over the canonical header (sans ``auth``) plus the
+  blob, keyed by the cluster token (:func:`frame_auth`); a receiver
+  holding a token rejects a missing or mismatched ``auth`` with a
+  :class:`ProtocolError`, so the frame never reaches pickle;
 * ``submit`` headers carry a freshness envelope (``nonce`` /
   ``issued_unix`` / ``seq`` / ``sender``, see
   :class:`repro.trust.freshness.FreshnessEnvelope`) plus the tenant's
@@ -79,8 +85,10 @@ MAGIC = b"CNC1"
 #: router exports it; the worker echoes it in its ``hello`` frame).
 TOKEN_ENV = "CINNAMON_CLUSTER_TOKEN"
 
-#: Protocol revision, sent in ``hello`` and checked by the router.
-PROTOCOL_VERSION = 1
+#: Protocol revision, sent in ``hello``; the router refuses any other.
+#: 2: ``pong``/``drained`` carry the worker state (10 frame kinds, was
+#:    13); ``auth`` is mandatory.
+PROTOCOL_VERSION = 2
 
 #: Hard cap on header/blob sizes — a corrupt length prefix must not make
 #: us try to allocate gigabytes.
@@ -153,8 +161,8 @@ def recv_frame(sock: socket.socket,
     and :class:`ProtocolError` on framing/CRC/auth violations (including
     a timeout that strikes mid-frame).
 
-    With ``token``, an ``auth`` field is verified when present — frames
-    from pre-trust peers (no ``auth``) still pass, tampered ones do not.
+    With ``token``, the frame must carry a valid ``auth``: an unsigned
+    frame is rejected like a tampered one.
     """
     magic = _recv_exact(sock, len(MAGIC), eof_ok=True)
     if magic != MAGIC:
@@ -178,11 +186,11 @@ def recv_frame(sock: socket.socket,
         if expect != actual:
             raise ProtocolError(
                 f"blob crc mismatch (header {expect}, actual {actual})")
-    if token is not None and "auth" in header:
+    if token is not None:
         expected = frame_auth(header, blob, token)
-        if not hmac.compare_digest(str(header["auth"]), expected):
+        if not hmac.compare_digest(str(header.get("auth")), expected):
             raise ProtocolError(
-                f"frame auth mismatch on {header.get('kind')!r}")
+                f"frame auth missing or wrong on {header.get('kind')!r}")
     return header, blob
 
 
@@ -297,32 +305,28 @@ def unpack_result(header: dict, blob: bytes):
     return pickle.loads(blob)
 
 
-def pack_telemetry(worker_id: str, seq: int, delta: dict,
-                   unix: float, inflight: int = 0,
-                   queue_depth: int = 0) -> Tuple[dict, bytes]:
-    """Frame one streaming telemetry sample: a JSON (never pickled)
-    :func:`repro.obs.live.snapshot_delta` payload plus instantaneous
-    queue/inflight levels in the header for cheap router-side gauges."""
-    header = {
-        "kind": "telemetry",
-        "worker": worker_id,
-        "seq": int(seq),
-        "unix": unix,
-        "inflight": int(inflight),
-        "queue_depth": int(queue_depth),
-    }
-    blob = json.dumps(delta, separators=(",", ":")).encode("utf-8")
-    return header, blob
+def pack_state(snapshot: dict, cache: dict, journal: list) -> bytes:
+    """The worker state blob of a ``pong``/``drained`` frame."""
+    return json.dumps({"snapshot": snapshot, "cache": cache,
+                       "journal": journal},
+                      separators=(",", ":")).encode("utf-8")
 
 
-def unpack_telemetry(header: dict, blob: bytes) -> dict:
-    """Inverse of :func:`pack_telemetry`: the delta snapshot dict."""
-    if not blob:
-        return {}
+def unpack_state(blob: bytes) -> dict:
+    """Inverse of :func:`pack_state`; anything but a JSON object with a
+    dict ``snapshot``, dict ``cache`` and a list of dict rows as
+    ``journal`` is a :class:`ProtocolError`."""
     try:
-        delta = json.loads(blob)
+        state = json.loads(blob)
     except ValueError as exc:
-        raise ProtocolError(f"unparseable telemetry blob: {exc}") from exc
-    if not isinstance(delta, dict):
-        raise ProtocolError("telemetry blob is not a JSON object")
-    return delta
+        raise ProtocolError(f"unparseable state blob: {exc}") from exc
+    if not isinstance(state, dict):
+        raise ProtocolError("state blob is not a JSON object")
+    for field, kind in (("snapshot", dict), ("cache", dict),
+                        ("journal", list)):
+        if not isinstance(state.get(field), kind):
+            raise ProtocolError(
+                f"state field {field!r} is not a {kind.__name__}")
+    if not all(isinstance(row, dict) for row in state["journal"]):
+        raise ProtocolError("state journal holds a non-object row")
+    return state

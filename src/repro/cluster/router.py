@@ -21,7 +21,7 @@ Design notes:
   spawned with ``python -m repro.cluster.worker --connect PORT`` and
   dial *in*, authenticating with a per-cluster random token passed via
   the environment.  One reader thread per worker demultiplexes result/
-  pong/stats frames; sends are serialized per socket.
+  journal/pong frames; sends are serialized per socket.
 * **Routing.**  Consistent hashing on the compile fingerprint gives
   every program a home worker whose in-memory cache stays warm, and
   :meth:`HashRing.preferred` yields the failover order when that worker
@@ -39,9 +39,15 @@ Design notes:
 * **Observability.**  The router opens one long-lived ``cluster`` root
   span; membership/failover events become ``kind="cluster"`` journal
   rows under it (trace schema 6).  Each submit ships its request span's
-  ``trace_id`` to the worker, whose compile/simulate rows come back in
-  ``stats``/``drained`` replies and are absorbed into the router's
-  journal — one merged timeline across processes.
+  ``trace_id`` to the worker, whose compile/simulate rows come back
+  ahead of each result and are absorbed into the router's journal — one
+  merged timeline across processes.
+* **Worker state.**  The heartbeat is the only worker->router state
+  channel: every ``pong`` (and the final ``drained``) carries the
+  worker's metrics snapshot, cache counters and leftover journal rows.
+  The monitor's ping keeps that view and the live telemetry store
+  fresh; ``trace()``/``metrics_snapshot()``/``cache_stats()`` wait out
+  one ping round of their own for a consistent cut.
 """
 
 from __future__ import annotations
@@ -71,9 +77,9 @@ from ..trust.freshness import (DEFAULT_WINDOW_S, EnvelopeMinter,
                                ReplayGuard)
 from .autoscaler import Autoscaler, AutoscalerState
 from .merge import merge_snapshots
-from .protocol import (ConnectionClosed, ProtocolError, TOKEN_ENV,
-                       pack_submit, recv_frame, send_frame, unpack_result,
-                       unpack_telemetry)
+from .protocol import (ConnectionClosed, PROTOCOL_VERSION, ProtocolError,
+                       TOKEN_ENV, pack_submit, recv_frame, send_frame,
+                       unpack_result, unpack_state)
 from .quotas import FairShareQueue, QuotaExceededError, TenantQuota
 from .ring import HashRing
 
@@ -93,6 +99,7 @@ class _Worker:
         self.drained = threading.Event()
         self.pending: Dict[int, InferenceRequest] = {}
         self.last_pong = time.monotonic()
+        self.pong_seq = 0              # newest ping this worker answered
         self.draining = False
         self.retired = False
         self.dead = False
@@ -138,7 +145,6 @@ class ClusterRouter(ServingFrontend):
                  disk_cache: bool = True,
                  worker_threads: int = 2, heartbeat_s: float = 0.5,
                  liveness_timeout_s: float = 15.0,
-                 stats_interval_s: float = 2.0,
                  metrics: Optional[MetricsRegistry] = None,
                  tuned: bool = False, tuning_db=None,
                  spawn_workers: bool = True,
@@ -147,7 +153,6 @@ class ClusterRouter(ServingFrontend):
                  chaos_chip_crash: int = 0, chaos_cycle: int = 2000,
                  slos: Sequence = (), flight_dir=None,
                  live_status_path=None,
-                 telemetry_interval_s: float = 0.0,
                  slo_window_scale: float = 1.0,
                  slo_min_events: int = 10,
                  slo_cooldown_s: float = 60.0):
@@ -158,7 +163,6 @@ class ClusterRouter(ServingFrontend):
         self.capacity = capacity
         self.heartbeat_s = heartbeat_s
         self.liveness_timeout_s = liveness_timeout_s
-        self.stats_interval_s = stats_interval_s
         self._spawn_enabled = spawn_workers
 
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
@@ -184,7 +188,8 @@ class ClusterRouter(ServingFrontend):
                 max_workers=max_workers or max(num_workers, min_workers),
                 slots_per_worker=worker_threads)
         self._token = secrets.token_hex(16)
-        self._stats_waiters: Dict[str, threading.Event] = {}
+        self._ping_seq = itertools.count(1)
+        self._state_cond = threading.Condition()
 
         # Trust layer (repro.trust): evaluation-key lifecycle, replay
         # window on client submits, fresh per-dispatch envelopes so a
@@ -243,14 +248,12 @@ class ClusterRouter(ServingFrontend):
             for direction in ("up", "down")
         }
 
-        # Live telemetry (repro.obs.live): workers stream delta-encoded
-        # metric samples over CNC1 ``telemetry`` frames into a bounded
-        # time-series store; the monitor loop drives SLO burn-rate
-        # evaluation, the flight recorder, and the status document.
-        self.telemetry_interval_s = telemetry_interval_s
+        # Live telemetry (repro.obs.live): every pong's cumulative
+        # snapshot lands in a bounded time-series store; the monitor
+        # loop drives SLO burn-rate evaluation, the flight recorder, and
+        # the status document.
         self.live = None
-        if slos or flight_dir is not None or live_status_path is not None \
-                or telemetry_interval_s > 0:
+        if slos or flight_dir is not None or live_status_path is not None:
             from ..obs.live import LivePipeline
 
             self.live = LivePipeline(
@@ -503,9 +506,6 @@ class ClusterRouter(ServingFrontend):
             argv += ["--cache-dir", str(self.cache_dir)]
         if self.capacity is not None:
             argv += ["--capacity", str(self.capacity)]
-        if self.telemetry_interval_s > 0:
-            argv += ["--telemetry-interval-s",
-                     str(self.telemetry_interval_s)]
         if tracer().enabled:
             argv += ["--obs"]
         if self.chaos_chip_crash > 0:
@@ -542,7 +542,8 @@ class ClusterRouter(ServingFrontend):
                 sock.close()
                 continue
             if header.get("kind") != "hello" \
-                    or header.get("token") != self._token:
+                    or header.get("token") != self._token \
+                    or header.get("protocol") != PROTOCOL_VERSION:
                 sock.close()
                 continue
             worker_id = str(header.get("worker_id"))
@@ -585,8 +586,6 @@ class ClusterRouter(ServingFrontend):
             kind = header.get("kind")
             if kind == "result":
                 self._on_result(worker, header, blob)
-            elif kind == "pong":
-                worker.last_pong = time.monotonic()
             elif kind == "journal":
                 try:
                     rows = pickle.loads(blob)
@@ -594,45 +593,33 @@ class ClusterRouter(ServingFrontend):
                     rows = []
                 if rows:
                     self._recorder.absorb(rows, worker=worker.id)
-            elif kind == "telemetry":
-                self._on_telemetry(worker, header, blob)
-            elif kind in ("stats_reply", "drained"):
-                self._on_stats(worker, header, blob,
-                               drained=kind == "drained")
+            elif kind in ("pong", "drained"):
+                try:
+                    self._on_state(worker, header, unpack_state(blob))
+                except ProtocolError:
+                    # Malformed state: drop the frame, keep reading.  A
+                    # worker that only ever sends such frames stops
+                    # counting as alive and the monitor replaces it.
+                    pass
         self._on_worker_lost(worker)
 
-    def _on_telemetry(self, worker: _Worker, header: dict,
-                      blob: bytes) -> None:
-        if self.live is None:
-            return
-        try:
-            delta = unpack_telemetry(header, blob)
-        except ProtocolError:
-            return
-        if delta:
-            self.live.ingest_delta(worker.id, delta,
-                                   now=header.get("unix"))
-
-    def _on_stats(self, worker: _Worker, header: dict, blob: bytes,
-                  drained: bool) -> None:
-        try:
-            payload = pickle.loads(blob)
-        except Exception:
-            payload = {}
-        rows = payload.get("journal") or []
-        if rows:
-            self._recorder.absorb(rows, worker=worker.id)
-        worker.snapshot = payload.get("snapshot") or worker.snapshot
-        worker.cache = payload.get("cache") or worker.cache
-        if self.live is not None and payload.get("snapshot"):
-            # Poll fallback: cumulative snapshots land in the same store
-            # as the streamed deltas (idempotent — both are absolute).
+    def _on_state(self, worker: _Worker, header: dict,
+                  state: dict) -> None:
+        """Absorb one worker state (``pong`` or ``drained``)."""
+        worker.last_pong = time.monotonic()
+        if state["journal"]:
+            self._recorder.absorb(state["journal"], worker=worker.id)
+        worker.snapshot = state["snapshot"]
+        worker.cache = state["cache"]
+        if self.live is not None:
             self.live.ingest(worker.id, worker.snapshot)
-        waiter = self._stats_waiters.pop(worker.id, None)
-        if waiter is not None:
-            waiter.set()
-        if drained:
+        if header["kind"] == "drained":
             worker.drained.set()
+        seq = header.get("seq")
+        with self._state_cond:
+            if isinstance(seq, int):
+                worker.pong_seq = max(worker.pong_seq, seq)
+            self._state_cond.notify_all()
 
     def _on_result(self, worker: _Worker, header: dict,
                    blob: bytes) -> None:
@@ -683,10 +670,9 @@ class ClusterRouter(ServingFrontend):
             self._ring.remove(worker.id)
             orphans = list(worker.pending.values())
             worker.pending.clear()
-        waiter = self._stats_waiters.pop(worker.id, None)
-        if waiter is not None:
-            waiter.set()
         worker.drained.set()
+        with self._state_cond:
+            self._state_cond.notify_all()
         self._workers_g.set(len(self._live_workers()))
         if worker.retired or self._stopping:
             self._record_cluster("worker_exit", worker=worker.id,
@@ -722,26 +708,18 @@ class ClusterRouter(ServingFrontend):
                                 f"worker {worker.id} died mid-request")
 
     # ------------------------------------------------------------------ #
-    # Monitor: heartbeats, respawn, autoscale, stats polling
+    # Monitor: heartbeats (= state refresh), respawn, autoscale
 
     def _monitor_loop(self) -> None:
-        last_stats = 0.0
         while not self._monitor_stop.wait(self.heartbeat_s):
             now = time.monotonic()
-            for worker in self._live_workers():
-                try:
-                    worker.send({"kind": "ping"})
-                except OSError:
-                    pass
+            for worker in self._ping():
                 if now - worker.last_pong > self.liveness_timeout_s:
                     # Hung worker: kill it; the reader's EOF path does
                     # the failover bookkeeping.
                     worker.proc.kill()
             self._reap_and_respawn()
             self._autoscale_tick()
-            if now - last_stats >= self.stats_interval_s:
-                last_stats = now
-                self._poll_stats(timeout=0)
             if self.live is not None:
                 try:
                     self.live.tick()
@@ -808,27 +786,26 @@ class ClusterRouter(ServingFrontend):
 
         threading.Thread(target=_finish_retirement, daemon=True).start()
 
-    def _poll_stats(self, timeout: float = 2.0) -> None:
-        """Ask every live worker for metrics + fresh journal rows; with
-        ``timeout > 0`` wait for the replies (trace()/metrics use this
-        for a consistent cut)."""
-        waiters = []
-        for worker in self._live_workers():
-            event = threading.Event()
-            self._stats_waiters[worker.id] = event
+    def _ping(self, wait_s: float = 0.0) -> List[_Worker]:
+        """Ping every live worker; each answers with its state.  With
+        ``wait_s > 0`` block until every pinged worker has answered
+        *this* ping (or died), so the caller reads a cut taken after the
+        call began.  Returns the live workers."""
+        seq = next(self._ping_seq)
+        live = self._live_workers()
+        pinged = []
+        for worker in live:
             try:
-                worker.send({"kind": "stats"})
+                worker.send({"kind": "ping", "seq": seq})
             except OSError:
-                self._stats_waiters.pop(worker.id, None)
                 continue
-            waiters.append(event)
-        if timeout > 0:
-            deadline = time.monotonic() + timeout
-            for event in waiters:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                event.wait(remaining)
+            pinged.append(worker)
+        if wait_s > 0:
+            with self._state_cond:
+                self._state_cond.wait_for(
+                    lambda: all(w.dead or w.pong_seq >= seq
+                                for w in pinged), wait_s)
+        return live
 
     # ------------------------------------------------------------------ #
     # Journal rows and key replication
@@ -900,7 +877,7 @@ class ClusterRouter(ServingFrontend):
     def cache_stats(self) -> dict:
         """Summed compile-cache counters across worker processes."""
         if not self._stopping:
-            self._poll_stats(timeout=2.0)
+            self._ping(wait_s=2.0)
         return self._cache_totals()
 
     def _cache_totals(self) -> dict:
@@ -914,10 +891,10 @@ class ClusterRouter(ServingFrontend):
 
     def metrics_snapshot(self) -> dict:
         """Merged cluster snapshot: the router's own registry plus every
-        worker's last-polled snapshot (counters/gauges summed,
+        worker's last-reported snapshot (counters/gauges summed,
         histograms count-weight merged)."""
         if not self._stopping:
-            self._poll_stats(timeout=2.0)
+            self._ping(wait_s=2.0)
         with self._lock:
             worker_snaps = [dict(w.snapshot)
                             for w in self._workers.values() if w.snapshot]
@@ -927,7 +904,7 @@ class ClusterRouter(ServingFrontend):
         """The merged journal: router-side serve/cluster rows plus every
         absorbed worker row (compile/simulate), trace_ids intact."""
         if not self._stopping:
-            self._poll_stats(timeout=2.0)
+            self._ping(wait_s=2.0)
         return self._recorder.document(self._cache_totals())
 
     def metrics_prometheus(self) -> str:

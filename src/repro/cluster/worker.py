@@ -10,17 +10,15 @@ socket closes or a ``shutdown`` frame arrives:
   loop a :class:`~repro.serve.CinnamonServer` shard runs, here as a
   batch of one with ``max_retries=0`` (the router owns failover) — runs
   the job; its outcome goes back as a ``result`` frame;
-* ``ping`` is answered inline with ``pong`` (carrying inflight depth) so
-  heartbeats stay timely while the pool is busy;
-* ``stats`` streams back the process's metrics snapshot plus the journal
-  rows recorded since the previous ask (a cursor, so nothing is ever
-  shipped twice or lost);
+* ``ping`` is answered inline with ``pong`` so heartbeats stay timely
+  while the pool is busy.  The pong is the one worker->router state
+  channel: it carries the process's cumulative metrics snapshot, its
+  compile-cache counters and the journal rows recorded since the
+  previous ship (a cursor, so nothing is ever shipped twice or lost) —
+  the router's heartbeat is also its metrics refresh and the feed of its
+  live telemetry store (:mod:`repro.obs.live`);
 * ``drain`` stops accepting new submits, waits out the in-flight jobs,
-  and answers ``drained`` with the final stats payload;
-* with ``--telemetry-interval-s N``, a daemon thread additionally
-  *pushes* delta-encoded metric samples (``telemetry`` frames) every N
-  seconds — the streaming feed of the router's live telemetry store
-  (:mod:`repro.obs.live`); the ``stats`` poll remains the fallback.
+  and answers ``drained`` with the final state.
 
 Trace propagation: a ``submit`` carrying ``trace_id``/``parent_span_id``
 executes under a re-hydrated :class:`~repro.obs.tracing.Span`, so the
@@ -73,8 +71,7 @@ from ..trust.freshness import FreshnessEnvelope, ReplayGuard
 from ..trust.keyvault import KeyVault, REVOKED
 from .protocol import (ConnectionClosed, FrameTimeout, PROTOCOL_VERSION,
                        ProtocolError, TOKEN_ENV, pack_result,
-                       pack_telemetry, recv_frame, send_frame,
-                       unpack_submit)
+                       pack_state, recv_frame, send_frame, unpack_submit)
 
 
 class ClusterWorker:
@@ -87,8 +84,7 @@ class ClusterWorker:
                  read_timeout_s: float = 5.0,
                  liveness_timeout_s: float = 15.0,
                  reconnect_attempts: int = 5,
-                 chaos_chip_crash: int = 0, chaos_cycle: int = 2000,
-                 telemetry_interval_s: float = 0.0):
+                 chaos_chip_crash: int = 0, chaos_cycle: int = 2000):
         self.worker_id = worker_id
         self.host = host
         self.port = port
@@ -121,14 +117,6 @@ class ClusterWorker:
         # by the router's "keys" frames, and an independent replay guard.
         self._keyvault = KeyVault()
         self._replay_guard = ReplayGuard()
-        # Streaming telemetry (repro.obs.live): a daemon thread pushes
-        # delta-encoded metric samples every interval; 0 disables it
-        # (the router's stats poll remains the fallback feed).
-        self.telemetry_interval_s = telemetry_interval_s
-        self._telemetry_seq = 0
-        self._last_telemetry: Optional[dict] = None
-        self._telemetry_stop = threading.Event()
-        self._telemetry_thread: Optional[threading.Thread] = None
         self._submits_total = self._metrics.counter(
             "cluster_worker_submits_total",
             "Submit frames accepted by this worker.")
@@ -153,11 +141,6 @@ class ClusterWorker:
         """
         if not self._connect():
             return 1
-        if self.telemetry_interval_s > 0:
-            self._telemetry_thread = threading.Thread(
-                target=self._telemetry_loop, daemon=True,
-                name=f"telemetry-{self.worker_id}")
-            self._telemetry_thread.start()
         try:
             while True:
                 try:
@@ -184,7 +167,6 @@ class ClusterWorker:
                 if not self._handle(header, blob):
                     return 0
         finally:
-            self._telemetry_stop.set()
             self._pool.shutdown(wait=False)
             try:
                 self._sock.close()
@@ -231,20 +213,15 @@ class ClusterWorker:
         if kind == "submit":
             self._accept_submit(header, blob)
         elif kind == "ping":
-            self._send({"kind": "pong", "worker_id": self.worker_id,
-                        "inflight": self._inflight,
-                        "draining": self._draining,
-                        "ts": time.time()})
+            self._send_state("pong", seq=header.get("seq"))
         elif kind == "keys":
             self._install_keys(blob)
-        elif kind == "stats":
-            self._send_stats("stats_reply")
         elif kind == "drain":
             self._draining = True
             with self._inflight_cond:
                 while self._inflight > 0:
                     self._inflight_cond.wait(0.05)
-            self._send_stats("drained")
+            self._send_state("drained")
         elif kind == "shutdown":
             return False
         else:
@@ -392,33 +369,7 @@ class ClusterWorker:
         self._send(res_header, res_blob)
 
     # ------------------------------------------------------------------ #
-    # Streaming telemetry
-
-    def _telemetry_loop(self) -> None:
-        """Push a delta-encoded metrics sample every interval.  A send
-        that fails (router briefly gone, socket mid-reconnect) is
-        dropped — the next interval's delta still reflects the full
-        cumulative state, and the router's stats poll backstops any
-        gap."""
-        from ..obs.live.timeseries import snapshot_delta
-
-        while not self._telemetry_stop.wait(self.telemetry_interval_s):
-            snapshot = self._metrics.snapshot()
-            delta = snapshot_delta(self._last_telemetry, snapshot)
-            self._last_telemetry = snapshot
-            if not delta:
-                continue
-            self._telemetry_seq += 1
-            header, blob = pack_telemetry(
-                self.worker_id, self._telemetry_seq, delta, time.time(),
-                inflight=self._inflight)
-            try:
-                self._send(header, blob)
-            except (OSError, ValueError):
-                pass
-
-    # ------------------------------------------------------------------ #
-    # Stats / journal shipping
+    # State / journal shipping
 
     def _fresh_journal_rows(self) -> list:
         """Journal rows recorded since the last ship (cursor semantics:
@@ -435,21 +386,12 @@ class ClusterWorker:
             self._send({"kind": "journal", "worker_id": self.worker_id},
                        pickle.dumps(fresh, pickle.HIGHEST_PROTOCOL))
 
-    def _send_stats(self, kind: str) -> None:
-        payload = {
-            "snapshot": self._metrics.snapshot(),
-            "journal": self._fresh_journal_rows(),
-            "cache": self.executor.session.cache_stats.as_dict(),
-            "trust": {
-                "replay": self._replay_guard.stats(),
-                "keys": self._keyvault.counts(),
-                "chaos_chip_crash_remaining":
-                    self.executor.faults.remaining(),
-            },
-        }
-        self._send({"kind": kind, "worker_id": self.worker_id,
-                    "inflight": self._inflight},
-                   pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+    def _send_state(self, kind: str, **extra) -> None:
+        """The worker->router state channel (``pong`` / ``drained``)."""
+        self._send({"kind": kind, "worker_id": self.worker_id, **extra},
+                   pack_state(self._metrics.snapshot(),
+                              self.executor.session.cache_stats.as_dict(),
+                              self._fresh_journal_rows()))
 
     def _send(self, header: dict, blob: bytes = b"") -> None:
         with self._send_lock:
@@ -486,10 +428,6 @@ def main(argv=None) -> int:
                              "(chaos testing)")
     parser.add_argument("--chaos-cycle", type=int, default=2000,
                         help="simulated cycle at which a chaos chip dies")
-    parser.add_argument("--telemetry-interval-s", type=float, default=0.0,
-                        help="push delta-encoded metric samples to the "
-                             "router every N seconds (0 = disabled; the "
-                             "router's stats poll is the fallback)")
     parser.add_argument("--obs", action="store_true",
                         help="enable repro.obs span tracing in-process")
     args = parser.parse_args(argv)
@@ -503,8 +441,7 @@ def main(argv=None) -> int:
         read_timeout_s=args.read_timeout_s,
         liveness_timeout_s=args.liveness_timeout_s,
         chaos_chip_crash=args.chaos_chip_crash,
-        chaos_cycle=args.chaos_cycle,
-        telemetry_interval_s=args.telemetry_interval_s)
+        chaos_cycle=args.chaos_cycle)
     return worker.run()
 
 

@@ -62,8 +62,8 @@ __all__ = [
 # analysis and the hot serve path never need.
 _LIVE_ATTRS = frozenset({
     "Alert", "BURN_WINDOWS", "FlightRecorder", "LivePipeline", "SLO",
-    "SLOEngine", "TimeSeriesStore", "apply_delta",
-    "render_snapshot_prometheus", "snapshot_delta", "tenant_table",
+    "SLOEngine", "TimeSeriesStore", "render_snapshot_prometheus",
+    "tenant_table",
 })
 
 __all__ += sorted(_LIVE_ATTRS)

@@ -109,8 +109,7 @@ def utilization_summary(document: dict) -> dict:
 
     denom = max(1, total_cycles)
     return {
-        # Same metric vocabulary (and version) as SimulationResult.as_dict
-        # and the benchmarks/ BENCH_*.json files.
+        # Same metric vocabulary (and version) as SimulationResult.as_dict.
         "schema_version": METRICS_SCHEMA_VERSION,
         "simulations": runs,
         "total_cycles": total_cycles,

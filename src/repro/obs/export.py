@@ -49,6 +49,27 @@ def _request_tracks(spans) -> Dict[str, str]:
     return track
 
 
+def fu_event_record(event, *, pid: Optional[int] = None,
+                    origin_us: float = 0, us_per_cycle: float = 1,
+                    **args) -> dict:
+    """One simulated :class:`~repro.sim.trace.TraceEvent` as a Chrome
+    ``"X"`` record.  On its own (no ``pid``) a chip is a process and a
+    lane a thread; inside the merged trace ``pid`` is the simulate
+    span's process, threads are ``chip/lane`` and cycles are scaled onto
+    the span's wall-clock window."""
+    record = {
+        "name": event.name, "ph": "X", "cat": "isa",
+        "ts": round(origin_us + event.start * us_per_cycle, 3),
+        "dur": round(max(1, event.duration * us_per_cycle), 3),
+        "pid": event.chip if pid is None else pid,
+        "tid": event.lane if pid is None
+        else f"chip{event.chip}/{event.lane}",
+    }
+    if args:
+        record["args"] = dict(args, cycles=event.duration)
+    return record
+
+
 def build_chrome_trace(tr: Optional[Tracer] = None) -> dict:
     """The merged trace document (``{"traceEvents": [...]}``) for every
     span the tracer has collected."""
@@ -81,17 +102,12 @@ def build_chrome_trace(tr: Optional[Tracer] = None) -> dict:
                 "args": {"name": f"sim {span.name} "
                                  f"[{span.trace_id[:8]}]"},
             })
-            for event in span.sim_events:
-                records.append({
-                    "name": event.name, "ph": "X", "cat": "isa",
-                    "ts": round(ts + event.start * scale, 3),
-                    "dur": round(max(1.0, event.duration * scale), 3),
-                    "pid": sim_pid,
-                    "tid": f"chip{event.chip}/{event.lane}",
-                    "args": {"trace_id": span.trace_id,
-                             "span_id": span.span_id,
-                             "cycles": event.duration},
-                })
+            records.extend(
+                fu_event_record(event, pid=sim_pid, origin_us=ts,
+                                us_per_cycle=scale,
+                                trace_id=span.trace_id,
+                                span_id=span.span_id)
+                for event in span.sim_events)
             sim_pid += 1
     return {"traceEvents": records, "displayTimeUnit": "ms"}
 

@@ -2,7 +2,7 @@
 
 Post-hoc journals (:mod:`repro.obs.analyze`) answer "what happened";
 this package answers "what is happening": a bounded in-memory
-time-series store fed by streaming per-worker snapshots/deltas
+time-series store fed by per-worker cumulative snapshots
 (:mod:`.timeseries`), a Google-SRE multi-window burn-rate SLO engine
 (:mod:`.slo`), a crash-triggered flight recorder (:mod:`.flight`), and
 the :class:`~repro.obs.live.pipeline.LivePipeline` that ties them to a
@@ -13,7 +13,7 @@ from .flight import FLIGHT_SCHEMA_VERSION, FlightRecorder
 from .pipeline import (LivePipeline, STATUS_SCHEMA_VERSION,
                        render_snapshot_prometheus, tenant_table)
 from .slo import Alert, BURN_WINDOWS, SLO, SLOEngine
-from .timeseries import TimeSeriesStore, apply_delta, snapshot_delta
+from .timeseries import TimeSeriesStore
 
 __all__ = [
     "Alert",
@@ -25,8 +25,6 @@ __all__ = [
     "SLOEngine",
     "STATUS_SCHEMA_VERSION",
     "TimeSeriesStore",
-    "apply_delta",
     "render_snapshot_prometheus",
-    "snapshot_delta",
     "tenant_table",
 ]

@@ -3,7 +3,7 @@
 One :class:`LivePipeline` per serving front-end (a
 :class:`~repro.cluster.router.ClusterRouter` or a single-process
 :class:`~repro.serve.CinnamonServer`).  Sources feed it cumulative
-snapshots or CNC1 ``telemetry`` deltas; each ``tick()``:
+snapshots; each ``tick()``:
 
 1. folds the owning process's registry into the store,
 2. evaluates every SLO's burn-rate rules, journaling fired alerts as
@@ -31,7 +31,7 @@ from ..metrics import TENANT_COST_FAMILIES, MetricsRegistry, \
     default_registry
 from .flight import FlightRecorder
 from .slo import Alert, SLO, SLOEngine
-from .timeseries import TimeSeriesStore, snapshot_delta
+from .timeseries import TimeSeriesStore
 
 #: Status document version.
 STATUS_SCHEMA_VERSION = 1
@@ -142,21 +142,16 @@ class LivePipeline:
                 recorder.add_listener(self.flight.note_row)
 
         self._alerts: deque = deque(maxlen=64)
-        self._last_pushed: Optional[dict] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    # Ingestion (router reader loop / stats poll / local registry).
+    # Ingestion (router reader loop / local registry).
 
     def ingest(self, source: str, snapshot: dict,
                now: Optional[float] = None) -> None:
         self.store.ingest(source, snapshot, now=now)
-
-    def ingest_delta(self, source: str, delta: dict,
-                     now: Optional[float] = None) -> None:
-        self.store.ingest_delta(source, delta, now=now)
 
     def forget(self, source: str) -> None:
         self.store.forget(source)
@@ -165,7 +160,7 @@ class LivePipeline:
 
     def merged_snapshot(self) -> dict:
         """The cluster-wide snapshot: the owner's view when provided
-        (router: registry + worker stats), else the store's sources."""
+        (router: registry + worker states), else the store's sources."""
         if self._snapshot_fn is not None:
             return self._snapshot_fn()
         from ...cluster.merge import merge_snapshots
@@ -266,14 +261,6 @@ class LivePipeline:
         tmp = self.status_path.with_suffix(".tmp")
         tmp.write_text(json.dumps(document))
         os.replace(tmp, self.status_path)
-
-    # ------------------------------------------------------------------ #
-    # Worker-side push helper: the delta since the last push.
-
-    def delta_since_last_push(self, snapshot: dict) -> dict:
-        delta = snapshot_delta(self._last_pushed, snapshot)
-        self._last_pushed = snapshot
-        return delta
 
     # ------------------------------------------------------------------ #
     # Standalone mode (single-process server): background tick thread.

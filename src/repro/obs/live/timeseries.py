@@ -1,14 +1,12 @@
 """Bounded in-memory time-series over metric snapshots.
 
 The live pipeline's storage layer: every source (a cluster worker, the
-router, or a single-process server) periodically contributes either a
-full cumulative :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` or a
-**delta** against its previous one (the shape the CNC1 ``telemetry``
-frame carries — see :func:`snapshot_delta` / :func:`apply_delta`).  The
-store folds each contribution into a per-source cumulative view and
-appends a point to a fixed-interval ring buffer per series, bounded by
-``horizon_s`` — memory is O(sources x series x horizon/interval)
-regardless of run length.
+router, or a single-process server) periodically contributes a full
+cumulative :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` (a
+cluster worker's arrives on every heartbeat ``pong``).  The store keeps
+the latest snapshot per source and appends a point to a fixed-interval
+ring buffer per series, bounded by ``horizon_s`` — memory is
+O(sources x series x horizon/interval) regardless of run length.
 
 Window queries subtract ring endpoints per source and sum across
 sources, which is exactly right for cumulative counters and histogram
@@ -30,116 +28,6 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 def _labels_key(labels: Optional[dict]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in (labels or {}).items()))
-
-
-# ---------------------------------------------------------------------- #
-# Delta encoding between successive cumulative snapshots.
-
-def _hist_delta(prev: Optional[dict], cur: dict) -> Optional[dict]:
-    prev = prev or {}
-    d_count = cur.get("count", 0) - prev.get("count", 0)
-    d_sum = cur.get("sum", 0.0) - prev.get("sum", 0.0)
-    if d_count == 0 and d_sum == 0.0:
-        return None
-    delta = {"count": d_count, "sum": d_sum, "max": cur.get("max", 0.0)}
-    cur_b, prev_b = cur.get("buckets"), prev.get("buckets", {})
-    if cur_b:
-        prev_counts = prev_b.get("counts") or [0] * len(cur_b["counts"])
-        if len(prev_counts) == len(cur_b["counts"]):
-            delta["buckets"] = {
-                "le": list(cur_b["le"]),
-                "counts": [c - p for c, p in
-                           zip(cur_b["counts"], prev_counts)],
-            }
-    return delta
-
-
-def snapshot_delta(prev: Optional[dict], cur: dict) -> dict:
-    """Delta between two cumulative snapshots, same top-level shape but
-    carrying only changed series — counters and histogram count/sum/
-    bucket counts as differences, gauges as current levels (a level has
-    no meaningful delta).  This is the CNC1 ``telemetry`` payload."""
-    prev_index: Dict[Tuple[str, LabelKey], object] = {}
-    for name, entry in (prev or {}).items():
-        for series in entry.get("series", ()):
-            prev_index[(name, _labels_key(series.get("labels")))] = \
-                series.get("value")
-    out: dict = {}
-    for name, entry in cur.items():
-        kind = entry.get("type", "gauge")
-        for series in entry.get("series", ()):
-            labels = series.get("labels", {})
-            value = series.get("value")
-            before = prev_index.get((name, _labels_key(labels)))
-            if kind == "histogram":
-                if not isinstance(value, dict):
-                    continue
-                changed = _hist_delta(
-                    before if isinstance(before, dict) else None, value)
-            elif kind == "counter":
-                changed = (value or 0.0) - (before or 0.0)
-                if changed == 0.0:
-                    changed = None
-            else:   # gauge: ship the level whenever it moved (or is new)
-                changed = value if value != before else None
-            if changed is None:
-                continue
-            out.setdefault(name, {"type": kind, "series": []})[
-                "series"].append({"labels": dict(labels), "value": changed})
-    return out
-
-
-def apply_delta(base: Optional[dict], delta: dict) -> dict:
-    """Fold a :func:`snapshot_delta` payload back onto a cumulative
-    snapshot (the store's per-source view)."""
-    out: Dict[str, dict] = {}
-    for name, entry in (base or {}).items():
-        out[name] = {"type": entry.get("type", "gauge"),
-                     "series": [dict(s) for s in entry.get("series", ())]}
-    for name, entry in delta.items():
-        kind = entry.get("type", "gauge")
-        slot = out.setdefault(name, {"type": kind, "series": []})
-        index = {_labels_key(s.get("labels")): s for s in slot["series"]}
-        for series in entry.get("series", ()):
-            labels = series.get("labels", {})
-            change = series.get("value")
-            existing = index.get(_labels_key(labels))
-            if existing is None:
-                existing = {"labels": dict(labels), "value": None}
-                slot["series"].append(existing)
-                index[_labels_key(labels)] = existing
-            before = existing["value"]
-            if kind == "counter":
-                existing["value"] = (before or 0.0) + change
-            elif kind == "gauge":
-                existing["value"] = change
-            else:   # histogram
-                prev = before if isinstance(before, dict) else {}
-                merged = {
-                    "count": prev.get("count", 0) + change.get("count", 0),
-                    "sum": prev.get("sum", 0.0) + change.get("sum", 0.0),
-                    "max": max(prev.get("max", 0.0),
-                               change.get("max", 0.0)),
-                }
-                merged["mean"] = (merged["sum"] / merged["count"]
-                                  if merged["count"] else 0.0)
-                d_b, p_b = change.get("buckets"), prev.get("buckets")
-                if d_b:
-                    prev_counts = ((p_b or {}).get("counts")
-                                   or [0] * len(d_b["counts"]))
-                    if len(prev_counts) == len(d_b["counts"]):
-                        merged["buckets"] = {
-                            "le": list(d_b["le"]),
-                            "counts": [p + c for p, c in
-                                       zip(prev_counts, d_b["counts"])],
-                        }
-                elif p_b:
-                    merged["buckets"] = p_b
-                existing["value"] = merged
-    return out
-
-
-# ---------------------------------------------------------------------- #
 
 
 class _Ring:
@@ -193,8 +81,6 @@ class TimeSeriesStore:
         self._lock = threading.Lock()
         self._cumulative: Dict[str, dict] = {}     # source -> snapshot
         self._rings: Dict[Tuple[str, str, LabelKey], _Ring] = {}
-        self._kinds: Dict[str, str] = {}           # metric name -> type
-        self._updated: Dict[str, float] = {}       # source -> unix
 
     # ------------------------------------------------------------------ #
 
@@ -204,43 +90,28 @@ class TimeSeriesStore:
         now = time.time() if now is None else now
         with self._lock:
             self._cumulative[source] = snapshot
-            self._updated[source] = now
-            self._push_points(source, snapshot, now)
-
-    def ingest_delta(self, source: str, delta: dict,
-                     now: Optional[float] = None) -> None:
-        """Fold a :func:`snapshot_delta` payload from ``source``."""
-        now = time.time() if now is None else now
-        with self._lock:
-            snapshot = apply_delta(self._cumulative.get(source), delta)
-            self._cumulative[source] = snapshot
-            self._updated[source] = now
-            self._push_points(source, snapshot, now)
+            for name, entry in snapshot.items():
+                kind = entry.get("type", "gauge")
+                for series in entry.get("series", ()):
+                    key = (source, name, _labels_key(series.get("labels")))
+                    ring = self._rings.get(key)
+                    if ring is None:
+                        ring = self._rings[key] = _Ring(self.interval_s,
+                                                        self._capacity)
+                    value = series.get("value")
+                    if kind == "histogram" and isinstance(value, dict):
+                        buckets = value.get("buckets") or {}
+                        value = (value.get("count", 0),
+                                 value.get("sum", 0.0),
+                                 tuple(buckets.get("le", ())),
+                                 tuple(buckets.get("counts", ())))
+                    ring.push(now, value)
 
     def forget(self, source: str) -> None:
         """Drop a dead source's latest levels (its history stays until
         it ages out, so windows spanning its lifetime remain right)."""
         with self._lock:
             self._cumulative.pop(source, None)
-            self._updated.pop(source, None)
-
-    def _push_points(self, source: str, snapshot: dict, now: float) -> None:
-        for name, entry in snapshot.items():
-            kind = entry.get("type", "gauge")
-            self._kinds[name] = kind
-            for series in entry.get("series", ()):
-                key = (source, name, _labels_key(series.get("labels")))
-                ring = self._rings.get(key)
-                if ring is None:
-                    ring = self._rings[key] = _Ring(self.interval_s,
-                                                    self._capacity)
-                value = series.get("value")
-                if kind == "histogram" and isinstance(value, dict):
-                    buckets = value.get("buckets") or {}
-                    value = (value.get("count", 0), value.get("sum", 0.0),
-                             tuple(buckets.get("le", ())),
-                             tuple(buckets.get("counts", ())))
-                ring.push(now, value)
 
     # ------------------------------------------------------------------ #
 

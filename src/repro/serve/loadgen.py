@@ -72,6 +72,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from ..cluster.merge import merged_scalar
 from ..workloads.serving import MixEntry, serving_mix
 from .faults import FaultInjector
 from ..obs.metrics import MetricsRegistry
@@ -264,18 +265,7 @@ def _histogram_summary(metrics: MetricsRegistry, name: str) -> dict:
 
 
 def _counter_value(metrics: MetricsRegistry, name: str) -> int:
-    snap = metrics.snapshot().get(name)
-    if not snap or not snap["series"]:
-        return 0
-    return int(sum(series["value"] for series in snap["series"]))
-
-
-def _snapshot_counter(snapshot: dict, name: str) -> int:
-    """Sum a counter's series out of an already-merged snapshot dict."""
-    entry = snapshot.get(name)
-    if not entry or not entry.get("series"):
-        return 0
-    return int(sum(series["value"] for series in entry["series"]))
+    return int(merged_scalar(metrics.snapshot(), name))
 
 
 def tamper_cache_dir(cache_dir) -> int:
@@ -466,18 +456,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="write the final status document (tenants/"
                              "SLOs/alerts/flight bundles) here after "
                              "the run")
-    parser.add_argument("--telemetry-interval", type=float, default=0.25,
-                        help="cluster mode: worker metric-delta push "
-                             "period, seconds (0 disables streaming; "
-                             "the stats poll remains)")
     parser.add_argument("--tenants", type=int, default=1, metavar="N",
                         help="spread requests round-robin over N "
                              "billing tenants (t0..tN-1) to exercise "
                              "per-tenant cost attribution")
     args = parser.parse_args(argv)
-
-    live_enabled = bool(args.slo or args.flight_dir or args.live_status
-                        or args.live_report)
 
     if args.obs or args.obs_trace_out:
         from .. import obs
@@ -512,8 +495,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                flight_dir=args.flight_dir,
                                live_status_path=args.live_status
                                or args.live_report,
-                               telemetry_interval_s=args.telemetry_interval
-                               if live_enabled else 0.0,
                                slo_window_scale=args.slo_window_scale,
                                slo_min_events=args.slo_min_events)
     else:
@@ -701,7 +682,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                      "trust_stale_key_rejections_total"),
                     ("trust_rejections", "cluster_trust_rejections_total"),
                     ("recoveries", "runtime_recoveries_total")):
-                value = _snapshot_counter(merged, metric)
+                value = int(merged_scalar(merged, metric))
                 if value:
                     report.chaos[key] = value
         elif args.chaos_tamper_cache > 0:

@@ -208,36 +208,54 @@ class SimulationSnapshot:
         return {cid: state["pc"] for cid, state in self.chips.items()}
 
 
+#: A timeline sink: ``sink(chip, lane, opcode, start, duration)``, called
+#: by the resource an instruction occupies at the moment it is reserved —
+#: so what a sink sees sums to the ``busy_cycles`` the result reports.
+Sink = Callable[[int, str, str, int, int], None]
+
+
 class _FuPool:
     """A pool of identical pipelined units; tracks per-unit free time."""
 
-    def __init__(self, count: int):
+    def __init__(self, count: int, sink: Optional[Sink] = None,
+                 chip: int = 0, name: str = ""):
         self.free_at = [0] * max(1, count)
         self.busy_cycles = 0
+        self.sink = sink
+        self.chip = chip
+        self.name = name
 
-    def reserve(self, earliest: int, occupancy: int) -> int:
+    def reserve(self, earliest: int, occupancy: int, op: str) -> int:
         index = min(range(len(self.free_at)), key=lambda i: self.free_at[i])
         start = max(earliest, self.free_at[index])
         self.free_at[index] = start + occupancy
         self.busy_cycles += occupancy
+        if self.sink is not None:
+            self.sink(self.chip, f"{self.name}{index}", op, start, occupancy)
         return start
 
 
 class _Bandwidth:
     """A bandwidth resource serving transfers back-to-back."""
 
-    def __init__(self, bytes_per_cycle: float):
+    def __init__(self, bytes_per_cycle: float, sink: Optional[Sink] = None,
+                 chip: int = 0, lane: str = ""):
         self.bytes_per_cycle = bytes_per_cycle
         self.free_at = 0
         self.busy_cycles = 0
         self.bytes_moved = 0
+        self.sink = sink
+        self.chip = chip
+        self.lane = lane
 
-    def reserve(self, earliest: int, nbytes: float) -> int:
+    def reserve(self, earliest: int, nbytes: float, op: str) -> int:
         duration = int(math.ceil(nbytes / self.bytes_per_cycle))
         start = max(earliest, self.free_at)
         self.free_at = start + duration
         self.busy_cycles += duration
         self.bytes_moved += int(nbytes)
+        if self.sink is not None:
+            self.sink(self.chip, self.lane, op, start, duration)
         return start + duration  # completion time
 
     def state(self) -> dict:
@@ -253,7 +271,8 @@ class _Bandwidth:
 
 
 class _ChipState:
-    def __init__(self, chip_id: int, stream, config):
+    def __init__(self, chip_id: int, stream, config,
+                 sink: Optional[Sink] = None):
         self.id = chip_id
         self.opcodes = stream.opcodes    # the stream's columns, by reference
         self.dests = stream.dests
@@ -263,10 +282,12 @@ class _ChipState:
         self.pc = 0
         self.reg_ready: Dict[int, int] = defaultdict(int)
         self.issue_time = 0
-        self.fus = {name: _FuPool(count)
+        self.fus = {name: _FuPool(count, sink, chip_id, name)
                     for name, count in config.fu_counts.items()}
-        self.hbm = _Bandwidth(config.hbm_bytes_per_cycle)
-        self.link = _Bandwidth(config.link_bytes_per_cycle)
+        self.hbm = _Bandwidth(config.hbm_bytes_per_cycle, sink, chip_id,
+                              "hbm")
+        self.link = _Bandwidth(config.link_bytes_per_cycle, sink, chip_id,
+                               "network")
         self.finish = 0
         self.occupancy_scale = 1.0   # >1 after a cluster_slow fault
 
@@ -324,7 +345,8 @@ class SimulatorEngine:
             = None,
             resume_from: Optional[SimulationSnapshot] = None,
             deadline_s: Optional[float] = None,
-            max_cycles: Optional[int] = None) -> SimulationResult:
+            max_cycles: Optional[int] = None,
+            sink: Optional[Sink] = None) -> SimulationResult:
         """Simulate ``isa_module``; optionally faulted/checkpointed.
 
         * ``fault_schedule`` — machine faults to apply; fatal ones raise
@@ -341,11 +363,14 @@ class SimulatorEngine:
           this many simulated cycles and return the partial result with
           ``truncated=True`` (the autotuner's cheap low-fidelity rungs;
           callers extrapolate from the retired-instruction fraction).
+        * ``sink`` — observer of every FU / HBM / link reservation the
+          run makes (:data:`Sink`); :mod:`repro.sim.trace` builds its
+          timeline from it.
         """
         machine = self.machine
         chip_cfg = machine.chip
         chips = {
-            cid: _ChipState(cid, stream, chip_cfg)
+            cid: _ChipState(cid, stream, chip_cfg, sink)
             for cid, stream in isa_module.streams.items()
         }
         # Contributions each collective waits for: one per ``col``.
@@ -563,18 +588,18 @@ class SimulatorEngine:
             if chip.occupancy_scale != 1.0:
                 occupancy = max(1, int(math.ceil(
                     occupancy * chip.occupancy_scale)))
-            start = pool.reserve(earliest, occupancy)
+            start = pool.reserve(earliest, occupancy, op)
             done = start + occupancy + latency
             dest = chip.dests[pc]
             if dest is not None:
                 reg_ready[dest] = done
         elif op == LD:
-            done = chip.hbm.reserve(earliest, limb_bytes)
+            done = chip.hbm.reserve(earliest, limb_bytes, op)
             reg_ready[chip.dests[pc]] = done
         elif op == ST:
-            done = chip.hbm.reserve(earliest, limb_bytes)
+            done = chip.hbm.reserve(earliest, limb_bytes, op)
         elif op == SND:
-            done = chip.link.reserve(earliest, limb_bytes)
+            done = chip.link.reserve(earliest, limb_bytes, op)
             snd_ready[chip.network[pc][0]] = done
         elif op == MOV:
             key = chip.network[pc][0]
@@ -587,7 +612,8 @@ class SimulatorEngine:
             cid, limbs_moved = chip.network[pc]
             # Contribution: the chip pushes its share onto its links.
             nbytes = len(srcs) * limb_bytes
-            done = chip.link.reserve(earliest, nbytes) if nbytes else earliest
+            done = chip.link.reserve(earliest, nbytes, op) \
+                if nbytes else earliest
             col_posted[cid].append(done)
             # Total payload the collective moves across chip boundaries
             # (limbs_moved from the limb IR), for the receivers' ingress.
@@ -609,7 +635,8 @@ class SimulatorEngine:
                 # Ring/switch collectives pipeline: each chip's links carry
                 # roughly 1/n of the total payload crossing boundaries.
                 per_chip = col_bytes[cid] / n
-                done = chip.link.reserve(max(earliest, arrive), per_chip)
+                done = chip.link.reserve(max(earliest, arrive), per_chip,
+                                         op)
                 col_complete[key] = done + self.machine.collective_latency
             done = max(earliest, col_complete[key])
             reg_ready[chip.dests[pc]] = done

@@ -1,20 +1,24 @@
 """Execution trace export for the cycle simulator.
 
-``TracingSimulator`` records per-instruction start/duration events and can
-export them as Chrome trace-event JSON (load in ``chrome://tracing`` or
-Perfetto): one row per chip and functional unit, showing exactly how NTTs,
-base conversions, HBM transfers, and collectives overlap — the visual
-counterpart of the utilization numbers in Figure 15.
+``TracingSimulator.timeline`` runs the engine with a recording sink: every
+functional-unit, HBM and network-link reservation the run makes becomes a
+:class:`TraceEvent`, so the timeline and the cycle / utilization numbers of
+a :class:`~repro.sim.simulator.SimulationResult` come from the same
+schedule.  Exported as Chrome trace-event JSON (load in
+``chrome://tracing`` or Perfetto) it is one row per chip and unit, showing
+exactly how NTTs, base conversions, HBM transfers, and collectives overlap
+— the visual counterpart of the utilization numbers in Figure 15.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
+from ..obs.export import fu_event_record
 from .config import MachineConfig
-from .simulator import _FU_CLASS, SimulationResult, SimulatorEngine
+from .simulator import SimulatorEngine
 
 
 @dataclass
@@ -26,79 +30,42 @@ class TraceEvent:
     duration: int
 
 
+class _TimelineFull(Exception):
+    """Every chip has reached its event limit: stop the run."""
+
+
 class TracingSimulator(SimulatorEngine):
-    """A :class:`SimulatorEngine` that also records a timeline."""
+    """A :class:`SimulatorEngine` whose run can be watched."""
 
-    def __init__(self, machine: MachineConfig):
-        super().__init__(machine)
-        self.events: List[TraceEvent] = []
-
-    def run(self, isa_module) -> SimulationResult:
-        self.events = []
-        self._record = True
-        return super().run(isa_module)
-
-    # The base class exposes no event hook; rather than fork its logic we
-    # re-derive the timeline from a second pass that mirrors its resource
-    # maths per instruction.  For tooling purposes the timeline only needs
-    # occupancy intervals, which this reproduces exactly for compute ops.
-    def timeline(self, isa_module, limit_per_chip: int = 50000) -> List[TraceEvent]:
-        chip_cfg = self.machine.chip
+    def timeline(self, isa_module,
+                 limit_per_chip: int = 50000) -> List[TraceEvent]:
+        """The occupancy intervals of every FU unit, HBM channel and
+        network link, as the engine itself reserves them while running
+        ``isa_module`` (first ``limit_per_chip`` per chip; the run stops
+        once every chip has that many)."""
         events: List[TraceEvent] = []
-        for chip_id, stream in isa_module.streams.items():
-            fu_free: Dict[str, List[int]] = {
-                name: [0] * count
-                for name, count in chip_cfg.fu_counts.items()
-            }
-            hbm_free = 0
-            reg_ready: Dict[int, int] = {}
-            count = 0
-            for opcode, dest, srcs in zip(stream.opcodes, stream.dests,
-                                          stream.srcs):
-                if count >= limit_per_chip:
-                    break
-                earliest = max((reg_ready.get(r, 0) for r in srcs),
-                               default=0)
-                if opcode in _FU_CLASS:
-                    cls = _FU_CLASS[opcode]
-                    units = fu_free[cls]
-                    index = min(range(len(units)), key=units.__getitem__)
-                    start = max(earliest, units[index])
-                    duration = chip_cfg.occupancy(cls)
-                    units[index] = start + duration
-                    done = start + duration + chip_cfg.pipeline_latency
-                    lane = f"{cls}{index}"
-                elif opcode in ("ld", "st"):
-                    duration = int(chip_cfg.limb_bytes
-                                   / chip_cfg.hbm_bytes_per_cycle)
-                    start = max(earliest, hbm_free)
-                    hbm_free = start + duration
-                    done = hbm_free
-                    lane = "hbm"
-                else:
-                    continue  # network timing needs global state; skip
-                if dest is not None:
-                    reg_ready[dest] = done
-                events.append(TraceEvent(chip_id, lane,
-                                         opcode, start, duration))
-                count += 1
+        room = {chip: limit_per_chip for chip in isa_module.streams}
+
+        def sink(chip, lane, opcode, start, duration):
+            if room[chip] > 0:
+                room[chip] -= 1
+                events.append(TraceEvent(chip, lane, opcode, start,
+                                         duration))
+            elif not any(room.values()):
+                raise _TimelineFull
+
+        try:
+            self.run(isa_module, sink=sink)
+        except _TimelineFull:
+            pass
         return events
 
 
 def to_chrome_trace(events: List[TraceEvent]) -> str:
-    """Serialize events as Chrome trace-event JSON (microsecond units)."""
-    records = []
-    for event in events:
-        records.append({
-            "name": event.name,
-            "ph": "X",
-            "ts": event.start,          # 1 cycle -> 1 us in the viewer
-            "dur": max(1, event.duration),
-            "pid": event.chip,
-            "tid": event.lane,
-            "cat": "isa",
-        })
-    return json.dumps({"traceEvents": records, "displayTimeUnit": "ms"})
+    """Serialize events as Chrome trace-event JSON: one process per chip,
+    one thread per lane, 1 cycle -> 1 us in the viewer."""
+    return json.dumps({"traceEvents": [fu_event_record(e) for e in events],
+                       "displayTimeUnit": "ms"})
 
 
 def export_chrome_trace(isa_module, machine: MachineConfig, path: str,

@@ -269,17 +269,6 @@ class KeyVault:
 
     # ------------------------------------------------------------------ #
 
-    def counts(self) -> dict:
-        """Small stats payload for worker heartbeats/tests."""
-        with self._lock:
-            return {
-                "tenants": len(self._records),
-                "versions": sum(len(c) for c in self._records.values()),
-                "active": sum(
-                    1 for c in self._records.values()
-                    for r in c if r.status == ACTIVE),
-            }
-
     def _emit(self, event: str, record: KeyRecord) -> None:
         if self.on_event is not None:
             try:

@@ -1,6 +1,6 @@
 """Acceptance: the live telemetry path end-to-end on a real cluster.
 
-One 2-worker router with streaming CNC1 telemetry, a deliberately tight
+One 2-worker router with live telemetry, a deliberately tight
 latency SLO, a flight recorder, and a status document — driven through
 multi-tenant traffic and two worker kills.  Proves the ISSUE's live
 path: alert rows in the merged journal, exactly one post-mortem bundle
@@ -39,7 +39,6 @@ def scenario(tmp_path_factory):
     obs.enable(reset=True)
     router = ClusterRouter(
         num_workers=2, heartbeat_s=0.2,
-        telemetry_interval_s=0.2,
         slos=["latency:0.000001:99:lat"],
         slo_window_scale=1.0 / 600.0, slo_min_events=5,
         slo_cooldown_s=2.0,
@@ -81,7 +80,6 @@ def scenario(tmp_path_factory):
                     break
                 time.sleep(0.1)
 
-        time.sleep(1.0)     # drain the last telemetry pushes
         router.live.tick()
         snapshot = router.metrics_snapshot()
         document = router.trace()
@@ -230,3 +228,34 @@ class TestStatusAndJournal:
                 and r.get("event") == "worker_lost"]
         assert len(lost) >= KILLS
         assert check(document) == []
+
+
+def test_status_histograms_keep_their_quantiles_on_every_tick(tmp_path):
+    """Worker-side histograms reach the status document as the worker's
+    full cumulative snapshot, so the merged ``p50`` is there on every
+    tick — not only on the ticks that follow a slower side channel."""
+    status_path = tmp_path / "status.json"
+    router = ClusterRouter(num_workers=1, heartbeat_s=0.1,
+                           live_status_path=status_path)
+    try:
+        router.start()
+        assert router.wait_ready(timeout=120)
+        handles = [router.submit(make_request(f"h{i}", i % 2))
+                   for i in range(4)]
+        assert all(h.result(timeout=RESULT_TIMEOUT_S).ok for h in handles)
+        router.metrics_snapshot()       # every compile is in the store
+        since = time.time()
+        ticks = {}
+        deadline = time.monotonic() + 30
+        while len(ticks) < 6 and time.monotonic() < deadline:
+            doc = json.loads(status_path.read_text())
+            if doc["updated_unix"] >= since:
+                ticks[doc["updated_unix"]] = doc
+            time.sleep(0.02)
+        assert len(ticks) >= 6, "monitor stopped ticking"
+        for doc in ticks.values():
+            (series,) = doc["snapshot"]["runtime_compile_seconds"]["series"]
+            assert series["value"]["count"] == 4
+            assert series["value"]["p50"] is not None
+    finally:
+        router.shutdown(drain=False)

@@ -1,9 +1,9 @@
-"""Merging per-worker metrics snapshots and journals."""
+"""Merging per-worker metrics snapshots."""
 
 import pytest
 
-from repro.cluster.merge import (merge_histogram_values, merge_journals,
-                                 merge_snapshots, merged_scalar)
+from repro.cluster.merge import (merge_histogram_values, merge_snapshots,
+                                 merged_scalar)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -117,23 +117,3 @@ class TestShape:
         assert merge_snapshots([]) == {}
         assert merge_snapshots([{}, {}]) == {}
         assert merged_scalar({}, "anything") == 0.0
-
-
-class TestJournals:
-    def test_concatenation_stamps_worker(self):
-        merged = merge_journals({
-            "w0": [{"kind": "compile", "job": "a"}],
-            "w1": [{"kind": "simulate", "job": "b"},
-                   {"kind": "compile", "job": "c", "worker": "orig"}],
-        })
-        assert len(merged) == 3
-        by_job = {row["job"]: row for row in merged}
-        assert by_job["a"]["worker"] == "w0"
-        assert by_job["b"]["worker"] == "w1"
-        assert by_job["c"]["worker"] == "orig"   # setdefault, not clobber
-
-    def test_rows_are_copies(self):
-        source = [{"kind": "compile", "job": "a"}]
-        merged = merge_journals({"w0": source})
-        merged[0]["mutated"] = True
-        assert "mutated" not in source[0]

@@ -17,7 +17,8 @@ import pytest
 from repro.cluster.protocol import (MAGIC, MAX_BLOB_BYTES,
                                     MAX_HEADER_BYTES, ConnectionClosed,
                                     FrameTimeout, ProtocolError,
-                                    frame_auth, recv_frame, send_frame)
+                                    frame_auth, pack_state, recv_frame,
+                                    send_frame, unpack_state)
 
 #: Every fuzz read is bounded: a hang is a test failure, not a CI stall.
 READ_TIMEOUT_S = 2.0
@@ -190,17 +191,54 @@ class TestFrameAuth:
 
     def test_wrong_token_rejected(self, pair):
         left, right = pair
-        send_frame(left, {"kind": "stats"}, token="token-a")
+        send_frame(left, {"kind": "ping"}, token="token-a")
         with pytest.raises(ProtocolError, match="auth"):
             recv_frame(right, token="token-b")
 
-    def test_unauthenticated_frame_still_passes(self, pair):
-        """Back-compat: verify-when-present — a frame without ``auth``
-        is accepted even when the receiver holds a token."""
+    def test_unauthenticated_frame_rejected(self, pair):
+        """A receiver holding a token refuses a frame whose ``auth`` was
+        stripped: nothing unsigned may reach ``pickle.loads``."""
         left, right = pair
-        send_frame(left, {"kind": "pong"})
-        header, _ = recv_frame(right, token="secret")
-        assert header["kind"] == "pong"
+        send_frame(left, {"kind": "result"}, b"would-be-pickle")
+        with pytest.raises(ProtocolError, match="auth"):
+            recv_frame(right, token="secret")
+
+
+class TestStateBlob:
+    """The ``pong``/``drained`` payload is JSON from a peer process:
+    anything but the agreed shape is a typed reject."""
+
+    GOOD = pack_state({"m": {"type": "counter", "series": []}},
+                      {"misses": 1}, [{"kind": "compile", "job": "a"}])
+
+    def test_roundtrip(self):
+        state = unpack_state(self.GOOD)
+        assert state["cache"] == {"misses": 1}
+        assert state["journal"] == [{"kind": "compile", "job": "a"}]
+        assert state["snapshot"]["m"]["type"] == "counter"
+
+    def test_truncated_everywhere(self):
+        for cut in range(len(self.GOOD)):
+            with pytest.raises(ProtocolError):
+                unpack_state(self.GOOD[:cut])
+
+    @pytest.mark.parametrize("doc", [
+        [], "state", 7, None,
+        {},
+        {"snapshot": {}, "cache": {}},
+        {"snapshot": [], "cache": {}, "journal": []},
+        {"snapshot": {}, "cache": 3, "journal": []},
+        {"snapshot": {}, "cache": {}, "journal": {"kind": "compile"}},
+        {"snapshot": {}, "cache": {}, "journal": "rows"},
+        {"snapshot": {}, "cache": {}, "journal": [{"kind": "x"}, 7]},
+    ])
+    def test_wrong_shape_rejected(self, doc):
+        with pytest.raises(ProtocolError, match="state"):
+            unpack_state(json.dumps(doc).encode())
+
+    def test_not_utf8_rejected(self):
+        with pytest.raises(ProtocolError, match="state"):
+            unpack_state(b"\xff\xfe{}")
 
 
 class TestCleanClose:

@@ -4,6 +4,7 @@ interpreters is the expensive part); the kill test restores the fleet
 before handing the cluster back.
 """
 
+import threading
 import time
 
 import pytest
@@ -11,12 +12,13 @@ import pytest
 from repro import obs
 from repro.cluster import ClusterRouter, QuotaExceededError, TenantQuota
 from repro.cluster.merge import merged_scalar
-from repro.cluster.protocol import pack_result
+from repro.cluster.protocol import (ConnectionClosed, pack_result,
+                                    pack_state, recv_frame, send_frame)
 from repro.cluster.router import _Worker
 from repro.obs.analyze import check
 from repro.serve import RequestResult, RequestStatus, ServerClosedError
 
-from .conftest import make_request, stub_proc
+from .conftest import dial_as_worker, make_request, stub_proc
 
 RESULT_TIMEOUT_S = 120.0
 
@@ -69,13 +71,19 @@ class TestRoundTrip:
 
 class TestObservability:
     def test_merged_journal_is_end_to_end(self, cluster):
+        names = [f"obs-{i}" for i in range(6)]
         submit_and_wait(cluster, [
-            make_request(name=f"obs-{i}", rotation=10 + i)
-            for i in range(3)
+            make_request(name=name, rotation=10 + i % 3)
+            for i, name in enumerate(names)
         ])
         document = cluster.trace()
         assert document["schema"] >= 6
         rows = document["jobs"]
+        # One call, no sleep: every resolved request's worker-side rows
+        # are already there.
+        assert sorted(row["job"] for row in rows
+                      if row["kind"] == "compile"
+                      and row["job"] in names) == names
         kinds = {row["kind"] for row in rows}
         assert {"serve", "compile", "simulate", "cluster"} <= kinds
         # Worker-side rows carry their origin; router-side serve rows
@@ -91,10 +99,15 @@ class TestObservability:
         assert "worker_spawned" in events
 
     def test_metrics_snapshot_merges_router_and_workers(self, cluster):
-        results = submit_and_wait(
-            cluster, [make_request(name="m-0", rotation=2)])
-        assert results[0].ok
+        before = merged_scalar(cluster.metrics_snapshot(),
+                               "runtime_compile_requests_total")
+        results = submit_and_wait(cluster, [
+            make_request(name=f"m-{i}", rotation=i % 5) for i in range(10)])
+        assert all(r.ok for r in results)
         snapshot = cluster.metrics_snapshot()
+        # A consistent cut: one call sees all ten worker-side compiles.
+        assert merged_scalar(snapshot, "runtime_compile_requests_total") \
+            - before == len(results)
         assert merged_scalar(snapshot, "serve_requests_total",
                              {"status": "ok"}) >= 1
         assert merged_scalar(snapshot, "cluster_workers") >= 2
@@ -300,3 +313,65 @@ class TestShutdownWithNoLiveWorker:
         results = [h.result(timeout=5) for h in handles]
         assert {r.status for r in results} == {RequestStatus.FAILED}
         assert router.drain(timeout=5)
+
+
+class TestWorkerState:
+    """The router's end of the heartbeat, played against by hand: a
+    signed-in peer that sends garbage must not take the reader thread
+    (or anything it feeds) down with it."""
+
+    @pytest.fixture
+    def router(self):
+        r = ClusterRouter(num_workers=1, spawn_workers=False,
+                          disk_cache=False, heartbeat_s=30)
+        r.start()
+        yield r
+        r.shutdown(drain=False)
+
+    def test_reader_survives_malformed_state(self, router):
+        good = pack_state(
+            {"jobs_total": {"type": "counter", "series": [
+                {"labels": {}, "value": 3.0}]}},
+            {"misses": 2}, [{"kind": "compile", "job": "from-pong"}])
+        with dial_as_worker(router) as (record, client):
+            assert record.connected.wait(5)
+            for blob in (good[:-7], b"", b"[1, 2]", b'"state"',
+                         b'{"snapshot": {}, "cache": {}}',
+                         b'{"snapshot": 1, "cache": {}, "journal": []}',
+                         b'{"snapshot": {}, "cache": {}, "journal": [3]}'):
+                send_frame(client, {"kind": "pong", "seq": 1}, blob,
+                           token=router._token)
+            send_frame(client, {"kind": "pong", "seq": "x"}, good,
+                       token=router._token)
+            assert _wait_until(lambda: record.snapshot)
+            assert record.reader.is_alive()
+            assert record.pong_seq == 0      # nothing malformed counted
+            assert record.cache == {"misses": 2}
+            rows = [row for row in router._recorder.jobs
+                    if row.get("job") == "from-pong"]
+            assert len(rows) == 1 and rows[0]["worker"] == record.id
+            # ... and a well-formed answer to a real ping still lands.
+            waiter = []
+            asker = threading.Thread(
+                target=lambda: waiter.append(router.cache_stats()))
+            asker.start()
+            header, _ = recv_frame(client, token=router._token)
+            assert header["kind"] == "ping"
+            send_frame(client, {"kind": "pong", "seq": header["seq"]},
+                       pack_state({}, {"misses": 5}, []),
+                       token=router._token)
+            asker.join(timeout=5)
+            assert waiter == [{"misses": 5}]
+
+    def test_hello_with_the_wrong_protocol_is_refused(self, router):
+        with dial_as_worker(router, protocol=1) as (record, client):
+            with pytest.raises(ConnectionClosed):
+                recv_frame(client, token=router._token)
+            assert not record.connected.is_set()
+
+    def test_unsigned_frame_ends_the_connection(self, router):
+        with dial_as_worker(router) as (record, client):
+            assert record.connected.wait(5)
+            send_frame(client, {"kind": "result", "request_id": 1},
+                       b"never-unpickled")
+            assert _wait_until(lambda: record.dead)

@@ -17,7 +17,7 @@ from repro.trust.errors import (ReplayError, StaleKeyError,
 from repro.trust.freshness import EnvelopeMinter, FreshnessEnvelope
 from repro.trust.keyvault import KeyVault
 
-from .conftest import make_request, stub_proc
+from .conftest import dial_as_worker, make_request
 
 
 @pytest.fixture
@@ -158,50 +158,30 @@ class TestKeyReplication:
         vault's on_event hook).  The test side plays the worker: a
         registered id, a real hello over the wire, then it watches the
         frames the router sends."""
-        from repro.cluster.protocol import send_frame
-        from repro.cluster.router import _Worker
-
         vault = KeyVault()
         vault.issue("default")
         router = ClusterRouter(num_workers=1, spawn_workers=False,
                                disk_cache=False, keyvault=vault)
         router.start()
-        # Register the id by hand: the accept loop only admits hellos
-        # from ids the router spawned.
-        record = _Worker("wfake", 0, proc=stub_proc())
-        record.token = router._token
-        router._workers["wfake"] = record
-        client = None
         try:
-            client = socket.create_connection(("127.0.0.1", router._port),
-                                              timeout=5)
-            client.settimeout(10)
-            send_frame(client, {"kind": "hello", "worker_id": "wfake",
-                                "token": router._token, "pid": 4242,
-                                "protocol": 1},
-                       token=router._token)
-            # Hello-time replication: the first frame back is the vault
-            # (heartbeat pings may interleave afterwards).
-            header, blob = recv_frame(client, token=router._token)
-            assert header["kind"] == "keys"
-            replica = KeyVault()
-            assert replica.install_manifest(pickle.loads(blob)) == 1
-            vault.rotate("default")
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
+            with dial_as_worker(router) as (_record, client):
+                # Hello-time replication: the first frame back is the
+                # vault (heartbeat pings may interleave afterwards).
                 header, blob = recv_frame(client, token=router._token)
-                if header["kind"] == "keys":
-                    break
-            else:
-                pytest.fail("rotation never reached the worker")
-            replica.install_manifest(pickle.loads(blob))
-            assert replica.active_version("default") == 2
+                assert header["kind"] == "keys"
+                replica = KeyVault()
+                assert replica.install_manifest(pickle.loads(blob)) == 1
+                vault.rotate("default")
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:
+                    header, blob = recv_frame(client, token=router._token)
+                    if header["kind"] == "keys":
+                        break
+                else:
+                    pytest.fail("rotation never reached the worker")
+                replica.install_manifest(pickle.loads(blob))
+                assert replica.active_version("default") == 2
         finally:
-            # The fake record has no process: deregister before shutdown
-            # so teardown doesn't try to reap it.
-            router._workers.pop("wfake", None)
-            if client is not None:
-                client.close()
             router.shutdown(drain=False)
 
 

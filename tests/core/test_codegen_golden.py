@@ -15,7 +15,7 @@ lowering emits, so their rematerialisation is pinned by
 ``cold_compile_cycles`` / ``cold_compile_stream_sha256`` hold the per-pair
 cycles and stream hashes of the contract benchmark's ``cold_compile``
 workload (copied from a run's ``detail.pairs``); CI's
-``cold-compile-identity`` step (``.github/workflows/bench.yml``) compares
+``cold-compile-identity`` step (``.github/workflows/tests.yml``) compares
 a run against them.
 
 Re-record (only when a PR *means* to change the streams)::

@@ -35,6 +35,17 @@ class TestNnMix:
             # The small scale stays bootstrap-free by construction.
             assert program.count("bootstrap") == 0
 
+    def test_small_resnet20_cycles_are_pinned(self):
+        """The exact per-model pin no other test holds (the BERT, HELR
+        and bootstrap cycles live in tests/core/codegen_golden.json): a
+        change that moves it moved the compiler or the simulator."""
+        import repro
+
+        entry = nn_mix("small")["nn-resnet20"]
+        result = repro.compile(entry.build(), entry.params,
+                               machine="cinnamon_4").simulate("cinnamon_4")
+        assert (result.cycles, result.instructions) == (1_462_944, 184_564)
+
     def test_paper_deep_models_target_default_plan(self):
         # The server compiles mix programs with default options, which
         # expand bootstraps via default_plan(params); the lowering must

@@ -79,7 +79,6 @@ def backend_journal(request, tmp_path_factory):
 
             router = ClusterRouter(
                 num_workers=2, heartbeat_s=0.2,
-                telemetry_interval_s=0.2,
                 slos=["latency:0.000001:99:lat"],
                 slo_window_scale=1.0 / 600.0, slo_min_events=3,
                 slo_cooldown_s=5.0)

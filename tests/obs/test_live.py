@@ -1,6 +1,6 @@
-"""Unit tests for repro.obs.live: the delta codec, the bounded
-time-series store, the multi-window burn-rate SLO engine, the flight
-recorder, the LivePipeline glue, and the ``obs top`` / ``watch`` CLI."""
+"""Unit tests for repro.obs.live: the bounded time-series store, the
+multi-window burn-rate SLO engine, the flight recorder, the LivePipeline
+glue, and the ``obs top`` / ``watch`` CLI."""
 
 import json
 
@@ -16,9 +16,7 @@ from repro.obs.live import (
     SLOEngine,
     STATUS_SCHEMA_VERSION,
     TimeSeriesStore,
-    apply_delta,
     render_snapshot_prometheus,
-    snapshot_delta,
     tenant_table,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -46,63 +44,6 @@ def make_snapshot(requests_ok=0, requests_failed=0, latencies=(),
     if queue_depth is not None:
         reg.gauge("serve_queue_depth").set(queue_depth)
     return reg.snapshot()
-
-
-# ---------------------------------------------------------------------- #
-# Delta codec
-
-
-class TestDeltaCodec:
-    def test_roundtrip_counters_and_hist(self):
-        prev = make_snapshot(requests_ok=3, latencies=[0.01, 0.2])
-        cur = make_snapshot(requests_ok=7, requests_failed=2,
-                            latencies=[0.01, 0.2, 0.5, 0.003])
-        delta = snapshot_delta(prev, cur)
-        rebuilt = apply_delta(prev, delta)
-
-        ok = [s for s in rebuilt["serve_requests_total"]["series"]
-              if s["labels"].get("status") == "ok"]
-        assert ok[0]["value"] == 7
-        failed = [s for s in rebuilt["serve_requests_total"]["series"]
-                  if s["labels"].get("status") == "failed"]
-        assert failed[0]["value"] == 2
-
-        hist = rebuilt["serve_request_latency_seconds"]["series"][0]["value"]
-        want = cur["serve_request_latency_seconds"]["series"][0]["value"]
-        assert hist["count"] == want["count"] == 4
-        assert hist["sum"] == pytest.approx(want["sum"])
-        assert hist["buckets"]["counts"] == want["buckets"]["counts"]
-
-    def test_unchanged_series_omitted(self):
-        prev = make_snapshot(requests_ok=5, latencies=[0.1])
-        delta = snapshot_delta(prev, prev)
-        assert delta == {}
-
-    def test_gauge_ships_level_not_diff(self):
-        prev = make_snapshot(queue_depth=10)
-        cur = make_snapshot(queue_depth=3)
-        delta = snapshot_delta(prev, cur)
-        assert delta["serve_queue_depth"]["series"][0]["value"] == 3
-        rebuilt = apply_delta(prev, delta)
-        assert rebuilt["serve_queue_depth"]["series"][0]["value"] == 3
-
-    def test_apply_delta_onto_empty_base(self):
-        cur = make_snapshot(requests_ok=4, latencies=[0.05])
-        delta = snapshot_delta(None, cur)
-        rebuilt = apply_delta(None, delta)
-        assert rebuilt["serve_requests_total"]["series"][0]["value"] == 4
-        hist = rebuilt["serve_request_latency_seconds"]["series"][0]["value"]
-        assert hist["count"] == 1
-        assert hist["mean"] == pytest.approx(0.05)
-
-    def test_new_label_set_appears_in_delta(self):
-        prev = make_snapshot(requests_ok=2)
-        cur = make_snapshot(requests_ok=2, requests_failed=1)
-        delta = snapshot_delta(prev, cur)
-        series = delta["serve_requests_total"]["series"]
-        assert len(series) == 1
-        assert series[0]["labels"]["status"] == "failed"
-        assert series[0]["value"] == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -166,16 +107,6 @@ class TestTimeSeriesStore:
         store = TimeSeriesStore(interval_s=1.0, horizon_s=60.0)
         assert store.good_fraction_le("serve_request_latency_seconds",
                                       0.1, 30.0, now=T0) is None
-
-    def test_ingest_delta_accumulates(self):
-        store = TimeSeriesStore(interval_s=1.0, horizon_s=60.0)
-        s1 = make_snapshot(requests_ok=3)
-        s2 = make_snapshot(requests_ok=8)
-        store.ingest_delta("w0", snapshot_delta(None, s1), now=T0)
-        store.ingest_delta("w0", snapshot_delta(s1, s2), now=T0 + 4)
-        assert store.level("serve_requests_total") == pytest.approx(8.0)
-        got = store.window_scalar("serve_requests_total", 2.0, now=T0 + 4)
-        assert got == pytest.approx(5.0)
 
     def test_memory_bound(self):
         store = TimeSeriesStore(interval_s=1.0, horizon_s=10.0)
@@ -459,16 +390,6 @@ class TestLivePipeline:
         got = [s for s in doc["snapshot"]["serve_requests_total"]["series"]
                if s["labels"].get("status") == "ok"]
         assert got[0]["value"] == 42
-
-    def test_delta_since_last_push(self, tmp_path):
-        pipe = LivePipeline(process="worker")
-        s1 = make_snapshot(requests_ok=3)
-        d1 = pipe.delta_since_last_push(s1)
-        assert d1["serve_requests_total"]["series"][0]["value"] == 3
-        s2 = make_snapshot(requests_ok=5)
-        d2 = pipe.delta_since_last_push(s2)
-        assert d2["serve_requests_total"]["series"][0]["value"] == 2
-        assert pipe.delta_since_last_push(s2) == {}
 
     def test_start_stop_thread(self, tmp_path):
         pipe, _, _ = self._pipeline(tmp_path)

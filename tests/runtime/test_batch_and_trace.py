@@ -5,7 +5,7 @@ import json
 from repro.core.dsl.program import CinnamonProgram
 from repro.fhe import ArchParams
 from repro.runtime import CinnamonSession, CompileJob
-from repro.runtime.trace import TRACE_SCHEMA_VERSION
+from repro.runtime.trace import TRACE_SCHEMA_VERSION, TraceRecorder
 
 PARAMS = ArchParams(max_level=6)
 
@@ -107,3 +107,19 @@ class TestMergedTrace:
         assert [s["cache"] for s in sims] == ["miss", "memory"]
         # The memoized entry does not repeat the metrics payload.
         assert sims[1]["simulate"] is None
+
+    def test_absorbed_rows_are_stamped_copies(self):
+        """Rows shipped from a worker process join the journal with a
+        ``worker`` of origin; a row that already names one keeps it, and
+        the caller's dicts are not the journal's."""
+        recorder = TraceRecorder()
+        source = [{"kind": "compile", "job": "a"},
+                  {"kind": "simulate", "job": "b", "worker": "orig"}]
+        recorder.absorb(source, worker="w0")
+        by_job = {row["job"]: row for row in recorder.jobs}
+        assert by_job["a"]["worker"] == "w0"
+        assert by_job["b"]["worker"] == "orig"
+        by_job["a"]["mutated"] = True
+        assert source == [{"kind": "compile", "job": "a"},
+                          {"kind": "simulate", "job": "b",
+                           "worker": "orig"}]

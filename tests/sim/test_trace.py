@@ -113,3 +113,54 @@ class TestBootstrapChromeTrace:
             lane_events.sort(key=lambda e: e.start)
             for prev, cur in zip(lane_events, lane_events[1:]):
                 assert cur.start >= prev.start + prev.duration
+
+
+class TestTimelineIsTheEnginesSchedule:
+    """The timeline is what the engine reserved while it ran — in-order
+    issue, collectives and all — not a second timing model: on a 4-chip
+    bootstrap its lanes add up to the busy cycles the result reports and
+    it ends where the simulation ends."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.sim import SimulatorEngine
+        from repro.workloads import bootstrap_program
+
+        isa = CompilerDriver(
+            ArchParams(max_level=24),
+            CompilerOptions(machine="cinnamon_4")).compile(
+                bootstrap_program()).isa
+        events = TracingSimulator(CINNAMON_4).timeline(
+            isa, limit_per_chip=10 ** 9)
+        return isa, events, SimulatorEngine(CINNAMON_4).run(isa)
+
+    def test_lane_sums_are_the_reported_busy_cycles(self, run):
+        _isa, events, result = run
+        chips = len(result.per_chip_cycles)
+        by_class, network = {}, {}
+        for e in events:
+            if e.lane == "network":
+                network[e.chip] = network.get(e.chip, 0) + e.duration
+            else:
+                cls = e.lane.rstrip("0123456789")
+                by_class[cls] = by_class.get(cls, 0) + e.duration
+        assert by_class.pop("hbm") == result.hbm_busy * chips
+        assert by_class == {cls: busy * chips
+                            for cls, busy in result.fu_busy.items() if busy}
+        assert network == result.link_busy
+        assert sum(network.values()) > 0, "no collective on 4 chips?"
+
+    def test_ends_where_the_simulation_ends(self, run):
+        _isa, events, result = run
+        last = max(e.start + e.duration for e in events)
+        slack = max(CINNAMON_4.chip.pipeline_latency,
+                    CINNAMON_4.collective_latency)
+        assert result.cycles - slack <= last <= result.cycles
+
+    def test_a_limit_keeps_each_chips_first_events(self, run):
+        isa, events, _result = run
+        capped = TracingSimulator(CINNAMON_4).timeline(isa,
+                                                       limit_per_chip=100)
+        for chip in isa.streams:
+            assert [e for e in capped if e.chip == chip] == \
+                [e for e in events if e.chip == chip][:100]
