@@ -176,7 +176,8 @@ class ClusterRouter(ServingFrontend):
         self._queue = FairShareQueue(maxsize=queue_depth, quotas=quotas,
                                      default_quota=default_quota)
         self._ring = HashRing()
-        self._recorder = TraceRecorder()
+        self.metrics = metrics or MetricsRegistry()
+        self._recorder = TraceRecorder(registry=self.metrics)
         self._workers: Dict[str, _Worker] = {}
         self._worker_seq = itertools.count()
         self._lock = threading.RLock()
@@ -214,7 +215,6 @@ class ClusterRouter(ServingFrontend):
         self._monitor_stop = threading.Event()
         self._cluster_span = None
 
-        self.metrics = metrics or MetricsRegistry()
         self.lifecycle = RequestLifecycle(
             self.metrics, self._recorder, default_machine=default_machine,
             request_timeout_s=request_timeout_s, tuned=tuned,
@@ -813,8 +813,8 @@ class ClusterRouter(ServingFrontend):
     def _record_cluster(self, event: str, worker: Optional[str] = None,
                         detail: Optional[dict] = None) -> None:
         with tracer().use_span(self._cluster_span):
-            self._recorder.record_cluster(event=event, worker=worker,
-                                          detail=detail)
+            self._recorder.record("cluster", event=event, worker=worker,
+                                  detail=detail)
 
     def _record_trust(self, event: str, target: str = "",
                       request: Optional[InferenceRequest] = None,
@@ -823,8 +823,8 @@ class ClusterRouter(ServingFrontend):
         rejection joins its trace) or the long-lived cluster span."""
         span = getattr(request, "span", None) or self._cluster_span
         with tracer().use_span(span):
-            self._recorder.record_trust(event=event, target=target,
-                                        detail=detail)
+            self._recorder.record("trust", event=event, target=target,
+                                  detail=detail)
 
     def _on_key_event(self, event: str, record) -> None:
         """KeyVault rotation/revocation hook: journal it and push the

@@ -237,12 +237,12 @@ class ClusterWorker:
         try:
             count = self._keyvault.install_manifest(pickle.loads(blob))
         except Exception as exc:  # ManifestSignatureError, bad pickle...
-            self.executor.session.record_trust(
-                event="key_manifest_rejected", target=self.worker_id,
+            self.executor.session.record(
+                "trust", event="key_manifest_rejected", target=self.worker_id,
                 detail={"error": f"{type(exc).__name__}: {exc}"})
         else:
-            self.executor.session.record_trust(
-                event="keys_installed", target=self.worker_id,
+            self.executor.session.record(
+                "trust", event="keys_installed", target=self.worker_id,
                 detail={"records": count})
 
     def _trust_check(self, header: dict) -> Optional[str]:
@@ -264,8 +264,8 @@ class ClusterWorker:
             except FreshnessError as exc:
                 event = ("replay_rejected" if isinstance(exc, ReplayError)
                          else "stale_request")
-                self.executor.session.record_trust(
-                    event=event, target=tenant,
+                self.executor.session.record(
+                    "trust", event=event, target=tenant,
                     detail={"worker": self.worker_id,
                             "nonce": envelope.nonce,
                             "reason": getattr(exc, "reason", "stale")})
@@ -275,15 +275,15 @@ class ClusterWorker:
             try:
                 self._keyvault.validate(tenant, int(version))
             except UnknownKeyError as exc:
-                self.executor.session.record_trust(
-                    event="stale_key", target=tenant,
+                self.executor.session.record(
+                    "trust", event="stale_key", target=tenant,
                     detail={"worker": self.worker_id, "version": version,
                             "status": "unknown"})
                 return f"{type(exc).__name__}: {exc}"
             except StaleKeyError as exc:
                 if exc.status == REVOKED:
-                    self.executor.session.record_trust(
-                        event="stale_key", target=tenant,
+                    self.executor.session.record(
+                        "trust", event="stale_key", target=tenant,
                         detail={"worker": self.worker_id,
                                 "version": version, "status": REVOKED})
                     return f"{type(exc).__name__}: {exc}"

@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from .metrics import CYCLE_BUCKETS, MetricsRegistry, bill_tenant
+from .metrics import MetricsRegistry
+from .rows import observe_row
 
 #: Breakdown phases, in report order.
 PHASES = ("queue", "batch", "compile", "sim", "recovery", "other")
@@ -125,106 +126,13 @@ def utilization_summary(document: dict) -> dict:
 def registry_from_journal(document: dict,
                           registry: Optional[MetricsRegistry] = None
                           ) -> MetricsRegistry:
-    """Replay journal rows into a registry — the offline equivalent of
-    what :class:`TraceRecorder` feeds the live default registry, so the
-    CLI can emit a Prometheus textfile from a journal artifact."""
+    """Fold every journal row into a registry with
+    :func:`repro.obs.rows.observe_row` — the function a live
+    :class:`TraceRecorder` folds each row with as it records it, so a
+    journal artifact replays to the series the run exported."""
     registry = registry or MetricsRegistry()
     for row in document.get("jobs", ()):
-        kind = row.get("kind")
-        if kind == "compile":
-            registry.counter(
-                "runtime_compile_requests_total",
-                "Compile requests by cache outcome.",
-                labels={"cache": row.get("cache", "?")}).inc()
-            registry.histogram(
-                "runtime_compile_seconds",
-                "Wall time of one compile call (hits included)."
-            ).observe(row.get("seconds", 0.0))
-            for timing in (row.get("compile") or {}).get("passes", ()):
-                registry.histogram(
-                    "runtime_compile_pass_seconds",
-                    "Wall time per compiler pass (cache misses only).",
-                    labels={"pass": timing["name"]}
-                ).observe(timing["seconds"])
-        elif kind == "simulate":
-            registry.counter(
-                "runtime_simulations_total",
-                "Simulations by cache outcome.",
-                labels={"cache": row.get("cache", "?")}).inc()
-            payload = row.get("simulate")
-            if payload and "cycles" in payload:
-                registry.histogram(
-                    "runtime_simulated_cycles",
-                    "Simulated cycles per workload run.",
-                    labels={"workload": row.get("job", "?"),
-                            "machine": row.get("machine", "?")},
-                    buckets=CYCLE_BUCKETS).observe(payload["cycles"])
-        elif kind == "serve":
-            registry.counter(
-                "serve_requests_total", "Serve requests by status.",
-                labels={"status": row.get("status", "?")}).inc()
-            registry.histogram(
-                "serve_request_seconds",
-                "End-to-end request latency."
-            ).observe(row.get("seconds", 0.0))
-            registry.histogram(
-                "serve_queue_seconds", "Admission + batching wait."
-            ).observe(row.get("queue_s", 0.0) or 0.0)
-            registry.histogram(
-                "serve_execute_seconds", "In-shard execution time."
-            ).observe(row.get("execute_s", 0.0) or 0.0)
-            # Schema 8: serve rows carry the tenant and a cost rollup —
-            # replaying them rebuilds the router's per-tenant billing
-            # families offline.
-            if row.get("tenant"):
-                bill_tenant(registry, row["tenant"],
-                            row.get("status", "?"), row.get("cost"))
-        elif kind == "alert":
-            # Schema 8: SLO burn-rate alerts journaled by the live
-            # telemetry pipeline (repro.obs.live).
-            registry.counter(
-                "obs_slo_alerts_total",
-                "SLO burn-rate alerts fired.",
-                labels={"slo": row.get("slo", "?"),
-                        "severity": row.get("severity", "?")}).inc()
-        elif kind == "recovery":
-            registry.counter(
-                "runtime_recoveries_total",
-                "Degraded-mode recoveries by fault kind.",
-                labels={"fault": row.get("fault", "?")}).inc()
-        elif kind == "tune":
-            registry.counter(
-                "runtime_tune_runs_total", "Autotuning runs recorded.",
-                labels={"strategy": row.get("strategy", "?")}).inc()
-        elif kind == "cluster":
-            registry.counter(
-                "cluster_events_total",
-                "Cluster control-plane events by kind.",
-                labels={"event": row.get("event", "?")}).inc()
-        elif kind == "trust":
-            # Mirrors TraceRecorder.record_trust's live counters so a
-            # journal artifact replays to the same Prometheus series.
-            event = row.get("event", "?")
-            registry.counter(
-                "trust_events_total", "Trust-layer events by kind.",
-                labels={"event": event}).inc()
-            if event == "tamper_detected":
-                registry.counter(
-                    "trust_tamper_detected_total",
-                    "Artifacts whose bytes mismatched their signed "
-                    "manifest.",
-                    labels={"target": row.get("target") or "unknown"}
-                ).inc()
-            elif event in ("replay_rejected", "stale_request"):
-                registry.counter(
-                    "trust_replay_rejected_total",
-                    "Requests rejected by the replay/freshness guard.",
-                    labels={"reason": row.get("reason", event)}).inc()
-            elif event == "stale_key":
-                registry.counter(
-                    "trust_stale_key_rejections_total",
-                    "Requests rejected for stale/revoked/unknown keys."
-                ).inc()
+        observe_row(registry, row)
     return registry
 
 

@@ -30,11 +30,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..export import build_chrome_trace
+from ..rows import TRUST_REJECTIONS
 from ..tracing import tracer as _global_tracer
-
-#: Trust events that merit a post-mortem (mirrors record_trust).
-_TRUST_TRIGGERS = {"tamper_detected", "stale_key", "replay_rejected",
-                   "stale_request"}
 
 #: Bundle document version.
 FLIGHT_SCHEMA_VERSION = 1
@@ -84,7 +81,7 @@ class FlightRecorder:
             self.dump("slo_breach",
                       key=f"{row.get('slo')}@{row.get('severity')}"
                           f"@{int(row.get('long_window_s') or 0)}")
-        elif kind == "trust" and row.get("event") in _TRUST_TRIGGERS:
+        elif kind == "trust" and row.get("event") in TRUST_REJECTIONS:
             self.dump("trust_rejection",
                       key=f"{row.get('event')}@{row.get('target')}")
 

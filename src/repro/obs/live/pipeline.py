@@ -29,6 +29,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from ..metrics import TENANT_COST_FAMILIES, MetricsRegistry, \
     default_registry
+from ..rows import observe_row
 from .flight import FlightRecorder
 from .slo import Alert, SLO, SLOEngine
 from .timeseries import TimeSeriesStore
@@ -183,22 +184,12 @@ class LivePipeline:
         for alert in fired:
             row = alert.as_row()
             if self.recorder is not None:
-                # Journals the row, bumps obs_slo_alerts_total, and (via
-                # the listener) rings + auto-dumps the flight recorder.
-                self.recorder.record_alert(
-                    slo=alert.slo, severity=alert.severity,
-                    burn_rate=alert.burn_rate,
-                    long_window_s=alert.long_window_s,
-                    short_window_s=alert.short_window_s,
-                    bad_fraction=alert.bad_fraction,
-                    objective=alert.objective,
-                    threshold=alert.threshold, message=alert.message)
+                # Journals the row, folds it into the recorder's
+                # registry, and (via the listener) rings + auto-dumps
+                # the flight recorder.
+                self.recorder.record(**row)
             else:
-                default_registry().counter(
-                    "obs_slo_alerts_total",
-                    "SLO burn-rate alerts fired.",
-                    labels={"slo": alert.slo,
-                            "severity": alert.severity}).inc()
+                observe_row(default_registry(), row)
                 if self.flight is not None:
                     self.flight.note_row(row)
             row["fired_unix"] = alert.fired_unix

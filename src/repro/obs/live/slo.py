@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..rows import ROW_KINDS, build_row
 from .timeseries import TimeSeriesStore
 
 #: (severity, long window s, short window s, burn-rate threshold).
@@ -141,15 +142,8 @@ class Alert:
     message: str = ""
 
     def as_row(self) -> dict:
-        return {
-            "kind": "alert", "job": self.slo, "slo": self.slo,
-            "severity": self.severity, "burn_rate": self.burn_rate,
-            "long_window_s": self.long_window_s,
-            "short_window_s": self.short_window_s,
-            "bad_fraction": self.bad_fraction,
-            "objective": self.objective, "threshold": self.threshold,
-            "message": self.message,
-        }
+        return build_row("alert", {name: getattr(self, name) for name
+                                   in ROW_KINDS["alert"].fields})
 
 
 class SLOEngine:

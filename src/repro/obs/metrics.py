@@ -306,9 +306,10 @@ _DEFAULT_REGISTRY = MetricsRegistry()
 
 
 def default_registry() -> MetricsRegistry:
-    """The process-wide registry the runtime/cache/tune/recovery layers
-    report into (the serving layer takes a registry per server so tests
-    stay isolated; pass ``metrics=default_registry()`` to merge them)."""
+    """The process-wide registry a session's journal rows are folded
+    into (a serving front-end folds the rows it records into its own
+    registry so tests stay isolated; pass ``metrics=default_registry()``
+    to merge them)."""
     return _DEFAULT_REGISTRY
 
 
@@ -317,8 +318,8 @@ def default_registry() -> MetricsRegistry:
 
 #: ``(family, cost field, help)`` — one row per field of the
 #: :func:`repro.serve.request.cost_rollup` a request's tenant is billed.
-#: The live serving path, the offline journal replay and the ``obs top``
-#: tenant table all read this one table.
+#: The row -> series fold (:mod:`repro.obs.rows`) and the ``obs top``
+#: tenant table both read this one table.
 TENANT_COST_FAMILIES = (
     ("cluster_tenant_sim_cycles_total", "sim_cycles",
      "Simulated accelerator cycles billed to the tenant."),
@@ -330,16 +331,3 @@ TENANT_COST_FAMILIES = (
      "Compile wall seconds billed (cache misses only)."),
 )
 
-
-def bill_tenant(registry: MetricsRegistry, tenant: str, status: str,
-                cost: Optional[dict]) -> None:
-    """Count one terminal request outcome against ``tenant``; executed
-    requests (a non-empty ``cost`` rollup) are also billed their cost."""
-    registry.counter("cluster_tenant_requests_total",
-                     "Requests by tenant and terminal status.",
-                     labels={"tenant": tenant, "status": status}).inc()
-    if not cost:
-        return
-    for family, field, help_text in TENANT_COST_FAMILIES:
-        registry.counter(family, help_text,
-                         labels={"tenant": tenant}).inc(cost.get(field) or 0)

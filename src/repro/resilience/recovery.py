@@ -210,7 +210,15 @@ class RecoveryOrchestrator:
         seq = 1
         checkpoints_taken = 1
         events: List[RecoveryEvent] = []
-        row: Optional[dict] = None     # journal row of the last descent
+        step = None        # ladder-step span of the descent being replayed
+
+        def journal_descent(replay_s=None):
+            # Journaled once its replay has ended (or faulted), never
+            # updated after: listeners and the fold see a complete row.
+            events[-1] = replace(events[-1], replay_s=replay_s)
+            with tracer().use_span(step):
+                self.session.record("recovery", job=label,
+                                    **events[-1].as_dict())
 
         while True:
             def hook(snapshot):
@@ -234,6 +242,8 @@ class RecoveryOrchestrator:
                     watchdog_s=watchdog_s)
             except MachineFaultError as exc:
                 detected = time.perf_counter()
+                if events:
+                    journal_descent()         # its replay faulted too
                 degraded, event = descend_ladder(
                     exc, current, descents=len(events),
                     max_recoveries=self.max_recoveries,
@@ -251,26 +261,22 @@ class RecoveryOrchestrator:
                 with tracer().use_span(step):
                     compiled = self.session.compile(
                         program, params, machine=degraded, job=label)
-                    event = replace(
-                        event, checkpoint_cycle=checkpoint_cycle,
-                        lost_cycles=max(0, exc.cycle - checkpoint_cycle),
-                        recompile_s=time.perf_counter() - recompile_started)
-                    events.append(event)
-                    row = self.session.record_recovery(
-                        job=label, **event.as_dict())
+                events.append(replace(
+                    event, checkpoint_cycle=checkpoint_cycle,
+                    lost_cycles=max(0, exc.cycle - checkpoint_cycle),
+                    recompile_s=time.perf_counter() - recompile_started))
                 step.finish()
                 schedule = schedule.for_survivors(
                     [exc.chip] if exc.chip is not None else [],
                     num_chips=degraded.num_chips)
                 current = degraded
                 continue
-            replay_s = time.perf_counter() - replay_started
+            except Exception:
+                if events:
+                    journal_descent()         # its replay never completed
+                raise
             if events:
-                # Stamp the final replay time onto the last recovery,
-                # both locally and in the already-recorded trace entry
-                # (the recorder holds the dict by reference).
-                events[-1] = replace(events[-1], replay_s=replay_s)
-                row["replay_s"] = replay_s
+                journal_descent(time.perf_counter() - replay_started)
             outputs = None
             if emulate_outputs:
                 if inputs is None or context is None:

@@ -35,6 +35,7 @@ from ..core.dsl.program import CinnamonProgram
 from ..obs.tracing import NULL_SPAN, Span, tracer
 from ..sim.config import MachineConfig, resolve_machine
 from ..sim.simulator import SimulationResult, SimulatorEngine
+from ..sim.trace import recording_sink
 from .cache import MEMORY_HIT, MISS, CacheStats, CompileCache
 from .fingerprint import fingerprint
 from .trace import TraceRecorder
@@ -145,13 +146,9 @@ class CinnamonSession:
         self._cache = CompileCache(capacity=capacity, cache_dir=cache_dir,
                                    schema_version=schema_version)
         self._sim_cache: Dict[Tuple, SimulationResult] = {}
-        #: Memoized per-FU timelines (repro.obs): keyed like the sim
-        #: cache, so a cache-hit simulation can still attach the exact
-        #: functional-unit occupancy timeline to its span.
-        self._fu_timelines: Dict[Tuple, list] = {}
         self._recorder = TraceRecorder()
-        # Disk-cache tamper detections journal a kind:"trust" row (and
-        # bump trust_tamper_detected_total) through this session.
+        # Disk-cache tamper detections journal a kind:"trust" row
+        # through this session.
         self._cache.on_tamper = self._record_tamper
         self._lock = threading.Lock()
         self._inflight: Dict[str, threading.Event] = {}
@@ -163,10 +160,9 @@ class CinnamonSession:
         self.watchdog_s = watchdog_s
 
     def _record_tamper(self, error) -> None:
-        """Cache on_tamper hook: one journal row + counter per detection."""
-        self._recorder.record_trust(
-            event="tamper_detected", target=error.target,
-            detail={"name": error.name})
+        """Cache on_tamper hook: one journal row per detection."""
+        self.record("trust", event="tamper_detected", target=error.target,
+                    detail={"name": error.name})
 
     # ------------------------------------------------------------------ #
     # Compilation
@@ -215,10 +211,10 @@ class CinnamonSession:
                 if compiled is not None:
                     compiled.cache_key = key
                     span.set_attr("cache", source)
-                    entry = self._recorder.record_compile(
-                        job=label, key=key, cache=source,
+                    entry = self.record(
+                        "compile", job=label, key=key, cache=source,
                         seconds=time.perf_counter() - started,
-                        compile_stats=None)
+                        compile=None)
                     return compiled, entry
                 # Another thread is compiling the same key: wait, then retry.
                 waiter.wait()
@@ -235,10 +231,10 @@ class CinnamonSession:
                     self._inflight.pop(key).set()
             span.set_attr("cache", MISS)
             _add_pass_spans(span, compiled.compile_stats, build_started)
-            entry = self._recorder.record_compile(
-                job=label, key=key, cache=MISS,
+            entry = self.record(
+                "compile", job=label, key=key, cache=MISS,
                 seconds=time.perf_counter() - started,
-                compile_stats=compiled.compile_stats.as_dict())
+                compile=compiled.compile_stats.as_dict())
             return compiled, entry
 
     # ------------------------------------------------------------------ #
@@ -278,10 +274,18 @@ class CinnamonSession:
         perturbed = (bool(fault_schedule) or resume_from is not None
                      or checkpoint_hook is not None
                      or checkpoint_interval is not None)
-        with tracer().start_span(
+        tr = tracer()
+        with tr.start_span(
                 f"simulate:{label}", kind="simulate",
                 attrs={"machine": resolved.name, "tag": tag}) as span:
             started = time.perf_counter()
+
+            def journal(cache, payload, **extra):
+                self.record("simulate", job=label, machine=resolved.name,
+                            tag=tag, cache=cache,
+                            seconds=time.perf_counter() - started,
+                            simulate=payload, **extra)
+
             if not perturbed:
                 with self._lock:
                     result = self._sim_cache.get(key)
@@ -291,85 +295,44 @@ class CinnamonSession:
                     # lanes to every hit would bloat exports N-fold.
                     span.set_attr("cache", MEMORY_HIT)
                     span.set_attr("cycles", result.cycles)
-                    self._recorder.record_simulate(
-                        job=label, machine=resolved.name, tag=tag,
-                        cache=MEMORY_HIT,
-                        seconds=time.perf_counter() - started,
-                        result=None)
+                    journal(MEMORY_HIT, None)
                     return result
+            # With obs tracing on, the span's per-FU timeline is what
+            # this very run reserves (perturbed runs carry none).
+            events = sink = None
+            if span is not NULL_SPAN and tr.enabled \
+                    and tr.capture_fu_timeline and not perturbed:
+                events, sink = recording_sink(
+                    compiled.isa.streams, self.FU_TIMELINE_LIMIT_PER_CHIP)
             try:
                 result = SimulatorEngine(resolved).run(
                     compiled.isa, fault_schedule=fault_schedule,
                     checkpoint_interval=checkpoint_interval,
                     checkpoint_hook=checkpoint_hook, resume_from=resume_from,
-                    deadline_s=deadline, max_cycles=max_cycles)
+                    deadline_s=deadline, max_cycles=max_cycles, sink=sink)
             except Exception as exc:
-                self._recorder.record_simulate(
-                    job=label, machine=resolved.name, tag=tag, cache=MISS,
-                    seconds=time.perf_counter() - started, result=None,
-                    error=f"{type(exc).__name__}: {exc}")
+                journal(MISS, None, error=f"{type(exc).__name__}: {exc}")
                 raise
             if not perturbed:
                 with self._lock:
                     self._sim_cache[key] = result
             span.set_attr("cache", MISS)
             span.set_attr("cycles", result.cycles)
-            self._attach_fu_timeline(span, compiled, resolved, key, result,
-                                     perturbed)
-            self._recorder.record_simulate(
-                job=label, machine=resolved.name, tag=tag, cache=MISS,
-                seconds=time.perf_counter() - started,
-                result=result.as_dict())
+            if events is not None:
+                span.sim_events = events
+                span.sim_cycles = max(1, result.cycles)
+            journal(MISS, result.as_dict())
             return result
 
-    #: Cap on per-chip events captured into a span's FU timeline and on
-    #: memoized timelines kept alive (each entry is a list of small
-    #: dataclasses; 64 artifacts bound the obs overhead).  The per-chip
-    #: cap keeps one merged Chrome trace of a whole loadgen run in the
-    #: tens of megabytes, not hundreds.
+    #: Cap on per-chip events captured into a span's FU timeline: it
+    #: keeps one merged Chrome trace of a whole loadgen run in the tens
+    #: of megabytes, not hundreds.
     FU_TIMELINE_LIMIT_PER_CHIP = 2500
-    FU_TIMELINE_CACHE_ENTRIES = 64
 
-    def _attach_fu_timeline(self, span, compiled, resolved, key, result,
-                            perturbed: bool) -> None:
-        """Capture the per-functional-unit cycle timeline onto a fresh
-        ``simulate`` span (only when ``repro.obs`` tracing is enabled
-        with timeline capture on).  The timeline is derived by
-        :class:`~repro.sim.trace.TracingSimulator` from the same ISA +
-        machine the engine just ran."""
-        tr = tracer()
-        if span is NULL_SPAN or not (tr.enabled and tr.capture_fu_timeline):
-            return
-        if getattr(compiled, "isa", None) is None or perturbed:
-            return
-        with self._lock:
-            events = self._fu_timelines.get(key)
-        if events is None:
-            from ..sim.trace import TracingSimulator
-
-            events = TracingSimulator(resolved).timeline(
-                compiled.isa,
-                limit_per_chip=self.FU_TIMELINE_LIMIT_PER_CHIP)
-            with self._lock:
-                if len(self._fu_timelines) < self.FU_TIMELINE_CACHE_ENTRIES:
-                    self._fu_timelines[key] = events
-        span.sim_events = events
-        span.sim_cycles = max(1, result.cycles)
-
-    def record_recovery(self, **kwargs) -> dict:
-        """Append a machine-level recovery event to the run trace (see
-        :meth:`repro.runtime.trace.TraceRecorder.record_recovery`)."""
-        return self._recorder.record_recovery(**kwargs)
-
-    def record_trust(self, **kwargs) -> dict:
-        """Append a trust event (tamper/replay/stale-key) to the run
-        trace (see :meth:`repro.runtime.trace.TraceRecorder.record_trust`)."""
-        return self._recorder.record_trust(**kwargs)
-
-    def record_tune(self, **kwargs) -> dict:
-        """Append an autotuning run to the run trace (see
-        :meth:`repro.runtime.trace.TraceRecorder.record_tune`)."""
-        return self._recorder.record_tune(**kwargs)
+    def record(self, kind: str, **fields) -> dict:
+        """Append one row to the run trace (see
+        :meth:`repro.runtime.trace.TraceRecorder.record`)."""
+        return self._recorder.record(kind, **fields)
 
     # ------------------------------------------------------------------ #
     # Batch execution

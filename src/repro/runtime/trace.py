@@ -1,98 +1,12 @@
 """Structured run traces for the runtime session.
 
-One :class:`TraceRecorder` accumulates a job entry per compile/simulate
-the session performs and renders them as a single JSON document:
-
-.. code-block:: text
-
-    {
-      "schema": 1,
-      "created_unix": 1700000000.0,
-      "cache": {"memory_hits": 3, "disk_hits": 1, "misses": 2, ...},
-      "jobs": [
-        {
-          "job": "bootstrap-4",        # caller-supplied label
-          "kind": "compile",
-          "cache": "miss" | "memory" | "disk",
-          "key": "<sha256 fingerprint>",
-          "seconds": 1.42,             # wall time inside the session call
-          "compile": {                 # null on cache hits: no passes ran
-            "passes": [{"name": "keyswitch", "seconds": 0.01}, ...],
-            "counters": {"ct_ops": 9, ..., "isa_instructions": 1234},
-            "total_seconds": 1.40
-          }
-        },
-        {
-          "job": "bootstrap-4",
-          "kind": "simulate",
-          "cache": "miss" | "memory",
-          "machine": "Cinnamon-4",
-          "tag": "link256.0",
-          "seconds": 0.31,
-          "simulate": { ... SimulationResult.as_dict() ... }
-        },
-        {
-          "job": "req-17",              # one serving-layer request
-          "kind": "serve",
-          "status": "ok" | "failed" | "timeout" | "rejected",
-          "machine": "Cinnamon-4",
-          "shard": 2,                   # which session shard executed it
-          "attempts": 2,                # 1 = no retries
-          "batch_size": 5,              # size of the coalesced batch
-          "cache": "miss" | "memory" | "disk" | null,
-          "seconds": 0.48               # end-to-end (queue + execute)
-        },
-        {
-          "job": "bootstrap-12",        # one machine-level recovery
-          "kind": "recovery",
-          "fault": "chip_crash" | "link_sever" | "watchdog",
-          "chip": 3,                    # the die/link that failed
-          "cycle": 48210,               # simulated cycle of the failure
-          "machine_from": "Cinnamon-12",
-          "machine_to": "Cinnamon-8",   # degraded-mode target
-          "checkpoint_cycle": 40000,    # restart point (0 = from scratch)
-          "lost_cycles": 8210,          # work beyond the last checkpoint
-          "detection_s": 0.04,          # wall time to surface the fault
-          "recompile_s": 0.85,          # degraded re-partitioning compile
-          "replay_s": 0.31              # re-execution on the survivors
-        },
-        {
-          "job": "tune-bootstrap",      # one autotuning run (repro.tune)
-          "kind": "tune",
-          "workload": "bootstrap",
-          "machine": "Cinnamon-4",
-          "strategy": "halving",
-          "goal": "cycles",
-          "budget": 8,                  # candidate evaluations allowed
-          "candidates": 8,              # candidates actually tried
-          "pruned": 4,                  # dropped at a low-fidelity rung
-          "rungs": 2,                   # fidelity levels visited
-          "default_cycles": 405368,     # the stock CompilerOptions config
-          "best_cycles": 327000,
-          "best_config": {"num_digits": 2, ...},
-          "cache_hits": 3,              # compile cache hits during the run
-          "seconds": 12.8,
-          "trials": [                   # compact per-candidate log
-            {"config": {...}, "cycles": 327000, "rung": 1,
-             "pruned": false, "exact": true}
-          ]
-        }
-      ]
-    }
-
-The ``simulate`` payload follows the stable metrics schema of
-:meth:`repro.sim.simulator.SimulationResult.as_dict` (per-FU busy cycles
-and utilization, HBM/network bytes, per-chip cycles, per-link occupancy).
-``serve`` entries are appended by :class:`repro.serve.CinnamonServer`
-(schema 2); ``recovery`` entries by the fault-tolerance layer
-(:mod:`repro.resilience`, schema 3); ``trust`` entries (schema 7) by
-the integrity layer (:mod:`repro.trust`) — e.g. ``{"kind": "trust",
-"event": "tamper_detected", "target": "cache", "name": "<key>.pkl"}``.
-
-Since schema 5, any entry recorded while a :mod:`repro.obs` span is
-active additionally carries ``trace_id`` and ``span_id`` fields, so the
-``serve``/``compile``/``simulate``/``recovery`` rows of one request are
-joinable (``python -m repro.obs`` does exactly that).
+One :class:`TraceRecorder` accumulates the journal rows of a session or
+a serving front-end — one per compile, simulate, serve resolution,
+recovery, tuning run, cluster or trust event and SLO alert — and
+renders them as a single JSON document (``schema``, ``created_unix``,
+``cache``, ``jobs``).  docs/runtime.md ("Trace JSON schema") is the
+field reference; :data:`repro.obs.rows.ROW_KINDS` is the table
+:meth:`TraceRecorder.record` validates against.
 """
 
 from __future__ import annotations
@@ -102,7 +16,8 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from ..obs.metrics import CYCLE_BUCKETS, default_registry
+from ..obs.metrics import MetricsRegistry, default_registry
+from ..obs.rows import build_row, observe_row
 from ..obs.tracing import current_span
 
 #: Version of the overall trace document layout.
@@ -134,16 +49,17 @@ TRACE_SCHEMA_VERSION = 8
 
 
 class TraceRecorder:
-    """Thread-safe accumulator of per-job trace entries.
+    """Thread-safe accumulator of journal rows.
 
-    Besides journaling, every ``record_*`` feeds the process-global
-    :func:`repro.obs.metrics.default_registry` — cache hit/miss counters,
-    per-pass compile-time histograms, simulated cycles per workload, and
-    recovery counts used to exist only as trace rows; now they are also
-    scrapeable.
+    Every row :meth:`record` appends is also folded, exactly once, into
+    ``registry`` (:func:`repro.obs.rows.observe_row`; default: the
+    process-global :func:`~repro.obs.metrics.default_registry`), so what
+    a recorder journals is what its registry counts.
     """
 
-    def __init__(self):
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
+        self.registry = (registry if registry is not None
+                         else default_registry())
         self._lock = threading.Lock()
         self._jobs: List[dict] = []
         self._listeners: List = []
@@ -168,248 +84,30 @@ class TraceRecorder:
                 except Exception:   # pragma: no cover - defensive
                     pass
 
-    def record_compile(self, *, job: str, key: str, cache: str,
-                       seconds: float,
-                       compile_stats: Optional[dict]) -> dict:
-        entry = {
-            "job": job,
-            "kind": "compile",
-            "cache": cache,
-            "key": key,
-            "seconds": seconds,
-            "compile": compile_stats,
-        }
-        self._append(entry)
-        registry = default_registry()
-        registry.counter(
-            "runtime_compile_requests_total",
-            "Compile requests by cache outcome.",
-            labels={"cache": cache}).inc()
-        registry.histogram(
-            "runtime_compile_seconds",
-            "Wall time of one compile call (hits included).").observe(seconds)
-        for timing in (compile_stats or {}).get("passes", ()):
-            registry.histogram(
-                "runtime_compile_pass_seconds",
-                "Wall time per compiler pass (cache misses only).",
-                labels={"pass": timing["name"]}).observe(timing["seconds"])
-        return entry
-
-    def record_simulate(self, *, job: str, machine: str, tag: str,
-                        cache: str, seconds: float,
-                        result: Optional[dict],
-                        error: Optional[str] = None) -> dict:
-        entry = {
-            "job": job,
-            "kind": "simulate",
-            "cache": cache,
-            "machine": machine,
-            "tag": tag,
-            "seconds": seconds,
-            "simulate": result,
-        }
-        if error is not None:
-            entry["error"] = error
-        self._append(entry)
-        registry = default_registry()
-        registry.counter(
-            "runtime_simulations_total", "Simulations by cache outcome.",
-            labels={"cache": cache}).inc()
-        if result is not None and "cycles" in result:
-            registry.histogram(
-                "runtime_simulated_cycles",
-                "Simulated cycles per workload run.",
-                labels={"workload": job, "machine": machine},
-                buckets=CYCLE_BUCKETS).observe(result["cycles"])
-        return entry
-
-    def record_recovery(self, *, job: str, fault: str, chip: Optional[int],
-                        cycle: int, machine_from: str, machine_to: str,
-                        checkpoint_cycle: int = 0, lost_cycles: int = 0,
-                        detection_s: float = 0.0, recompile_s: float = 0.0,
-                        replay_s: Optional[float] = None) -> dict:
-        """One machine-level fault recovery (schema 3): which fault hit,
-        where execution restarted from, and where the wall time went
-        (detect -> degraded recompile -> replay on the survivors)."""
-        entry = {
-            "job": job,
-            "kind": "recovery",
-            "fault": fault,
-            "chip": chip,
-            "cycle": cycle,
-            "machine_from": machine_from,
-            "machine_to": machine_to,
-            "checkpoint_cycle": checkpoint_cycle,
-            "lost_cycles": lost_cycles,
-            "detection_s": detection_s,
-            "recompile_s": recompile_s,
-            "replay_s": replay_s,
-        }
-        self._append(entry)
-        default_registry().counter(
-            "runtime_recoveries_total",
-            "Degraded-mode recoveries by fault kind.",
-            labels={"fault": fault}).inc()
-        return entry
-
-    def record_tune(self, *, job: str, workload: str, machine: str,
-                    strategy: str, goal: str, budget: int, candidates: int,
-                    pruned: int, rungs: int, default_cycles: int,
-                    best_cycles: int, best_config: dict, cache_hits: int,
-                    seconds: float,
-                    trials: Optional[List[dict]] = None) -> dict:
-        """One autotuning run (schema 4): what was searched, what each
-        candidate cost, which rung pruned it, and the winning config."""
-        entry = {
-            "job": job,
-            "kind": "tune",
-            "workload": workload,
-            "machine": machine,
-            "strategy": strategy,
-            "goal": goal,
-            "budget": budget,
-            "candidates": candidates,
-            "pruned": pruned,
-            "rungs": rungs,
-            "default_cycles": default_cycles,
-            "best_cycles": best_cycles,
-            "best_config": dict(best_config),
-            "cache_hits": cache_hits,
-            "seconds": seconds,
-            "trials": list(trials or []),
-        }
-        self._append(entry)
-        default_registry().counter(
-            "runtime_tune_runs_total", "Autotuning runs recorded.",
-            labels={"strategy": strategy}).inc()
-        return entry
-
-    def record_serve(self, *, job: str, status: str, machine: str,
-                     shard: Optional[int], attempts: int, batch_size: int,
-                     cache: Optional[str], seconds: float,
-                     queue_s: float = 0.0, batch_s: float = 0.0,
-                     execute_s: float = 0.0, tenant: str = "default",
-                     cost: Optional[dict] = None) -> dict:
-        """One serving-layer request outcome (see :mod:`repro.serve`).
-
-        Schema 5 splits the wall time: ``queue_s`` (admission queue),
-        ``batch_s`` (coalescing window), ``execute_s`` (inside the
-        shard); ``seconds`` stays end-to-end.  Schema 8 adds ``tenant``
-        and the per-request ``cost`` rollup (``sim_cycles`` /
-        ``bootstraps`` / ``bytes`` / ``compile_s``) so offline journal
-        replay reconstructs the same ``cluster_tenant_*`` attribution
-        the live pipeline maintains.
-        """
-        entry = {
-            "job": job,
-            "kind": "serve",
-            "status": status,
-            "machine": machine,
-            "shard": shard,
-            "attempts": attempts,
-            "batch_size": batch_size,
-            "cache": cache,
-            "seconds": seconds,
-            "queue_s": queue_s,
-            "batch_s": batch_s,
-            "execute_s": execute_s,
-            "tenant": tenant,
-        }
-        if cost is not None:
-            entry["cost"] = dict(cost)
-        self._append(entry)
-        return entry
-
-    def record_alert(self, *, slo: str, severity: str, burn_rate: float,
-                     long_window_s: float, short_window_s: float,
-                     bad_fraction: float, objective: float,
-                     threshold: float, message: str = "") -> dict:
-        """One SLO burn-rate alert (schema 8): which objective breached,
-        at what severity, the burn rate over the fired long/short window
-        pair, and the observed bad fraction vs. the error budget."""
-        entry = {
-            "job": slo,
-            "kind": "alert",
-            "slo": slo,
-            "severity": severity,
-            "burn_rate": burn_rate,
-            "long_window_s": long_window_s,
-            "short_window_s": short_window_s,
-            "bad_fraction": bad_fraction,
-            "objective": objective,
-            "threshold": threshold,
-            "message": message,
-        }
-        self._append(entry)
-        default_registry().counter(
-            "obs_slo_alerts_total", "SLO burn-rate alerts fired.",
-            labels={"slo": slo, "severity": severity}).inc()
-        return entry
-
-    def record_cluster(self, *, event: str, worker: Optional[str] = None,
-                       detail: Optional[dict] = None) -> dict:
-        """One cluster-control-plane event (schema 6): membership changes
-        (``worker_spawned``/``worker_exit``), failure handling
-        (``worker_lost``/``requeued``), and autoscale decisions
-        (``scale_up``/``scale_down``)."""
-        entry = {
-            "job": worker or "cluster",
-            "kind": "cluster",
-            "event": event,
-            "worker": worker,
-        }
-        if detail:
-            entry.update(detail)
-        self._append(entry)
-        default_registry().counter(
-            "cluster_events_total", "Cluster control-plane events by kind.",
-            labels={"event": event}).inc()
-        return entry
-
-    def record_trust(self, *, event: str, target: str = "",
-                     job: Optional[str] = None,
-                     detail: Optional[dict] = None) -> dict:
-        """One trust-layer security event (schema 7).
-
-        ``event`` is the decision (``tamper_detected``, ``stale_key``,
-        ``replay_rejected``, ``stale_request``, ``key_rotation``,
-        ``keys_replicated``); ``target`` names what it hit (``cache``,
-        ``checkpoint``, a tenant, a frame kind).
-        """
-        entry = {
-            "job": job or target or "trust",
-            "kind": "trust",
-            "event": event,
-            "target": target,
-        }
-        if detail:
-            entry.update(detail)
-        self._append(entry)
-        registry = default_registry()
-        registry.counter(
-            "trust_events_total", "Trust-layer events by kind.",
-            labels={"event": event}).inc()
-        if event == "tamper_detected":
-            registry.counter(
-                "trust_tamper_detected_total",
-                "Artifacts whose bytes mismatched their signed manifest.",
-                labels={"target": target or "unknown"}).inc()
-        elif event in ("replay_rejected", "stale_request"):
-            registry.counter(
-                "trust_replay_rejected_total",
-                "Requests rejected by the replay/freshness guard.",
-                labels={"reason": (detail or {}).get("reason", event)}).inc()
-        elif event == "stale_key":
-            registry.counter(
-                "trust_stale_key_rejections_total",
-                "Requests rejected for stale/revoked/unknown keys.").inc()
-        return entry
+    def record(self, kind: str, **fields) -> dict:
+        """Journal one ``kind`` row built from ``fields`` (validated
+        against :data:`repro.obs.rows.ROW_KINDS`; a bad kind or field is
+        a ``TypeError``).  The row is stamped with the active
+        :mod:`repro.obs` span, if any, so rows from every layer of one
+        request join on ``trace_id`` (schema 5)."""
+        row = build_row(kind, fields)
+        span = current_span()
+        if span is not None:
+            row.setdefault("trace_id", span.trace_id)
+            row.setdefault("span_id", span.span_id)
+        with self._lock:
+            self._jobs.append(row)
+        observe_row(self.registry, row)
+        self._notify((row,))
+        return row
 
     def absorb(self, rows, worker: Optional[str] = None) -> None:
         """Merge pre-stamped journal rows (from a worker process) into
         this recorder.  Rows keep their own ``trace_id``/``span_id`` —
         they were recorded under the request's propagated span in the
-        worker — and gain a ``worker`` attribution (schema 6)."""
+        worker — and gain a ``worker`` attribution (schema 6).  They are
+        not folded into the registry: the worker counted them, in the
+        snapshot it ships."""
         stamped = []
         with self._lock:
             for row in rows:
@@ -419,17 +117,6 @@ class TraceRecorder:
                 self._jobs.append(row)
                 stamped.append(row)
         self._notify(stamped)
-
-    def _append(self, entry: dict) -> None:
-        # Stamp the active repro.obs span (if any) so rows from every
-        # layer of one request join on trace_id (schema 5).
-        span = current_span()
-        if span is not None:
-            entry.setdefault("trace_id", span.trace_id)
-            entry.setdefault("span_id", span.span_id)
-        with self._lock:
-            self._jobs.append(entry)
-        self._notify((entry,))
 
     # ------------------------------------------------------------------ #
 

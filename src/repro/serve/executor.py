@@ -93,9 +93,9 @@ class ShardExecutor:
             # Journaled once its replay has ended, never updated after:
             # a worker ships rows to the router as soon as they exist.
             record = (self.recorder if self.recorder is not None
-                      else self.session).record_recovery
+                      else self.session).record
             with tracer().use_span(spans[0]):
-                record(job=requests[0].label,
+                record("recovery", job=requests[0].label,
                        **replace(recovering, replay_s=replay_s).as_dict())
 
         pending = list(requests)

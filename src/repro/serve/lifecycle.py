@@ -21,7 +21,8 @@ import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..obs.metrics import MetricsRegistry, bill_tenant
+from ..obs.metrics import MetricsRegistry
+from ..obs.rows import declare_series
 from ..obs.tracing import tracer
 from ..runtime.fingerprint import fingerprint
 from ..runtime.session import resolve_request_options
@@ -66,12 +67,10 @@ class RequestLifecycle:
         self._handles: Dict[int, RequestHandle] = {}
         self._cond = threading.Condition()
 
-        self.requests_total = {
-            status: metrics.counter("serve_requests_total",
-                                    "Requests by terminal status.",
-                                    labels={"status": status.value})
-            for status in RequestStatus
-        }
+        # The serve row's own series are the recorder's fold of it; they
+        # exist at zero from here on for the live SLO windows.
+        declare_series(recorder.registry, "serve",
+                       status=[status.value for status in RequestStatus])
         self.retries_total = metrics.counter(
             "serve_retries_total",
             "Execution retries (shard retry or worker failover).")
@@ -82,14 +81,6 @@ class RequestLifecycle:
             "serve_queue_depth", "Requests waiting for dispatch.")
         self.inflight = metrics.gauge(
             "serve_inflight_requests", "Requests dispatched, not resolved.")
-        self.queue_wait_h = metrics.histogram(
-            "serve_queue_wait_seconds",
-            "Admission (+ batching) wait before execution starts.")
-        self.execute_h = metrics.histogram(
-            "serve_execute_seconds", "Compile+simulate time in the executor.")
-        self.latency_h = metrics.histogram(
-            "serve_request_latency_seconds",
-            "End-to-end latency, submit to resolution.")
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -159,19 +150,16 @@ class RequestLifecycle:
         """Resolve ``request`` exactly once: the handle is popped first,
         so a second attempt (a result frame racing a timeout, a
         defensive re-fail) returns ``False`` without a second journal
-        row, tenant bill or counter increment.  Runs under the lifecycle
-        lock: once :meth:`wait_drained` sees the handle table empty,
-        every row is journaled and every handle resolved."""
+        row — and so without a second count, latency sample or tenant
+        bill, which the recorder folds from the row.  Runs under the
+        lifecycle lock: once :meth:`wait_drained` sees the handle table
+        empty, every row is journaled and every handle resolved."""
         with self._cond:
             handle = self._handles.pop(request.request_id, None)
             if handle is None:
                 return False
             if request.dispatched_at is not None:
                 self.inflight.dec()
-            self.requests_total[result.status].inc()
-            self.latency_h.observe(result.latency.total_s)
-            bill_tenant(self.metrics, request.tenant, result.status.value,
-                        result.cost)
             # Close whatever request spans are still open (a timeout can
             # resolve a request while its queue/batch span is live), then
             # journal the outcome under the root span so the serve row
@@ -183,8 +171,8 @@ class RequestLifecycle:
             request.span.set_attr("status", result.status.value)
             request.span.set_attr("shard", result.shard)
             with tracer().use_span(request.span):
-                self.recorder.record_serve(
-                    job=request.label, status=result.status.value,
+                self.recorder.record(
+                    "serve", job=request.label, status=result.status.value,
                     machine=request.machine_name or "", shard=result.shard,
                     attempts=result.attempts, batch_size=result.batch_size,
                     cache=result.cache, seconds=result.latency.total_s,
@@ -210,8 +198,6 @@ class RequestLifecycle:
             if request.batched_at is not None:
                 latency.batch_s = started - request.batched_at
             latency.execute_s = execute_s
-            self.queue_wait_h.observe(latency.queue_s)
-            self.execute_h.observe(latency.execute_s)
         return self.finish(request, RequestResult(
             request_id=request.request_id, name=request.label,
             status=status, latency=latency, attempts=request.attempts,

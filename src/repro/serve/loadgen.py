@@ -32,7 +32,10 @@ snapshot, and trace outputs work identically.  ``--chaos-kill-worker K``
 SIGKILLs a live worker ``K`` times mid-run to exercise the router's
 zero-loss failover; ``--chaos-chip-crash`` arms simulated die deaths
 (in-process via the fault injector, cluster via the first worker's
-degrade-ladder recovery).
+degrade-ladder recovery).  Mid-run chaos is keyed to request progress,
+not to a timer: the k-th of a flag's N actions fires once k/(N+1) of
+``--requests`` have been sent, so a 1 s run and a 60 s run see the same
+faults.
 
 Trust chaos (:mod:`repro.trust`) injects *attacks* mid-run and asserts
 the hardening layer absorbs them with zero lost legitimate requests:
@@ -75,6 +78,7 @@ from typing import Dict, List, Optional, Sequence
 from ..cluster.merge import merged_scalar
 from ..workloads.serving import MixEntry, serving_mix
 from .faults import FaultInjector
+from ..obs.analyze import registry_from_journal
 from ..obs.metrics import MetricsRegistry
 from .queue import QueueSaturatedError
 from .request import InferenceRequest, Priority, RequestResult, RequestStatus
@@ -264,8 +268,27 @@ def _histogram_summary(metrics: MetricsRegistry, name: str) -> dict:
     return dict(snap["series"][0]["value"])
 
 
-def _counter_value(metrics: MetricsRegistry, name: str) -> int:
-    return int(merged_scalar(metrics.snapshot(), name))
+#: ``report.chaos`` key -> the front-end's own counter behind it; a run
+#: reports those its front-end keeps (shard executors' or the router's).
+FRONTEND_CHAOS = {
+    "chip_failures": "serve_chip_failures_total",
+    "watchdog_timeouts": "serve_watchdog_timeouts_total",
+    "worker_restarts": "serve_worker_restarts_total",
+    "worker_deaths": "cluster_worker_deaths_total",
+    "requeued": "cluster_requeued_total",
+    "retries": "serve_retries_total",
+    "trust_rejections": "cluster_trust_rejections_total",
+}
+#: ``report.chaos`` key -> the row-derived family behind it, read off
+#: the replayed journal: on either back-end the rows may have been
+#: recorded in a registry the front-end does not own (a shard session's,
+#: a worker process's), but the drained journal holds them all.
+JOURNAL_CHAOS = {
+    "recoveries": "runtime_recoveries_total",
+    "tamper_detected": "trust_tamper_detected_total",
+    "replay_rejected": "trust_replay_rejected_total",
+    "stale_key_rejections": "trust_stale_key_rejections_total",
+}
 
 
 def tamper_cache_dir(cache_dir) -> int:
@@ -293,6 +316,8 @@ def build_report(server: CinnamonServer, results: Sequence[RequestResult],
                  duration_s: float, *, mode: str, machine: str,
                  scale: str, offered: int,
                  per_class: Dict[str, int]) -> LoadReport:
+    """The run's report; ``server`` must have drained, so that its
+    journal is complete."""
     counts: Dict[str, int] = {}
     for result in results:
         counts[result.status.value] = counts.get(result.status.value, 0) + 1
@@ -303,6 +328,12 @@ def build_report(server: CinnamonServer, results: Sequence[RequestResult],
     lookups = hits + cache_totals.get("misses", 0)
     latency = _histogram_summary(server.metrics,
                                  "serve_request_latency_seconds")
+    own = server.metrics.snapshot()
+    replayed = registry_from_journal(server.trace()).snapshot()
+    chaos = {key: int(merged_scalar(own, family))
+             for key, family in FRONTEND_CHAOS.items() if family in own}
+    chaos.update((key, int(merged_scalar(replayed, family)))
+                 for key, family in JOURNAL_CHAOS.items())
     return LoadReport(
         mode=mode, machine=machine, scale=scale, offered=offered,
         duration_s=duration_s,
@@ -316,16 +347,7 @@ def build_report(server: CinnamonServer, results: Sequence[RequestResult],
         cache={"hits": hits, "lookups": lookups,
                "hit_rate": hits / lookups if lookups else 0.0},
         per_class=dict(per_class),
-        chaos={
-            "chip_failures": _counter_value(
-                server.metrics, "serve_chip_failures_total"),
-            "recoveries": _counter_value(
-                server.metrics, "serve_recoveries_total"),
-            "watchdog_timeouts": _counter_value(
-                server.metrics, "serve_watchdog_timeouts_total"),
-            "worker_restarts": _counter_value(
-                server.metrics, "serve_worker_restarts_total"),
-        },
+        chaos=chaos,
     )
 
 
@@ -389,9 +411,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         metavar="K",
                         help="cluster mode: SIGKILL a live worker K times "
                              "mid-run (failover must lose zero requests)")
-    parser.add_argument("--chaos-kill-delay", type=float, default=1.0,
-                        help="seconds between run start and each kill "
-                             "(also spaces tamper/attack injections)")
     parser.add_argument("--cache-dir", default=None,
                         help="shared on-disk compile cache directory "
                              "(cluster mode defaults to a private "
@@ -543,6 +562,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with attacks_lock:
                 attacks[key] = attacks.get(key, 0) + n
 
+        def _reached(k: int, n: int) -> bool:
+            """Block until the generator has sent ``k/(n+1)`` of the
+            run's requests — when the k-th of a chaos loop's ``n``
+            actions is due; ``False`` if the run ended first."""
+            due = k * args.requests // (n + 1)
+            while generator._sent_total < due:
+                if stop_chaos.wait(0.005):
+                    return False
+            return True
+
         def _attack_request(tag: str) -> InferenceRequest:
             # Built outside the generator so attack traffic never skews
             # the legitimate stream's per-class/offered accounting.
@@ -555,8 +584,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.chaos_kill_worker > 0:
             def _kill_loop():
-                for _ in range(args.chaos_kill_worker):
-                    if stop_chaos.wait(args.chaos_kill_delay):
+                for k in range(1, args.chaos_kill_worker + 1):
+                    if not _reached(k, args.chaos_kill_worker):
                         return
                     victim = server.kill_worker()
                     if victim:
@@ -568,8 +597,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.chaos_tamper_cache > 0:
             def _tamper_loop():
-                for _ in range(args.chaos_tamper_cache):
-                    if stop_chaos.wait(args.chaos_kill_delay):
+                for k in range(1, args.chaos_tamper_cache + 1):
+                    if not _reached(k, args.chaos_tamper_cache):
                         return
                     flipped = tamper_cache_dir(server.cache_dir)
                     _count("tamper_flips", flipped)
@@ -583,7 +612,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             def _stale_key_loop():
                 from ..trust.errors import KeyVaultError
 
-                if stop_chaos.wait(args.chaos_kill_delay):
+                if not _reached(1, 1):
                     return
                 # Rotate to v2, revoke v1, then hammer with v1-pinned
                 # requests: every one must draw a typed rejection.
@@ -611,7 +640,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 from ..trust.errors import ReplayError
                 from ..trust.freshness import EnvelopeMinter
 
-                if stop_chaos.wait(args.chaos_kill_delay):
+                if not _reached(1, 1):
                     return
                 envelope = EnvelopeMinter(sender="loadgen-attacker").mint()
                 probe = _attack_request("replay-probe")
@@ -658,38 +687,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         stop_chaos.set()
         for thread in chaos_threads:
             thread.join(timeout=5)
+        if args.chaos_kill_worker > 0:
+            # A kill drill ends with the fleet whole again, so report
+            # and trace show every replacement, however short the run.
+            server.wait_ready(timeout=60)
         report = build_report(
             server, results, duration, mode=args.mode,
             machine=args.machine, scale=args.scale,
             offered=args.requests, per_class=generator._sent_per_class)
-        if args.cluster > 0:
-            report.chaos = {
-                "worker_deaths": _counter_value(
-                    server.metrics, "cluster_worker_deaths_total"),
-                "requeued": _counter_value(
-                    server.metrics, "cluster_requeued_total"),
-                "retries": _counter_value(
-                    server.metrics, "serve_retries_total"),
-            }
-            # Trust counters live partly worker-side (tamper detections
-            # happen where the disk load happens): read them from the
-            # *merged* snapshot, not the router-local registry.
-            merged = server.metrics_snapshot()
-            for key, metric in (
-                    ("tamper_detected", "trust_tamper_detected_total"),
-                    ("replay_rejected", "trust_replay_rejected_total"),
-                    ("stale_key_rejections",
-                     "trust_stale_key_rejections_total"),
-                    ("trust_rejections", "cluster_trust_rejections_total"),
-                    ("recoveries", "runtime_recoveries_total")):
-                value = int(merged_scalar(merged, metric))
-                if value:
-                    report.chaos[key] = value
-        elif args.chaos_tamper_cache > 0:
-            report.chaos["tamper_detected"] = _counter_value(
-                server.metrics, "trust_tamper_detected_total")
-        if attacks:
-            report.chaos.update(attacks)
+        report.chaos.update(attacks)
         live = getattr(server, "live", None)
         if live is not None:
             # One last evaluation over the drained run, then capture the

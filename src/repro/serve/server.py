@@ -99,8 +99,8 @@ class CinnamonServer(ServingFrontend):
         session_factory = session_factory or (
             lambda shard_id: CinnamonSession(cache_dir=cache_dir,
                                              capacity=capacity))
-        self._recorder = TraceRecorder()
         self.metrics = metrics or MetricsRegistry()
+        self._recorder = TraceRecorder(registry=self.metrics)
         self._shards = [
             _Shard(i, ShardExecutor(
                 lambda i=i: session_factory(i), self.metrics,

@@ -8,6 +8,9 @@ schedule.  Exported as Chrome trace-event JSON (load in
 ``chrome://tracing`` or Perfetto) it is one row per chip and unit, showing
 exactly how NTTs, base conversions, HBM transfers, and collectives overlap
 — the visual counterpart of the utilization numbers in Figure 15.
+
+A traced :class:`~repro.runtime.CinnamonSession` does not run twice: it
+hands :func:`recording_sink` to the run whose result it returns.
 """
 
 from __future__ import annotations
@@ -34,6 +37,25 @@ class _TimelineFull(Exception):
     """Every chip has reached its event limit: stop the run."""
 
 
+def recording_sink(chips, limit_per_chip: int, stop_when_full: bool = False):
+    """``(events, sink)``: a timeline sink for ``SimulatorEngine.run``
+    that appends the first ``limit_per_chip`` reservations of each chip
+    in ``chips`` to ``events`` as :class:`TraceEvent` and ignores the
+    rest — or, with ``stop_when_full``, raises :class:`_TimelineFull`
+    at the first reservation after every chip has that many."""
+    events: List[TraceEvent] = []
+    room = {chip: limit_per_chip for chip in chips}
+
+    def sink(chip, lane, opcode, start, duration):
+        if room[chip] > 0:
+            room[chip] -= 1
+            events.append(TraceEvent(chip, lane, opcode, start, duration))
+        elif stop_when_full and not any(room.values()):
+            raise _TimelineFull
+
+    return events, sink
+
+
 class TracingSimulator(SimulatorEngine):
     """A :class:`SimulatorEngine` whose run can be watched."""
 
@@ -43,17 +65,8 @@ class TracingSimulator(SimulatorEngine):
         network link, as the engine itself reserves them while running
         ``isa_module`` (first ``limit_per_chip`` per chip; the run stops
         once every chip has that many)."""
-        events: List[TraceEvent] = []
-        room = {chip: limit_per_chip for chip in isa_module.streams}
-
-        def sink(chip, lane, opcode, start, duration):
-            if room[chip] > 0:
-                room[chip] -= 1
-                events.append(TraceEvent(chip, lane, opcode, start,
-                                         duration))
-            elif not any(room.values()):
-                raise _TimelineFull
-
+        events, sink = recording_sink(isa_module.streams, limit_per_chip,
+                                      stop_when_full=True)
         try:
             self.run(isa_module, sink=sink)
         except _TimelineFull:

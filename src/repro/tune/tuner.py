@@ -246,8 +246,8 @@ class Tuner:
             })
             report.db_path = str(self.db.path)
 
-        self.session.record_tune(
-            job=f"tune-{workload_name}",
+        self.session.record(
+            "tune", job=f"tune-{workload_name}",
             workload=workload_name,
             machine=label,
             strategy=strategy_obj.name,

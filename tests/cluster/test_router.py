@@ -18,6 +18,7 @@ from repro.cluster.router import _Worker
 from repro.obs.analyze import check
 from repro.serve import RequestResult, RequestStatus, ServerClosedError
 
+from ..replay import replay_mismatches
 from .conftest import dial_as_worker, make_request, stub_proc
 
 RESULT_TIMEOUT_S = 120.0
@@ -114,6 +115,23 @@ class TestObservability:
         # Worker-process-side counter, visible only through the merge:
         assert merged_scalar(snapshot,
                              "cluster_worker_submits_total") >= 1
+
+    def test_replaying_the_journal_reproduces_the_snapshot(self, cluster):
+        """Every row-derived family: the merged snapshot (router registry
+        + the workers' shipped ones) equals the fold of the merged
+        journal.  Runs before this module's kill test — a killed worker's
+        last snapshot may trail the rows it shipped ahead of results."""
+        results = submit_and_wait(cluster, [
+            make_request(name=f"fold-{i}", rotation=20 + i % 3,
+                         tenant=f"t{i % 2}") for i in range(8)])
+        assert all(r.ok for r in results), [r.error for r in results]
+        snapshot = cluster.metrics_snapshot()
+        assert replay_mismatches(snapshot, cluster.trace()) == []
+        # Router-side rows land in the router's own, exported registry.
+        assert merged_scalar(snapshot, "cluster_events_total",
+                             {"event": "worker_spawned"}) >= 2
+        assert merged_scalar(snapshot, "cluster_tenant_requests_total",
+                             {"tenant": "t0", "status": "ok"}) == 4
 
     def test_cache_stats_aggregate_workers(self, cluster):
         submit_and_wait(cluster, [make_request(name="c-0", rotation=3),

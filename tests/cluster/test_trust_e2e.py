@@ -81,7 +81,9 @@ class TestRouterAdmission:
         with pytest.raises(StaleKeyError):
             router.submit(request)
         assert router.lifecycle.wait_drained(0)
-        rejected = router.lifecycle.requests_total[RequestStatus.REJECTED]
+        rejected = router.metrics.counter(
+            "serve_requests_total",
+            labels={"status": RequestStatus.REJECTED.value})
         assert rejected.value == 1
 
 

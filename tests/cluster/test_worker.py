@@ -62,11 +62,11 @@ def test_pong_echoes_seq_and_carries_the_state(served):
 
 def test_each_journal_row_crosses_the_wire_once(served):
     worker, sock, _threads = served
-    record = worker.executor.session.record_trust
-    record(event="keys_installed", target="first")
+    record = worker.executor.session.record
+    record("trust", event="keys_installed", target="first")
     _, state = ask(sock, kind="ping", seq=1)
     assert [row["target"] for row in state["journal"]] == ["first"]
-    record(event="keys_installed", target="second")
+    record("trust", event="keys_installed", target="second")
     header, state = ask(sock, kind="drain")
     assert header["kind"] == "drained"
     assert [row["target"] for row in state["journal"]] == ["second"]

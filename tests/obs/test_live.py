@@ -320,7 +320,7 @@ class TestFlightRecorder:
 class TestLivePipeline:
     def _pipeline(self, tmp_path, **kwargs):
         registry = MetricsRegistry()
-        recorder = TraceRecorder()
+        recorder = TraceRecorder(registry=registry)
         pipe = LivePipeline(
             slos=["latency:0.001:99:lat"], process="server",
             recorder=recorder, registry=registry,

@@ -73,6 +73,9 @@ class TestDegradedRecovery:
 
     def test_trace_records_recovery_and_schema(self, tmp_path):
         session = CinnamonSession()
+        heard = []      # a listener (the flight ring) copies what it sees
+        session._recorder.add_listener(
+            lambda row: heard.append(dict(row)))
         orch = RecoveryOrchestrator(session, checkpoint_interval=5_000)
         orch.run(build_program(), PARAMS, machine="cinnamon_12",
                  fault_schedule=FaultSchedule().chip_crash(9, 20_000),
@@ -87,6 +90,9 @@ class TestDegradedRecovery:
         assert entry["machine_from"] == "Cinnamon-12"
         assert entry["machine_to"] == "Cinnamon-8"
         assert entry["replay_s"] is not None
+        # The row was complete when it was recorded, not patched after.
+        assert [row for row in heard if row["kind"] == "recovery"] \
+            == [entry]
         failed = [e for e in trace["jobs"]
                   if e.get("kind") == "simulate" and e.get("error")]
         assert any("ChipFailure" in e["error"] for e in failed)

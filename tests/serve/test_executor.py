@@ -29,7 +29,7 @@ class Rig:
 
     def __init__(self, max_retries, faults=None, **policy):
         self.metrics = MetricsRegistry()
-        self.recorder = TraceRecorder()
+        self.recorder = TraceRecorder(registry=self.metrics)
         self.sessions = []
         self.lifecycle = RequestLifecycle(self.metrics, self.recorder)
         self.executor = ShardExecutor(

@@ -28,7 +28,8 @@ COST = {"sim_cycles": 1234, "bootstraps": 0, "bytes": 4096,
 @pytest.fixture
 def lifecycle():
     obs.enable(reset=True)
-    yield RequestLifecycle(MetricsRegistry(), TraceRecorder(),
+    metrics = MetricsRegistry()
+    yield RequestLifecycle(metrics, TraceRecorder(registry=metrics),
                            default_machine="cinnamon_4",
                            request_timeout_s=30.0)
     obs.disable()

@@ -122,6 +122,34 @@ class TestCli:
         trace = json.loads(trace_path.read_text())
         assert sum(1 for j in trace["jobs"] if j["kind"] == "serve") == 16
 
+    def test_chaos_report_counts_what_the_journal_records(self, tmp_path,
+                                                          capsys):
+        """A tamper is detected inside a shard session, whose rows never
+        reach the server's registry: the report reads the fold of the
+        drained journal, so it counts them all the same."""
+        metrics_path = tmp_path / "metrics.json"
+        trace_path = tmp_path / "trace.json"
+        code = main([
+            "--requests", "24", "--mode", "closed", "--concurrency", "2",
+            "--workers", "1", "--machine", "cinnamon_2",
+            "--scale", "small", "--seed", "1",
+            "--chaos-tamper-cache", "2",
+            "--cache-dir", str(tmp_path / "cache"), "--capacity", "1",
+            "--metrics-out", str(metrics_path),
+            "--trace-out", str(trace_path),
+            "--fail-on-errors",
+        ])
+        assert code == 0
+        chaos = json.loads(metrics_path.read_text())["loadgen"]["chaos"]
+        detections = [row for row in
+                      json.loads(trace_path.read_text())["jobs"]
+                      if row["kind"] == "trust"
+                      and row["event"] == "tamper_detected"]
+        assert chaos["tamper_detected"] == len(detections) >= 1
+        assert chaos["tamper_flips"] >= chaos["tamper_detected"]
+        assert f"tamper_detected={len(detections)}" in \
+            capsys.readouterr().out
+
     def test_cli_fail_on_errors_exit_code(self, capsys):
         # Impossible deadline: everything times out -> exit 1.
         code = main([

@@ -13,6 +13,7 @@ from repro.serve import (
     serve_requests,
 )
 
+from ..replay import replay_mismatches
 from .conftest import make_request
 
 
@@ -185,6 +186,24 @@ class TestObservability:
         assert len(serves) == 3
         assert all(j["status"] == "ok" and j["machine"] == "Cinnamon-2"
                    and j["seconds"] > 0 for j in serves)
+
+    def test_replaying_the_trace_reproduces_the_serve_series(self):
+        """What the server journals is what its snapshot shows: counts,
+        latency split and tenant bills are the fold of its serve rows."""
+        with CinnamonServer(num_workers=1) as server:
+            for i in range(3):
+                server.submit(make_request(
+                    f"fold-{i}", tenant=f"t{i % 2}")).result(60)
+            server.submit(make_request("late", deadline_s=0.0)).result(60)
+            snapshot, doc = server.metrics_snapshot(), server.trace()
+        assert {s["labels"]["status"]: s["value"] for s in
+                snapshot["serve_requests_total"]["series"]} == {
+            "ok": 3, "timeout": 1, "failed": 0, "rejected": 0}
+        assert snapshot["serve_execute_seconds"]["series"][0]["value"][
+            "count"] == 3
+        assert sum(s["value"] for s in snapshot[
+            "cluster_tenant_sim_cycles_total"]["series"]) > 0
+        assert replay_mismatches(snapshot, doc, kinds={"serve"}) == []
 
     def test_export_trace(self, tmp_path):
         with CinnamonServer(num_workers=1) as server:

@@ -164,3 +164,40 @@ class TestTimelineIsTheEnginesSchedule:
         for chip in isa.streams:
             assert [e for e in capped if e.chip == chip] == \
                 [e for e in events if e.chip == chip][:100]
+
+
+class TestSessionTimeline:
+    """A traced session does not simulate twice: the timeline on its
+    ``simulate`` span is recorded by the run whose result it returns."""
+
+    def test_one_engine_run_feeds_result_and_span(self, bootstrap_compiled,
+                                                  monkeypatch):
+        from repro import obs
+        from repro.runtime import CinnamonSession
+        from repro.sim import SimulatorEngine
+        from repro.sim.config import config_for
+
+        runs = []
+        engine_run = SimulatorEngine.run
+
+        def counted_run(self, *args, **kwargs):
+            runs.append(type(self))
+            return engine_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulatorEngine, "run", counted_run)
+        obs.enable(reset=True)
+        try:
+            result = CinnamonSession().simulate(bootstrap_compiled,
+                                                config_for(2))
+            (span,) = obs.tracer().spans(kind="simulate")
+        finally:
+            obs.disable()
+            obs.tracer().reset()
+        assert runs == [SimulatorEngine]
+        assert span.sim_cycles == result.cycles
+        limit = CinnamonSession.FU_TIMELINE_LIMIT_PER_CHIP
+        assert span.sim_events == TracingSimulator(config_for(2)).timeline(
+            bootstrap_compiled.isa, limit_per_chip=limit)
+        per_chip = [sum(1 for e in span.sim_events if e.chip == chip)
+                    for chip in bootstrap_compiled.isa.streams]
+        assert per_chip == [limit, limit]    # the quota was reached
