@@ -320,7 +320,10 @@ class ClusterRouter(ServingFrontend):
             self.drain(timeout)
         else:
             self._queue.close()
-        self._stopping = True
+        # Under the lock _fail_or_retry requeues under: a failover
+        # requeue either landed before this line, or will see the flag.
+        with self._lock:
+            self._stopping = True
         self._monitor_stop.set()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=10)
@@ -653,14 +656,18 @@ class ClusterRouter(ServingFrontend):
 
     def _fail_or_retry(self, request: InferenceRequest,
                        error: str) -> None:
-        if request.attempts > self.max_retries or self._stopping:
-            # Out of retries — or the dispatcher has exited, so a
-            # requeue would hang the handle instead of re-running it.
-            self.lifecycle.fail(request, error)
-            return
-        self.lifecycle.retries_total.inc()
-        self.lifecycle.requeued(request)
-        self._queue.put(request, force=True)
+        # Check-then-requeue is one step against shutdown() setting
+        # _stopping: its queue sweep must see every requeue that passed
+        # the check, or the request is stranded in a queue nobody reads.
+        with self._lock:
+            if request.attempts <= self.max_retries and not self._stopping:
+                self.lifecycle.retries_total.inc()
+                self.lifecycle.requeued(request)
+                self._queue.put(request, force=True)
+                return
+        # Out of retries — or the dispatcher has exited, so a requeue
+        # would hang the handle instead of re-running it.
+        self.lifecycle.fail(request, error)
 
     def _on_worker_lost(self, worker: _Worker) -> None:
         with self._lock:

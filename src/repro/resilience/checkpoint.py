@@ -15,15 +15,16 @@ validated blobs (in memory or under a directory); a bit-flipped or
 truncated snapshot fails loudly with :class:`CorruptCheckpointError`
 instead of resuming from garbage.
 
-Directory-backed stores additionally keep a signed
-:class:`~repro.trust.manifest.ArtifactManifest` per run directory: every
-saved blob is recorded (sha256 of the file bytes), every load verifies
-against the manifest before deserializing, and a recorded-but-mismatched
-blob is *tampering* — :meth:`CheckpointStore.load` quarantines it and
-raises :class:`CorruptCheckpointError` (after reporting through
-``on_tamper``), while :meth:`CheckpointStore.list` skips it read-only.
-Blobs with no manifest row (pre-trust checkpoint dirs) fall back to the
-CRC-only validation they were written under.
+Directory-backed stores keep each run directory behind a signed
+:class:`~repro.trust.manifest.ArtifactManifest` and reach the files only
+through it: ``save`` is the manifest's ``store`` (blob and signed row as
+one unit), and only bytes its ``load`` has checked against their row are
+deserialized.  A recorded-but-mismatched blob is *tampering* — reported
+through ``on_tamper`` and moved to ``quarantine/``; a blob with no row
+(dropped in out-of-band, or its manifest deleted) is unverifiable.
+:meth:`CheckpointStore.load` raises :class:`CorruptCheckpointError` for
+both, :meth:`CheckpointStore.list` skips both, and neither ever reaches
+``pickle.loads`` — the CRC detects accidents, not adversaries.
 """
 
 from __future__ import annotations
@@ -166,50 +167,47 @@ class CheckpointStore:
             del chain[:-self.keep]
             return None
         run_dir = self.root / checkpoint.run_id
-        run_dir.mkdir(parents=True, exist_ok=True)
-        path = run_dir / f"ckpt-{checkpoint.seq:06d}{self.SUFFIX}"
-        path.write_bytes(checkpoint.to_bytes())
-        self._manifest(run_dir).record(path.name, path=path)
+        name = f"ckpt-{checkpoint.seq:06d}{self.SUFFIX}"
+        self._manifest(run_dir).store(name, checkpoint.to_bytes())
         self._prune(run_dir)
-        return path
+        return run_dir / name
 
     def load(self, path) -> Checkpoint:
         """Read + validate one snapshot file.
 
-        Manifest-recorded blobs whose bytes mismatch are quarantined and
-        fail with :class:`CorruptCheckpointError` (never deserialized);
-        unrecorded blobs fall back to CRC-only validation.
+        Only bytes that match their signed manifest row are
+        deserialized: a mismatch (quarantined as evidence), a blob with
+        no row and a missing file all fail with
+        :class:`CorruptCheckpointError`.
         """
         path = Path(path)
-        data = path.read_bytes()
-        manifest = self._manifest(path.parent)
         try:
-            manifest.verify_bytes(path.name, data)
+            data = self._manifest(path.parent).load(path.name)
         except TamperDetectedError as exc:
-            manifest.quarantine(path.name, path=path)
             raise CorruptCheckpointError(str(exc)) from exc
+        if data is None:
+            raise CorruptCheckpointError(
+                f"checkpoint {path} is missing or has no signed manifest "
+                "row")
         return Checkpoint.from_bytes(data)
 
     def list(self, run_id: str) -> List[Checkpoint]:
         """All retained checkpoints of a run, oldest first.
 
-        Directory-backed stores skip (but keep) corrupt or tampered
-        files here; :meth:`load` on the specific path still reports the
-        corruption (and quarantines tampering).
+        Directory-backed stores skip corrupt, tampered and unrecorded
+        files here (recovery falls back to an older snapshot);
+        :meth:`load` on the specific path says what is wrong with one.
         """
         if self.root is None:
             return list(self._memory.get(run_id, []))
         run_dir = self.root / run_id
         if not run_dir.is_dir():
             return []
-        manifest = self._manifest(run_dir)
         out = []
         for path in sorted(run_dir.glob(f"ckpt-*{self.SUFFIX}")):
             try:
-                data = path.read_bytes()
-                manifest.verify_bytes(path.name, data)
-                out.append(Checkpoint.from_bytes(data))
-            except (CorruptCheckpointError, TamperDetectedError, OSError):
+                out.append(self.load(path))
+            except CorruptCheckpointError:
                 continue
         return out
 
@@ -224,7 +222,5 @@ class CheckpointStore:
 
     def _prune(self, run_dir: Path) -> None:
         paths = sorted(run_dir.glob(f"ckpt-*{self.SUFFIX}"))
-        manifest = self._manifest(run_dir)
         for stale in paths[:-self.keep]:
-            stale.unlink(missing_ok=True)
-            manifest.forget(stale.name)
+            self._manifest(run_dir).forget(stale.name)

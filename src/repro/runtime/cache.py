@@ -5,52 +5,40 @@ run to ~1 GB of Python objects, so the default capacity is small).  All
 public methods are thread-safe: ``run_batch`` worker threads and the
 serving layer's shard pool hit one cache instance concurrently.
 
-On-disk layer: one versioned pickle per fingerprint under ``cache_dir``.
-Each file carries ``{"schema", "key", "compiled"}``; entries whose schema
-version differs from the running code's (or whose key does not match the
-filename, e.g. after a hash-algorithm change) are treated as misses and
-deleted, so bumping :data:`~repro.runtime.fingerprint.CACHE_SCHEMA_VERSION`
-invalidates every stale artifact without manual cleanup.
+On-disk layer: one versioned pickle per fingerprint, ``<key>.pkl``,
+under ``cache_dir``.  Each carries ``{"schema", "key", "compiled"}``;
+entries whose schema version differs from the running code's (or whose
+key does not match the filename, e.g. after a hash-algorithm change) are
+treated as misses and deleted, so bumping
+:data:`~repro.runtime.fingerprint.CACHE_SCHEMA_VERSION` invalidates
+every stale artifact without manual cleanup.
 
-The disk layer is safe for concurrent *processes*, not just threads — a
-:mod:`repro.cluster` deployment points every worker at one ``cache_dir``:
+The directory belongs to one signed
+:class:`~repro.trust.manifest.ArtifactManifest` (:mod:`repro.trust`),
+and this module reaches the files only through its ``store`` / ``load``
+/ ``forget`` / ``clear`` — file and signed row change together under the
+manifest's one cross-process ``flock``, so the disk layer is safe for
+concurrent *processes* (a :mod:`repro.cluster` deployment points every
+worker at one ``cache_dir``), not just threads.  Beside the pickles the
+directory holds ``MANIFEST.json``, ``.manifest.lock`` and, after
+tampering, ``quarantine/`` — nothing else.
 
-* artifact files are written to a temp file and ``os.replace``d, so a
-  concurrent reader sees either the old artifact or the new one, never a
-  torn pickle;
-* the directory's ``index.json`` (key -> stored-at/size metadata, the
-  cross-process listing used by :meth:`CompileCache.disk_entries`) is
-  only ever updated under an advisory ``flock``
-  (:class:`~repro.runtime.locking.FileLock` on ``.index.lock``), as is
-  the multi-file delete of ``invalidate()``.
-
-Integrity (:mod:`repro.trust`): every stored artifact is recorded in a
-signed per-directory :class:`~repro.trust.manifest.ArtifactManifest`
-(file-bytes sha256 + deterministic content digest), and every disk load
-verifies the bytes against that manifest *before* unpickling.  A
-recorded-but-mismatched file is tampering: it degrades to a cache miss,
-the file moves to ``quarantine/`` as evidence, ``stats.tampered`` /
-``stats.quarantined`` bump, and the ``on_tamper`` hook fires (the
-session uses it to journal a ``kind: "trust"`` row and bump
-``trust_tamper_detected_total``).  A file with *no* manifest row is
-merely unrecorded — a concurrent writer may be mid-store (the manifest
-row lands after the artifact file by contract) — and is treated as a
-plain miss without quarantine; crucially it is still never unpickled,
-so deleting the manifest cannot re-open the unpickle-untrusted-bytes
-path it exists to close.
+``load`` returns only bytes that match their row, so every
+``pickle.loads`` here is of verified bytes.  A mismatch is tampering: it
+degrades to a cache miss, ``stats.tampered`` / ``stats.quarantined``
+bump, and the ``on_tamper`` hook fires (the session uses it to journal a
+``kind: "trust"`` row and bump ``trust_tamper_detected_total``).  A file
+with *no* row is a plain miss and is still never unpickled, so deleting
+the manifest cannot re-open the unpickle-untrusted-bytes path it exists
+to close.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import pickle
-import tempfile
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -58,12 +46,6 @@ from ..core.compiler import CompiledProgram
 from ..trust.errors import TamperDetectedError
 from ..trust.manifest import ArtifactManifest
 from .fingerprint import CACHE_SCHEMA_VERSION
-from .locking import FileLock
-
-#: Name of the per-directory index of on-disk artifacts.
-INDEX_FILENAME = "index.json"
-#: Lock file guarding index read-modify-write cycles across processes.
-INDEX_LOCK_FILENAME = ".index.lock"
 
 #: Where a compile was served from (also the trace's ``cache`` field).
 MISS = "miss"
@@ -85,9 +67,7 @@ class CacheStats:
     quarantined: int = 0  # tampered files moved into quarantine/
 
     def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in (
-            "memory_hits", "disk_hits", "misses", "stores", "evictions",
-            "invalidated", "tampered", "quarantined")}
+        return asdict(self)
 
 
 @dataclass
@@ -110,13 +90,11 @@ class CompileCache:
         self._lock = threading.RLock()
         if self.schema_version is None:
             self.schema_version = CACHE_SCHEMA_VERSION
-        self._index_lock: Optional[FileLock] = None
-        self._manifest: Optional[ArtifactManifest] = None
+        #: The signed manifest that owns ``cache_dir`` (None = memory-only).
+        self.manifest: Optional[ArtifactManifest] = None
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            self._index_lock = FileLock(self.cache_dir / INDEX_LOCK_FILENAME)
-            self._manifest = ArtifactManifest(
+            self.manifest = ArtifactManifest(
                 self.cache_dir, key=self.trust_key, target="cache",
                 on_tamper=self._note_tamper)
 
@@ -149,24 +127,12 @@ class CompileCache:
         with self._lock:
             if key is None:
                 self._memory.clear()
-                if self.cache_dir is not None:
-                    # Multi-file delete: exclude concurrent writers so a
-                    # clear cannot interleave with a store and leave the
-                    # index claiming artifacts the sweep just removed.
-                    with self._index_lock:
-                        for path in self.cache_dir.glob("*.pkl"):
-                            path.unlink(missing_ok=True)
-                        self._write_index({})
-                        self._manifest.clear()
+                if self.manifest is not None:
+                    self.manifest.clear()
                 return
             self._memory.pop(key, None)
-            if self.cache_dir is not None:
-                with self._index_lock:
-                    self._path(key).unlink(missing_ok=True)
-                    index = self._read_index()
-                    if index.pop(key, None) is not None:
-                        self._write_index(index)
-                    self._manifest.forget(self._path(key).name)
+            if self.manifest is not None:
+                self.manifest.forget(self._name(key))
 
     def __len__(self) -> int:
         with self._lock:
@@ -175,7 +141,8 @@ class CompileCache:
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._memory or (
-                self.cache_dir is not None and self._path(key).exists())
+                self.manifest is not None
+                and self._name(key) in self.manifest)
 
     # ------------------------------------------------------------------ #
 
@@ -186,8 +153,9 @@ class CompileCache:
             self._memory.popitem(last=False)
             self.stats.evictions += 1
 
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.pkl"
+    @staticmethod
+    def _name(key: str) -> str:
+        return f"{key}.pkl"
 
     def _note_tamper(self, error: TamperDetectedError) -> None:
         """Manifest tamper callback: count, then forward to the session
@@ -197,37 +165,16 @@ class CompileCache:
             self.on_tamper(error)
 
     def _disk_load(self, key: str) -> Optional[CompiledProgram]:
-        if self.cache_dir is None:
+        if self.manifest is None:
             return None
-        path = self._path(key)
-        if not path.exists():
+        try:
+            data = self.manifest.load(self._name(key))
+        except TamperDetectedError:
+            # _note_tamper already counted and reported; the evidence is
+            # in quarantine/ and the row is gone.  Degrade to a miss.
+            self.stats.quarantined += 1
             return None
-        # The (file bytes, manifest row) pair is read under the same
-        # cross-process flock every mutator holds, so a racing writer's
-        # half-applied update can never masquerade as tampering.
-        with self._index_lock:
-            try:
-                data = path.read_bytes()
-            except OSError:
-                return None
-            # Verify-before-unpickle: untrusted bytes never reach pickle.
-            try:
-                recorded = self._manifest.verify_bytes(path.name, data)
-            except TamperDetectedError:
-                # _note_tamper already counted and reported; keep the
-                # file as evidence (quarantine/), drop its index row, and
-                # degrade to a miss.
-                if self._manifest.quarantine(path.name,
-                                             path=path) is not None:
-                    self.stats.quarantined += 1
-                index = self._read_index()
-                if index.pop(key, None) is not None:
-                    self._write_index(index)
-                return None
-        if not recorded:
-            # No manifest row: a concurrent writer mid-store, or a
-            # pre-trust cache directory.  Not tampering — but also not
-            # verifiable, so it stays a plain miss.
+        if data is None:
             return None
         try:
             payload = pickle.loads(data)
@@ -237,104 +184,17 @@ class CompileCache:
                 or payload.get("schema") != self.schema_version
                 or payload.get("key") != key):
             self.stats.invalidated += 1
-            with self._index_lock:
-                path.unlink(missing_ok=True)
-                index = self._read_index()
-                if index.pop(key, None) is not None:
-                    self._write_index(index)
-            self._manifest.forget(path.name)
+            self.manifest.forget(self._name(key))
             return None
         return payload["compiled"]
 
     def _disk_store(self, key: str, compiled: CompiledProgram) -> None:
-        if self.cache_dir is None:
+        if self.manifest is None:
             return
         payload = {
             "schema": self.schema_version,
             "key": key,
             "compiled": compiled,
         }
-        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        from ..trust.rebuild import artifact_digest
-
-        digest = artifact_digest(compiled)
-        # Write-then-rename so concurrent readers never see a torn pickle.
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-        except Exception:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        # Rename + manifest row + index row commit as one unit under the
-        # cross-process flock: two workers racing on the same key must
-        # never leave worker A's file paired with worker B's manifest
-        # row (a reader would see that as tampering), and workers on
-        # different keys must not lose each other's index rows to a
-        # last-writer-wins overwrite.  The artifact file still lands
-        # before its manifest row (the write-ordering contract).
-        with self._index_lock:
-            os.replace(tmp, self._path(key))
-            self._manifest.record(
-                self._path(key).name,
-                sha256=hashlib.sha256(data).hexdigest(),
-                digest=digest, size=len(data))
-            index = self._read_index()
-            index[key] = {
-                "schema": self.schema_version,
-                "size": len(data),
-                "stored_unix": time.time(),
-            }
-            self._write_index(index)
-
-    @property
-    def manifest(self) -> Optional[ArtifactManifest]:
-        """The signed artifact manifest (None for memory-only caches)."""
-        return self._manifest
-
-    # ------------------------------------------------------------------ #
-    # Cross-process index
-
-    def disk_entries(self) -> dict:
-        """The on-disk index: key -> {schema, size, stored_unix}.
-
-        A cross-process view — entries written by *other* processes
-        sharing this ``cache_dir`` are visible here without having been
-        loaded into this instance's memory layer.
-        """
-        if self.cache_dir is None:
-            return {}
-        with self._index_lock:
-            return self._read_index()
-
-    def _index_path(self) -> Path:
-        return self.cache_dir / INDEX_FILENAME
-
-    def _read_index(self) -> dict:
-        """Load the index (caller holds the index flock).  A missing or
-        corrupt index is an empty one — artifact files remain loadable
-        either way; the index is metadata, not a source of truth."""
-        try:
-            doc = json.loads(self._index_path().read_text())
-        except (OSError, ValueError):
-            return {}
-        entries = doc.get("entries") if isinstance(doc, dict) else None
-        return dict(entries) if isinstance(entries, dict) else {}
-
-    def _write_index(self, entries: dict) -> None:
-        """Atomically replace the index (caller holds the index flock)."""
-        doc = {"schema": self.schema_version, "entries": entries}
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(doc, handle, sort_keys=True)
-            os.replace(tmp, self._index_path())
-        except Exception:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        self.manifest.store(
+            self._name(key), pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))

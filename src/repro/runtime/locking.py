@@ -4,8 +4,8 @@ The on-disk compile cache and the tuning DB are shared by every process
 of a :mod:`repro.cluster` deployment (router, N workers, plus any CLI
 run pointed at the same ``cache_dir``).  Individual artifact writes are
 already torn-read-safe (write-to-temp + ``os.replace``), but
-read-modify-write sequences — the cache's index file, the tuning DB's
-merge-on-save — need mutual exclusion *across processes*, which a
+read-modify-write sequences — a directory's signed manifest, the tuning
+DB's merge-on-save — need mutual exclusion *across processes*, which a
 ``threading`` lock cannot provide.
 
 :class:`FileLock` wraps ``fcntl.flock`` on POSIX (one lock file per

@@ -3,9 +3,9 @@
 Two modes:
 
 * ``--rebuild-check`` — the reproducibility gate: compile the serving
-  workload mix twice into two fresh cache directories and prove the
-  manifests' deterministic content digests are bit-identical.  Exit 0
-  iff every digest matches.
+  workload mix twice, cold, in fresh in-memory sessions and prove the
+  artifacts' content digests bit-identical (``--reference``: also to a
+  committed digest map).  Exit 0 iff every digest matches.
 * ``--verify DIR`` — read-only audit of an existing artifact directory
   against its signed manifest (nothing is quarantined).  Exit 0 iff no
   artifact is tampered.
@@ -25,8 +25,8 @@ def main(argv=None) -> int:
                     "gate and manifest audits.")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--rebuild-check", action="store_true",
-                      help="cold-rebuild the compile cache twice and "
-                           "prove content digests are bit-identical")
+                      help="compile the mix twice, cold, and prove "
+                           "content digests are bit-identical")
     mode.add_argument("--verify", metavar="DIR",
                       help="audit DIR against its signed MANIFEST.json")
     parser.add_argument("--scale", default="small",

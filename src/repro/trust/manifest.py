@@ -1,31 +1,37 @@
 """Signed per-directory artifact manifests.
 
-One :class:`ArtifactManifest` guards one directory of on-disk artifacts
-(the compile cache's pickles, a checkpoint store's ``CNCK`` blobs).  The
-manifest file (``MANIFEST.json``) maps artifact name to
+One :class:`ArtifactManifest` owns one directory of on-disk artifacts
+(the compile cache's pickles, a checkpoint store's ``CNCK`` blobs): the
+bytes *and* their signed record.  ``MANIFEST.json`` maps artifact name
+to one row — ``sha256`` of the exact file bytes, ``size``,
+``recorded_unix`` — and is itself signed: an HMAC-SHA256 over the
+canonical JSON of the rows, keyed by the deployment's trust key
+(``CINNAMON_TRUST_KEY`` or an explicit ``key=``).  A manifest whose
+signature does not verify is quarantined wholesale — every row in it is
+untrusted — and an empty one takes its place.
 
-* ``sha256`` — hash of the exact file bytes (tamper detection), and
-* ``digest`` — an optional caller-supplied *content* digest that is
-  deterministic across rebuilds (the reproducibility gate compares
-  these; wall-clock compile timings inside a pickle make the raw file
-  hash non-reproducible),
+The two calls every user goes through:
 
-and is itself signed: an HMAC-SHA256 over the canonical JSON of the
-entries, keyed by the deployment's trust key (``CINNAMON_TRUST_KEY`` or
-an explicit ``key=``).  A manifest whose signature does not verify is
-quarantined wholesale — every entry in it is untrusted.
+* :meth:`ArtifactManifest.store` writes the bytes to a temp file, then
+  ``os.replace``s it into place and lands its row in one critical
+  section, file first: a crash in between leaves an unrecorded file,
+  never a row without its bytes, and two workers racing on one name can
+  never pair worker A's file with worker B's row;
+* :meth:`ArtifactManifest.load` reads the file and checks it against its
+  row in one critical section and returns the bytes only if they match.
+  A file with no row is *unrecorded* (``None`` — it was dropped in
+  out-of-band, or its manifest was voided): never handed back, so never
+  deserialized.  A row whose hash mismatches the file is *tampering*:
+  reported through ``on_tamper``, the file moved to ``quarantine/`` as
+  evidence, the row dropped, :class:`TamperDetectedError` raised.
 
-Concurrency: updates happen under the same cross-process ``flock``
-discipline as the cache index (:class:`~repro.runtime.locking.FileLock`
-on ``.manifest.lock``), so cluster workers sharing one cache directory
-cannot lose each other's rows.  Verification is lock-free (reads one
-atomic snapshot).
-
-Write ordering contract: artifact files are ``os.replace``d *before*
-their manifest row lands.  A reader that finds a file with no manifest
-row therefore treats it as *unrecorded* (a plain cache miss — a writer
-may be mid-update), while a row whose hash mismatches the file is
-*tampering* and quarantines the file.
+Concurrency: every mutation and every ``load`` runs under one
+cross-process ``flock`` per directory
+(:class:`~repro.runtime.locking.FileLock` on ``.manifest.lock``), so
+cluster workers sharing one cache directory cannot lose each other's
+rows, and a (file, row) pair read by one process is never half of
+another's update.  :meth:`entries` and :meth:`verify_directory` are
+lock-free (the manifest is replaced atomically).
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ def sign_entries(entries: dict, key: bytes,
 
 
 class ArtifactManifest:
-    """Signed hash manifest of one artifact directory (see module doc).
+    """One directory's artifacts and their signed rows (see module doc).
 
     ``on_tamper`` (optional) is called with a
     :class:`~repro.trust.errors.TamperDetectedError` every time this
@@ -104,6 +110,8 @@ class ArtifactManifest:
                  on_tamper=None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = self.directory / MANIFEST_FILENAME
+        self.quarantine_dir = self.directory / QUARANTINE_DIRNAME
         self.key = resolve_trust_key(key)
         self.target = target
         self.on_tamper = on_tamper
@@ -113,21 +121,10 @@ class ArtifactManifest:
         self._lock = FileLock(self.directory / MANIFEST_LOCK_FILENAME)
 
     # ------------------------------------------------------------------ #
-    # Paths
-
-    @property
-    def path(self) -> Path:
-        return self.directory / MANIFEST_FILENAME
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.directory / QUARANTINE_DIRNAME
-
-    # ------------------------------------------------------------------ #
-    # Load / store
+    # The manifest file
 
     def entries(self) -> Dict[str, dict]:
-        """The verified manifest entries (empty if absent).
+        """The verified manifest rows (empty if absent).
 
         An unverifiable signature is treated as tampering with the
         manifest itself: the file is quarantined and an empty manifest
@@ -137,12 +134,21 @@ class ArtifactManifest:
         try:
             return self._read_verified()
         except ManifestSignatureError:
+            with self._lock:
+                return self._rows()
+
+    def _rows(self) -> Dict[str, dict]:
+        """:meth:`entries` for a caller that already holds the flock
+        (which is not reentrant): a bad signature is handled here, once,
+        and the caller continues from an empty manifest."""
+        try:
+            return self._read_verified()
+        except ManifestSignatureError:
             self._report(TamperDetectedError(
                 self.target, MANIFEST_FILENAME, expected="valid-hmac",
                 actual="bad-hmac"))
-            with self._lock:
-                self._quarantine_file(self.path)
-                self._write(dict())
+            self._quarantine_file(self.path)
+            self._write({})
             return {}
 
     def _read_verified(self) -> Dict[str, dict]:
@@ -166,62 +172,97 @@ class ArtifactManifest:
         return entries
 
     def _write(self, entries: Dict[str, dict]) -> None:
-        """Atomically replace the manifest (caller holds the flock)."""
+        """Sign and atomically replace the manifest (under the flock)."""
         doc = {
             "schema": MANIFEST_SCHEMA_VERSION,
             "entries": entries,
             "sig": sign_entries(entries, self.key),
         }
+        blob = json.dumps(doc, sort_keys=True, indent=1)
+        os.replace(self._write_temp(blob.encode("utf-8")), self.path)
+
+    def _write_temp(self, data: bytes) -> str:
+        """``data`` in a temp file next to its destination, so the
+        ``os.replace`` that publishes it is atomic: a concurrent reader
+        sees the old bytes or the new ones, never a torn file."""
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(doc, handle, sort_keys=True, indent=1)
-            os.replace(tmp, self.path)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
         except Exception:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             raise
+        return tmp
 
     # ------------------------------------------------------------------ #
-    # Recording
+    # Bytes and their row, together
 
-    def record(self, name: str, *, sha256: Optional[str] = None,
-               path=None, digest: Optional[str] = None,
-               size: Optional[int] = None) -> dict:
-        """Record (or refresh) one artifact row and re-sign.
-
-        Pass either the precomputed ``sha256`` of the file bytes or a
-        ``path`` to hash.  ``digest`` is the deterministic content
-        digest compared by ``--rebuild-check``.
-        """
-        if sha256 is None:
-            if path is None:
-                raise ValueError("record() needs sha256 or path")
-            sha256 = sha256_file(path)
-            if size is None:
-                size = os.path.getsize(path)
-        entry = {"sha256": sha256, "recorded_unix": time.time()}
-        if digest is not None:
-            entry["digest"] = digest
-        if size is not None:
-            entry["size"] = int(size)
+    def store(self, name: str, data: bytes) -> dict:
+        """Write ``data`` as artifact ``name`` and record its row (file
+        first, both in one critical section); returns the row."""
+        sha256 = hashlib.sha256(data).hexdigest()
+        tmp = self._write_temp(data)
         with self._lock:
-            entries = self.entries()
-            entries[name] = entry
-            self._write(entries)
-        return entry
+            os.replace(tmp, self.directory / name)
+            return self._set_row(name, sha256, len(data))
+
+    def load(self, name: str) -> Optional[bytes]:
+        """The bytes of artifact ``name``, verified against its row —
+        the only way file bytes should reach a deserializer.  ``None``
+        if missing or unrecorded; a mismatch is reported, quarantined,
+        its row dropped and :class:`TamperDetectedError` raised."""
+        path = self.directory / name
+        with self._lock:
+            try:
+                data = path.read_bytes()
+            except OSError:
+                return None
+            rows = self._rows()
+            try:
+                recorded = self._verify(rows.get(name), name, data)
+            except TamperDetectedError:
+                self._quarantine_file(path)
+                del rows[name]
+                self._write(rows)
+                raise
+        return data if recorded else None
 
     def forget(self, name: str) -> None:
+        """Delete artifact ``name``: its file and its row."""
         with self._lock:
-            entries = self.entries()
-            if entries.pop(name, None) is not None:
-                self._write(entries)
+            (self.directory / name).unlink(missing_ok=True)
+            rows = self._rows()
+            if rows.pop(name, None) is not None:
+                self._write(rows)
 
     def clear(self) -> None:
+        """Delete every recorded artifact and its row."""
         with self._lock:
+            for name in self._rows():
+                (self.directory / name).unlink(missing_ok=True)
             self._write({})
+
+    # ------------------------------------------------------------------ #
+    # Rows
+
+    def record(self, name: str, *, sha256: str,
+               size: Optional[int] = None) -> dict:
+        """Record (or refresh) the row of bytes written elsewhere and
+        re-sign; ``sha256`` is the hash of the exact file bytes."""
+        with self._lock:
+            return self._set_row(name, sha256, size)
+
+    def _set_row(self, name: str, sha256: str, size: Optional[int]) -> dict:
+        entry = {"sha256": sha256, "recorded_unix": time.time()}
+        if size is not None:
+            entry["size"] = int(size)
+        rows = self._rows()
+        rows[name] = entry
+        self._write(rows)
+        return entry
 
     # ------------------------------------------------------------------ #
     # Verification
@@ -229,28 +270,17 @@ class ArtifactManifest:
     def verify_bytes(self, name: str, data: bytes) -> bool:
         """Verify in-memory artifact bytes against the manifest.
 
-        Returns ``True`` when the entry exists and matches, ``False``
-        when the artifact is *unrecorded* (plain miss), and raises
+        Returns ``True`` when the row exists and matches, ``False``
+        when the artifact is *unrecorded*, and reports and raises
         :class:`TamperDetectedError` on a hash mismatch.
         """
-        entry = self.entries().get(name)
+        return self._verify(self.entries().get(name), name, data)
+
+    def _verify(self, entry: Optional[dict], name: str,
+                data: bytes) -> bool:
         if entry is None:
             return False
         actual = hashlib.sha256(data).hexdigest()
-        if not hmac.compare_digest(entry["sha256"], actual):
-            error = TamperDetectedError(self.target, name,
-                                        expected=entry["sha256"],
-                                        actual=actual)
-            self._report(error)
-            raise error
-        return True
-
-    def verify_file(self, name: str, path) -> bool:
-        """Like :meth:`verify_bytes` for an on-disk file (streaming)."""
-        entry = self.entries().get(name)
-        if entry is None:
-            return False
-        actual = sha256_file(path)
         if not hmac.compare_digest(entry["sha256"], actual):
             error = TamperDetectedError(self.target, name,
                                         expected=entry["sha256"],
@@ -279,30 +309,15 @@ class ArtifactManifest:
         return report
 
     # ------------------------------------------------------------------ #
-    # Quarantine
 
-    def quarantine(self, name: str, path=None) -> Optional[Path]:
-        """Move a tampered artifact into ``quarantine/`` (evidence, not
-        deletion) and drop its manifest row.  Returns the new path, or
-        ``None`` if the file was already gone."""
-        path = Path(path) if path is not None else self.directory / name
-        with self._lock:
-            entries = self.entries()
-            if entries.pop(name, None) is not None:
-                self._write(entries)
-            return self._quarantine_file(path)
-
-    def _quarantine_file(self, path: Path) -> Optional[Path]:
-        if not path.exists():
-            return None
+    def _quarantine_file(self, path: Path) -> None:
+        """Move ``path`` into ``quarantine/``: evidence, not deletion."""
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
         stamp = int(time.time() * 1e6)
-        dest = self.quarantine_dir / f"{path.name}.{stamp}"
         try:
-            os.replace(path, dest)
-        except OSError:
-            return None
-        return dest
+            os.replace(path, self.quarantine_dir / f"{path.name}.{stamp}")
+        except OSError:  # stays put; its row is voided either way
+            pass
 
     def _report(self, error: TamperDetectedError) -> None:
         if self.on_tamper is not None:
@@ -310,14 +325,6 @@ class ArtifactManifest:
                 self.on_tamper(error)
             except Exception:  # pragma: no cover - observer must not mask
                 pass
-
-    # ------------------------------------------------------------------ #
-
-    def digests(self) -> Dict[str, str]:
-        """name -> deterministic content digest (reproducibility view)."""
-        return {name: entry["digest"]
-                for name, entry in self.entries().items()
-                if "digest" in entry}
 
     def __len__(self) -> int:
         return len(self.entries())

@@ -1,17 +1,19 @@
-"""Reproducibility gate: prove a cold cache rebuild is bit-identical.
+"""Reproducibility gate: prove a cold rebuild is bit-identical.
 
-The compile cache's on-disk pickles are not byte-reproducible — they
-embed wall-clock pass timings — so the signed manifest records, next to
-each file hash, a *content digest*: a SHA-256 over the deterministic
+A compiled artifact's pickle is not byte-reproducible — it embeds
+wall-clock pass timings — so reproducibility is judged on a *content
+digest*: :func:`artifact_digest`, a SHA-256 over the deterministic
 substance of the artifact (program structure, resolved options, IR
 counters, and the full register-allocated instruction streams).  Two
 compiles of the same request must produce identical digests, or the
 toolchain is nondeterministic — the bitrot/reproducibility posture of
 the dstack attestation checklist (ROADMAP item 4).
 
-:func:`rebuild_check` compiles a workload mix twice into two *fresh*
-cache directories with two fresh sessions and diffs the manifests'
-digest maps.  ``python -m repro.trust --rebuild-check`` wraps it.
+:func:`rebuild_check` compiles a workload mix twice, cold, in two fresh
+memory-only sessions and diffs the two digest maps (and, optionally, a
+committed reference map).  ``python -m repro.trust --rebuild-check``
+wraps it.  It is the compiler's determinism under test; the disk tier's
+integrity is :func:`verify_cache_dir`'s side (``--verify``).
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ def artifact_digest(compiled) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _compile_mix(mix, machine, cache_dir, simulate: bool = False) -> dict:
-    """Compile every workload of ``mix`` into a fresh session bound to
-    ``cache_dir``; returns {fingerprint-key: content-digest}."""
+def _compile_mix(mix, machine) -> Dict[str, str]:
+    """Compile every workload of ``mix`` cold, in a fresh memory-only
+    session; returns {fingerprint-key: content-digest}."""
     from ..runtime.session import CinnamonSession
 
-    session = CinnamonSession(cache_dir=cache_dir)
+    session = CinnamonSession()
     digests: Dict[str, str] = {}
     for name, entry in sorted(mix.items()):
         compiled = session.compile(entry.build(), entry.params,
@@ -73,21 +75,17 @@ def _compile_mix(mix, machine, cache_dir, simulate: bool = False) -> dict:
     return digests
 
 
-def rebuild_check(mix, machine="cinnamon_4", *, workdir=None,
+def rebuild_check(mix, machine="cinnamon_4", *,
                   reference: Optional[Dict[str, str]] = None) -> dict:
-    """Compile ``mix`` twice (cold caches both times) and diff digests.
+    """Compile ``mix`` twice (cold both times) and diff digests.
 
     Returns a report dict with ``ok``, the per-run digest maps, and the
     keys that diverged.  ``reference`` (optional) additionally compares
-    the warm run against a committed digest map — the "bit-identical to
+    the first run against a committed digest map — the "bit-identical to
     the committed run" gate.
     """
-    import tempfile
-
-    with tempfile.TemporaryDirectory(
-            prefix="cinnamon-trust-", dir=workdir) as tmp:
-        warm = _compile_mix(mix, machine, f"{tmp}/warm")
-        cold = _compile_mix(mix, machine, f"{tmp}/cold")
+    warm = _compile_mix(mix, machine)
+    cold = _compile_mix(mix, machine)
     mismatched = sorted(
         key for key in set(warm) | set(cold)
         if warm.get(key) != cold.get(key))

@@ -303,6 +303,36 @@ class TestOrphansOfGracefulExits:
         assert router.drain(timeout=5)
 
 
+    def test_requeue_racing_shutdown_still_resolves(self):
+        """A reader thread that passed ``_fail_or_retry``'s ``_stopping``
+        check and then lost the CPU must not requeue *after* shutdown's
+        sweep: check-and-requeue and set-``_stopping`` share a lock, so
+        the sweep sees the request (or the reader sees the flag)."""
+        router, victim, handle = self._router_with_inflight_request()
+        put = router._queue.put
+        past_the_check, resume = threading.Event(), threading.Event()
+
+        def descheduled_put(request, **kwargs):
+            past_the_check.set()
+            resume.wait(5)
+            return put(request, **kwargs)
+
+        router._queue.put = descheduled_put
+        reader = threading.Thread(target=router._on_worker_lost,
+                                  args=(victim,))
+        reader.start()
+        assert past_the_check.wait(5)
+        wake = threading.Timer(0.3, resume.set)
+        wake.start()
+        router.shutdown(drain=False)
+        wake.join(5)
+        reader.join(5)
+        assert not reader.is_alive()
+        result = handle.result(timeout=2)
+        assert result.status in (RequestStatus.FAILED,
+                                 RequestStatus.REJECTED)
+
+
 class TestShutdownWithNoLiveWorker:
     """With no worker live the dispatcher parks each request and
     re-queues it; ``shutdown`` must stop it *before* sweeping the queue,

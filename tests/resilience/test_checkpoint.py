@@ -1,5 +1,7 @@
 """Checkpoints: framing, corruption detection, store retention, resume."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,19 @@ from repro.resilience import (
     FaultSchedule,
 )
 from repro.sim import CINNAMON_4, SimulatorEngine
+
+
+class _Detonator:
+    """Unpickling an instance runs :meth:`fire` (via ``__reduce__``)."""
+
+    fired = False
+
+    @classmethod
+    def fire(cls):
+        cls.fired = True
+
+    def __reduce__(self):
+        return (_Detonator.fire, ())
 
 
 def make_checkpoint(seq=0, cycle=0, payload=None, snapshot=None):
@@ -146,15 +161,30 @@ class TestCheckpointStore:
                     .glob(f"{path.name}.*"))
         assert store.latest("run-1").seq == 0
 
-    def test_pre_trust_checkpoint_still_loads(self, tmp_path):
-        """A checkpoint dir written before the manifest existed (no rows)
-        falls back to CRC-only validation instead of rejecting history."""
+    def test_unrecorded_checkpoint_is_never_unpickled(self, tmp_path):
+        """The CRC guards against accidents, not adversaries: with the
+        manifest gone nothing vouches for the blobs, so a planted file
+        with a valid ``CNCK`` header must not reach ``pickle.loads`` —
+        ``load`` refuses it and ``list``/``latest`` skip it."""
+        import struct
+        import zlib
+
         store = CheckpointStore(tmp_path, keep=3)
         path = store.save(make_checkpoint(seq=0, cycle=100))
         (tmp_path / "run-1" / "MANIFEST.json").unlink()
+        body = pickle.dumps(_Detonator())
+        path.write_bytes(b"CNCK" + struct.pack(
+            ">HIQ", 1, zlib.crc32(body) & 0xFFFFFFFF, len(body)) + body)
         fresh = CheckpointStore(tmp_path, keep=3)
-        assert fresh.load(path).cycle == 100
-        assert [c.seq for c in fresh.list("run-1")] == [0]
+        with pytest.raises(CorruptCheckpointError, match="manifest"):
+            fresh.load(path)
+        assert fresh.list("run-1") == []
+        assert fresh.latest("run-1") is None
+        assert not _Detonator.fired
+        # The blob really is one the CRC-only path would have unpickled.
+        with pytest.raises(CorruptCheckpointError, match="decodes to"):
+            Checkpoint.from_bytes(path.read_bytes())
+        assert _Detonator.fired
 
     def test_missing_run_is_empty(self, tmp_path):
         store = CheckpointStore(tmp_path)

@@ -1,23 +1,28 @@
 """Cross-*process* safety of the CompileCache disk layer.
 
 A :mod:`repro.cluster` deployment points every worker process at one
-``cache_dir``.  Artifact writes are temp+``os.replace`` atomic, and the
-``index.json`` read-modify-write cycle runs under an advisory ``flock``
-(:class:`repro.runtime.locking.FileLock`) — so N processes hammering one
-directory must end with every artifact loadable, the index consistent
-with the artifacts on disk, and no leaked ``*.tmp`` files.
+``cache_dir``.  The directory's index is its signed manifest
+(``cache.manifest.entries()``: one row per artifact): artifact writes are
+temp+``os.replace`` atomic, and file and row change together under one
+advisory ``flock`` (:class:`repro.runtime.locking.FileLock`) — so N
+processes hammering one directory must end with every artifact loadable,
+the rows consistent with the artifacts on disk, nothing mistaken for
+tampering, and no leaked ``*.tmp`` files.
 """
 
 import json
 import multiprocessing
 import os
 import pickle
+import time
 
 import pytest
 
-from repro.runtime import CompileCache
-from repro.runtime.cache import INDEX_FILENAME
+from repro.runtime import CinnamonSession, CompileCache
 from repro.runtime.locking import FileLock, FileLockTimeout
+from repro.trust.manifest import MANIFEST_FILENAME
+
+from .test_session_cache import PARAMS, build_program
 
 N_PROCS = 4
 OPS_PER_PROC = 40
@@ -90,60 +95,114 @@ class TestMultiProcessHammer:
             compiled, source = fresh.get(key)
             assert source == "disk" or compiled is not None
 
-        # Index rows describe exactly the artifacts that exist.
-        index = fresh.disk_entries()
-        on_disk = {p.stem for p in tmp_path.glob("*.pkl")}
-        assert set(index) == on_disk
-        for key, row in index.items():
-            assert row["size"] == (tmp_path / f"{key}.pkl").stat().st_size
+        # Manifest rows describe exactly the artifacts that exist, and
+        # no racing (file, row) pair was ever read as tampering.
+        rows = fresh.manifest.entries()
+        assert set(rows) == {p.name for p in tmp_path.glob("*.pkl")}
+        for name, row in rows.items():
+            assert row["size"] == (tmp_path / name).stat().st_size
+        assert fresh.stats.tampered == 0
+        assert not (tmp_path / "quarantine").exists()
+        assert fresh.manifest.verify_directory() == {
+            "verified": sorted(rows), "tampered": [], "missing": []}
 
     def test_concurrent_writers_keep_each_others_index_rows(
             self, tmp_path, mp_ctx):
-        """Two processes storing disjoint keys: neither write is lost."""
+        """N processes storing distinct keys: N signed rows, and every
+        key is a disk hit from a fresh cache."""
 
         def store(lo, hi):
             cache = CompileCache(cache_dir=tmp_path)
             for i in range(lo, hi):
                 cache.put(f"disjoint-{i:02d}", FakeArtifact(i))
 
-        procs = [mp_ctx.Process(target=store, args=(lo, lo + 10))
-                 for lo in (0, 10)]
+        procs = [mp_ctx.Process(target=store, args=(lo, lo + 5))
+                 for lo in range(0, 5 * N_PROCS, 5)]
         for p in procs:
             p.start()
         for p in procs:
             p.join(timeout=60)
         assert all(p.exitcode == 0 for p in procs)
 
-        index = CompileCache(cache_dir=tmp_path).disk_entries()
-        assert set(index) == {f"disjoint-{i:02d}" for i in range(20)}
+        fresh = CompileCache(cache_dir=tmp_path)
+        assert set(fresh.manifest.entries()) == {
+            f"disjoint-{i:02d}.pkl" for i in range(5 * N_PROCS)}
+        for i in range(5 * N_PROCS):
+            assert fresh.get(f"disjoint-{i:02d}") == (FakeArtifact(i), "disk")
+
+    def test_concurrent_writers_of_one_key_leave_one_verified_row(
+            self, tmp_path, mp_ctx):
+        """N processes storing the same key: whichever file won is paired
+        with its own row — one row that verifies, never "tampered"."""
+
+        def store(proc_id):
+            cache = CompileCache(cache_dir=tmp_path)
+            for i in range(10):
+                cache.put("contended", FakeArtifact((proc_id, i)))
+                compiled, _ = CompileCache(cache_dir=tmp_path).get(
+                    "contended")
+                assert isinstance(compiled, FakeArtifact)
+
+        procs = [mp_ctx.Process(target=store, args=(p,))
+                 for p in range(N_PROCS)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=60)
+        assert all(p.exitcode == 0 for p in procs)
+
+        fresh = CompileCache(cache_dir=tmp_path)
+        assert list(fresh.manifest.entries()) == ["contended.pkl"]
+        compiled, source = fresh.get("contended")
+        assert source == "disk" and compiled.token[1] == 9
+        assert fresh.stats.tampered == 0
+        assert not (tmp_path / "quarantine").exists()
 
 
 class TestIndexMaintenance:
+    """The directory's index is the manifest: rows follow the files."""
+
     def test_put_and_invalidate_update_index(self, tmp_path):
         cache = CompileCache(cache_dir=tmp_path)
         cache.put("a", FakeArtifact(1))
         cache.put("b", FakeArtifact(2))
-        assert set(cache.disk_entries()) == {"a", "b"}
+        assert set(cache.manifest.entries()) == {"a.pkl", "b.pkl"}
         cache.invalidate("a")
-        assert set(cache.disk_entries()) == {"b"}
+        assert set(cache.manifest.entries()) == {"b.pkl"}
+        assert not (tmp_path / "a.pkl").exists()
+        assert (tmp_path / "b.pkl").exists()
         cache.invalidate()
-        assert cache.disk_entries() == {}
+        assert cache.manifest.entries() == {}
         assert not list(tmp_path.glob("*.pkl"))
 
     def test_index_visible_to_other_instances(self, tmp_path):
         CompileCache(cache_dir=tmp_path).put("shared", FakeArtifact(7))
         other = CompileCache(cache_dir=tmp_path)
-        assert "shared" in other.disk_entries()
+        assert "shared.pkl" in other.manifest and "shared" in other
         compiled, source = other.get("shared")
         assert source == "disk" and compiled == FakeArtifact(7)
 
     def test_corrupt_index_is_tolerated(self, tmp_path):
-        cache = CompileCache(cache_dir=tmp_path)
+        """A manifest whose signature does not verify is voided, not
+        fatal — also when a *writer* meets it, under the lock it already
+        holds: the put returns at once (it used to wait 30 s on itself
+        and fail the compile) and what it stored is a disk hit."""
+        seen = []
+        cache = CompileCache(cache_dir=tmp_path, on_tamper=seen.append)
+        cache.manifest._lock.timeout_s = 2.0
         cache.put("x", FakeArtifact(0))
-        (tmp_path / INDEX_FILENAME).write_text("{ not json")
-        assert cache.disk_entries() == {}
-        cache.put("y", FakeArtifact(1))  # rebuilds from empty
-        assert "y" in cache.disk_entries()
+        doc = (tmp_path / MANIFEST_FILENAME).read_text()
+        (tmp_path / MANIFEST_FILENAME).write_text(
+            doc.replace('"sig": "', '"sig": "0'))
+        started = time.monotonic()
+        cache.put("y", FakeArtifact(1))
+        assert time.monotonic() - started < 1.0
+        assert [error.name for error in seen] == [MANIFEST_FILENAME]
+        assert cache.stats.tampered == 1
+        assert list((tmp_path / "quarantine").glob(f"{MANIFEST_FILENAME}.*"))
+        fresh = CompileCache(cache_dir=tmp_path)
+        assert fresh.get("y") == (FakeArtifact(1), "disk")
+        assert fresh.get("x") == (None, "miss")     # its row was voided
 
     def test_stale_schema_load_drops_index_row(self, tmp_path):
         cache = CompileCache(cache_dir=tmp_path)
@@ -152,13 +211,40 @@ class TestIndexMaintenance:
                              schema_version=cache.schema_version + 1)
         compiled, source = stale.get("old")
         assert compiled is None and source == "miss"
-        assert "old" not in stale.disk_entries()
+        assert "old.pkl" not in stale.manifest
         assert not (tmp_path / "old.pkl").exists()
 
     def test_memory_only_cache_has_no_index(self):
         cache = CompileCache()
         cache.put("k", FakeArtifact(1))
-        assert cache.disk_entries() == {}
+        assert cache.manifest is None
+        cache.invalidate("k")
+        cache.invalidate()
+        assert cache.get("k") == (None, "miss")
+
+    def test_directory_holds_artifacts_manifest_and_lock_only(
+            self, tmp_path):
+        session = CinnamonSession(cache_dir=tmp_path)
+        compiled = session.compile(build_program(), PARAMS, machine=2)
+        assert sorted(os.listdir(tmp_path)) == sorted([
+            ".manifest.lock", "MANIFEST.json", f"{compiled.cache_key}.pkl"])
+
+    def test_store_does_not_compute_the_content_digest(
+            self, tmp_path, monkeypatch):
+        """``artifact_digest`` (canonical JSON of every instruction) cost
+        more than the compile it was caching; nothing on the store or
+        load path may call it."""
+        import repro.trust.rebuild
+
+        def boom(compiled):
+            raise AssertionError("artifact_digest on the cache path")
+
+        monkeypatch.setattr(repro.trust.rebuild, "artifact_digest", boom)
+        CinnamonSession(cache_dir=tmp_path).compile(build_program(), PARAMS,
+                                                    machine=2)
+        reader = CinnamonSession(cache_dir=tmp_path)
+        reader.compile(build_program(), PARAMS, machine=2)
+        assert reader.cache_stats.disk_hits == 1
 
 
 class TestFileLock:
@@ -195,6 +281,7 @@ class TestFileLock:
     def test_index_written_atomically(self, tmp_path):
         cache = CompileCache(cache_dir=tmp_path)
         cache.put("k", FakeArtifact(1))
-        doc = json.loads((tmp_path / INDEX_FILENAME).read_text())
-        assert doc["schema"] == cache.schema_version
-        assert "k" in doc["entries"]
+        doc = json.loads((tmp_path / MANIFEST_FILENAME).read_text())
+        assert set(doc) == {"schema", "entries", "sig"}
+        assert list(doc["entries"]) == ["k.pkl"]
+        assert not list(tmp_path.glob("*.tmp"))

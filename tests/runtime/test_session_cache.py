@@ -140,9 +140,9 @@ class TestDiskCache:
 
     def test_unrecorded_payload_is_a_miss_never_unpickled(self, tmp_path):
         """A file with no signed-manifest row (dropped out-of-band into
-        the cache dir) is a plain miss: its bytes never reach pickle, and
-        it is left in place — a racing writer's manifest row may simply
-        not have landed yet."""
+        the cache dir, or left by a writer that died before recording
+        it) is a plain miss: its bytes never reach pickle, and it is
+        left in place — unverifiable is not the same as tampered."""
         cache = CompileCache(cache_dir=tmp_path)
         key = "0" * 64
         (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")

@@ -15,9 +15,8 @@ def small_mix():
     return dict(sorted(mix.items())[:2])
 
 
-def test_cold_rebuild_is_reproducible(small_mix, tmp_path):
-    report = rebuild_check(small_mix, machine="cinnamon_4",
-                           workdir=tmp_path)
+def test_cold_rebuild_is_reproducible(small_mix):
+    report = rebuild_check(small_mix, machine="cinnamon_4")
     assert report["ok"], report["mismatched"]
     assert report["artifacts"] == len(small_mix)
     assert report["warm"] == report["cold"]
@@ -25,13 +24,12 @@ def test_cold_rebuild_is_reproducible(small_mix, tmp_path):
     assert all(len(d) == 64 for d in report["warm"].values())
 
 
-def test_reference_drift_detected(small_mix, tmp_path):
-    baseline = rebuild_check(small_mix, workdir=tmp_path)
+def test_reference_drift_detected(small_mix):
+    baseline = rebuild_check(small_mix)
     reference = dict(baseline["warm"])
     key = next(iter(reference))
     reference[key] = "0" * 64  # simulate a drifted committed digest
-    report = rebuild_check(small_mix, workdir=tmp_path,
-                           reference=reference)
+    report = rebuild_check(small_mix, reference=reference)
     assert report["reference_drift"] == [key]
     assert report["ok"] is False
 
