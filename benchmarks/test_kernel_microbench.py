@@ -43,26 +43,28 @@ class TestBatchedBackendSpeedup:
     Acceptance gate for the kernel overhaul: at the paper shape
     ``(L=24, N=8192)`` the best batched backend must transform the whole
     limb stack at least 3x faster than the ``"numpy"`` backend's per-limb
-    reference loop.  Comparators are interleaved in one process and the
-    per-comparator minimum over several rounds is used, so machine noise
-    hits both sides equally.
+    reference loop — and the same for 31-bit primes, which ``q_0`` and the
+    extension basis of every functional parameter set are.  Comparators
+    are interleaved in one process and the per-comparator minimum over
+    several rounds is used, so machine noise hits both sides equally.
     """
 
-    LIMBS, N = 24, 8192
+    LIMBS = 24
     ROUNDS = 5
 
-    def _best_times(self):
-        primes = generate_primes(self.LIMBS, 28, self.N)
+    def _speedups(self, bits, n):
+        """Speedup of each backend over the seed loop, printed."""
+        primes = tuple(generate_primes(self.LIMBS, bits, n))
         rng = np.random.default_rng(0)
         stack = rng.integers(
             0, np.array(primes, dtype=np.uint64)[:, None],
-            size=(self.LIMBS, self.N), dtype=np.uint64)
+            size=(self.LIMBS, n), dtype=np.uint64)
         backends = available_backends()
         for name in backends:              # warm tables and plan caches
             with use_backend(name):
                 ntt_batch(stack, primes)
         best = {name: float("inf") for name in backends}
-        for _ in range(self.ROUNDS):
+        for _ in range(self.ROUNDS * (8 if n < 1024 else 1)):
             for name in backends:
                 with use_backend(name):
                     start = time.perf_counter()
@@ -70,28 +72,37 @@ class TestBatchedBackendSpeedup:
                     elapsed = time.perf_counter() - start
                 if elapsed < best[name]:
                     best[name] = elapsed
-        return best
+        ratios = {name: best["numpy"] / t for name, t in sorted(best.items())}
+        print(f"\nNTT ({bits}-bit, L={self.LIMBS}, N={n}) speedup vs seed "
+              "per-limb loop: "
+              + "  ".join(f"{name}={r:.2f}x ({1e6 * best[name] / self.LIMBS:.1f} "
+                          "us/limb)" for name, r in ratios.items()))
+        return ratios
 
     def test_batched_backend_3x_over_seed_loop(self):
-        best = self._best_times()
-        assert "numpy" in best and "numpy-batched" in best
-        seed_loop = best["numpy"]
-        fastest_batched = min(t for name, t in best.items()
-                              if name != "numpy")
-        ratios = {name: seed_loop / t for name, t in sorted(best.items())}
-        print("\nNTT (L=24, N=8192) speedup vs seed per-limb loop: "
-              + "  ".join(f"{n}={r:.2f}x" for n, r in ratios.items()))
+        ratios = self._speedups(28, 8192)
+        assert "numpy" in ratios and "numpy-batched" in ratios
         # The portable batched kernels must always win outright ...
-        assert seed_loop / best["numpy-batched"] > 1.2
+        assert ratios["numpy-batched"] > 1.2
         # ... and the best batched backend clears the 3x acceptance bar
         # (the compiled "native" backend where a toolchain exists).
-        if "native" not in best:
+        if "native" not in ratios:
             pytest.skip(
                 "native backend unavailable (no C toolchain); "
-                f"numpy-batched is {seed_loop / best['numpy-batched']:.2f}x")
-        assert fastest_batched * 3 <= seed_loop, (
-            f"best batched backend only "
-            f"{seed_loop / fastest_batched:.2f}x over the seed loop")
+                f"numpy-batched is {ratios['numpy-batched']:.2f}x")
+        assert max(r for name, r in ratios.items() if name != "numpy") >= 3
+
+    @pytest.mark.parametrize("n,native_bar,batched_bar",
+                             [(8192, 4.0, 1.0), (256, 10.0, 2.0)])
+    def test_wide_primes_beat_the_seed_loop(self, n, native_bar, batched_bar):
+        """31-bit primes run the wide path, not the per-limb fallback.
+        On small rings the call overhead of the loop dominates and both
+        backends win big; at N=8192 the stacked numpy butterflies are
+        memory-bound and only have to not lose."""
+        ratios = self._speedups(31, n)
+        assert ratios["numpy-batched"] >= batched_bar
+        if "native" in ratios:
+            assert ratios["native"] >= native_bar
 
 
 class TestBaseConversionBench:

@@ -7,9 +7,14 @@
  * residues bit-identical to the per-limb reference:
  *
  *   w_sh = floor(w * 2^32 / p),  q = (v * w_sh) >> 32,
- *   s = v*w - q*p  in [0, 2p)         (requires v < 2^32, i.e. 4p < 2^32)
+ *   s = v*w - q*p  in [0, 2p)         (requires v < 2^32)
  *
- * Each limb (64 KB at N = 8192) is transformed start-to-finish before the
+ * Narrow primes (p < 2^30) keep lazy values below 4p < 2^32.  Wide primes
+ * (2^30 <= p < 2^31) keep them below 2p < 2^32 instead: one more umin per
+ * butterfly, same tables.  The class is chosen per limb.
+ *
+ * Tables hold one row per unique prime; limb l uses row rows[l].  Each
+ * limb (64 KB at N = 8192) is transformed start-to-finish before the
  * next, so the working set stays cache-resident; the branch-free umin
  * pattern lets the compiler auto-vectorize the butterflies.
  */
@@ -73,18 +78,82 @@ static void intt_limb(uint64_t *restrict a, long n,
     }
 }
 
-void repro_ntt_batch(uint64_t *a, long limbs, long n,
-                     const uint64_t *psi, const uint64_t *psi_sh,
-                     const uint64_t *primes) {
-    for (long l = 0; l < limbs; ++l)
-        ntt_limb(a + l * n, n, psi + l * n, psi_sh + l * n, primes[l]);
+/* The same two transforms for 2^30 <= p < 2^31: every value that feeds a
+ * Shoup product is first brought under 2p. */
+static void ntt_limb_wide(uint64_t *restrict a, long n,
+                          const uint64_t *restrict psi,
+                          const uint64_t *restrict psi_sh, uint64_t p) {
+    uint64_t twop = p + p;
+    for (long m = 1, t = n >> 1; m < n; m <<= 1, t >>= 1) {
+        for (long j = 0; j < m; ++j) {
+            uint64_t w = psi[m + j], wsh = psi_sh[m + j];
+            uint64_t *restrict u = a + 2 * t * j;
+            uint64_t *restrict v = u + t;
+            for (long i = 0; i < t; ++i) {
+                uint64_t uu = u[i], vv = v[i];           /* < 2p < 2^32 */
+                uint64_t q = (vv * wsh) >> 32;
+                uint64_t s = vv * w - q * p;             /* < 2p */
+                uint64_t x = uu + s, y = uu + twop - s;  /* < 4p */
+                u[i] = umin(x, x - twop);
+                v[i] = umin(y, y - twop);
+            }
+        }
+    }
+    for (long i = 0; i < n; ++i)
+        a[i] = umin(a[i], a[i] - p);
 }
 
-void repro_intt_batch(uint64_t *a, long limbs, long n,
-                      const uint64_t *ipsi, const uint64_t *ipsi_sh,
-                      const uint64_t *primes, const uint64_t *n_inv,
-                      const uint64_t *n_inv_sh) {
-    for (long l = 0; l < limbs; ++l)
-        intt_limb(a + l * n, n, ipsi + l * n, ipsi_sh + l * n,
-                  primes[l], n_inv[l], n_inv_sh[l]);
+static void intt_limb_wide(uint64_t *restrict a, long n,
+                           const uint64_t *restrict ipsi,
+                           const uint64_t *restrict ipsi_sh,
+                           uint64_t p, uint64_t n_inv, uint64_t n_inv_sh) {
+    uint64_t twop = p + p;
+    for (long m = n >> 1, t = 1; m >= 1; m >>= 1, t <<= 1) {
+        for (long j = 0; j < m; ++j) {
+            uint64_t w = ipsi[m + j], wsh = ipsi_sh[m + j];
+            uint64_t *restrict u = a + 2 * t * j;
+            uint64_t *restrict v = u + t;
+            for (long i = 0; i < t; ++i) {
+                uint64_t uu = u[i], vv = v[i];           /* < 2p */
+                uint64_t su = uu + vv;                   /* < 4p */
+                uint64_t d = uu + twop - vv;             /* < 4p */
+                d = umin(d, d - twop);                   /* < 2p < 2^32 */
+                uint64_t q = (d * wsh) >> 32;
+                u[i] = umin(su, su - twop);              /* < 2p */
+                v[i] = d * w - q * p;                    /* < 2p */
+            }
+        }
+    }
+    for (long i = 0; i < n; ++i) {
+        uint64_t x = a[i];                               /* < 2p < 2^32 */
+        uint64_t q = (x * n_inv_sh) >> 32;
+        uint64_t r = x * n_inv - q * p;                  /* < 2p */
+        a[i] = umin(r, r - p);
+    }
+}
+
+#define WIDE_PRIME ((uint64_t)1 << 30)
+
+void repro_ntt_rows(uint64_t *a, long limbs, long n, const int64_t *rows,
+                    const uint64_t *psi, const uint64_t *psi_sh,
+                    const uint64_t *primes) {
+    for (long l = 0; l < limbs; ++l) {
+        long r = rows[l];
+        uint64_t p = primes[r];
+        (p < WIDE_PRIME ? ntt_limb : ntt_limb_wide)(
+            a + l * n, n, psi + r * n, psi_sh + r * n, p);
+    }
+}
+
+void repro_intt_rows(uint64_t *a, long limbs, long n, const int64_t *rows,
+                     const uint64_t *ipsi, const uint64_t *ipsi_sh,
+                     const uint64_t *primes, const uint64_t *n_inv,
+                     const uint64_t *n_inv_sh) {
+    for (long l = 0; l < limbs; ++l) {
+        long r = rows[l];
+        uint64_t p = primes[r];
+        (p < WIDE_PRIME ? intt_limb : intt_limb_wide)(
+            a + l * n, n, ipsi + r * n, ipsi_sh + r * n, p,
+            n_inv[r], n_inv_sh[r]);
+    }
 }

@@ -57,10 +57,18 @@ class KernelBackend(Protocol):
 
     name: str
 
-    def ntt_batch(self, coeffs: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-        """Forward negacyclic NTT per limb row (bit-reversed output)."""
+    def ntt_batch(self, coeffs: np.ndarray, primes: Sequence[int],
+                  rows=None) -> np.ndarray:
+        """Forward negacyclic NTT per limb row (bit-reversed output).
 
-    def intt_batch(self, values: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+        With ``rows`` (one index per stack row), ``primes`` is a table of
+        distinct moduli and row ``i`` is transformed modulo
+        ``primes[rows[i]]`` — how a caller with many differently shaped
+        stacks over few primes (the ISA emulator) shares one plan.
+        """
+
+    def intt_batch(self, values: np.ndarray, primes: Sequence[int],
+                   rows=None) -> np.ndarray:
         """Inverse negacyclic NTT per limb row (natural-order output)."""
 
     def base_convert(self, limbs: np.ndarray, source: Sequence[int],
@@ -105,13 +113,17 @@ def available_backends() -> tuple:
 class NumpyBackend:
     """Seed per-limb reference kernels (Python loop over limbs)."""
 
-    def ntt_batch(self, coeffs, primes):
+    def ntt_batch(self, coeffs, primes, rows=None):
         coeffs = np.asarray(coeffs, dtype=_kernels.UINT)
+        if rows is not None:
+            primes = [primes[r] for r in rows]
         return np.stack([_ntt.ntt_reference(coeffs[i], int(q))
                          for i, q in enumerate(primes)])
 
-    def intt_batch(self, values, primes):
+    def intt_batch(self, values, primes, rows=None):
         values = np.asarray(values, dtype=_kernels.UINT)
+        if rows is not None:
+            primes = [primes[r] for r in rows]
         return np.stack([_ntt.intt_reference(values[i], int(q))
                          for i, q in enumerate(primes)])
 
@@ -136,11 +148,11 @@ class NumpyBackend:
 class BatchedNumpyBackend:
     """Limb-batched kernels: one numpy op per stage across the stack."""
 
-    def ntt_batch(self, coeffs, primes):
-        return _kernels.ntt_batch(coeffs, primes)
+    def ntt_batch(self, coeffs, primes, rows=None):
+        return _kernels.ntt_batch(coeffs, primes, rows)
 
-    def intt_batch(self, values, primes):
-        return _kernels.intt_batch(values, primes)
+    def intt_batch(self, values, primes, rows=None):
+        return _kernels.intt_batch(values, primes, rows)
 
     def base_convert(self, limbs, source, target):
         return _kernels.base_convert(limbs, source, target)

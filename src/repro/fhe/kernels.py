@@ -16,13 +16,15 @@ residues in ``[0, p)`` bit-identical to the seed kernels' ``% p``):
 * **Harvey lazy butterflies** for the NTT/INTT: intermediate values are
   only reduced where the Shoup bound (``< 2**32``) requires it, using the
   branch-free "minimum trick" (``min(x, x - kp)`` picks the reduced value
-  because the unsigned wraparound is huge).  The forward transform runs a
-  per-plan *reduction schedule*: with 28-bit primes ``2**32/p = 16p``, so
-  most stages let values grow by ``2p`` unreduced and only one mid-pass
-  stage (plus the final canonicalization) pays for a reduction chain.
-  Requires ``4p < 2**32``, i.e. primes below
-  :data:`MAX_BATCHED_PRIME_BITS` bits; larger primes fall back to the
-  per-limb reference path.
+  because the unsigned wraparound is huge).  *Narrow* primes
+  (``p < 2**30``) run a *reduction schedule*: with 28-bit primes
+  ``2**32/p = 16p``, so most stages let values grow by ``2p`` unreduced
+  and only one mid-pass stage (plus the final canonicalization) pays for
+  a reduction chain.  *Wide* primes (``2**30 <= p < 2**31`` — ``q_0`` and
+  the extension basis of every functional parameter set) keep every
+  value below ``2p < 2**32`` instead: one extra minimum per stage, same
+  tables.  The two classes are chosen *per row*, so a mixed stack runs
+  each row on its own path.
 * **Float-quotient Barrett** for data-times-data products: the quotient
   ``floor(z / p)`` is estimated in float64 (error at most 1 for all
   ``z < 2**62``) and repaired with two minimum-trick steps.
@@ -35,11 +37,13 @@ transposed layout so every numpy op streams over contiguous memory.  See
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+import threading
+from types import SimpleNamespace
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modmath import UINT, mod_inv, scratch_buffer
+from .modmath import MAX_PRIME_BITS, UINT, mod_inv, scratch_buffer
 from .ntt import get_tables
 from .rns import basis_product, get_conversion_plan
 
@@ -49,10 +53,12 @@ PrimeTuple = Tuple[int, ...]
 SHOUP_SHIFT = 32
 _S32 = UINT(SHOUP_SHIFT)
 
-#: Largest prime bit-width the lazy butterflies accept: Harvey's invariant
-#: keeps values in ``[0, 4p)`` and Shoup needs them ``< 2**32``, so
-#: ``p < 2**30``.  (The paper's datapath uses 28-bit primes.)
-MAX_BATCHED_PRIME_BITS = 29
+#: Primes at or above this take the wide path (values kept below ``2p``);
+#: below it Harvey's ``[0, 4p)`` invariant fits the Shoup bound.
+WIDE_PRIME = 1 << 30
+#: Primes at or above this have no batched path (``2p`` would pass
+#: ``2**32``); :mod:`repro.fhe.modmath` does not build them.
+MAX_BATCHED_PRIME = 1 << MAX_PRIME_BITS
 
 #: Stages with butterfly stride below this run in a transposed layout so
 #: the inner numpy loops stay contiguous.
@@ -60,6 +66,20 @@ _TRANSPOSE_T = 64
 
 #: Per-chunk working-set budget for cache blocking (bytes).
 _CHUNK_BYTES = 1 << 21
+
+#: The per-row twiddle tables of a plan, all ``(rows, N)``: natural
+#: bit-reversed order (``psi``, ``ipsi``: what ``_native.c`` indexes) and
+#: the stage layout of the numpy butterflies (``*_t``), each with its
+#: Shoup companion.
+_TABLES = ("psi", "psi_sh", "ipsi", "ipsi_sh",
+           "psi_t", "psi_t_sh", "ipsi_t", "ipsi_t_sh")
+_COLUMNS = ("p", "n_inv", "n_inv_sh")
+#: Constant-per-row tables, ``(rows, N/2)``, materialized contiguous: ops
+#: against a stride-0 broadcast column hit numpy's non-SIMD inner loops
+#: (~2-3x slower per element), while these half-sized tables are reused by
+#: every stage and stay cache-resident.  Any reshape of a constant row is
+#: valid.
+_HALVES = ("p_half", "twop_half", "n_inv_half", "n_inv_sh_half")
 
 
 def shoup_companion(w: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -77,69 +97,192 @@ def _limb_chunk(total_limbs: int, n: int) -> int:
 # NTT plans
 
 
-class BatchedNttPlan:
-    """Stacked twiddle tables (+ Shoup companions) for one prime set.
+class NttPlan:
+    """Twiddle tables for one ring degree: one row per *unique* prime.
 
-    ``supported`` is False when any prime exceeds the lazy-butterfly bound;
-    callers then fall back to the per-limb reference kernels.
+    A transform names its rows (:meth:`rows` maps a prime sequence to row
+    indices, appending rows for primes not seen before), so a stack with
+    repeated primes, any basis prefix and every instruction group of the
+    ISA emulator share one set of tables.  ``tables`` is an immutable
+    snapshot replaced on growth; row indices stay valid in every later
+    snapshot, so read ``tables`` *after* resolving rows.
     """
 
-    def __init__(self, primes: PrimeTuple, ring_degree: int):
-        self.primes = primes
+    def __init__(self, ring_degree: int):
         self.n = ring_degree
-        self.p = np.array(primes, dtype=UINT)
-        self.supported = int(self.p.max()) < (1 << (MAX_BATCHED_PRIME_BITS + 1))
-        if not self.supported:
-            return
-        tables = [get_tables(int(q), ring_degree) for q in primes]
-        pcol = self.p[:, None]
-        self.psi = np.stack([t.psi_powers_bitrev for t in tables])
-        self.psi_sh = shoup_companion(self.psi, pcol)
-        self.ipsi = np.stack([t.psi_inv_powers_bitrev for t in tables])
-        self.ipsi_sh = shoup_companion(self.ipsi, pcol)
-        self.n_inv = np.array([t.n_inv for t in tables], dtype=UINT)
-        self.n_inv_sh = shoup_companion(self.n_inv, self.p)
-        # Constant-per-row modulus tables, materialized contiguous: ops
-        # against a stride-0 broadcast column hit numpy's non-SIMD inner
-        # loops (~2-3x slower per element), while these half-sized tables
-        # are reused by every stage and stay cache-resident.  Any reshape
-        # of a constant row is valid.
-        half = max(1, ring_degree // 2)
-        self.p_half = np.repeat(self.p[:, None], half, axis=1)
-        self.twop_half = self.p_half + self.p_half
-        self.n_inv_half = np.repeat(self.n_inv[:, None], half, axis=1)
-        self.n_inv_sh_half = np.repeat(self.n_inv_sh[:, None], half, axis=1)
-        self._multiples: Dict[int, np.ndarray] = {1: self.p_half,
-                                                  2: self.twop_half}
         # First transposed stage index: stages m >= m1 (stride < the
         # threshold) run on blocks of B = n // m1 elements, transposed.
         self.m1 = max(1, ring_degree // _TRANSPOSE_T)
-        self._twiddles_t: Dict[Tuple[bool, int], Tuple[np.ndarray, np.ndarray]] = {}
-        # Forward lazy-reduction schedule (extended Harvey): the butterfly
-        # lets values grow by 2p per stage, and the only hard constraint is
-        # that Shoup inputs stay below 2**32.  For narrow primes (28-bit:
-        # 2**32/p = 16p) most stages therefore skip the explicit
-        # u-reduction entirely.  ``fwd_red[m]`` is the minimum-trick
-        # subtraction chain (as multiples of p) bringing u back under 2p
-        # at stage ``m`` — empty for the skipped stages; ``fwd_chain`` is
-        # the chain canonicalizing the final output.
-        bound_max = (1 << 32) // int(self.p.max())
-        bound = 1
-        self.fwd_red: Dict[int, Tuple[int, ...]] = {}
-        m = 1
+        # Stage layout: segment [m, 2m) of a power table holds stage m's
+        # twiddles.  Strided stages read it in natural order; a
+        # transposed stage wants entry [j1, j0] = natural[m + j0*rel + j1]
+        # (rel = m // m1), matching how butterfly blocks land in the
+        # transposed buffer.
+        layout = np.arange(ring_degree)
+        m = self.m1
         while m < ring_degree:
-            if bound + 2 <= bound_max:
-                self.fwd_red[m] = ()
-                bound += 2
-            else:
-                self.fwd_red[m] = tuple(
-                    1 << j for j in range((bound - 1).bit_length() - 1, 0, -1)
-                )
-                bound = 4
+            layout[m:2 * m] = np.arange(m, 2 * m).reshape(
+                self.m1, m // self.m1).T.ravel()
             m *= 2
-        self.fwd_chain: Tuple[int, ...] = tuple(
+        self._layout = layout
+        self._lock = threading.Lock()
+        self._row_of: Dict[int, int] = {}
+        self._rows: Dict[PrimeTuple, Optional[np.ndarray]] = {}
+        self._schedules: Dict[int, tuple] = {}
+        self.tables = SimpleNamespace(
+            **{name: np.empty((0, ring_degree), dtype=UINT)
+               for name in _TABLES},
+            **{name: np.empty(0, dtype=UINT) for name in _COLUMNS},
+            **{name: np.empty((0, max(1, ring_degree // 2)), dtype=UINT)
+               for name in _HALVES},
+            wide=np.empty(0, dtype=bool))
+
+    def rows(self, primes: Sequence[int]) -> Optional[np.ndarray]:
+        """Table row of each prime; None if one has no batched path."""
+        key = primes if type(primes) is tuple else tuple(primes)
+        try:
+            return self._rows[key]
+        except KeyError:
+            pass
+        with self._lock:
+            ints = [int(q) for q in key]
+            if any(q >= MAX_BATCHED_PRIME for q in ints):
+                rows = None
+            else:
+                self._grow([q for q in dict.fromkeys(ints)
+                            if q not in self._row_of])
+                rows = np.array([self._row_of[q] for q in ints], dtype=np.intp)
+            self._rows[key] = rows
+        return rows
+
+    def _grow(self, primes) -> None:
+        if not primes:
+            return
+        refs = [get_tables(q, self.n) for q in primes]
+        p = np.array(primes, dtype=UINT)
+        psi = np.stack([t.psi_powers_bitrev for t in refs])
+        ipsi = np.stack([t.psi_inv_powers_bitrev for t in refs])
+        n_inv = np.array([t.n_inv for t in refs], dtype=UINT)
+        new = {"p": p, "n_inv": n_inv, "n_inv_sh": shoup_companion(n_inv, p),
+               "psi": psi, "ipsi": ipsi,
+               "psi_t": psi[:, self._layout], "ipsi_t": ipsi[:, self._layout],
+               "wide": p >= UINT(WIDE_PRIME)}
+        for name in ("psi", "ipsi", "psi_t", "ipsi_t"):
+            new[name + "_sh"] = shoup_companion(new[name], p[:, None])
+        half = max(1, self.n // 2)
+        for name, column in (("p_half", p), ("twop_half", p + p),
+                             ("n_inv_half", n_inv),
+                             ("n_inv_sh_half", new["n_inv_sh"])):
+            new[name] = np.repeat(column[:, None], half, axis=1)
+        old = self.tables
+        tables = SimpleNamespace(**{
+            name: np.concatenate([getattr(old, name), array])
+            for name, array in new.items()})
+        base = len(old.p)
+        self.tables = tables        # publish before the rows that name it
+        for i, q in enumerate(primes):
+            self._row_of[q] = base + i
+
+    def forward_schedule(self, max_prime: int) -> tuple:
+        """Lazy-reduction schedule of the forward transform.
+
+        Returns ``(red, post, chain)``.  The butterfly lets values grow by
+        2p per stage, and the only hard constraint is that Shoup inputs
+        stay below 2**32.  For narrow primes (28-bit: 2**32/p = 16p) most
+        stages therefore skip the explicit u-reduction entirely:
+        ``red[m]`` is the minimum-trick subtraction chain (as multiples of
+        p) bringing u back under 2p at stage ``m`` — empty for the skipped
+        stages.  Wide primes cannot carry 4p into a Shoup product, so
+        instead ``post`` (the chain applied to the whole chunk after every
+        stage) brings everything back under 2p.  ``chain`` canonicalizes
+        the final output.
+        """
+        bound_max = (1 << 32) // max_prime
+        cached = self._schedules.get(bound_max)
+        if cached is not None:
+            return cached
+        red: Dict[int, Tuple[int, ...]] = {}
+        if bound_max < 4:
+            post, bound = (2,), 2
+            m = 1
+            while m < self.n:
+                red[m] = ()
+                m *= 2
+        else:
+            post, bound = (), 1
+            m = 1
+            while m < self.n:
+                if bound + 2 <= bound_max:
+                    red[m] = ()
+                    bound += 2
+                else:
+                    red[m] = tuple(
+                        1 << j for j in range((bound - 1).bit_length() - 1, 0, -1)
+                    )
+                    bound = 4
+                m *= 2
+        chain = tuple(
             1 << j for j in range(max(bound - 1, 0).bit_length() - 1, -1, -1)
         ) or (1,)
+        self._schedules[bound_max] = (red, post, chain)
+        return red, post, chain
+
+
+_NTT_PLANS: Dict[int, NttPlan] = {}
+_NTT_PLANS_LOCK = threading.Lock()
+
+
+def get_ntt_plan(ring_degree: int) -> NttPlan:
+    plan = _NTT_PLANS.get(ring_degree)
+    if plan is None:
+        with _NTT_PLANS_LOCK:
+            plan = _NTT_PLANS.setdefault(ring_degree, NttPlan(ring_degree))
+    return plan
+
+
+def plan_rows(shape: Tuple[int, int], primes: Sequence[int], rows=None):
+    """``(tables, table row of each stack row)`` for one ``(L, N)`` stack.
+
+    With ``rows``, stack row ``i`` is reduced modulo ``primes[rows[i]]``
+    (``primes`` is then a table of the distinct moduli, of any length);
+    without, modulo ``primes[i]``.  ``(None, None)`` when a prime has no
+    batched path.
+    """
+    length, ring_degree = shape
+    plan = get_ntt_plan(ring_degree)
+    table_rows = plan.rows(primes)
+    if table_rows is None:
+        return None, None
+    if rows is not None:
+        table_rows = table_rows[rows]       # bounds-checked here, not in C
+    if len(table_rows) != length:
+        raise ValueError(
+            f"{length} limbs but {len(table_rows)} moduli named")
+    return plan.tables, table_rows
+
+
+class _RowTables:
+    """The tables of one transform's rows, in stack order: views when the
+    table rows are contiguous, gathered copies otherwise."""
+
+    def __init__(self, plan: NttPlan, tables, rows: np.ndarray, inverse: bool):
+        lo, count = int(rows[0]), len(rows)
+        if count == 1 or (int(rows[-1]) - lo + 1 == count
+                          and bool((np.diff(rows) == 1).all())):
+            rows = slice(lo, lo + count)
+        self.m1 = plan.m1
+        self.p_half = tables.p_half[rows]
+        self.twop_half = tables.twop_half[rows]
+        self._multiples = {1: self.p_half, 2: self.twop_half}
+        max_prime = int(tables.p[rows].max())
+        self.wide = max_prime >= WIDE_PRIME
+        if inverse:
+            self.w, self.w_sh = tables.ipsi_t[rows], tables.ipsi_t_sh[rows]
+            self.n_inv_half = tables.n_inv_half[rows]
+            self.n_inv_sh_half = tables.n_inv_sh_half[rows]
+        else:
+            self.w, self.w_sh = tables.psi_t[rows], tables.psi_t_sh[rows]
+            self.red, self.post, self.chain = plan.forward_schedule(max_prime)
 
     def multiple_half(self, k: int) -> np.ndarray:
         """Contiguous half-table of ``k * p`` per limb row (cached)."""
@@ -148,44 +291,14 @@ class BatchedNttPlan:
             table = self._multiples[k] = self.p_half * UINT(k)
         return table
 
-    def twiddles(self, m: int, inverse: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Stage-``m`` twiddles (+ Shoup companions) for the butterfly.
-
-        Strided stages (``m < m1``) get broadcastable ``(L, m, 1)`` views
-        of the power tables (small, cache-hot).  Transposed stages get a
-        compact cached ``(L, rel, 1, m1)`` array whose entry
-        ``[l, j1, 0, j0]`` is twiddle ``psi[l, m + j0*rel + j1]``,
-        matching how butterfly blocks land in the transposed buffer.
-        """
-        src, src_sh = (self.ipsi, self.ipsi_sh) if inverse else (self.psi, self.psi_sh)
-        if m < self.m1:
-            return src[:, m:2 * m, None], src_sh[:, m:2 * m, None]
-        key = (inverse, m)
-        cached = self._twiddles_t.get(key)
-        if cached is not None:
-            return cached
-        length = len(self.primes)
-        rel = m // self.m1
-        w = np.ascontiguousarray(
-            src[:, m:2 * m].reshape(length, self.m1, rel).transpose(0, 2, 1)
-        ).reshape(length, rel, 1, self.m1)
-        w_sh = np.ascontiguousarray(
-            src_sh[:, m:2 * m].reshape(length, self.m1, rel).transpose(0, 2, 1)
-        ).reshape(length, rel, 1, self.m1)
-        self._twiddles_t[key] = (w, w_sh)
-        return w, w_sh
-
-
-_NTT_PLAN_CACHE: Dict[Tuple[PrimeTuple, int], BatchedNttPlan] = {}
-
-
-def get_ntt_plan(primes: Sequence[int], ring_degree: int) -> BatchedNttPlan:
-    key = (tuple(int(q) for q in primes), ring_degree)
-    plan = _NTT_PLAN_CACHE.get(key)
-    if plan is None:
-        plan = BatchedNttPlan(key[0], ring_degree)
-        _NTT_PLAN_CACHE[key] = plan
-    return plan
+    def twiddles(self, m: int, lo: int, hi: int):
+        """Stage-``m`` twiddles (+ Shoup companions) of rows ``lo:hi``:
+        ``(limbs, m, 1)`` for a strided stage, ``(limbs, rel, 1, m1)``
+        for a transposed one."""
+        shape = (hi - lo, m, 1) if m < self.m1 else (
+            hi - lo, m // self.m1, 1, self.m1)
+        return (self.w[lo:hi, m:2 * m].reshape(shape),
+                self.w_sh[lo:hi, m:2 * m].reshape(shape))
 
 
 # --------------------------------------------------------------------- #
@@ -214,11 +327,14 @@ def _butterfly_ct(u, v, w, w_sh, p, twop, qq, ss, red):
     np.add(u, ss, out=u)              # u + v*w
 
 
-def _butterfly_gs(u, v, w, w_sh, p, twop, qq, ss, rr):
+def _butterfly_gs(u, v, w, w_sh, p, twop, qq, ss, rr, wide):
     """One lazy Gentleman-Sande stage: inputs < 2p, outputs < 2p."""
     np.add(u, v, out=ss)              # u + v, < 4p
     np.subtract(u, v, out=qq)
     np.add(qq, twop, out=qq)          # u - v + 2p, in (0, 4p)
+    if wide:                          # 4p may pass 2**32: back under 2p
+        np.subtract(qq, twop, out=rr)
+        np.minimum(qq, rr, out=qq)
     np.multiply(qq, w_sh, out=rr)
     np.right_shift(rr, _S32, out=rr)
     np.multiply(rr, p, out=rr)
@@ -228,44 +344,46 @@ def _butterfly_gs(u, v, w, w_sh, p, twop, qq, ss, rr):
     np.minimum(ss, qq, out=u)         # u + v reduced to [0, 2p)
 
 
-def _canonicalize_chain(a2, plan: BatchedNttPlan, lo: int, hi: int, qq) -> None:
-    """Reduce ``a2`` to canonical ``[0, p)`` with the plan's final chain.
+def _reduce_chain(a2, t: _RowTables, lo: int, hi: int, qq, chain) -> None:
+    """Minimum-trick ``chain`` (multiples of p) over a whole chunk.
 
     ``a2`` is the chunk viewed as ``(limbs, 2, half)``; the ``k*p`` tables
     broadcast over the middle axis (outer loop axis — no inner-loop cost).
     """
     limbs, _, half = a2.shape
-    for k in plan.fwd_chain:
-        kp = plan.multiple_half(k)[lo:hi].reshape(limbs, 1, half)
+    for k in chain:
+        kp = t.multiple_half(k)[lo:hi].reshape(limbs, 1, half)
         np.subtract(a2, kp, out=qq)
         np.minimum(a2, qq, out=a2)
 
 
-def _ntt_chunk(a: np.ndarray, plan: BatchedNttPlan, lo: int, hi: int) -> None:
+def _ntt_chunk(a: np.ndarray, t: _RowTables, lo: int, hi: int) -> None:
     """Forward NTT of limb rows ``a`` (in place, canonical in/out)."""
     limbs, n = a.shape
     half = n // 2
     qf = scratch_buffer("ntt-q", limbs * half)
     sf = scratch_buffer("ntt-s", limbs * half)
-    p_h = plan.p_half[lo:hi]
-    twop_h = plan.twop_half[lo:hi]
+    p_h = t.p_half[lo:hi]
+    twop_h = t.twop_half[lo:hi]
     qq2 = scratch_buffer("ntt-c", limbs * n)[:limbs * n].reshape(limbs, 2, half)
+
     m = 1
-    while m < plan.m1:                          # strided phase (large t)
-        t = n // (2 * m)
-        view = a.reshape(limbs, m, 2, t)
-        shape = (limbs, m, t)
-        w, w_sh = plan.twiddles(m, inverse=False)
-        red = tuple(plan.multiple_half(k)[lo:hi].reshape(shape)
-                    for k in plan.fwd_red[m])
-        _butterfly_ct(view[:, :, 0, :], view[:, :, 1, :],
-                      w[lo:hi], w_sh[lo:hi],
+    while m < t.m1:                             # strided phase (large t)
+        stride = n // (2 * m)
+        view = a.reshape(limbs, m, 2, stride)
+        shape = (limbs, m, stride)
+        w, w_sh = t.twiddles(m, lo, hi)
+        _butterfly_ct(view[:, :, 0, :], view[:, :, 1, :], w, w_sh,
                       p_h.reshape(shape), twop_h.reshape(shape),
                       qf[:limbs * half].reshape(shape),
-                      sf[:limbs * half].reshape(shape), red)
+                      sf[:limbs * half].reshape(shape),
+                      tuple(t.multiple_half(k)[lo:hi].reshape(shape)
+                            for k in t.red[m]))
+        if t.post:
+            _reduce_chain(a.reshape(limbs, 2, half), t, lo, hi, qq2, t.post)
         m *= 2
     if m >= n:                                  # degenerate tiny ring
-        _canonicalize_chain(a.reshape(limbs, 2, half), plan, lo, hi, qq2)
+        _reduce_chain(a.reshape(limbs, 2, half), t, lo, hi, qq2, t.chain)
         return
     # Transposed phase: remaining stages act inside blocks of B elements;
     # transposing makes the innermost axis (the m1 blocks) contiguous.
@@ -274,71 +392,70 @@ def _ntt_chunk(a: np.ndarray, plan: BatchedNttPlan, lo: int, hi: int) -> None:
     at = scratch_buffer("ntt-t", limbs * n)[:limbs * n].reshape(limbs, block, m1)
     np.copyto(at, a.reshape(limbs, m1, block).transpose(0, 2, 1))
     while m < n:
-        t = n // (2 * m)
+        stride = n // (2 * m)
         rel = m // m1
-        view = at.reshape(limbs, rel, 2, t, m1)
-        shape = (limbs, rel, t, m1)
-        w, w_sh = plan.twiddles(m, inverse=False)
-        red = tuple(plan.multiple_half(k)[lo:hi].reshape(shape)
-                    for k in plan.fwd_red[m])
-        _butterfly_ct(view[:, :, 0], view[:, :, 1],
-                      w[lo:hi], w_sh[lo:hi],
+        view = at.reshape(limbs, rel, 2, stride, m1)
+        shape = (limbs, rel, stride, m1)
+        w, w_sh = t.twiddles(m, lo, hi)
+        _butterfly_ct(view[:, :, 0], view[:, :, 1], w, w_sh,
                       p_h.reshape(shape), twop_h.reshape(shape),
                       qf[:limbs * half].reshape(shape),
-                      sf[:limbs * half].reshape(shape), red)
+                      sf[:limbs * half].reshape(shape),
+                      tuple(t.multiple_half(k)[lo:hi].reshape(shape)
+                            for k in t.red[m]))
+        if t.post:
+            _reduce_chain(at.reshape(limbs, 2, half), t, lo, hi, qq2, t.post)
         m *= 2
-    _canonicalize_chain(at.reshape(limbs, 2, half), plan, lo, hi, qq2)
+    _reduce_chain(at.reshape(limbs, 2, half), t, lo, hi, qq2, t.chain)
     np.copyto(a.reshape(limbs, m1, block), at.transpose(0, 2, 1))
 
 
-def _intt_chunk(a: np.ndarray, plan: BatchedNttPlan, lo: int, hi: int) -> None:
+def _intt_chunk(a: np.ndarray, t: _RowTables, lo: int, hi: int) -> None:
     """Inverse NTT of limb rows ``a`` (in place, canonical in/out)."""
     limbs, n = a.shape
     half = n // 2
     qf = scratch_buffer("ntt-q", limbs * half)
     sf = scratch_buffer("ntt-s", limbs * half)
     rf = scratch_buffer("ntt-r", limbs * half)
-    p_h = plan.p_half[lo:hi]
-    twop_h = plan.twop_half[lo:hi]
+    p_h = t.p_half[lo:hi]
+    twop_h = t.twop_half[lo:hi]
     m = n // 2
-    if m >= plan.m1 and n > 1:
+    if m >= t.m1 and n > 1:
         # Transposed phase first: the small-stride stages come first in
         # the Gentleman-Sande ordering.
-        m1 = plan.m1
+        m1 = t.m1
         block = n // m1
         at = scratch_buffer("ntt-t", limbs * n)[:limbs * n].reshape(limbs, block, m1)
         np.copyto(at, a.reshape(limbs, m1, block).transpose(0, 2, 1))
         while m >= m1:
-            t = n // (2 * m)
+            stride = n // (2 * m)
             rel = m // m1
-            view = at.reshape(limbs, rel, 2, t, m1)
-            shape = (limbs, rel, t, m1)
-            w, w_sh = plan.twiddles(m, inverse=True)
-            _butterfly_gs(view[:, :, 0], view[:, :, 1],
-                          w[lo:hi], w_sh[lo:hi],
+            view = at.reshape(limbs, rel, 2, stride, m1)
+            shape = (limbs, rel, stride, m1)
+            w, w_sh = t.twiddles(m, lo, hi)
+            _butterfly_gs(view[:, :, 0], view[:, :, 1], w, w_sh,
                           p_h.reshape(shape), twop_h.reshape(shape),
                           qf[:limbs * half].reshape(shape),
                           sf[:limbs * half].reshape(shape),
-                          rf[:limbs * half].reshape(shape))
+                          rf[:limbs * half].reshape(shape), t.wide)
             m //= 2
         np.copyto(a.reshape(limbs, m1, block), at.transpose(0, 2, 1))
     while m >= 1:                               # strided phase (large t)
-        t = n // (2 * m)
-        view = a.reshape(limbs, m, 2, t)
-        shape = (limbs, m, t)
-        w, w_sh = plan.twiddles(m, inverse=True)
-        _butterfly_gs(view[:, :, 0, :], view[:, :, 1, :],
-                      w[lo:hi], w_sh[lo:hi],
+        stride = n // (2 * m)
+        view = a.reshape(limbs, m, 2, stride)
+        shape = (limbs, m, stride)
+        w, w_sh = t.twiddles(m, lo, hi)
+        _butterfly_gs(view[:, :, 0, :], view[:, :, 1, :], w, w_sh,
                       p_h.reshape(shape), twop_h.reshape(shape),
                       qf[:limbs * half].reshape(shape),
                       sf[:limbs * half].reshape(shape),
-                      rf[:limbs * half].reshape(shape))
+                      rf[:limbs * half].reshape(shape), t.wide)
         m //= 2
     # Scale by n^-1 (Shoup) and canonicalize; values enter < 2p < 2**32.
     a2 = a.reshape(limbs, 2, half)
     p2 = p_h.reshape(limbs, 1, half)
-    ninv2 = plan.n_inv_half[lo:hi].reshape(limbs, 1, half)
-    ninv_sh2 = plan.n_inv_sh_half[lo:hi].reshape(limbs, 1, half)
+    ninv2 = t.n_inv_half[lo:hi].reshape(limbs, 1, half)
+    ninv_sh2 = t.n_inv_sh_half[lo:hi].reshape(limbs, 1, half)
     qq2 = scratch_buffer("ntt-c", limbs * n)[:limbs * n].reshape(limbs, 2, half)
     np.multiply(a2, ninv_sh2, out=qq2)
     np.right_shift(qq2, _S32, out=qq2)
@@ -349,49 +466,64 @@ def _intt_chunk(a: np.ndarray, plan: BatchedNttPlan, lo: int, hi: int) -> None:
     np.minimum(a2, qq2, out=a2)
 
 
-def _reference_stack(values: np.ndarray, primes: Sequence[int], inverse: bool) -> np.ndarray:
+def _reference_stack(values: np.ndarray, primes: Sequence[int], rows,
+                     inverse: bool) -> np.ndarray:
+    """Per-limb reference loop: primes with no batched path (>= 2**31)."""
     from . import ntt as _ntt  # late import; ntt is the reference impl
 
     fn = _ntt.intt_reference if inverse else _ntt.ntt_reference
+    if rows is not None:
+        primes = [primes[r] for r in rows]
     return np.stack([fn(values[i], int(q)) for i, q in enumerate(primes)])
 
 
-def ntt_batch(coeffs: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+def _transform_rows(out: np.ndarray, plan: NttPlan, tables,
+                    rows: np.ndarray, inverse: bool) -> None:
+    """Transform ``out`` in place; its rows are all narrow or all wide."""
+    length, n = out.shape
+    t = _RowTables(plan, tables, rows, inverse)
+    chunk = _intt_chunk if inverse else _ntt_chunk
+    step = _limb_chunk(length, n)
+    for lo in range(0, length, step):
+        hi = min(length, lo + step)
+        chunk(out[lo:hi], t, lo, hi)
+
+
+def _transform(stack: np.ndarray, primes: Sequence[int], rows,
+               inverse: bool) -> np.ndarray:
+    stack = np.asarray(stack, dtype=UINT)
+    if stack.ndim == 1:
+        return _transform(stack[None, :], primes, rows, inverse)[0]
+    tables, table_rows = plan_rows(stack.shape, primes, rows)
+    if tables is None:
+        return _reference_stack(stack, primes, rows, inverse)
+    plan = get_ntt_plan(stack.shape[1])
+    out = np.array(stack, dtype=UINT, order="C")
+    wide = tables.wide[table_rows]
+    if wide.any() and not wide.all():
+        # A mixed stack: each class on its own path, so the narrow rows
+        # keep their lazier schedule.
+        for mask in (wide, ~wide):
+            part = out[mask]
+            _transform_rows(part, plan, tables, table_rows[mask], inverse)
+            out[mask] = part
+    elif len(out):
+        _transform_rows(out, plan, tables, table_rows, inverse)
+    return out
+
+
+def ntt_batch(coeffs: np.ndarray, primes: Sequence[int], rows=None) -> np.ndarray:
     """Forward negacyclic NTT of a limb stack ``(L, N)``, batched.
 
     Bit-identical to the per-limb reference (canonical residues, same
-    bit-reversed output order).
+    bit-reversed output order).  See :func:`plan_rows` for ``rows``.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=UINT)
-    if coeffs.ndim == 1:
-        return ntt_batch(coeffs[None, :], primes)[0]
-    length, n = coeffs.shape
-    plan = get_ntt_plan(primes, n)
-    if not plan.supported:
-        return _reference_stack(coeffs, primes, inverse=False)
-    out = coeffs.copy()
-    step = _limb_chunk(length, n)
-    for lo in range(0, length, step):
-        hi = min(length, lo + step)
-        _ntt_chunk(out[lo:hi], plan, lo, hi)
-    return out
+    return _transform(coeffs, primes, rows, inverse=False)
 
 
-def intt_batch(values: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+def intt_batch(values: np.ndarray, primes: Sequence[int], rows=None) -> np.ndarray:
     """Inverse negacyclic NTT of a limb stack ``(L, N)``, batched."""
-    values = np.ascontiguousarray(values, dtype=UINT)
-    if values.ndim == 1:
-        return intt_batch(values[None, :], primes)[0]
-    length, n = values.shape
-    plan = get_ntt_plan(primes, n)
-    if not plan.supported:
-        return _reference_stack(values, primes, inverse=True)
-    out = values.copy()
-    step = _limb_chunk(length, n)
-    for lo in range(0, length, step):
-        hi = min(length, lo + step)
-        _intt_chunk(out[lo:hi], plan, lo, hi)
-    return out
+    return _transform(values, primes, rows, inverse=True)
 
 
 # --------------------------------------------------------------------- #

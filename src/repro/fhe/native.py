@@ -6,6 +6,9 @@ through memory several times.  ``_native.c`` implements the same
 Shoup/Harvey arithmetic as tight C loops that keep one limb cache-resident
 per transform; on a single core with auto-vectorization this is ~10x the
 seed per-limb loop and ~5x the batched numpy kernels at (L=24, N=8192).
+Tables are the per-unique-prime rows of :class:`repro.fhe.kernels.NttPlan`;
+a call passes one table-row index per limb, and the C side picks the
+narrow (``p < 2**30``) or wide butterfly per limb.
 
 The shared library is built lazily with the system C compiler (``$CC`` or
 ``cc``) into ``_native_build/`` next to this file, keyed by a hash of the
@@ -44,8 +47,6 @@ _LIB: Optional[ctypes.CDLL] = None
 _ERROR: Optional[str] = None
 _TRIED = False
 
-_U64P = ctypes.POINTER(ctypes.c_uint64)
-
 
 def _build_dir() -> Path:
     """Writable directory for the compiled object (repo dir, else tmp)."""
@@ -74,56 +75,65 @@ def _compile() -> ctypes.CDLL:
             )
         os.replace(scratch, shared_object)
     lib = ctypes.CDLL(str(shared_object))
-    lib.repro_ntt_batch.restype = None
-    lib.repro_ntt_batch.argtypes = [
-        _U64P, ctypes.c_long, ctypes.c_long, _U64P, _U64P, _U64P,
-    ]
-    lib.repro_intt_batch.restype = None
-    lib.repro_intt_batch.argtypes = [
-        _U64P, ctypes.c_long, ctypes.c_long, _U64P, _U64P, _U64P, _U64P, _U64P,
-    ]
+    # Addresses are passed as plain integers (``array.ctypes.data``):
+    # building a typed pointer per argument costs more than a ring-256
+    # transform.
+    address = ctypes.c_void_p
+    lib.repro_ntt_rows.restype = None
+    lib.repro_ntt_rows.argtypes = [address, ctypes.c_long, ctypes.c_long,
+                                   address] + [address] * 3
+    lib.repro_intt_rows.restype = None
+    lib.repro_intt_rows.argtypes = [address, ctypes.c_long, ctypes.c_long,
+                                    address] + [address] * 5
     return lib
 
 
-def _as_u64p(array: np.ndarray):
-    return array.ctypes.data_as(_U64P)
-
-
-def _run(lib: ctypes.CDLL, stack: np.ndarray, plan, inverse: bool) -> np.ndarray:
-    out = np.ascontiguousarray(stack, dtype=UINT).copy()
+def _run(lib: ctypes.CDLL, stack: np.ndarray, tables, rows: np.ndarray,
+         inverse: bool) -> np.ndarray:
+    """Transform a copy of ``stack``; row ``i`` uses table row ``rows[i]``."""
+    out = np.array(stack, dtype=UINT, order="C")
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    pointers = getattr(tables, "pointers", None)
+    if pointers is None:
+        # Cached on the snapshot (which keeps the arrays alive); a racing
+        # thread stores the same values.
+        pointers = tables.pointers = tuple(
+            getattr(tables, name).ctypes.data
+            for name in ("psi", "psi_sh", "p",
+                         "ipsi", "ipsi_sh", "p", "n_inv", "n_inv_sh"))
     limbs, n = out.shape
     if inverse:
-        lib.repro_intt_batch(
-            _as_u64p(out), limbs, n, _as_u64p(plan.ipsi), _as_u64p(plan.ipsi_sh),
-            _as_u64p(plan.p), _as_u64p(plan.n_inv), _as_u64p(plan.n_inv_sh),
-        )
+        lib.repro_intt_rows(out.ctypes.data, limbs, n, rows.ctypes.data,
+                            *pointers[3:])
     else:
-        lib.repro_ntt_batch(
-            _as_u64p(out), limbs, n, _as_u64p(plan.psi), _as_u64p(plan.psi_sh),
-            _as_u64p(plan.p),
-        )
+        lib.repro_ntt_rows(out.ctypes.data, limbs, n, rows.ctypes.data,
+                           *pointers[:3])
     return out
 
 
 def _smoke_test(lib: ctypes.CDLL) -> None:
-    """Refuse to register a miscompiled library: round-trip vs reference."""
+    """Refuse to register a miscompiled library: round-trip vs reference
+    on a narrow and a wide prime, rows out of table order."""
     from .ntt import intt_reference, ntt_reference
     from .primes import generate_primes
 
-    primes = generate_primes(2, 28, 64)
-    plan = _kernels.get_ntt_plan(primes, 64)
+    n = 64
+    primes = generate_primes(1, 28, n) + generate_primes(1, 31, n)
+    tables, rows = _kernels.plan_rows((3, n), primes, rows=[1, 0, 1])
+    primes = [primes[r] for r in (1, 0, 1)]
     rng = np.random.default_rng(7)
-    stack = rng.integers(0, plan.p[:, None], size=(2, 64), dtype=UINT)
+    stack = rng.integers(0, np.array(primes, dtype=UINT)[:, None],
+                         size=(3, n), dtype=UINT)
     want_fwd = np.stack(
-        [ntt_reference(stack[i], int(q)) for i, q in enumerate(primes)]
+        [ntt_reference(stack[i], q) for i, q in enumerate(primes)]
     )
-    got_fwd = _run(lib, stack, plan, inverse=False)
+    got_fwd = _run(lib, stack, tables, rows, inverse=False)
     if not np.array_equal(got_fwd, want_fwd):
         raise RuntimeError("forward NTT smoke test mismatch")
     want_inv = np.stack(
-        [intt_reference(want_fwd[i], int(q)) for i, q in enumerate(primes)]
+        [intt_reference(want_fwd[i], q) for i, q in enumerate(primes)]
     )
-    got_inv = _run(lib, got_fwd, plan, inverse=True)
+    got_inv = _run(lib, got_fwd, tables, rows, inverse=True)
     if not np.array_equal(got_inv, want_inv):
         raise RuntimeError("inverse NTT smoke test mismatch")
 
@@ -159,22 +169,24 @@ class NativeBackend:
 
     name = "native"
 
-    def ntt_batch(self, coeffs: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-        return self._transform(coeffs, primes, inverse=False)
+    def ntt_batch(self, coeffs: np.ndarray, primes: Sequence[int],
+                  rows=None) -> np.ndarray:
+        return self._transform(coeffs, primes, rows, inverse=False)
 
-    def intt_batch(self, values: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-        return self._transform(values, primes, inverse=True)
+    def intt_batch(self, values: np.ndarray, primes: Sequence[int],
+                   rows=None) -> np.ndarray:
+        return self._transform(values, primes, rows, inverse=True)
 
-    def _transform(self, stack, primes, inverse):
-        stack = np.ascontiguousarray(stack, dtype=UINT)
+    def _transform(self, stack, primes, rows, inverse):
+        stack = np.asarray(stack, dtype=UINT)
         if stack.ndim == 1:
-            return self._transform(stack[None, :], primes, inverse)[0]
+            return self._transform(stack[None, :], primes, rows, inverse)[0]
         lib = load_library()
-        plan = _kernels.get_ntt_plan(primes, stack.shape[1])
-        if lib is None or not plan.supported:
+        tables, table_rows = _kernels.plan_rows(stack.shape, primes, rows)
+        if lib is None or tables is None:
             fall = _kernels.intt_batch if inverse else _kernels.ntt_batch
-            return fall(stack, primes)
-        return _run(lib, stack, plan, inverse)
+            return fall(stack, primes, rows)
+        return _run(lib, stack, tables, table_rows, inverse)
 
     def base_convert(self, limbs, source, target):
         return _kernels.base_convert(limbs, source, target)

@@ -15,6 +15,7 @@ import pytest
 
 import repro
 from repro.fhe import make_params
+from repro.nn import nn_params
 from repro.fhe.backend import (
     KernelBackend,
     available_backends,
@@ -32,6 +33,25 @@ from repro.fhe.primes import generate_primes
 from repro.fhe.rns import mod_down_reference, mod_up_reference
 
 BACKENDS = available_backends()
+
+
+def _wide(count, n):
+    return generate_primes(count, 31, n)
+
+
+def _narrow(count, n):
+    return generate_primes(count, 28, n) + generate_primes(1, 30, n)
+
+
+#: Prime stacks around the wide bound, by ring degree.
+WIDE_STACKS = {
+    "wide": lambda n: _wide(3, n),
+    "mixed": lambda n: _wide(1, n) + _narrow(2, n) + _wide(3, n)[1:],
+    "single-wide": lambda n: _wide(1, n),
+    "single-narrow": lambda n: _narrow(1, n)[:1],
+    "repeated": lambda n: (_wide(2, n) * 3 + _narrow(2, n)[1:] * 2
+                           + _wide(2, n)[:1]),
+}
 
 
 def seeded_stack(primes, n, seed=0):
@@ -185,17 +205,114 @@ class TestGoldenParity:
             got = backend.pointwise_mulmod(a, b, primes)
         assert np.array_equal(got, want)
 
-    def test_wide_prime_fallback_stays_bit_identical(self, name):
-        """30/31-bit primes exceed the lazy-butterfly bound; every backend
-        must fall back to the reference path, bit-identically."""
-        n = 256
-        primes = generate_primes(3, 30, n)
-        stack = seeded_stack(primes, n, seed=77)
+    @pytest.mark.parametrize("n", [64, 256, 8192])
+    @pytest.mark.parametrize("shape", sorted(WIDE_STACKS))
+    def test_wide_and_mixed_stacks_bit_identical(self, name, shape, n):
+        """Primes in [2**30, 2**31) take the wide path, chosen per row:
+        alone, mixed with narrow rows, as a single row, and repeated
+        within one call (what an ISA emulator group looks like) — through
+        the per-tuple entry point and through the row-indexed one."""
+        primes = WIDE_STACKS[shape](n)
+        stack = seeded_stack(primes, n, seed=77 + n)
+        want = reference_ntt_stack(stack, primes)
+        table = tuple(dict.fromkeys(primes))[::-1]    # not in stack order
+        rows = np.array([table.index(q) for q in primes], dtype=np.uint8)
         with use_backend(name) as backend:
             forward = backend.ntt_batch(stack, primes)
             back = backend.intt_batch(forward, primes)
-        assert np.array_equal(forward, reference_ntt_stack(stack, primes))
+            forward_rows = backend.ntt_batch(stack, table, rows)
+            back_rows = backend.intt_batch(forward, table, rows)
+        assert np.array_equal(forward, want)
+        assert np.array_equal(
+            back, reference_ntt_stack(want, primes, inverse=True))
         assert np.array_equal(back, stack)
+        assert np.array_equal(forward_rows, want)
+        assert np.array_equal(back_rows, stack)
+
+
+@pytest.mark.parametrize("name", [b for b in BACKENDS if b != "numpy"])
+class TestNoPerLimbFallback:
+    """Every basis ``make_params`` / ``nn_params`` builds carries a 31-bit
+    ``q_0`` and 31-bit extension primes.  The fast backends must transform
+    them without the per-limb reference loop: a silent return to it costs
+    4x on every keyswitch and fails here, not in a benchmark."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_params(ring_degree=256, levels=6, prime_bits=28,
+                            num_digits=3),
+        lambda: nn_params(50),
+    ], ids=["make_params", "nn_params_50"])
+    def test_keyswitch_rescale_to_eval(self, name, make, monkeypatch):
+        from repro.fhe import CKKSContext, Evaluator, ntt
+
+        params = make()
+        assert max(params.moduli + params.extension_moduli) >= 1 << 30
+        with use_backend(name):
+            ctx = CKKSContext(params, seed=3)
+            ev = Evaluator(ctx)
+            ct = ctx.encrypt_values(
+                np.linspace(-1, 1, params.slot_count))
+            ev.rotate(ct, 1)                  # generates the key
+
+            def fail(*args, **kwargs):
+                raise AssertionError("per-limb reference NTT reached")
+
+            monkeypatch.setattr(ntt, "ntt_reference", fail)
+            monkeypatch.setattr(ntt, "intt_reference", fail)
+            rotated = ev.rotate(ct, 1)                        # keyswitch
+            scaled = ev.rescale(ev.mul(ct, ct, rescale=False))
+            round_trip = rotated.polys[0].to_coeff().to_eval()
+        assert np.array_equal(round_trip.data, rotated.polys[0].to_eval().data)
+        assert scaled.level == ct.level - 1
+
+
+@pytest.mark.parametrize("name", [b for b in BACKENDS if b != "numpy"])
+def test_moduli_must_match_the_stack(name):
+    """The compiled kernel indexes tables by row: a stack with more limbs
+    than moduli named, or a row index past the table, is refused in
+    Python."""
+    n = 64
+    primes = generate_primes(2, 28, n)
+    stack = seeded_stack(primes + primes[:1], n)
+    with use_backend(name) as backend:
+        with pytest.raises(ValueError, match="3 limbs but 2 moduli"):
+            backend.ntt_batch(stack, primes)
+        with pytest.raises(IndexError):
+            backend.intt_batch(stack, primes, rows=[0, 1, 2])
+
+
+def test_concurrent_first_use_of_primes_shares_one_plan():
+    """The per-ring-degree plan grows a row per new prime; threads meeting
+    new primes at the same time must each still see their own rows."""
+    import sys
+    import threading
+
+    n = 128
+    primes = generate_primes(12, 27, n) + generate_primes(12, 31, n)
+    failures = []
+
+    def transform(worker):
+        mine = primes[worker::4] + primes[:2]
+        stack = seeded_stack(mine, n, seed=worker)
+        with use_backend("numpy-batched") as backend:
+            for _ in range(5):
+                if not np.array_equal(backend.ntt_batch(stack, mine),
+                                      reference_ntt_stack(stack, mine)):
+                    failures.append(worker)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=transform, args=(w,))
+                   for w in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
 
 
 class TestNativeBackendGating:
