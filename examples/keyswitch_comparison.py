@@ -16,8 +16,8 @@ from repro.fhe.keyswitch import keyswitch
 from repro.fhe.parallel import (
     ParallelKeyswitcher,
     batched_rotations_input_broadcast,
-    modular_partition,
 )
+from repro.fhe.params import modular_partition
 from repro.fhe.rns import crt_reconstruct
 
 

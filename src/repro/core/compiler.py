@@ -24,7 +24,7 @@ go through :func:`repro.compile` or a
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from .dsl.program import CinnamonProgram
@@ -128,16 +128,8 @@ class CommSummary:
     comm_limbs: int
     limb_ops: int
 
-    # Dict-style access kept for callers that treated the summary as a dict.
-    def __getitem__(self, key: str):
-        return getattr(self, key)
-
-    def keys(self):
-        return ("broadcast_events", "aggregate_events", "comm_limbs",
-                "limb_ops")
-
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.keys()}
+        return asdict(self)
 
 
 @dataclass
@@ -221,9 +213,9 @@ class CompiledProgram:
 class CompilerDriver:
     """Compiles DSL programs for a Cinnamon machine configuration.
 
-    The non-deprecated implementation used by :func:`repro.compile` and
-    :class:`repro.runtime.CinnamonSession`; it never warns, so internal
-    callers use it directly.
+    The one compiler entry point: :func:`repro.compile` and
+    :class:`repro.runtime.CinnamonSession` add caching and tracing around
+    it.
     """
 
     def __init__(self, params, options: CompilerOptions = None):

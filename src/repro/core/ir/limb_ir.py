@@ -35,9 +35,13 @@ object each the dominant compile cost (docs/compiler.md, section 6).
 from __future__ import annotations
 
 import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
+from ...fhe.modmath import mod_inv
+from ...fhe.params import partition_from_sig
 from ..columns import ColumnView
 from .poly_ir import PolyProgram
 from .passes import KS_CIFHER, KS_INPUT_BROADCAST, KS_OUTPUT_AGGREGATION, \
@@ -200,40 +204,57 @@ class LimbProgram:
 
 
 class _KeyswitchContext:
-    """Digit structure and scalar factors for keyswitching at one level."""
+    """What every keyswitch at one ``(level, partition)`` shares.
 
-    def __init__(self, params, level: int, partition, partition_sig: str):
+    Built once per ``(level, partition_sig)`` (:meth:`LimbLowering._ks_context`):
+    the digit layout; ``at[pos]``, the ``{prime, prime_index}`` keyword
+    arguments of every position of the extended basis ``Q u E`` (positions
+    ``level..`` are the extension limbs); and the scalar factors and
+    ``lbconv`` source descriptions of mod-up and mod-down.  Under symbolic
+    :class:`~repro.fhe.ArchParams` every prime and scalar is ``None``.
+    """
+
+    def __init__(self, params, level: int, partition_sig: str):
         self.level = level
-        self.partition = partition
         self.partition_sig = partition_sig
-        self.concrete = hasattr(params, "moduli")
-        if self.concrete:
-            self.active = list(params.basis_at_level(level))
-            self.ext = list(params.extension_moduli)
+        self.partition = partition_from_sig(partition_sig, level, params)
+        if hasattr(params, "moduli"):
+            extended = (*params.basis_at_level(level),
+                        *params.extension_moduli)
         else:
-            self.active = [None] * level
-            self.ext = [None] * params.extension_count
-        self.extended = self.active + self.ext
-        self.num_ext = len(self.ext)
+            extended = (None,) * (level + params.extension_count)
+        symbolic = None in extended
+        self.num_ext = len(extended) - level
+        self.at = [{"prime": p, "prime_index": pos}
+                   for pos, p in enumerate(extended)]
 
-    def digit_primes(self, digit) -> list:
-        return [self.active[i] for i in digit]
+        def basis(positions):
+            return tuple(extended[pos] for pos in positions)
 
-    def digit_product(self, digit) -> Optional[int]:
-        if not self.concrete:
-            return None
-        prod = 1
-        for i in digit:
-            prod *= self.active[i]
-        return prod
+        def hat_inverses(primes):
+            """``(prod(primes) / p)^-1 mod p`` for every ``p``."""
+            if symbolic:
+                return (None,) * len(primes)
+            total = math.prod(primes)
+            return tuple(mod_inv((total // p) % p, p) for p in primes)
 
-    def ext_product(self) -> Optional[int]:
-        if not self.concrete:
-            return None
-        prod = 1
-        for p in self.ext:
-            prod *= p
-        return prod
+        ext = range(level, len(extended))
+        # Mod-up premultiplies digit limb j by (Q_g/q_j)^-1 mod q_j before
+        # the base conversion; mod-down does the same to the extension
+        # limbs with (P/p_e)^-1 mod p_e, then scales position i by P^-1.
+        self.digit_scalars = [hat_inverses(basis(g)) for g in self.partition]
+        self.digit_source = [
+            {"source_primes": basis(g), "source_indices": tuple(g)}
+            for g in self.partition]
+        self.ext_scalars = hat_inverses(basis(ext))
+        self.ext_source = {"source_primes": basis(ext),
+                           "source_indices": tuple(ext)}
+        if symbolic:
+            self.moddown_scalars = (None,) * level
+        else:
+            p_total = math.prod(basis(ext))
+            self.moddown_scalars = tuple(
+                mod_inv(p_total % q, q) for q in extended[:level])
 
 
 class LimbLowering:
@@ -259,8 +280,8 @@ class LimbLowering:
         self.out = LimbProgram(poly.name, num_chips)
         self.values: Dict[int, PolyValue] = {}
         self._ks_done: Dict[int, Tuple[PolyValue, PolyValue]] = {}
-        self._hoist_cache: Dict[str, dict] = {}
-        self._broadcast_cache: Dict[str, dict] = {}
+        self._ks_contexts: Dict[Tuple[int, str], _KeyswitchContext] = {}
+        self._hoist_cache: Dict[str, dict] = {}  # batch -> mod-up'd digits
 
     # ------------------------------------------------------------------ #
     # Placement helpers
@@ -369,13 +390,7 @@ class LimbLowering:
 
     def _lower_pauto(self, op):
         a = self._at_level(self.values[op.inputs[0]], op.level, op.stream)
-        galois = self._galois_element(op.attrs["galois"])
-        limbs = [
-            self.out.emit(L_AUTO, a.chips[i], (a.limbs[i],), domain=EVAL,
-                          galois=galois, prime=self._prime(i), prime_index=i)
-            for i in range(op.level)
-        ]
-        self.values[op.id] = PolyValue(limbs, list(a.chips[:op.level]), EVAL)
+        self.values[op.id] = self._automorph(a, op.attrs["galois"], op.level)
 
     def _lower_pdrop(self, op):
         a = self.values[op.inputs[0]]
@@ -396,8 +411,9 @@ class LimbLowering:
         home = src.chips[0]
         coeff = self.out.emit(L_INTT, home, (src.limbs[0],), domain=COEFF,
                               prime=q0, prime_index=0)
-        copies = self._broadcast_one(coeff, home, op.stream,
-                                     prime=q0, prime_index=0)
+        copies = self._broadcast(
+            home, self.group(op.stream),
+            [(coeff, home, "x", {"prime": q0, "prime_index": 0})], COEFF)
         limbs, chips = [], []
         for i in range(op.level):
             chip = self.chip_of(op.stream, i)
@@ -405,11 +421,11 @@ class LimbLowering:
             if i == 0:
                 # Limb 0 is exact: re-use the original residues.
                 value = src.limbs[0] if chip == home else self.out.emit(
-                    L_NTT, chip, (copies[chip],), domain=EVAL,
+                    L_NTT, chip, (copies[chip][0],), domain=EVAL,
                     prime=q0, prime_index=0)
             else:
                 resolved = self.out.emit(
-                    L_RSV, chip, (copies[chip],), domain=COEFF,
+                    L_RSV, chip, (copies[chip][0],), domain=COEFF,
                     from_prime=q0, to_prime=q_i, prime=q_i, prime_index=i)
                 value = self.out.emit(L_NTT, chip, (resolved,), domain=EVAL,
                                       prime=q_i, prime_index=i)
@@ -449,14 +465,15 @@ class LimbLowering:
         last_coeff = self.out.emit(
             L_INTT, last_chip, (src.limbs[in_level - 1],), domain=COEFF,
             prime=q_last, prime_index=in_level - 1)
-        copies = self._broadcast_one(last_coeff, last_chip, op.stream,
-                                     prime=q_last, prime_index=in_level - 1)
+        copies = self._broadcast(
+            last_chip, self.group(op.stream),
+            [(last_coeff, last_chip, "x",
+              {"prime": q_last, "prime_index": in_level - 1})], COEFF)
         limbs = []
         for j in range(out_level):
             chip = src.chips[j]
             q_j = self._prime(j)
-            local = copies[chip]
-            corr = self.out.emit(L_RSV, chip, (local,), domain=COEFF,
+            corr = self.out.emit(L_RSV, chip, (copies[chip][0],), domain=COEFF,
                                  from_prime=q_last, to_prime=q_j,
                                  prime=q_j, prime_index=j)
             corr = self.out.emit(L_NTT, chip, (corr,), domain=EVAL,
@@ -465,32 +482,59 @@ class LimbLowering:
                                  prime=q_j, prime_index=j)
             scalar = None
             if q_last is not None:
-                from ...fhe.modmath import mod_inv
                 scalar = mod_inv(q_last % q_j, q_j)
             limbs.append(self.out.emit(L_MULC, chip, (diff,), domain=EVAL,
                                        scalar=scalar, prime=q_j, prime_index=j))
         self.values[op.id] = PolyValue(limbs, list(src.chips[:out_level]), EVAL)
 
-    def _broadcast_one(self, value_id: int, home: int, stream: int,
-                       prime, prime_index) -> Dict[int, int]:
-        """Deliver one limb to every chip of the stream's group."""
-        group = self.group(stream)
-        copies = {home: value_id}
-        others = [c for c in group if c != home]
-        if not others:
-            return copies
+    # ------------------------------------------------------------------ #
+    # Collectives
+
+    def _collective(self, kind: str, root: int, group: List[int], sends,
+                    receives, domain: str, limbs_moved: int) -> List[int]:
+        """Emit one ``lcomm`` carrying ``sends`` — ``(value, tag)`` pairs —
+        and one ``lrecv`` per ``(chip, tag, position kwargs)`` of
+        ``receives``; returns the received values in that order."""
+        emit = self.out.emit
         cid = self.out.new_comm_id()
-        comm = self.out.emit(L_COMM, home, (value_id,), kind="broadcast",
-                             cid=cid, group=tuple(group),
-                             tags=("x",), limbs_moved=len(others))
-        for chip in others:
-            copies[chip] = self.out.emit(
-                L_RECV, chip, (comm,), domain=self.out.domains.get(value_id),
-                tag="x", cid=cid, prime=prime, prime_index=prime_index)
+        comm = emit(L_COMM, root, tuple(value for value, _ in sends),
+                    kind=kind, cid=cid, group=tuple(group),
+                    tags=tuple(tag for _, tag in sends),
+                    limbs_moved=limbs_moved)
+        return [emit(L_RECV, chip, (comm,), domain=domain, tag=tag, cid=cid,
+                     **at) for chip, tag, at in receives]
+
+    def _broadcast(self, root: int, group: List[int], limbs,
+                   domain: str) -> Dict[int, List[int]]:
+        """Put every limb of ``limbs`` — ``(value, home chip, tag, position
+        kwargs)`` — on every chip of ``group`` with one broadcast.
+
+        Returns ``{chip: [the value of each limb on that chip]}``; nothing
+        is emitted when every chip already holds everything.
+        """
+        copies = {chip: [value for value, _, _, _ in limbs] for chip in group}
+        missing = [(chip, k) for chip in group
+                   for k, (_, home, _, _) in enumerate(limbs) if home != chip]
+        if missing:
+            received = self._collective(
+                "broadcast", root, group,
+                [(value, tag) for value, _, tag, _ in limbs],
+                [(chip, *limbs[k][2:]) for chip, k in missing],
+                domain, limbs_moved=len(missing))
+            for (chip, k), value in zip(missing, received):
+                copies[chip][k] = value
         return copies
 
     # ------------------------------------------------------------------ #
     # Keyswitching
+    #
+    # One skeleton, step for step fhe/keyswitch.py: mod-up a digit
+    # (_modup_digit), inner product with the evalkey (_evk_inner_product),
+    # mod-down (_moddown_positions); _collective and _automorph sit between
+    # the steps.  The algorithms of the paper's section 4.3 are placements
+    # over it — which chip mods up which digit onto which positions, and
+    # where the collective goes (docs/compiler.md, section 6, has the
+    # table; fhe/parallel.py runs the same placements on real limbs).
 
     def _lower_pks(self, op):
         ks_id = op.attrs["ks_id"]
@@ -499,29 +543,29 @@ class LimbLowering:
         pair = self._ks_done[ks_id]
         self.values[op.id] = pair[op.attrs["component"]]
 
-    def _ks_context(self, level: int, algorithm: str, stream: int):
-        group = self.group(stream)
+    def _ks_context(self, level: int, algorithm: str,
+                    group: List[int]) -> _KeyswitchContext:
+        # Output aggregation's digits are the limb sets resident on the
+        # group's chips; every other algorithm uses contiguous digits.
         if algorithm == KS_OUTPUT_AGGREGATION and len(group) > 1:
-            partition = tuple(
-                tuple(i for i in range(level) if i % len(group) == c)
-                for c in range(len(group))
-            )
             sig = f"m{len(group)}"
         else:
-            partition = self.params.digit_partition(level, self.num_digits)
             sig = f"c{self.num_digits}"
-        return _KeyswitchContext(self.params, level, partition, sig)
+        ctx = self._ks_contexts.get((level, sig))
+        if ctx is None:
+            ctx = self._ks_contexts[level, sig] = _KeyswitchContext(
+                self.params, level, sig)
+        return ctx
 
-    def _evk_symbol(self, kind, ctx: _KeyswitchContext, digit: int,
-                    component: int, pos: int) -> str:
+    def _evk_prefix(self, kind, ctx: _KeyswitchContext) -> str:
+        """Symbol prefix of one switching key's limbs; the inner product
+        appends ``digit:component:position``."""
         if isinstance(kind, tuple) and kind[0] == "galois":
             key = f"galois{self._galois_element(kind[1])}"
         else:
             key = "relin"
-        sym = (f"evk:{key}:{ctx.level}:{ctx.partition_sig}:"
-               f"{digit}:{component}:{pos}")
         self.out.evalkeys.add((key, ctx.level, ctx.partition_sig))
-        return sym
+        return f"evk:{key}:{ctx.level}:{ctx.partition_sig}:"
 
     def _expand_keyswitch(self, op) -> Tuple[PolyValue, PolyValue]:
         algorithm = op.attrs.get("algorithm") or KS_SEQUENTIAL
@@ -529,415 +573,245 @@ class LimbLowering:
         group = self.group(op.stream)
         if len(group) == 1 or algorithm == KS_SEQUENTIAL:
             algorithm = KS_INPUT_BROADCAST  # degenerates: no comm on 1 chip
-        kind = op.attrs["kind"]
-        galois = op.attrs.get("galois")
-        batch = op.attrs.get("batch")
-        ctx = self._ks_context(op.level, algorithm, op.stream)
+        kind, galois = op.attrs["kind"], op.attrs.get("galois")
+        ctx = self._ks_context(op.level, algorithm, group)
         if algorithm in (KS_INPUT_BROADCAST, KS_CIFHER):
             return self._ks_input_broadcast(
-                d, ctx, kind, galois, batch, op.stream,
-                cifher=(algorithm == KS_CIFHER and len(group) > 1))
+                d, ctx, kind, galois, op.attrs.get("batch"), group,
+                cifher=algorithm == KS_CIFHER)
         if algorithm == KS_OUTPUT_AGGREGATION:
-            f0, f1, _ = self._ks_output_aggregation_partials(
-                d, ctx, kind, galois, op.stream, aggregate=True)
-            return f0, f1
+            partials = defaultdict(dict)
+            self._ks_resident_digits(d, ctx, kind, galois, group, partials)
+            return (self._aggregate_partials(partials, 0, ctx, group),
+                    self._aggregate_partials(partials, 1, ctx, group))
         raise ValueError(f"unknown keyswitch algorithm {algorithm!r}")
 
-    # -- input broadcast / CiFHER ---------------------------------------- #
+    # -- the steps --------------------------------------------------------- #
 
-    def _ks_input_broadcast(self, d: PolyValue, ctx, kind, galois, batch,
-                            stream, cifher: bool):
-        group = self.group(stream)
-        n = len(group)
-        level = ctx.level
-        cache_key = batch if batch is not None else None
-        hoisted = cache_key is not None and galois is not None
-
-        decomposed = None
-        if cache_key is not None:
-            decomposed = self._hoist_cache.get(cache_key)
-        if decomposed is None:
-            decomposed = self._decompose_for_group(
-                d, ctx, stream, cifher=cifher,
-                pre_galois=(None if hoisted else galois))
-            if cache_key is not None:
-                self._hoist_cache[cache_key] = decomposed
-        # decomposed: {chip: {digit_index: {pos: limb value (eval)}}}
-
-        galois_elt = self._galois_element(galois) if (hoisted and galois) else None
-
-        # Inner products per chip over its owned positions (+ ext for IB).
-        f_limbs = {0: {}, 1: {}}  # component -> pos -> (chip, value)
-        partial = {}
-        for chip in group:
-            for comp in (0, 1):
-                acc = {}
-                for digit_index, digit_vals in decomposed[chip].items():
-                    for pos, val in digit_vals.items():
-                        operand = val
-                        if galois_elt is not None:
-                            operand = self.out.emit(
-                                L_AUTO, chip, (val,), domain=EVAL,
-                                galois=galois_elt,
-                                prime=self._ctx_prime(ctx, pos), prime_index=pos)
-                        # Component 1 of every evalkey digit is uniform
-                        # pseudorandom: the PRNG unit regenerates it on chip
-                        # instead of streaming it from HBM (ARK-style
-                        # runtime data generation; Table 1's PRNG FU).
-                        regen = comp == 1 and self.regenerate_evalkeys
-                        evk = self.out.emit(
-                            L_PRNG if regen else L_LOAD, chip, domain=EVAL,
-                            symbol=self._evk_symbol(kind, ctx, digit_index,
-                                                    comp, pos),
-                            prime=self._ctx_prime(ctx, pos), prime_index=pos)
-                        term = self.out.emit(
-                            L_MUL, chip, (operand, evk), domain=EVAL,
-                            prime=self._ctx_prime(ctx, pos), prime_index=pos)
-                        if pos in acc:
-                            acc[pos] = self.out.emit(
-                                L_ADD, chip, (acc[pos], term), domain=EVAL,
-                                prime=self._ctx_prime(ctx, pos), prime_index=pos)
-                        else:
-                            acc[pos] = term
-                partial[(chip, comp)] = acc
-
-        if not cifher:
-            # Mod-down locally: every chip holds all extension limbs.
-            out_pair = []
-            for comp in (0, 1):
-                limbs = [None] * level
-                chips = [None] * level
-                for chip in group:
-                    acc = partial[(chip, comp)]
-                    owned = [i for i in range(level) if group[i % n] == chip]
-                    ext_positions = list(range(level, level + ctx.num_ext))
-                    down = self._moddown_local(acc, owned, ext_positions,
-                                               ctx, chip)
-                    for i, v in down.items():
-                        limbs[i] = v
-                        chips[i] = chip
-                out_pair.append(PolyValue(limbs, chips, EVAL))
-            return tuple(out_pair)
-
-        # CiFHER: extension limbs of the accumulators are distributed; they
-        # must be broadcast (2 broadcasts) before each chip can mod-down.
-        out_pair = []
-        for comp in (0, 1):
-            acc_by_pos: Dict[int, Tuple[int, int]] = {}
-            for chip in group:
-                for pos, v in partial[(chip, comp)].items():
-                    if pos in acc_by_pos:
-                        # Positions are uniquely owned under CiFHER layout.
-                        raise AssertionError("duplicate position in CiFHER flow")
-                    acc_by_pos[pos] = (chip, v)
-            # INTT extension limbs on their owners, then broadcast them.
-            ext_coeff = {}
-            cid = self.out.new_comm_id()
-            entries = []
-            for e in range(ctx.num_ext):
-                pos = level + e
-                chip, v = acc_by_pos[pos]
-                c = self.out.emit(L_INTT, chip, (v,), domain=COEFF,
-                                  prime=self._ctx_prime(ctx, pos),
-                                  prime_index=pos)
-                entries.append((c, f"e{e}", chip, pos))
-            comm = self.out.emit(
-                L_COMM, group[0], tuple(e[0] for e in entries),
-                kind="broadcast", cid=cid, group=tuple(group),
-                tags=tuple(e[1] for e in entries),
-                limbs_moved=ctx.num_ext * (n - 1))
-            for chip in group:
-                for c_val, tag, home, pos in entries:
-                    if home == chip:
-                        ext_coeff[(chip, pos)] = c_val
-                    else:
-                        ext_coeff[(chip, pos)] = self.out.emit(
-                            L_RECV, chip, (comm,), domain=COEFF, tag=tag,
-                            cid=cid, prime=self._ctx_prime(ctx, pos),
-                            prime_index=pos)
-            limbs = [None] * level
-            chips = [None] * level
-            for i in range(level):
-                chip, f_val = acc_by_pos[i]
-                ext_vals = {level + e: ext_coeff[(chip, level + e)]
-                            for e in range(ctx.num_ext)}
-                down = self._moddown_positions(
-                    {i: f_val}, ext_vals, ctx, chip)
-                limbs[i] = down[i]
-                chips[i] = chip
-            out_pair.append(PolyValue(limbs, chips, EVAL))
-        return tuple(out_pair)
-
-    def _ctx_prime(self, ctx: _KeyswitchContext, pos: int):
-        return ctx.extended[pos]
-
-    def _decompose_for_group(self, d: PolyValue, ctx, stream, cifher: bool,
-                             pre_galois=None):
-        """Digit decomposition + mod-up, computed per chip.
-
-        Returns ``{chip: {digit_index: {pos: eval-domain limb value}}}``.
-        With ``cifher`` each chip produces only the positions it owns
-        (initial *and* extension); otherwise (input broadcast) each chip
-        produces its owned initial positions plus **all** extension
-        positions (the algorithm's duplicated compute).
-        """
-        group = self.group(stream)
-        n = len(group)
-        level = ctx.level
-
-        limbs = d.limbs
-        if pre_galois is not None:
-            galois_elt = self._galois_element(pre_galois)
-            limbs = [
-                self.out.emit(L_AUTO, d.chips[i], (limbs[i],), domain=EVAL,
-                              galois=galois_elt, prime=self._ctx_prime(ctx, i),
-                              prime_index=i)
-                for i in range(level)
-            ]
-
-        # INTT every limb on its owner, then broadcast all coeff limbs.
-        coeff = [
-            self.out.emit(L_INTT, d.chips[i], (limbs[i],), domain=COEFF,
-                          prime=self._ctx_prime(ctx, i), prime_index=i)
+    def _automorph(self, val: PolyValue, galois, level: int) -> PolyValue:
+        """Apply one automorphism to ``val``'s first ``level`` limbs, each
+        on its own chip."""
+        galois_elt = self._galois_element(galois)
+        limbs = [
+            self.out.emit(L_AUTO, val.chips[i], (val.limbs[i],), domain=EVAL,
+                          galois=galois_elt, prime=self._prime(i),
+                          prime_index=i)
             for i in range(level)
         ]
-        copies: Dict[Tuple[int, int], int] = {}
-        if n > 1:
-            cid = self.out.new_comm_id()
-            tags = tuple(f"l{i}" for i in range(level))
-            comm = self.out.emit(L_COMM, group[0], tuple(coeff),
-                                 kind="broadcast", cid=cid, group=tuple(group),
-                                 tags=tags, limbs_moved=level * (n - 1))
-            for chip in group:
-                for i in range(level):
-                    if d.chips[i] == chip:
-                        copies[(chip, i)] = coeff[i]
-                    else:
-                        copies[(chip, i)] = self.out.emit(
-                            L_RECV, chip, (comm,), domain=COEFF, tag=f"l{i}",
-                            cid=cid, prime=self._ctx_prime(ctx, i),
-                            prime_index=i)
-        else:
-            for i in range(level):
-                copies[(group[0], i)] = coeff[i]
+        return PolyValue(limbs, list(val.chips[:level]), EVAL)
 
-        from ...fhe.modmath import mod_inv
+    def _modup_digit(self, ctx: _KeyswitchContext, digit_index: int,
+                     chip: int, d: PolyValue, coeff, targets) -> Dict[int, int]:
+        """Mod-up one digit of ``d`` on ``chip`` onto the ``targets``
+        positions of ``Q u E`` (``fhe.keyswitch.modup_digit``).
 
-        result = {}
-        for chip in group:
-            owned_initial = [i for i in range(level) if group[i % n] == chip]
-            if cifher:
-                ext_positions = [level + e for e in range(ctx.num_ext)
-                                 if group[(level + e) % n] == chip]
-            else:
-                ext_positions = [level + e for e in range(ctx.num_ext)]
-            per_digit = {}
-            for digit_index, digit in enumerate(ctx.partition):
-                digit = list(digit)
-                q_digit = ctx.digit_product(digit)
-                # Premultiply each digit limb by (Q_g/q_j)^{-1} mod q_j.
-                pre = []
-                for j in digit:
-                    scalar = None
-                    if q_digit is not None:
-                        q_j = ctx.active[j]
-                        scalar = mod_inv((q_digit // q_j) % q_j, q_j)
-                    pre.append(self.out.emit(
-                        L_MULC, chip, (copies[(chip, j)],), domain=COEFF,
-                        scalar=scalar, prime=self._ctx_prime(ctx, j),
-                        prime_index=j))
-                vals = {}
-                targets = [p for p in owned_initial + ext_positions]
-                for pos in targets:
-                    if pos in digit:
-                        # In-digit positions reuse the original eval limb.
-                        vals[pos] = limbs[pos] if d.chips[pos] == chip else \
-                            self.out.emit(L_NTT, chip,
-                                          (copies[(chip, pos)],), domain=EVAL,
-                                          prime=self._ctx_prime(ctx, pos),
-                                          prime_index=pos)
-                        continue
-                    conv = self.out.emit(
-                        L_BCONV, chip, tuple(pre), domain=COEFF,
-                        source_primes=tuple(ctx.active[j] for j in digit),
-                        source_indices=tuple(digit),
-                        target_prime=self._ctx_prime(ctx, pos),
-                        prime=self._ctx_prime(ctx, pos), prime_index=pos)
-                    vals[pos] = self.out.emit(
-                        L_NTT, chip, (conv,), domain=EVAL,
-                        prime=self._ctx_prime(ctx, pos), prime_index=pos)
-                per_digit[digit_index] = vals
-            result[chip] = per_digit
-        return result
+        ``coeff(j)`` yields the coefficient-domain limb ``j`` on ``chip``;
+        it is called once per digit limb, right before that limb's
+        premultiply, so a caller may emit the INTT there.  Returns
+        ``{position: evaluation-domain limb}``.
+        """
+        emit = self.out.emit
+        at = ctx.at
+        digit = ctx.partition[digit_index]
+        pre = tuple(
+            emit(L_MULC, chip, (coeff(j),), domain=COEFF, scalar=scalar,
+                 **at[j])
+            for j, scalar in zip(digit, ctx.digit_scalars[digit_index]))
+        source = ctx.digit_source[digit_index]
+        extended = {}
+        for pos in targets:
+            if pos in digit:
+                # In-digit positions keep the original evaluation limb.
+                extended[pos] = d.limbs[pos] if d.chips[pos] == chip else \
+                    emit(L_NTT, chip, (coeff(pos),), domain=EVAL, **at[pos])
+                continue
+            conv = emit(L_BCONV, chip, pre, domain=COEFF, **source,
+                        target_prime=at[pos]["prime"], **at[pos])
+            extended[pos] = emit(L_NTT, chip, (conv,), domain=EVAL, **at[pos])
+        return extended
 
-    def _moddown_local(self, acc: Dict[int, int], owned: List[int],
-                       ext_positions: List[int], ctx, chip) -> Dict[int, int]:
-        """Mod-down on one chip that holds all extension limbs locally."""
-        ext_vals = {}
-        for pos in ext_positions:
-            ext_vals[pos] = self.out.emit(
-                L_INTT, chip, (acc[pos],), domain=COEFF,
-                prime=self._ctx_prime(ctx, pos), prime_index=pos)
-        return self._moddown_positions(
-            {i: acc[i] for i in owned}, ext_vals, ctx, chip)
+    def _evk_inner_product(self, ctx: _KeyswitchContext, evk: str, chip: int,
+                           component: int, digits: Dict[int, Dict[int, int]],
+                           galois_elt: int = None) -> Dict[int, int]:
+        """``sum_g digits[g] * evk[g][component]`` on ``chip``, position by
+        position (``fhe.keyswitch.evalkey_accumulate``).
 
-    def _moddown_positions(self, initial: Dict[int, int],
-                           ext_coeff: Dict[int, int], ctx, chip) -> Dict[int, int]:
-        """Shared mod-down tail: bconv ext limbs onto each initial position."""
-        from ...fhe.modmath import mod_inv
+        With ``galois_elt`` (a hoisted rotation) every operand first goes
+        through that automorphism.  Returns ``{position: accumulator}``.
+        """
+        emit = self.out.emit
+        # Component 1 of every evalkey digit is uniform pseudorandom: the
+        # PRNG unit regenerates it on chip instead of streaming it from
+        # HBM (ARK-style runtime data generation; Table 1's PRNG FU).
+        fetch = L_PRNG if component == 1 and self.regenerate_evalkeys \
+            else L_LOAD
+        acc = {}
+        for digit_index, extended in digits.items():
+            symbol = f"{evk}{digit_index}:{component}:"
+            for pos, operand in extended.items():
+                at = ctx.at[pos]
+                if galois_elt is not None:
+                    operand = emit(L_AUTO, chip, (operand,), domain=EVAL,
+                                   galois=galois_elt, **at)
+                key = emit(fetch, chip, domain=EVAL, symbol=f"{symbol}{pos}",
+                           **at)
+                term = emit(L_MUL, chip, (operand, key), domain=EVAL, **at)
+                acc[pos] = term if pos not in acc else emit(
+                    L_ADD, chip, (acc[pos], term), domain=EVAL, **at)
+        return acc
 
-        p_total = ctx.ext_product()
-        # Premultiply extension limbs by (P/p_e)^{-1} mod p_e once.
-        pre = []
-        ext_positions = sorted(ext_coeff)
-        for pos in ext_positions:
-            scalar = None
-            if p_total is not None:
-                p_e = ctx.extended[pos]
-                scalar = mod_inv((p_total // p_e) % p_e, p_e)
-            pre.append(self.out.emit(
-                L_MULC, chip, (ext_coeff[pos],), domain=COEFF, scalar=scalar,
-                prime=self._ctx_prime(ctx, pos), prime_index=pos))
-        out = {}
-        for i, f_val in initial.items():
-            q_i = ctx.active[i] if ctx.concrete else None
-            conv = self.out.emit(
-                L_BCONV, chip, tuple(pre), domain=COEFF,
-                source_primes=tuple(ctx.extended[p] for p in ext_positions),
-                source_indices=tuple(ext_positions),
-                target_prime=q_i, prime=q_i, prime_index=i)
-            conv = self.out.emit(L_NTT, chip, (conv,), domain=EVAL,
-                                 prime=q_i, prime_index=i)
-            diff = self.out.emit(L_SUB, chip, (f_val, conv), domain=EVAL,
-                                 prime=q_i, prime_index=i)
-            scalar = None
-            if p_total is not None:
-                scalar = mod_inv(p_total % q_i, q_i)
-            out[i] = self.out.emit(L_MULC, chip, (diff,), domain=EVAL,
-                                   scalar=scalar, prime=q_i, prime_index=i)
+    def _moddown_positions(self, ctx: _KeyswitchContext, chip: int,
+                           acc: Dict[int, int], positions,
+                           ext_coeff: List[int] = None) -> List[int]:
+        """Mod-down the accumulator ``acc`` onto ``positions`` of ``Q`` on
+        ``chip`` (``fhe.keyswitch.moddown_poly``).
+
+        ``ext_coeff`` are the coefficient-domain extension limbs when they
+        arrived by broadcast (CiFHER); otherwise ``acc`` holds them locally
+        and they are INTT'd here.  Returns one limb per position.
+        """
+        emit = self.out.emit
+        ext_at = ctx.at[ctx.level:]
+        if ext_coeff is None:
+            ext_coeff = [
+                emit(L_INTT, chip, (acc[at["prime_index"]],), domain=COEFF,
+                     **at) for at in ext_at]
+        pre = tuple(
+            emit(L_MULC, chip, (limb,), domain=COEFF, scalar=scalar, **at)
+            for limb, scalar, at in zip(ext_coeff, ctx.ext_scalars, ext_at))
+        out = []
+        for i in positions:
+            at = ctx.at[i]
+            conv = emit(L_BCONV, chip, pre, domain=COEFF, **ctx.ext_source,
+                        target_prime=at["prime"], **at)
+            conv = emit(L_NTT, chip, (conv,), domain=EVAL, **at)
+            diff = emit(L_SUB, chip, (acc[i], conv), domain=EVAL, **at)
+            out.append(emit(L_MULC, chip, (diff,), domain=EVAL,
+                            scalar=ctx.moddown_scalars[i], **at))
         return out
 
-    # -- output aggregation ---------------------------------------------- #
+    # -- the placements ---------------------------------------------------- #
 
-    def _ks_output_aggregation_partials(self, d: PolyValue, ctx, kind, galois,
-                                        stream, aggregate: bool,
-                                        pre_partials=None):
-        """Digit-parallel keyswitch with deferred aggregation.
+    def _ks_input_broadcast(self, d: PolyValue, ctx: _KeyswitchContext, kind,
+                            galois, batch, group: List[int], cifher: bool):
+        """Input broadcast and CiFHER: broadcast the input limbs, then every
+        chip mods up *every* digit onto the positions it produces.
 
-        Each chip mods up its resident digit, inner-products with its digit
-        evalkey, and mods down locally, yielding per-chip partial sums over
-        **all** initial positions.  With ``aggregate`` the partials are
-        reduce-scattered; otherwise they are returned for batching (the
-        rotate_sum lowering accumulates them across members first).
+        Under input broadcast a chip produces its own positions of ``Q``
+        and all of ``E`` — the duplicated compute that keeps mod-down local.
+        Under CiFHER it produces only its own positions of ``Q u E`` and
+        each output polynomial pays a broadcast of ``E`` before mod-down.
+        The members of a hoisted batch (rotations of one ciphertext) share
+        one broadcast and mod-up; each applies its automorphism to the
+        mod-up'd operands inside its inner product.
         """
-        from ...fhe.modmath import mod_inv
+        emit = self.out.emit
+        level, num_ext, n = ctx.level, ctx.num_ext, len(group)
+        hoisted = batch is not None and galois is not None
+        digits = self._hoist_cache.get(batch)
+        if digits is None:
+            if galois is not None and not hoisted:
+                d = self._automorph(d, galois, level)
+            coeff = [emit(L_INTT, d.chips[i], (d.limbs[i],), domain=COEFF,
+                          **ctx.at[i]) for i in range(level)]
+            copies = self._broadcast(
+                group[0], group,
+                [(coeff[i], d.chips[i], f"l{i}", ctx.at[i])
+                 for i in range(level)], COEFF)
+            digits = {}
+            for c, chip in enumerate(group):
+                targets = range(c, level + num_ext, n) if cifher else \
+                    (*range(c, level, n), *range(level, level + num_ext))
+                digits[chip] = {
+                    g: self._modup_digit(ctx, g, chip, d,
+                                         copies[chip].__getitem__, targets)
+                    for g in range(len(ctx.partition))}
+            if batch is not None:
+                self._hoist_cache[batch] = digits
 
-        group = self.group(stream)
-        n = len(group)
+        evk = self._evk_prefix(kind, ctx)
+        galois_elt = self._galois_element(galois) if hoisted else None
+        acc = {(chip, comp): self._evk_inner_product(
+                   ctx, evk, chip, comp, digits[chip], galois_elt)
+               for chip in group for comp in (0, 1)}
+
+        owner = [group[pos % n] for pos in range(level + num_ext)]
+        pair = []
+        for comp in (0, 1):
+            limbs = [None] * level
+            if cifher:
+                # The accumulators' extension limbs are spread over the
+                # group: INTT each on its owner and broadcast them, then
+                # every position is mod-downed where it lives.
+                ext = self._broadcast(group[0], group, [
+                    (emit(L_INTT, owner[pos], (acc[owner[pos], comp][pos],),
+                          domain=COEFF, **ctx.at[pos]),
+                     owner[pos], f"e{pos - level}", ctx.at[pos])
+                    for pos in range(level, level + num_ext)], COEFF)
+                for i in range(level):
+                    limbs[i], = self._moddown_positions(
+                        ctx, owner[i], acc[owner[i], comp], (i,),
+                        ext[owner[i]])
+            else:
+                for c, chip in enumerate(group):
+                    limbs[c::n] = self._moddown_positions(
+                        ctx, chip, acc[chip, comp], range(c, level, n))
+            pair.append(PolyValue(limbs, owner[:level], EVAL))
+        return tuple(pair)
+
+    def _ks_resident_digits(self, d: PolyValue, ctx: _KeyswitchContext, kind,
+                            galois, group: List[int], partials) -> None:
+        """Output aggregation up to the collective: chip ``g mod n`` mods
+        up its resident digit ``g`` onto all of ``Q u E`` (no broadcast),
+        multiplies by its evalkey digit and mods down locally.
+
+        The per-chip results over **all** positions of ``Q`` are added into
+        ``partials[chip, component]``; :meth:`_aggregate_partials`
+        reduce-scatters them — once per keyswitch, or once per fused
+        rotate-sum after every member has been accumulated.
+        """
+        emit = self.out.emit
         level = ctx.level
-
-        limbs = d.limbs
         if galois is not None:
-            galois_elt = self._galois_element(galois)
-            limbs = [
-                self.out.emit(L_AUTO, d.chips[i], (limbs[i],), domain=EVAL,
-                              galois=galois_elt, prime=self._ctx_prime(ctx, i),
-                              prime_index=i)
-                for i in range(level)
-            ]
-
-        partials = pre_partials if pre_partials is not None else \
-            {(chip, comp): {} for chip in group for comp in (0, 1)}
+            d = self._automorph(d, galois, level)
+        evk = self._evk_prefix(kind, ctx)
         for digit_index, digit in enumerate(ctx.partition):
             if not digit:
                 continue
-            chip = group[digit_index % n]
-            digit = list(digit)
-            q_digit = ctx.digit_product(digit)
-            coeff = {}
-            pre = []
-            for j in digit:
-                c = self.out.emit(L_INTT, chip, (limbs[j],), domain=COEFF,
-                                  prime=self._ctx_prime(ctx, j), prime_index=j)
-                coeff[j] = c
-                scalar = None
-                if q_digit is not None:
-                    q_j = ctx.active[j]
-                    scalar = mod_inv((q_digit // q_j) % q_j, q_j)
-                pre.append(self.out.emit(
-                    L_MULC, chip, (c,), domain=COEFF, scalar=scalar,
-                    prime=self._ctx_prime(ctx, j), prime_index=j))
-            extended = {}
-            for pos in range(level + ctx.num_ext):
-                if pos in digit:
-                    extended[pos] = limbs[pos]
-                    continue
-                conv = self.out.emit(
-                    L_BCONV, chip, tuple(pre), domain=COEFF,
-                    source_primes=tuple(ctx.active[j] for j in digit),
-                    source_indices=tuple(digit),
-                    target_prime=self._ctx_prime(ctx, pos),
-                    prime=self._ctx_prime(ctx, pos), prime_index=pos)
-                extended[pos] = self.out.emit(
-                    L_NTT, chip, (conv,), domain=EVAL,
-                    prime=self._ctx_prime(ctx, pos), prime_index=pos)
-            for comp in (0, 1):
-                acc = {}
-                for pos, val in extended.items():
-                    regen = comp == 1 and self.regenerate_evalkeys
-                    evk = self.out.emit(
-                        L_PRNG if regen else L_LOAD, chip, domain=EVAL,
-                        symbol=self._evk_symbol(kind, ctx, digit_index, comp, pos),
-                        prime=self._ctx_prime(ctx, pos), prime_index=pos)
-                    acc[pos] = self.out.emit(
-                        L_MUL, chip, (val, evk), domain=EVAL,
-                        prime=self._ctx_prime(ctx, pos), prime_index=pos)
-                ext_positions = list(range(level, level + ctx.num_ext))
-                down = self._moddown_local(acc, list(range(level)),
-                                           ext_positions, ctx, chip)
-                target = partials[(chip, comp)]
-                for i, v in down.items():
-                    if i in target:
-                        target[i] = self.out.emit(
-                            L_ADD, chip, (target[i], v), domain=EVAL,
-                            prime=self._ctx_prime(ctx, i), prime_index=i)
-                    else:
-                        target[i] = v
-        if not aggregate:
-            return partials
-        f0 = self._aggregate_partials(partials, 0, ctx, stream)
-        f1 = self._aggregate_partials(partials, 1, ctx, stream)
-        return f0, f1, partials
+            chip = group[digit_index % len(group)]
 
-    def _aggregate_partials(self, partials, comp, ctx, stream) -> PolyValue:
-        group = self.group(stream)
-        n = len(group)
-        level = ctx.level
+            def coeff(j):
+                return emit(L_INTT, chip, (d.limbs[j],), domain=COEFF,
+                            **ctx.at[j])
+
+            extended = self._modup_digit(ctx, digit_index, chip, d, coeff,
+                                         range(level + ctx.num_ext))
+            for comp in (0, 1):
+                acc = self._evk_inner_product(ctx, evk, chip, comp,
+                                              {digit_index: extended})
+                partial = partials[chip, comp]
+                for i, limb in enumerate(self._moddown_positions(
+                        ctx, chip, acc, range(level))):
+                    partial[i] = limb if i not in partial else emit(
+                        L_ADD, chip, (partial[i], limb), domain=EVAL,
+                        **ctx.at[i])
+
+    def _aggregate_partials(self, partials, comp: int,
+                            ctx: _KeyswitchContext,
+                            group: List[int]) -> PolyValue:
+        level, n = ctx.level, len(group)
         if n == 1:
-            only = partials[(group[0], comp)]
+            only = partials[group[0], comp]
             return PolyValue([only[i] for i in range(level)],
                              [group[0]] * level, EVAL)
-        cid = self.out.new_comm_id()
-        contributions = []
-        tags = []
-        for chip in group:
-            for i in range(level):
-                v = partials[(chip, comp)].get(i)
-                if v is not None:
-                    contributions.append(v)
-                    tags.append(f"l{i}")
-        comm = self.out.emit(
-            L_COMM, group[0], tuple(contributions), kind="aggregate",
-            cid=cid, group=tuple(group), tags=tuple(tags),
-            limbs_moved=level * (n - 1))
-        limbs, chips = [], []
-        for i in range(level):
-            owner = group[i % n]
-            limbs.append(self.out.emit(
-                L_RECV, owner, (comm,), domain=EVAL, tag=f"l{i}", cid=cid,
-                prime=self._ctx_prime(ctx, i), prime_index=i))
-            chips.append(owner)
-        return PolyValue(limbs, chips, EVAL)
+        owners = [group[i % n] for i in range(level)]
+        limbs = self._collective(
+            "aggregate", group[0], group,
+            [(partials[chip, comp][i], f"l{i}") for chip in group
+             for i in range(level) if i in partials[chip, comp]],
+            [(owners[i], f"l{i}", ctx.at[i]) for i in range(level)],
+            EVAL, limbs_moved=level * (n - 1))
+        return PolyValue(limbs, owners, EVAL)
 
     # -- fused rotate_sum -------------------------------------------------- #
 
@@ -949,62 +823,51 @@ class LimbLowering:
         self.values[op.id] = self._ks_done[key][op.attrs["component"]]
 
     def _expand_rotate_sum(self, op) -> Tuple[PolyValue, PolyValue]:
+        """``sum_i rotate(ct_i, r_i)`` as one output-aggregation batch:
+        every rotated member adds its keyswitch into the same per-chip
+        partials, which are aggregated once for the whole sum."""
         rotations = op.attrs["rotations"]
-        stream = op.stream
-        level = op.level
+        level, stream = op.level, op.stream
         group = self.group(stream)
-        pairs = [
-            (self._at_level(self.values[op.inputs[2 * i]], level, stream),
-             self._at_level(self.values[op.inputs[2 * i + 1]], level, stream))
-            for i in range(len(rotations))
-        ]
-        ctx = self._ks_context(level, KS_OUTPUT_AGGREGATION, stream)
-
-        sum_c0 = None
-        passthrough_c1 = None
-        partials = {(chip, comp): {} for chip in group for comp in (0, 1)}
-        any_rotated = False
-        for (c0, c1), rotation in zip(pairs, rotations):
-            if rotation % self.params.slot_count == 0:
-                rc0, rc1 = c0, c1
-                sum_c0 = rc0 if sum_c0 is None else self._add_polys(sum_c0, rc0, ctx)
-                passthrough_c1 = rc1 if passthrough_c1 is None else \
-                    self._add_polys(passthrough_c1, rc1, ctx)
-                continue
-            any_rotated = True
+        ctx = self._ks_context(level, KS_OUTPUT_AGGREGATION, group)
+        sum_c0 = passthrough_c1 = None
+        partials = defaultdict(dict)
+        for index, rotation in enumerate(rotations):
+            c0, c1 = (self._at_level(self.values[op.inputs[2 * index + comp]],
+                                     level, stream) for comp in (0, 1))
+            rotated = rotation % self.params.slot_count != 0
             galois = ("rotation", rotation)
-            galois_elt = self._galois_element(galois)
-            rc0 = PolyValue(
-                [self.out.emit(L_AUTO, c0.chips[i], (c0.limbs[i],),
-                               domain=EVAL, galois=galois_elt,
-                               prime=self._ctx_prime(ctx, i), prime_index=i)
-                 for i in range(level)],
-                list(c0.chips[:level]), EVAL)
-            sum_c0 = rc0 if sum_c0 is None else self._add_polys(sum_c0, rc0, ctx)
-            partials = self._ks_output_aggregation_partials(
-                c1, ctx, ("galois", galois), galois, stream,
-                aggregate=False, pre_partials=partials)
-        if not any_rotated:
+            if rotated:
+                c0 = self._automorph(c0, galois, level)
+            sum_c0 = c0 if sum_c0 is None else \
+                self._add_polys(sum_c0, c0, ctx)
+            if rotated:
+                self._ks_resident_digits(c1, ctx, ("galois", galois), galois,
+                                         group, partials)
+            else:
+                passthrough_c1 = c1 if passthrough_c1 is None else \
+                    self._add_polys(passthrough_c1, c1, ctx)
+        if not partials:
             return sum_c0, passthrough_c1
-        f0 = self._aggregate_partials(partials, 0, ctx, stream)
-        f1 = self._aggregate_partials(partials, 1, ctx, stream)
+        f0 = self._aggregate_partials(partials, 0, ctx, group)
+        f1 = self._aggregate_partials(partials, 1, ctx, group)
         out0 = self._add_polys(sum_c0, f0, ctx)
         out1 = f1 if passthrough_c1 is None else \
             self._add_polys(f1, passthrough_c1, ctx)
         return out0, out1
 
-    def _add_polys(self, a: PolyValue, b: PolyValue, ctx) -> PolyValue:
+    def _add_polys(self, a: PolyValue, b: PolyValue,
+                   ctx: _KeyswitchContext) -> PolyValue:
+        emit = self.out.emit
         limbs = []
         for i in range(min(a.level, b.level)):
             chip = a.chips[i]
             rhs = b.limbs[i]
             if b.chips[i] != chip:
-                rhs = self.out.emit(L_MOV, chip, (rhs,), domain=b.domain,
-                                    from_chip=b.chips[i],
-                                    prime=self._ctx_prime(ctx, i), prime_index=i)
-            limbs.append(self.out.emit(
-                L_ADD, chip, (a.limbs[i], rhs), domain=a.domain,
-                prime=self._ctx_prime(ctx, i), prime_index=i))
+                rhs = emit(L_MOV, chip, (rhs,), domain=b.domain,
+                           from_chip=b.chips[i], **ctx.at[i])
+            limbs.append(emit(L_ADD, chip, (a.limbs[i], rhs),
+                              domain=a.domain, **ctx.at[i]))
         return PolyValue(limbs, list(a.chips[:len(limbs)]), a.domain)
 
 

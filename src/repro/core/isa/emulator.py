@@ -45,6 +45,7 @@ from ...fhe.ciphertext import Ciphertext
 from ...fhe.evaluator import CKKSContext
 from ...fhe.modmath import UINT
 from ...fhe.ntt import eval_automorphism_permutation
+from ...fhe.params import partition_from_sig
 from ...fhe.polynomial import EVAL, RnsPolynomial
 from ...fhe.rns import basis_product
 from ..compiler import CompiledProgram
@@ -109,14 +110,8 @@ def build_memory_image(
             purpose = ("galois", int(key[len("galois"):]))
         else:
             raise ValueError(f"unknown evalkey tag {key!r}")
-        if partition_sig.startswith("m"):
-            n = int(partition_sig[1:])
-            partition = tuple(
-                tuple(i for i in range(level) if i % n == c) for c in range(n)
-            )
-        else:
-            partition = params.digit_partition(level, int(partition_sig[1:]))
-        evk = context.keychain.switching_key(purpose, level, partition)
+        evk = context.keychain.switching_key(
+            purpose, level, partition_from_sig(partition_sig, level, params))
         for digit_index, (b, a) in enumerate(evk.digits):
             for comp, poly in enumerate((b, a)):
                 for pos in range(poly.level):

@@ -18,7 +18,7 @@ from . import ALL_EXPERIMENTS
 _COSTS = {
     "fig1": "instant", "table1": "instant", "table3": "instant",
     "fig11": "minutes", "fig12": "minutes", "fig15": "minutes",
-    "table2": "minutes", "fig13": "~15 min", "fig14": "~15 min",
+    "table2": "minutes", "fig13": "~1 min", "fig14": "~15 min",
     "fig16": "~10 min", "fig6": "~20 min",
 }
 

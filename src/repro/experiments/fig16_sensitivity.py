@@ -30,10 +30,6 @@ RESOURCES = ("register_file", "link_bandwidth", "memory_bandwidth",
              "vector_width")
 FACTORS = (0.5, 2.0)
 
-# Backwards-compatible alias: the private helper graduated to
-# repro.sim.config.machine_with so the autotuner can share it.
-_machine_with = machine_with
-
 
 def _tuned_config(machine_name: str) -> Optional[dict]:
     """The tuning DB's best bootstrap config for ``machine_name``.

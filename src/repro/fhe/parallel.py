@@ -42,7 +42,7 @@ import numpy as np
 from .ciphertext import Ciphertext
 from .keys import EvalKey, KeyChain
 from .keyswitch import evalkey_accumulate, keyswitch, moddown_poly, modup_digit
-from .params import CKKSParams
+from .params import CKKSParams, modular_partition
 from .polynomial import COEFF, RnsPolynomial
 from .rns import mod_down, mod_up
 
@@ -97,14 +97,6 @@ class CommStats:
 
 # --------------------------------------------------------------------------- #
 # Limb partitioning
-
-
-def modular_partition(level: int, num_chips: int) -> Tuple[Tuple[int, ...], ...]:
-    """The paper's partition: chip ``c`` holds limbs ``{i : i mod n == c}``."""
-    return tuple(
-        tuple(i for i in range(level) if i % num_chips == c)
-        for c in range(num_chips)
-    )
 
 
 def chip_of_limb(limb_index: int, num_chips: int) -> int:

@@ -25,6 +25,49 @@ from typing import Tuple
 
 from .primes import generate_primes
 
+#: A keyswitching digit layout: one tuple of limb *indices* per digit.
+Partition = Tuple[Tuple[int, ...], ...]
+
+
+def digit_partition(level: int, num_digits: int) -> Partition:
+    """Split limb indices ``0..level-1`` into contiguous digits.
+
+    The last digit may be smaller.  This is the digit layout used by
+    sequential keyswitching, input broadcast and CiFHER; output aggregation
+    uses :func:`modular_partition`.
+    """
+    size = math.ceil(level / min(num_digits, level))
+    return tuple(
+        tuple(range(start, min(start + size, level)))
+        for start in range(0, level, size)
+    )
+
+
+def modular_partition(level: int, num_chips: int) -> Partition:
+    """The paper's limb placement: chip ``c`` holds ``{i : i mod n == c}``.
+
+    Output aggregation takes these resident sets as its digits, so a chip
+    mods up what it already holds (chips past ``level`` hold nothing).
+    """
+    return tuple(
+        tuple(i for i in range(level) if i % num_chips == c)
+        for c in range(num_chips)
+    )
+
+
+def partition_from_sig(sig: str, level: int, params) -> Partition:
+    """Decode the partition signature carried by evalkey symbols.
+
+    ``"c<d>"`` is ``params.digit_partition(level, d)`` (contiguous digits),
+    ``"m<n>"`` the modular partition over ``n`` chips.
+    """
+    kind, count = sig[:1], int(sig[1:])
+    if kind == "m":
+        return modular_partition(level, count)
+    if kind == "c":
+        return params.digit_partition(level, count)
+    raise ValueError(f"unknown partition signature {sig!r}")
+
 
 @dataclass(frozen=True)
 class CKKSParams:
@@ -93,20 +136,10 @@ class CKKSParams:
             raise ValueError(f"level {level} out of range 1..{self.max_level}")
         return self.moduli[:level]
 
-    def digit_partition(self, level: int, num_digits: int = None) -> Tuple[Tuple[int, ...], ...]:
-        """Split limb indices ``0..level-1`` into contiguous digits.
-
-        Returns a tuple of tuples of limb *indices*.  The last digit may be
-        smaller.  This is the digit layout used by sequential keyswitching;
-        the parallel algorithms may use other (equally valid) partitions.
-        """
-        d = num_digits if num_digits is not None else self.num_digits
-        d = min(d, level)
-        size = math.ceil(level / d)
-        return tuple(
-            tuple(range(start, min(start + size, level)))
-            for start in range(0, level, size)
-        )
+    def digit_partition(self, level: int, num_digits: int = None) -> Partition:
+        """:func:`digit_partition` with this parameter set's digit count."""
+        return digit_partition(
+            level, self.num_digits if num_digits is None else num_digits)
 
 
 def _order_chain_greedily(pool, levels: int, scale: float):
@@ -227,11 +260,7 @@ class ArchParams:
     def slot_count(self) -> int:
         return self.ring_degree // 2
 
-    def digit_partition(self, level: int, num_digits: int = None) -> Tuple[Tuple[int, ...], ...]:
-        d = num_digits if num_digits is not None else self.num_digits
-        d = min(d, level)
-        size = math.ceil(level / d)
-        return tuple(
-            tuple(range(start, min(start + size, level)))
-            for start in range(0, level, size)
-        )
+    def digit_partition(self, level: int, num_digits: int = None) -> Partition:
+        """:func:`digit_partition` with this parameter set's digit count."""
+        return digit_partition(
+            level, self.num_digits if num_digits is None else num_digits)

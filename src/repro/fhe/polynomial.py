@@ -171,17 +171,14 @@ class RnsPolynomial:
 
             perm = eval_automorphism_permutation(k % (2 * n), n)
             return RnsPolynomial(self.basis, self.data[:, perm].copy(), EVAL)
-        was_eval = False
-        poly = self
         idx = np.arange(n, dtype=np.int64)
         dest = (idx * k) % (2 * n)
         sign_flip = dest >= n
         dest = dest % n
-        negated = _kernels.pointwise_negmod(poly.data, poly.basis)
-        out = np.empty_like(poly.data)
-        out[:, dest] = np.where(sign_flip[None, :], negated, poly.data)
-        result = RnsPolynomial(poly.basis, out, COEFF)
-        return result.to_eval() if was_eval else result
+        negated = _kernels.pointwise_negmod(self.data, self.basis)
+        out = np.empty_like(self.data)
+        out[:, dest] = np.where(sign_flip[None, :], negated, self.data)
+        return RnsPolynomial(self.basis, out, COEFF)
 
     def drop_limbs(self, keep: int) -> "RnsPolynomial":
         """Truncate to the first ``keep`` limbs (used by level alignment)."""

@@ -31,16 +31,14 @@ from .polynomial import EVAL, RnsPolynomial
 _MAGIC = "repro-cinnamon-v1"
 
 #: Version of the framed wire format (the CRC32 header below).  v1 blobs
-#: were headerless ``.npz`` archives; loaders still accept them.
+#: were headerless ``.npz`` archives; nothing writes them any more and
+#: loaders reject them like any other unframed bytes.
 SERIALIZE_SCHEMA_VERSION = 2
 
 #: Frame header: magic + big-endian (version: u16, crc32: u32).
 _FRAME_MAGIC = b"CNMN"
 _FRAME_FMT = ">HI"
 _FRAME_LEN = len(_FRAME_MAGIC) + struct.calcsize(_FRAME_FMT)
-
-#: Headerless legacy payloads are zip archives (``np.savez``).
-_ZIP_MAGIC = b"PK"
 
 
 class CorruptPayloadError(ValueError):
@@ -55,16 +53,10 @@ def frame_payload(payload: bytes) -> bytes:
         _FRAME_FMT, SERIALIZE_SCHEMA_VERSION, crc) + payload
 
 
-def unframe_payload(data: bytes, allow_legacy: bool = True) -> bytes:
+def unframe_payload(data: bytes) -> bytes:
     """Validate and strip the frame header; raises
-    :class:`CorruptPayloadError` on corruption.
-
-    With ``allow_legacy``, headerless v1 blobs (bare ``.npz`` archives)
-    pass through unchecked for compatibility with pre-CRC snapshots.
-    """
+    :class:`CorruptPayloadError` on corruption."""
     if not data.startswith(_FRAME_MAGIC):
-        if allow_legacy and data[:2] == _ZIP_MAGIC:
-            return data
         raise CorruptPayloadError(
             "not a framed cinnamon payload (bad magic); refusing to "
             "deserialize")

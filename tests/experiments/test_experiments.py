@@ -68,7 +68,7 @@ class TestCommonInfra:
                              cts_stages=1, cts_radix=2,
                              eval_mod_degree=3, eval_mod_doublings=0)
         compiled = compile_bootstrap(2, plan=plan)
-        assert compiled.comm_summary["limb_ops"] > 0
+        assert compiled.comm_summary.limb_ops > 0
         assert compiled.limb_program.ops == []
 
     def test_simulate_cached(self):

@@ -1,14 +1,12 @@
 """Unit tests for the resource-scaling helper behind Figure 16.
 
-The helper graduated from a private function in fig16_sensitivity to the
-public :func:`repro.sim.config.machine_with` (shared with the autotuner's
-machine axis); these tests target the public API and keep the legacy
-alias importable.
+The helper is the public :func:`repro.sim.config.machine_with`, shared
+with the autotuner's machine axis.
 """
 
 import pytest
 
-from repro.experiments.fig16_sensitivity import RESOURCES, _machine_with
+from repro.experiments.fig16_sensitivity import RESOURCES
 from repro.sim.config import CINNAMON_4, MACHINE_RESOURCES, machine_with
 
 
@@ -52,9 +50,6 @@ class TestMachineScaling:
     def test_nonpositive_factor(self):
         with pytest.raises(ValueError):
             machine_with(CINNAMON_4, "link_bandwidth", 0.0)
-
-    def test_legacy_alias(self):
-        assert _machine_with is machine_with
 
     def test_resource_list_complete(self):
         assert set(RESOURCES) == {"register_file", "link_bandwidth",

@@ -19,8 +19,8 @@ from repro.fhe.parallel import (
     batched_rotate_sum_output_aggregation,
     batched_rotations_input_broadcast,
     chip_of_limb,
-    modular_partition,
 )
+from repro.fhe.params import modular_partition
 from repro.fhe.rns import crt_reconstruct
 
 LEVEL = 6

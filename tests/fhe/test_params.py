@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fhe import ArchParams, CKKSParams, make_params, toy_params
+from repro.fhe.params import modular_partition, partition_from_sig
 
 
 class TestMakeParams:
@@ -72,6 +73,22 @@ class TestDigitPartition:
         part = small_params.digit_partition(8, num_digits=4)
         assert len(part) == 4
         assert all(len(d) == 2 for d in part)
+
+    def test_both_parameter_families_share_one_layout(self, small_params):
+        arch = ArchParams(num_digits=small_params.num_digits)
+        for level in range(1, small_params.max_level + 1):
+            assert arch.digit_partition(level) == \
+                small_params.digit_partition(level)
+
+    def test_signatures_decode_to_the_partitions_they_name(self, small_params):
+        assert partition_from_sig("c2", 7, small_params) == \
+            small_params.digit_partition(7, num_digits=2)
+        assert partition_from_sig("m4", 6, small_params) == \
+            modular_partition(6, 4) == ((0, 4), (1, 5), (2,), (3,))
+        # More chips than limbs: the surplus chips hold (and mod up) nothing.
+        assert partition_from_sig("m12", 2, small_params)[2:] == ((),) * 10
+        with pytest.raises(ValueError, match="partition signature"):
+            partition_from_sig("x3", 6, small_params)
 
 
 class TestToyParams:

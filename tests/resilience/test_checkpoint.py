@@ -85,14 +85,13 @@ class TestCiphertextFraming:
         with pytest.raises(CorruptPayloadError):
             load_ciphertext(bytes(flipped), small_params)
 
-    def test_legacy_headerless_blob_still_loads(self, small_params,
-                                                small_context):
+    def test_headerless_archive_is_rejected(self, small_params,
+                                            small_context):
         ct = small_context.encrypt_values([1.0, 2.0])
-        legacy = unframe_payload(dump_ciphertext(ct, small_params))
-        assert legacy[:2] == b"PK"          # bare .npz archive
-        back = load_ciphertext(legacy, small_params)
-        assert np.allclose(small_context.decrypt_values(back, 2),
-                           [1.0, 2.0], atol=1e-4)
+        headerless = unframe_payload(dump_ciphertext(ct, small_params))
+        assert headerless[:2] == b"PK"      # a bare, valid .npz archive
+        with pytest.raises(CorruptPayloadError, match="bad magic"):
+            load_ciphertext(headerless, small_params)
 
     def test_live_values_round_trip(self, small_params, small_context):
         values = {"a": small_context.encrypt_values([1.0]),
