@@ -147,6 +147,13 @@ _CODE = {opcode: code for code, opcode in enumerate(_OPCODES)}
 (_VADD, _VSUB, _VNEG, _VMUL, _VMULC, _VNTT, _VINTT, _VAUTO, _VRSV, _VBCV,
  _VPRNG, _LD, _ST, _SND, _MOV, _COL, _RCV) = range(len(_OPCODES))
 
+#: The pointwise opcodes, as :func:`repro.fhe.kernels.limb_group` names
+#: them (an ``rcv`` that issues is an aggregation: the sum).
+_GROUP_OP = {_VADD: "add", _VSUB: "sub", _VNEG: "neg", _VMUL: "mul",
+             _VMULC: "mulc", _VBCV: "bcv", _RCV: "sum", _VRSV: "rsv"}
+#: The schedule table a group's ``p1`` column indexes, where it has one.
+_CONSTANTS = {_VMULC: "scalars", _VBCV: "factors", _VRSV: "prime_column"}
+
 #: How far (in instructions that execute) past a chip's oldest unissued
 #: instruction the scheduler looks.  Measured on the mini-BERT artifact
 #: (329 k instructions, 2 chips): 64 gives groups of 26 and 1 194 live
@@ -603,8 +610,6 @@ class IsaEmulator:
         backend = get_backend()
         dst_column, src_column = schedule.dst, schedule.src
         p0_column, p1_column = schedule.p0, schedule.p1
-        primes = schedule.prime_column
-        signed_primes = primes.astype(np.int64)
         stored: Dict[str, np.ndarray] = {}
         store = None                    # (slots, N), sized by the first ld
         at = operand = symbol = 0
@@ -632,52 +637,21 @@ class IsaEmulator:
                     stored[name] = store[row].copy()
             else:
                 rows = p0_column[at:end]
-                a = store[srcs[0]]
-                if code == _VNTT:
-                    out = backend.ntt_batch(a, schedule.primes, rows)
-                elif code == _VINTT:
-                    out = backend.intt_batch(a, schedule.primes, rows)
+                op = _GROUP_OP.get(code)
+                if op is not None:
+                    table = _CONSTANTS.get(code)
+                    out = backend.limb_group(
+                        op, store, srcs, schedule.primes, rows,
+                        None if table is None
+                        else getattr(schedule, table)[p1_column[at:end]])
                 elif code == _VAUTO:
                     out = np.take_along_axis(
-                        a, schedule.permutations(a.shape[1])[rows], axis=1)
-                elif code == _VRSV:
-                    # Centered representative modulo the source prime,
-                    # reduced into the target's ring.
-                    source = signed_primes[p1_column[at:end], None]
-                    signed = a.astype(np.int64)
-                    signed = np.where(signed > source // 2, signed - source,
-                                      signed)
-                    out = np.mod(
-                        signed, signed_primes[rows, None]).astype(UINT)
+                        store[srcs[0]],
+                        schedule.permutations(store.shape[1])[rows], axis=1)
                 else:
-                    p = primes[rows, None]
-                    if code == _VADD:
-                        out = (a + store[srcs[1]]) % p
-                    elif code == _VSUB:
-                        out = (a + p - store[srcs[1]]) % p
-                    elif code == _VNEG:
-                        out = (p - a) % p
-                    elif code == _VMUL:
-                        out = (a * store[srcs[1]]) % p
-                    elif code == _VMULC:
-                        scalars = schedule.scalars[p1_column[at:end], None]
-                        out = (a * scalars) % p
-                    elif code == _VBCV:
-                        # Limbs and factors are below 2**31, so a reduced
-                        # sum plus three products still fits 64 bits: one
-                        # ``%`` (ten times a multiply) per three operands.
-                        factors = schedule.factors[p1_column[at:end]]
-                        out = a * factors[:, 0, None]
-                        for j in range(1, arity):
-                            if j % 3 == 0:
-                                out %= p
-                            out += store[srcs[j]] * factors[:, j, None]
-                        out %= p
-                    else:               # rcv of an aggregation: the sum
-                        out = a
-                        for j in range(1, arity):
-                            out += store[srcs[j]]
-                        out %= p
+                    transform = (backend.ntt_batch if code == _VNTT
+                                 else backend.intt_batch)
+                    out = transform(store[srcs[0]], schedule.primes, rows)
                 store[dst] = out
             at = end
         # Stores land together: a load never sees a later store's data.

@@ -1,7 +1,8 @@
 """Pluggable kernel backends for the hot FHE primitives.
 
 Every expensive limb-stack primitive — NTT/INTT, base conversion, mod-up /
-mod-down, and pointwise modular multiplication — is dispatched through a
+mod-down, pointwise modular multiplication, and the ISA emulator's
+pointwise instruction groups — is dispatched through a
 :class:`KernelBackend`.  Three implementations ship in-tree:
 
 * ``"numpy"`` — the seed per-limb kernels: a Python loop over limbs, each
@@ -11,10 +12,10 @@ mod-down, and pointwise modular multiplication — is dispatched through a
   :mod:`repro.fhe.kernels`: one numpy op per butterfly stage across the
   whole ``(L, N)`` stack, Shoup/Barrett 64-bit-safe reductions, cache
   blocking.  The portable default.
-* ``"native"`` — the same arithmetic as tight C loops, compiled on demand
-  with the system compiler (:mod:`repro.fhe.native`).  Registered — and
-  made the default — only when the toolchain can build it and the result
-  passes a bit-identity smoke test.
+* ``"native"`` — the NTT and the pointwise primitives as tight C loops,
+  compiled on demand with the system compiler (:mod:`repro.fhe.native`).
+  Registered — and made the default — only when the toolchain can build
+  it and the result passes a bit-identity smoke test.
 
 All backends must be *bit-identical*: canonical residues in ``[0, p)``
 matching the reference output exactly (``tests/fhe/test_backend.py``
@@ -25,7 +26,7 @@ backend registers itself with::
 
     @register_backend("my-accelerator")
     class MyBackend:
-        ...six KernelBackend methods...
+        ...seven KernelBackend methods...
 
 and becomes selectable via ``repro.set_kernel_backend("my-accelerator")``.
 Module-level ``ntt()`` / ``intt()`` / ``base_convert()`` etc. keep working
@@ -47,7 +48,7 @@ from . import rns as _rns
 
 @runtime_checkable
 class KernelBackend(Protocol):
-    """The six limb-stack primitives every kernel backend provides.
+    """The seven limb-stack primitives every kernel backend provides.
 
     All arrays are ``uint64`` limb stacks of shape ``(L, N)`` holding
     canonical residues; ``primes``/basis arguments are sequences of Python
@@ -86,6 +87,20 @@ class KernelBackend(Protocol):
     def pointwise_mulmod(self, a: np.ndarray, b: np.ndarray,
                          primes: Sequence[int]) -> np.ndarray:
         """Element-wise ``a * b mod p`` per limb row."""
+
+    def limb_group(self, op: str, store: np.ndarray, srcs: np.ndarray,
+                   primes: Sequence[int], rows: np.ndarray,
+                   constants=None) -> np.ndarray:
+        """One ISA emulator group of ``op`` (see
+        :data:`repro.fhe.kernels.GROUP_OPS`): operands gathered from rows
+        ``srcs`` (``(arity, count)``) of ``store``, instruction ``i``
+        modulo ``primes[rows[i]]``; returns the ``(count, N)`` results.
+
+        Unlike the other primitives this one promises nothing about
+        canonical operands: it must equal
+        :func:`repro.fhe.kernels.limb_group`'s expressions bit for bit on
+        any uint64 input.
+        """
 
 
 _REGISTRY: Dict[str, KernelBackend] = {}
@@ -143,6 +158,9 @@ class NumpyBackend:
         return np.stack([(a[i] * b[i]) % _kernels.UINT(int(q))
                          for i, q in enumerate(primes)])
 
+    def limb_group(self, op, store, srcs, primes, rows, constants=None):
+        return _kernels.limb_group(op, store, srcs, primes, rows, constants)
+
 
 @register_backend("numpy-batched")
 class BatchedNumpyBackend:
@@ -165,6 +183,9 @@ class BatchedNumpyBackend:
 
     def pointwise_mulmod(self, a, b, primes):
         return _kernels.pointwise_mulmod(a, b, primes)
+
+    def limb_group(self, op, store, srcs, primes, rows, constants=None):
+        return _kernels.limb_group(op, store, srcs, primes, rows, constants)
 
 
 _DEFAULT_BACKEND = "numpy-batched"

@@ -33,10 +33,10 @@ from .ciphertext import Ciphertext
 from .encoding import get_geometry
 from .evaluator import CKKSContext, Evaluator
 from .linear import bsgs_matvec
-from .kernels import from_signed_batch
 from .modmath import centered
 from .polyeval import ChebyshevEvaluator
 from .polynomial import COEFF, RnsPolynomial
+from .rns import integers_to_rns
 
 
 @dataclass
@@ -124,7 +124,7 @@ class Bootstrapper:
         polys = []
         for poly in ct.polys:
             coeffs = centered(poly.to_coeff().data[0], q0)
-            data = from_signed_batch(coeffs, full)
+            data = integers_to_rns(coeffs, full)
             polys.append(RnsPolynomial(full, data, COEFF).to_eval())
         # Declaring the scale as q0 * s divides the plaintext t = m + q0*I
         # by q0 exactly, with zero noise — the slots now read t/q0.

@@ -104,6 +104,11 @@ class CKKSEncoder:
             raise ValueError(
                 f"{len(values)} values exceed {geom.slot_count} slots"
             )
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            raise ValueError(
+                f"cannot encode non-finite values: {bad} of {len(values)} "
+                "slots are NaN or infinite")
         slots = np.zeros(geom.slot_count, dtype=np.complex128)
         slots[: len(values)] = values
         spectrum = np.zeros(n, dtype=np.complex128)

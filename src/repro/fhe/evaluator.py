@@ -27,6 +27,7 @@ from .keyswitch import hoisted_decompose, keyswitch, evalkey_accumulate, moddown
 from .modmath import centered, mod_inv
 from .params import CKKSParams
 from .polynomial import EVAL, RnsPolynomial
+from .rns import integers_to_rns
 
 # Scale drift tolerance for additions.  Chain primes sit within ~2**-12 of
 # the nominal scale, so each rescale drifts the scale by ~2.4e-4; treating
@@ -361,7 +362,7 @@ class Evaluator:
             # One batched NTT of the correction term across all remaining
             # limbs, then stack-wide subtract and per-limb inverse scale.
             correction = backend.ntt_batch(
-                _kernels.from_signed_batch(last_centered, new_basis), new_basis
+                integers_to_rns(last_centered, new_basis), new_basis
             )
             diff = _kernels.pointwise_submod(
                 poly.data[: len(new_basis)], correction, new_basis

@@ -530,8 +530,18 @@ def intt_batch(values: np.ndarray, primes: Sequence[int], rows=None) -> np.ndarr
 # Column-modulus pointwise kernels
 
 
+_PRIME_COLUMNS: Dict[PrimeTuple, np.ndarray] = {}
+
+
 def _prime_column(primes: Sequence[int]) -> np.ndarray:
-    return np.array([int(q) for q in primes], dtype=UINT)[:, None]
+    """The ``(L, 1)`` uint64 modulus column of a basis (cached, read-only)."""
+    key = primes if type(primes) is tuple else tuple(primes)
+    column = _PRIME_COLUMNS.get(key)
+    if column is None:
+        column = np.array([int(q) for q in key], dtype=UINT)[:, None]
+        column.flags.writeable = False
+        _PRIME_COLUMNS[key] = column
+    return column
 
 
 def pointwise_mulmod(a: np.ndarray, b: np.ndarray, primes: Sequence[int]) -> np.ndarray:
@@ -580,10 +590,61 @@ def pointwise_negmod(a: np.ndarray, primes: Sequence[int]) -> np.ndarray:
     return np.minimum(r, r - p)
 
 
-def from_signed_batch(coeffs: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-    """Reduce one signed int64 row into every limb ring at once."""
-    p = np.array([int(q) for q in primes], dtype=np.int64)[:, None]
-    return np.mod(np.asarray(coeffs, dtype=np.int64)[None, :], p).astype(UINT)
+#: The arithmetic :func:`limb_group` evaluates, named by the ISA opcode it
+#: serves (``sum`` is an aggregating ``rcv``).
+GROUP_OPS = ("add", "sub", "neg", "mul", "mulc", "bcv", "sum", "rsv")
+
+
+def limb_group(op: str, store: np.ndarray, srcs: np.ndarray,
+               primes: Sequence[int], rows: np.ndarray,
+               constants: Optional[np.ndarray] = None) -> np.ndarray:
+    """One group of same-opcode limb instructions, as the ISA emulator
+    issues them: gather, compute, return the ``(count, N)`` results.
+
+    ``srcs`` is the ``(arity, count)`` block of operand rows of ``store``;
+    instruction ``i`` works modulo ``primes[rows[i]]``.  ``constants`` holds
+    per instruction the ``mulc`` scalar, the ``bcv`` factor row (``(count,
+    >= arity)``) or the ``rsv`` source prime.
+
+    These are the reference expressions, uint64 wrap-around included: they
+    are applied verbatim to whatever operands arrive, canonical or not, and
+    every backend must agree with them bit for bit.
+    """
+    p = _prime_column(primes)[rows]
+    a = store[srcs[0]]
+    if op == "add":
+        return (a + store[srcs[1]]) % p
+    if op == "sub":
+        return (a + p - store[srcs[1]]) % p
+    if op == "neg":
+        return (p - a) % p
+    if op == "mul":
+        return (a * store[srcs[1]]) % p
+    if op == "mulc":
+        return (a * constants[:, None]) % p
+    if op == "bcv":
+        # Limbs and factors are below 2**31, so a reduced sum plus three
+        # products still fits 64 bits: one ``%`` per three operands.
+        out = a * constants[:, 0, None]
+        for j in range(1, len(srcs)):
+            if j % 3 == 0:
+                out %= p
+            out += store[srcs[j]] * constants[:, j, None]
+        out %= p
+        return out
+    if op == "sum":
+        for j in range(1, len(srcs)):
+            a += store[srcs[j]]
+        a %= p
+        return a
+    if op == "rsv":
+        # Centered representative modulo the source prime, reduced into
+        # the target's ring.
+        source = constants.astype(np.int64)[:, None]
+        signed = a.astype(np.int64)
+        signed = np.where(signed > source // 2, signed - source, signed)
+        return np.mod(signed, p.astype(np.int64)).astype(UINT)
+    raise ValueError(f"unknown limb group op {op!r}")
 
 
 # --------------------------------------------------------------------- #

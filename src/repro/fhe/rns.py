@@ -204,8 +204,16 @@ def crt_reconstruct(limbs: np.ndarray, primes: Sequence[int]) -> list:
 
 
 def integers_to_rns(values: Sequence[int], primes: Sequence[int]) -> np.ndarray:
-    """Decompose arbitrary-precision integers into RNS limbs ``(L, N)``."""
+    """Decompose integers into RNS limbs ``(L, N)``.
+
+    An int64 array is reduced into every limb ring with one ``np.mod``
+    (exact: floor modulo of 64-bit operands); anything else — the Python
+    ints of a Delta^2-scale plaintext — one big-int ``%`` per coefficient.
+    """
     primes = [int(p) for p in primes]
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        column = np.array(primes, dtype=np.int64)[:, None]
+        return np.mod(values[None, :], column).astype(UINT)
     n = len(values)
     out = np.empty((len(primes), n), dtype=UINT)
     int_values = [int(v) for v in values]

@@ -205,6 +205,20 @@ class TestGoldenParity:
             got = backend.pointwise_mulmod(a, b, primes)
         assert np.array_equal(got, want)
 
+    def test_pointwise_mulmod_column_and_wide_primes(self, name):
+        """A per-limb scalar column (how rescale and ``scalar_mul_rns``
+        call it) and a strided view, over mixed 28/31-bit rows."""
+        n = 128
+        primes = WIDE_STACKS["mixed"](n)
+        a = seeded_stack(primes, n, seed=88)
+        b = seeded_stack(primes, 2 * n, seed=99)
+        for other in (b[:, :1], b[:, ::2]):
+            want = np.stack([(a[i] * other[i]) % np.uint64(q)
+                             for i, q in enumerate(primes)])
+            with use_backend(name) as backend:
+                got = backend.pointwise_mulmod(a, other, primes)
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("n", [64, 256, 8192])
     @pytest.mark.parametrize("shape", sorted(WIDE_STACKS))
     def test_wide_and_mixed_stacks_bit_identical(self, name, shape, n):
@@ -228,6 +242,166 @@ class TestGoldenParity:
         assert np.array_equal(back, stack)
         assert np.array_equal(forward_rows, want)
         assert np.array_equal(back_rows, stack)
+
+
+def group_oracle(op, store, srcs, primes, rows, constants):
+    """:func:`repro.fhe.kernels.limb_group`'s expressions one instruction
+    at a time (uint64 wrap-around included)."""
+    out = np.empty((srcs.shape[1], store.shape[1]), dtype=np.uint64)
+    for i in range(srcs.shape[1]):
+        p = np.uint64(primes[rows[i]])
+        a, *rest = (store[srcs[j, i]] for j in range(len(srcs)))
+        if op == "add":
+            out[i] = (a + rest[0]) % p
+        elif op == "sub":
+            out[i] = (a + p - rest[0]) % p
+        elif op == "neg":
+            out[i] = (p - a) % p
+        elif op == "mul":
+            out[i] = (a * rest[0]) % p
+        elif op == "mulc":
+            out[i] = (a * constants[i]) % p
+        elif op == "bcv":
+            acc = a * constants[i, 0]
+            for j, limb in enumerate(rest, start=1):
+                if j % 3 == 0:
+                    acc %= p
+                acc += limb * constants[i, j]
+            out[i] = acc % p
+        elif op == "sum":
+            out[i] = (a + sum(rest, np.zeros_like(a))) % p
+        else:                                   # rsv
+            source = np.int64(constants[i])
+            signed = a.astype(np.int64)
+            signed = np.where(signed > source // 2, signed - source, signed)
+            out[i] = np.mod(signed, np.int64(p))
+    return out
+
+
+#: Operand count per group op; ``bcv`` and ``sum`` take several widths.
+GROUP_ARITIES = {"add": [2], "sub": [2], "neg": [1], "mul": [2],
+                 "mulc": [1], "bcv": list(range(1, 27)), "sum": [2, 3, 7],
+                 "rsv": [1]}
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+class TestLimbGroupParity:
+    """The ISA emulator's pointwise groups: every backend equals the numpy
+    expressions on any uint64 operands — not just canonical residues, as
+    random cross-ring instruction streams feed them."""
+
+    n = 64
+    #: Mixed 28/31-bit table, not in the order the rows name it.
+    table = tuple(generate_primes(2, 31, 64) + generate_primes(3, 28, 64))
+
+    def _case(self, op, arity, seed, count=6, slots=40):
+        rng = np.random.default_rng(seed)
+        store = rng.integers(0, 1 << 32, size=(slots, self.n),
+                             dtype=np.uint64)
+        srcs = rng.integers(0, slots, size=(arity, count)).astype(np.int32)
+        rows = rng.integers(0, len(self.table), size=count).astype(np.uint8)
+        constants = {
+            "mulc": rng.integers(0, 1 << 31, size=count, dtype=np.uint64),
+            "bcv": rng.integers(0, 1 << 31, size=(count, 26),
+                                dtype=np.uint64),
+            "rsv": np.array(self.table, dtype=np.uint64)[
+                rng.integers(0, len(self.table), size=count)],
+        }.get(op)
+        if op == "rsv":
+            # Both sides of the centering threshold, and int64-negative
+            # values, one a multiple of the target prime.
+            srcs[0] = rng.permutation(slots)[:count]
+            for row, source, target in zip(srcs[0], constants, rows):
+                store[row, :4] = (int(source) // 2, int(source) // 2 + 1,
+                                  2**63 + 5, 2**64 - 3 * self.table[target])
+        return store, srcs, rows, constants
+
+    @pytest.mark.parametrize("op,arity", [
+        (op, arity) for op, arities in GROUP_ARITIES.items()
+        for arity in arities])
+    def test_group_matches_numpy_expressions(self, name, op, arity):
+        store, srcs, rows, constants = self._case(op, arity, seed=arity)
+        want = group_oracle(op, store, srcs, self.table, rows, constants)
+        with use_backend(name) as backend:
+            got = backend.limb_group(op, store, srcs, self.table, rows,
+                                     constants)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    def test_sub_wraps_below_zero(self, name):
+        """``b > a + p``: the uint64 difference wraps, verbatim."""
+        store, srcs, rows, _ = self._case("sub", 2, seed=5)
+        p = np.array(self.table, dtype=np.uint64)[rows]
+        store[srcs[1]] = store[srcs[0]] + p[:, None] + np.uint64(1)
+        want = group_oracle("sub", store, srcs, self.table, rows, None)
+        with use_backend(name) as backend:
+            got = backend.limb_group("sub", store, srcs, self.table, rows)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("op", ["add", "mul", "bcv", "sum"])
+    def test_destination_aliases_a_source(self, name, op):
+        """Written back as the emulator does (``store[dst] = out``) with a
+        destination that is an operand of the same group, and one operand
+        read twice by one instruction."""
+        arity = 4 if op in ("bcv", "sum") else 2
+        store, srcs, rows, constants = self._case(op, arity, seed=9)
+        srcs[1, 0] = srcs[0, 0]
+        dst = np.roll(srcs[arity - 1], 1)
+        want = store.copy()
+        want[dst] = group_oracle(op, store, srcs, self.table, rows,
+                                 constants)
+        with use_backend(name) as backend:
+            store[dst] = backend.limb_group(op, store, srcs, self.table,
+                                            rows, constants)
+        assert np.array_equal(store, want)
+
+
+class TestIntegersToRns:
+    """The int64 fast path equals the big-int path it replaces."""
+
+    @pytest.mark.parametrize("bits", [28, 31])
+    def test_int64_matches_python_ints(self, bits):
+        from repro.fhe.rns import integers_to_rns
+
+        primes = generate_primes(4, bits, 64)
+        edge = [0, 1, -1, 2**62 - 1, -(2**62 - 1), -(2**63), 2**63 - 1]
+        rng = np.random.default_rng(bits)
+        values = np.concatenate([
+            np.array(edge, dtype=np.int64),
+            rng.integers(-(2**62), 2**62, size=57, dtype=np.int64)])
+        fast = integers_to_rns(values, primes)
+        slow = integers_to_rns([int(v) for v in values], primes)
+        assert fast.dtype == slow.dtype == np.uint64
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(fast[:, 0], np.zeros(4, dtype=np.uint64))
+        assert np.array_equal(fast[:, 2],
+                              np.array(primes, dtype=np.uint64) - 1)
+
+    def test_delta_squared_encode_takes_the_big_int_path(self, monkeypatch):
+        """Coefficients past 2**62 (a Delta^2-scale plaintext) must stay
+        Python ints: an int64 cast would wrap them."""
+        from repro.fhe import CKKSContext
+        from repro.fhe import encoding
+
+        params = make_params(ring_degree=64, levels=6, prime_bits=28,
+                             num_digits=3)
+        encoder = CKKSContext(params, seed=1).encoder
+        seen = []
+        real = encoding.integers_to_rns
+
+        def spy(values, primes):
+            seen.append(type(values))
+            return real(values, primes)
+
+        monkeypatch.setattr(encoding, "integers_to_rns", spy)
+        z = np.full(params.slot_count, 0.75)    # one coefficient: 0.75 scale
+        scale = float(params.scale) ** 2 * 2**8
+        assert 0.75 * scale > 2**62
+        decoded = encoder.decode(encoder.encode(z, scale=scale))
+        assert seen == [list]
+        assert np.max(np.abs(decoded.real - z)) < 1e-6
+        encoder.encode(z)
+        assert seen == [list, np.ndarray]
 
 
 @pytest.mark.parametrize("name", [b for b in BACKENDS if b != "numpy"])
@@ -279,6 +453,29 @@ def test_moduli_must_match_the_stack(name):
             backend.ntt_batch(stack, primes)
         with pytest.raises(IndexError):
             backend.intt_batch(stack, primes, rows=[0, 1, 2])
+
+
+@pytest.mark.skipif("native" not in BACKENDS, reason="no C toolchain")
+def test_native_group_refuses_what_c_would_read_out_of_bounds():
+    """Operand rows, prime rows and constants are checked in Python."""
+    n = 64
+    primes = tuple(generate_primes(2, 28, n))
+    store = seeded_stack(primes * 2, n)
+    srcs = np.array([[0, 1], [2, 3]])
+    rows = np.array([0, 1])
+    with use_backend("native") as backend:
+        with pytest.raises(IndexError):
+            backend.limb_group("add", store, srcs + 3, primes, rows)
+        with pytest.raises(IndexError):
+            backend.limb_group("add", store, srcs, primes, rows + 1)
+        with pytest.raises(ValueError, match="constants of shape"):
+            backend.limb_group("bcv", store, srcs, primes, rows,
+                               np.ones((2, 1), dtype=np.uint64))
+        with pytest.raises(ValueError, match="constants of shape"):
+            backend.limb_group("mulc", store, srcs[:1], primes, rows,
+                               np.ones(3, dtype=np.uint64))
+        with pytest.raises(ValueError, match="unknown limb group op"):
+            backend.limb_group("div", store, srcs, primes, rows)
 
 
 def test_concurrent_first_use_of_primes_shares_one_plan():

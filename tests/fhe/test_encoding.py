@@ -39,6 +39,18 @@ class TestRoundtrip:
         with pytest.raises(ValueError):
             enc.encode(np.zeros(small_context.params.slot_count + 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0, np.nan)])
+    def test_non_finite_rejected_before_embedding(self, small_context, bad):
+        """One ValueError naming the bad slots, no numpy RuntimeWarning,
+        and never residues of a NaN."""
+        enc = small_context.encoder
+        z = np.zeros(small_context.params.slot_count, dtype=np.complex128)
+        z[[1, 5]] = bad
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=r"2 of \d+ slots"):
+                enc.encode(z)
+
     def test_constant(self, small_context):
         enc = small_context.encoder
         out = enc.decode(enc.encode_constant(0.5 + 0.25j))
