@@ -1,85 +1,133 @@
 #!/usr/bin/env python
-"""Cinnamon's parallel keyswitching algorithms, functionally.
+"""Cinnamon's parallel keyswitching algorithms, compiled and emulated.
 
-Runs the four keyswitching algorithms of Section 4.3 on real data across
-four virtual chips, verifying correctness against the sequential reference
-and printing each algorithm's communication ledger — the algorithmic
-content of Figure 8 and Section 7.4 in one script.
+Compiles three programs — one rotation, a hoisted batch of six rotations
+of one ciphertext, and a rotate-sum — under every keyswitch policy for a
+4-chip machine, runs each on the ISA emulator, and checks every output
+limb against the functional keyswitching steps of ``repro.fhe.keyswitch``.
+Prints each compile's collectives and the limbs they move: the
+algorithmic content of Figure 8 and Section 7.4 in one script.
 
 Run:  python examples/keyswitch_comparison.py
 """
 
 import numpy as np
 
-from repro.fhe import CKKSContext, make_params
-from repro.fhe.keyswitch import keyswitch
-from repro.fhe.parallel import (
-    ParallelKeyswitcher,
-    batched_rotations_input_broadcast,
-)
+from repro.core import CinnamonProgram, CompilerDriver, CompilerOptions
+from repro.fhe import CKKSContext, Evaluator, make_params
+from repro.fhe.ciphertext import Ciphertext
+from repro.fhe.encoding import rotation_galois_element
+from repro.fhe.keyswitch import moddown_poly, modup_digit
 from repro.fhe.params import modular_partition
-from repro.fhe.rns import crt_reconstruct
+
+CHIPS = 4
+LEVEL = 8
+BATCH = (1, 2, 3, 4, 5, 6)
+SUM = ((0, "x0"), (1, "x1"), (3, "x2"))  # (rotation, input)
+
+
+def rotate_program():
+    prog = CinnamonProgram("rotate", level=LEVEL)
+    prog.output("y", prog.input("x0").rotate(3))
+    return prog
+
+
+def batch_program():
+    prog = CinnamonProgram("batch", level=LEVEL)
+    x = prog.input("x0")
+    for r in BATCH:
+        prog.output(f"r{r}", x.rotate(r))
+    return prog
+
+
+def rotate_sum_program():
+    prog = CinnamonProgram("rotate_sum", level=LEVEL)
+    total = None
+    for r, name in SUM:
+        x = prog.input(name)
+        term = x.rotate(r) if r else x
+        total = term if total is None else total + term
+    prog.output("y", total)
+    return prog
+
+
+def fused_rotate_sum(context, cts):
+    """The math of a fused rotate-sum on CHIPS chips: chip ``g`` mods up
+    its resident digit ``g`` of every rotated member, multiplies by its
+    evalkey digit and mods down on its own; the partials are summed."""
+    params = context.params
+    ext = params.extension_moduli
+    partition = modular_partition(LEVEL, CHIPS)
+    out0 = out1 = None
+    for r, name in SUM:
+        c0, c1 = cts[name].polys
+        if r:
+            k = rotation_galois_element(r, params.ring_degree)
+            c0, d = c0.automorphism(k), c1.automorphism(k).to_coeff()
+            evk = context.keychain.galois_key(k, LEVEL, partition)
+            c1 = None
+            for digit, (b, a) in zip(partition, evk.digits):
+                up = modup_digit(d, digit, d.basis + ext)
+                c0 = c0 + moddown_poly(up * b, d.basis, ext)
+                f1 = moddown_poly(up * a, d.basis, ext)
+                c1 = f1 if c1 is None else c1 + f1
+        out0 = c0 if out0 is None else out0 + c0
+        out1 = c1 if out1 is None else out1 + c1
+    return Ciphertext([out0, out1], cts["x0"].scale)
+
+
+def expected(context, evaluator, cts, compiled):
+    """The functional result of each output, in the form the compiler
+    chose (read from the keyswitch pass's statistics)."""
+    stats = compiled.pass_stats
+    x0 = cts["x0"]
+    if compiled.name == "rotate":
+        return {"y": evaluator.rotate(x0, 3)}
+    if compiled.name == "batch":
+        if stats.pattern1_batches:
+            outs = evaluator.rotate_hoisted(x0, BATCH)
+        else:
+            outs = {r: evaluator.rotate(x0, r) for r in BATCH}
+        return {f"r{r}": ct for r, ct in outs.items()}
+    if stats.pattern2_batches:
+        return {"y": fused_rotate_sum(context, cts)}
+    return {"y": evaluator.add_many(evaluator.rotate(cts[name], r)
+                                    for r, name in SUM)}
 
 
 def main():
-    params = make_params(ring_degree=128, levels=8, prime_bits=28,
+    params = make_params(ring_degree=128, levels=LEVEL, prime_bits=28,
                          num_digits=2)
     context = CKKSContext(params, seed=3)
-    keychain = context.keychain
-    chips = 4
-    level = 8
+    evaluator = Evaluator(context)
+    rng = np.random.default_rng(3)
+    cts = {name: context.encrypt_values(rng.uniform(-1, 1, params.slot_count))
+           for _, name in SUM}
 
-    d = keychain.rng.uniform_poly(params.basis_at_level(level),
-                                  params.ring_degree)
-    evk = keychain.relin_key(level)
-    reference = keyswitch(d, evk, params)
-
-    print(f"Keyswitching one level-{level} polynomial across {chips} chips\n")
-    header = f"{'algorithm':20s} {'correct':>9s} {'bcasts':>7s} " \
-             f"{'aggrs':>6s} {'limbs moved':>12s}"
-    print(header)
-
-    # Input broadcast: bit-exact.
-    sw = ParallelKeyswitcher(params, chips)
-    f0, f1 = sw.input_broadcast(d, evk)
-    exact = f0.equals(reference[0]) and f1.equals(reference[1])
-    print(f"{'input broadcast':20s} {'bit-exact' if exact else 'NO':>9s} "
-          f"{sw.stats.broadcasts:>7d} {sw.stats.aggregations:>6d} "
-          f"{sw.stats.limbs_broadcast + sw.stats.limbs_aggregated:>12d}")
-
-    # CiFHER baseline: bit-exact but 3 broadcasts.
-    sw = ParallelKeyswitcher(params, chips)
-    f0, f1 = sw.cifher(d, evk)
-    exact = f0.equals(reference[0]) and f1.equals(reference[1])
-    print(f"{'cifher':20s} {'bit-exact' if exact else 'NO':>9s} "
-          f"{sw.stats.broadcasts:>7d} {sw.stats.aggregations:>6d} "
-          f"{sw.stats.limbs_broadcast + sw.stats.limbs_aggregated:>12d}")
-
-    # Output aggregation: noise-equivalent (bounded rounding difference).
-    partition = modular_partition(level, chips)
-    evk_mod = keychain.switching_key("relin", level, partition)
-    seq = keyswitch(d, evk_mod, params)
-    sw = ParallelKeyswitcher(params, chips)
-    f0, f1 = sw.output_aggregation(d, evk_mod)
-    diff = (seq[0] - f0).to_coeff()
-    bound = max(abs(v) for v in crt_reconstruct(diff.data, diff.basis))
-    print(f"{'output aggregation':20s} {f'|diff|<={bound}':>9s} "
-          f"{sw.stats.broadcasts:>7d} {sw.stats.aggregations:>6d} "
-          f"{sw.stats.limbs_broadcast + sw.stats.limbs_aggregated:>12d}")
-
-    # The batched pattern: r rotations, ONE broadcast (Section 4.3.1).
-    print("\nBatched pattern: 6 rotations of one ciphertext")
-    z = np.linspace(-1, 1, params.slot_count)
-    ct = context.encrypt_values(z)
-    sw = ParallelKeyswitcher(params, chips)
-    rotations = [1, 2, 3, 4, 5, 6]
-    outs = batched_rotations_input_broadcast(sw, keychain, ct, rotations)
-    worst = max(
-        np.max(np.abs(context.decrypt_values(outs[r]).real - np.roll(z, -r)))
-        for r in rotations
-    )
-    print(f"  {len(rotations)} rotations -> {sw.stats.broadcasts} broadcast "
-          f"(CiFHER would need {3 * len(rotations)}), max error {worst:.2e}")
+    print(f"Keyswitching at level {LEVEL} on {CHIPS} chips "
+          f"({len(params.extension_moduli)} extension limbs)\n")
+    print(f"{'policy':16s} {'program':12s} {'result':>9s} {'bcasts':>7s} "
+          f"{'aggrs':>6s} {'limbs moved':>12s}")
+    differing = 0
+    for policy in ("sequential", "cinnamon", "input_broadcast", "cifher"):
+        for build in (rotate_program, batch_program, rotate_sum_program):
+            compiled = CompilerDriver(params, CompilerOptions(
+                num_chips=CHIPS, keyswitch_policy=policy)).compile(build())
+            inputs = {name: cts[name] for name in compiled.ct_program.inputs}
+            got = compiled.emulate(inputs, context=context)
+            want = expected(context, evaluator, cts, compiled)
+            exact = all(g.equals(w)
+                        for out, ct in want.items()
+                        for g, w in zip(got[out].polys, ct.polys))
+            differing += not exact
+            comm = compiled.summarize_comm()
+            print(f"{policy:16s} {compiled.name:12s} "
+                  f"{'bit-exact' if exact else 'DIFFERS':>9s} "
+                  f"{comm.broadcast_events:>7d} {comm.aggregate_events:>6d} "
+                  f"{comm.comm_limbs:>12d}")
+        print()
+    if differing:
+        raise SystemExit(f"{differing} compiled programs differ from the math")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ Public surface:
   unified metrics (:func:`repro.obs.default_registry`), and the
   ``python -m repro.obs`` journal analyzer;
 * :mod:`repro.fhe` — functional RNS-CKKS (parameters, contexts, evaluator,
-  parallel keyswitching, bootstrapping) with pluggable limb-stack kernel
+  hybrid keyswitching, bootstrapping) with pluggable limb-stack kernel
   backends (:func:`repro.set_kernel_backend`; see
   :mod:`repro.fhe.backend`);
 * :mod:`repro.core` — the Cinnamon DSL, compiler, ISA, and emulator;

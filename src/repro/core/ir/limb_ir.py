@@ -534,7 +534,8 @@ class LimbLowering:
     # the steps.  The algorithms of the paper's section 4.3 are placements
     # over it — which chip mods up which digit onto which positions, and
     # where the collective goes (docs/compiler.md, section 6, has the
-    # table; fhe/parallel.py runs the same placements on real limbs).
+    # table; tests/core/test_keyswitch_oracle.py pins each placement's
+    # emulated limbs to fhe/keyswitch.py bit for bit).
 
     def _lower_pks(self, op):
         ks_id = op.attrs["ks_id"]

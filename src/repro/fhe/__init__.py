@@ -5,8 +5,8 @@ fully homomorphic encryption scheme (Cheon-Kim-Kim-Song) in the RNS/double-
 CRT representation used by FHE accelerators: limb-decomposed polynomials,
 negacyclic NTTs, approximate base conversion, hybrid digit keyswitching,
 and bootstrapping.  It is the executable ground truth against which the
-Cinnamon compiler, ISA emulator, and parallel keyswitching algorithms are
-validated.
+Cinnamon compiler, its parallel keyswitching placements, and the ISA
+emulator are validated.
 """
 
 from .backend import (

@@ -2,12 +2,14 @@
 
 This is Figure 4 of the paper: digit-decompose the input polynomial, mod-up
 each digit to the extended basis ``Q u E``, inner-product with the
-evaluation key, and mod-down back to ``Q``.  The parallel scale-out variants
-in :mod:`repro.fhe.parallel` are validated bit-exactly against this module.
+evaluation key, and mod-down back to ``Q``.
 
 The module deliberately exposes the intermediate steps (``modup_digit``,
-``evalkey_accumulate``, ``moddown_pair``) because the parallel algorithms
-re-order and re-partition exactly these pieces.
+``evalkey_accumulate``, ``moddown_poly``) because the parallel algorithms
+re-order and re-partition exactly these pieces: the compiler's limb
+lowering emits one routine per step, and
+``tests/core/test_keyswitch_oracle.py`` checks every compiled keyswitch
+bit for bit against these functions composed in the compiled order.
 """
 
 from __future__ import annotations

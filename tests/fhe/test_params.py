@@ -87,6 +87,14 @@ class TestDigitPartition:
             modular_partition(6, 4) == ((0, 4), (1, 5), (2,), (3,))
         # More chips than limbs: the surplus chips hold (and mod up) nothing.
         assert partition_from_sig("m12", 2, small_params)[2:] == ((),) * 10
+        for level, n in ((10, 3), (12, 4), (6, 4), (2, 12), (1, 8)):
+            part = partition_from_sig(f"m{n}", level, small_params)
+            assert len(part) == n
+            # Every limb exactly once, limb i in digit i mod n.
+            assert sorted(i for digit in part for i in digit) == \
+                list(range(level))
+            assert all(i % n == c for c, digit in enumerate(part)
+                       for i in digit)
         with pytest.raises(ValueError, match="partition signature"):
             partition_from_sig("x3", 6, small_params)
 
