@@ -19,11 +19,11 @@ Public surface:
   configs apply via ``repro.compile(tune=...)`` and
   ``CinnamonServer(tuned=True)``;
 * :mod:`repro.resilience` — machine-level fault tolerance: seeded fault
-  injection (:class:`~repro.resilience.FaultSchedule`), CRC-validated
-  checkpoints, and degraded-mode recovery
+  injection (:class:`~repro.resilience.FaultSchedule`) and degraded-mode
+  recovery that recompiles for the survivors and replays from cycle 0
   (:class:`~repro.resilience.RecoveryOrchestrator`);
 * :mod:`repro.trust` — artifact integrity & key lifecycle: signed
-  cache/checkpoint manifests with tamper quarantine
+  compile-cache manifests with tamper quarantine
   (:class:`~repro.trust.ArtifactManifest`), versioned evaluation-key
   rotation (:class:`~repro.trust.KeyVault`), request freshness / replay
   windows (:class:`~repro.trust.ReplayGuard`), and the
@@ -137,7 +137,6 @@ _LAZY_ATTRS = {
     "ReplayGuard": ("repro.trust", "ReplayGuard"),
     "trust": ("repro.trust", None),
     "FaultSchedule": ("repro.resilience", "FaultSchedule"),
-    "CheckpointStore": ("repro.resilience", "CheckpointStore"),
     "RecoveryOrchestrator": ("repro.resilience", "RecoveryOrchestrator"),
     "run_with_recovery": ("repro.resilience", "run_with_recovery"),
     "resilience": ("repro.resilience", None),
@@ -191,7 +190,6 @@ __all__ = [
     "KeyVault",
     "ReplayGuard",
     "FaultSchedule",
-    "CheckpointStore",
     "RecoveryOrchestrator",
     "run_with_recovery",
     "obs",

@@ -10,8 +10,8 @@ blob is an optional opaque payload: for ``submit`` it is the pickled
 ``(program, params, machine, options)`` tuple, for ``result`` the
 pickled :class:`~repro.serve.request.RequestResult`.  The header records
 ``crc32`` of the blob so a torn or corrupted payload is detected before
-unpickling (same posture as the checkpoint CRC framing in
-:mod:`repro.resilience`).
+unpickling (same posture as the CRC-framed ciphertexts of
+:mod:`repro.fhe.serialize`).
 
 Message kinds
 -------------

@@ -62,7 +62,7 @@ ROW_KINDS: Dict[str, RowKind] = {
     "recovery": RowKind({
         "fault": REQUIRED, "chip": REQUIRED, "cycle": REQUIRED,
         "machine_from": REQUIRED, "machine_to": REQUIRED,
-        "checkpoint_cycle": 0, "lost_cycles": 0, "detection_s": 0.0,
+        "lost_cycles": 0, "detection_s": 0.0,
         "recompile_s": 0.0, "replay_s": None,
     }),
     "tune": RowKind({

@@ -8,16 +8,13 @@ that:
 * :mod:`~repro.resilience.faults` — seeded, deterministic
   :class:`FaultSchedule` injection (chip kill, link sever/degrade,
   vector-cluster slowdown) plus the typed failures the simulator raises;
-* :mod:`~repro.resilience.checkpoint` — CRC-validated, versioned
-  :class:`Checkpoint` snapshots through a :class:`CheckpointStore`;
 * :mod:`~repro.resilience.recovery` — the
   :class:`RecoveryOrchestrator` loop: detect, recompile for the degrade
-  ladder's next rung, map checkpointed values onto the new partitioning,
-  replay on the survivors.
+  ladder's next rung, replay from cycle 0 on the survivors.
 
 ``faults`` is imported eagerly (the simulator itself depends on it);
-``checkpoint``/``recovery`` load lazily because they pull in the runtime
-session, which imports the simulator — eager imports here would cycle.
+``recovery`` loads lazily because it pulls in the runtime session, which
+imports the simulator — an eager import here would cycle.
 """
 
 from .faults import (
@@ -47,10 +44,6 @@ __all__ = [
     "MachineFaultError",
     "WatchdogTimeout",
     # Lazily-loaded (see __getattr__):
-    "Checkpoint",
-    "CheckpointStore",
-    "CorruptCheckpointError",
-    "CHECKPOINT_VERSION",
     "RecoveryEvent",
     "RecoveryExhausted",
     "RecoveryOrchestrator",
@@ -59,10 +52,6 @@ __all__ = [
 ]
 
 _LAZY_ATTRS = {
-    "Checkpoint": "checkpoint",
-    "CheckpointStore": "checkpoint",
-    "CorruptCheckpointError": "checkpoint",
-    "CHECKPOINT_VERSION": "checkpoint",
     "RecoveryEvent": "recovery",
     "RecoveryExhausted": "recovery",
     "RecoveryOrchestrator": "recovery",

@@ -10,8 +10,8 @@ schedule with a seeded RNG, which is still deterministic per seed.
 
 Fatal faults surface as typed exceptions carrying the exact failure
 cycle and every chip's progress at detection time, which is what the
-recovery orchestrator (:mod:`repro.resilience.recovery`) needs to pick a
-checkpoint and re-partition the work onto the survivors.
+recovery orchestrator (:mod:`repro.resilience.recovery`) needs to report
+the work lost and re-partition the program onto the survivors.
 """
 
 from __future__ import annotations

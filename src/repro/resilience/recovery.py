@@ -4,19 +4,19 @@
 of this package into the paper-level guarantee — *an encrypted inference
 finishes even when a die fails mid-run*:
 
-1. compile the program for the full machine and start simulating with a
-   :class:`~repro.resilience.faults.FaultSchedule` armed and periodic
-   checkpoints streaming into a :class:`CheckpointStore`;
+1. compile the program for the full machine and simulate it with a
+   :class:`~repro.resilience.faults.FaultSchedule` armed;
 2. when a fatal fault surfaces (:class:`ChipFailure` /
-   :class:`LinkFailure`), look up the last checkpoint at or before the
-   fault cycle, pick the next rung of the degrade ladder
-   (:func:`repro.sim.config.degraded_machine`), and recompile the same
+   :class:`LinkFailure`), pick the next rung of the degrade ladder
+   (:func:`repro.sim.config.degraded_machine`) and recompile the same
    program for the surviving chip count (re-partitioning every limb);
-3. map the run's live values onto the new partitioning — the seq-0 data
-   checkpoint holds the CRC-framed input ciphertexts, and the emulator's
-   memory-image builder re-shards them for whatever machine the program
-   was recompiled for — and replay on the survivors, with the fault
-   schedule filtered down to chips that still exist;
+3. replay from cycle 0 on the survivors, with the fault schedule
+   filtered down to chips that still exist.  Everything the faulted
+   attempt simulated is lost: simulator state is machine-shaped and dies
+   with the machine, so a ``recovery`` row's ``lost_cycles`` is the fault
+   cycle.  The caller's input ciphertexts are the only data frontier; the
+   emulator's memory-image builder re-shards them for whatever machine
+   the program was recompiled for;
 4. record a ``kind == "recovery"`` entry (trace schema 3) with the
    detection / recompile / replay wall-time split.
 
@@ -36,7 +36,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.tracing import tracer
-from .checkpoint import Checkpoint, CheckpointStore
 from .faults import FaultSchedule, MachineFaultError
 
 __all__ = [
@@ -67,7 +66,6 @@ class RecoveryEvent:
     cycle: int
     machine_from: str
     machine_to: str
-    checkpoint_cycle: int = 0
     lost_cycles: int = 0
     detection_s: float = 0.0
     recompile_s: float = 0.0
@@ -86,7 +84,8 @@ def descend_ladder(exc: MachineFaultError, current, *, descents: int,
     one the simulator named on ``exc``), ``descents`` the rungs this run
     already took, ``detection_s`` the wall time from the start of that
     attempt to the fault.  Returns the degraded machine and the
-    ``recovery`` row's fields; the caller recompiles, replays, and
+    ``recovery`` row's fields (``lost_cycles`` is the fault cycle: the
+    replay starts over at cycle 0); the caller recompiles, replays, and
     reports ``replay_s`` once the replay ends.  Raises
     :class:`RecoveryExhausted` (carrying ``events``) when
     ``max_recoveries`` is spent or no rung fits the survivors.
@@ -109,7 +108,8 @@ def descend_ladder(exc: MachineFaultError, current, *, descents: int,
     return degraded, RecoveryEvent(
         fault=exc.fault.kind if exc.fault else "chip_crash",
         chip=exc.chip, cycle=exc.cycle, machine_from=source.name,
-        machine_to=degraded.name, detection_s=detection_s)
+        machine_to=degraded.name, lost_cycles=exc.cycle,
+        detection_s=detection_s)
 
 
 @dataclass
@@ -121,7 +121,6 @@ class ResilientRunResult:
     compiled: object                     # CompiledProgram that completed
     machine: str                         # machine the run finished on
     recoveries: List[RecoveryEvent] = field(default_factory=list)
-    checkpoints_taken: int = 0
     outputs: Optional[Dict[str, object]] = None   # decrypted-able cts
 
     @property
@@ -139,21 +138,16 @@ class RecoveryOrchestrator:
     ``session`` is any :class:`repro.runtime.CinnamonSession` (a private
     one is created when omitted) — degraded recompiles go through its
     compile cache, so walking the same ladder twice is nearly free.
-    ``store`` receives every checkpoint; ``max_recoveries`` bounds ladder
-    descents per run; ``checkpoint_interval`` is in simulated cycles.
+    ``max_recoveries`` bounds ladder descents per run.
     """
 
-    def __init__(self, session=None, store: CheckpointStore = None, *,
-                 max_recoveries: int = 2,
-                 checkpoint_interval: Optional[int] = 10_000):
+    def __init__(self, session=None, *, max_recoveries: int = 2):
         if session is None:
             from ..runtime.session import CinnamonSession
 
             session = CinnamonSession()
         self.session = session
-        self.store = store if store is not None else CheckpointStore()
         self.max_recoveries = max_recoveries
-        self.checkpoint_interval = checkpoint_interval
 
     # ------------------------------------------------------------------ #
 
@@ -168,9 +162,9 @@ class RecoveryOrchestrator:
 
         With ``emulate_outputs`` (requires ``inputs`` and ``context``),
         the final — possibly degraded — compiled program is also run
-        through the functional emulator on the checkpointed input
-        ciphertexts, so callers can verify the recovered run decrypts to
-        the same values as a fault-free one.
+        through the functional emulator on ``inputs``, so callers can
+        verify the recovered run decrypts to the same values as a
+        fault-free one.
         """
         run_id = run_id or f"run-{uuid.uuid4().hex[:12]}"
         label = job or getattr(program, "name", "resilient-run")
@@ -197,18 +191,6 @@ class RecoveryOrchestrator:
 
         compiled = self.session.compile(program, params, machine=current,
                                         job=label)
-
-        # Seq-0 data checkpoint: the run's inputs, CRC-framed.  This is
-        # the frontier that survives a re-partitioning — simulator
-        # snapshots are machine-shaped and die with the machine.
-        payload: Dict[str, bytes] = {}
-        if inputs:
-            payload = Checkpoint.serialize_values(inputs, params)
-        self.store.save(Checkpoint(
-            run_id=run_id, seq=0, cycle=0, machine=current.name,
-            fingerprint=compiled.cache_key or "", payload=payload))
-        seq = 1
-        checkpoints_taken = 1
         events: List[RecoveryEvent] = []
         step = None        # ladder-step span of the descent being replayed
 
@@ -221,25 +203,11 @@ class RecoveryOrchestrator:
                                     **events[-1].as_dict())
 
         while True:
-            def hook(snapshot):
-                nonlocal seq, checkpoints_taken
-                self.store.save(Checkpoint(
-                    run_id=run_id, seq=seq, cycle=snapshot.cycle,
-                    machine=snapshot.machine,
-                    fingerprint=compiled.cache_key or "",
-                    frontier=dict(snapshot.frontier),
-                    payload=payload, snapshot=snapshot))
-                seq += 1
-                checkpoints_taken += 1
-
             replay_started = time.perf_counter()
             try:
                 result = self.session.simulate(
                     compiled, current, job=label,
-                    fault_schedule=schedule,
-                    checkpoint_interval=self.checkpoint_interval,
-                    checkpoint_hook=hook,
-                    watchdog_s=watchdog_s)
+                    fault_schedule=schedule, watchdog_s=watchdog_s)
             except MachineFaultError as exc:
                 detected = time.perf_counter()
                 if events:
@@ -249,21 +217,17 @@ class RecoveryOrchestrator:
                     max_recoveries=self.max_recoveries,
                     detection_s=detected - replay_started, events=events,
                     label=label)
-                restart = self.store.latest(run_id, max_cycle=exc.cycle)
-                checkpoint_cycle = restart.cycle if restart else 0
                 step = tracer().begin(
                     f"ladder:{current.name}->{degraded.name}",
                     kind="recovery-step",
                     attrs={"fault": event.fault,
-                           "chip": exc.chip, "cycle": exc.cycle,
-                           "checkpoint_cycle": checkpoint_cycle})
+                           "chip": exc.chip, "cycle": exc.cycle})
                 recompile_started = time.perf_counter()
                 with tracer().use_span(step):
                     compiled = self.session.compile(
                         program, params, machine=degraded, job=label)
                 events.append(replace(
-                    event, checkpoint_cycle=checkpoint_cycle,
-                    lost_cycles=max(0, exc.cycle - checkpoint_cycle),
+                    event,
                     recompile_s=time.perf_counter() - recompile_started))
                 step.finish()
                 schedule = schedule.for_survivors(
@@ -282,15 +246,11 @@ class RecoveryOrchestrator:
                 if inputs is None or context is None:
                     raise ValueError(
                         "emulate_outputs requires inputs and context")
-                restored = self.store.latest(run_id, max_cycle=0)
-                live = (restored.restore_values(params)
-                        if restored and restored.payload else dict(inputs))
-                outputs = compiled.emulate(live, context=context,
+                outputs = compiled.emulate(inputs, context=context,
                                            plaintexts=plaintexts)
             return ResilientRunResult(
                 run_id=run_id, result=result, compiled=compiled,
-                machine=current.name, recoveries=events,
-                checkpoints_taken=checkpoints_taken, outputs=outputs)
+                machine=current.name, recoveries=events, outputs=outputs)
 
 
 def run_with_recovery(program, params, machine=None, **kwargs

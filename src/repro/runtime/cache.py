@@ -95,7 +95,7 @@ class CompileCache:
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
             self.manifest = ArtifactManifest(
-                self.cache_dir, key=self.trust_key, target="cache",
+                self.cache_dir, key=self.trust_key,
                 on_tamper=self._note_tamper)
 
     # ------------------------------------------------------------------ #

@@ -242,8 +242,7 @@ class CinnamonSession:
 
     def simulate(self, compiled: CompiledProgram, machine=None,
                  tag: str = "", job: str = None, *,
-                 fault_schedule=None, checkpoint_interval: int = None,
-                 checkpoint_hook=None, resume_from=None,
+                 fault_schedule=None,
                  watchdog_s: Optional[float] = None,
                  max_cycles: Optional[int] = None) -> SimulationResult:
         """Cycle-simulate ``compiled`` on ``machine``, memoized per
@@ -251,13 +250,10 @@ class CinnamonSession:
 
         The keyword-only arguments thread the fault-tolerance machinery
         (:mod:`repro.resilience`) through the session: ``fault_schedule``
-        injects machine faults, ``checkpoint_interval``/``checkpoint_hook``
-        stream :class:`~repro.sim.simulator.SimulationSnapshot` objects
-        out mid-run, ``resume_from`` restarts from such a snapshot, and
-        ``watchdog_s`` (defaulting to the session-wide budget) bounds the
-        wall time.  Only clean, from-scratch runs hit the memo cache —
-        faulted or resumed simulations are never cached, because their
-        result depends on state outside the cache key.
+        injects machine faults and ``watchdog_s`` (defaulting to the
+        session-wide budget) bounds the wall time.  Only clean runs hit
+        the memo cache — faulted simulations are never cached, because
+        their result depends on state outside the cache key.
 
         ``max_cycles`` caps the simulated cycle frontier: the run stops
         there and returns a ``truncated=True`` partial result.  Truncated
@@ -271,9 +267,7 @@ class CinnamonSession:
         key = (token, resolved.name, repr(resolved.chip), tag, max_cycles)
         label = job or compiled.name
         deadline = watchdog_s if watchdog_s is not None else self.watchdog_s
-        perturbed = (bool(fault_schedule) or resume_from is not None
-                     or checkpoint_hook is not None
-                     or checkpoint_interval is not None)
+        perturbed = bool(fault_schedule)
         tr = tracer()
         with tr.start_span(
                 f"simulate:{label}", kind="simulate",
@@ -307,8 +301,6 @@ class CinnamonSession:
             try:
                 result = SimulatorEngine(resolved).run(
                     compiled.isa, fault_schedule=fault_schedule,
-                    checkpoint_interval=checkpoint_interval,
-                    checkpoint_hook=checkpoint_hook, resume_from=resume_from,
                     deadline_s=deadline, max_cycles=max_cycles, sink=sink)
             except Exception as exc:
                 journal(MISS, None, error=f"{type(exc).__name__}: {exc}")

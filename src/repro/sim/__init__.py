@@ -25,7 +25,6 @@ from .config import (
 )
 from .simulator import (
     SimulationResult,
-    SimulationSnapshot,
     SimulatorEngine,
 )
 
@@ -43,5 +42,4 @@ __all__ = [
     "resolve_machine",
     "SimulatorEngine",
     "SimulationResult",
-    "SimulationSnapshot",
 ]

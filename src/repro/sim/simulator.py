@@ -15,11 +15,11 @@ Machine-level robustness (:mod:`repro.resilience`) hooks in here: a
 :class:`~repro.resilience.faults.FaultSchedule` can kill a chip or degrade
 a link/cluster at a scheduled cycle (fatal faults raise
 :class:`~repro.resilience.faults.ChipFailure` /
-:class:`~repro.resilience.faults.LinkFailure` with per-chip progress), the
-engine can snapshot its full execution state at a cycle interval
-(checkpoint) and resume from such a snapshot, and a wall-clock deadline
-turns a hung simulation into a :class:`~repro.resilience.faults.WatchdogTimeout`
-instead of a wedged worker thread.
+:class:`~repro.resilience.faults.LinkFailure` with per-chip progress), and
+a wall-clock deadline turns a hung simulation into a
+:class:`~repro.resilience.faults.WatchdogTimeout` instead of a wedged
+worker thread.  Every run starts at cycle 0: recovery from a fatal fault
+recompiles for the surviving machine and replays from the start.
 """
 
 from __future__ import annotations
@@ -180,34 +180,6 @@ class SimulationResult:
         }
 
 
-@dataclass
-class SimulationSnapshot:
-    """The complete execution state of an in-flight simulation.
-
-    Plain picklable data — per-chip program counters, register ready
-    times, functional-unit and bandwidth occupancy, collective
-    rendezvous bookkeeping — captured at a checkpoint boundary.  Passing
-    it back via ``run(resume_from=...)`` continues the run bit-identically
-    to one that was never interrupted (the restore test pins this).
-    """
-
-    machine: str
-    cycle: int                      # global frontier at capture time
-    instructions: int
-    chips: Dict[int, dict]          # per-chip mutable state
-    col_posted: Dict[int, List[int]]
-    col_complete: Dict[tuple, Optional[int]]
-    col_bytes: Dict[int, int]
-    snd_ready: Dict[int, int]
-    events: List[dict] = field(default_factory=list)
-    applied_faults: List[tuple] = field(default_factory=list)
-
-    @property
-    def frontier(self) -> Dict[int, int]:
-        """Instruction frontier: chip id -> next program counter."""
-        return {cid: state["pc"] for cid, state in self.chips.items()}
-
-
 #: A timeline sink: ``sink(chip, lane, opcode, start, duration)``, called
 #: by the resource an instruction occupies at the moment it is reserved —
 #: so what a sink sees sums to the ``busy_cycles`` the result reports.
@@ -258,17 +230,6 @@ class _Bandwidth:
             self.sink(self.chip, self.lane, op, start, duration)
         return start + duration  # completion time
 
-    def state(self) -> dict:
-        return {"bytes_per_cycle": self.bytes_per_cycle,
-                "free_at": self.free_at, "busy_cycles": self.busy_cycles,
-                "bytes_moved": self.bytes_moved}
-
-    def restore(self, state: dict) -> None:
-        self.bytes_per_cycle = state["bytes_per_cycle"]
-        self.free_at = state["free_at"]
-        self.busy_cycles = state["busy_cycles"]
-        self.bytes_moved = state["bytes_moved"]
-
 
 class _ChipState:
     def __init__(self, chip_id: int, stream, config,
@@ -295,35 +256,6 @@ class _ChipState:
     def done(self):
         return self.pc >= self.length
 
-    def state(self) -> dict:
-        return {
-            "pc": self.pc,
-            "issue_time": self.issue_time,
-            "finish": self.finish,
-            "occupancy_scale": self.occupancy_scale,
-            "reg_ready": dict(self.reg_ready),
-            "fus": {name: (list(pool.free_at), pool.busy_cycles)
-                    for name, pool in self.fus.items()},
-            "hbm": self.hbm.state(),
-            "link": self.link.state(),
-        }
-
-    def restore(self, state: dict) -> None:
-        self.pc = state["pc"]
-        self.issue_time = state["issue_time"]
-        self.finish = state["finish"]
-        self.occupancy_scale = state["occupancy_scale"]
-        self.reg_ready = defaultdict(int, state["reg_ready"])
-        for name, (free_at, busy) in state["fus"].items():
-            self.fus[name].free_at = list(free_at)
-            self.fus[name].busy_cycles = busy
-        self.hbm.restore(state["hbm"])
-        self.link.restore(state["link"])
-
-
-def _fault_key(fault: MachineFault) -> tuple:
-    return (fault.kind, fault.chip, fault.cycle, fault.factor)
-
 
 class SimulatorEngine:
     """Simulates one compiled program on one machine configuration.
@@ -340,22 +272,13 @@ class SimulatorEngine:
 
     def run(self, isa_module, *,
             fault_schedule: Optional[FaultSchedule] = None,
-            checkpoint_interval: Optional[int] = None,
-            checkpoint_hook: Optional[Callable[[SimulationSnapshot], None]]
-            = None,
-            resume_from: Optional[SimulationSnapshot] = None,
             deadline_s: Optional[float] = None,
             max_cycles: Optional[int] = None,
             sink: Optional[Sink] = None) -> SimulationResult:
-        """Simulate ``isa_module``; optionally faulted/checkpointed.
+        """Simulate ``isa_module`` from cycle 0; optionally faulted.
 
         * ``fault_schedule`` — machine faults to apply; fatal ones raise
           :class:`ChipFailure`/:class:`LinkFailure` mid-run.
-        * ``checkpoint_interval`` + ``checkpoint_hook`` — every time the
-          global cycle frontier crosses a multiple of the interval, a
-          :class:`SimulationSnapshot` is passed to the hook.
-        * ``resume_from`` — continue a previous run from its snapshot
-          (must be the same machine and program shape).
         * ``deadline_s`` — wall-clock budget; exceeded -> raise
           :class:`WatchdogTimeout` (cooperative cancellation between
           simulation rounds, so the worker thread exits cleanly).
@@ -386,30 +309,10 @@ class SimulatorEngine:
         snd_ready: Dict[int, int] = {}
 
         events: List[dict] = []
-        applied: set = set()
         instructions = 0
-        if resume_from is not None:
-            if resume_from.machine != machine.name:
-                raise ValueError(
-                    f"snapshot was taken on {resume_from.machine!r}, "
-                    f"cannot resume on {machine.name!r}")
-            if set(resume_from.chips) != set(chips):
-                raise ValueError("snapshot chip set does not match program")
-            for cid, state in resume_from.chips.items():
-                chips[cid].restore(state)
-            col_posted = defaultdict(
-                list, {k: list(v) for k, v in resume_from.col_posted.items()})
-            col_complete = dict(resume_from.col_complete)
-            col_bytes = defaultdict(int, resume_from.col_bytes)
-            snd_ready = dict(resume_from.snd_ready)
-            events = list(resume_from.events)
-            applied = set(map(tuple, resume_from.applied_faults))
-            instructions = resume_from.instructions
-
         pending_faults: List[MachineFault] = []
         if fault_schedule is not None:
-            pending_faults = [f for f in fault_schedule.faults
-                              if _fault_key(f) not in applied]
+            pending_faults = list(fault_schedule.faults)
 
         limb_bytes = chip_cfg.limb_bytes
         occupancies = {
@@ -417,13 +320,6 @@ class SimulatorEngine:
         }
         latency = chip_cfg.pipeline_latency
         started_wall = time.monotonic()
-        next_checkpoint = None
-        if checkpoint_interval:
-            next_checkpoint = checkpoint_interval
-            if resume_from is not None:
-                next_checkpoint = (
-                    (resume_from.cycle // checkpoint_interval) + 1
-                ) * checkpoint_interval
 
         def frontier_cycle() -> int:
             active = [c.finish for c in chips.values() if not c.done]
@@ -443,7 +339,6 @@ class SimulatorEngine:
                     pending_faults.remove(fault)
                     continue
                 pending_faults.remove(fault)
-                applied.add(_fault_key(fault))
                 victim = chips[fault.chip]
                 if fault.kind == LINK_DEGRADE:
                     victim.link.bytes_per_cycle = max(
@@ -493,14 +388,6 @@ class SimulatorEngine:
                 # locally while the rest of the machine crossed the
                 # fault cycle.
                 apply_faults(None, now)
-            if next_checkpoint is not None and checkpoint_hook is not None \
-                    and now >= next_checkpoint:
-                snapshot = self._snapshot(chips, col_posted, col_complete,
-                                          col_bytes, snd_ready, events,
-                                          applied, instructions, now)
-                checkpoint_hook(snapshot)
-                while next_checkpoint <= now:
-                    next_checkpoint += checkpoint_interval
             if deadline_s is not None:
                 elapsed = time.monotonic() - started_wall
                 if elapsed > deadline_s:
@@ -543,24 +430,6 @@ class SimulatorEngine:
             topology=machine.topology,
             events=events,
             truncated=truncated,
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _snapshot(self, chips, col_posted, col_complete, col_bytes,
-                  snd_ready, events, applied, instructions,
-                  cycle: int) -> SimulationSnapshot:
-        return SimulationSnapshot(
-            machine=self.machine.name,
-            cycle=cycle,
-            instructions=instructions,
-            chips={cid: chip.state() for cid, chip in chips.items()},
-            col_posted={k: list(v) for k, v in col_posted.items()},
-            col_complete=dict(col_complete),
-            col_bytes=dict(col_bytes),
-            snd_ready=dict(snd_ready),
-            events=list(events),
-            applied_faults=sorted(applied),
         )
 
     # ------------------------------------------------------------------ #

@@ -5,7 +5,7 @@ request named, for a request I haven't already served?" across every
 place this repo persists or ships state:
 
 * :mod:`~repro.trust.manifest` — signed per-directory hash manifests
-  guarding the compile cache's pickles and checkpoint blobs; tampered
+  guarding the compile cache's pickles; tampered
   files degrade to a cache miss and are quarantined as evidence;
 * :mod:`~repro.trust.keyvault` — versioned multi-tenant evaluation-key
   lifecycle (issue / rotate / revoke) with signed, secret-free key

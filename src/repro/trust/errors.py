@@ -3,10 +3,9 @@
 Every rejection the trust layer makes — a tampered artifact, a stale or
 revoked evaluation key, a replayed or reordered request — surfaces as
 one of these, never as a hang, a bare ``Exception``, or a silent
-re-execution.  Callers (the serving router, the cache load path, the
-checkpoint store) catch the *typed* class, convert it into a terminal
-request status or a cache miss, and record a ``kind: "trust"`` trace
-row plus a metrics counter.
+re-execution.  Callers (the serving router, the cache load path) catch
+the *typed* class, convert it into a terminal request status or a cache
+miss, and record a ``kind: "trust"`` trace row plus a metrics counter.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ class TamperDetectedError(TrustError):
 
     def __init__(self, target: str, name: str, expected: str = "",
                  actual: str = ""):
-        self.target = target        # "cache" | "checkpoint" | "manifest"
+        self.target = target        # what was tampered with: "cache"
         self.name = name            # artifact key / file name
         self.expected = expected
         self.actual = actual

@@ -1,16 +1,16 @@
 """Signed per-directory artifact manifests.
 
 One :class:`ArtifactManifest` owns one directory of on-disk artifacts
-(the compile cache's pickles, a checkpoint store's ``CNCK`` blobs): the
-bytes *and* their signed record.  ``MANIFEST.json`` maps artifact name
-to one row — ``sha256`` of the exact file bytes, ``size``,
-``recorded_unix`` — and is itself signed: an HMAC-SHA256 over the
-canonical JSON of the rows, keyed by the deployment's trust key
-(``CINNAMON_TRUST_KEY`` or an explicit ``key=``).  A manifest whose
-signature does not verify is quarantined wholesale — every row in it is
-untrusted — and an empty one takes its place.
+(the compile cache's pickles): the bytes *and* their signed record.
+``MANIFEST.json`` maps artifact name to one row — ``sha256`` of the
+exact file bytes, ``size``, ``recorded_unix`` — and is itself signed:
+an HMAC-SHA256 over the canonical JSON of the rows, keyed by the
+deployment's trust key (``CINNAMON_TRUST_KEY`` or an explicit
+``key=``).  A manifest whose signature does not verify is quarantined
+wholesale — every row in it is untrusted — and an empty one takes its
+place.
 
-The two calls every user goes through:
+The two calls its user goes through:
 
 * :meth:`ArtifactManifest.store` writes the bytes to a temp file, then
   ``os.replace``s it into place and lands its row in one critical
@@ -61,6 +61,10 @@ TRUST_KEY_ENV = "CINNAMON_TRUST_KEY"
 #: Manifest document layout version.
 MANIFEST_SCHEMA_VERSION = 1
 
+#: What a manifest guards, as tamper reports and ``kind: "trust"`` rows
+#: name it.  The compile cache is the one user.
+ARTIFACT_TARGET = "cache"
+
 #: Fallback signing key for deployments that have not provisioned one.
 #: It still turns accidental corruption and casual tampering into loud
 #: failures; real deployments must set ``CINNAMON_TRUST_KEY`` (see
@@ -106,14 +110,12 @@ class ArtifactManifest:
     "trust"`` row without the manifest importing any of that machinery.
     """
 
-    def __init__(self, directory, key=None, target: str = "cache",
-                 on_tamper=None):
+    def __init__(self, directory, key=None, on_tamper=None):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / MANIFEST_FILENAME
         self.quarantine_dir = self.directory / QUARANTINE_DIRNAME
         self.key = resolve_trust_key(key)
-        self.target = target
         self.on_tamper = on_tamper
         # Imported here, not at module scope: runtime.cache imports this
         # module, so a top-level import of repro.runtime would be circular.
@@ -145,7 +147,7 @@ class ArtifactManifest:
             return self._read_verified()
         except ManifestSignatureError:
             self._report(TamperDetectedError(
-                self.target, MANIFEST_FILENAME, expected="valid-hmac",
+                ARTIFACT_TARGET, MANIFEST_FILENAME, expected="valid-hmac",
                 actual="bad-hmac"))
             self._quarantine_file(self.path)
             self._write({})
@@ -282,7 +284,7 @@ class ArtifactManifest:
             return False
         actual = hashlib.sha256(data).hexdigest()
         if not hmac.compare_digest(entry["sha256"], actual):
-            error = TamperDetectedError(self.target, name,
+            error = TamperDetectedError(ARTIFACT_TARGET, name,
                                         expected=entry["sha256"],
                                         actual=actual)
             self._report(error)

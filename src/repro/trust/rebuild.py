@@ -111,5 +111,5 @@ def verify_cache_dir(cache_dir, key=None) -> dict:
     """Read-only audit of an existing cache directory's manifest."""
     from .manifest import ArtifactManifest
 
-    manifest = ArtifactManifest(cache_dir, key=key, target="cache")
+    manifest = ArtifactManifest(cache_dir, key=key)
     return manifest.verify_directory()

@@ -1,7 +1,9 @@
 """Named tunable workloads.
 
-The CLI's ``--workload`` names resolve here.  Each entry builds a
-``(program, params, base_options)`` triple at one of two scales:
+The CLI's ``--workload`` names resolve here: one per class of the
+serving mix (:func:`repro.workloads.serving.serving_mix` with
+``include_nn=True``), each building a ``(program, params, base_options)``
+triple at one of two scales:
 
 * ``"paper"`` — the architectural scale the paper evaluates (the real
   BOOTSTRAP_13 plan, N = 64K-equivalent parameters).  A single compile
@@ -11,29 +13,31 @@ The CLI's ``--workload`` names resolve here.  Each entry builds a
   CI mix) that compile in well under a second, for smoke runs, tests,
   and the tuning CI gate.
 
-The builders intentionally mirror :func:`repro.workloads.serving
-.serving_mix` and :func:`repro.experiments.common.compile_bootstrap`, so
-a DB entry tuned here matches the fingerprint those paths compute.
+Every entry builds the serving mix's own program and params, so a DB
+entry tuned here matches the key the serving layer computes.  The one
+override is the paper bootstrap, which is
+:func:`repro.experiments.common.compile_bootstrap`'s program so that
+fig16's ``--tuned`` mode finds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..core.compiler import CompilerOptions
 from ..core.dsl.program import CinnamonProgram
 from ..core.ir.bootstrap_graph import BOOTSTRAP_13
 from ..fhe.params import ArchParams
 from ..workloads.bootstrap import bootstrap_program
-from ..workloads.kernels import (
-    activation_kernel,
-    bootstrap_kernel,
-    matmul_kernel,
-)
-from ..workloads.serving import SMALL_BOOTSTRAP_PLAN
+from ..workloads.serving import serving_mix
 
 SCALES = ("small", "paper")
+
+#: Paper-scale models the lowering refreshes via BOOTSTRAP_13: their
+#: options name that plan so the oracle's options fingerprint matches
+#: the plan the lowering scheduled against.
+_BOOTSTRAPPED = {("nn-resnet20", "paper"), ("nn-bert-encoder", "paper")}
 
 
 @dataclass(frozen=True)
@@ -57,58 +61,20 @@ def _paper_bootstrap():
     return program, params, CompilerOptions(bootstrap_plan=BOOTSTRAP_13)
 
 
-def _small_bootstrap():
-    params = ArchParams(max_level=SMALL_BOOTSTRAP_PLAN.top_level)
-    program = bootstrap_kernel(SMALL_BOOTSTRAP_PLAN, entry_level=2)
-    return program, params, CompilerOptions()
-
-
-def _matmul(name: str, diagonals: int, level: int, params: ArchParams):
-    return (matmul_kernel(name, diagonals, level), params,
-            CompilerOptions())
-
-
-def _activation(name: str, degree: int, level: int, params: ArchParams):
-    return (activation_kernel(name, degree, level), params,
-            CompilerOptions())
-
-
-def _nn(name: str, scale: str):
-    # Mirrors repro.workloads.serving.nn_mix: whole lowered models as
-    # tuning targets.  The paper-scale deep models pass BOOTSTRAP_13
-    # explicitly so the oracle's options fingerprint matches the plan
-    # the lowering scheduled against.
-    from ..workloads.serving import nn_mix
-
-    entry = nn_mix(scale)[name]
-    plan = BOOTSTRAP_13 if scale == "paper" and name != "nn-helr" else None
-    options = CompilerOptions(bootstrap_plan=plan) if plan \
-        else CompilerOptions()
-    return entry.build(), entry.params, options
+def _from_mix(entry, plan) -> Callable:
+    def build():
+        return (entry.build(), entry.params,
+                CompilerOptions(bootstrap_plan=plan))
+    return build
 
 
 _BUILDERS: Dict[Tuple[str, str], Callable] = {
-    ("bootstrap", "paper"): _paper_bootstrap,
-    ("bootstrap", "small"): _small_bootstrap,
-    ("resnet-block", "paper"):
-        lambda: _matmul("conv", 27, 12, ArchParams()),
-    ("resnet-block", "small"):
-        lambda: _matmul("conv", 6, 6, ArchParams(max_level=16)),
-    ("helr-step", "paper"):
-        lambda: _activation("sigmoid", 7, 8, ArchParams()),
-    ("helr-step", "small"):
-        lambda: _activation("sigmoid", 3, 6, ArchParams(max_level=16)),
-    ("bert-layer", "paper"):
-        lambda: _matmul("qkv", 48, 12, ArchParams()),
-    ("bert-layer", "small"):
-        lambda: _matmul("qkv", 8, 6, ArchParams(max_level=16)),
-    ("nn-helr", "paper"): lambda: _nn("nn-helr", "paper"),
-    ("nn-helr", "small"): lambda: _nn("nn-helr", "small"),
-    ("nn-resnet20", "paper"): lambda: _nn("nn-resnet20", "paper"),
-    ("nn-resnet20", "small"): lambda: _nn("nn-resnet20", "small"),
-    ("nn-bert-encoder", "paper"): lambda: _nn("nn-bert-encoder", "paper"),
-    ("nn-bert-encoder", "small"): lambda: _nn("nn-bert-encoder", "small"),
+    (name, scale): _from_mix(
+        entry, BOOTSTRAP_13 if (name, scale) in _BOOTSTRAPPED else None)
+    for scale in SCALES
+    for name, entry in serving_mix(scale, include_nn=True).items()
 }
+_BUILDERS[("bootstrap", "paper")] = _paper_bootstrap
 
 WORKLOAD_NAMES = tuple(sorted({name for name, _ in _BUILDERS}))
 

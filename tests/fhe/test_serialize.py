@@ -5,6 +5,7 @@ import pytest
 
 from repro.fhe import CKKSContext
 from repro.fhe.serialize import (
+    CorruptPayloadError,
     ciphertext_wire_bytes,
     dump_ciphertext,
     dump_params,
@@ -13,6 +14,7 @@ from repro.fhe.serialize import (
     load_params,
     load_plaintext,
     params_fingerprint,
+    unframe_payload,
 )
 
 
@@ -66,6 +68,27 @@ class TestCiphertext:
             small_context.params)
         out = small_context.decrypt_values(small_evaluator.square(ct)).real
         assert np.max(np.abs(out - z * z)) < 1e-3
+
+
+class TestCiphertextFraming:
+    def test_round_trip_and_corruption(self, small_params, small_context):
+        ct = small_context.encrypt_values([0.5, -0.25, 0.125])
+        blob = dump_ciphertext(ct, small_params)
+        back = load_ciphertext(blob, small_params)
+        assert np.allclose(small_context.decrypt_values(back, 3),
+                           small_context.decrypt_values(ct, 3))
+        flipped = bytearray(blob)
+        flipped[len(flipped) // 2] ^= 0x01
+        with pytest.raises(CorruptPayloadError):
+            load_ciphertext(bytes(flipped), small_params)
+
+    def test_headerless_archive_is_rejected(self, small_params,
+                                            small_context):
+        ct = small_context.encrypt_values([1.0, 2.0])
+        headerless = unframe_payload(dump_ciphertext(ct, small_params))
+        assert headerless[:2] == b"PK"      # a bare, valid .npz archive
+        with pytest.raises(CorruptPayloadError, match="bad magic"):
+            load_ciphertext(headerless, small_params)
 
 
 class TestPlaintext:

@@ -62,8 +62,7 @@ class TestRecordVerify:
 
     def test_mismatch_raises_typed_error_and_fires_hook(self, tmp_path):
         seen = []
-        manifest = ArtifactManifest(tmp_path, target="cache",
-                                    on_tamper=seen.append)
+        manifest = ArtifactManifest(tmp_path, on_tamper=seen.append)
         manifest.record("c.pkl", sha256=hashlib.sha256(b"good").hexdigest())
         with pytest.raises(TamperDetectedError) as info:
             manifest.verify_bytes("c.pkl", b"evil")

@@ -20,6 +20,7 @@ from repro.tune import (
 )
 from repro.tune.space import Candidate, MachineVariant
 from repro.workloads.kernels import matmul_kernel
+from repro.workloads.serving import serving_mix
 
 BUDGET = 4
 
@@ -101,6 +102,20 @@ class TestTunerEndToEnd:
             program, params, options = workload.materialize()
             assert program.name
             assert params.max_level >= 6
+
+    @pytest.mark.parametrize("scale,names", [
+        ("small", None),
+        ("paper", ("resnet-block", "helr-step", "bert-layer")),
+    ])
+    def test_workloads_key_like_the_serving_mix(self, scale, names):
+        """A config tuned under a workload name is found by the serving
+        layer: both sides compute the same tuning key."""
+        mix = serving_mix(scale, include_nn=True)
+        for name in names or mix:
+            program, params, _ = get_workload(name, scale).materialize()
+            entry = mix[name]
+            assert tuning_key(program, params, "cinnamon_4") == \
+                tuning_key(entry.build(), entry.params, "cinnamon_4"), name
 
 
 class TestFacadeIntegration:
