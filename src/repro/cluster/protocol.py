@@ -8,10 +8,15 @@ The header is a small JSON dict — always carrying ``kind`` — that frames
 routing/service metadata (ids, tenant, deadline, trace context).  The
 blob is an optional opaque payload: for ``submit`` it is the pickled
 ``(program, params, machine, options)`` tuple, for ``result`` the
-pickled :class:`~repro.serve.request.RequestResult`.  The header records
-``crc32`` of the blob so a torn or corrupted payload is detected before
-unpickling (same posture as the CRC-framed ciphertexts of
-:mod:`repro.fhe.serialize`).
+pickled :class:`~repro.serve.request.RequestResult`, for ``journal`` a
+JSON list of trace rows.  The header records ``crc32`` of the blob so a
+torn or corrupted payload is detected before it is decoded (same
+posture as the CRC-framed ciphertexts of :mod:`repro.fhe.serialize`).
+
+A frame is built whole by :func:`encode_frame` and leaves in one
+``sendall``; a worker writes a result's ``journal`` and ``result``
+frames together in one ``sendall``, and both ends set ``TCP_NODELAY``,
+so no frame waits on the peer's delayed ACK.
 
 Message kinds
 -------------
@@ -24,9 +29,10 @@ hello      worker   first frame after connect: worker_id + auth token +
                     refuses a mismatch)
 submit     router   one inference request (blob: program/params/machine)
 result     worker   terminal outcome of one submit (blob: RequestResult)
-journal    worker   trace rows recorded since the last ship (eager, sent
-                    right ahead of each result so a later worker death
-                    cannot orphan an answered request's trace)
+journal    worker   trace rows recorded since the last ship (JSON,
+                    :func:`pack_rows`), written in the same ``sendall``
+                    as, and ahead of, each result so a later worker
+                    death cannot orphan an answered request's trace
 ping       router   heartbeat probe, carries ``seq``
 pong       worker   heartbeat answer: echoes ``seq``; blob is the worker's
                     *state* (:func:`pack_state`)
@@ -40,12 +46,13 @@ The heartbeat is the one worker->router state channel.  A *state* blob
 is JSON, never pickle: the worker's cumulative metrics snapshot, its
 compile-cache counters, and the journal rows recorded since the cursor
 that have not already ridden ahead of a result — so every row crosses
-the wire exactly once, and the router's periodic ping is also its
-periodic metrics refresh.
+the wire exactly once, in one encoding whichever frame carries it, and
+the router's periodic ping is also its periodic metrics refresh.
 
-Pickle is only ever exchanged between the router and workers it spawned
-itself over a loopback socket authenticated by a per-cluster random
-token, mirroring :mod:`multiprocessing.connection`'s trust model.
+Pickle is exchanged only for ``submit``, ``result`` and ``keys`` blobs,
+between the router and workers it spawned itself over a loopback socket
+authenticated by a per-cluster random token, mirroring
+:mod:`multiprocessing.connection`'s trust model.
 
 Trust extensions (:mod:`repro.trust`):
 
@@ -88,7 +95,8 @@ TOKEN_ENV = "CINNAMON_CLUSTER_TOKEN"
 #: Protocol revision, sent in ``hello``; the router refuses any other.
 #: 2: ``pong``/``drained`` carry the worker state (10 frame kinds, was
 #:    13); ``auth`` is mandatory.
-PROTOCOL_VERSION = 2
+#: 3: ``journal`` blobs are JSON (:func:`pack_rows`), no longer pickle.
+PROTOCOL_VERSION = 3
 
 #: Hard cap on header/blob sizes — a corrupt length prefix must not make
 #: us try to allocate gigabytes.
@@ -128,10 +136,9 @@ def frame_auth(header: dict, blob: bytes, token: str) -> str:
 # ---------------------------------------------------------------------- #
 # Framing
 
-def send_frame(sock: socket.socket, header: dict,
-               blob: bytes = b"", token: Optional[str] = None) -> None:
-    """Serialize and send one frame (thread-unsafe per socket: callers
-    serialize writers, see the router's per-worker send lock).
+def encode_frame(header: dict, blob: bytes = b"",
+                 token: Optional[str] = None) -> bytes:
+    """The bytes of one frame.
 
     With ``token``, the frame carries an ``auth`` HMAC binding header
     and blob to the cluster token.
@@ -144,14 +151,20 @@ def send_frame(sock: socket.socket, header: dict,
         header["auth"] = frame_auth(header, blob, token)
     header_bytes = json.dumps(header, separators=(",", ":"),
                               sort_keys=True).encode("utf-8")
-    frame = b"".join((
+    return b"".join((
         MAGIC,
         _U32.pack(len(header_bytes)),
         header_bytes,
         _U32.pack(len(blob)),
         blob,
     ))
-    sock.sendall(frame)
+
+
+def send_frame(sock: socket.socket, header: dict,
+               blob: bytes = b"", token: Optional[str] = None) -> None:
+    """Send one frame as one write (thread-unsafe per socket: callers
+    serialize writers, see the router's per-worker send lock)."""
+    sock.sendall(encode_frame(header, blob, token))
 
 
 def recv_frame(sock: socket.socket,
@@ -305,6 +318,29 @@ def unpack_result(header: dict, blob: bytes):
     return pickle.loads(blob)
 
 
+def pack_rows(rows: list) -> bytes:
+    """The blob of a ``journal`` frame: the rows as one JSON list."""
+    return json.dumps(rows, separators=(",", ":")).encode("utf-8")
+
+
+def unpack_rows(blob: bytes) -> list:
+    """Inverse of :func:`pack_rows`; anything but a JSON list of objects
+    is a :class:`ProtocolError`."""
+    try:
+        rows = json.loads(blob)
+    except ValueError as exc:
+        raise ProtocolError(f"unparseable journal blob: {exc}") from exc
+    return _check_rows(rows, "journal blob")
+
+
+def _check_rows(rows, where: str) -> list:
+    if not isinstance(rows, list):
+        raise ProtocolError(f"{where} is not a list")
+    if not all(isinstance(row, dict) for row in rows):
+        raise ProtocolError(f"{where} holds a non-object row")
+    return rows
+
+
 def pack_state(snapshot: dict, cache: dict, journal: list) -> bytes:
     """The worker state blob of a ``pong``/``drained`` frame."""
     return json.dumps({"snapshot": snapshot, "cache": cache,
@@ -322,11 +358,9 @@ def unpack_state(blob: bytes) -> dict:
         raise ProtocolError(f"unparseable state blob: {exc}") from exc
     if not isinstance(state, dict):
         raise ProtocolError("state blob is not a JSON object")
-    for field, kind in (("snapshot", dict), ("cache", dict),
-                        ("journal", list)):
+    for field, kind in (("snapshot", dict), ("cache", dict)):
         if not isinstance(state.get(field), kind):
             raise ProtocolError(
                 f"state field {field!r} is not a {kind.__name__}")
-    if not all(isinstance(row, dict) for row in state["journal"]):
-        raise ProtocolError("state journal holds a non-object row")
+    _check_rows(state.get("journal"), "state field 'journal'")
     return state

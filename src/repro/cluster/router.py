@@ -79,7 +79,7 @@ from .autoscaler import Autoscaler, AutoscalerState
 from .merge import merge_snapshots
 from .protocol import (ConnectionClosed, PROTOCOL_VERSION, ProtocolError,
                        TOKEN_ENV, pack_submit, recv_frame, send_frame,
-                       unpack_result, unpack_state)
+                       unpack_result, unpack_rows, unpack_state)
 from .quotas import FairShareQueue, QuotaExceededError, TenantQuota
 from .ring import HashRing
 
@@ -537,6 +537,9 @@ class ClusterRouter(ServingFrontend):
                 sock, _addr = self._listener.accept()
             except OSError:
                 return
+            # A ping right after a submit is two writes back to back:
+            # neither may wait on the worker's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(5)
             try:
                 header, _blob = recv_frame(sock,
@@ -591,11 +594,10 @@ class ClusterRouter(ServingFrontend):
                 self._on_result(worker, header, blob)
             elif kind == "journal":
                 try:
-                    rows = pickle.loads(blob)
-                except Exception:
-                    rows = []
-                if rows:
-                    self._recorder.absorb(rows, worker=worker.id)
+                    rows = unpack_rows(blob)
+                except ProtocolError:
+                    continue    # malformed rows: drop the frame
+                self._recorder.absorb(rows, worker=worker.id)
             elif kind in ("pong", "drained"):
                 try:
                     self._on_state(worker, header, unpack_state(blob))

@@ -70,8 +70,8 @@ from ..trust.errors import (FreshnessError, ReplayError, StaleKeyError,
 from ..trust.freshness import FreshnessEnvelope, ReplayGuard
 from ..trust.keyvault import KeyVault, REVOKED
 from .protocol import (ConnectionClosed, FrameTimeout, PROTOCOL_VERSION,
-                       ProtocolError, TOKEN_ENV, pack_result,
-                       pack_state, recv_frame, send_frame, unpack_submit)
+                       ProtocolError, TOKEN_ENV, encode_frame, pack_result,
+                       pack_rows, pack_state, recv_frame, unpack_submit)
 
 
 class ClusterWorker:
@@ -110,8 +110,7 @@ class ClusterWorker:
         self._inflight = 0
         self._inflight_cond = threading.Condition()
         self._draining = False
-        self._journal_cursor = 0
-        self._journal_lock = threading.Lock()
+        self._journal_cursor = 0        # advanced under _send_lock
         self._last_frame = time.monotonic()
         # Trust plumbing: an (initially empty) metadata-only vault filled
         # by the router's "keys" frames, and an independent replay guard.
@@ -180,6 +179,9 @@ class ClusterWorker:
                                             timeout=30)
         except OSError:
             return False
+        # Frames are whole messages: send each at once, never wait on
+        # the router's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(self.read_timeout_s)
         self._sock = sock
         self._last_frame = time.monotonic()
@@ -343,13 +345,6 @@ class ClusterWorker:
                 self._inflight_cond.notify_all()
             self._inflight_gauge.set(self._inflight)
         try:
-            # Ship journal rows eagerly *ahead of* every result: any
-            # request whose result the router holds also has its
-            # compile/simulate trace rows router-side, so a SIGKILL of
-            # this process can never orphan an already-answered trace.
-            # (A kill between the two frames loses only the result, and
-            # the router's failover path re-runs the request.)
-            self._ship_journal()
             self._send_result(result)
         except OSError:
             pass  # router died; its failover path re-runs the request
@@ -364,39 +359,46 @@ class ClusterWorker:
             error=reason), retryable=retryable)
 
     def _send_result(self, result: RequestResult, **extra) -> None:
+        """One write: the journal rows recorded since the last ship, then
+        the result.  Any request whose result the router holds also has
+        its compile/simulate trace rows router-side, so a SIGKILL of
+        this process can never orphan an already-answered trace."""
         res_header, res_blob = pack_result(result)
         res_header.update(extra, worker_id=self.worker_id)
-        self._send(res_header, res_blob)
+        with self._send_lock:
+            rows = self._fresh_journal_rows()
+            frames = [self._encode({"kind": "journal",
+                                    "worker_id": self.worker_id},
+                                   pack_rows(rows))] if rows else []
+            frames.append(self._encode(res_header, res_blob))
+            self._sock.sendall(b"".join(frames))
 
     # ------------------------------------------------------------------ #
     # State / journal shipping
 
     def _fresh_journal_rows(self) -> list:
         """Journal rows recorded since the last ship (cursor semantics:
-        each row crosses the wire exactly once)."""
-        with self._journal_lock:
-            jobs = self.executor.session.trace()["jobs"]
-            fresh = jobs[self._journal_cursor:]
-            self._journal_cursor = len(jobs)
+        each row crosses the wire exactly once).  Callers hold
+        ``_send_lock``, so rows leave in the order they were taken."""
+        fresh, self._journal_cursor = self.executor.session.rows_since(
+            self._journal_cursor)
         return fresh
-
-    def _ship_journal(self) -> None:
-        fresh = self._fresh_journal_rows()
-        if fresh:
-            self._send({"kind": "journal", "worker_id": self.worker_id},
-                       pickle.dumps(fresh, pickle.HIGHEST_PROTOCOL))
 
     def _send_state(self, kind: str, **extra) -> None:
         """The worker->router state channel (``pong`` / ``drained``)."""
-        self._send({"kind": kind, "worker_id": self.worker_id, **extra},
-                   pack_state(self._metrics.snapshot(),
+        header = {"kind": kind, "worker_id": self.worker_id, **extra}
+        with self._send_lock:
+            blob = pack_state(self._metrics.snapshot(),
                               self.executor.session.cache_stats.as_dict(),
-                              self._fresh_journal_rows()))
+                              self._fresh_journal_rows())
+            self._sock.sendall(self._encode(header, blob))
 
     def _send(self, header: dict, blob: bytes = b"") -> None:
         with self._send_lock:
-            send_frame(self._sock, header, blob,
-                       token=self.token or None)
+            self._sock.sendall(self._encode(header, blob))
+
+    def _encode(self, header: dict, blob: bytes) -> bytes:
+        return encode_frame(header, blob, token=self.token or None)
 
 
 # ---------------------------------------------------------------------- #

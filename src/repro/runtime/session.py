@@ -326,6 +326,11 @@ class CinnamonSession:
         :meth:`repro.runtime.trace.TraceRecorder.record`)."""
         return self._recorder.record(kind, **fields)
 
+    def rows_since(self, cursor: int):
+        """Trace rows from index ``cursor`` on, plus the next cursor (see
+        :meth:`repro.runtime.trace.TraceRecorder.rows_since`)."""
+        return self._recorder.rows_since(cursor)
+
     # ------------------------------------------------------------------ #
     # Batch execution
 

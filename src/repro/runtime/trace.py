@@ -7,14 +7,22 @@ renders them as a single JSON document (``schema``, ``created_unix``,
 ``cache``, ``jobs``).  docs/runtime.md ("Trace JSON schema") is the
 field reference; :data:`repro.obs.rows.ROW_KINDS` is the table
 :meth:`TraceRecorder.record` validates against.
+
+A recorder keeps at most :data:`RESIDENT_ROWS` rows in memory.  Older
+rows are appended, as JSON lines, to an anonymous temporary file opened
+on first need; every reader sees spilled + resident rows in record
+order.  A row is folded into the registry when it is recorded, so what
+the metrics say never depends on where the row lives.
 """
 
 from __future__ import annotations
 
 import json
+import tempfile
 import threading
 import time
-from typing import Dict, List, Optional
+import weakref
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.rows import build_row, observe_row
@@ -47,6 +55,10 @@ from ..obs.tracing import current_span
 #:    feeding the ``cluster_tenant_*`` attribution counters.
 TRACE_SCHEMA_VERSION = 8
 
+#: Most journal rows a recorder holds in memory.  Reaching it spills the
+#: older half to the recorder's temporary file in one write.
+RESIDENT_ROWS = 1024
+
 
 class TraceRecorder:
     """Thread-safe accumulator of journal rows.
@@ -55,13 +67,18 @@ class TraceRecorder:
     ``registry`` (:func:`repro.obs.rows.observe_row`; default: the
     process-global :func:`~repro.obs.metrics.default_registry`), so what
     a recorder journals is what its registry counts.
+
+    Rows are JSON by contract (:meth:`to_json` dumps them, workers ship
+    them as JSON): a spilled row reads back JSON-equal, tuples as lists.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = (registry if registry is not None
                          else default_registry())
         self._lock = threading.Lock()
-        self._jobs: List[dict] = []
+        self._jobs: List[dict] = []     # the resident, newest rows
+        self._spill = None              # older rows, one JSON line each
+        self._spilled = 0
         self._listeners: List = []
         self.created_unix = time.time()
 
@@ -96,7 +113,7 @@ class TraceRecorder:
             row.setdefault("trace_id", span.trace_id)
             row.setdefault("span_id", span.span_id)
         with self._lock:
-            self._jobs.append(row)
+            self._append(row)
         observe_row(self.registry, row)
         self._notify((row,))
         return row
@@ -114,20 +131,59 @@ class TraceRecorder:
                 row = dict(row)
                 if worker is not None:
                     row.setdefault("worker", worker)
-                self._jobs.append(row)
+                self._append(row)
                 stamped.append(row)
         self._notify(stamped)
+
+    def _append(self, row: dict) -> None:
+        """Add one row, spilling the older half of the resident rows
+        once they reach :data:`RESIDENT_ROWS` (caller holds the lock)."""
+        if len(self._jobs) >= RESIDENT_ROWS:
+            cut = len(self._jobs) // 2
+            if self._spill is None:
+                self._spill = tempfile.TemporaryFile()
+                weakref.finalize(self, self._spill.close)
+            self._spill.seek(0, 2)
+            self._spill.write("".join(
+                json.dumps(old, separators=(",", ":")) + "\n"
+                for old in self._jobs[:cut]).encode("utf-8"))
+            del self._jobs[:cut]
+            self._spilled += cut
+        self._jobs.append(row)
+
+    def _spilled_rows(self, start: int = 0) -> List[dict]:
+        """Spilled rows from index ``start`` on (caller holds the lock)."""
+        if self._spill is None or start >= self._spilled:
+            return []
+        self._spill.seek(0)
+        lines = self._spill.read().splitlines()
+        return [json.loads(line) for line in lines[start:]]
 
     # ------------------------------------------------------------------ #
 
     @property
     def jobs(self) -> List[dict]:
+        """Every row recorded since the last :meth:`clear`, in order."""
         with self._lock:
-            return list(self._jobs)
+            return self._spilled_rows() + self._jobs
+
+    def rows_since(self, cursor: int) -> Tuple[List[dict], int]:
+        """Rows from index ``cursor`` on, and the cursor that follows
+        them.  A cursor near the end — a shipper that keeps up — is
+        served from the resident rows without touching the spill."""
+        with self._lock:
+            total = self._spilled + len(self._jobs)
+            rows = (self._spilled_rows(cursor)
+                    + self._jobs[max(0, cursor - self._spilled):])
+            return rows, total
 
     def clear(self) -> None:
         with self._lock:
             self._jobs.clear()
+            if self._spill is not None:
+                self._spill.close()
+            self._spill = None
+            self._spilled = 0
 
     def document(self, cache_stats: Dict[str, int] = None) -> dict:
         """The merged trace document for the whole session so far."""

@@ -6,6 +6,7 @@ never an unpickle of untrusted bytes, never a stray KeyError/struct.error
 escaping the protocol layer."""
 
 import json
+import pickle
 import random
 import socket
 import struct
@@ -17,8 +18,9 @@ import pytest
 from repro.cluster.protocol import (MAGIC, MAX_BLOB_BYTES,
                                     MAX_HEADER_BYTES, ConnectionClosed,
                                     FrameTimeout, ProtocolError,
-                                    frame_auth, pack_state, recv_frame,
-                                    send_frame, unpack_state)
+                                    frame_auth, pack_rows, pack_state,
+                                    recv_frame, send_frame, unpack_rows,
+                                    unpack_state)
 
 #: Every fuzz read is bounded: a hang is a test failure, not a CI stall.
 READ_TIMEOUT_S = 2.0
@@ -239,6 +241,40 @@ class TestStateBlob:
     def test_not_utf8_rejected(self):
         with pytest.raises(ProtocolError, match="state"):
             unpack_state(b"\xff\xfe{}")
+
+
+class TestJournalBlob:
+    """The ``journal`` payload is JSON rows, never pickle: anything but a
+    list of objects is a typed reject."""
+
+    GOOD = pack_rows([{"kind": "compile", "job": "a", "seq": (1, 2)},
+                      {"kind": "simulate", "job": "a"}])
+
+    def test_roundtrip(self):
+        rows = unpack_rows(self.GOOD)
+        assert [row["kind"] for row in rows] == ["compile", "simulate"]
+        assert rows[0]["seq"] == [1, 2]
+
+    def test_truncated_everywhere(self):
+        for cut in range(len(self.GOOD)):
+            with pytest.raises(ProtocolError, match="journal"):
+                unpack_rows(self.GOOD[:cut])
+
+    @pytest.mark.parametrize("doc", [
+        {}, {"kind": "compile"}, "rows", 7, None,
+        [1], [{"kind": "compile"}, []], [[{"kind": "compile"}]],
+    ])
+    def test_wrong_shape_rejected(self, doc):
+        with pytest.raises(ProtocolError, match="journal"):
+            unpack_rows(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("blob", [
+        b"\xff\xfe[]", pickle.dumps([{"kind": "compile", "job": "a"}]),
+    ])
+    def test_not_json_rejected(self, blob):
+        """A pickled list, or any non-JSON bytes, is refused unread."""
+        with pytest.raises(ProtocolError, match="journal"):
+            unpack_rows(blob)
 
 
 class TestCleanClose:

@@ -4,6 +4,7 @@ interpreters is the expensive part); the kill test restores the fleet
 before handing the cluster back.
 """
 
+import socket
 import threading
 import time
 
@@ -13,9 +14,11 @@ from repro import obs
 from repro.cluster import ClusterRouter, QuotaExceededError, TenantQuota
 from repro.cluster.merge import merged_scalar
 from repro.cluster.protocol import (ConnectionClosed, pack_result,
-                                    pack_state, recv_frame, send_frame)
+                                    pack_rows, pack_state, recv_frame,
+                                    send_frame)
 from repro.cluster.router import _Worker
 from repro.obs.analyze import check
+from repro.runtime import trace
 from repro.serve import RequestResult, RequestStatus, ServerClosedError
 
 from ..replay import replay_mismatches
@@ -54,12 +57,17 @@ class TestRoundTrip:
         assert {r.shard for r in results} == {0, 1}  # both workers served
 
     def test_fingerprint_affinity(self, cluster):
-        """Repeats of one program always land on its ring owner."""
+        """Repeats of one program always land on its ring owner, which
+        compiles it once.  Which of the six compiles is not fixed: on
+        the worker's two-thread pool either of the first two may take
+        the session's in-flight slot."""
         results = submit_and_wait(cluster, [
             make_request(name=f"aff-{i}", rotation=7) for i in range(6)
         ])
         assert len({r.shard for r in results}) == 1
-        assert {r.cache for r in results[1:]} <= {"memory", "disk"}
+        caches = [r.cache for r in results]
+        assert caches.count("miss") == 1, caches
+        assert set(caches) - {"miss"} <= {"memory", "disk"}, caches
 
     def test_submit_many_preserves_order(self, cluster):
         requests = [make_request(name=f"many-{i}", rotation=i % 3)
@@ -132,6 +140,26 @@ class TestObservability:
                              {"event": "worker_spawned"}) >= 2
         assert merged_scalar(snapshot, "cluster_tenant_requests_total",
                              {"tenant": "t0", "status": "ok"}) == 4
+
+    def test_replay_holds_on_a_spilled_journal(self, cluster, monkeypatch):
+        """With the resident bound cut to a few rows, the router's
+        journal spills; ``trace()`` still returns every row and replays
+        to the live snapshot."""
+        monkeypatch.setattr(trace, "RESIDENT_ROWS", 16)
+        names = [f"spill-{i}" for i in range(24)]
+        results = submit_and_wait(cluster, [
+            make_request(name=name, rotation=30 + i % 3, tenant=f"t{i % 2}")
+            for i, name in enumerate(names)])
+        assert all(r.ok for r in results), [r.error for r in results]
+        snapshot = cluster.metrics_snapshot()
+        document = cluster.trace()
+        assert cluster._recorder._spilled > 0
+        assert len(cluster._recorder._jobs) <= 16
+        assert sorted(row["job"] for row in document["jobs"]
+                      if row["kind"] == "compile"
+                      and row["job"] in names) == sorted(names)
+        assert replay_mismatches(snapshot, document) == []
+        assert check(document) == []
 
     def test_cache_stats_aggregate_workers(self, cluster):
         submit_and_wait(cluster, [make_request(name="c-0", rotation=3),
@@ -410,6 +438,32 @@ class TestWorkerState:
                        token=router._token)
             asker.join(timeout=5)
             assert waiter == [{"misses": 5}]
+
+    def test_malformed_journal_is_dropped(self, router):
+        """A journal blob that is not a JSON list of rows is dropped
+        whole; the reader keeps going and a good one still lands."""
+        with dial_as_worker(router) as (record, client):
+            assert record.connected.wait(5)
+            for blob in (b"\x80\x04N.", b"{}", b"[1]", b'[{"kind"',
+                         b"\xff\xfe[]"):
+                send_frame(client, {"kind": "journal"}, blob,
+                           token=router._token)
+            send_frame(client, {"kind": "journal"},
+                       pack_rows([{"kind": "compile", "job": "shipped"}]),
+                       token=router._token)
+            assert _wait_until(lambda: any(
+                row.get("job") == "shipped" for row in router._recorder.jobs))
+            assert record.reader.is_alive()
+            rows = [row for row in router._recorder.jobs
+                    if row["kind"] == "compile"]
+            assert rows == [{"kind": "compile", "job": "shipped",
+                             "worker": record.id}]
+
+    def test_accepted_socket_has_nodelay(self, router):
+        with dial_as_worker(router) as (record, _client):
+            assert record.connected.wait(5)
+            assert record.sock.getsockopt(socket.IPPROTO_TCP,
+                                          socket.TCP_NODELAY)
 
     def test_hello_with_the_wrong_protocol_is_refused(self, router):
         with dial_as_worker(router, protocol=1) as (record, client):

@@ -6,9 +6,12 @@ import threading
 
 import pytest
 
-from repro.cluster.protocol import (PROTOCOL_VERSION, recv_frame,
-                                    send_frame, unpack_state)
+from repro.cluster.protocol import (PROTOCOL_VERSION, ConnectionClosed,
+                                    pack_submit, recv_frame, send_frame,
+                                    unpack_rows, unpack_state)
 from repro.cluster.worker import ClusterWorker
+
+from .conftest import make_request
 
 TOKEN = "worker-test-token"
 
@@ -80,3 +83,55 @@ def test_state_rides_the_heartbeat_not_a_thread_of_its_own(served):
         ask(sock, kind="ping", seq=seq)
     extra = set(threading.enumerate()) - expected
     assert not extra, [t.name for t in extra]
+
+
+class _CountingSocket:
+    """The worker's socket, with every ``sendall`` payload kept."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _parse_frames(data: bytes) -> list:
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(data)
+        left.shutdown(socket.SHUT_WR)
+        frames = []
+        while True:
+            try:
+                frames.append(recv_frame(right, token=TOKEN))
+            except ConnectionClosed:
+                return frames
+
+
+def test_a_result_and_its_rows_leave_in_one_write(served):
+    worker, sock, _threads = served
+    counting = worker._sock = _CountingSocket(worker._sock)
+    worker.executor.session.record("trust", event="keys_installed",
+                                   target="ahead")
+    header, blob = pack_submit(make_request(name="one-write"), None, None)
+    send_frame(sock, header, blob, token=TOKEN)
+    journal, journal_blob = recv_frame(sock, token=TOKEN)
+    result, _ = recv_frame(sock, token=TOKEN)
+    assert (journal["kind"], result["kind"]) == ("journal", "result")
+    rows = unpack_rows(journal_blob)
+    assert rows[0]["target"] == "ahead"
+    assert {"compile", "simulate"} <= {row["kind"] for row in rows}
+    (write,) = counting.writes
+    assert [h["kind"] for h, _ in _parse_frames(write)] == [
+        "journal", "result"]
+
+
+def test_worker_socket_has_nodelay(served):
+    worker, _sock, _threads = served
+    assert worker._sock.getsockopt(socket.IPPROTO_TCP,
+                                   socket.TCP_NODELAY)
