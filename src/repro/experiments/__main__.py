@@ -14,12 +14,14 @@ import time
 
 from . import ALL_EXPERIMENTS
 
-# Rough fast-mode wall times, to set expectations in `list`.
+# Rough fast-mode wall times, to set expectations in `list`.  fig6, fig14
+# and fig16 were measured with the C simulator engine on a 2-vCPU x86-64
+# host (46 s, 47 s and 16 s).
 _COSTS = {
     "fig1": "instant", "table1": "instant", "table3": "instant",
     "fig11": "minutes", "fig12": "minutes", "fig15": "minutes",
-    "table2": "minutes", "fig13": "~1 min", "fig14": "~15 min",
-    "fig16": "~10 min", "fig6": "~20 min",
+    "table2": "minutes", "fig13": "~1 min", "fig14": "~50 s",
+    "fig16": "~15 s", "fig6": "~50 s",
 }
 
 

@@ -16,13 +16,13 @@ emulator group per call: gather, compute, write) and
 ``red(z)`` that equals ``z % p`` for every uint64 ``z``, so they evaluate
 the numpy reference expressions verbatim, whatever operands arrive.
 
-The shared library is built lazily with the system C compiler (``$CC`` or
-``cc``) into ``_native_build/`` next to this file, keyed by a hash of the
-C source so stale objects are never reused.  Everything degrades
-gracefully: if no compiler is present, compilation fails, or the built
-library does not reproduce the reference kernels bit-for-bit on a smoke
-test, the ``"native"`` backend simply is not registered and the default
-stays ``"numpy-batched"``.  ``build_error()`` reports why.
+The shared library is built lazily by :func:`repro.cbuild.build_library`
+(the system C compiler; objects keyed by a hash of the C source, so stale
+ones are never reused).  Everything degrades gracefully: if no compiler
+is present, compilation fails, or the built library does not reproduce
+the reference kernels bit-for-bit on a smoke test, the ``"native"``
+backend simply is not registered and the default stays
+``"numpy-batched"``.  ``build_error()`` reports why.
 
 This is also the in-tree demonstration of the :mod:`repro.fhe.backend`
 extension story: an accelerated backend only implements the primitives it
@@ -33,21 +33,17 @@ delegates the rest.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 import threading
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cbuild import build_library
 from . import kernels as _kernels
 from .modmath import UINT
 
 _SOURCE = Path(__file__).with_name("_native.c")
-_CFLAGS = ("-O3", "-march=native", "-funroll-loops", "-shared", "-fPIC")
 
 _LOCK = threading.Lock()
 _LIB: Optional[ctypes.CDLL] = None
@@ -55,33 +51,8 @@ _ERROR: Optional[str] = None
 _TRIED = False
 
 
-def _build_dir() -> Path:
-    """Writable directory for the compiled object (repo dir, else tmp)."""
-    preferred = _SOURCE.with_name("_native_build")
-    try:
-        preferred.mkdir(exist_ok=True)
-        return preferred
-    except OSError:
-        return Path(tempfile.mkdtemp(prefix="repro-native-"))
-
-
 def _compile() -> ctypes.CDLL:
-    source = _SOURCE.read_text()
-    tag = hashlib.sha256(source.encode()).hexdigest()[:16]
-    shared_object = _build_dir() / f"_native-{tag}.so"
-    if not shared_object.exists():
-        compiler = os.environ.get("CC", "cc")
-        scratch = str(shared_object) + f".tmp{os.getpid()}"
-        proc = subprocess.run(
-            [compiler, *_CFLAGS, "-o", scratch, str(_SOURCE)],
-            capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"{compiler} failed ({proc.returncode}): {proc.stderr.strip()}"
-            )
-        os.replace(scratch, shared_object)
-    lib = ctypes.CDLL(str(shared_object))
+    lib = build_library(_SOURCE)
     # Addresses are passed as plain integers (``array.ctypes.data``):
     # building a typed pointer per argument costs more than a ring-256
     # transform.

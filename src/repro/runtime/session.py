@@ -33,6 +33,7 @@ from ..core.compiler import (
 )
 from ..core.dsl.program import CinnamonProgram
 from ..obs.tracing import NULL_SPAN, Span, tracer
+from ..sim import native as sim_native
 from ..sim.config import MachineConfig, resolve_machine
 from ..sim.simulator import SimulationResult, SimulatorEngine
 from ..sim.trace import recording_sink
@@ -158,6 +159,9 @@ class CinnamonSession:
         #: :class:`repro.resilience.WatchdogTimeout` instead of wedging
         #: the worker thread.
         self.watchdog_s = watchdog_s
+        # Build (or load) the simulator's C engine here, so that a cold
+        # build never lands inside the first simulate.
+        sim_native.load_library()
 
     def _record_tamper(self, error) -> None:
         """Cache on_tamper hook: one journal row per detection."""

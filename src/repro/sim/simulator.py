@@ -11,6 +11,12 @@ topology makes it carry.
 This is the same abstraction level as the paper's SST-based simulator
 (Section 6): per-instruction FU occupancy + bandwidth accounting, not RTL.
 
+Two engines implement this model and agree exactly: the C engine
+(``_engine.c`` via :mod:`repro.sim.native`), which runs a whole module in
+one call, and the Python loop of :meth:`SimulatorEngine._run_reference`,
+which is its oracle (``tests/sim/test_engine_oracle.py``), runs fault
+schedules, and runs everything when no C compiler is available.
+
 Machine-level robustness (:mod:`repro.resilience`) hooks in here: a
 :class:`~repro.resilience.faults.FaultSchedule` can kill a chip or degrade
 a link/cluster at a scheduled cycle (fatal faults raise
@@ -30,6 +36,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from ..core.isa.instructions import (
     COL, LD, MOV, RCV, SND, ST, VADD, VAUTO, VBCV, VINTT, VMUL, VMULC, VNEG,
     VNTT, VPRNG, VRSV, VSUB,
@@ -38,6 +46,7 @@ from ..resilience.faults import (
     CHIP_CRASH, CLUSTER_SLOW, LINK_DEGRADE, LINK_SEVER,
     ChipFailure, FaultSchedule, LinkFailure, MachineFault, WatchdogTimeout,
 )
+from . import native
 from .config import MachineConfig, resolve_machine
 
 #: Version of the dict layout produced by :meth:`SimulationResult.as_dict`.
@@ -123,7 +132,13 @@ class SimulationResult:
         return self.seconds * 1e3
 
     def utilization(self) -> Dict[str, float]:
-        """Fractional busy time for compute (area-weighted), HBM, network."""
+        """Fractional busy time for compute, HBM and network.
+
+        Compute is the *unweighted* mean over FU classes of each class's
+        chip-averaged busy cycles — not weighted by unit count or area,
+        which is why Fig. 15's compute utilisation reads about half the
+        paper's (ROADMAP item 9).
+        """
         total = max(1, self.cycles)
         compute = sum(self.fu_busy.values()) / max(1, len(self.fu_busy))
         return {
@@ -181,8 +196,10 @@ class SimulationResult:
 
 
 #: A timeline sink: ``sink(chip, lane, opcode, start, duration)``, called
-#: by the resource an instruction occupies at the moment it is reserved —
-#: so what a sink sees sums to the ``busy_cycles`` the result reports.
+#: once per reservation the run makes (an instruction makes at most one),
+#: each chip's in issue order — so what a sink sees sums to the
+#: ``busy_cycles`` the result reports.  How chips interleave is the
+#: engine's: the C engine replays chip by chip after the run.
 Sink = Callable[[int, str, str, int, int], None]
 
 
@@ -280,8 +297,7 @@ class SimulatorEngine:
         * ``fault_schedule`` — machine faults to apply; fatal ones raise
           :class:`ChipFailure`/:class:`LinkFailure` mid-run.
         * ``deadline_s`` — wall-clock budget; exceeded -> raise
-          :class:`WatchdogTimeout` (cooperative cancellation between
-          simulation rounds, so the worker thread exits cleanly).
+          :class:`WatchdogTimeout`.
         * ``max_cycles`` — stop once the global cycle frontier crosses
           this many simulated cycles and return the partial result with
           ``truncated=True`` (the autotuner's cheap low-fidelity rungs;
@@ -289,6 +305,104 @@ class SimulatorEngine:
         * ``sink`` — observer of every FU / HBM / link reservation the
           run makes (:data:`Sink`); :mod:`repro.sim.trace` builds its
           timeline from it.
+
+        The whole module runs as one call into the C engine
+        (:mod:`repro.sim.native`), which returns the same result as the
+        Python loop of :meth:`_run_reference` — that loop is its oracle,
+        the path a fault schedule takes (faults fire mid-run), and the
+        fallback when no C compiler is available.  In C the deadline is
+        checked when the call returns, and a sink sees each chip's
+        reservations in issue order once the run is over.
+        """
+        started_wall = time.monotonic()
+        lib = None if fault_schedule else native.load_library()
+        if lib is None:
+            return self._run_reference(isa_module, fault_schedule,
+                                       deadline_s, max_cycles, sink,
+                                       started_wall)
+        return self._run_native(lib, isa_module, deadline_s, max_cycles,
+                                sink, started_wall)
+
+    def _run_native(self, lib, isa_module, deadline_s, max_cycles, sink,
+                    started_wall) -> SimulationResult:
+        machine = self.machine
+        chip_cfg = machine.chip
+        ids = list(isa_module.streams)
+        streams = list(isa_module.streams.values())
+        run = native.simulate(lib, streams, machine, _FU_CLASS, max_cycles,
+                              trace=sink is not None)
+        rows = run.chips.tolist()
+        pcs = [row[native.PC] for row in rows]
+        if sink is not None:
+            lanes = [f"{name}{index}"
+                     for name, count in chip_cfg.fu_counts.items()
+                     for index in range(max(1, count))] + ["hbm", "network"]
+            for k, (chip, stream) in enumerate(zip(ids, streams)):
+                base = int(run.chip_start[k])
+                reserved = np.flatnonzero(run.lane[base:base + pcs[k]] >= 0)
+                opcodes = stream.opcodes
+                for pc, lane, start, duration in zip(
+                        reserved.tolist(),
+                        run.lane[base + reserved].tolist(),
+                        run.start[base + reserved].tolist(),
+                        run.duration[base + reserved].tolist()):
+                    sink(chip, lanes[lane], opcodes[pc], start, duration)
+        if run.status == native.UNKNOWN_OPCODE:
+            k, pc = run.failed_at
+            raise ValueError(f"unknown opcode {streams[k].opcodes[pc]!r}")
+        self._check_deadline(deadline_s, started_wall)
+        if run.status == native.DEADLOCK:
+            stuck = [(chip, pc) for chip, pc, stream
+                     in zip(ids, pcs, streams) if pc < len(stream.opcodes)]
+            raise RuntimeError(f"simulation deadlock at {stuck}")
+
+        finish = [row[native.FINISH] for row in rows]
+        active = [f for f, pc, stream in zip(finish, pcs, streams)
+                  if pc < len(stream.opcodes)]
+        truncated = bool(active)
+        total_cycles = min(active) if truncated else max(finish)
+        n = len(ids)
+        fu_busy = defaultdict(float)
+        for busy in run.fu_busy.tolist():
+            for name, cycles in zip(chip_cfg.fu_counts, busy):
+                fu_busy[name] += cycles / n
+        return SimulationResult(
+            machine=machine.name,
+            cycles=total_cycles,
+            clock_ghz=chip_cfg.clock_ghz,
+            instructions=run.instructions,
+            fu_busy=dict(fu_busy),
+            hbm_busy=sum(row[native.HBM_BUSY] for row in rows) / n,
+            network_busy=sum(row[native.LINK_BUSY] for row in rows) / n,
+            hbm_bytes=sum(row[native.HBM_BYTES] for row in rows),
+            network_bytes=sum(row[native.LINK_BYTES] for row in rows),
+            per_chip_cycles=dict(zip(ids, finish)),
+            link_busy={chip: row[native.LINK_BUSY]
+                       for chip, row in zip(ids, rows)},
+            link_bytes={chip: row[native.LINK_BYTES]
+                        for chip, row in zip(ids, rows)},
+            topology=machine.topology,
+            events=[],
+            truncated=truncated,
+        )
+
+    def _check_deadline(self, deadline_s, started_wall) -> None:
+        if deadline_s is None:
+            return
+        elapsed = time.monotonic() - started_wall
+        if elapsed > deadline_s:
+            raise WatchdogTimeout(
+                f"simulation on {self.machine.name} exceeded its "
+                f"{deadline_s:.3f}s deadline after {elapsed:.3f}s",
+                deadline_s=deadline_s, elapsed_s=elapsed,
+                machine=self.machine.name)
+
+    def _run_reference(self, isa_module, fault_schedule, deadline_s,
+                       max_cycles, sink, started_wall) -> SimulationResult:
+        """The Python engine: the C engine's oracle and the fault path.
+
+        Cooperative cancellation: the deadline is checked between
+        simulation rounds, so a worker thread exits cleanly.
         """
         machine = self.machine
         chip_cfg = machine.chip
@@ -319,7 +433,6 @@ class SimulatorEngine:
             cls: chip_cfg.occupancy(cls) for cls in set(_FU_CLASS.values())
         }
         latency = chip_cfg.pipeline_latency
-        started_wall = time.monotonic()
 
         def frontier_cycle() -> int:
             active = [c.finish for c in chips.values() if not c.done]
@@ -388,14 +501,7 @@ class SimulatorEngine:
                 # locally while the rest of the machine crossed the
                 # fault cycle.
                 apply_faults(None, now)
-            if deadline_s is not None:
-                elapsed = time.monotonic() - started_wall
-                if elapsed > deadline_s:
-                    raise WatchdogTimeout(
-                        f"simulation on {machine.name} exceeded its "
-                        f"{deadline_s:.3f}s deadline after {elapsed:.3f}s",
-                        deadline_s=deadline_s, elapsed_s=elapsed,
-                        machine=machine.name)
+            self._check_deadline(deadline_s, started_wall)
             if all_done:
                 break
             if max_cycles is not None and now >= max_cycles:
