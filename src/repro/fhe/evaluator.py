@@ -222,10 +222,6 @@ class Evaluator:
         polys = [a.polys[0] + poly] + [p.copy() for p in a.polys[1:]]
         return Ciphertext(polys, a.scale)
 
-    def sub_plain(self, a: Ciphertext, pt: Plaintext) -> Ciphertext:
-        neg = Plaintext(-pt.poly, pt.scale)
-        return self.add_plain(a, neg)
-
     def add_scalar(self, a: Ciphertext, value: complex) -> Ciphertext:
         pt = self.encoder.encode_constant(value, scale=a.scale, level=a.level)
         return self.add_plain(a, pt)
@@ -448,15 +444,4 @@ class Evaluator:
         acc = cts[0]
         for ct in cts[1:]:
             acc = self.add(acc, ct)
-        return acc
-
-    def rotate_and_sum(self, ct: Ciphertext, span: int) -> Ciphertext:
-        """Sum slots ``j..j+span-1`` into every slot ``j`` (log-depth tree)."""
-        if span & (span - 1):
-            raise ValueError("span must be a power of two")
-        acc = ct
-        shift = 1
-        while shift < span:
-            acc = self.add(acc, self.rotate(acc, shift))
-            shift *= 2
         return acc

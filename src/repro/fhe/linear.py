@@ -69,11 +69,6 @@ def pad_matrix_block(matrix: np.ndarray, block: int = None) -> np.ndarray:
     return padded
 
 
-def rect_diagonals(matrix: np.ndarray, block: int = None) -> Dict[int, np.ndarray]:
-    """Generalized diagonals of the block-padded (rectangular) matrix."""
-    return matrix_diagonals(pad_matrix_block(matrix, block))
-
-
 def select_baby_steps(offsets, n: int) -> int:
     """Rotation-count-minimizing BSGS split for a set of diagonal offsets.
 
@@ -196,78 +191,3 @@ def bsgs_matvec(
     for _ in range(rescales - 1):
         result = ev.rescale(result)
     return result
-
-
-# --------------------------------------------------------------------------- #
-# Encrypted matrix-matrix multiplication (Jiang-Kim-Lauter-Song / E2DM).
-#
-# Both operands are d x d matrices packed row-major into d^2 slots.  The
-# algorithm first applies the sigma/tau permutations (diagonal matmuls),
-# then accumulates d column/row-shifted Hadamard products:
-#
-#     C = sum_k colshift_k(sigma(A)) * rowshift_k(tau(B))
-#
-# Depth: one plaintext matmul + one masking multiply + one ciphertext
-# multiply -- the standard transformer matmul kernel in FHE [65].
-
-
-def _sigma_permutation(d: int) -> np.ndarray:
-    """sigma(A)[i, j] = A[i, (i + j) mod d] as a d^2 x d^2 0/1 matrix."""
-    n = d * d
-    m = np.zeros((n, n))
-    for i in range(d):
-        for j in range(d):
-            m[i * d + j, i * d + (i + j) % d] = 1.0
-    return m
-
-
-def _tau_permutation(d: int) -> np.ndarray:
-    """tau(B)[i, j] = B[(i + j) mod d, j] as a d^2 x d^2 0/1 matrix."""
-    n = d * d
-    m = np.zeros((n, n))
-    for i in range(d):
-        for j in range(d):
-            m[i * d + j, ((i + j) % d) * d + j] = 1.0
-    return m
-
-
-def _column_shift_masks(d: int, k: int, slots: int):
-    """Masks splitting a column rotation by k into its two wrap parts."""
-    n = d * d
-    keep = np.zeros(n)
-    wrap = np.zeros(n)
-    for i in range(d):
-        for j in range(d):
-            if j < d - k:
-                keep[i * d + j] = 1.0
-            else:
-                wrap[i * d + j] = 1.0
-    reps = slots // n
-    return np.tile(keep, reps), np.tile(wrap, reps)
-
-
-def encrypted_matmul(ev: Evaluator, ct_a: Ciphertext, ct_b: Ciphertext,
-                     d: int) -> Ciphertext:
-    """Homomorphic ``C = A @ B`` for row-major packed d x d matrices.
-
-    Inputs must be packed with :func:`repro.fhe.packing.tile_vector` over
-    ``d*d`` entries (``d*d`` must divide the slot count).  Consumes three
-    multiplicative levels.
-    """
-    slots = ev.params.slot_count
-    n = d * d
-    if slots % n:
-        raise ValueError(f"matrix of {n} entries must divide {slots} slots")
-    a0 = bsgs_matvec(ev, ct_a, matrix=_sigma_permutation(d))
-    b0 = bsgs_matvec(ev, ct_b, matrix=_tau_permutation(d))
-    acc = ev.mul(a0, b0)
-    for k in range(1, d):
-        keep, wrap = _column_shift_masks(d, k, slots)
-        shifted = ev.add(
-            ev.mul_values(ev.rotate(a0, k), keep),
-            ev.mul_values(ev.rotate(a0, k - d), wrap),
-        )
-        b_k = ev.rotate(b0, d * k)
-        b_k = ev.mul_values(b_k, np.ones(slots))  # align level with shifted
-        acc = ev.add(acc, ev.mul(shifted, b_k))
-    return acc

@@ -1,20 +1,14 @@
-"""Slot-packing utilities for encrypted ML data layouts.
+"""Slot packing for the :mod:`repro.nn` layout.
 
 CKKS programs live or die by their packing discipline: rotations only make
-sense relative to how data was laid out in the slots.  These helpers
-implement the standard layouts used by the workloads (and by the paper's
-benchmarks):
-
-* **tiled vectors** — a length-``n`` vector replicated ``slots/n`` times,
-  so rotations wrap within the vector (what :func:`repro.fhe.linear
-  .bsgs_matvec` expects);
-* **row-major matrices** — for matrix-vector products via rotate-and-sum;
-* **zero-padded prefixes** — for the analytics reductions;
-* **multi-vector batching** — several independent vectors in one
-  ciphertext, with helpers to extract each;
-* **lane frames** — the :mod:`repro.nn` layout: ``lanes`` vectors, each
-  zero-padded into a power-of-two ``block``, concatenated into one frame
-  that is tiled across the slots.
+sense relative to how data was laid out in the slots.  The layout here is
+the **lane frame**: ``lanes`` independent vectors (a minibatch of HELR
+samples, the tokens of a BERT sequence, or the single lane of a CNN
+image or a database column), each zero-padded into a power-of-two
+``block``, concatenated into one frame that is tiled across the slots,
+so a global rotation is a per-frame roll.  A single lane whose frame is
+the whole vector is the tiled layout :func:`repro.fhe.linear.bsgs_matvec`
+expects.
 
 Capacity violations raise the typed :class:`SlotCapacityError` (a
 ``ValueError`` subclass) so callers — the :mod:`repro.nn` lowering pass
@@ -24,7 +18,7 @@ generic misuse, instead of silently wrapping or truncating data.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,9 +26,10 @@ import numpy as np
 class SlotCapacityError(ValueError):
     """A packed layout does not fit the available plaintext slots.
 
-    Raised by the tile/batch/lane helpers whenever the requested width
-    exceeds the slot count (the failure mode that would otherwise show up
-    as silent wraparound of rotated data).  Carries the offending
+    Raised by :func:`pack_lanes` (and the :mod:`repro.nn` packing
+    selection) whenever the requested width exceeds the slot count (the
+    failure mode that would otherwise show up as silent wraparound of
+    rotated data).  Carries the offending
     ``needed``/``available`` counts for diagnostics.
     """
 
@@ -43,86 +38,6 @@ class SlotCapacityError(ValueError):
         super().__init__(message)
         self.needed = needed
         self.available = available
-
-
-def _require_capacity(needed: int, slot_count: int, what: str) -> None:
-    if needed > slot_count:
-        raise SlotCapacityError(
-            f"{what} needs {needed} slots but the ring provides "
-            f"{slot_count}", needed=needed, available=slot_count)
-
-
-def tile_vector(values: Sequence[float], slot_count: int) -> np.ndarray:
-    """Replicate a vector across the slots (rotation-friendly layout)."""
-    values = np.asarray(values)
-    n = len(values)
-    _require_capacity(n, slot_count, f"tiled vector of length {n}")
-    if slot_count % n:
-        raise ValueError(f"vector length {n} must divide {slot_count} slots")
-    return np.tile(values, slot_count // n)
-
-
-def pad_prefix(values: Sequence[float], slot_count: int,
-               fill: float = 0.0) -> np.ndarray:
-    """Place a vector in the leading slots, padding the tail with ``fill``."""
-    values = np.asarray(values, dtype=np.complex128 if
-                        np.iscomplexobj(values) else np.float64)
-    _require_capacity(len(values), slot_count,
-                      f"prefix of {len(values)} values")
-    out = np.full(slot_count, fill, dtype=values.dtype)
-    out[: len(values)] = values
-    return out
-
-
-def pack_matrix_rows(matrix: np.ndarray, slot_count: int) -> np.ndarray:
-    """Row-major flattening of a matrix into the leading slots."""
-    matrix = np.asarray(matrix)
-    flat = matrix.reshape(-1)
-    return pad_prefix(flat, slot_count)
-
-
-def batch_vectors(vectors: List[Sequence[float]], slot_count: int) -> np.ndarray:
-    """Pack independent equal-length vectors back to back.
-
-    Vector ``i`` occupies slots ``[i*stride, (i+1)*stride)`` where
-    ``stride`` is the (power-of-two) vector length — the layout under
-    which per-vector rotations are ``rotate(k)`` composed with masking.
-    """
-    if not vectors:
-        raise ValueError("no vectors given")
-    stride = len(vectors[0])
-    if stride & (stride - 1):
-        raise ValueError("vector length must be a power of two")
-    if any(len(v) != stride for v in vectors):
-        raise ValueError("vectors must share a length")
-    _require_capacity(stride * len(vectors), slot_count,
-                      f"batch of {len(vectors)} x {stride} vectors")
-    out = np.zeros(slot_count)
-    for i, vec in enumerate(vectors):
-        out[i * stride:(i + 1) * stride] = vec
-    return out
-
-
-def extract_vector(slots: np.ndarray, index: int, stride: int) -> np.ndarray:
-    """Inverse of :func:`batch_vectors` for decoded slot arrays."""
-    return np.asarray(slots)[index * stride:(index + 1) * stride]
-
-
-def batch_mask(index: int, stride: int, slot_count: int) -> np.ndarray:
-    """Multiplicative 0/1 mask selecting one vector of a batch."""
-    mask = np.zeros(slot_count)
-    mask[index * stride:(index + 1) * stride] = 1.0
-    return mask
-
-
-# --------------------------------------------------------------------------- #
-# Lane frames: the repro.nn layout.
-#
-# A model runs over `lanes` independent vectors (a minibatch of HELR
-# samples, the tokens of a BERT sequence, or a single lane for a CNN
-# image).  Each vector is zero-padded into a power-of-two `block`; the
-# lanes concatenate into a `frame = lanes * block` that is tiled across
-# the slots so global rotations behave like per-frame rolls.
 
 
 def pack_lanes(vectors: Sequence[Sequence[float]], block: int,
@@ -144,8 +59,11 @@ def pack_lanes(vectors: Sequence[Sequence[float]], block: int,
             f"lane vector of width {widest} exceeds the lane block "
             f"{block}", needed=widest, available=block)
     frame = block * len(vectors)
-    _require_capacity(frame, slot_count,
-                      f"frame of {len(vectors)} x {block} lanes")
+    if frame > slot_count:
+        raise SlotCapacityError(
+            f"frame of {len(vectors)} x {block} lanes needs {frame} slots "
+            f"but the ring provides {slot_count}",
+            needed=frame, available=slot_count)
     if slot_count % frame:
         raise ValueError(f"frame {frame} must divide {slot_count} slots")
     out = np.zeros(frame)
@@ -160,21 +78,3 @@ def unpack_lane(slots: np.ndarray, lane: int, block: int,
     width = block if width is None else width
     start = lane * block
     return np.asarray(slots)[start:start + width]
-
-
-def frame_mask(frame: int, indices: Sequence[int], slot_count: int,
-               value: float = 1.0) -> np.ndarray:
-    """A frame-periodic mask: ``value`` at the given in-frame indices.
-
-    The workhorse of the nn lowering's segment reductions (select the
-    segment-start slots of every lane, scaled by ``1/width`` for means).
-    """
-    _require_capacity(frame, slot_count, f"frame of width {frame}")
-    if slot_count % frame:
-        raise ValueError(f"frame {frame} must divide {slot_count} slots")
-    base = np.zeros(frame)
-    for index in indices:
-        if not 0 <= index < frame:
-            raise ValueError(f"mask index {index} outside frame {frame}")
-        base[index] = value
-    return np.tile(base, slot_count // frame)

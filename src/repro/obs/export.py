@@ -49,25 +49,19 @@ def _request_tracks(spans) -> Dict[str, str]:
     return track
 
 
-def fu_event_record(event, *, pid: Optional[int] = None,
-                    origin_us: float = 0, us_per_cycle: float = 1,
-                    **args) -> dict:
+def fu_event_record(event, *, pid: int, origin_us: float,
+                    us_per_cycle: float, **args) -> dict:
     """One simulated :class:`~repro.sim.trace.TraceEvent` as a Chrome
-    ``"X"`` record.  On its own (no ``pid``) a chip is a process and a
-    lane a thread; inside the merged trace ``pid`` is the simulate
-    span's process, threads are ``chip/lane`` and cycles are scaled onto
-    the span's wall-clock window."""
-    record = {
+    ``"X"`` record: ``pid`` is the simulate span's process, threads are
+    ``chip/lane`` and cycles are scaled onto the span's wall-clock
+    window."""
+    return {
         "name": event.name, "ph": "X", "cat": "isa",
         "ts": round(origin_us + event.start * us_per_cycle, 3),
         "dur": round(max(1, event.duration * us_per_cycle), 3),
-        "pid": event.chip if pid is None else pid,
-        "tid": event.lane if pid is None
-        else f"chip{event.chip}/{event.lane}",
+        "pid": pid, "tid": f"chip{event.chip}/{event.lane}",
+        "args": dict(args, cycles=event.duration),
     }
-    if args:
-        record["args"] = dict(args, cycles=event.duration)
-    return record
 
 
 def build_chrome_trace(tr: Optional[Tracer] = None) -> dict:

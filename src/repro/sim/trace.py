@@ -4,23 +4,23 @@
 functional-unit, HBM and network-link reservation the run makes becomes a
 :class:`TraceEvent`, so the timeline and the cycle / utilization numbers of
 a :class:`~repro.sim.simulator.SimulationResult` come from the same
-schedule.  Exported as Chrome trace-event JSON (load in
-``chrome://tracing`` or Perfetto) it is one row per chip and unit, showing
-exactly how NTTs, base conversions, HBM transfers, and collectives overlap
-— the visual counterpart of the utilization numbers in Figure 15.
+schedule.
 
 A traced :class:`~repro.runtime.CinnamonSession` does not run twice: it
-hands :func:`recording_sink` to the run whose result it returns.
+hands :func:`recording_sink` to the run whose result it returns and
+stores the events on its ``simulate`` span, and
+:func:`repro.obs.export_chrome_trace` writes them as Chrome trace-event
+JSON (load in ``chrome://tracing`` or Perfetto): one row per chip and
+unit, showing exactly how NTTs, base conversions, HBM transfers, and
+collectives overlap — the visual counterpart of the utilization numbers
+in Figure 15.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import List
 
-from ..obs.export import fu_event_record
-from .config import MachineConfig
 from .simulator import SimulatorEngine
 
 
@@ -72,20 +72,3 @@ class TracingSimulator(SimulatorEngine):
         except _TimelineFull:
             pass
         return events
-
-
-def to_chrome_trace(events: List[TraceEvent]) -> str:
-    """Serialize events as Chrome trace-event JSON: one process per chip,
-    one thread per lane, 1 cycle -> 1 us in the viewer."""
-    return json.dumps({"traceEvents": [fu_event_record(e) for e in events],
-                       "displayTimeUnit": "ms"})
-
-
-def export_chrome_trace(isa_module, machine: MachineConfig, path: str,
-                        limit_per_chip: int = 50000) -> int:
-    """Write a Chrome trace for a compiled module; returns event count."""
-    simulator = TracingSimulator(machine)
-    events = simulator.timeline(isa_module, limit_per_chip=limit_per_chip)
-    with open(path, "w") as handle:
-        handle.write(to_chrome_trace(events))
-    return len(events)

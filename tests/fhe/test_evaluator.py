@@ -196,19 +196,6 @@ class TestRotation:
             res = small_context.decrypt_values(out)
             assert np.max(np.abs(res.real - np.roll(a, -r))) < TOL
 
-    def test_rotate_and_sum(self, small_context, small_evaluator, rng):
-        n = small_context.params.slot_count
-        a = _vec(rng, n)
-        ct = small_context.encrypt_values(a)
-        out = small_context.decrypt_values(small_evaluator.rotate_and_sum(ct, 8))
-        expect = sum(np.roll(a, -k) for k in range(8))
-        assert np.max(np.abs(out.real - expect)) < 10 * TOL
-
-    def test_rotate_and_sum_requires_power_of_two(self, small_context, small_evaluator):
-        ct = small_context.encrypt_values([1.0])
-        with pytest.raises(ValueError):
-            small_evaluator.rotate_and_sum(ct, 6)
-
 
 class TestRescale:
     def test_rescale_drops_level_and_scale(self, small_context, small_evaluator, rng):

@@ -168,58 +168,3 @@ class TestBsgsMatvec:
         ct = small_context.encrypt_values([1.0])
         with pytest.raises(ValueError):
             bsgs_matvec(small_evaluator, ct, matrix=np.eye(3))
-
-
-class TestEncryptedMatmul:
-    """Ciphertext x ciphertext matrix multiplication (JKLS/E2DM)."""
-
-    def _pack(self, context, matrix):
-        from repro.fhe.packing import tile_vector
-
-        return context.encrypt_values(
-            tile_vector(matrix.reshape(-1), context.params.slot_count))
-
-    def test_matches_numpy(self, deep_context, deep_evaluator, rng):
-        from repro.fhe.linear import encrypted_matmul
-
-        d = 8
-        a = rng.uniform(-0.5, 0.5, (d, d))
-        b = rng.uniform(-0.5, 0.5, (d, d))
-        out = encrypted_matmul(deep_evaluator,
-                               self._pack(deep_context, a),
-                               self._pack(deep_context, b), d)
-        got = deep_context.decrypt_values(out).real[:d * d].reshape(d, d)
-        assert np.max(np.abs(got - a @ b)) < 1e-3
-
-    def test_identity(self, deep_context, deep_evaluator, rng):
-        from repro.fhe.linear import encrypted_matmul
-
-        d = 4
-        a = rng.uniform(-0.5, 0.5, (d, d))
-        out = encrypted_matmul(deep_evaluator,
-                               self._pack(deep_context, a),
-                               self._pack(deep_context, np.eye(d)), d)
-        got = deep_context.decrypt_values(out).real[:d * d].reshape(d, d)
-        assert np.max(np.abs(got - a)) < 1e-3
-
-    def test_non_dividing_dimension_rejected(self, deep_context,
-                                             deep_evaluator):
-        from repro.fhe.linear import encrypted_matmul
-
-        ct = deep_context.encrypt_values([1.0])
-        with pytest.raises(ValueError):
-            encrypted_matmul(deep_evaluator, ct, ct, 3)
-
-    def test_associativity_with_plaintext(self, deep_context,
-                                          deep_evaluator, rng):
-        """(A @ B) decrypted equals A' @ B' computed in the clear."""
-        from repro.fhe.linear import encrypted_matmul
-
-        d = 4
-        a = rng.uniform(-0.5, 0.5, (d, d))
-        b = rng.uniform(-0.5, 0.5, (d, d))
-        ct = encrypted_matmul(deep_evaluator,
-                              self._pack(deep_context, a),
-                              self._pack(deep_context, b), d)
-        got = deep_context.decrypt_values(ct).real[:d * d].reshape(d, d)
-        assert np.allclose(got, a @ b, atol=1e-3)

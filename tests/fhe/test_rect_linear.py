@@ -4,7 +4,7 @@ Covers the pad-and-mask contract of :func:`repro.fhe.linear
 .pad_matrix_block` (zero pad-rows pin the output tail to zero, zero
 pad-columns mask junk in the input tail), the rotation-count-minimizing
 ``baby_steps="auto"`` mode, and the typed :class:`SlotCapacityError`
-raised by the packing helpers.
+raised by :func:`repro.fhe.packing.pack_lanes`.
 """
 
 import numpy as np
@@ -12,20 +12,11 @@ import pytest
 
 from repro.fhe.linear import (
     bsgs_matvec,
-    matrix_diagonals,
     pad_matrix_block,
     plain_matvec_reference,
-    rect_diagonals,
     select_baby_steps,
 )
-from repro.fhe.packing import (
-    SlotCapacityError,
-    batch_vectors,
-    pack_lanes,
-    pack_matrix_rows,
-    pad_prefix,
-    tile_vector,
-)
+from repro.fhe.packing import SlotCapacityError, pack_lanes
 
 
 class TestPadMatrixBlock:
@@ -46,11 +37,6 @@ class TestPadMatrixBlock:
     def test_block_too_small_rejected(self, rng):
         with pytest.raises(ValueError):
             pad_matrix_block(rng.normal(size=(8, 3)), block=4)
-
-    def test_rect_diagonals_match_padded(self, rng):
-        m = rng.normal(size=(5, 7))
-        assert set(rect_diagonals(m)) == set(
-            matrix_diagonals(pad_matrix_block(m)))
 
 
 class TestPlainReference:
@@ -151,27 +137,17 @@ class TestSelectBabySteps:
 class TestSlotCapacityError:
     def test_is_value_error_with_counts(self):
         with pytest.raises(SlotCapacityError) as info:
-            tile_vector(np.ones(64), 32)
+            pack_lanes([np.ones(8)] * 8, 8, 32)
         assert isinstance(info.value, ValueError)
         assert info.value.needed == 64
         assert info.value.available == 32
 
-    def test_pad_prefix(self):
-        with pytest.raises(SlotCapacityError):
-            pad_prefix(np.ones(10), 8)
-
-    def test_pack_matrix_rows(self):
-        with pytest.raises(SlotCapacityError):
-            pack_matrix_rows(np.ones((4, 4)), 8)
-
-    def test_batch_vectors(self):
-        with pytest.raises(SlotCapacityError):
-            batch_vectors([np.ones(8)] * 3, 16)
-
     def test_pack_lanes(self):
         with pytest.raises(SlotCapacityError):
             pack_lanes([np.ones(8)] * 4, 8, 16)
+        with pytest.raises(SlotCapacityError):   # wider than the block
+            pack_lanes([np.ones(9)], 8, 16)
 
     def test_fitting_layouts_do_not_raise(self):
-        tile_vector(np.ones(8), 32)
+        pack_lanes([np.ones(8)], 8, 32)
         pack_lanes([np.ones(4)] * 2, 4, 16)

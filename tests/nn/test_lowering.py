@@ -7,15 +7,21 @@ depth plan and the program it emits:
 * the number of ``bootstrap`` ops in the program equals the plan's
   analytic ``bootstrap_count`` (the dry-run trace is exact);
 * models that cannot fit raise the typed errors instead of emitting
-  broken programs.
+  broken programs;
+* the builder's reductions and polynomials (``segment_sum``,
+  ``chebyshev_lower``) compute what their numpy mirrors say once
+  compiled, emulated on 1 and 4 chips, and decrypted.
 """
 
 import numpy as np
 import pytest
 
+import repro
+from repro.core import CinnamonProgram
 from repro.core.ir.bootstrap_graph import BOOTSTRAP_13
-from repro.fhe import SlotCapacityError, make_params
+from repro.fhe import CKKSContext, SlotCapacityError, make_params
 from repro.fhe.params import ArchParams
+from repro.fhe.polyeval import chebyshev_coefficients
 from repro.nn import (
     DepthBudgetError,
     Linear,
@@ -23,10 +29,13 @@ from repro.nn import (
     PackingSpec,
     build_bert_encoder,
     build_helr,
+    cheb_reference,
     lower,
+    nn_params,
     relu,
     select_packing,
 )
+from repro.nn.lower import DslLowering, chebyshev_lower
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +139,53 @@ class TestLoweredModel:
         low = lower(helr, params)
         with pytest.raises(ValueError, match="divide"):
             low.bind_plaintexts(low.spec.frame * 3 // 2)
+
+
+class TestCompiledReductions:
+    """``segment_sum`` and ``chebyshev_lower`` through the whole stack:
+    DSL program -> compile -> ISA emulator -> decrypt."""
+
+    FRAME = 32
+    SPANS = (2, 8, FRAME)
+    LEVELS = 8
+
+    @pytest.fixture(scope="class")
+    def context(self):
+        return CKKSContext(nn_params(self.LEVELS, num_digits=3), seed=5)
+
+    @pytest.fixture(scope="class")
+    def coeffs(self):
+        return chebyshev_coefficients(
+            lambda x: 1.0 / (1.0 + np.exp(-12.0 * (x - 0.25))), 15)
+
+    @pytest.mark.parametrize("chips", [1, 4])
+    def test_sums_and_soft_threshold_decrypt_to_numpy(self, context,
+                                                      coeffs, chips, rng):
+        prog = CinnamonProgram("reductions", level=self.LEVELS)
+        ctx = DslLowering(PackingSpec(lanes=1, block=self.FRAME), prog)
+        x = prog.input("x")
+        for span in self.SPANS:
+            prog.output(f"sum{span}", ctx.segment_sum(x, span))
+        prog.output("soft", chebyshev_lower(ctx, x, coeffs))
+        compiled = repro.compile(prog, context.params, machine=chips)
+
+        values = rng.uniform(-1, 1, self.FRAME)
+        slots = context.params.slot_count
+        ct = context.encrypt_values(np.tile(values, slots // self.FRAME),
+                                    level=self.LEVELS)
+        outputs = compiled.emulate({"x": ct}, context=context)
+
+        def decrypted(name):
+            return context.decrypt_values(outputs[name]).real[:self.FRAME]
+
+        for span in self.SPANS:
+            want = sum(np.roll(values, -t) for t in range(span))
+            assert np.max(np.abs(decrypted(f"sum{span}") - want)) < 1e-3
+        want = cheb_reference(values, coeffs)
+        assert np.max(np.abs(decrypted("soft") - want)) < 1e-3
+
+    def test_non_power_of_two_span_rejected(self):
+        prog = CinnamonProgram("bad-span", level=self.LEVELS)
+        ctx = DslLowering(PackingSpec(lanes=1, block=self.FRAME), prog)
+        with pytest.raises(ValueError, match="power of two"):
+            ctx.segment_sum(prog.input("x"), 6)

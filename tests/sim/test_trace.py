@@ -1,4 +1,4 @@
-"""Tests for the execution-trace export."""
+"""Tests for the simulator's FU timeline and its Chrome-trace export."""
 
 import json
 
@@ -7,8 +7,28 @@ import pytest
 from repro.core import CompilerDriver, CinnamonProgram, CompilerOptions
 from repro.fhe import ArchParams
 from repro.sim import CINNAMON_4
-from repro.sim.trace import TracingSimulator, export_chrome_trace, \
-    to_chrome_trace
+from repro.sim.trace import TracingSimulator
+
+
+def traced_simulate(compiled, machine, path):
+    """Simulate through a traced session, write the merged Chrome trace
+    to ``path`` with ``repro.obs.export_chrome_trace``, and return the
+    parsed file plus the event count the export reported."""
+    from repro import obs
+    from repro.runtime import CinnamonSession
+
+    obs.enable(reset=True)
+    try:
+        CinnamonSession().simulate(compiled, machine)
+        count = obs.export_chrome_trace(str(path))
+    finally:
+        obs.disable()
+        obs.tracer().reset()
+    return json.loads(path.read_text()), count
+
+
+def isa_records(document):
+    return [e for e in document["traceEvents"] if e.get("cat") == "isa"]
 
 
 @pytest.fixture(scope="module")
@@ -48,21 +68,20 @@ class TestTimeline:
 
 
 class TestChromeExport:
-    def test_json_structure(self, compiled):
-        events = TracingSimulator(CINNAMON_4).timeline(
-            compiled.isa, limit_per_chip=100)
-        payload = json.loads(to_chrome_trace(events))
-        assert payload["traceEvents"]
-        first = payload["traceEvents"][0]
-        assert set(first) >= {"name", "ph", "ts", "dur", "pid", "tid"}
+    def test_json_structure(self, compiled, tmp_path):
+        document, _count = traced_simulate(compiled, CINNAMON_4,
+                                           tmp_path / "trace.json")
+        records = isa_records(document)
+        assert records
+        assert set(records[0]) >= {"name", "ph", "ts", "dur", "pid", "tid"}
+        assert {r["tid"].split("/")[0] for r in records} == \
+            {f"chip{chip}" for chip in compiled.isa.streams}
 
     def test_file_export(self, compiled, tmp_path):
-        path = tmp_path / "trace.json"
-        count = export_chrome_trace(compiled.isa, CINNAMON_4, str(path),
-                                    limit_per_chip=50)
-        assert count > 0
-        payload = json.loads(path.read_text())
-        assert len(payload["traceEvents"]) == count
+        document, count = traced_simulate(compiled, CINNAMON_4,
+                                          tmp_path / "trace.json")
+        assert len(document["traceEvents"]) == count
+        assert isa_records(document)
 
 
 @pytest.fixture(scope="module")
@@ -84,15 +103,17 @@ class TestBootstrapChromeTrace:
     def test_export_well_formed(self, bootstrap_compiled, tmp_path):
         from repro.sim.config import config_for
 
-        path = tmp_path / "bootstrap-trace.json"
-        count = export_chrome_trace(bootstrap_compiled.isa, config_for(2),
-                                    str(path), limit_per_chip=2000)
-        payload = json.loads(path.read_text())
-        events = payload["traceEvents"]
+        document, count = traced_simulate(
+            bootstrap_compiled, config_for(2),
+            tmp_path / "bootstrap-trace.json")
+        events = document["traceEvents"]
         assert 0 < count == len(events)
-        for event in events:
+        records = isa_records(document)
+        assert {r["tid"].split("/")[0] for r in records} == \
+            {"chip0", "chip1"}
+        for event in records:
             assert event["ph"] == "X"
-            assert isinstance(event["ts"], int) and event["ts"] >= 0
+            assert isinstance(event["ts"], (int, float)) and event["ts"] >= 0
             assert event["dur"] >= 1
             assert isinstance(event["pid"], int)
             assert isinstance(event["tid"], str)

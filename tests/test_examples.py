@@ -1,4 +1,8 @@
-"""Smoke tests: every example script runs to completion.
+"""Smoke tests: every example script runs to completion and exits zero.
+
+Examples that check their decrypted results against a plaintext
+reference (``keyswitch_comparison.py``, ``private_analytics.py``) exit
+non-zero on a mismatch, so a wrong answer fails here.
 
 The heavyweight ones (bootstrap, the N=64K simulations) are marked slow.
 """
@@ -14,7 +18,6 @@ EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 FAST = ["keyswitch_comparison.py", "nn_quickstart.py"]
 SLOW = [
     "quickstart.py",
-    "encrypted_logreg.py",
     "private_analytics.py",
     "bootstrap_demo.py",
     "bert_attention_streams.py",
@@ -39,9 +42,7 @@ def test_fast_examples(name):
 @pytest.mark.slow
 @pytest.mark.parametrize("name", SLOW)
 def test_slow_examples(name):
-    out = _run(name)
-    assert "error" not in out.lower() or "err" in out.lower()  # error fields ok
-    assert out.strip()
+    assert _run(name).strip()
 
 
 def test_all_examples_listed():
