@@ -26,7 +26,7 @@ def cache_dir(tmp_path_factory):
 def test_tuner_finds_no_worse_config(once, cache_dir):
     tuner = Tuner(cache_dir=cache_dir, seed=0)
     report = once(tuner.tune, "bootstrap", "cinnamon_4", scale="small",
-                  strategy="halving", budget=BUDGET)
+                  budget=BUDGET)
     print(report.leaderboard())
     assert report.best_cycles <= report.default_cycles
     assert report.speedup >= 1.0
@@ -38,7 +38,7 @@ def test_retune_amortizes_through_cache(once, cache_dir):
     # Depends on the warm cache the previous benchmark left behind.
     tuner = Tuner(cache_dir=cache_dir, seed=0)
     report = once(tuner.tune, "bootstrap", "cinnamon_4", scale="small",
-                  strategy="halving", budget=BUDGET)
+                  budget=BUDGET)
     print(f"re-tune: {report.cache_hits} compile cache hits, "
           f"{report.cache_misses} misses, {report.seconds:.1f}s")
     assert report.cache_hits > 0

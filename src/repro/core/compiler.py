@@ -243,7 +243,8 @@ class CompilerDriver:
         if opts.enable_optimizations:
             from .ir.optimize import optimize
 
-            prog = timed("optimize", lambda: optimize(prog))
+            prog = timed("optimize", lambda: optimize(
+                prog, self.params.slot_count))
         ks_pass = KeyswitchPass(opts.keyswitch_policy, opts.enable_batching)
         prog = timed("keyswitch", lambda: ks_pass.run(prog))
         prog = timed("alignment", lambda: ctpasses.insert_alignment(prog))

@@ -1,4 +1,4 @@
-"""Classic ciphertext-level optimizations: DCE and CSE.
+"""Classic ciphertext-level optimizations: DCE, CSE and identity folds.
 
 FHE programs traced from high-level model code routinely contain repeated
 subexpressions (the same rotation or plaintext product computed in several
@@ -8,7 +8,10 @@ keyswitch — so the compiler runs:
 
 * **dead-code elimination**: drop every op that cannot reach an output;
 * **common-subexpression elimination**: value-number pure ops and reuse
-  the first occurrence (commutative ops are canonicalized first).
+  the first occurrence (commutative ops are canonicalized first); a
+  rotation by a multiple of the slot count is the identity and numbers
+  as its own input — unless it feeds an add, where the keyswitch pass
+  may fuse it into a rotate-sum as a zero-rotation member.
 
 Both run before the keyswitch pass so that deduplicated rotations can
 still be batched.
@@ -16,7 +19,7 @@ still be batched.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..dsl import program as ct
 from ..dsl.program import CinnamonProgram, CtOp
@@ -48,15 +51,35 @@ def eliminate_dead_code(prog: CinnamonProgram) -> CinnamonProgram:
     return _rebuild(prog, keep=lambda op: op.id in live)
 
 
-def eliminate_common_subexpressions(prog: CinnamonProgram) -> CinnamonProgram:
-    """Reuse identical pure ops (value numbering)."""
+def _identity_rotations(prog: CinnamonProgram,
+                        slot_count: Optional[int]) -> Set[int]:
+    """Same-stream rotations by a whole number of slot-vector turns that
+    feed no add (add trees of rotations are the keyswitch pass's)."""
+    summed = {i for op in prog.ops if op.opcode == ct.ADD
+              for i in op.inputs}
+    return {op.id for op in prog.ops
+            if op.opcode == ct.ROTATE and op.id not in summed
+            and prog.ops[op.inputs[0]].stream == op.stream
+            and (op.attrs["rotation"] == 0 or bool(slot_count)
+                 and op.attrs["rotation"] % slot_count == 0)}
+
+
+def eliminate_common_subexpressions(
+        prog: CinnamonProgram,
+        slot_count: Optional[int] = None) -> CinnamonProgram:
+    """Reuse identical pure ops (value numbering); fold identity
+    rotations (``slot_count`` is the ring's, ``N / 2``) into their input."""
     out = CinnamonProgram(prog.name, prog.input_level,
                           prog.bootstrap_output_level)
     out.num_streams = prog.num_streams
     mapping: Dict[int, int] = {}
     table: Dict[Tuple, int] = {}
+    identities = _identity_rotations(prog, slot_count)
     for op in prog.ops:
         inputs = tuple(mapping[i] for i in op.inputs)
+        if op.id in identities:
+            mapping[op.id] = inputs[0]
+            continue
         if op.opcode in _PURE:
             canon = tuple(sorted(inputs)) if op.opcode in _COMMUTATIVE \
                 else inputs
@@ -114,6 +137,8 @@ def _rebuild(prog: CinnamonProgram, keep) -> CinnamonProgram:
     return out
 
 
-def optimize(prog: CinnamonProgram) -> CinnamonProgram:
-    """The standard pipeline: CSE, then DCE."""
-    return eliminate_dead_code(eliminate_common_subexpressions(prog))
+def optimize(prog: CinnamonProgram,
+             slot_count: Optional[int] = None) -> CinnamonProgram:
+    """The standard pipeline: CSE (with identity folds), then DCE."""
+    return eliminate_dead_code(
+        eliminate_common_subexpressions(prog, slot_count))

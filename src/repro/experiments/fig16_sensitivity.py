@@ -34,8 +34,8 @@ FACTORS = (0.5, 2.0)
 def _tuned_config(machine_name: str) -> Optional[dict]:
     """The tuning DB's best bootstrap config for ``machine_name``.
 
-    Quick-tunes (budget 8, successive halving) through the shared
-    experiment session to fill the DB on a Cinnamon-4 miss; other
+    Quick-tunes (budget 8, each candidate simulated in full) through the
+    shared experiment session to fill the DB on a Cinnamon-4 miss; other
     machines just fall back to the stock configuration.
     """
     from ..tune import QUICK_BUDGET, Tuner, TuningDB, default_db_path, \
@@ -44,7 +44,7 @@ def _tuned_config(machine_name: str) -> Optional[dict]:
     workload = get_workload("bootstrap", "paper")
     program, params, base_options = workload.materialize()
     db = TuningDB(default_db_path())
-    key = tuning_key(program, params, machine_name, "cycles")
+    key = tuning_key(program, params, machine_name)
     entry = db.get(key)
     if entry is None:
         if machine_name != CINNAMON_4.name:
@@ -52,8 +52,7 @@ def _tuned_config(machine_name: str) -> Optional[dict]:
         tuner = Tuner(session=session(), db=db)
         report = tuner.tune_program(
             program, params, machine_name, base_options=base_options,
-            workload_name=workload.name, strategy="halving",
-            budget=QUICK_BUDGET)
+            workload_name=workload.name, budget=QUICK_BUDGET)
         entry = db.get(report.db_key)
     return entry
 

@@ -66,9 +66,8 @@ ROW_KINDS: Dict[str, RowKind] = {
         "recompile_s": 0.0, "replay_s": None,
     }),
     "tune": RowKind({
-        "workload": REQUIRED, "machine": REQUIRED, "strategy": REQUIRED,
-        "goal": REQUIRED, "budget": REQUIRED, "candidates": REQUIRED,
-        "pruned": REQUIRED, "rungs": REQUIRED, "default_cycles": REQUIRED,
+        "workload": REQUIRED, "machine": REQUIRED, "budget": REQUIRED,
+        "candidates": REQUIRED, "default_cycles": REQUIRED,
         "best_cycles": REQUIRED, "best_config": REQUIRED,
         "cache_hits": REQUIRED, "seconds": REQUIRED, "trials": [],
     }),
@@ -206,7 +205,7 @@ SERIES: Tuple[Series, ...] = (
     _count("recovery", "runtime_recoveries_total",
            "Degraded-mode recoveries by fault kind.", "fault"),
     _count("tune", "runtime_tune_runs_total", "Autotuning runs recorded.",
-           "strategy"),
+           "workload"),
     _count("alert", "obs_slo_alerts_total", "SLO burn-rate alerts fired.",
            "slo", "severity"),
     _count("cluster", "cluster_events_total",

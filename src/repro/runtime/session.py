@@ -65,9 +65,6 @@ class CompileJob:
     #: Wall-clock budget for this job's simulation (overrides the
     #: session-wide watchdog).
     watchdog_s: Optional[float] = None
-    #: Simulated-cycle cap: stop the simulation at this frontier and
-    #: return a truncated result (the autotuner's low-fidelity rungs).
-    max_cycles: Optional[int] = None
     #: Parent :class:`repro.obs.tracing.Span` to execute under.  The
     #: batch pool runs jobs on worker threads where ``contextvars`` do
     #: not follow; the span rides the job across the boundary and is
@@ -247,10 +244,9 @@ class CinnamonSession:
     def simulate(self, compiled: CompiledProgram, machine=None,
                  tag: str = "", job: str = None, *,
                  fault_schedule=None,
-                 watchdog_s: Optional[float] = None,
-                 max_cycles: Optional[int] = None) -> SimulationResult:
-        """Cycle-simulate ``compiled`` on ``machine``, memoized per
-        (artifact, machine, tag).
+                 watchdog_s: Optional[float] = None) -> SimulationResult:
+        """Cycle-simulate ``compiled`` on ``machine`` to completion,
+        memoized per (artifact, machine, tag).
 
         The keyword-only arguments thread the fault-tolerance machinery
         (:mod:`repro.resilience`) through the session: ``fault_schedule``
@@ -258,17 +254,12 @@ class CinnamonSession:
         session-wide budget) bounds the wall time.  Only clean runs hit
         the memo cache — faulted simulations are never cached, because
         their result depends on state outside the cache key.
-
-        ``max_cycles`` caps the simulated cycle frontier: the run stops
-        there and returns a ``truncated=True`` partial result.  Truncated
-        runs are deterministic, so they memoize like clean runs (the cap
-        is part of the memo key).
         """
         resolved = resolve_machine(
             machine if machine is not None
             else (compiled.options.machine or compiled.options.num_chips))
         token = compiled.cache_key or id(compiled)
-        key = (token, resolved.name, repr(resolved.chip), tag, max_cycles)
+        key = (token, resolved.name, repr(resolved.chip), tag)
         label = job or compiled.name
         deadline = watchdog_s if watchdog_s is not None else self.watchdog_s
         perturbed = bool(fault_schedule)
@@ -305,7 +296,7 @@ class CinnamonSession:
             try:
                 result = SimulatorEngine(resolved).run(
                     compiled.isa, fault_schedule=fault_schedule,
-                    deadline_s=deadline, max_cycles=max_cycles, sink=sink)
+                    deadline_s=deadline, sink=sink)
             except Exception as exc:
                 journal(MISS, None, error=f"{type(exc).__name__}: {exc}")
                 raise
@@ -355,7 +346,7 @@ class CinnamonSession:
                 result = self.simulate(
                     compiled, job.sim_machine or job.machine, tag=job.tag,
                     job=job.label, fault_schedule=job.fault_schedule,
-                    watchdog_s=job.watchdog_s, max_cycles=job.max_cycles)
+                    watchdog_s=job.watchdog_s)
             return JobResult(job=job.label, key=compiled.cache_key,
                              cache=entry["cache"], compiled=compiled,
                              result=result)
@@ -442,8 +433,9 @@ def compile_program(program: CinnamonProgram, params, machine=None,
     ``tune`` consults the persisted :class:`~repro.tune.TuningDB`:
     ``"db"``/``True`` applies an existing tuned config when one matches
     this (program, params, machine) and falls through otherwise;
-    ``"quick"``/``"full"`` additionally run a budget-8/32 successive-
-    halving search on a DB miss before compiling with the winner.
+    ``"quick"``/``"full"`` additionally tune on a DB miss (8 / 32 sampled
+    candidates, each simulated to completion) before compiling with the
+    winner.
     """
     sess = session or default_session()
     if tune:

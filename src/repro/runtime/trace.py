@@ -33,7 +33,7 @@ from ..obs.tracing import current_span
 #: 3: added ``kind == "recovery"`` entries (machine-level fault recovery)
 #:    and an optional ``error`` field on simulate entries.
 #: 4: added ``kind == "tune"`` entries (repro.tune autotuning runs:
-#:    candidates tried, cycles, pruned-at-rung).
+#:    candidates tried, cycles).
 #: 5: cross-layer observability (repro.obs): every entry carries
 #:    ``trace_id``/``span_id`` when recorded under an active span, so
 #:    serve/compile/simulate/recovery rows of one request are joinable;
@@ -53,7 +53,9 @@ from ..obs.tracing import current_span
 #:    serve entries gain ``tenant`` and an optional per-request ``cost``
 #:    rollup (``sim_cycles``/``bootstraps``/``bytes``/``compile_s``)
 #:    feeding the ``cluster_tenant_*`` attribution counters.
-TRACE_SCHEMA_VERSION = 8
+#: 9: ``tune`` entries drop ``strategy``, ``goal`` and the two pruning
+#:    counts (one search simulates every candidate to completion).
+TRACE_SCHEMA_VERSION = 9
 
 #: Most journal rows a recorder holds in memory.  Reaching it spills the
 #: older half to the recorder's temporary file in one write.

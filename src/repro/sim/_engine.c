@@ -2,9 +2,8 @@
  *
  * A line-for-line port of SimulatorEngine._run_reference / _step in
  * simulator.py, which stays the reference: the same in-order scoreboard,
- * the same 10 000-step rounds, the same frontier check for max_cycles and
- * the same deadlock rule, so every integer it returns equals the Python
- * engine's.  Bandwidth durations are ceil(double / double), the IEEE
+ * the same 10 000-step rounds and the same deadlock rule, so every
+ * integer it returns equals the Python engine's.  Bandwidth durations are ceil(double / double), the IEEE
  * arithmetic Python performs; an FU pool hands out its lowest-index
  * earliest-free unit, as min() over the pool does.
  *
@@ -27,8 +26,7 @@ enum { STATUS_OK = 0, STATUS_DEADLOCK = 1, STATUS_UNKNOWN_OPCODE = 2,
 
 /* cfg[] layout. */
 enum { CFG_CHIPS, CFG_CLASSES, CFG_LATENCY, CFG_LIMB_BYTES, CFG_HOP_LATENCY,
-       CFG_COLLECTIVE_LATENCY, CFG_MAX_CYCLES, CFG_KEYS, CFG_CIDS,
-       CFG_REGISTERS };
+       CFG_COLLECTIVE_LATENCY, CFG_KEYS, CFG_CIDS, CFG_REGISTERS };
 
 /* chip_out[] row layout (one row per chip). */
 enum { OUT_PC, OUT_FINISH, OUT_HBM_BUSY, OUT_HBM_BYTES, OUT_LINK_BUSY,
@@ -195,23 +193,6 @@ static int step(machine_t *m, int64_t k)
     return 1;
 }
 
-static int64_t frontier_cycle(const machine_t *m)
-{
-    int64_t low = INT64_MAX, high = 0;
-    int any_active = 0;
-    for (int64_t k = 0; k < m->n_chips; k++) {
-        const chip_t *c = &m->chips[k];
-        if (c->pc < c->length) {
-            any_active = 1;
-            if (c->finish < low)
-                low = c->finish;
-        } else if (c->finish > high) {
-            high = c->finish;
-        }
-    }
-    return any_active ? low : high;
-}
-
 /* Simulate the module; returns a STATUS_* code.  result[] receives the
  * retired-instruction count and, on STATUS_UNKNOWN_OPCODE, the chip index
  * and pc of the offending instruction.  chip_out (n_chips x OUT_FIELDS)
@@ -234,7 +215,6 @@ int repro_simulate(const int64_t *cfg, const double *bandwidth,
     m.limb_bytes = cfg[CFG_LIMB_BYTES];
     m.hop_latency = cfg[CFG_HOP_LATENCY];
     m.collective_latency = cfg[CFG_COLLECTIVE_LATENCY];
-    int64_t max_cycles = cfg[CFG_MAX_CYCLES];
     int64_t n_keys = cfg[CFG_KEYS], n_cids = cfg[CFG_CIDS];
     int64_t n_regs = cfg[CFG_REGISTERS];
     m.fu_class = fu_class;
@@ -319,8 +299,6 @@ int repro_simulate(const int64_t *cfg, const double *bandwidth,
             all_done = all_done && c->pc >= c->length;
         }
         if (all_done)
-            break;
-        if (max_cycles >= 0 && frontier_cycle(&m) >= max_cycles)
             break;
         if (!progress) {
             status = STATUS_DEADLOCK;

@@ -133,8 +133,8 @@ def config_for(num_chips: int) -> MachineConfig:
 
 #: Chip counts a machine can fall back through after losing a die — the
 #: paper's deployable configurations, largest first.  Degraded-mode
-#: recompilation re-partitions limbs across the next rung that fits the
-#: survivors (12 chips with one dead -> 8, 8 -> 4, and so on).
+#: recompilation re-partitions limbs across the next chip count that fits
+#: the survivors (12 chips with one dead -> 8, 8 -> 4, and so on).
 DEGRADE_LADDER = (12, 8, 4, 2, 1)
 
 
@@ -142,15 +142,15 @@ def degraded_machine(machine, dead_chips: int = 1,
                      ladder=DEGRADE_LADDER) -> MachineConfig:
     """The machine a run falls back to after losing ``dead_chips`` dies.
 
-    Picks the largest ladder rung that the surviving chip count can
-    populate.  Raises :class:`ValueError` when no rung fits (the machine
-    is out of spares entirely).
+    Picks the largest chip count on the ladder that the survivors can
+    populate.  Raises :class:`ValueError` when none fits (the machine is
+    out of spares entirely).
     """
     resolved = resolve_machine(machine)
     survivors = resolved.num_chips - dead_chips
-    for rung in sorted(ladder, reverse=True):
-        if rung <= survivors and rung < resolved.num_chips:
-            return config_for(rung)
+    for chips in sorted(ladder, reverse=True):
+        if chips <= survivors and chips < resolved.num_chips:
+            return config_for(chips)
     raise ValueError(
         f"no degraded configuration fits {survivors} surviving chip(s) "
         f"of {resolved.name} (ladder {tuple(ladder)})")

@@ -111,8 +111,7 @@ def _address(array: np.ndarray) -> int:
 
 
 def simulate(lib: ctypes.CDLL, streams: List, machine,
-             fu_class: Dict[str, str], max_cycles: Optional[int],
-             trace: bool) -> NativeRun:
+             fu_class: Dict[str, str], trace: bool) -> NativeRun:
     """Run ``streams`` (one per chip, in round-robin order) on ``machine``
     in one C call.  ``fu_class`` maps each compute opcode to an FU class
     of ``machine.chip.fu_counts``; ``trace`` asks for the per-instruction
@@ -176,9 +175,8 @@ def simulate(lib: ctypes.CDLL, streams: List, machine,
     cfg = np.array([
         len(streams), len(classes), chip_cfg.pipeline_latency,
         chip_cfg.limb_bytes, machine.hop_latency,
-        machine.collective_latency,
-        -1 if max_cycles is None else max(0, max_cycles),
-        len(keys), len(cids), registers], dtype=np.int64)
+        machine.collective_latency, len(keys), len(cids), registers],
+        dtype=np.int64)
     bandwidth = np.array([chip_cfg.hbm_bytes_per_cycle,
                           chip_cfg.link_bytes_per_cycle], dtype=np.float64)
 

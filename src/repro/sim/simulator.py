@@ -52,8 +52,8 @@ from .config import MachineConfig, resolve_machine
 #: Version of the dict layout produced by :meth:`SimulationResult.as_dict`.
 #: Bump when keys are renamed/removed so trace consumers can detect drift.
 #: (``events``, ``topology`` and per-link ``links`` occupancy were added
-#: additively; the version stays 1.)
-METRICS_SCHEMA_VERSION = 1
+#: additively.)  2: dropped the cycle-cap flag (every run completes).
+METRICS_SCHEMA_VERSION = 2
 
 _FU_CLASS = {
     VADD: "add",
@@ -118,10 +118,6 @@ class SimulationResult:
     #: Non-fatal machine events applied during the run (link degradations,
     #: cluster slowdowns) as ``{"kind", "chip", "cycle", "factor"}`` dicts.
     events: List[dict] = field(default_factory=list)
-    #: True when the run was cut short by ``max_cycles`` (the autotuner's
-    #: low-fidelity rungs); ``cycles``/``instructions`` then cover only
-    #: the simulated prefix.
-    truncated: bool = False
 
     @property
     def seconds(self) -> float:
@@ -191,7 +187,6 @@ class SimulationResult:
                 for cid, busy in sorted(self.link_busy.items())
             },
             "events": list(self.events),
-            "truncated": self.truncated,
         }
 
 
@@ -290,18 +285,14 @@ class SimulatorEngine:
     def run(self, isa_module, *,
             fault_schedule: Optional[FaultSchedule] = None,
             deadline_s: Optional[float] = None,
-            max_cycles: Optional[int] = None,
             sink: Optional[Sink] = None) -> SimulationResult:
-        """Simulate ``isa_module`` from cycle 0; optionally faulted.
+        """Simulate ``isa_module`` from cycle 0 to completion; optionally
+        faulted.
 
         * ``fault_schedule`` — machine faults to apply; fatal ones raise
           :class:`ChipFailure`/:class:`LinkFailure` mid-run.
         * ``deadline_s`` — wall-clock budget; exceeded -> raise
           :class:`WatchdogTimeout`.
-        * ``max_cycles`` — stop once the global cycle frontier crosses
-          this many simulated cycles and return the partial result with
-          ``truncated=True`` (the autotuner's cheap low-fidelity rungs;
-          callers extrapolate from the retired-instruction fraction).
         * ``sink`` — observer of every FU / HBM / link reservation the
           run makes (:data:`Sink`); :mod:`repro.sim.trace` builds its
           timeline from it.
@@ -318,18 +309,17 @@ class SimulatorEngine:
         lib = None if fault_schedule else native.load_library()
         if lib is None:
             return self._run_reference(isa_module, fault_schedule,
-                                       deadline_s, max_cycles, sink,
-                                       started_wall)
-        return self._run_native(lib, isa_module, deadline_s, max_cycles,
-                                sink, started_wall)
+                                       deadline_s, sink, started_wall)
+        return self._run_native(lib, isa_module, deadline_s, sink,
+                                started_wall)
 
-    def _run_native(self, lib, isa_module, deadline_s, max_cycles, sink,
+    def _run_native(self, lib, isa_module, deadline_s, sink,
                     started_wall) -> SimulationResult:
         machine = self.machine
         chip_cfg = machine.chip
         ids = list(isa_module.streams)
         streams = list(isa_module.streams.values())
-        run = native.simulate(lib, streams, machine, _FU_CLASS, max_cycles,
+        run = native.simulate(lib, streams, machine, _FU_CLASS,
                               trace=sink is not None)
         rows = run.chips.tolist()
         pcs = [row[native.PC] for row in rows]
@@ -357,10 +347,6 @@ class SimulatorEngine:
             raise RuntimeError(f"simulation deadlock at {stuck}")
 
         finish = [row[native.FINISH] for row in rows]
-        active = [f for f, pc, stream in zip(finish, pcs, streams)
-                  if pc < len(stream.opcodes)]
-        truncated = bool(active)
-        total_cycles = min(active) if truncated else max(finish)
         n = len(ids)
         fu_busy = defaultdict(float)
         for busy in run.fu_busy.tolist():
@@ -368,7 +354,7 @@ class SimulatorEngine:
                 fu_busy[name] += cycles / n
         return SimulationResult(
             machine=machine.name,
-            cycles=total_cycles,
+            cycles=max(finish),
             clock_ghz=chip_cfg.clock_ghz,
             instructions=run.instructions,
             fu_busy=dict(fu_busy),
@@ -383,7 +369,6 @@ class SimulatorEngine:
                         for chip, row in zip(ids, rows)},
             topology=machine.topology,
             events=[],
-            truncated=truncated,
         )
 
     def _check_deadline(self, deadline_s, started_wall) -> None:
@@ -398,7 +383,7 @@ class SimulatorEngine:
                 machine=self.machine.name)
 
     def _run_reference(self, isa_module, fault_schedule, deadline_s,
-                       max_cycles, sink, started_wall) -> SimulationResult:
+                       sink, started_wall) -> SimulationResult:
         """The Python engine: the C engine's oracle and the fault path.
 
         Cooperative cancellation: the deadline is checked between
@@ -495,24 +480,18 @@ class SimulatorEngine:
                     steps += 1
                     progress = True
                 all_done = all_done and chip.done
-            now = frontier_cycle()
             if pending_faults:
                 # Sweep for victims that are blocked or already done
                 # locally while the rest of the machine crossed the
                 # fault cycle.
-                apply_faults(None, now)
+                apply_faults(None, frontier_cycle())
             self._check_deadline(deadline_s, started_wall)
             if all_done:
-                break
-            if max_cycles is not None and now >= max_cycles:
                 break
             if not progress:
                 stuck = [(c.id, c.pc) for c in chips.values() if not c.done]
                 raise RuntimeError(f"simulation deadlock at {stuck}")
 
-        truncated = not all(c.done for c in chips.values())
-        total_cycles = (frontier_cycle() if truncated
-                        else max(c.finish for c in chips.values()))
         n = len(chips)
         fu_busy = defaultdict(float)
         for chip in chips.values():
@@ -522,7 +501,7 @@ class SimulatorEngine:
         net_busy = sum(c.link.busy_cycles for c in chips.values()) / n
         return SimulationResult(
             machine=machine.name,
-            cycles=total_cycles,
+            cycles=max(c.finish for c in chips.values()),
             clock_ghz=chip_cfg.clock_ghz,
             instructions=instructions,
             fu_busy=dict(fu_busy),
@@ -535,7 +514,6 @@ class SimulatorEngine:
             link_bytes={c.id: c.link.bytes_moved for c in chips.values()},
             topology=machine.topology,
             events=events,
-            truncated=truncated,
         )
 
     # ------------------------------------------------------------------ #

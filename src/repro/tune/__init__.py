@@ -12,15 +12,14 @@ Pieces:
 
 * :mod:`~repro.tune.space` — the typed :class:`SearchSpace` /
   :class:`Candidate` model with per-workload validity constraints;
-* :mod:`~repro.tune.strategies` — exhaustive grid, seeded random search,
-  and multi-fidelity :class:`SuccessiveHalving` (truncated simulations
-  first, survivors promoted to full runs);
 * :mod:`~repro.tune.oracle` — the cached compile + simulate cost
-  function;
+  function and its :class:`Trial` records;
 * :mod:`~repro.tune.db` — the persisted, versioned :class:`TuningDB`
   (tuned configs survive processes and ship as defaults);
-* :mod:`~repro.tune.tuner` — the :class:`Tuner` orchestrator and the
-  :func:`apply_tuning` hook behind ``repro.compile(tune=...)`` and
+* :mod:`~repro.tune.tuner` — the one :func:`search` (the stock config
+  plus ``budget`` seeded samples, each simulated to completion, fastest
+  wins), the :class:`Tuner` orchestrator and the :func:`apply_tuning`
+  hook behind ``repro.compile(tune=...)`` and
   ``CinnamonServer(tuned=True)``;
 * ``python -m repro.tune`` — the CLI (tune a named workload, print a
   leaderboard, persist the winner).
@@ -30,12 +29,12 @@ Typical use::
     from repro.tune import Tuner
 
     report = Tuner(cache_dir=".cinnamon-cache").tune(
-        "bootstrap", "cinnamon_4", budget=8, strategy="halving")
+        "bootstrap", "cinnamon_4", budget=8)
     print(report.leaderboard())
 """
 
 from .db import TUNING_DB_SCHEMA, TuningDB, default_db_path, tuning_key
-from .oracle import SimulationOracle
+from .oracle import SimulationOracle, Trial
 from .space import (
     Axis,
     Candidate,
@@ -44,17 +43,8 @@ from .space import (
     default_candidate,
     default_space,
 )
-from .strategies import (
-    STRATEGIES,
-    GridSearch,
-    RandomSearch,
-    Strategy,
-    SuccessiveHalving,
-    Trial,
-    make_strategy,
-)
 from .tuner import FULL_BUDGET, QUICK_BUDGET, Tuner, TuningReport, \
-    apply_tuning
+    apply_tuning, search
 from .workloads import (
     SCALES,
     WORKLOAD_NAMES,
@@ -69,12 +59,7 @@ __all__ = [
     "SearchSpace",
     "default_candidate",
     "default_space",
-    "Strategy",
-    "GridSearch",
-    "RandomSearch",
-    "SuccessiveHalving",
-    "STRATEGIES",
-    "make_strategy",
+    "search",
     "Trial",
     "SimulationOracle",
     "TuningDB",

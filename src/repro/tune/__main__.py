@@ -1,15 +1,15 @@
 """Command-line autotuner.
 
-    python -m repro.tune --workload bootstrap --machine cinnamon_4 \\
-        --budget 8 --strategy halving
+    python -m repro.tune --workload bootstrap --machine cinnamon_4 --budget 8
 
-Tunes the named workload on the target machine, prints a leaderboard,
-and persists the winner to the tuning DB under the cache directory —
-a second invocation reuses the on-disk compile cache (watch the
-``compile cache ... hits`` line) and only re-simulates what it must.
+Simulates the stock config plus ``--budget`` seeded samples of the
+search space to completion, prints a leaderboard, and persists the
+winner to the tuning DB under the cache directory — a second
+invocation reuses the on-disk compile cache (watch the ``compile cache
+... hits`` line) and only re-simulates what it must.
 
 ``--trace`` exports the session's merged JSON trace (including the
-``kind: "tune"`` entry, schema 4); ``--report`` writes the structured
+``kind: "tune"`` entry); ``--report`` writes the structured
 :class:`~repro.tune.tuner.TuningReport` for CI gates.
 """
 
@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 from .db import TuningDB, default_db_path
-from .strategies import STRATEGIES
 from .tuner import Tuner
 from .workloads import SCALES, WORKLOAD_NAMES
 
@@ -41,16 +40,9 @@ def main(argv=None) -> int:
                         help="workload scale: 'small' compiles in "
                              "milliseconds, 'paper' is the architectural "
                              "scale (default: small)")
-    parser.add_argument("--strategy", default="halving",
-                        choices=sorted(STRATEGIES),
-                        help="search strategy (default: halving)")
     parser.add_argument("--budget", type=int, default=16,
-                        help="candidates admitted to the search "
-                             "(default: 16)")
-    parser.add_argument("--goal", default="cycles", choices=("cycles",),
-                        help="optimization goal (default: cycles)")
-    parser.add_argument("--eta", type=int, default=None,
-                        help="halving elimination factor (default: 2)")
+                        help="candidates sampled, each simulated to "
+                             "completion (default: 16)")
     parser.add_argument("--seed", type=int, default=0,
                         help="search RNG seed (default: 0)")
     parser.add_argument("--tune-machine", action="store_true",
@@ -70,8 +62,7 @@ def main(argv=None) -> int:
     tuner = Tuner(cache_dir=args.cache_dir, seed=args.seed)
     report = tuner.tune(
         args.workload, args.machine, scale=args.scale,
-        strategy=args.strategy, budget=args.budget, goal=args.goal,
-        tune_machine=args.tune_machine, eta=args.eta)
+        budget=args.budget, tune_machine=args.tune_machine)
 
     print(report.leaderboard(limit=args.top))
     print(f"tuning DB: {report.db_path} (key {report.db_key[:16]}...)")

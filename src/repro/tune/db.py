@@ -3,8 +3,8 @@
 One versioned JSON file (by default ``tuning.json`` under the compile
 cache directory) mapping *tuning keys* to best-known configurations.  A
 key fingerprints everything that makes a tuned config transferable: the
-program's structural signature, the parameter set, the target machine
-label, and the optimization goal — so a config tuned for the paper-scale
+program's structural signature, the parameter set and the target machine
+label — so a config tuned for the paper-scale
 bootstrap on Cinnamon-4 is never applied to a different program, scale,
 or machine.
 
@@ -38,21 +38,20 @@ from .space import Candidate
 
 #: Bump whenever the entry layout or the key derivation changes; entries
 #: written under another version are discarded on load.
-TUNING_DB_SCHEMA = 1
+#: 2: the key and the entry drop ``goal`` (cycles is the only one).
+TUNING_DB_SCHEMA = 2
 
 #: Default location, relative to a cache directory.
 DB_FILENAME = "tuning.json"
 
 
-def tuning_key(program, params, machine_label: str,
-               goal: str = "cycles") -> str:
-    """Content key of one (program, params, machine, goal) tuning target."""
+def tuning_key(program, params, machine_label: str) -> str:
+    """Content key of one (program, params, machine) tuning target."""
     payload = {
         "schema": TUNING_DB_SCHEMA,
         "program": program_signature(program),
         "params": params_signature(params),
         "machine": machine_label,
-        "goal": goal,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -185,10 +184,10 @@ class TuningDB:
     # ------------------------------------------------------------------ #
     # Lookup conveniences used by the repro.compile / serve integrations.
 
-    def best_candidate(self, program, params, machine_label: str,
-                       goal: str = "cycles") -> Optional[Candidate]:
+    def best_candidate(self, program, params,
+                       machine_label: str) -> Optional[Candidate]:
         """The tuned :class:`Candidate` for this target, if one is known."""
-        entry = self.get(tuning_key(program, params, machine_label, goal))
+        entry = self.get(tuning_key(program, params, machine_label))
         if entry is None:
             return None
         try:
@@ -197,10 +196,10 @@ class TuningDB:
             return None
 
     def tuned_options(self, program, params, machine_label: str,
-                      base_options=None, goal: str = "cycles"):
+                      base_options=None):
         """``base_options`` overridden by the stored best config, or
         ``None`` when no entry exists for this target."""
-        candidate = self.best_candidate(program, params, machine_label, goal)
+        candidate = self.best_candidate(program, params, machine_label)
         if candidate is None:
             return None
         return candidate.options(base_options)

@@ -3,34 +3,40 @@
 One :class:`SimulationOracle` owns a workload (program + params + base
 options) and a :class:`~repro.runtime.CinnamonSession`.  Evaluating a
 candidate compiles it through the session (content-addressed, so config
-re-visits and re-tunes hit the cache) and cycle-simulates the result on
-the candidate's machine — fanned out through ``run_batch``'s worker pool.
-
-Fidelity: ``fidelity == 1.0`` simulates to completion.  Lower fidelities
-cap the simulated cycle frontier at ``fidelity x reference_cycles`` (the
-default config's full run); a candidate that finishes under the cap is
-exact anyway, while a truncated one is extrapolated from its
-retired-instruction fraction:
-
-    est_cycles = simulated_cycles * total_instructions / retired
-
-which is exactly the signal successive halving needs — configs clearly
-slower than the incumbent are eliminated after simulating a prefix.
+re-visits and re-tunes hit the cache) and cycle-simulates the result to
+completion on the candidate's machine — fanned out through
+``run_batch``'s worker pool.  The artifacts stay as the session cached
+them: a tuned program compiled later in the same session is the very
+artifact the oracle measured.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.compiler import CompilerOptions
 from ..runtime.session import CinnamonSession, CompileJob
-from .space import Candidate, MachineVariant
-from .strategies import Trial
+from .space import Candidate
 
-#: Floor of any truncated-simulation cap, in simulated cycles; below this
-#: the extrapolation has not seen a full pipeline fill.
-MIN_TRUNCATED_CYCLES = 2000
+
+@dataclass
+class Trial:
+    """One candidate evaluation: its simulated cycles, run to completion."""
+
+    candidate: Candidate
+    cycles: int
+    cache: str = ""               # where the compile came from
+    seconds: float = 0.0          # wall time of this evaluation
+
+    def as_dict(self) -> dict:
+        return {
+            "config": self.candidate.as_dict(),
+            "cycles": self.cycles,
+            "cache": self.cache,
+            "seconds": self.seconds,
+        }
 
 
 class SimulationOracle:
@@ -46,71 +52,19 @@ class SimulationOracle:
         self.base_options = base_options or CompilerOptions()
         self.job_prefix = job_prefix
         self.max_workers = max_workers
-        #: Full-run cycle count of the reference (default) config; set by
-        #: the first exact evaluation and used to scale fidelity caps.
-        self.reference_cycles: Optional[int] = None
-        self.evaluations = 0
 
-    # ------------------------------------------------------------------ #
-
-    def evaluate_many(self, candidates: Sequence[Candidate],
-                      fidelity: float = 1.0, rung: int = 0) -> List[Trial]:
-        """Evaluate candidates concurrently at one fidelity level."""
-        if not 0 < fidelity <= 1:
-            raise ValueError(f"fidelity must be in (0, 1], got {fidelity}")
-        max_cycles = None
-        if fidelity < 1.0 and self.reference_cycles:
-            max_cycles = max(MIN_TRUNCATED_CYCLES,
-                             int(fidelity * self.reference_cycles))
-        jobs = []
-        for cand in candidates:
-            machine = cand.machine.resolve()
-            jobs.append(CompileJob(
-                program=self.program,
-                params=self.params,
-                options=cand.options(self.base_options),
-                sim_machine=machine,
-                tag="" if max_cycles is None else f"rung{rung}",
-                name=f"{self.job_prefix}:{self.program.name}:r{rung}",
-                max_cycles=max_cycles,
-            ))
+    def evaluate_many(self, candidates: Sequence[Candidate]) -> List[Trial]:
+        """Evaluate candidates concurrently, one trial each, in order."""
+        jobs = [CompileJob(
+            program=self.program,
+            params=self.params,
+            options=cand.options(self.base_options),
+            sim_machine=cand.machine.resolve(),
+            name=f"{self.job_prefix}:{self.program.name}",
+        ) for cand in candidates]
         started = time.perf_counter()
         results = self.session.run_batch(jobs, max_workers=self.max_workers)
-        elapsed = time.perf_counter() - started
-        trials = []
-        for cand, job_result in zip(candidates, results):
-            # Only the ISA and the statistics matter from here on; the
-            # limb IR is the bulk of the artifact's memory, release it.
-            job_result.compiled.summarize_comm(release=True)
-            result = job_result.result
-            total = job_result.compiled.instruction_count
-            if result.truncated:
-                retired = max(1, result.instructions)
-                cycles = result.cycles * (total / retired)
-                exact = False
-            else:
-                cycles = float(result.cycles)
-                exact = True
-            self.evaluations += 1
-            trials.append(Trial(
-                candidate=cand,
-                cycles=cycles,
-                exact=exact,
-                rung=rung,
-                fidelity=fidelity,
-                cache=job_result.cache,
-                seconds=elapsed / max(1, len(candidates)),
-                measured={
-                    "instructions": result.instructions,
-                    "machine": result.machine,
-                    "simulated_cycles": result.cycles,
-                },
-            ))
-        return trials
-
-    def evaluate_reference(self, candidate: Candidate) -> Trial:
-        """Full-fidelity run of the default config; sets the fidelity
-        scale every truncated rung is capped against."""
-        trial = self.evaluate_many([candidate], fidelity=1.0, rung=0)[0]
-        self.reference_cycles = int(trial.cycles)
-        return trial
+        seconds = (time.perf_counter() - started) / max(1, len(candidates))
+        return [Trial(candidate=cand, cycles=run.result.cycles,
+                      cache=run.cache, seconds=seconds)
+                for cand, run in zip(candidates, results)]

@@ -291,7 +291,7 @@ def default_candidate(machine, options: Optional[CompilerOptions] = None,
     """The stock-configuration candidate for ``machine``.
 
     Captures what :class:`CompilerOptions` would do untouched — the
-    baseline every strategy must beat (or match) and the config the
+    baseline every search must beat (or match) and the config the
     leaderboard reports speedups against.
     """
     options = options or CompilerOptions()

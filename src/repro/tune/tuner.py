@@ -1,12 +1,12 @@
-"""The tuning orchestrator: space x strategy x oracle -> best config.
+"""The tuning orchestrator: space x oracle -> best config.
 
 :class:`Tuner` wires the pieces together: it builds (or accepts) a
-search space, always measures the stock-default configuration at full
-fidelity (so the reported best can never be worse than the default —
-the default is itself a candidate), runs the chosen strategy through the
-session's cached compile + simulate oracle, persists the winner to the
+search space, runs :func:`search` through the session's cached compile +
+simulate oracle — the stock-default configuration plus ``budget`` seeded
+samples, each simulated to completion, so the reported best can never be
+worse than the default — persists the winner to the
 :class:`~repro.tune.db.TuningDB`, and appends a ``kind: "tune"`` entry
-(schema 4) to the session trace.
+to the session trace.
 
 The module-level :func:`apply_tuning` is the integration hook behind
 ``repro.compile(..., tune=...)`` and ``CinnamonServer(tuned=True)``.
@@ -14,6 +14,7 @@ The module-level :func:`apply_tuning` is the integration hook behind
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -21,15 +22,31 @@ from typing import List, Optional
 from ..core.compiler import CompilerOptions
 from ..runtime.session import CinnamonSession
 from .db import TuningDB, default_db_path, tuning_key
-from .oracle import SimulationOracle
+from .oracle import SimulationOracle, Trial
 from .space import Candidate, MachineVariant, SearchSpace, \
     default_candidate, default_space
-from .strategies import Strategy, Trial, make_strategy
 from .workloads import TunableWorkload, get_workload
 
 #: Candidate budgets of the two facade modes.
 QUICK_BUDGET = 8
 FULL_BUDGET = 32
+
+
+def search(space: SearchSpace, oracle, default: Candidate, budget: int,
+           seed: int = 0) -> List[Trial]:
+    """One tuning search: every trial, fastest first.
+
+    Evaluates ``default`` and ``budget`` candidates sampled from
+    ``space`` with a ``seed``-ed RNG (all of them when the space is
+    smaller), each exactly once, through ``oracle.evaluate_many``.  Ties
+    break on the candidate's canonical key, so the ranking — and its
+    head, the winner — is deterministic.
+    """
+    default_key = default.key()
+    sample = space.sample(budget, random.Random(seed))
+    trials = oracle.evaluate_many(
+        [default] + [c for c in sample if c.key() != default_key])
+    return sorted(trials, key=lambda t: (t.cycles, t.candidate.key()))
 
 
 @dataclass
@@ -38,14 +55,12 @@ class TuningReport:
 
     workload: str
     machine: str                 # machine label (resolved name)
-    goal: str
-    strategy: str
     budget: int
-    default_cycles: float
-    best_cycles: float
+    default_cycles: int
+    best_cycles: int
     best: Candidate
     default: Candidate
-    trials: List[Trial] = field(default_factory=list)
+    trials: List[Trial] = field(default_factory=list)  # fastest first
     cache_hits: int = 0
     cache_misses: int = 0
     seconds: float = 0.0
@@ -55,60 +70,31 @@ class TuningReport:
     @property
     def speedup(self) -> float:
         """Default cycles over best cycles (>= 1.0 by construction)."""
-        return self.default_cycles / max(1.0, self.best_cycles)
+        return self.default_cycles / max(1, self.best_cycles)
 
     @property
     def candidates_tried(self) -> int:
-        return len({t.candidate.key() for t in self.trials})
-
-    @property
-    def pruned(self) -> int:
-        return sum(1 for t in self.trials if t.pruned)
-
-    @property
-    def rungs(self) -> int:
-        return len({t.rung for t in self.trials})
-
-    def ranking(self) -> List[Trial]:
-        """Best measurement per distinct candidate, fastest first.
-
-        Exact (full-fidelity) measurements outrank extrapolations of the
-        same candidate; ties break on the canonical candidate key so the
-        leaderboard is deterministic.
-        """
-        best_by_key = {}
-        for trial in self.trials:
-            key = trial.candidate.key()
-            incumbent = best_by_key.get(key)
-            if incumbent is None or (trial.exact, -trial.cycles) > \
-                    (incumbent.exact, -incumbent.cycles):
-                best_by_key[key] = trial
-        return sorted(best_by_key.values(),
-                      key=lambda t: (not t.exact, t.cycles,
-                                     t.candidate.key()))
+        return len(self.trials)
 
     def leaderboard(self, limit: int = 10) -> str:
         """A printable ranking table."""
         lines = [
             f"Tuning leaderboard — {self.workload} on {self.machine} "
-            f"({self.strategy}, budget {self.budget}, goal {self.goal})",
-            f"{'rank':>4}  {'cycles':>12}  {'vs default':>10}  "
-            f"{'rung':>4}  config",
+            f"(budget {self.budget})",
+            f"{'rank':>4}  {'cycles':>12}  {'vs default':>10}  config",
         ]
         default_key = self.default.key()
-        for rank, trial in enumerate(self.ranking()[:limit], start=1):
+        for rank, trial in enumerate(self.trials[:limit], start=1):
             marker = " *default*" if trial.candidate.key() == default_key \
                 else ""
-            cycles = (f"{trial.cycles:>12.0f}" if trial.exact
-                      else f"~{trial.cycles:>11.0f}")
             lines.append(
-                f"{rank:>4}  {cycles}  "
-                f"{self.default_cycles / max(1.0, trial.cycles):>9.2f}x  "
-                f"{trial.rung:>4}  {trial.candidate.describe()}{marker}")
+                f"{rank:>4}  {trial.cycles:>12}  "
+                f"{self.default_cycles / max(1, trial.cycles):>9.2f}x  "
+                f"{trial.candidate.describe()}{marker}")
         lines.append(
-            f"best: {self.best_cycles:.0f} cycles "
-            f"({self.speedup:.2f}x vs default {self.default_cycles:.0f}); "
-            f"{self.candidates_tried} candidates, {self.pruned} pruned, "
+            f"best: {self.best_cycles} cycles "
+            f"({self.speedup:.2f}x vs default {self.default_cycles}); "
+            f"{self.candidates_tried} candidates, "
             f"compile cache {self.cache_hits} hits / "
             f"{self.cache_misses} misses, {self.seconds:.1f}s")
         return "\n".join(lines)
@@ -117,8 +103,6 @@ class TuningReport:
         return {
             "workload": self.workload,
             "machine": self.machine,
-            "goal": self.goal,
-            "strategy": self.strategy,
             "budget": self.budget,
             "default_cycles": self.default_cycles,
             "best_cycles": self.best_cycles,
@@ -126,8 +110,6 @@ class TuningReport:
             "best_config": self.best.as_dict(),
             "default_config": self.default.as_dict(),
             "candidates_tried": self.candidates_tried,
-            "pruned": self.pruned,
-            "rungs": self.rungs,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "seconds": self.seconds,
@@ -155,10 +137,9 @@ class Tuner:
     # ------------------------------------------------------------------ #
 
     def tune(self, workload="bootstrap", machine="cinnamon_4", *,
-             scale: str = "small", strategy: str = "halving",
-             budget: int = 16, goal: str = "cycles",
+             scale: str = "small", budget: int = 16,
              space: Optional[SearchSpace] = None,
-             tune_machine: bool = False, eta: Optional[int] = None,
+             tune_machine: bool = False,
              persist: bool = True) -> TuningReport:
         """Tune a named workload (see :mod:`repro.tune.workloads`)."""
         if isinstance(workload, TunableWorkload):
@@ -168,23 +149,17 @@ class Tuner:
         program, params, base_options = target.materialize()
         return self.tune_program(
             program, params, machine, base_options=base_options,
-            workload_name=target.name, strategy=strategy, budget=budget,
-            goal=goal, space=space, tune_machine=tune_machine, eta=eta,
-            persist=persist)
+            workload_name=target.name, budget=budget, space=space,
+            tune_machine=tune_machine, persist=persist)
 
     def tune_program(self, program, params, machine, *,
                      base_options: Optional[CompilerOptions] = None,
                      workload_name: Optional[str] = None,
-                     strategy: str = "halving", budget: int = 16,
-                     goal: str = "cycles",
+                     budget: int = 16,
                      space: Optional[SearchSpace] = None,
                      tune_machine: bool = False,
-                     eta: Optional[int] = None,
                      persist: bool = True) -> TuningReport:
         """Tune an arbitrary program against the simulator."""
-        if goal != "cycles":
-            raise ValueError(f"unknown goal {goal!r}; only 'cycles' is "
-                             "supported")
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
         variant = MachineVariant.of(machine)
@@ -192,8 +167,6 @@ class Tuner:
         workload_name = workload_name or program.name
         space = space or default_space(variant, params=params,
                                        tune_machine=tune_machine)
-        strategy_obj: Strategy = make_strategy(strategy, seed=self.seed,
-                                               eta=eta)
         oracle = SimulationOracle(self.session, program, params,
                                   base_options=base_options,
                                   job_prefix=f"tune-{workload_name}",
@@ -201,26 +174,19 @@ class Tuner:
 
         stats0 = self.session.cache_stats.as_dict()
         started = time.perf_counter()
-        # The incumbent: the stock config at full fidelity.  This both
-        # anchors the fidelity scale for truncated rungs and guarantees
-        # best <= default (the default is always in the pool).
         baseline = default_candidate(variant, base_options, params)
-        default_trial = oracle.evaluate_reference(baseline)
-        trials = [default_trial]
-        trials += strategy_obj.run(space, oracle, budget)
+        trials = search(space, oracle, baseline, budget, self.seed)
         elapsed = time.perf_counter() - started
         stats1 = self.session.cache_stats.as_dict()
 
-        exact = [t for t in trials if t.exact]
-        best_trial = min(exact, key=lambda t: (t.cycles,
-                                               t.candidate.key()))
+        best_trial = trials[0]
+        default_cycles = next(t.cycles for t in trials
+                              if t.candidate.key() == baseline.key())
         report = TuningReport(
             workload=workload_name,
             machine=label,
-            goal=goal,
-            strategy=strategy_obj.name,
             budget=budget,
-            default_cycles=default_trial.cycles,
+            default_cycles=default_cycles,
             best_cycles=best_trial.cycles,
             best=best_trial.candidate,
             default=baseline,
@@ -231,17 +197,15 @@ class Tuner:
             seconds=elapsed,
         )
 
-        key = tuning_key(program, params, label, goal)
+        key = tuning_key(program, params, label)
         report.db_key = key
         if persist:
             self.db.put(key, {
                 "workload": workload_name,
                 "machine": label,
-                "goal": goal,
                 "assignment": best_trial.candidate.as_dict(),
                 "cycles": best_trial.cycles,
-                "default_cycles": default_trial.cycles,
-                "strategy": strategy_obj.name,
+                "default_cycles": default_cycles,
                 "budget": budget,
             })
             report.db_path = str(self.db.path)
@@ -250,14 +214,10 @@ class Tuner:
             "tune", job=f"tune-{workload_name}",
             workload=workload_name,
             machine=label,
-            strategy=strategy_obj.name,
-            goal=goal,
             budget=budget,
             candidates=report.candidates_tried,
-            pruned=report.pruned,
-            rungs=report.rungs,
-            default_cycles=int(default_trial.cycles),
-            best_cycles=int(best_trial.cycles),
+            default_cycles=default_cycles,
+            best_cycles=best_trial.cycles,
             best_config=best_trial.candidate.as_dict(),
             cache_hits=report.cache_hits,
             seconds=elapsed,
@@ -271,16 +231,14 @@ class Tuner:
 
 def apply_tuning(program, params, machine, options, mode, *,
                  session: Optional[CinnamonSession] = None,
-                 db: Optional[TuningDB] = None,
-                 goal: str = "cycles") -> Optional[CompilerOptions]:
+                 db: Optional[TuningDB] = None) -> Optional[CompilerOptions]:
     """Resolve the tuned options for a compile request.
 
     ``mode`` is ``repro.compile``'s ``tune=`` argument: ``"db"`` (or
     ``True``) only applies an existing DB entry; ``"quick"`` and
-    ``"full"`` run an on-the-spot successive-halving tune (budget
-    8 / 32) when the DB has no entry yet.  Returns ``None`` when nothing
-    applies (no entry, ``mode`` falsy), so callers fall through to their
-    stock options.
+    ``"full"`` run an on-the-spot tune (budget 8 / 32) when the DB has
+    no entry yet.  Returns ``None`` when nothing applies (no entry,
+    ``mode`` falsy), so callers fall through to their stock options.
     """
     if not mode:
         return None
@@ -296,12 +254,11 @@ def apply_tuning(program, params, machine, options, mode, *,
         else (options.machine or options.num_chips if options is not None
               else 4))
     label = variant.label
-    tuned = db.tuned_options(program, params, label, options, goal)
+    tuned = db.tuned_options(program, params, label, options)
     if tuned is not None or mode == "db":
         return tuned
     tuner = Tuner(session=session, db=db)
     budget = QUICK_BUDGET if mode == "quick" else FULL_BUDGET
     report = tuner.tune_program(program, params, variant,
-                                base_options=options, budget=budget,
-                                strategy="halving", goal=goal)
+                                base_options=options, budget=budget)
     return report.best.options(options)

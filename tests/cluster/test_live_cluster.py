@@ -19,6 +19,7 @@ from repro.cluster import ClusterRouter
 from repro.obs.__main__ import main as obs_main
 from repro.obs.analyze import check
 from repro.obs.live import FLIGHT_SCHEMA_VERSION
+from repro.runtime.trace import TRACE_SCHEMA_VERSION
 
 from .conftest import make_request
 
@@ -215,7 +216,7 @@ class TestStatusAndJournal:
 
     def test_journal_schema8_checks_clean_with_alerts(self, scenario):
         document = scenario.document
-        assert document["schema"] == 8
+        assert document["schema"] == TRACE_SCHEMA_VERSION
         alert_rows = [r for r in document["jobs"]
                       if r["kind"] == "alert"]
         assert alert_rows

@@ -101,6 +101,32 @@ class TestEndToEnd:
         got = ctx.decrypt_values(outs["y"]).real
         assert np.max(np.abs(got - expect)) < 1e-3
 
+    def test_identity_rotations_fold_away(self):
+        """A rotation by a multiple of the slot count (0 included) is the
+        identity: no keyswitch, and the output decrypts to the input.
+        (Rotations feeding an add stay for the keyswitch pass to fuse.)"""
+        params = make_params(ring_degree=256, levels=6, prime_bits=28,
+                             num_digits=2)
+        ctx = CKKSContext(params, seed=5)
+        rng = np.random.default_rng(4)
+        za = rng.uniform(-1, 1, params.slot_count)
+        zb = rng.uniform(-1, 1, params.slot_count)
+        slots = params.slot_count
+
+        prog = CinnamonProgram("identity", level=6)
+        a, b = prog.input("a"), prog.input("b")
+        prog.output("y", a.rotate(0))
+        prog.output("z", b.rotate(slots).rotate(-2 * slots))
+        compiled = CompilerDriver(
+            params, CompilerOptions(num_chips=4)).compile(prog)
+        assert compiled.poly_program.keyswitch_count == 0
+        outs = emulate(compiled, ctx,
+                       {"a": ctx.encrypt_values(za),
+                        "b": ctx.encrypt_values(zb)})
+        for name, expect in (("y", za), ("z", zb)):
+            got = ctx.decrypt_values(outs[name]).real
+            assert np.max(np.abs(got - expect)) < 1e-3, name
+
     def test_optimizations_can_be_disabled(self):
         params = make_params(ring_degree=64, levels=6, prime_bits=28,
                              num_digits=2)

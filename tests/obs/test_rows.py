@@ -47,8 +47,7 @@ VARIANTS = {
         replay_s=0.2)),
     "tune": ("tune", dict(
         job="tune-bootstrap", workload="bootstrap", machine="Cinnamon-4",
-        strategy="halving", goal="cycles", budget=8, candidates=8,
-        pruned=4, rungs=2, default_cycles=405368, best_cycles=327000,
+        budget=8, candidates=8, default_cycles=405368, best_cycles=327000,
         best_config={"num_digits": 2}, cache_hits=3, seconds=12.8)),
     "alert": ("alert", dict(
         slo="lat", severity="page", burn_rate=20.0, long_window_s=60.0,

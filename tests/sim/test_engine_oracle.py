@@ -12,7 +12,7 @@ key, every error, every sink event of every chip — on:
 * seeded random multi-chip streams (``test_emulator_oracle.py``'s
   generator) on machines whose bandwidths are not whole bytes per cycle;
 * hand-built ``snd``/``mov`` pairs and zero-source contributions;
-* deadlocks, unknown opcodes, ``max_cycles`` caps and the watchdog.
+* deadlocks, unknown opcodes and the watchdog.
 """
 
 from contextlib import contextmanager, nullcontext
@@ -125,22 +125,11 @@ def test_contract_pairs_match(pair):
     assert got.as_dict() == want.as_dict()
 
 
-@pytest.mark.parametrize("cap", [0, 1, 5_000, 120_000, 10 ** 9])
-def test_max_cycles_caps_match(golden, cap):
-    got, want = run_both(golden("bootstrap_c4").isa, "cinnamon_4",
-                         max_cycles=cap)
-    assert (got.truncated, got.cycles, got.instructions) == \
-        (want.truncated, want.cycles, want.instructions)
-    assert got.as_dict() == want.as_dict()
-    assert got.truncated == (cap < 10 ** 9)
-
-
-@pytest.mark.parametrize("cap", [None, 20_000])
-def test_sink_events_match_per_chip(golden, cap):
+def test_sink_events_match_per_chip(golden):
     isa = golden("cifher_c4").isa
-    got = per_chip_events(isa, "cinnamon_4", max_cycles=cap)
+    got = per_chip_events(isa, "cinnamon_4")
     with python_engine():
-        want = per_chip_events(isa, "cinnamon_4", max_cycles=cap)
+        want = per_chip_events(isa, "cinnamon_4")
     assert got == want
     assert all(got.values())
 
