@@ -18,10 +18,11 @@ Public surface:
   :class:`~repro.tune.TuningDB`, ``python -m repro.tune`` CLI); tuned
   configs apply via ``repro.compile(tune=...)`` and
   ``CinnamonServer(tuned=True)``;
-* :mod:`repro.resilience` — machine-level fault tolerance: seeded fault
-  injection (:class:`~repro.resilience.FaultSchedule`) and degraded-mode
-  recovery that recompiles for the survivors and replays from cycle 0
-  (:class:`~repro.resilience.RecoveryOrchestrator`);
+* :mod:`repro.resilience` — machine-level fault tolerance: one fault, a
+  chip crash (:class:`~repro.resilience.FaultSchedule`, decided from the
+  finished clean run), and one degrade-ladder step
+  (:func:`~repro.resilience.descend_ladder`) that the serving executor
+  uses to recompile for the survivors and replay from cycle 0;
 * :mod:`repro.trust` — artifact integrity & key lifecycle: signed
   compile-cache manifests with tamper quarantine
   (:class:`~repro.trust.ArtifactManifest`), versioned evaluation-key
@@ -137,8 +138,6 @@ _LAZY_ATTRS = {
     "ReplayGuard": ("repro.trust", "ReplayGuard"),
     "trust": ("repro.trust", None),
     "FaultSchedule": ("repro.resilience", "FaultSchedule"),
-    "RecoveryOrchestrator": ("repro.resilience", "RecoveryOrchestrator"),
-    "run_with_recovery": ("repro.resilience", "run_with_recovery"),
     "resilience": ("repro.resilience", None),
     "obs": ("repro.obs", None),
     "enable_tracing": ("repro.obs", "enable"),
@@ -190,8 +189,6 @@ __all__ = [
     "KeyVault",
     "ReplayGuard",
     "FaultSchedule",
-    "RecoveryOrchestrator",
-    "run_with_recovery",
     "obs",
     "enable_tracing",
     "export_chrome_trace",

@@ -917,7 +917,11 @@ class ClusterRouter(ServingFrontend):
         return self._recorder.document(self._cache_totals())
 
     def metrics_prometheus(self) -> str:
-        return self.metrics.render_prometheus()
+        """Prometheus text exposition of :meth:`metrics_snapshot` (the
+        merged cluster view, worker-side families included)."""
+        from ..obs.live import render_snapshot_prometheus
+
+        return render_snapshot_prometheus(self.metrics_snapshot())
 
     # ------------------------------------------------------------------ #
     # Chaos hooks (tests / loadgen --chaos-kill-worker)

@@ -12,7 +12,8 @@ The per-trace breakdown splits one request's wall time into
 * ``batch``   — batcher coalescing window,
 * ``compile`` — wall time of the trace's compile rows (hits included),
 * ``sim``     — wall time of its simulate rows,
-* ``recovery``— detection + degraded recompile + replay,
+* ``recovery``— detection + replay (which includes the degraded
+  recompile),
 * ``other``   — the unattributed remainder (scheduling, bookkeeping).
 """
 
@@ -51,7 +52,6 @@ def breakdown(rows: List[dict]) -> dict:
     sim_s = sum(r.get("seconds", 0.0)
                 for r in rows if r.get("kind") == "simulate")
     recovery_s = sum((r.get("detection_s") or 0.0)
-                     + (r.get("recompile_s") or 0.0)
                      + (r.get("replay_s") or 0.0)
                      for r in rows if r.get("kind") == "recovery")
     out = {

@@ -62,8 +62,7 @@ ROW_KINDS: Dict[str, RowKind] = {
     "recovery": RowKind({
         "fault": REQUIRED, "chip": REQUIRED, "cycle": REQUIRED,
         "machine_from": REQUIRED, "machine_to": REQUIRED,
-        "lost_cycles": 0, "detection_s": 0.0,
-        "recompile_s": 0.0, "replay_s": None,
+        "lost_cycles": 0, "detection_s": 0.0, "replay_s": None,
     }),
     "tune": RowKind({
         "workload": REQUIRED, "machine": REQUIRED, "budget": REQUIRED,

@@ -33,6 +33,7 @@ from ..core.compiler import (
 )
 from ..core.dsl.program import CinnamonProgram
 from ..obs.tracing import NULL_SPAN, Span, tracer
+from ..resilience.faults import ChipFailure
 from ..sim import native as sim_native
 from ..sim.config import MachineConfig, resolve_machine
 from ..sim.simulator import SimulationResult, SimulatorEngine
@@ -60,7 +61,8 @@ class CompileJob:
     sim_machine: object = None
     tag: str = ""
     name: Optional[str] = None
-    #: Machine faults to inject into the simulation (uncached when set).
+    #: Chip crashes to inject into the simulation
+    #: (:meth:`CinnamonSession.simulate` decides one from the clean run).
     fault_schedule: object = None
     #: Wall-clock budget for this job's simulation (overrides the
     #: session-wide watchdog).
@@ -249,11 +251,14 @@ class CinnamonSession:
         memoized per (artifact, machine, tag).
 
         The keyword-only arguments thread the fault-tolerance machinery
-        (:mod:`repro.resilience`) through the session: ``fault_schedule``
-        injects machine faults and ``watchdog_s`` (defaulting to the
-        session-wide budget) bounds the wall time.  Only clean runs hit
-        the memo cache — faulted simulations are never cached, because
-        their result depends on state outside the cache key.
+        (:mod:`repro.resilience`) through the session: ``watchdog_s``
+        (defaulting to the session-wide budget) bounds the wall time, and
+        ``fault_schedule`` arms chip crashes.  A crash perturbs nothing
+        before it fires, so a faulted run is the clean run — memoized
+        like any other — up to the crash, which fires when the clean run
+        reaches its cycle (:meth:`FaultSchedule.first_crash`): the
+        ``simulate`` row then carries the error and :class:`ChipFailure`
+        is raised.
         """
         resolved = resolve_machine(
             machine if machine is not None
@@ -262,7 +267,6 @@ class CinnamonSession:
         key = (token, resolved.name, repr(resolved.chip), tag)
         label = job or compiled.name
         deadline = watchdog_s if watchdog_s is not None else self.watchdog_s
-        perturbed = bool(fault_schedule)
         tr = tracer()
         with tr.start_span(
                 f"simulate:{label}", kind="simulate",
@@ -275,40 +279,47 @@ class CinnamonSession:
                             seconds=time.perf_counter() - started,
                             simulate=payload, **extra)
 
-            if not perturbed:
-                with self._lock:
-                    result = self._sim_cache.get(key)
-                if result is not None:
-                    # Memo hits keep their simulate span (joins the
-                    # trace) but no FU timeline: re-attaching the same
-                    # lanes to every hit would bloat exports N-fold.
-                    span.set_attr("cache", MEMORY_HIT)
-                    span.set_attr("cycles", result.cycles)
-                    journal(MEMORY_HIT, None)
-                    return result
-            # With obs tracing on, the span's per-FU timeline is what
-            # this very run reserves (perturbed runs carry none).
-            events = sink = None
-            if span is not NULL_SPAN and tr.enabled \
-                    and tr.capture_fu_timeline and not perturbed:
-                events, sink = recording_sink(
-                    compiled.isa.streams, self.FU_TIMELINE_LIMIT_PER_CHIP)
-            try:
-                result = SimulatorEngine(resolved).run(
-                    compiled.isa, fault_schedule=fault_schedule,
-                    deadline_s=deadline, sink=sink)
-            except Exception as exc:
-                journal(MISS, None, error=f"{type(exc).__name__}: {exc}")
-                raise
-            if not perturbed:
+            with self._lock:
+                result = self._sim_cache.get(key)
+            # Memo hits keep their simulate span (joins the trace) but
+            # no FU timeline: re-attaching the same lanes to every hit
+            # would bloat exports N-fold.  With obs tracing on, a miss's
+            # timeline is what this very run reserves.
+            cache, events, sink = MEMORY_HIT, None, None
+            if result is None:
+                cache = MISS
+                if span is not NULL_SPAN and tr.enabled \
+                        and tr.capture_fu_timeline:
+                    events, sink = recording_sink(
+                        compiled.isa.streams,
+                        self.FU_TIMELINE_LIMIT_PER_CHIP)
+                try:
+                    result = SimulatorEngine(resolved).run(
+                        compiled.isa, deadline_s=deadline, sink=sink)
+                except Exception as exc:
+                    journal(MISS, None, error=f"{type(exc).__name__}: {exc}")
+                    raise
                 with self._lock:
                     self._sim_cache[key] = result
-            span.set_attr("cache", MISS)
-            span.set_attr("cycles", result.cycles)
+            crash = (fault_schedule.first_crash(compiled.isa.streams,
+                                                result.cycles)
+                     if fault_schedule else None)
+            cycles = crash.cycle if crash is not None else result.cycles
+            span.set_attr("cache", cache)
+            span.set_attr("cycles", cycles)
             if events is not None:
-                span.sim_events = events
-                span.sim_cycles = max(1, result.cycles)
-            journal(MISS, result.as_dict())
+                span.sim_events = [event for event in events
+                                   if event.start < cycles] \
+                    if crash is not None else events
+                span.sim_cycles = max(1, cycles)
+            if crash is not None:
+                error = ChipFailure(
+                    f"{crash.kind} on chip {crash.chip} of {resolved.name} "
+                    f"at cycle {crash.cycle}", chip=crash.chip,
+                    cycle=crash.cycle, machine=resolved.name)
+                journal(cache, None, error=f"{type(error).__name__}: {error}")
+                raise error
+            journal(cache, result.as_dict() if cache == MISS else None)
             return result
 
     #: Cap on per-chip events captured into a span's FU timeline: it

@@ -55,7 +55,9 @@ from ..obs.tracing import current_span
 #:    feeding the ``cluster_tenant_*`` attribution counters.
 #: 9: ``tune`` entries drop ``strategy``, ``goal`` and the two pruning
 #:    counts (one search simulates every candidate to completion).
-TRACE_SCHEMA_VERSION = 9
+#: 10: ``recovery`` entries drop their separate recompile time (it is
+#:    timed inside ``replay_s``).
+TRACE_SCHEMA_VERSION = 10
 
 #: Most journal rows a recorder holds in memory.  Reaching it spills the
 #: older half to the recorder's temporary file in one write.

@@ -14,18 +14,20 @@ batch.  Four fault kinds:
 * ``poison``  — the batch's cache entry is replaced with a
   :class:`PoisonedArtifact` whose first use raises
   :class:`PoisonedCacheError`; recovery is invalidate-and-recompile.
-* ``chip_crash`` — a *machine* fault: :meth:`FaultInjector.on_dispatch`
+* ``chip_crash`` — the machine fault: :meth:`FaultInjector.on_dispatch`
   returns the armed :class:`Fault`, whose :meth:`Fault.schedule` kills
-  ``chip`` at simulated ``cycle``; the executor threads it into the
-  simulation and recovers by recompiling for the degrade ladder's next
-  rung (see :mod:`repro.resilience`).
+  ``chip`` at simulated ``cycle``; the executor hands it to the session's
+  simulate, which raises :class:`~repro.resilience.ChipFailure` when the
+  run reaches that cycle, and recovers by recompiling for the degrade
+  ladder's next rung (see :mod:`repro.resilience`).
 
 Each fault fires ``count`` times, optionally only for requests whose
 label contains ``match``; a drained injector is inert, so a recovered
 server runs clean afterwards.
 
-These are *process* faults; :mod:`repro.resilience.faults` models
-*machine* faults inside the simulator — two modules on purpose.
+This module scripts *when* faults happen to a server;
+:mod:`repro.resilience.faults` owns what a chip crash is and the rule
+that decides whether it fires.
 """
 
 from __future__ import annotations

@@ -14,18 +14,16 @@ This is the same abstraction level as the paper's SST-based simulator
 Two engines implement this model and agree exactly: the C engine
 (``_engine.c`` via :mod:`repro.sim.native`), which runs a whole module in
 one call, and the Python loop of :meth:`SimulatorEngine._run_reference`,
-which is its oracle (``tests/sim/test_engine_oracle.py``), runs fault
-schedules, and runs everything when no C compiler is available.
+which is its oracle (``tests/sim/test_engine_oracle.py``) and the
+fallback when no C compiler is available.
 
-Machine-level robustness (:mod:`repro.resilience`) hooks in here: a
-:class:`~repro.resilience.faults.FaultSchedule` can kill a chip or degrade
-a link/cluster at a scheduled cycle (fatal faults raise
-:class:`~repro.resilience.faults.ChipFailure` /
-:class:`~repro.resilience.faults.LinkFailure` with per-chip progress), and
-a wall-clock deadline turns a hung simulation into a
+The simulator knows nothing about machine faults: a chip crash perturbs
+nothing before it fires, so :meth:`repro.runtime.CinnamonSession.simulate`
+decides one from the finished clean run
+(:meth:`repro.resilience.faults.FaultSchedule.first_crash`).  A
+wall-clock deadline turns a hung simulation into a
 :class:`~repro.resilience.faults.WatchdogTimeout` instead of a wedged
-worker thread.  Every run starts at cycle 0: recovery from a fatal fault
-recompiles for the surviving machine and replays from the start.
+worker thread.
 """
 
 from __future__ import annotations
@@ -42,18 +40,16 @@ from ..core.isa.instructions import (
     COL, LD, MOV, RCV, SND, ST, VADD, VAUTO, VBCV, VINTT, VMUL, VMULC, VNEG,
     VNTT, VPRNG, VRSV, VSUB,
 )
-from ..resilience.faults import (
-    CHIP_CRASH, CLUSTER_SLOW, LINK_DEGRADE, LINK_SEVER,
-    ChipFailure, FaultSchedule, LinkFailure, MachineFault, WatchdogTimeout,
-)
+from ..resilience.faults import WatchdogTimeout
 from . import native
 from .config import MachineConfig, resolve_machine
 
 #: Version of the dict layout produced by :meth:`SimulationResult.as_dict`.
 #: Bump when keys are renamed/removed so trace consumers can detect drift.
-#: (``events``, ``topology`` and per-link ``links`` occupancy were added
+#: (``topology`` and per-link ``links`` occupancy were added
 #: additively.)  2: dropped the cycle-cap flag (every run completes).
-METRICS_SCHEMA_VERSION = 2
+#: 3: dropped ``events`` (the simulator applies no machine faults).
+METRICS_SCHEMA_VERSION = 3
 
 _FU_CLASS = {
     VADD: "add",
@@ -115,9 +111,6 @@ class SimulationResult:
     link_busy: Dict[int, int] = field(default_factory=dict)
     link_bytes: Dict[int, int] = field(default_factory=dict)
     topology: str = ""
-    #: Non-fatal machine events applied during the run (link degradations,
-    #: cluster slowdowns) as ``{"kind", "chip", "cycle", "factor"}`` dicts.
-    events: List[dict] = field(default_factory=list)
 
     @property
     def seconds(self) -> float:
@@ -186,7 +179,6 @@ class SimulationResult:
                 }
                 for cid, busy in sorted(self.link_busy.items())
             },
-            "events": list(self.events),
         }
 
 
@@ -262,7 +254,6 @@ class _ChipState:
         self.link = _Bandwidth(config.link_bytes_per_cycle, sink, chip_id,
                                "network")
         self.finish = 0
-        self.occupancy_scale = 1.0   # >1 after a cluster_slow fault
 
     @property
     def done(self):
@@ -283,14 +274,10 @@ class SimulatorEngine:
     # ------------------------------------------------------------------ #
 
     def run(self, isa_module, *,
-            fault_schedule: Optional[FaultSchedule] = None,
             deadline_s: Optional[float] = None,
             sink: Optional[Sink] = None) -> SimulationResult:
-        """Simulate ``isa_module`` from cycle 0 to completion; optionally
-        faulted.
+        """Simulate ``isa_module`` from cycle 0 to completion.
 
-        * ``fault_schedule`` — machine faults to apply; fatal ones raise
-          :class:`ChipFailure`/:class:`LinkFailure` mid-run.
         * ``deadline_s`` — wall-clock budget; exceeded -> raise
           :class:`WatchdogTimeout`.
         * ``sink`` — observer of every FU / HBM / link reservation the
@@ -299,17 +286,16 @@ class SimulatorEngine:
 
         The whole module runs as one call into the C engine
         (:mod:`repro.sim.native`), which returns the same result as the
-        Python loop of :meth:`_run_reference` — that loop is its oracle,
-        the path a fault schedule takes (faults fire mid-run), and the
-        fallback when no C compiler is available.  In C the deadline is
-        checked when the call returns, and a sink sees each chip's
-        reservations in issue order once the run is over.
+        Python loop of :meth:`_run_reference` — that loop is its oracle
+        and the fallback when no C compiler is available.  In C the
+        deadline is checked when the call returns, and a sink sees each
+        chip's reservations in issue order once the run is over.
         """
         started_wall = time.monotonic()
-        lib = None if fault_schedule else native.load_library()
+        lib = native.load_library()
         if lib is None:
-            return self._run_reference(isa_module, fault_schedule,
-                                       deadline_s, sink, started_wall)
+            return self._run_reference(isa_module, deadline_s, sink,
+                                       started_wall)
         return self._run_native(lib, isa_module, deadline_s, sink,
                                 started_wall)
 
@@ -368,7 +354,6 @@ class SimulatorEngine:
             link_bytes={chip: row[native.LINK_BYTES]
                         for chip, row in zip(ids, rows)},
             topology=machine.topology,
-            events=[],
         )
 
     def _check_deadline(self, deadline_s, started_wall) -> None:
@@ -382,9 +367,9 @@ class SimulatorEngine:
                 deadline_s=deadline_s, elapsed_s=elapsed,
                 machine=self.machine.name)
 
-    def _run_reference(self, isa_module, fault_schedule, deadline_s,
-                       sink, started_wall) -> SimulationResult:
-        """The Python engine: the C engine's oracle and the fault path.
+    def _run_reference(self, isa_module, deadline_s, sink,
+                       started_wall) -> SimulationResult:
+        """The Python engine: the C engine's oracle and its fallback.
 
         Cooperative cancellation: the deadline is checked between
         simulation rounds, so a worker thread exits cleanly.
@@ -407,60 +392,12 @@ class SimulatorEngine:
         col_bytes: Dict[int, int] = defaultdict(int)
         snd_ready: Dict[int, int] = {}
 
-        events: List[dict] = []
         instructions = 0
-        pending_faults: List[MachineFault] = []
-        if fault_schedule is not None:
-            pending_faults = list(fault_schedule.faults)
-
         limb_bytes = chip_cfg.limb_bytes
         occupancies = {
             cls: chip_cfg.occupancy(cls) for cls in set(_FU_CLASS.values())
         }
         latency = chip_cfg.pipeline_latency
-
-        def frontier_cycle() -> int:
-            active = [c.finish for c in chips.values() if not c.done]
-            return min(active) if active else max(
-                (c.finish for c in chips.values()), default=0)
-
-        def apply_faults(chip: Optional[_ChipState], now: int) -> None:
-            """Fire every pending fault due at ``now`` (for ``chip`` or,
-            with ``chip=None``, for any chip — the end-of-round sweep that
-            catches blocked/idle victims)."""
-            for fault in list(pending_faults):
-                if fault.cycle > now:
-                    continue
-                if chip is not None and fault.chip != chip.id:
-                    continue
-                if fault.chip not in chips:
-                    pending_faults.remove(fault)
-                    continue
-                pending_faults.remove(fault)
-                victim = chips[fault.chip]
-                if fault.kind == LINK_DEGRADE:
-                    victim.link.bytes_per_cycle = max(
-                        1e-9, victim.link.bytes_per_cycle * fault.factor)
-                    events.append({"kind": fault.kind, "chip": fault.chip,
-                                   "cycle": fault.cycle,
-                                   "factor": fault.factor})
-                elif fault.kind == CLUSTER_SLOW:
-                    victim.occupancy_scale *= fault.factor
-                    events.append({"kind": fault.kind, "chip": fault.chip,
-                                   "cycle": fault.cycle,
-                                   "factor": fault.factor})
-                else:
-                    exc_cls = (ChipFailure if fault.kind == CHIP_CRASH
-                               else LinkFailure)
-                    raise exc_cls(
-                        f"{fault.kind} on chip {fault.chip} of "
-                        f"{machine.name} at cycle {fault.cycle}",
-                        chip=fault.chip, cycle=fault.cycle,
-                        machine=machine.name,
-                        progress={c.id: c.pc for c in chips.values()},
-                        per_chip_cycles={c.id: c.finish
-                                         for c in chips.values()},
-                        fault=fault)
 
         # Round-robin over chips, blocking on unresolved collectives,
         # mirroring the emulator's execution discipline.
@@ -470,8 +407,6 @@ class SimulatorEngine:
             for chip in chips.values():
                 steps = 0
                 while not chip.done and steps < 10000:
-                    if pending_faults:
-                        apply_faults(chip, chip.finish)
                     if not self._step(chip, chips, col_posted, col_expected,
                                       col_complete, col_bytes, snd_ready,
                                       occupancies, latency, limb_bytes):
@@ -480,11 +415,6 @@ class SimulatorEngine:
                     steps += 1
                     progress = True
                 all_done = all_done and chip.done
-            if pending_faults:
-                # Sweep for victims that are blocked or already done
-                # locally while the rest of the machine crossed the
-                # fault cycle.
-                apply_faults(None, frontier_cycle())
             self._check_deadline(deadline_s, started_wall)
             if all_done:
                 break
@@ -513,7 +443,6 @@ class SimulatorEngine:
             link_busy={c.id: c.link.busy_cycles for c in chips.values()},
             link_bytes={c.id: c.link.bytes_moved for c in chips.values()},
             topology=machine.topology,
-            events=events,
         )
 
     # ------------------------------------------------------------------ #
@@ -538,9 +467,6 @@ class SimulatorEngine:
             # the previous output limb, so each vbcv is charged only its
             # stage-2 pass (at the BCU's halved lane count).
             occupancy = occupancies[cls]
-            if chip.occupancy_scale != 1.0:
-                occupancy = max(1, int(math.ceil(
-                    occupancy * chip.occupancy_scale)))
             start = pool.reserve(earliest, occupancy, op)
             done = start + occupancy + latency
             dest = chip.dests[pc]

@@ -19,7 +19,8 @@ from repro.cluster.protocol import (ConnectionClosed, pack_result,
 from repro.cluster.router import _Worker
 from repro.obs.analyze import check
 from repro.runtime import trace
-from repro.serve import RequestResult, RequestStatus, ServerClosedError
+from repro.serve import (CinnamonServer, RequestResult, RequestStatus,
+                         ServerClosedError)
 
 from ..replay import replay_mismatches
 from .conftest import dial_as_worker, make_request, stub_proc
@@ -166,6 +167,30 @@ class TestObservability:
                                   make_request(name="c-1", rotation=3)])
         totals = cluster.cache_stats()
         assert totals.get("misses", 0) + totals.get("memory_hits", 0) > 0
+
+
+class TestPrometheusExposition:
+    @pytest.fixture(params=["server", "cluster"])
+    def backend(self, request, cluster):
+        if request.param == "cluster":
+            yield cluster
+        else:
+            with CinnamonServer(num_workers=2) as server:
+                yield server
+
+    def test_every_snapshot_family_is_exposed(self, backend):
+        results = submit_and_wait(backend, [
+            make_request(name=f"p-{i}", rotation=i + 1) for i in range(2)])
+        assert all(r.ok for r in results)
+        families = set(backend.metrics_snapshot())
+        exposed = {line.split()[2]
+                   for line in backend.metrics_prometheus().splitlines()
+                   if line.startswith("# TYPE ")}
+        if isinstance(backend, ClusterRouter):
+            # Families that only the workers' shipped snapshots carry.
+            assert {"runtime_compile_seconds",
+                    "runtime_simulations_total"} <= families
+        assert families - exposed == set()
 
 
 class TestQuotas:

@@ -144,8 +144,8 @@ class TestRecoveryParity:
         row = rows[0]
         assert set(row) - {"worker"} == {
             "job", "kind", "fault", "chip", "cycle", "machine_from",
-            "machine_to", "lost_cycles", "detection_s", "recompile_s",
-            "replay_s", "trace_id", "span_id"}
+            "machine_to", "lost_cycles", "detection_s", "replay_s",
+            "trace_id", "span_id"}
         assert (row["fault"], row["chip"], row["cycle"]) == \
             ("chip_crash", 0, 1000)
         # The replay starts over at cycle 0: everything before the

@@ -1,25 +1,33 @@
-"""Fault schedules: determinism, non-fatal degradation, yield sampling."""
+"""Chip crashes: the schedule, the rule that decides one from the clean
+run, and its injection through ``CinnamonSession.simulate``."""
+
+from unittest import mock
 
 import pytest
 
+from repro import obs
 from repro.resilience import (
     CHIP_CRASH,
     ChipFailure,
     FaultSchedule,
-    LinkFailure,
     MachineFault,
     NO_MACHINE_FAULTS,
 )
 from repro.sim import CINNAMON_4, DEGRADE_LADDER, SimulatorEngine, degraded_machine
 from repro.sim.config import config_for
 
+from .conftest import PARAMS, build_program
+
+
+def simulate_rows(session, cursor):
+    rows, _ = session.rows_since(cursor)
+    return [row for row in rows if row["kind"] == "simulate"]
+
 
 class TestSchedule:
     def test_fluent_builders(self):
-        sched = FaultSchedule().chip_crash(3, 1000) \
-                               .link_degrade(1, 500, factor=0.25) \
-                               .cluster_slow(0, 200, factor=2.0)
-        assert len(sched) == 3
+        sched = FaultSchedule().chip_crash(3, 1000).chip_crash(1, 500)
+        assert len(sched) == 2
         assert bool(sched)
         assert not NO_MACHINE_FAULTS
 
@@ -31,91 +39,102 @@ class TestSchedule:
         with pytest.raises(ValueError):
             MachineFault(CHIP_CRASH, 0, -1)
 
-    def test_signature_is_stable_and_order_free(self):
-        a = FaultSchedule().chip_crash(1, 100).link_degrade(0, 50)
-        b = FaultSchedule().link_degrade(0, 50).chip_crash(1, 100)
-        assert a.signature() == b.signature()
-        assert NO_MACHINE_FAULTS.signature() == "clean"
-
-    def test_for_survivors_drops_dead_and_out_of_range(self):
-        sched = FaultSchedule().chip_crash(9, 100).chip_crash(3, 200) \
-                               .cluster_slow(5, 50)
-        surv = sched.for_survivors([9], num_chips=8)
-        kinds = {(f.kind, f.chip) for f in surv.faults}
-        assert ("chip_crash", 9) not in kinds
-        assert ("chip_crash", 3) in kinds
-        assert ("cluster_slow", 5) in kinds
-
-    def test_yield_model_deterministic_per_seed(self):
-        a = FaultSchedule.from_yield_model("cinnamon_12", 10**6, seed=5,
-                                           defect_scale=3.0)
-        b = FaultSchedule.from_yield_model("cinnamon_12", 10**6, seed=5,
-                                           defect_scale=3.0)
-        assert a.signature() == b.signature()
-
-    def test_yield_model_scales_with_defects(self):
-        none = FaultSchedule.from_yield_model("cinnamon_12", 10**6, seed=1,
-                                              defect_scale=0.0)
-        forced = FaultSchedule.from_yield_model("cinnamon_12", 10**6,
-                                                seed=1, defect_scale=1e6)
-        assert len(none) == 0
-        assert len(forced) == 12
+    def test_first_crash_is_the_earliest_the_run_reaches(self):
+        sched = FaultSchedule().chip_crash(3, 500).chip_crash(1, 500) \
+                               .chip_crash(0, 900).chip_crash(7, 10)
+        # Chip 7 is not in the run; the tie at 500 goes to chip 1.
+        assert sched.first_crash(range(4), 1000) == \
+            MachineFault(CHIP_CRASH, 1, 500)
+        assert sched.first_crash(range(4), 500) == \
+            MachineFault(CHIP_CRASH, 1, 500)
+        assert sched.first_crash(range(4), 499) is None
+        assert NO_MACHINE_FAULTS.first_crash(range(4), 10 ** 9) is None
 
 
 class TestInjection:
-    def test_chip_crash_raises_at_scheduled_cycle(self, compiled_4):
-        clean = SimulatorEngine(CINNAMON_4).run(compiled_4.isa)
+    def test_chip_crash_raises_at_scheduled_cycle(self, session, compiled_4):
+        clean = session.simulate(compiled_4)
+        cursor = session.rows_since(0)[1]
         sched = FaultSchedule().chip_crash(2, clean.cycles // 2)
         with pytest.raises(ChipFailure) as info:
-            SimulatorEngine(CINNAMON_4).run(compiled_4.isa,
-                                            fault_schedule=sched)
+            session.simulate(compiled_4, fault_schedule=sched)
         assert info.value.chip == 2
         assert info.value.cycle == clean.cycles // 2
         assert info.value.machine == "Cinnamon-4"
-        assert set(info.value.progress) == {0, 1, 2, 3}
-        assert info.value.completed_instructions > 0
+        (row,) = simulate_rows(session, cursor)
+        assert row["simulate"] is None
+        assert row["error"] == (f"ChipFailure: chip_crash on chip 2 of "
+                                f"Cinnamon-4 at cycle {clean.cycles // 2}")
 
-    def test_replay_is_deterministic(self, compiled_4):
+    def test_replay_is_deterministic(self, session, compiled_4):
         sched = FaultSchedule().chip_crash(1, 5000)
         seen = []
         for _ in range(2):
             with pytest.raises(ChipFailure) as info:
-                SimulatorEngine(CINNAMON_4).run(compiled_4.isa,
-                                                fault_schedule=sched)
+                session.simulate(compiled_4, fault_schedule=sched)
             seen.append((info.value.cycle, info.value.chip,
-                         info.value.completed_instructions))
-        assert seen[0] == seen[1]
+                         info.value.machine))
+        assert seen[0] == seen[1] == (5000, 1, "Cinnamon-4")
 
-    def test_link_sever_raises_link_failure(self, compiled_4):
-        sched = FaultSchedule().link_sever(0, 1000)
-        with pytest.raises(LinkFailure):
-            SimulatorEngine(CINNAMON_4).run(compiled_4.isa,
-                                            fault_schedule=sched)
-
-    def test_link_degrade_slows_but_completes(self, compiled_4):
+    def test_empty_schedule_identical_to_clean(self, session, compiled_4):
         clean = SimulatorEngine(CINNAMON_4).run(compiled_4.isa)
-        sched = FaultSchedule().link_degrade(0, 0, factor=0.05)
-        slow = SimulatorEngine(CINNAMON_4).run(compiled_4.isa,
-                                               fault_schedule=sched)
-        assert slow.cycles > clean.cycles
-        assert slow.instructions == clean.instructions
-        assert slow.events == [{"kind": "link_degrade", "chip": 0,
-                                "cycle": 0, "factor": 0.05}]
-
-    def test_cluster_slow_slows_but_completes(self, compiled_4):
-        clean = SimulatorEngine(CINNAMON_4).run(compiled_4.isa)
-        sched = FaultSchedule().cluster_slow(1, 0, factor=4.0)
-        slow = SimulatorEngine(CINNAMON_4).run(compiled_4.isa,
-                                               fault_schedule=sched)
-        assert slow.cycles > clean.cycles
-        assert slow.instructions == clean.instructions
-
-    def test_empty_schedule_identical_to_clean(self, compiled_4):
-        clean = SimulatorEngine(CINNAMON_4).run(compiled_4.isa)
-        noop = SimulatorEngine(CINNAMON_4).run(
-            compiled_4.isa, fault_schedule=NO_MACHINE_FAULTS)
+        noop = session.simulate(compiled_4, fault_schedule=NO_MACHINE_FAULTS)
         assert noop.cycles == clean.cycles
         assert noop.instructions == clean.instructions
+
+    @pytest.mark.parametrize("chips", [1, 4, 12])
+    @pytest.mark.parametrize("offset, fires", [(-1, True), (0, True),
+                                               (1, False)],
+                             ids=["T-1", "T", "T+1"])
+    def test_crash_fires_iff_the_clean_run_reaches_it(self, session, chips,
+                                                      offset, fires):
+        compiled = session.compile(build_program(), PARAMS, machine=chips)
+        clean = session.simulate(compiled)
+        cycle = clean.cycles + offset
+        sched = FaultSchedule().chip_crash(chips - 1, cycle)
+        if fires:
+            with pytest.raises(ChipFailure) as info:
+                session.simulate(compiled, fault_schedule=sched)
+            assert (info.value.chip, info.value.cycle) == (chips - 1, cycle)
+        else:
+            assert session.simulate(compiled, fault_schedule=sched) is clean
+        # A chip outside the module never fires, however early.
+        outside = FaultSchedule().chip_crash(chips, 0).chip_crash(chips, cycle)
+        assert session.simulate(compiled, fault_schedule=outside) is clean
+
+    def test_faulted_simulate_of_simulated_artifact_is_memo_hit(
+            self, session, compiled_4):
+        clean = session.simulate(compiled_4, tag="memo")
+        cursor = session.rows_since(0)[1]
+        sched = FaultSchedule().chip_crash(1, clean.cycles // 3)
+        with mock.patch.object(SimulatorEngine, "run",
+                               side_effect=AssertionError("engine ran")):
+            with pytest.raises(ChipFailure):
+                session.simulate(compiled_4, tag="memo", fault_schedule=sched)
+        (row,) = simulate_rows(session, cursor)
+        assert row["cache"] == "memory"
+        assert row["error"].startswith("ChipFailure: chip_crash on chip 1")
+
+    def test_traced_faulted_run_keeps_the_timeline_up_to_the_crash(
+            self, session, compiled_4):
+        clean = session.simulate(compiled_4)
+        crash_at = clean.cycles // 2
+        obs.enable(reset=True)
+        try:
+            session.simulate(compiled_4, tag="traced-clean")
+            with pytest.raises(ChipFailure):
+                session.simulate(compiled_4, tag="traced-crash",
+                                 fault_schedule=FaultSchedule().chip_crash(
+                                     0, crash_at))
+            full, cut = [s for s in obs.tracer().spans()
+                         if s.kind == "simulate"]
+        finally:
+            obs.disable()
+            obs.tracer().reset()
+        assert (full.sim_cycles, cut.sim_cycles) == (clean.cycles, crash_at)
+        assert cut.sim_events == [event for event in full.sim_events
+                                  if event.start < crash_at]
+        assert 0 < len(cut.sim_events) < len(full.sim_events)
 
 
 class TestDegradeLadder:

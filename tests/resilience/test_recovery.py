@@ -1,90 +1,127 @@
-"""Recovery orchestration: degrade, recompile, replay, trace entries."""
+"""The degrade ladder: a chip crash, one rung down, a clean replay on the
+survivors that decrypts to the fault-free values."""
 
 import numpy as np
 import pytest
 
-from repro.fhe import ArchParams, CKKSContext, make_params
+from repro.fhe import CKKSContext, make_params
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience import (
+    ChipFailure,
     FaultSchedule,
+    RecoveryEvent,
     RecoveryExhausted,
-    RecoveryOrchestrator,
-    run_with_recovery,
+    descend_ladder,
 )
 from repro.runtime import CinnamonSession
-from repro.runtime.trace import TRACE_SCHEMA_VERSION
+from repro.runtime.trace import TRACE_SCHEMA_VERSION, TraceRecorder
+from repro.serve import FaultInjector, InferenceRequest, RequestStatus
+from repro.serve.executor import ShardExecutor
+from repro.serve.lifecycle import RequestLifecycle
 
 from .conftest import PARAMS, build_program
 
 TOL = 1e-3
 
 
+def serve_one(machine, faults=None):
+    """One request through a ShardExecutor (the one degrade ladder):
+    its result, the recorder, every row a listener heard, the executor."""
+    metrics = MetricsRegistry()
+    recorder = TraceRecorder(registry=metrics)
+    heard = []      # a listener (the flight ring) copies what it sees
+    recorder.add_listener(lambda row: heard.append(dict(row)))
+    executor = ShardExecutor(CinnamonSession, metrics, recorder=recorder,
+                             faults=faults)
+    request = InferenceRequest(program=build_program(), params=PARAMS,
+                               machine=machine, name="traced-recovery")
+    RequestLifecycle(metrics, recorder).admit(request)
+    (result,) = executor.execute([request])
+    return result, recorder, heard, executor
+
+
+def crash(session, compiled, machine, chip, cycle):
+    """The ChipFailure ``session.simulate`` raises for one crash."""
+    with pytest.raises(ChipFailure) as info:
+        session.simulate(compiled, machine,
+                         fault_schedule=FaultSchedule().chip_crash(chip, cycle))
+    return info.value
+
+
 class TestDegradedRecovery:
-    def test_12_to_8_recovery(self, session):
-        orch = RecoveryOrchestrator(session)
-        sched = FaultSchedule().chip_crash(9, 20_000)
-        result = orch.run(build_program(), PARAMS, machine="cinnamon_12",
-                          fault_schedule=sched, run_id="deg-12-8")
-        assert result.recovered and result.degraded
-        assert result.machine == "Cinnamon-8"
-        event = result.recoveries[0]
-        assert event.fault == "chip_crash"
-        assert event.chip == 9
-        assert event.cycle == 20_000
-        assert event.machine_from == "Cinnamon-12"
-        assert event.machine_to == "Cinnamon-8"
+    def test_12_to_8_recovery(self, session, compiled_12):
+        exc = crash(session, compiled_12, "cinnamon_12", 9, 20_000)
+        rung, event = descend_ladder(exc, None, descents=0, max_recoveries=2,
+                                     detection_s=0.25, label="deg-12-8")
+        assert rung.name == "Cinnamon-8"
         # The replay starts over at cycle 0, so everything the faulted
-        # attempt simulated is lost, and the final result is exactly a
-        # clean run on the survivors.
-        assert event.lost_cycles == 20_000
-        assert event.replay_s is not None and event.replay_s > 0
+        # attempt simulated is lost.
+        assert event == RecoveryEvent(
+            fault="chip_crash", chip=9, cycle=20_000,
+            machine_from="Cinnamon-12", machine_to="Cinnamon-8",
+            lost_cycles=20_000, detection_s=0.25, replay_s=None)
+        # The replay on the survivors is exactly a clean 8-chip run.
+        replay = session.simulate(
+            session.compile(build_program(), PARAMS, machine=rung))
         clean = session.simulate(
             session.compile(build_program(), PARAMS, machine="cinnamon_8"),
             "cinnamon_8")
-        assert (result.result.cycles, result.result.instructions) == \
+        assert (replay.cycles, replay.instructions) == \
             (clean.cycles, clean.instructions)
 
-    def test_recovery_is_deterministic(self):
-        cycles = []
-        for _ in range(2):
-            result = run_with_recovery(
-                build_program(), PARAMS, machine="cinnamon_12",
-                fault_schedule=FaultSchedule().chip_crash(9, 20_000))
-            cycles.append((result.recoveries[0].lost_cycles,
-                           result.result.cycles))
-        assert cycles[0] == cycles[1]
-
     def test_double_fault_walks_the_ladder(self, session):
-        orch = RecoveryOrchestrator(session)
-        sched = FaultSchedule().chip_crash(5, 15_000).chip_crash(3, 30_000)
-        result = orch.run(build_program(), PARAMS, machine="cinnamon_12",
-                          fault_schedule=sched)
-        assert [e.machine_to for e in result.recoveries] == \
-            ["Cinnamon-8", "Cinnamon-4"]
-        assert result.machine == "Cinnamon-4"
+        machine, rungs = "cinnamon_12", []
+        for descents, (chip, cycle) in enumerate([(5, 15_000), (3, 30_000)]):
+            compiled = session.compile(build_program(), PARAMS,
+                                       machine=machine)
+            exc = crash(session, compiled, machine, chip, cycle)
+            machine, event = descend_ladder(
+                exc, machine, descents=descents, max_recoveries=2,
+                detection_s=0.0)
+            rungs.append(event.machine_to)
+        assert rungs == ["Cinnamon-8", "Cinnamon-4"]
+        assert session.simulate(session.compile(
+            build_program(), PARAMS, machine=machine)).cycles > 0
 
-    def test_clean_run_records_nothing(self, session):
-        orch = RecoveryOrchestrator(session)
-        result = orch.run(build_program(), PARAMS, machine="cinnamon_4")
-        assert not result.recovered and not result.degraded
-        assert result.machine == "Cinnamon-4"
+    def test_budget_exhaustion_raises(self):
+        exc = ChipFailure("dead", chip=9, cycle=20_000, machine="Cinnamon-12")
+        with pytest.raises(RecoveryExhausted, match="budget exhausted") \
+                as info:
+            descend_ladder(exc, None, descents=0, max_recoveries=0,
+                           detection_s=0.0)
+        assert info.value.__cause__ is exc
+        alone = ChipFailure("dead", chip=0, cycle=10, machine="Cinnamon-1")
+        with pytest.raises(RecoveryExhausted, match="no degraded"):
+            descend_ladder(alone, None, descents=0, max_recoveries=2,
+                           detection_s=0.0)
 
-    def test_budget_exhaustion_raises(self, session):
-        orch = RecoveryOrchestrator(session, max_recoveries=0)
-        with pytest.raises(RecoveryExhausted) as info:
-            orch.run(build_program(), PARAMS, machine="cinnamon_12",
-                     fault_schedule=FaultSchedule().chip_crash(9, 20_000))
-        assert info.value.last_error.chip == 9
+    def test_recovery_is_deterministic(self):
+        runs = []
+        for _ in range(2):
+            session = CinnamonSession()
+            compiled = session.compile(build_program(), PARAMS,
+                                       machine="cinnamon_12")
+            exc = crash(session, compiled, "cinnamon_12", 9, 20_000)
+            rung, event = descend_ladder(exc, None, descents=0,
+                                         max_recoveries=2, detection_s=0.0)
+            replay = session.simulate(
+                session.compile(build_program(), PARAMS, machine=rung))
+            runs.append((event, replay.cycles))
+        assert runs[0] == runs[1]
 
-    def test_trace_records_recovery_and_schema(self, tmp_path):
-        session = CinnamonSession()
-        heard = []      # a listener (the flight ring) copies what it sees
-        session._recorder.add_listener(
-            lambda row: heard.append(dict(row)))
-        orch = RecoveryOrchestrator(session)
-        orch.run(build_program(), PARAMS, machine="cinnamon_12",
-                 fault_schedule=FaultSchedule().chip_crash(9, 20_000),
-                 job="traced-recovery")
-        trace = session.trace()
+    def test_clean_run_records_nothing(self):
+        result, recorder, _heard, _executor = serve_one("cinnamon_4")
+        assert result.status is RequestStatus.OK
+        assert result.sim.machine == "Cinnamon-4"
+        assert not [row for row in recorder.document({})["jobs"]
+                    if row["kind"] == "recovery"]
+
+    def test_trace_records_recovery_and_schema(self):
+        result, recorder, heard, executor = serve_one(
+            "cinnamon_12", FaultInjector().chip_crash(chip=9, cycle=20_000))
+        assert result.status is RequestStatus.OK
+        assert result.sim.machine == "Cinnamon-8"
+        trace = recorder.document({})
         assert trace["schema"] == TRACE_SCHEMA_VERSION
         recoveries = [e for e in trace["jobs"]
                       if e.get("kind") == "recovery"]
@@ -93,11 +130,13 @@ class TestDegradedRecovery:
         assert entry["job"] == "traced-recovery"
         assert entry["machine_from"] == "Cinnamon-12"
         assert entry["machine_to"] == "Cinnamon-8"
+        assert entry["lost_cycles"] == entry["cycle"] == 20_000
         assert entry["replay_s"] is not None
+        assert "recompile_s" not in entry
         # The row was complete when it was recorded, not patched after.
         assert [row for row in heard if row["kind"] == "recovery"] \
             == [entry]
-        failed = [e for e in trace["jobs"]
+        failed = [e for e in executor.session.trace()["jobs"]
                   if e.get("kind") == "simulate" and e.get("error")]
         assert any("ChipFailure" in e["error"] for e in failed)
 
@@ -127,29 +166,19 @@ class TestFunctionalEquality:
         zb = rng.uniform(-1, 1, params.slot_count)
         inputs = {"a": ctx.encrypt_values(za), "b": ctx.encrypt_values(zb)}
 
-        session = CinnamonSession()
-        clean = session.compile(self.build(), params, machine="cinnamon_2")
-        want = {name: ctx.decrypt_values(ct) for name, ct in
-                clean.emulate(dict(inputs), context=ctx).items()}
+        def decrypt(compiled):
+            return {name: ctx.decrypt_values(ct) for name, ct in
+                    compiled.emulate(dict(inputs), context=ctx).items()}
 
-        orch = RecoveryOrchestrator(session)
-        result = orch.run(
-            self.build(), params, machine="cinnamon_4",
-            fault_schedule=FaultSchedule().chip_crash(3, 4_000),
-            inputs=inputs, context=ctx, emulate_outputs=True)
-        assert result.degraded
-        assert result.machine == "Cinnamon-2"
-        assert result.outputs is not None
-        got = {name: ctx.decrypt_values(ct)
-               for name, ct in result.outputs.items()}
+        session = CinnamonSession()
+        full = session.compile(self.build(), params, machine="cinnamon_4")
+        want = decrypt(full)
+        exc = crash(session, full, "cinnamon_4", 3, 4_000)
+        rung, _event = descend_ladder(exc, None, descents=0,
+                                      max_recoveries=2, detection_s=0.0)
+        assert rung.name == "Cinnamon-2"
+        got = decrypt(session.compile(self.build(), params, machine=rung))
         assert set(got) == set(want) == {"y"}
         expect = np.roll(za * zb, -1) + za * zb
         assert np.max(np.abs(got["y"].real - expect)) < TOL
-        assert np.max(np.abs(got["y"] - want["y"])) < TOL
-
-    def test_emulate_outputs_requires_context(self, env):
-        params, _ = env
-        orch = RecoveryOrchestrator()
-        with pytest.raises(ValueError, match="inputs and context"):
-            orch.run(self.build(), params, machine="cinnamon_2",
-                     emulate_outputs=True)
+        assert np.max(np.abs(got["y"] - want["y"])) < 1e-5

@@ -2,8 +2,7 @@
 
 ``SimulatorEngine.run`` runs a whole module as one call into
 ``sim/_engine.c``; ``SimulatorEngine._run_reference`` is the Python loop it
-was ported from, which still runs fault schedules and stands in when no C
-compiler is available.  The two must agree exactly — every ``as_dict()``
+was ported from, which stands in when no C compiler is available.  The two must agree exactly — every ``as_dict()``
 key, every error, every sink event of every chip — on:
 
 * the ten ``codegen_golden.json`` cases and the three contract pairs the
@@ -24,7 +23,8 @@ from repro.core import CompilerDriver, CompilerOptions
 from repro.core.isa.codegen import IsaModule
 from repro.core.isa.instructions import COL, Instruction
 from repro.fhe import ArchParams
-from repro.resilience import WatchdogTimeout
+from repro.resilience import ChipFailure, FaultSchedule, WatchdogTimeout
+from repro.runtime import CinnamonSession
 from repro.sim import CINNAMON_4, CINNAMON_M, SimulatorEngine, native
 from repro.sim.config import config_for
 from repro.sim.trace import TracingSimulator
@@ -146,11 +146,20 @@ def test_timeline_stopped_when_full_matches_per_chip(golden):
 
 
 def test_plain_runs_never_take_the_python_loop(golden):
-    isa = golden("helr_c4").isa
+    compiled = golden("helr_c4")
+    isa = compiled.isa
+    session = CinnamonSession()
     with mock.patch.object(SimulatorEngine, "_run_reference",
                            side_effect=AssertionError("Python loop ran")):
         SimulatorEngine("cinnamon_4").run(isa)
         SimulatorEngine("cinnamon_4").run(isa, sink=lambda *event: None)
+        # Faulted runs too: a crash that fires and one past the end,
+        # each on a fresh memo key so the engine really runs.
+        with pytest.raises(ChipFailure):
+            session.simulate(compiled, "cinnamon_4", tag="fires",
+                             fault_schedule=FaultSchedule().chip_crash(1, 0))
+        session.simulate(compiled, "cinnamon_4", tag="ends-first",
+                         fault_schedule=FaultSchedule().chip_crash(1, 10 ** 12))
 
 
 # ---------------------------------------------------------------------- #
