@@ -16,8 +16,8 @@ Public surface:
 * :mod:`repro.tune` — simulator-guided autotuning of compiler & machine
   configuration (:class:`~repro.tune.Tuner`, persisted
   :class:`~repro.tune.TuningDB`, ``python -m repro.tune`` CLI); tuned
-  configs apply via ``repro.compile(tune=...)`` and
-  ``CinnamonServer(tuned=True)``;
+  configs apply via ``repro.compile(tune=...)`` or, for a served
+  request, ``InferenceRequest(options=TuningDB(...).tuned_options(...))``;
 * :mod:`repro.resilience` — machine-level fault tolerance: one fault, a
   chip crash (:class:`~repro.resilience.FaultSchedule`, decided from the
   finished clean run), and one degrade-ladder step

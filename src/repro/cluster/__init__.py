@@ -16,16 +16,17 @@ The pieces, each importable on its own:
 * :mod:`~repro.cluster.protocol` — length-prefixed JSON+blob framing;
 * :mod:`~repro.cluster.ring` — consistent-hash routing (cache affinity,
   ~1/N remap on membership change);
-* :mod:`~repro.cluster.quotas` — per-tenant token buckets + fair-share
-  admission on top of the serve-layer queue semantics;
 * :mod:`~repro.cluster.worker` — the ``python -m repro.cluster.worker``
   process;
-* :mod:`~repro.cluster.autoscaler` — hysteretic scale-up/down policy;
 * :mod:`~repro.cluster.merge` — folding per-worker metrics snapshots
   into one cluster view.
 
-Workers share one on-disk compile cache and one tuning DB — both safe
-for concurrent writers via :mod:`repro.runtime.locking`.
+Admission is the serve layer's own: the router and
+:class:`~repro.serve.CinnamonServer` share one submit path
+(:class:`~repro.serve.lifecycle.ServingFrontend`) into one
+:class:`~repro.serve.queue.AdmissionQueue`.  Workers share one on-disk
+compile cache, safe for concurrent writers via
+:mod:`repro.runtime.locking`.
 
 Exports resolve lazily (PEP 562) so ``python -m repro.cluster.worker``
 does not import the router (and its serve-layer dependency tree) into
@@ -33,15 +34,9 @@ every worker process.
 """
 
 _LAZY_ATTRS = {
-    "Autoscaler": ("repro.cluster.autoscaler", "Autoscaler"),
-    "AutoscalerState": ("repro.cluster.autoscaler", "AutoscalerState"),
     "ClusterRouter": ("repro.cluster.router", "ClusterRouter"),
     "ClusterWorker": ("repro.cluster.worker", "ClusterWorker"),
-    "FairShareQueue": ("repro.cluster.quotas", "FairShareQueue"),
     "HashRing": ("repro.cluster.ring", "HashRing"),
-    "QuotaExceededError": ("repro.cluster.quotas", "QuotaExceededError"),
-    "TenantQuota": ("repro.cluster.quotas", "TenantQuota"),
-    "TokenBucket": ("repro.cluster.quotas", "TokenBucket"),
     "merge_histogram_values": ("repro.cluster.merge",
                                "merge_histogram_values"),
     "merge_snapshots": ("repro.cluster.merge", "merge_snapshots"),

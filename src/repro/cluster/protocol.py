@@ -36,7 +36,7 @@ journal    worker   trace rows recorded since the last ship (JSON,
 ping       router   heartbeat probe, carries ``seq``
 pong       worker   heartbeat answer: echoes ``seq``; blob is the worker's
                     *state* (:func:`pack_state`)
-keys       router   the signed evaluation-key manifest (blob)
+keys       router   the signed evaluation-key manifest (JSON blob)
 drain      router   stop accepting, finish in-flight, reply ``drained``
 drained    worker   drain complete; blob is the final state
 shutdown   router   exit after this frame
@@ -49,7 +49,7 @@ that have not already ridden ahead of a result — so every row crosses
 the wire exactly once, in one encoding whichever frame carries it, and
 the router's periodic ping is also its periodic metrics refresh.
 
-Pickle is exchanged only for ``submit``, ``result`` and ``keys`` blobs,
+Pickle is exchanged only for ``submit`` and ``result`` blobs,
 between the router and workers it spawned itself over a loopback socket
 authenticated by a per-cluster random token, mirroring
 :mod:`multiprocessing.connection`'s trust model.
@@ -96,7 +96,9 @@ TOKEN_ENV = "CINNAMON_CLUSTER_TOKEN"
 #: 2: ``pong``/``drained`` carry the worker state (10 frame kinds, was
 #:    13); ``auth`` is mandatory.
 #: 3: ``journal`` blobs are JSON (:func:`pack_rows`), no longer pickle.
-PROTOCOL_VERSION = 3
+#: 4: ``keys`` blobs are the signed key manifest as UTF-8 JSON, not
+#:    pickle; ``submit`` headers no longer carry ``tuned``.
+PROTOCOL_VERSION = 4
 
 #: Hard cap on header/blob sizes — a corrupt length prefix must not make
 #: us try to allocate gigabytes.
@@ -251,8 +253,8 @@ def pack_submit(request, resolved_options, key: str,
                 key_version: Optional[int] = None) -> Tuple[dict, bytes]:
     """Frame one :class:`~repro.serve.request.InferenceRequest`.
 
-    The router ships the *resolved* compiler options (tuning swap already
-    applied) so the worker's session computes the identical fingerprint
+    The router ships the *resolved* compiler options (machine folded in)
+    so the worker's session computes the identical fingerprint
     and hits the shared disk cache.  ``envelope`` (a
     :class:`~repro.trust.freshness.FreshnessEnvelope`) and
     ``key_version`` ride in the header so the worker can re-check
@@ -270,7 +272,6 @@ def pack_submit(request, resolved_options, key: str,
         "simulate": request.simulate,
         "tag": request.tag,
         "key": key,
-        "tuned": request.tuned,
     }
     if envelope is not None:
         header.update(envelope.as_header_fields())
@@ -364,3 +365,21 @@ def unpack_state(blob: bytes) -> dict:
                 f"state field {field!r} is not a {kind.__name__}")
     _check_rows(state.get("journal"), "state field 'journal'")
     return state
+
+
+def pack_keys(manifest: dict) -> bytes:
+    """The blob of a ``keys`` frame: the signed key manifest as JSON
+    (the document its signature is computed over)."""
+    return json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+
+
+def unpack_keys(blob: bytes) -> dict:
+    """Inverse of :func:`pack_keys`; anything but a JSON object is a
+    :class:`ProtocolError`.  The signature is the vault's to check."""
+    try:
+        manifest = json.loads(blob)
+    except ValueError as exc:
+        raise ProtocolError(f"unparseable keys blob: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ProtocolError("keys blob is not a JSON object")
+    return manifest

@@ -1,4 +1,4 @@
-"""The cluster front-end: routing, quotas, failover, autoscaling.
+"""The cluster front-end: routing, trust admission, failover.
 
 ``ClusterRouter`` is API-compatible with
 :class:`~repro.serve.CinnamonServer` (``submit``/``drain``/``shutdown``/
@@ -11,7 +11,7 @@ cluster's throughput ceiling.
 
 Data path of one request::
 
-    submit() --admit--> trust checks --> FairShareQueue (quotas)
+    submit() --admit--> trust checks --> AdmissionQueue
         --dispatcher--> HashRing.owner(fingerprint) --> worker socket
         --worker session--> result frame --> ok/fail/timeout
 
@@ -28,14 +28,12 @@ Design notes:
   is gone.  Membership changes remap only ~1/N of the key space.
 * **Failover.**  A worker death (EOF on its socket — covers SIGKILL)
   removes it from the ring, requeues its in-flight requests with
-  ``force=True`` (bypassing quotas and the drain-closed check: they were
-  already admitted once), and lets the monitor respawn a replacement up
-  to the current target.  Requests exceeding ``max_retries`` failovers
-  resolve FAILED, as do the orphans of a worker lost during shutdown
-  (nothing is left to re-run them).  Zero requests are ever dropped.
-* **Autoscaling.**  The monitor thread feeds queue-depth/inflight
-  observations to :class:`~repro.cluster.autoscaler.Autoscaler` and
-  spawns or drains workers between ``min_workers``/``max_workers``.
+  ``force=True`` (bypassing the depth bound and the drain-closed check:
+  they were already admitted once), and lets the monitor respawn a
+  replacement, so the fleet stays at ``num_workers``.  Requests
+  exceeding ``max_retries`` failovers resolve FAILED, as do the orphans
+  of a worker lost during shutdown (nothing is left to re-run them).
+  Zero requests are ever dropped.
 * **Observability.**  The router opens one long-lived ``cluster`` root
   span; membership/failover events become ``kind="cluster"`` journal
   rows under it (trace schema 6).  Each submit ships its request span's
@@ -54,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import pickle
 import secrets
 import socket
 import subprocess
@@ -65,22 +62,16 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import tracer
-from ..runtime.trace import TraceRecorder
-from ..serve.lifecycle import (IDLE_POLL_S, RequestLifecycle,
-                               ServingFrontend)
+from ..serve.lifecycle import IDLE_POLL_S, ServingFrontend
 from ..serve.queue import Empty
-from ..serve.request import InferenceRequest, RequestHandle
+from ..serve.request import InferenceRequest
 from ..trust.errors import FreshnessError, KeyVaultError
-from ..trust.freshness import (DEFAULT_WINDOW_S, EnvelopeMinter,
-                               ReplayGuard)
-from .autoscaler import Autoscaler, AutoscalerState
+from ..trust.freshness import EnvelopeMinter, ReplayGuard
 from .merge import merge_snapshots
 from .protocol import (ConnectionClosed, PROTOCOL_VERSION, ProtocolError,
-                       TOKEN_ENV, pack_submit, recv_frame, send_frame,
-                       unpack_result, unpack_rows, unpack_state)
-from .quotas import FairShareQueue, QuotaExceededError, TenantQuota
+                       TOKEN_ENV, pack_keys, pack_submit, recv_frame,
+                       send_frame, unpack_result, unpack_rows, unpack_state)
 from .ring import HashRing
 
 
@@ -100,8 +91,6 @@ class _Worker:
         self.pending: Dict[int, InferenceRequest] = {}
         self.last_pong = time.monotonic()
         self.pong_seq = 0              # newest ping this worker answered
-        self.draining = False
-        self.retired = False
         self.dead = False
         self.snapshot: dict = {}
         self.cache: dict = {}
@@ -109,8 +98,7 @@ class _Worker:
 
     @property
     def live(self) -> bool:
-        return self.connected.is_set() and not self.dead \
-            and not self.draining
+        return self.connected.is_set() and not self.dead
 
     def send(self, header: dict, blob: bytes = b"") -> None:
         sock = self.sock
@@ -123,13 +111,10 @@ class _Worker:
 class ClusterRouter(ServingFrontend):
     """Multi-process scale-out serving front-end (see module docstring).
 
-    ``num_workers`` is the initial (and, without autoscaling, constant)
-    process count; ``autoscale=True`` lets the cluster breathe between
-    ``min_workers`` and ``max_workers``.  ``quotas`` maps tenant name to
-    :class:`~repro.cluster.quotas.TenantQuota`; ``default_quota`` (if
-    set) applies to tenants without an explicit entry.  ``cache_dir``
-    is the shared on-disk compile cache every worker mounts — by default
-    a private temporary directory that lives as long as the router.
+    ``num_workers`` is the process count the monitor keeps the fleet
+    at.  ``cache_dir`` is the shared on-disk compile cache every worker
+    mounts — by default a private temporary directory that lives as
+    long as the router.
     """
 
     def __init__(self, num_workers: int = 2, queue_depth: int = 256,
@@ -137,19 +122,10 @@ class ClusterRouter(ServingFrontend):
                  request_timeout_s: Optional[float] = None,
                  default_machine=None, cache_dir=None,
                  capacity: Optional[int] = None,
-                 quotas: Optional[Dict[str, TenantQuota]] = None,
-                 default_quota: Optional[TenantQuota] = None,
-                 autoscale: bool = False, min_workers: int = 1,
-                 max_workers: Optional[int] = None,
-                 autoscaler: Optional[Autoscaler] = None,
-                 disk_cache: bool = True,
-                 worker_threads: int = 2, heartbeat_s: float = 0.5,
+                 disk_cache: bool = True, heartbeat_s: float = 0.5,
                  liveness_timeout_s: float = 15.0,
-                 metrics: Optional[MetricsRegistry] = None,
-                 tuned: bool = False, tuning_db=None,
                  spawn_workers: bool = True,
                  keyvault=None,
-                 replay_window_s: float = DEFAULT_WINDOW_S,
                  chaos_chip_crash: int = 0, chaos_cycle: int = 2000,
                  slos: Sequence = (), flight_dir=None,
                  live_status_path=None,
@@ -158,8 +134,8 @@ class ClusterRouter(ServingFrontend):
                  slo_cooldown_s: float = 60.0):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
+        super().__init__(queue_depth, default_machine, request_timeout_s)
         self.max_retries = max_retries
-        self.worker_threads = worker_threads
         self.capacity = capacity
         self.heartbeat_s = heartbeat_s
         self.liveness_timeout_s = liveness_timeout_s
@@ -173,21 +149,11 @@ class ClusterRouter(ServingFrontend):
         # None = workers run memory-only sessions (bench isolation mode).
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
 
-        self._queue = FairShareQueue(maxsize=queue_depth, quotas=quotas,
-                                     default_quota=default_quota)
         self._ring = HashRing()
-        self.metrics = metrics or MetricsRegistry()
-        self._recorder = TraceRecorder(registry=self.metrics)
         self._workers: Dict[str, _Worker] = {}
         self._worker_seq = itertools.count()
         self._lock = threading.RLock()
         self._target = num_workers
-        self._autoscaler = autoscaler
-        if autoscale and self._autoscaler is None:
-            self._autoscaler = Autoscaler(
-                min_workers=min_workers,
-                max_workers=max_workers or max(num_workers, min_workers),
-                slots_per_worker=worker_threads)
         self._token = secrets.token_hex(16)
         self._ping_seq = itertools.count(1)
         self._state_cond = threading.Condition()
@@ -198,14 +164,13 @@ class ClusterRouter(ServingFrontend):
         self.keyvault = keyvault
         if keyvault is not None and keyvault.on_event is None:
             keyvault.on_event = self._on_key_event
-        self._replay_guard = ReplayGuard(window_s=replay_window_s)
+        self._replay_guard = ReplayGuard()
         self._minter = EnvelopeMinter(sender="router")
         # Chaos: every spawned worker arms N chip-crash faults on its
         # executor's FaultInjector.
         self.chaos_chip_crash = chaos_chip_crash
         self.chaos_cycle = chaos_cycle
 
-        self._started = False
         self._stopping = False
         self._listener: Optional[socket.socket] = None
         self._port: Optional[int] = None
@@ -215,22 +180,15 @@ class ClusterRouter(ServingFrontend):
         self._monitor_stop = threading.Event()
         self._cluster_span = None
 
-        self.lifecycle = RequestLifecycle(
-            self.metrics, self._recorder, default_machine=default_machine,
-            request_timeout_s=request_timeout_s, tuned=tuned,
-            tuning_db=tuning_db, cache_dir=self.cache_dir)
         m = self.metrics
         self._workers_g = m.gauge(
             "cluster_workers", "Live (connected, serving) workers.")
         self._deaths_total = m.counter(
             "cluster_worker_deaths_total",
-            "Workers lost to crashes/kills (not graceful retirement).")
+            "Workers lost to crashes/kills (not graceful shutdown).")
         self._requeued_total = m.counter(
             "cluster_requeued_total",
             "Requests re-queued after their worker died.")
-        self._quota_rejected_total = m.counter(
-            "cluster_quota_rejections_total",
-            "Submits rejected by a tenant's token bucket.")
         self._trust_rejected_total = {
             reason: m.counter(
                 "cluster_trust_rejections_total",
@@ -240,13 +198,6 @@ class ClusterRouter(ServingFrontend):
         }
         self._dispatch_total = m.counter(
             "cluster_dispatches_total", "Submit frames sent to workers.")
-        self._autoscale_total = {
-            direction: m.counter(
-                "cluster_autoscale_events_total",
-                "Autoscaler decisions applied.",
-                labels={"direction": direction})
-            for direction in ("up", "down")
-        }
 
         # Live telemetry (repro.obs.live): every pong's cumulative
         # snapshot lands in a bounded time-series store; the monitor
@@ -367,10 +318,9 @@ class ClusterRouter(ServingFrontend):
                 except subprocess.TimeoutExpired:
                     worker.proc.kill()
                     worker.proc.wait(timeout=5)
-            if not worker.dead and not worker.retired:
+            if not worker.dead:
                 self._record_cluster("worker_exit", worker=worker.id,
                                      detail={"pid": worker.proc.pid})
-                worker.retired = True
         if self._cluster_span is not None:
             self._cluster_span.finish()
         if self.live is not None:
@@ -380,17 +330,7 @@ class ClusterRouter(ServingFrontend):
             self._tmpdir = None
 
     # ------------------------------------------------------------------ #
-    # Admission: quotas and trust checks on top of the shared submit()
-
-    def submit(self, request: InferenceRequest) -> RequestHandle:
-        """As :meth:`ServingFrontend.submit`; additionally raises
-        :class:`~repro.cluster.quotas.QuotaExceededError` over quota and
-        the typed :mod:`repro.trust` errors of :meth:`_check_admission`."""
-        try:
-            return super().submit(request)
-        except QuotaExceededError:
-            self._quota_rejected_total.inc()
-            raise
+    # Admission: trust checks on the shared submit() path
 
     def _check_admission(self, request: InferenceRequest) -> None:
         """Trust admission: key-version staleness, then replay/freshness."""
@@ -447,7 +387,7 @@ class ClusterRouter(ServingFrontend):
         if worker is None:
             # No live worker right now (cold start or mid-failover):
             # park briefly and requeue — admission already happened, so
-            # force past quotas and a drain-closed queue.
+            # force past the depth bound and a drain-closed queue.
             time.sleep(0.02)
             self._queue.put(request, force=True)
             return
@@ -489,7 +429,7 @@ class ClusterRouter(ServingFrontend):
                 worker = self._workers.get(worker_id)
                 if worker is not None and worker.live:
                     return worker
-            # Ring empty (all lost): any connected, non-draining worker.
+            # Ring empty (all lost): any connected worker.
             for worker in self._workers.values():
                 if worker.live:
                     return worker
@@ -503,8 +443,7 @@ class ClusterRouter(ServingFrontend):
         worker_id = f"w{index}"
         argv = [sys.executable, "-m", "repro.cluster.worker",
                 "--connect", str(self._port),
-                "--worker-id", worker_id,
-                "--threads", str(self.worker_threads)]
+                "--worker-id", worker_id]
         if self.cache_dir is not None:
             argv += ["--cache-dir", str(self.cache_dir)]
         if self.capacity is not None:
@@ -555,8 +494,7 @@ class ClusterRouter(ServingFrontend):
             worker_id = str(header.get("worker_id"))
             with self._lock:
                 worker = self._workers.get(worker_id)
-            if worker is None or worker.connected.is_set() \
-                    or worker.dead or worker.retired:
+            if worker is None or worker.connected.is_set() or worker.dead:
                 # Unknown id, duplicate hello, or a reconnect attempt
                 # from a worker the router already failed over (its
                 # replacement is spawning): refuse, the process exits
@@ -640,7 +578,7 @@ class ClusterRouter(ServingFrontend):
             return
         now = time.monotonic()
         if header.get("retryable") and not result.ok:
-            # Worker refused (draining race): not a real failure.
+            # Worker refused (draining at shutdown): not a real failure.
             self._fail_or_retry(request, result.error or "worker refused")
             return
         if request.expired(now):
@@ -683,7 +621,7 @@ class ClusterRouter(ServingFrontend):
         with self._state_cond:
             self._state_cond.notify_all()
         self._workers_g.set(len(self._live_workers()))
-        if worker.retired or self._stopping:
+        if self._stopping:
             self._record_cluster("worker_exit", worker=worker.id,
                                  detail={"pid": worker.proc.pid})
         else:
@@ -704,7 +642,7 @@ class ClusterRouter(ServingFrontend):
                                "orphaned_requests": len(orphans)})
                 self.live.forget(worker.id)
         # Zero-loss failover: everything in flight on the lost worker —
-        # also one that died while being retired or shut down — goes
+        # also one that died while being shut down — goes
         # back through the dispatcher to the ring's survivors, or
         # resolves FAILED once the dispatcher has stopped.
         for request in orphans:
@@ -717,7 +655,7 @@ class ClusterRouter(ServingFrontend):
                                 f"worker {worker.id} died mid-request")
 
     # ------------------------------------------------------------------ #
-    # Monitor: heartbeats (= state refresh), respawn, autoscale
+    # Monitor: heartbeats (= state refresh), respawn
 
     def _monitor_loop(self) -> None:
         while not self._monitor_stop.wait(self.heartbeat_s):
@@ -728,7 +666,6 @@ class ClusterRouter(ServingFrontend):
                     # the failover bookkeeping.
                     worker.proc.kill()
             self._reap_and_respawn()
-            self._autoscale_tick()
             if self.live is not None:
                 try:
                     self.live.tick()
@@ -741,59 +678,11 @@ class ClusterRouter(ServingFrontend):
         with self._lock:
             live_or_starting = [
                 w for w in self._workers.values()
-                if not w.dead and not w.retired and not w.draining
-                and w.proc.poll() is None
+                if not w.dead and w.proc.poll() is None
             ]
             deficit = self._target - len(live_or_starting)
         for _ in range(max(0, deficit)):
             self._spawn_worker()
-
-    def _autoscale_tick(self) -> None:
-        if self._autoscaler is None or self._stopping:
-            return
-        live = self._live_workers()
-        state = AutoscalerState(workers=len(live),
-                                queue_depth=self._queue.depth(),
-                                inflight=int(self.lifecycle.inflight.value))
-        target = self._autoscaler.decide(state)
-        if target > self._target:
-            self._autoscale_total["up"].inc()
-            self._record_cluster("scale_up",
-                                 detail={"from": self._target,
-                                         "to": target, **vars(state)})
-            self._target = target
-        elif target < self._target:
-            self._autoscale_total["down"].inc()
-            self._record_cluster("scale_down",
-                                 detail={"from": self._target,
-                                         "to": target, **vars(state)})
-            self._target = target
-            self._retire_one()
-
-    def _retire_one(self) -> None:
-        """Gracefully drain the newest live worker out of the fleet."""
-        with self._lock:
-            live = [w for w in self._workers.values() if w.live]
-            if len(live) <= 1:
-                return
-            worker = max(live, key=lambda w: w.index)
-            worker.draining = True
-            worker.retired = True
-            self._ring.remove(worker.id)
-        self._workers_g.set(len(self._live_workers()))
-        try:
-            worker.send({"kind": "drain"})
-        except OSError:
-            return
-
-        def _finish_retirement():
-            worker.drained.wait(timeout=30)
-            try:
-                worker.send({"kind": "shutdown"})
-            except OSError:
-                pass
-
-        threading.Thread(target=_finish_retirement, daemon=True).start()
 
     def _ping(self, wait_s: float = 0.0) -> List[_Worker]:
         """Ping every live worker; each answers with its state.  With
@@ -849,7 +738,7 @@ class ClusterRouter(ServingFrontend):
         if self.keyvault is None:
             return 0
         doc = self.keyvault.manifest()
-        blob = pickle.dumps(doc, pickle.HIGHEST_PROTOCOL)
+        blob = pack_keys(doc)
         shipped = 0
         for worker in workers:
             try:
@@ -879,8 +768,7 @@ class ClusterRouter(ServingFrontend):
         with self._lock:
             workers = list(self._workers.values())
         return [{"id": w.id, "index": w.index, "pid": w.proc.pid,
-                 "live": w.live, "draining": w.draining,
-                 "dead": w.dead, "pending": len(w.pending)}
+                 "live": w.live, "dead": w.dead, "pending": len(w.pending)}
                 for w in workers]
 
     def cache_stats(self) -> dict:

@@ -5,7 +5,7 @@ the router's loopback listener, authenticates with the token the router
 exported in ``CINNAMON_CLUSTER_TOKEN``, and then serves frames until the
 socket closes or a ``shutdown`` frame arrives:
 
-* ``submit`` frames go to a small thread pool (default 2) where the
+* ``submit`` frames go to a pool of :data:`WORKER_THREADS` threads where the
   process's :class:`~repro.serve.executor.ShardExecutor` — the attempt
   loop a :class:`~repro.serve.CinnamonServer` shard runs, here as a
   batch of one with ``max_retries=0`` (the router owns failover) — runs
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import pickle
 import socket
 import sys
 import threading
@@ -71,7 +70,11 @@ from ..trust.freshness import FreshnessEnvelope, ReplayGuard
 from ..trust.keyvault import KeyVault, REVOKED
 from .protocol import (ConnectionClosed, FrameTimeout, PROTOCOL_VERSION,
                        ProtocolError, TOKEN_ENV, encode_frame, pack_result,
-                       pack_rows, pack_state, recv_frame, unpack_submit)
+                       pack_rows, pack_state, recv_frame, unpack_keys,
+                       unpack_submit)
+
+#: Submits a worker executes at once.
+WORKER_THREADS = 2
 
 
 class ClusterWorker:
@@ -79,7 +82,7 @@ class ClusterWorker:
 
     def __init__(self, worker_id: str, host: str, port: int,
                  token: str = "", cache_dir=None,
-                 capacity: Optional[int] = None, threads: int = 2,
+                 capacity: Optional[int] = None,
                  watchdog_s: Optional[float] = None,
                  read_timeout_s: float = 5.0,
                  liveness_timeout_s: float = 15.0,
@@ -89,7 +92,6 @@ class ClusterWorker:
         self.host = host
         self.port = port
         self.token = token
-        self.threads = threads
         self.read_timeout_s = read_timeout_s
         self.liveness_timeout_s = liveness_timeout_s
         self.reconnect_attempts = reconnect_attempts
@@ -103,7 +105,7 @@ class ClusterWorker:
             faults=FaultInjector().chip_crash(
                 chip=0, cycle=chaos_cycle, count=chaos_chip_crash))
         self._pool = ThreadPoolExecutor(
-            max_workers=threads,
+            max_workers=WORKER_THREADS,
             thread_name_prefix=f"cluster-{worker_id}")
         self._sock: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
@@ -235,10 +237,11 @@ class ClusterWorker:
 
     def _install_keys(self, blob: bytes) -> None:
         """Adopt the router's signed key manifest (verify-then-install);
-        a bad signature leaves the previous vault state untouched."""
+        a blob that is not a JSON object, or a bad signature, leaves the
+        previous vault state untouched."""
         try:
-            count = self._keyvault.install_manifest(pickle.loads(blob))
-        except Exception as exc:  # ManifestSignatureError, bad pickle...
+            count = self._keyvault.install_manifest(unpack_keys(blob))
+        except Exception as exc:  # ProtocolError, ManifestSignatureError
             self.executor.session.record(
                 "trust", event="key_manifest_rejected", target=self.worker_id,
                 detail={"error": f"{type(exc).__name__}: {exc}"})
@@ -416,8 +419,6 @@ def main(argv=None) -> int:
                         help="shared on-disk compile cache directory")
     parser.add_argument("--capacity", type=int, default=None,
                         help="in-memory LRU bound for the session cache")
-    parser.add_argument("--threads", type=int, default=2,
-                        help="session thread pool size")
     parser.add_argument("--watchdog-s", type=float, default=None)
     parser.add_argument("--read-timeout-s", type=float, default=5.0,
                         help="bounded per-read socket timeout")
@@ -438,8 +439,7 @@ def main(argv=None) -> int:
     worker = ClusterWorker(
         worker_id=args.worker_id, host=args.host, port=args.connect,
         token=os.environ.get(TOKEN_ENV, ""), cache_dir=args.cache_dir,
-        capacity=args.capacity, threads=args.threads,
-        watchdog_s=args.watchdog_s,
+        capacity=args.capacity, watchdog_s=args.watchdog_s,
         read_timeout_s=args.read_timeout_s,
         liveness_timeout_s=args.liveness_timeout_s,
         chaos_chip_crash=args.chaos_chip_crash,

@@ -29,6 +29,10 @@ from .faults import FaultInjector, NO_FAULTS, PoisonedArtifact, \
 from .request import InferenceRequest, LatencyBreakdown, RequestResult, \
     RequestStatus, cost_rollup
 
+#: A retry's backoff is stretched by up to this fraction, at random, so
+#: shards that failed together do not retry in lockstep.
+RETRY_JITTER = 0.5
+
 
 class ShardExecutor:
     """``session_factory()`` builds the session, and rebuilds it after an
@@ -42,7 +46,7 @@ class ShardExecutor:
                  recorder: Optional[TraceRecorder] = None,
                  faults: Optional[FaultInjector] = None, shard=None,
                  max_retries: int = 2, retry_backoff_s: float = 0.05,
-                 retry_jitter: float = 0.5, max_recoveries: int = 2,
+                 max_recoveries: int = 2,
                  watchdog_s: Optional[float] = None, seed: int = 0):
         self._session_factory = session_factory
         self.session = session_factory()
@@ -51,7 +55,6 @@ class ShardExecutor:
         self.shard = shard
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
-        self.retry_jitter = retry_jitter
         #: Degrade-ladder descents allowed per batch; they do NOT
         #: consume retries: losing a die is a machine event, not a
         #: transient.
@@ -218,7 +221,7 @@ class ShardExecutor:
                     span.finish()
             if attempt <= self.max_retries:
                 time.sleep(self.retry_backoff_s * (2 ** (attempt - 1))
-                           * (1.0 + self.retry_jitter * self._rng.random()))
+                           * (1.0 + RETRY_JITTER * self._rng.random()))
         if recovering is not None:
             journal_recovery()        # the replay never completed
         for request in pending:

@@ -9,7 +9,7 @@
 
 :class:`~repro.serve.CinnamonServer` (thread shards) and
 :class:`~repro.cluster.ClusterRouter` (worker processes) drive it and
-keep only their executor: queueing policy, routing, retries, failover.
+keep only their executor: batching, routing, retries, failover.
 docs/serving.md ("Request lifecycle") says what each transition records.
 """
 
@@ -28,7 +28,7 @@ from ..runtime.fingerprint import fingerprint
 from ..runtime.session import resolve_request_options
 from ..runtime.trace import TraceRecorder
 from ..sim.config import resolve_machine
-from .queue import Empty, QueueClosedError
+from .queue import AdmissionQueue, Empty, QueueClosedError
 from .request import InferenceRequest, LatencyBreakdown, RequestHandle, \
     RequestResult, RequestStatus
 
@@ -41,29 +41,15 @@ class ServerClosedError(RuntimeError):
 
 
 class RequestLifecycle:
-    """Admission, accounting and exactly-once resolution of requests.
-
-    With ``tuned=True`` (or an explicit ``tuning_db``) each admitted
-    request consults the persisted tuning DB (:mod:`repro.tune`) and, on
-    a hit for this (program, params, machine), swaps in the tuned
-    compiler options *before* fingerprinting — so routing affinity and
-    cache keys align with the tuned artifact.  Only compiler axes apply;
-    the request's machine is still what gets simulated.
-    """
+    """Admission, accounting and exactly-once resolution of requests."""
 
     def __init__(self, metrics: MetricsRegistry, recorder: TraceRecorder,
                  default_machine=None,
-                 request_timeout_s: Optional[float] = None,
-                 tuned: bool = False, tuning_db=None, cache_dir=None):
+                 request_timeout_s: Optional[float] = None):
         self.metrics = metrics
         self.recorder = recorder
         self.default_machine = default_machine
         self.request_timeout_s = request_timeout_s
-        if tuned and tuning_db is None:
-            from ..tune.db import TuningDB, default_db_path
-
-            tuning_db = TuningDB(default_db_path(cache_dir))
-        self.tuning_db = tuning_db
         self._handles: Dict[int, RequestHandle] = {}
         self._cond = threading.Condition()
 
@@ -74,9 +60,6 @@ class RequestLifecycle:
         self.retries_total = metrics.counter(
             "serve_retries_total",
             "Execution retries (shard retry or worker failover).")
-        self.tuned_total = metrics.counter(
-            "serve_tuned_requests_total",
-            "Requests whose options came from the tuning DB.")
         self.queue_depth = metrics.gauge(
             "serve_queue_depth", "Requests waiting for dispatch.")
         self.inflight = metrics.gauge(
@@ -97,14 +80,6 @@ class RequestLifecycle:
         options = resolve_request_options(request.machine, request.options)
         request.machine_name = resolve_machine(
             options.machine or options.num_chips).name
-        if self.tuning_db is not None:
-            tuned_options = self.tuning_db.tuned_options(
-                request.program, request.params, request.machine_name,
-                options)
-            if tuned_options is not None:
-                options = tuned_options
-                request.tuned = True
-                self.tuned_total.inc()
         request.options = options
         request.machine = None
         request.key = fingerprint(request.program, request.params, options)
@@ -226,7 +201,7 @@ class RequestLifecycle:
                   f"while {stage}", **outcome)
 
     def reject(self, request: InferenceRequest, reason: str) -> bool:
-        """Admission refused (backpressure, quota, trust, shutdown)."""
+        """Admission refused (backpressure, trust, shutdown)."""
         return self._terminal(request, RequestStatus.REJECTED, error=reason)
 
     def wait_drained(self, timeout: Optional[float] = None) -> bool:
@@ -237,9 +212,20 @@ class RequestLifecycle:
 
 
 class ServingFrontend:
-    """The serving contract's executor-independent half.  A front-end
-    sets ``lifecycle``, ``_queue`` and ``_started`` and implements
+    """The serving contract's executor-independent half: one admission
+    path (lifecycle, trust hook, :class:`AdmissionQueue`) for every
+    front-end.  A subclass calls ``__init__`` first and implements
     ``start``/``shutdown``/``trace``."""
+
+    def __init__(self, queue_depth: int, default_machine=None,
+                 request_timeout_s: Optional[float] = None):
+        self.metrics = MetricsRegistry()
+        self._recorder = TraceRecorder(registry=self.metrics)
+        self._queue = AdmissionQueue(maxsize=queue_depth)
+        self._started = False
+        self.lifecycle = RequestLifecycle(
+            self.metrics, self._recorder, default_machine=default_machine,
+            request_timeout_s=request_timeout_s)
 
     def __enter__(self):
         return self.start()

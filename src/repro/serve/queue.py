@@ -1,6 +1,8 @@
 """Bounded, prioritized admission queue with explicit backpressure.
 
-The front door of :class:`~repro.serve.CinnamonServer`.  Unlike
+The front door of both serving front ends,
+:class:`~repro.serve.CinnamonServer` and
+:class:`~repro.cluster.ClusterRouter`.  Unlike
 ``queue.PriorityQueue``, saturation is an *immediate, explicit* rejection
 (:class:`QueueSaturatedError`) rather than blocking the client — the
 serving contract is "shed load visibly, never hang" — and closing the
@@ -43,9 +45,7 @@ class AdmissionQueue:
     Ordering is (priority, admission sequence): within a priority class
     the queue is FIFO, so equal-priority requests cannot starve each
     other.  ``maxsize <= 0`` means unbounded (the loadgen's closed loop
-    uses this).  Subclasses override ``_admit`` and the storage hooks
-    (``_heap_for``/``_pop``/``_depth``); the lock, the wait loop and the
-    close/drain contract live here.
+    uses this).
     """
 
     def __init__(self, maxsize: int = 0):
@@ -58,33 +58,26 @@ class AdmissionQueue:
 
     # ------------------------------------------------------------------ #
 
-    def put(self, request: InferenceRequest) -> None:
-        """Admit ``request`` or raise (never blocks)."""
+    def put(self, request: InferenceRequest, force: bool = False) -> None:
+        """Admit ``request`` or raise (never blocks).
+
+        ``force`` is a front-end's internal requeue path (a cluster
+        failover, a park while no worker is live): it skips the closed
+        check and the depth bound, because the request was admitted
+        once already and must not be dropped by a drain that began
+        meanwhile.
+        """
         with self._lock:
-            self._admit(request)
-            self._enqueue(request)
-
-    def _admit(self, request: InferenceRequest) -> None:
-        if self._closed:
-            raise QueueClosedError("admission queue is closed")
-        depth = self._depth()
-        if self.maxsize > 0 and depth >= self.maxsize:
-            raise QueueSaturatedError(depth, self.maxsize)
-
-    def _enqueue(self, request: InferenceRequest) -> None:
-        heapq.heappush(
-            self._heap_for(request),
-            (int(request.priority), next(self._seq), request))
-        self._not_empty.notify()
-
-    def _heap_for(self, request: InferenceRequest) -> list:
-        return self._heap
-
-    def _pop(self) -> Optional[InferenceRequest]:
-        return heapq.heappop(self._heap)[2] if self._heap else None
-
-    def _depth(self) -> int:
-        return len(self._heap)
+            if not force:
+                if self._closed:
+                    raise QueueClosedError("admission queue is closed")
+                depth = len(self._heap)
+                if self.maxsize > 0 and depth >= self.maxsize:
+                    raise QueueSaturatedError(depth, self.maxsize)
+            heapq.heappush(
+                self._heap,
+                (int(request.priority), next(self._seq), request))
+            self._not_empty.notify()
 
     def get(self, timeout: Optional[float] = None) -> InferenceRequest:
         """Pop the next request, waiting up to ``timeout``.
@@ -94,9 +87,8 @@ class AdmissionQueue:
         """
         with self._not_empty:
             while True:
-                request = self._pop()
-                if request is not None:
-                    return request
+                if self._heap:
+                    return heapq.heappop(self._heap)[2]
                 if self._closed:
                     raise Empty
                 if not self._not_empty.wait(timeout):
@@ -117,7 +109,7 @@ class AdmissionQueue:
 
     def depth(self) -> int:
         with self._lock:
-            return self._depth()
+            return len(self._heap)
 
     def __len__(self) -> int:
         return self.depth()

@@ -60,7 +60,7 @@ class InferenceRequest:
     simulate: bool = True
     tag: str = ""
     name: Optional[str] = None
-    tenant: str = "default"           # quota/fair-share accounting unit
+    tenant: str = "default"           # billing unit (cluster_tenant_*)
     request_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
     # repro.trust: the client's freshness claim (nonce + timestamp + seq,
     # checked by the router's ReplayGuard when set) and the evaluation-key
@@ -75,7 +75,6 @@ class InferenceRequest:
     batched_at: Optional[float] = None    # monotonic; set by the batcher
     dispatched_at: Optional[float] = None  # monotonic; None while queued
     attempts: int = 0                 # execution attempts so far
-    tuned: bool = False               # options swapped from the tuning DB
     # repro.obs spans carried across the thread hops of the data path
     # (admission thread -> dispatcher -> shard executor):
     span: object = None               # root "serve" span of this request

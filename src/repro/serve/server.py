@@ -33,14 +33,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..obs.metrics import MetricsRegistry
 from ..runtime.session import CinnamonSession
-from ..runtime.trace import TraceRecorder
 from .batcher import AdaptiveBatcher, Batch
 from .executor import ShardExecutor
 from .faults import FaultInjector
-from .lifecycle import IDLE_POLL_S, RequestLifecycle, ServingFrontend
-from .queue import AdmissionQueue, Empty, QueueSaturatedError
+from .lifecycle import IDLE_POLL_S, ServingFrontend
+from .queue import Empty, QueueSaturatedError
 from .request import InferenceRequest, RequestResult, RequestStatus
 
 #: Buckets for the batch-size histogram (requests per dispatched batch).
@@ -63,27 +61,23 @@ class CinnamonServer(ServingFrontend):
     Parameters mirror the knobs of a real inference frontend:
     ``queue_depth`` bounds admission (``0`` = unbounded), ``max_batch`` /
     ``max_wait_s`` tune the adaptive batcher, ``max_retries`` /
-    ``retry_backoff_s`` / ``retry_jitter`` shape the retry policy, and
+    ``retry_backoff_s`` shape the retry policy, and
     ``request_timeout_s`` is the default deadline for requests that do
     not carry one.  ``session_factory(shard_id)`` customizes shard
     construction (tests inject small caches; by default shards share one
     on-disk ``cache_dir`` so a restarted shard re-warms from disk).
-    ``tuned=True`` (or an explicit ``tuning_db``) applies persisted
-    :mod:`repro.tune` configurations to matching requests at admission.
     """
 
     def __init__(self, num_workers: int = 2, queue_depth: int = 64,
                  max_batch: int = 8, max_wait_s: float = 0.005,
                  max_retries: int = 2, retry_backoff_s: float = 0.05,
-                 retry_jitter: float = 0.5,
                  request_timeout_s: Optional[float] = None,
                  default_machine=None, faults: FaultInjector = None,
                  cache_dir=None, capacity: Optional[int] = None,
                  session_factory: Optional[Callable[[int], CinnamonSession]]
-                 = None, metrics: Optional[MetricsRegistry] = None,
+                 = None,
                  seed: int = 0, max_recoveries: int = 2,
                  watchdog_s: Optional[float] = None,
-                 tuned: bool = False, tuning_db=None,
                  slos: Sequence = (), flight_dir=None,
                  live_status_path=None,
                  slo_window_scale: float = 1.0,
@@ -91,6 +85,7 @@ class CinnamonServer(ServingFrontend):
                  slo_cooldown_s: float = 60.0):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
+        super().__init__(queue_depth, default_machine, request_timeout_s)
         self.num_workers = num_workers
         #: Shared shard cache directory (None = memory-only shards);
         #: exposed so chaos tooling can aim tamper attacks at the disk
@@ -99,27 +94,19 @@ class CinnamonServer(ServingFrontend):
         session_factory = session_factory or (
             lambda shard_id: CinnamonSession(cache_dir=cache_dir,
                                              capacity=capacity))
-        self.metrics = metrics or MetricsRegistry()
-        self._recorder = TraceRecorder(registry=self.metrics)
         self._shards = [
             _Shard(i, ShardExecutor(
                 lambda i=i: session_factory(i), self.metrics,
                 recorder=self._recorder, faults=faults, shard=i,
                 max_retries=max_retries, retry_backoff_s=retry_backoff_s,
-                retry_jitter=retry_jitter, max_recoveries=max_recoveries,
+                max_recoveries=max_recoveries,
                 watchdog_s=watchdog_s, seed=seed))
             for i in range(num_workers)]
-        self._queue = AdmissionQueue(maxsize=queue_depth)
         self._batcher = AdaptiveBatcher(max_batch=max_batch,
                                         max_wait_s=max_wait_s)
-        self._started = False
         self._stopped = False
         self._dispatcher: Optional[threading.Thread] = None
 
-        self.lifecycle = RequestLifecycle(
-            self.metrics, self._recorder, default_machine=default_machine,
-            request_timeout_s=request_timeout_s, tuned=tuned,
-            tuning_db=tuning_db, cache_dir=cache_dir)
         m = self.metrics
         self._batches_total = m.counter(
             "serve_batches_total", "Batches dispatched to shards.")

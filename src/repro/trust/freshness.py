@@ -17,9 +17,10 @@ bounded window:
   accepted at all.
 
 The guard's memory is bounded: expired nonces are pruned on every check,
-and ``max_nonces`` caps the set against a flood (when full, the oldest
-entries fall out *and* the window conservatively shrinks to what is
-still covered — never accept what we can no longer vouch for).
+and ``max_nonces`` caps the set against a flood (when full, the entries
+issued earliest fall out *and* the window conservatively shrinks to what
+is still covered: an envelope issued at or before the newest forgotten
+issue time is stale — never accept what we can no longer vouch for).
 """
 
 from __future__ import annotations
@@ -98,7 +99,11 @@ class ReplayGuard:
         self.enforce_sequence = enforce_sequence
         self._clock = clock
         self._lock = threading.Lock()
-        self._nonces: Dict[str, float] = {}        # nonce -> expiry
+        # nonce -> (expiry, issued_unix): pruning bounds both at once.
+        self._nonces: Dict[str, Tuple[float, float]] = {}
+        # Newest issue time evicted on overflow; at or before it the
+        # nonce table no longer vouches for uniqueness.
+        self._horizon = float("-inf")
         self._watermarks: Dict[str, int] = {}      # sender -> highest seq
         self.checked = 0
         self.rejected: Dict[str, int] = {
@@ -120,6 +125,11 @@ class ReplayGuard:
                 self.rejected["nonce-reuse"] += 1
                 raise ReplayError("nonce-reuse", nonce=envelope.nonce,
                                   sender=envelope.sender)
+            if envelope.issued_unix <= self._horizon:
+                # Inside the window, but the table overflowed past it:
+                # the effective window has shrunk to the horizon.
+                self.rejected["stale"] += 1
+                raise StaleRequestError(age, now - self._horizon)
             if self.enforce_sequence and envelope.sender:
                 watermark = self._watermarks.get(envelope.sender)
                 if watermark is not None and envelope.seq <= watermark:
@@ -128,25 +138,30 @@ class ReplayGuard:
                                       nonce=envelope.nonce,
                                       sender=envelope.sender)
                 self._watermarks[envelope.sender] = envelope.seq
-            self._nonces[envelope.nonce] = now + self.window_s
+            self._nonces[envelope.nonce] = (now + self.window_s,
+                                            envelope.issued_unix)
             if len(self._nonces) > self.max_nonces:
                 self._evict_oldest()
 
     def _prune(self, now: float) -> None:
         if len(self._nonces) < 64:
-            for nonce, expiry in list(self._nonces.items()):
+            for nonce, (expiry, _issued) in list(self._nonces.items()):
                 if expiry <= now:
                     del self._nonces[nonce]
             return
         # Larger sets: one pass, rebuilt dict (cheaper than del-in-loop).
-        self._nonces = {nonce: expiry
-                        for nonce, expiry in self._nonces.items()
-                        if expiry > now}
+        self._nonces = {nonce: entry
+                        for nonce, entry in self._nonces.items()
+                        if entry[0] > now}
 
     def _evict_oldest(self) -> None:
+        """Forget the earliest-issued nonces past ``max_nonces`` and
+        raise the horizon over them."""
         overflow = len(self._nonces) - self.max_nonces
-        for nonce in sorted(self._nonces, key=self._nonces.get)[:overflow]:
-            del self._nonces[nonce]
+        evicted = sorted(self._nonces,
+                         key=lambda nonce: self._nonces[nonce][1])[:overflow]
+        for nonce in evicted:
+            self._horizon = max(self._horizon, self._nonces.pop(nonce)[1])
 
     # ------------------------------------------------------------------ #
 

@@ -19,8 +19,7 @@ Pieces:
 * :mod:`~repro.tune.tuner` — the one :func:`search` (the stock config
   plus ``budget`` seeded samples, each simulated to completion, fastest
   wins), the :class:`Tuner` orchestrator and the :func:`apply_tuning`
-  hook behind ``repro.compile(tune=...)`` and
-  ``CinnamonServer(tuned=True)``;
+  hook behind ``repro.compile(tune=...)``;
 * ``python -m repro.tune`` — the CLI (tune a named workload, print a
   leaderboard, persist the winner).
 

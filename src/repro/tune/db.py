@@ -8,8 +8,9 @@ label — so a config tuned for the paper-scale
 bootstrap on Cinnamon-4 is never applied to a different program, scale,
 or machine.
 
-Entries survive processes (``repro.compile(tune=...)`` and
-``CinnamonServer(tuned=True)`` pick them up as defaults) and the whole
+Entries survive processes (``repro.compile(tune=...)`` picks them up as
+defaults, and :meth:`TuningDB.tuned_options` hands them to a served
+request as its ``options``) and the whole
 file self-invalidates when :data:`TUNING_DB_SCHEMA` is bumped, exactly
 like the compile cache's pickle schema.
 

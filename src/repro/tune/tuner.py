@@ -9,7 +9,7 @@ worse than the default — persists the winner to the
 to the session trace.
 
 The module-level :func:`apply_tuning` is the integration hook behind
-``repro.compile(..., tune=...)`` and ``CinnamonServer(tuned=True)``.
+``repro.compile(..., tune=...)``.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class Tuner:
 
 
 # ---------------------------------------------------------------------- #
-# Facade integration: repro.compile(tune=...) / CinnamonServer(tuned=True)
+# Facade integration: repro.compile(tune=...)
 
 def apply_tuning(program, params, machine, options, mode, *,
                  session: Optional[CinnamonSession] = None,

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.cluster import ClusterRouter, QuotaExceededError, TenantQuota
+from repro.cluster import ClusterRouter
 from repro.cluster.merge import merged_scalar
 from repro.cluster.protocol import (ConnectionClosed, pack_result,
                                     pack_rows, pack_state, recv_frame,
@@ -31,10 +31,7 @@ RESULT_TIMEOUT_S = 120.0
 @pytest.fixture(scope="module")
 def cluster():
     obs.enable()
-    router = ClusterRouter(
-        num_workers=2,
-        quotas={"limited": TenantQuota(rate_per_s=0.001, burst=2)},
-        heartbeat_s=0.2)
+    router = ClusterRouter(num_workers=2, heartbeat_s=0.2)
     router.start()
     assert router.wait_ready(timeout=60), "workers failed to connect"
     yield router
@@ -193,27 +190,6 @@ class TestPrometheusExposition:
         assert families - exposed == set()
 
 
-class TestQuotas:
-    def test_tenant_over_quota_rejected_at_submit(self, cluster):
-        first = cluster.submit(
-            make_request(name="q-0", rotation=4, tenant="limited"))
-        second = cluster.submit(
-            make_request(name="q-1", rotation=4, tenant="limited"))
-        with pytest.raises(QuotaExceededError) as info:
-            cluster.submit(
-                make_request(name="q-2", rotation=4, tenant="limited"))
-        assert info.value.tenant == "limited"
-        assert first.result(timeout=RESULT_TIMEOUT_S).ok
-        assert second.result(timeout=RESULT_TIMEOUT_S).ok
-
-    def test_other_tenants_unaffected(self, cluster):
-        results = submit_and_wait(cluster, [
-            make_request(name=f"qa-{i}", rotation=5, tenant=f"t{i}")
-            for i in range(4)
-        ])
-        assert all(r.ok for r in results)
-
-
 class TestFailover:
     def test_sigkill_mid_run_loses_zero_requests(self, cluster):
         """The acceptance scenario: SIGKILL a worker while its queue is
@@ -259,32 +235,6 @@ class TestLifecycle:
             with pytest.raises(ServerClosedError):
                 router.submit(make_request(name="d-1"))
 
-    def test_autoscaler_spawns_under_backlog(self):
-        from repro.cluster import Autoscaler
-
-        router = ClusterRouter(
-            num_workers=1, autoscale=True,
-            autoscaler=Autoscaler(min_workers=1, max_workers=2,
-                                  scale_up_backlog=1.0,
-                                  scale_down_ticks=10 ** 6),
-            heartbeat_s=0.1)
-        with router:
-            assert router.wait_ready(count=1, timeout=60)
-            handles = [router.submit(make_request(
-                name=f"as-{i}", rotation=30 + i)) for i in range(16)]
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                if router.num_workers >= 2:
-                    break
-                time.sleep(0.05)
-            assert router.num_workers >= 2, "no scale-up under backlog"
-            results = [h.result(timeout=RESULT_TIMEOUT_S)
-                       for h in handles]
-            assert all(r.ok for r in results)
-            events = {row["event"] for row in router.trace()["jobs"]
-                      if row["kind"] == "cluster"}
-            assert "scale_up" in events
-
 
 class _StubWorker(_Worker):
     """A connected worker whose socket swallows every frame, so what the
@@ -306,9 +256,9 @@ def _wait_until(predicate, timeout=10.0):
 
 
 class TestOrphansOfGracefulExits:
-    """A worker that dies while being retired (autoscaler) or during
-    shutdown is not counted as a death — but whatever was still in
-    flight on it must resolve all the same, or ``drain()`` hangs."""
+    """Whatever was in flight on a lost worker must resolve: failed over
+    to a survivor exactly once, or — for a worker lost during shutdown,
+    which is not counted as a death — failed, or ``drain()`` hangs."""
 
     @staticmethod
     def _router_with_inflight_request():
@@ -328,12 +278,16 @@ class TestOrphansOfGracefulExits:
             survivor = _StubWorker("w-survivor", 1)
             router._workers[survivor.id] = survivor
             router._ring.add(survivor.id)
-            victim.draining = victim.retired = True   # as _retire_one does
-            router._on_worker_lost(victim)            # ... then it dies
+            router._on_worker_lost(victim)
+            router._on_worker_lost(victim)    # a second EOF is a no-op
             assert _wait_until(lambda: survivor.pending), \
-                "orphan of a retired worker was dropped"
+                "orphan of a lost worker was dropped"
+            assert list(survivor.pending) == [handle.request.request_id]
             assert handle.request.attempts == 2
-            assert router.metrics.snapshot()["cluster_requeued_total"][
+            snapshot = router.metrics.snapshot()
+            assert snapshot["cluster_requeued_total"][
+                "series"][0]["value"] == 1
+            assert snapshot["cluster_worker_deaths_total"][
                 "series"][0]["value"] == 1
             done = RequestResult(
                 request_id=handle.request.request_id, name="orphan",

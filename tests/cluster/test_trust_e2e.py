@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.cluster.protocol import recv_frame
+from repro.cluster.protocol import pack_keys, recv_frame, unpack_keys
 from repro.cluster.router import ClusterRouter
 from repro.cluster.worker import ClusterWorker
 from repro.trust.errors import (ReplayError, StaleKeyError,
@@ -87,6 +87,20 @@ class TestRouterAdmission:
         assert rejected.value == 1
 
 
+UNPICKLED = []
+
+
+def _set_unpickled_flag():
+    UNPICKLED.append(True)
+
+
+class _SetsAFlag:
+    """Unpickling this object sets the module-level ``UNPICKLED`` flag."""
+
+    def __reduce__(self):
+        return (_set_unpickled_flag, ())
+
+
 class TestWorkerTrustChecks:
     """The worker's independent second line of defense, unit-level (no
     sockets: _install_keys/_trust_check are pure given a header)."""
@@ -100,7 +114,7 @@ class TestWorkerTrustChecks:
 
     @staticmethod
     def manifest_blob(vault):
-        return pickle.dumps(vault.manifest())
+        return pack_keys(vault.manifest())
 
     def test_install_and_reject_revoked_version(self, worker):
         vault = KeyVault()
@@ -136,8 +150,26 @@ class TestWorkerTrustChecks:
         vault.issue("default")
         doc = vault.manifest()
         doc["records"][0]["status"] = "active-forever"  # voids the sig
-        worker._install_keys(pickle.dumps(doc))
+        worker._install_keys(pack_keys(doc))
         assert worker._keyvault.tenants() == []
+
+    def test_only_a_json_manifest_is_ever_decoded(self, worker):
+        """A ``keys`` blob is JSON: a pickle is never unpickled (its
+        ``__reduce__`` never runs), and a truncated or non-object JSON
+        blob is refused too.  Each rejection is journaled and the vault
+        installed before stays as it was."""
+        vault = KeyVault()
+        vault.issue("default")
+        worker._install_keys(self.manifest_blob(vault))
+        good = self.manifest_blob(vault)
+        for blob in (pickle.dumps(_SetsAFlag()), good[:-9],
+                     b'["records"]', b'"manifest"'):
+            worker._install_keys(blob)
+        assert UNPICKLED == []
+        assert worker._keyvault.tenants() == ["default"]
+        events = [row["event"] for row in worker.executor.session.trace()[
+            "jobs"] if row["kind"] == "trust"]
+        assert events == ["keys_installed"] + ["key_manifest_rejected"] * 4
 
     def test_wire_replay_rejected_but_fresh_envelopes_pass(self, worker):
         minter = EnvelopeMinter(sender="router")
@@ -172,7 +204,7 @@ class TestKeyReplication:
                 header, blob = recv_frame(client, token=router._token)
                 assert header["kind"] == "keys"
                 replica = KeyVault()
-                assert replica.install_manifest(pickle.loads(blob)) == 1
+                assert replica.install_manifest(unpack_keys(blob)) == 1
                 vault.rotate("default")
                 deadline = time.monotonic() + 10
                 while time.monotonic() < deadline:
@@ -181,7 +213,7 @@ class TestKeyReplication:
                         break
                 else:
                     pytest.fail("rotation never reached the worker")
-                replica.install_manifest(pickle.loads(blob))
+                replica.install_manifest(unpack_keys(blob))
                 assert replica.active_version("default") == 2
         finally:
             router.shutdown(drain=False)

@@ -74,6 +74,16 @@ class TestCloseAndDrain:
         with pytest.raises(Empty):  # closed + dry: immediate, no timeout
             queue.get(timeout=30)
 
+    def test_put_wakes_a_blocked_getter(self):
+        queue = AdmissionQueue()
+        got = []
+        thread = threading.Thread(
+            target=lambda: got.append(queue.get(timeout=5)))
+        thread.start()
+        queue.put(request("x"))
+        thread.join(timeout=5)
+        assert [r.name for r in got] == ["x"]
+
     def test_close_wakes_blocked_getters(self):
         queue = AdmissionQueue()
         woke = threading.Event()
@@ -88,3 +98,25 @@ class TestCloseAndDrain:
         queue.close()
         assert woke.wait(5)
         thread.join()
+
+
+class TestForcedRequeue:
+    def test_force_bypasses_close_and_depth_bound(self):
+        """``put(force=True)`` is a front-end's requeue of an already
+        admitted request: neither a drain-closed queue nor a full one
+        may drop it, and it still dequeues in (priority, seq) order."""
+        queue = AdmissionQueue(maxsize=1)
+        queue.put(request("normal"))
+        with pytest.raises(QueueSaturatedError):
+            queue.put(request("over"))
+        queue.put(request("low", Priority.LOW), force=True)
+        queue.close()
+        with pytest.raises(QueueClosedError):
+            queue.put(request("late"))
+        queue.put(request("high", Priority.HIGH), force=True)
+        queue.put(request("normal2"), force=True)
+        assert queue.depth() == 4
+        assert [queue.get(0).name for _ in range(4)] == \
+            ["high", "normal", "normal2", "low"]
+        with pytest.raises(Empty):
+            queue.get(timeout=0)

@@ -115,6 +115,23 @@ class TestReplayGuard:
             guard.check(minter.mint())
         assert guard.stats()["tracked_nonces"] <= 16
 
+    def test_overflow_never_readmits_a_replay_inside_the_window(self):
+        """Evicting a nonce on overflow must not forget that it was seen:
+        the window shrinks to the newest evicted issue time, so the
+        replay is stale while a fresh envelope still passes."""
+        clock = FakeClock()
+        guard = ReplayGuard(window_s=30.0, max_nonces=4, clock=clock)
+        envs = [FreshnessEnvelope(nonce=f"n{i}", issued_unix=clock.now)
+                for i in range(5)]
+        for env in envs:
+            guard.check(env)
+        clock.now += 1.0
+        with pytest.raises(StaleRequestError):
+            guard.check(envs[0])
+        assert guard.stats()["rejected"]["stale"] == 1
+        guard.check(FreshnessEnvelope(nonce="fresh", issued_unix=clock.now))
+        assert guard.stats()["tracked_nonces"] == 4
+
     def test_seen_is_a_passive_probe(self):
         guard = ReplayGuard(clock=FakeClock())
         env = EnvelopeMinter(sender="a").mint()

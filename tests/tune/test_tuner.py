@@ -187,49 +187,3 @@ class TestFacadeIntegration:
                                           options=tuned.options)
         assert len(tuned.limb_program.opcodes) == \
             len(fresh.limb_program.opcodes) > 0
-
-
-class TestServerIntegration:
-    def test_tuned_server_swaps_options_at_admission(self, tmp_path):
-        from repro.serve import CinnamonServer, InferenceRequest
-        from repro.serve.request import RequestStatus
-
-        program, params = (matmul_kernel("served", 4, 6),
-                           ArchParams(max_level=16))
-        db = TuningDB(tmp_path / "tuning.json")
-        cand = Candidate.of(
-            keyswitch_policy="cinnamon", enable_batching=True,
-            num_digits=2, chips_per_stream=4, registers_per_chip=224,
-            machine=MachineVariant("Cinnamon-4"))
-        db.put(tuning_key(program, params, "Cinnamon-4"), {
-            "workload": "served", "machine": "Cinnamon-4",
-            "assignment": cand.as_dict(),
-            "cycles": 100, "default_cycles": 200,
-        })
-
-        server = CinnamonServer(num_workers=1, tuning_db=db,
-                                default_machine="cinnamon_4")
-        with server:
-            handle = server.submit(InferenceRequest(
-                program=program, params=params, machine="cinnamon_4"))
-            result = handle.result(timeout=120)
-        assert result.status is RequestStatus.OK
-        request = handle.request
-        assert request.tuned is True
-        assert request.options.num_digits == 2
-        assert request.machine_name == "Cinnamon-4"
-        snapshot = server.metrics.snapshot()
-        tuned_series = snapshot["serve_tuned_requests_total"]["series"]
-        assert tuned_series[0]["value"] == 1
-
-    def test_untuned_server_leaves_requests_alone(self):
-        from repro.serve import CinnamonServer, InferenceRequest
-
-        program, params = (matmul_kernel("plain", 4, 6),
-                           ArchParams(max_level=16))
-        server = CinnamonServer(num_workers=1)
-        with server:
-            handle = server.submit(InferenceRequest(
-                program=program, params=params, machine="cinnamon_4"))
-            handle.result(timeout=120)
-        assert handle.request.tuned is False
