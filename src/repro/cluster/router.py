@@ -43,9 +43,9 @@ Design notes:
 * **Worker state.**  The heartbeat is the only worker->router state
   channel: every ``pong`` (and the final ``drained``) carries the
   worker's metrics snapshot, cache counters and leftover journal rows.
-  The monitor's ping keeps that view and the live telemetry store
-  fresh; ``trace()``/``metrics_snapshot()``/``cache_stats()`` wait out
-  one ping round of their own for a consistent cut.
+  The monitor's ping keeps that view fresh;
+  ``trace()``/``metrics_snapshot()``/``cache_stats()`` wait out one ping
+  round of their own for a consistent cut.
 """
 
 from __future__ import annotations
@@ -60,8 +60,9 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
+from ..obs.metrics import render_snapshot_prometheus
 from ..obs.tracing import tracer
 from ..serve.lifecycle import IDLE_POLL_S, ServingFrontend
 from ..serve.queue import Empty
@@ -126,12 +127,7 @@ class ClusterRouter(ServingFrontend):
                  liveness_timeout_s: float = 15.0,
                  spawn_workers: bool = True,
                  keyvault=None,
-                 chaos_chip_crash: int = 0, chaos_cycle: int = 2000,
-                 slos: Sequence = (), flight_dir=None,
-                 live_status_path=None,
-                 slo_window_scale: float = 1.0,
-                 slo_min_events: int = 10,
-                 slo_cooldown_s: float = 60.0):
+                 chaos_chip_crash: int = 0, chaos_cycle: int = 2000):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         super().__init__(queue_depth, default_machine, request_timeout_s)
@@ -198,23 +194,6 @@ class ClusterRouter(ServingFrontend):
         }
         self._dispatch_total = m.counter(
             "cluster_dispatches_total", "Submit frames sent to workers.")
-
-        # Live telemetry (repro.obs.live): every pong's cumulative
-        # snapshot lands in a bounded time-series store; the monitor
-        # loop drives SLO burn-rate evaluation, the flight recorder, and
-        # the status document.
-        self.live = None
-        if slos or flight_dir is not None or live_status_path is not None:
-            from ..obs.live import LivePipeline
-
-            self.live = LivePipeline(
-                slos=slos, flight_dir=flight_dir, process="router",
-                recorder=self._recorder, registry=self.metrics,
-                interval_s=max(heartbeat_s, 0.1),
-                window_scale=slo_window_scale,
-                cooldown_s=slo_cooldown_s, min_events=slo_min_events,
-                status_path=live_status_path,
-                workers_fn=self._worker_table)
 
     # ------------------------------------------------------------------ #
     # Start / stop
@@ -323,8 +302,6 @@ class ClusterRouter(ServingFrontend):
                                      detail={"pid": worker.proc.pid})
         if self._cluster_span is not None:
             self._cluster_span.finish()
-        if self.live is not None:
-            self.live.stop(final_tick=True)
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
@@ -554,8 +531,6 @@ class ClusterRouter(ServingFrontend):
             self._recorder.absorb(state["journal"], worker=worker.id)
         worker.snapshot = state["snapshot"]
         worker.cache = state["cache"]
-        if self.live is not None:
-            self.live.ingest(worker.id, worker.snapshot)
         if header["kind"] == "drained":
             worker.drained.set()
         seq = header.get("seq")
@@ -631,16 +606,6 @@ class ClusterRouter(ServingFrontend):
                 detail={"pid": worker.proc.pid,
                         "orphaned_requests": len(orphans),
                         "ring_size": len(self._ring)})
-            if self.live is not None:
-                # Post-mortem bundle first (the worker's last telemetry
-                # is still in the store), then drop the dead source so
-                # its gauges stop contributing to cluster levels.
-                if self.live.flight is not None:
-                    self.live.flight.dump(
-                        "worker_death", key=worker.id,
-                        extra={"pid": worker.proc.pid,
-                               "orphaned_requests": len(orphans)})
-                self.live.forget(worker.id)
         # Zero-loss failover: everything in flight on the lost worker —
         # also one that died while being shut down — goes
         # back through the dispatcher to the ring's survivors, or
@@ -666,11 +631,6 @@ class ClusterRouter(ServingFrontend):
                     # the failover bookkeeping.
                     worker.proc.kill()
             self._reap_and_respawn()
-            if self.live is not None:
-                try:
-                    self.live.tick()
-                except Exception:   # pragma: no cover - keep monitoring
-                    pass
 
     def _reap_and_respawn(self) -> None:
         if self._stopping or not self._spawn_enabled:
@@ -763,14 +723,6 @@ class ClusterRouter(ServingFrontend):
     def worker_ids(self) -> List[str]:
         return [w.id for w in self._live_workers()]
 
-    def _worker_table(self) -> List[dict]:
-        """Fleet rows for the live status document (obs top)."""
-        with self._lock:
-            workers = list(self._workers.values())
-        return [{"id": w.id, "index": w.index, "pid": w.proc.pid,
-                 "live": w.live, "dead": w.dead, "pending": len(w.pending)}
-                for w in workers]
-
     def cache_stats(self) -> dict:
         """Summed compile-cache counters across worker processes."""
         if not self._stopping:
@@ -807,8 +759,6 @@ class ClusterRouter(ServingFrontend):
     def metrics_prometheus(self) -> str:
         """Prometheus text exposition of :meth:`metrics_snapshot` (the
         merged cluster view, worker-side families included)."""
-        from ..obs.live import render_snapshot_prometheus
-
         return render_snapshot_prometheus(self.metrics_snapshot())
 
     # ------------------------------------------------------------------ #

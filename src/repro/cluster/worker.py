@@ -15,8 +15,7 @@ socket closes or a ``shutdown`` frame arrives:
   channel: it carries the process's cumulative metrics snapshot, its
   compile-cache counters and the journal rows recorded since the
   previous ship (a cursor, so nothing is ever shipped twice or lost) —
-  the router's heartbeat is also its metrics refresh and the feed of its
-  live telemetry store (:mod:`repro.obs.live`);
+  the router's heartbeat is also its metrics refresh;
 * ``drain`` stops accepting new submits, waits out the in-flight jobs,
   and answers ``drained`` with the final state.
 

@@ -2,9 +2,11 @@
 
 One ``trace_id`` follows a request from serve admission through the
 admission queue, the adaptive batcher, the compile pipeline (one child
-span per compiler pass), the content-addressed cache, the cycle-accurate
-simulator (with an optional per-functional-unit timeline), and the
-recovery ladder.  Three consumers:
+span per compiler pass), the content-addressed cache and the
+cycle-accurate simulator (with an optional per-functional-unit
+timeline).  A degrade-ladder descent opens no span of its own: the next
+attempt is another ``execute`` span, and the ``recovery`` row joins the
+same trace.  Three consumers:
 
 * :func:`export_chrome_trace` — one merged Perfetto-loadable timeline;
 * ``python -m repro.obs journal.json`` — per-request critical paths,
@@ -24,7 +26,8 @@ from .analyze import (breakdown, check, group_by_trace, load_journal,
                       utilization_summary)
 from .export import build_chrome_trace, export_chrome_trace
 from .metrics import (CYCLE_BUCKETS, Counter, DEFAULT_BUCKETS, Gauge,
-                      Histogram, MetricsRegistry, default_registry)
+                      Histogram, MetricsRegistry, default_registry,
+                      render_snapshot_prometheus)
 from .tracing import (NULL_SPAN, Span, Tracer, current_span, disable,
                       enable, enabled, start_span, tracer)
 
@@ -51,29 +54,9 @@ __all__ = [
     "load_journal",
     "registry_from_journal",
     "render_report",
+    "render_snapshot_prometheus",
     "start_span",
     "trace_table",
     "tracer",
     "utilization_summary",
 ]
-
-# Live-telemetry names (repro.obs.live) resolve lazily (PEP 562): the
-# pipeline pulls in the cluster merge helpers, which plain journal
-# analysis and the hot serve path never need.
-_LIVE_ATTRS = frozenset({
-    "Alert", "BURN_WINDOWS", "FlightRecorder", "LivePipeline", "SLO",
-    "SLOEngine", "TimeSeriesStore", "render_snapshot_prometheus",
-    "tenant_table",
-})
-
-__all__ += sorted(_LIVE_ATTRS)
-
-
-def __getattr__(name):
-    if name in _LIVE_ATTRS:
-        from . import live
-
-        value = getattr(live, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")

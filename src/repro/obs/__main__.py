@@ -1,4 +1,4 @@
-"""``python -m repro.obs`` — journal analysis + live dashboards.
+"""``python -m repro.obs`` — analysis of one run's trace journal.
 
 Examples::
 
@@ -14,171 +14,21 @@ Examples::
 
     # Prometheus textfile synthesized from the journal rows
     python -m repro.obs journal.json --prom-out metrics.prom
-
-    # Live dashboard over a router/server status document
-    # (ClusterRouter(live_status_path=...) / CinnamonServer(...)):
-    python -m repro.obs top status.json          # refresh until Ctrl-C
-    python -m repro.obs top status.json --once   # one frame (CI-able)
-
-    # Continuous Prometheus textfile re-export of the live snapshot
-    python -m repro.obs watch status.json --prom-out metrics.prom --once
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 
 from .analyze import check, load_journal, registry_from_journal, render_report
 
 
-def _fmt_unix(unix: float) -> str:
-    return time.strftime("%H:%M:%S", time.localtime(unix))
-
-
-def render_top(document: dict) -> str:
-    """One text frame of the live dashboard from a status document."""
-    lines = [
-        f"cinnamon live — {document.get('process', '?')}  "
-        f"updated {_fmt_unix(document.get('updated_unix', 0.0))}  "
-        f"(schema {document.get('schema', '?')})"
-    ]
-    workers = document.get("workers") or []
-    if workers:
-        live = sum(1 for w in workers if w.get("live"))
-        lines.append(f"workers: {live}/{len(workers)} live  "
-                     + "  ".join(
-                         f"{w.get('id')}[{'up' if w.get('live') else 'down'}"
-                         f" pend={w.get('pending', 0)}]"
-                         for w in workers))
-    slos = document.get("slos") or []
-    if slos:
-        lines.append("slo                     burn   budget  bad%    events")
-        for entry in slos:
-            lines.append(
-                f"  {entry.get('slo', '?'):<21} "
-                f"{entry.get('burn_rate', 0.0):6.2f} "
-                f"{entry.get('budget_remaining', 1.0):7.1%} "
-                f"{entry.get('bad_fraction', 0.0):6.1%} "
-                f"{entry.get('events', 0):9d}")
-    tenants = document.get("tenants") or []
-    if tenants:
-        lines.append("tenant       requests      ok  failed"
-                     "    sim_cycles  bootstraps          bytes  compile_s")
-        for row in tenants:
-            lines.append(
-                f"  {row['tenant']:<10} {row['requests']:9.0f} "
-                f"{row['ok']:7.0f} {row['failed']:7.0f} "
-                f"{row['sim_cycles']:13.0f} {row['bootstraps']:11.0f} "
-                f"{row['bytes']:14.0f} {row['compile_s']:10.3f}")
-    alerts = document.get("alerts") or []
-    if alerts:
-        lines.append(f"alerts ({len(alerts)}):")
-        for alert in alerts[-5:]:
-            lines.append(
-                f"  [{alert.get('severity', '?'):<4}] "
-                f"{_fmt_unix(alert.get('fired_unix', 0.0))} "
-                f"{alert.get('slo', '?')}: "
-                f"burn {alert.get('burn_rate', 0.0):.1f}x "
-                f"over {alert.get('long_window_s', 0.0):g}s")
-    bundles = document.get("flight_bundles") or []
-    if bundles:
-        lines.append(f"flight bundles: {len(bundles)} "
-                     f"(latest {bundles[-1]})")
-    return "\n".join(lines)
-
-
-def _load_status(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
-
-
-def _cmd_top(args) -> int:
-    while True:
-        try:
-            document = _load_status(args.status)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read status document {args.status}: {exc}",
-                  file=sys.stderr)
-            if args.once:
-                return 1
-            time.sleep(args.interval)
-            continue
-        if not args.once:
-            sys.stdout.write("\x1b[2J\x1b[H")   # clear screen, home
-        print(render_top(document))
-        if args.once:
-            return 0
-        try:
-            time.sleep(args.interval)
-        except KeyboardInterrupt:   # pragma: no cover - interactive
-            return 0
-
-
-def _cmd_watch(args) -> int:
-    from .live import render_snapshot_prometheus
-
-    while True:
-        try:
-            document = _load_status(args.status)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read status document {args.status}: {exc}",
-                  file=sys.stderr)
-            if args.once:
-                return 1
-            time.sleep(args.interval)
-            continue
-        body = render_snapshot_prometheus(document.get("snapshot", {}))
-        if args.prom_out:
-            with open(args.prom_out, "w") as handle:
-                handle.write(body)
-            print(f"wrote {args.prom_out} "
-                  f"({len(body.splitlines())} lines)")
-        else:
-            print(body, end="")
-        if args.once:
-            return 0
-        try:
-            time.sleep(args.interval)
-        except KeyboardInterrupt:   # pragma: no cover - interactive
-            return 0
-
-
-def _live_parser(prog: str, description: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=prog, description=description)
-    parser.add_argument("status", help="live status document JSON "
-                        "(live_status_path= on the router/server)")
-    parser.add_argument("--once", action="store_true",
-                        help="render one frame and exit")
-    parser.add_argument("--interval", type=float, default=1.0,
-                        help="refresh period in seconds (default 1)")
-    return parser
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "top":
-        parser = _live_parser(
-            "python -m repro.obs top",
-            "Live cluster dashboard over a status document.")
-        return _cmd_top(parser.parse_args(argv[1:]))
-    if argv and argv[0] == "watch":
-        parser = _live_parser(
-            "python -m repro.obs watch",
-            "Continuous Prometheus textfile export of the live "
-            "merged snapshot.")
-        parser.add_argument("--prom-out", default=None, metavar="FILE",
-                            help="textfile destination (default: stdout)")
-        return _cmd_watch(parser.parse_args(argv[1:]))
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Critical-path and utilization analysis of a "
-                    "repro trace journal (schema >= 5); "
-                    "subcommands `top` and `watch` render live status "
-                    "documents instead.")
+                    "repro trace journal (schema >= 5).")
     parser.add_argument("journal", help="trace journal JSON "
                         "(CinnamonServer.export_trace / session.export_trace)")
     parser.add_argument("--trace-id", default=None,

@@ -23,7 +23,7 @@ import json
 from typing import Dict, List, Optional
 
 from .metrics import MetricsRegistry
-from .rows import observe_row
+from .rows import REMOVED_KINDS, observe_row
 
 #: Breakdown phases, in report order.
 PHASES = ("queue", "batch", "compile", "sim", "recovery", "other")
@@ -129,7 +129,9 @@ def registry_from_journal(document: dict,
     """Fold every journal row into a registry with
     :func:`repro.obs.rows.observe_row` — the function a live
     :class:`TraceRecorder` folds each row with as it records it, so a
-    journal artifact replays to the series the run exported."""
+    journal artifact replays to the series the run exported.  Rows of a
+    kind this schema removed (:data:`~repro.obs.rows.REMOVED_KINDS`)
+    fold into nothing."""
     registry = registry or MetricsRegistry()
     for row in document.get("jobs", ()):
         observe_row(registry, row)
@@ -140,10 +142,10 @@ def check(document: dict) -> List[str]:
     """Cross-layer invariants over a journal; returns problem strings
     (empty = healthy).  Checked:
 
-    * every row carries a ``trace_id``/``span_id`` (schema 5) — except
-      ``kind:"alert"`` rows (schema 8), which are fleet-scoped SLO
-      events fired by the live monitor loop, not part of any request's
-      trace;
+    * every row carries a ``trace_id``/``span_id`` (schema 5);
+    * no row is of a kind the current schema removed (an older journal's
+      ``alert`` rows, gone in schema 11) — each is named once, not as a
+      missing trace id;
     * every *successful* serve row's trace also contains at least one
       compile row (hit or miss) and at least one simulate row — i.e. the
       request's execution really was traced end-to-end.  (Rejected and
@@ -155,7 +157,10 @@ def check(document: dict) -> List[str]:
         problems.append(f"journal schema {schema} < 5: rows predate "
                         "trace-id stamping")
     for index, row in enumerate(document.get("jobs", ())):
-        if row.get("kind") == "alert":
+        kind = row.get("kind")
+        if kind in REMOVED_KINDS:
+            problems.append(f"row {index}: kind {kind!r} removed in "
+                            f"schema {REMOVED_KINDS[kind]}")
             continue
         if not row.get("trace_id") or not row.get("span_id"):
             problems.append(

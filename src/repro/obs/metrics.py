@@ -14,6 +14,8 @@ Two exports:
 
 * :meth:`MetricsRegistry.render_prometheus` — text exposition format
   (``# HELP`` / ``# TYPE`` / ``name{label="v"} value``), scrapeable;
+  :func:`render_snapshot_prometheus` writes the same format from a
+  snapshot (a cluster's merged view);
 * :meth:`MetricsRegistry.snapshot` — one JSON-serializable dict, the
   artifact the CI smoke job uploads.
 """
@@ -21,6 +23,7 @@ Two exports:
 from __future__ import annotations
 
 import json
+import math
 import random
 import threading
 from bisect import bisect_left, insort
@@ -50,17 +53,79 @@ def _labels_key(labels: Optional[dict]) -> LabelSet:
     return tuple(sorted((str(k), str(v)) for k, v in (labels or {}).items()))
 
 
-def _labels_text(key: LabelSet, extra: str = "") -> str:
-    parts = [f'{k}="{v}"' for k, v in key]
-    if extra:
-        parts.append(extra)
+def _value_text(value: float) -> str:
+    """A sample value (or bucket bound) exactly: integral values as
+    integers, other floats by ``repr`` (shortest round-trip form)."""
+    if isinstance(value, int):
+        return str(int(value))
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
+def _escape(value: str) -> str:
+    """A label value escaped as the text format requires."""
+    return (value.replace("\\", "\\\\").replace('"', '\\"')
+            .replace("\n", "\\n"))
+
+
+def _labels_text(key: LabelSet, le: Optional[str] = None) -> str:
+    parts = [f'{k}="{_escape(v)}"' for k, v in key]
+    if le is not None:
+        parts.append(f'le="{le}"')
     return "{" + ",".join(parts) + "}" if parts else ""
+
+
+def _sample_lines(name: str, labels: LabelSet, value) -> List[str]:
+    """Exposition lines of one series: a counter/gauge number, or a
+    histogram's snapshot value (per-bucket counts made cumulative)."""
+    if not isinstance(value, dict):
+        return [f"{name}{_labels_text(labels)} {_value_text(value)}"]
+    buckets = value.get("buckets") or {}
+    lines, cumulative = [], 0
+    for bound, count in zip(buckets.get("le", ()), buckets.get("counts", ())):
+        cumulative += count
+        le = _value_text(bound)
+        lines.append(f"{name}_bucket{_labels_text(labels, le)} "
+                     f"{_value_text(cumulative)}")
+    count = _value_text(value.get("count", 0))
+    return lines + [
+        f"{name}_bucket{_labels_text(labels, '+Inf')} {count}",
+        f"{name}_sum{_labels_text(labels)} "
+        f"{_value_text(value.get('sum', 0.0))}",
+        f"{name}_count{_labels_text(labels)} {count}",
+    ]
+
+
+def _render(families) -> str:
+    """One scrape body from ``(name, kind, help, [(labels, value)])``."""
+    lines: List[str] = []
+    for name, kind, help_text, series in families:
+        if help_text:
+            lines.append(f"# HELP {name} {help_text}")
+        lines.append(f"# TYPE {name} {kind}")
+        for labels, value in series:
+            lines.extend(_sample_lines(name, labels, value))
+    return "\n".join(lines) + "\n"
+
+
+def render_snapshot_prometheus(snapshot: dict) -> str:
+    """Prometheus text exposition of a (merged) snapshot dict, for
+    series that only exist post-merge (a cluster's worker families)."""
+    return _render(
+        (name, entry.get("type", "gauge"), "",
+         [(_labels_key(series.get("labels")), series["value"])
+          for series in entry.get("series", ())
+          if isinstance(series.get("value"), (dict, int, float))])
+        for name, entry in sorted(snapshot.items()))
 
 
 def quantile_from_sorted(samples: List[float], q: float) -> Optional[float]:
     """Quantile of a *sorted* sample list — the one nearest-rank formula
-    shared by :meth:`Histogram.quantile`, the cluster merge, and the live
-    time-series windows, so single-process and merged values agree."""
+    shared by :meth:`Histogram.quantile` and the cluster merge, so
+    single-process and merged values agree."""
     if not samples:
         return None
     if len(samples) == 1:
@@ -89,9 +154,6 @@ class Counter:
     def value(self) -> float:
         with self._lock:
             return self._value
-
-    def expose(self) -> List[str]:
-        return [f"{self.name}{_labels_text(self.labels)} {self.value:g}"]
 
     def snapshot_value(self):
         return self.value
@@ -122,9 +184,6 @@ class Gauge:
     def value(self) -> float:
         with self._lock:
             return self._value
-
-    def expose(self) -> List[str]:
-        return [f"{self.name}{_labels_text(self.labels)} {self.value:g}"]
 
     def snapshot_value(self):
         return self.value
@@ -180,26 +239,6 @@ class Histogram:
     def sum(self) -> float:
         with self._lock:
             return self._sum
-
-    def expose(self) -> List[str]:
-        with self._lock:
-            lines, cumulative = [], 0
-            for bound, bucket_count in zip(self.buckets, self._counts):
-                cumulative += bucket_count
-                le = f'le="{bound:g}"'
-                lines.append(
-                    f"{self.name}_bucket{_labels_text(self.labels, le)} "
-                    f"{cumulative}")
-            cumulative += self._counts[-1]
-            inf = 'le="+Inf"'
-            lines.append(
-                f"{self.name}_bucket{_labels_text(self.labels, inf)} "
-                f"{cumulative}")
-            lines.append(
-                f"{self.name}_sum{_labels_text(self.labels)} {self._sum:g}")
-            lines.append(
-                f"{self.name}_count{_labels_text(self.labels)} {self._count}")
-            return lines
 
     def snapshot_value(self) -> dict:
         with self._lock:
@@ -271,16 +310,12 @@ class MetricsRegistry:
         with self._lock:
             ordered = sorted(self._metrics.items())
             help_map = dict(self._help)
-        lines, seen = [], set()
-        for (name, _), metric in ordered:
-            if name not in seen:
-                seen.add(name)
-                kind, help_text = help_map[name]
-                if help_text:
-                    lines.append(f"# HELP {name} {help_text}")
-                lines.append(f"# TYPE {name} {kind}")
-            lines.extend(metric.expose())
-        return "\n".join(lines) + "\n"
+        families: Dict[str, list] = {}
+        for (name, labels), metric in ordered:
+            families.setdefault(name, []).append(
+                (labels, metric.snapshot_value()))
+        return _render((name, *help_map[name], series)
+                       for name, series in families.items())
 
     def snapshot(self) -> dict:
         """JSON-serializable state of every series."""
@@ -318,8 +353,7 @@ def default_registry() -> MetricsRegistry:
 
 #: ``(family, cost field, help)`` — one row per field of the
 #: :func:`repro.serve.request.cost_rollup` a request's tenant is billed.
-#: The row -> series fold (:mod:`repro.obs.rows`) and the ``obs top``
-#: tenant table both read this one table.
+#: The row -> series fold (:mod:`repro.obs.rows`) reads this table.
 TENANT_COST_FAMILIES = (
     ("cluster_tenant_sim_cycles_total", "sim_cycles",
      "Simulated accelerator cycles billed to the tenant."),

@@ -76,13 +76,12 @@ ROW_KINDS: Dict[str, RowKind] = {
     "trust": RowKind(
         {"event": REQUIRED, "target": ""},
         job=lambda row: row["target"] or "trust", detail=True),
-    "alert": RowKind({
-        "slo": REQUIRED, "severity": REQUIRED, "burn_rate": REQUIRED,
-        "long_window_s": REQUIRED, "short_window_s": REQUIRED,
-        "bad_fraction": REQUIRED, "objective": REQUIRED,
-        "threshold": REQUIRED, "message": "",
-    }, job=lambda row: row["slo"]),
 }
+
+#: Row kinds a journal of an older schema may hold that this one no
+#: longer records, with the schema that removed them.  They fold into no
+#: series; :func:`repro.obs.analyze.check` names each one.
+REMOVED_KINDS = {"alert": 11}
 
 
 def build_row(kind: str, fields: dict) -> dict:
@@ -159,8 +158,7 @@ def _seconds(kind: str, name: str, help: str, field: str,
 
 #: Trust events that reject something, and the counter each one owns;
 #: every other event (``key_rotation``, ``keys_replicated``, ...) only
-#: counts in ``trust_events_total``.  The flight recorder dumps a
-#: post-mortem bundle on exactly these.
+#: counts in ``trust_events_total``.
 TRUST_REJECTIONS = {
     "tamper_detected": "trust_tamper_detected_total",
     "replay_rejected": "trust_replay_rejected_total",
@@ -205,8 +203,6 @@ SERIES: Tuple[Series, ...] = (
            "Degraded-mode recoveries by fault kind.", "fault"),
     _count("tune", "runtime_tune_runs_total", "Autotuning runs recorded.",
            "workload"),
-    _count("alert", "obs_slo_alerts_total", "SLO burn-rate alerts fired.",
-           "slo", "severity"),
     _count("cluster", "cluster_events_total",
            "Cluster control-plane events by kind.", "event"),
     _count("trust", "trust_events_total", "Trust-layer events by kind.",
@@ -263,8 +259,9 @@ def declare_series(registry: MetricsRegistry, kind: str,
                    **label_values: Iterable[str]) -> None:
     """Create, at zero, the series of ``kind`` rows whose every label
     has its values listed in ``label_values`` (label-free ones
-    included): a live SLO window measures increase from the first point
-    it sees, so these must exist before the first row."""
+    included), so every status series is exported from the first
+    snapshot on: a counter that first appears at 1 hides that increment
+    from a scraper's ``rate()``."""
     for series in _BY_KIND[kind]:
         if set(series.labels) <= set(label_values):
             for values in product(*(label_values[label]

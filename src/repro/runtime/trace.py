@@ -2,7 +2,7 @@
 
 One :class:`TraceRecorder` accumulates the journal rows of a session or
 a serving front-end — one per compile, simulate, serve resolution,
-recovery, tuning run, cluster or trust event and SLO alert — and
+recovery, tuning run, cluster or trust event — and
 renders them as a single JSON document (``schema``, ``created_unix``,
 ``cache``, ``jobs``).  docs/runtime.md ("Trace JSON schema") is the
 field reference; :data:`repro.obs.rows.ROW_KINDS` is the table
@@ -47,9 +47,8 @@ from ..obs.tracing import current_span
 #:    tampered artifacts detected+quarantined, stale/revoked key
 #:    rejections, replayed or reordered request envelopes, key
 #:    rotations and manifest replications).
-#: 8: live telemetry (repro.obs.live): added ``kind == "alert"`` entries
-#:    (SLO burn-rate alerts: which objective, severity, burn rate over
-#:    which long/short window pair, bad fraction vs. error budget);
+#: 8: added ``kind == "alert"`` entries (SLO burn-rate alerts of the
+#:    since-removed live telemetry pipeline; see 11);
 #:    serve entries gain ``tenant`` and an optional per-request ``cost``
 #:    rollup (``sim_cycles``/``bootstraps``/``bytes``/``compile_s``)
 #:    feeding the ``cluster_tenant_*`` attribution counters.
@@ -57,7 +56,10 @@ from ..obs.tracing import current_span
 #:    counts (one search simulates every candidate to completion).
 #: 10: ``recovery`` entries drop their separate recompile time (it is
 #:    timed inside ``replay_s``).
-TRACE_SCHEMA_VERSION = 10
+#: 11: ``alert`` entries are gone with the live telemetry pipeline that
+#:    fired them; an older journal's ``alert`` rows still load, fold into
+#:    no series, and ``check()`` names each one.
+TRACE_SCHEMA_VERSION = 11
 
 #: Most journal rows a recorder holds in memory.  Reaching it spills the
 #: older half to the recorder's temporary file in one write.
@@ -83,27 +85,9 @@ class TraceRecorder:
         self._jobs: List[dict] = []     # the resident, newest rows
         self._spill = None              # older rows, one JSON line each
         self._spilled = 0
-        self._listeners: List = []
         self.created_unix = time.time()
 
     # ------------------------------------------------------------------ #
-
-    def add_listener(self, fn) -> None:
-        """Register ``fn(row_dict)`` to observe every appended/absorbed
-        row — the live flight recorder's tap.  Listener errors never
-        break the recording path."""
-        with self._lock:
-            self._listeners.append(fn)
-
-    def _notify(self, rows) -> None:
-        with self._lock:
-            listeners = list(self._listeners)
-        for fn in listeners:
-            for row in rows:
-                try:
-                    fn(row)
-                except Exception:   # pragma: no cover - defensive
-                    pass
 
     def record(self, kind: str, **fields) -> dict:
         """Journal one ``kind`` row built from ``fields`` (validated
@@ -119,7 +103,6 @@ class TraceRecorder:
         with self._lock:
             self._append(row)
         observe_row(self.registry, row)
-        self._notify((row,))
         return row
 
     def absorb(self, rows, worker: Optional[str] = None) -> None:
@@ -129,15 +112,12 @@ class TraceRecorder:
         worker — and gain a ``worker`` attribution (schema 6).  They are
         not folded into the registry: the worker counted them, in the
         snapshot it ships."""
-        stamped = []
         with self._lock:
             for row in rows:
                 row = dict(row)
                 if worker is not None:
                     row.setdefault("worker", worker)
                 self._append(row)
-                stamped.append(row)
-        self._notify(stamped)
 
     def _append(self, row: dict) -> None:
         """Add one row, spilling the older half of the resident rows

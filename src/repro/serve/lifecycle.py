@@ -54,7 +54,7 @@ class RequestLifecycle:
         self._cond = threading.Condition()
 
         # The serve row's own series are the recorder's fold of it; they
-        # exist at zero from here on for the live SLO windows.
+        # exist at zero from here on, so a scrape sees every status.
         declare_series(recorder.registry, "serve",
                        status=[status.value for status in RequestStatus])
         self.retries_total = metrics.counter(

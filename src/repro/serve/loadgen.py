@@ -53,14 +53,6 @@ the hardening layer absorbs them with zero lost legitimate requests:
 Attack submissions are accounted separately from the legitimate stream
 (``attacks`` in the report); ``--fail-on-errors`` also fails the run if
 any attack *leaked* (was accepted instead of rejected).
-
-Live telemetry (:mod:`repro.obs.live`): ``--slo SPEC`` (repeatable)
-declares burn-rate objectives for the run — fired alerts are journaled
-as ``kind:"alert"`` rows and summarized in the report; ``--flight-dir``
-arms the crash flight recorder (post-mortem bundles on worker death /
-SLO page / trust rejection); ``--live-status FILE`` streams the status
-document ``python -m repro.obs top FILE`` renders; ``--live-report
-FILE`` captures the final status document after the run.
 """
 
 from __future__ import annotations
@@ -105,10 +97,6 @@ class LoadReport:
     cache: Dict[str, float] = field(default_factory=dict)
     per_class: Dict[str, int] = field(default_factory=dict)
     chaos: Dict[str, int] = field(default_factory=dict)
-    #: Live-telemetry outcome (--slo): per-SLO burn/budget rows plus the
-    #: alerts that fired during the run.
-    slo: List[dict] = field(default_factory=list)
-    alerts: List[dict] = field(default_factory=list)
 
     @property
     def failed(self) -> int:
@@ -124,7 +112,6 @@ class LoadReport:
             "latency_s": self.latency, "queue_wait_s": self.queue_wait,
             "batch": self.batch, "cache": self.cache,
             "per_class": self.per_class, "chaos": self.chaos,
-            "slo": self.slo, "alerts": self.alerts,
         }
 
     def render(self) -> str:
@@ -153,18 +140,6 @@ class LoadReport:
         if self.chaos:
             lines.append("  chaos         " + "  ".join(
                 f"{k}={v}" for k, v in sorted(self.chaos.items())))
-        for entry in self.slo:
-            lines.append(
-                f"  slo           {entry.get('slo', '?')}: "
-                f"burn {entry.get('burn_rate', 0.0):.2f}x  "
-                f"budget {entry.get('budget_remaining', 1.0):.1%}  "
-                f"bad {entry.get('bad_fraction', 0.0):.1%} "
-                f"({entry.get('events', 0)} events)")
-        if self.alerts:
-            lines.append(f"  alerts        {len(self.alerts)} fired: "
-                         + "  ".join(sorted({
-                             f"{a.get('slo', '?')}/{a.get('severity', '?')}"
-                             for a in self.alerts})))
         return "\n".join(lines)
 
 
@@ -447,34 +422,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "here (implies --obs)")
     parser.add_argument("--fail-on-errors", action="store_true",
                         help="exit 1 if any request was not served OK")
-    parser.add_argument("--slo", action="append", default=[],
-                        metavar="SPEC",
-                        help="declare an SLO for the run (repeatable): "
-                             "'latency:<threshold_s>:<objective_pct>"
-                             "[:<name>]', 'queue_wait:...', or "
-                             "'availability:<objective_pct>[:<name>]'; "
-                             "burn-rate alerts are journaled and "
-                             "reported")
-    parser.add_argument("--slo-window-scale", type=float,
-                        default=1.0 / 60.0,
-                        help="compress the SRE burn-rate windows by this "
-                             "factor so seconds-long runs can fire "
-                             "hour-scale rules (default 1/60)")
-    parser.add_argument("--slo-min-events", type=int, default=10,
-                        help="events required in the long window before "
-                             "an SLO rule may fire")
-    parser.add_argument("--flight-dir", default=None, metavar="DIR",
-                        help="arm the flight recorder: post-mortem "
-                             "bundles land here on worker death / SLO "
-                             "page / trust rejection")
-    parser.add_argument("--live-status", default=None, metavar="FILE",
-                        help="continuously (re)write the live status "
-                             "document here (python -m repro.obs top "
-                             "FILE renders it)")
-    parser.add_argument("--live-report", default=None, metavar="FILE",
-                        help="write the final status document (tenants/"
-                             "SLOs/alerts/flight bundles) here after "
-                             "the run")
     parser.add_argument("--tenants", type=int, default=1, metavar="N",
                         help="spread requests round-robin over N "
                              "billing tenants (t0..tN-1) to exercise "
@@ -509,13 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                capacity=args.capacity,
                                keyvault=keyvault,
                                chaos_chip_crash=args.chaos_chip_crash,
-                               chaos_cycle=args.chaos_cycle,
-                               slos=args.slo,
-                               flight_dir=args.flight_dir,
-                               live_status_path=args.live_status
-                               or args.live_report,
-                               slo_window_scale=args.slo_window_scale,
-                               slo_min_events=args.slo_min_events)
+                               chaos_cycle=args.chaos_cycle)
     else:
         for flag, value in (("--chaos-kill-worker", args.chaos_kill_worker),
                             ("--chaos-stale-key", args.chaos_stale_key),
@@ -537,11 +478,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_batch=args.max_batch, max_wait_s=args.max_wait,
             default_machine=args.machine, seed=args.seed, faults=faults,
             cache_dir=args.cache_dir, capacity=args.capacity,
-            watchdog_s=args.watchdog,
-            slos=args.slo, flight_dir=args.flight_dir,
-            live_status_path=args.live_status or args.live_report,
-            slo_window_scale=args.slo_window_scale,
-            slo_min_events=args.slo_min_events)
+            watchdog_s=args.watchdog)
     if args.chaos_tamper_cache > 0 \
             and getattr(server, "cache_dir", None) is None:
         parser.error("--chaos-tamper-cache needs a server with an "
@@ -696,18 +633,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             machine=args.machine, scale=args.scale,
             offered=args.requests, per_class=generator._sent_per_class)
         report.chaos.update(attacks)
-        live = getattr(server, "live", None)
-        if live is not None:
-            # One last evaluation over the drained run, then capture the
-            # SLO table + fired alerts into the report.
-            live.tick()
-            report.slo = live.engine.status()
-            report.alerts = live.alerts
         print(report.render())
-        if args.live_report and live is not None:
-            with open(args.live_report, "w") as handle:
-                json.dump(live.status_document(), handle, indent=2)
-            print(f"  live report   {args.live_report}")
         if args.metrics_out:
             snapshot = server.metrics_snapshot()
             snapshot["loadgen"] = report.as_dict()

@@ -77,12 +77,7 @@ class CinnamonServer(ServingFrontend):
                  session_factory: Optional[Callable[[int], CinnamonSession]]
                  = None,
                  seed: int = 0, max_recoveries: int = 2,
-                 watchdog_s: Optional[float] = None,
-                 slos: Sequence = (), flight_dir=None,
-                 live_status_path=None,
-                 slo_window_scale: float = 1.0,
-                 slo_min_events: int = 10,
-                 slo_cooldown_s: float = 60.0):
+                 watchdog_s: Optional[float] = None):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         super().__init__(queue_depth, default_machine, request_timeout_s)
@@ -115,21 +110,6 @@ class CinnamonServer(ServingFrontend):
             "serve_batch_size", "Requests per dispatched batch.",
             buckets=BATCH_SIZE_BUCKETS)
 
-        # Live telemetry (repro.obs.live): a background tick thread
-        # evaluates SLO burn rates against this registry, rings the
-        # flight recorder, and rewrites the status document.
-        self.live = None
-        if slos or flight_dir is not None or live_status_path is not None:
-            from ..obs.live import LivePipeline
-
-            self.live = LivePipeline(
-                slos=slos, flight_dir=flight_dir, process="server",
-                recorder=self._recorder, registry=self.metrics,
-                window_scale=slo_window_scale,
-                cooldown_s=slo_cooldown_s, min_events=slo_min_events,
-                status_path=live_status_path,
-                snapshot_fn=self.metrics_snapshot)
-
     # ------------------------------------------------------------------ #
     # Start / stop
 
@@ -141,8 +121,6 @@ class CinnamonServer(ServingFrontend):
             target=self._dispatch_loop, name="cinnamon-dispatcher",
             daemon=True)
         self._dispatcher.start()
-        if self.live is not None:
-            self.live.start()
         return self
 
     def shutdown(self, drain: bool = True,
@@ -161,8 +139,6 @@ class CinnamonServer(ServingFrontend):
             self._dispatcher.join(timeout=10)
         for shard in self._shards:
             shard.pool.shutdown(wait=drain)
-        if self.live is not None:
-            self.live.stop(final_tick=True)
 
     # ------------------------------------------------------------------ #
     # Dispatcher

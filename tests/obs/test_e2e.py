@@ -8,7 +8,6 @@ from the trace journal alone.
 """
 
 import json
-import time
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +16,8 @@ from repro.core.dsl.program import CinnamonProgram
 from repro.fhe import ArchParams
 from repro.obs import check, disable, enable, export_chrome_trace, tracer
 from repro.obs.__main__ import main as obs_main
-from repro.obs.analyze import registry_from_journal, trace_table
+from repro.obs.analyze import (load_journal, registry_from_journal,
+                               trace_table)
 from repro.obs.export import SIM_PID_BASE, WALL_PID, build_chrome_trace
 from repro.serve import InferenceRequest
 from repro.serve.server import serve_requests
@@ -61,9 +61,7 @@ def traced(tmp_path_factory):
 @pytest.fixture(scope="module", params=["server", "cluster"])
 def backend_journal(request, tmp_path_factory):
     """The same 3-request workload journaled by both serving backends:
-    the in-process server and a 2-worker cluster router with live
-    telemetry streaming and a deliberately tight SLO (so the merged
-    journal carries ``kind:"alert"`` rows and still checks clean)."""
+    the in-process server and a 2-worker cluster router."""
     out = tmp_path_factory.mktemp(f"obs-e2e-{request.param}")
     journal_path = out / "journal.json"
     enable(reset=True)
@@ -77,20 +75,13 @@ def backend_journal(request, tmp_path_factory):
         else:
             from repro.cluster import ClusterRouter
 
-            router = ClusterRouter(
-                num_workers=2, heartbeat_s=0.2,
-                slos=["latency:0.000001:99:lat"],
-                slo_window_scale=1.0 / 600.0, slo_min_events=3,
-                slo_cooldown_s=5.0)
+            router = ClusterRouter(num_workers=2, heartbeat_s=0.2)
             router.start()
             assert router.wait_ready(timeout=120)
             handles = [router.submit(r) for r in requests]
             results = [h.result(timeout=120) for h in handles]
             assert all(r.ok for r in results), \
                 [r.error for r in results]
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline and not router.live.alerts:
-                time.sleep(0.1)
             document = router.trace()
             router.shutdown(drain=False)
             journal_path.write_text(json.dumps(document))
@@ -237,18 +228,6 @@ class TestOneTraceId:
                 "batch_size", "cache", "seconds", "queue_s", "batch_s",
                 "execute_s", "tenant", "trace_id", "span_id"}
 
-    def test_cluster_journal_carries_live_alert_rows(self,
-                                                    backend_journal):
-        if backend_journal.backend != "cluster":
-            pytest.skip("live alert rows stream from the cluster router")
-        alerts = [r for r in backend_journal.document["jobs"]
-                  if r["kind"] == "alert"]
-        assert alerts, "tight SLO did not page during the run"
-        assert alerts[0]["slo"] == "lat"
-        assert alerts[0]["severity"] in ("page", "warn")
-        # ... and their presence keeps the journal check-clean
-        # (asserted for both backends in the join test above).
-
 
 class TestChromeExport:
     def test_event_shape(self, traced):
@@ -329,7 +308,6 @@ class TestCli:
             {k: v for k, v in row.items()
              if k not in ("trace_id", "span_id")}
             for row in backend_journal.document["jobs"]
-            if row["kind"] != "alert"   # alert rows are never stamped
         ]
         path = tmp_path / "doctored.json"
         path.write_text(json.dumps(doctored))
@@ -375,10 +353,6 @@ class TestCli:
             snap["cluster_tenant_requests_total"]["series"])
         assert tenant_requests == sum(1 for r in document["jobs"]
                                       if r["kind"] == "serve")
-        if backend_journal.backend == "cluster":
-            alerts = snap.get("obs_slo_alerts_total", {}).get("series", ())
-            assert sum(s["value"] for s in alerts) == sum(
-                1 for r in document["jobs"] if r["kind"] == "alert")
 
 
 class TestSchemaBackCompat:
@@ -416,4 +390,37 @@ class TestSchemaBackCompat:
         assert total == serves
         # No tenant attribution can be synthesized from v7 rows.
         assert "cluster_tenant_requests_total" not in snap
-        assert "obs_slo_alerts_total" not in snap
+
+    def test_removed_alert_rows_load_and_are_named(self, tmp_path):
+        """A schema-10 journal may hold ``alert`` rows (schema 8-10): it
+        still loads, replays with the alerts skipped, and ``check()``
+        names each one instead of calling it unstamped."""
+        stamp = {"trace_id": "t1", "span_id": "s1"}
+        serve = dict(stamp, job="r0", kind="serve", status="ok",
+                     machine="Cinnamon-4", shard=0, attempts=1,
+                     batch_size=1, cache="miss", seconds=0.5,
+                     queue_s=0.1, batch_s=0.0, execute_s=0.4,
+                     tenant="acme")
+        alert = dict(job="lat", kind="alert", slo="lat", severity="page",
+                     burn_rate=20.0, long_window_s=60.0,
+                     short_window_s=5.0, bad_fraction=0.2,
+                     objective=0.99, threshold=14.4, message="")
+        path = tmp_path / "journal_v10.json"
+        path.write_text(json.dumps({
+            "schema": 10, "created_unix": 0.0, "cache": {},
+            "jobs": [
+                dict(stamp, job="r0", kind="compile", cache="miss",
+                     key="ab12", seconds=0.3, compile=None),
+                dict(stamp, job="r0", kind="simulate", cache="miss",
+                     machine="Cinnamon-4", tag="", seconds=0.1,
+                     simulate={"cycles": 1000}),
+                alert, serve, dict(alert, severity="warn")]}))
+        document = load_journal(str(path))
+        without = dict(document, jobs=[r for r in document["jobs"]
+                                       if r["kind"] != "alert"])
+        assert registry_from_journal(document).snapshot() \
+            == registry_from_journal(without).snapshot()
+        assert check(document) == [
+            "row 2: kind 'alert' removed in schema 11",
+            "row 4: kind 'alert' removed in schema 11"]
+        assert check(without) == []

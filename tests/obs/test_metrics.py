@@ -1,7 +1,8 @@
 """Histogram quantile edge cases and registry behaviour."""
 
 import repro.serve
-from repro.obs.metrics import Histogram, MetricsRegistry, default_registry
+from repro.obs.metrics import (Histogram, MetricsRegistry, default_registry,
+                               render_snapshot_prometheus)
 
 
 def test_default_registry_is_process_global():
@@ -48,3 +49,53 @@ class TestHistogramQuantiles:
         text = registry.render_prometheus()
         assert 'latency_seconds_bucket{le="+Inf"} 0' in text
         assert "latency_seconds_count 0" in text
+
+
+class TestExposition:
+    """Both text renderers — the registry's and the merged-snapshot one —
+    write values exactly and escape label values."""
+
+    #: ``cold_compile``'s simulated cycle count: seven significant
+    #: digits, more than ``%g`` keeps.
+    CYCLES = 5929603
+    #: A client-chosen tenant that, unescaped, closes the label set and
+    #: starts a forged series on its own line.
+    FORGED = 'x"} 1e9\nfake_total 42\n\\'
+
+    @staticmethod
+    def _bodies(registry):
+        return (registry.render_prometheus(),
+                render_snapshot_prometheus(registry.snapshot()))
+
+    def test_counters_and_sums_are_exact(self):
+        registry = MetricsRegistry()
+        registry.counter("cluster_tenant_sim_cycles_total",
+                         labels={"tenant": "t0"}).inc(self.CYCLES)
+        hist = registry.histogram("compile_seconds", buckets=(1.0,))
+        for value in (0.1, 0.2):
+            hist.observe(value)
+        for body in self._bodies(registry):
+            assert (f'cluster_tenant_sim_cycles_total{{tenant="t0"}} '
+                    f"{self.CYCLES}") in body.splitlines()
+            (total,) = [line for line in body.splitlines()
+                        if line.startswith("compile_seconds_sum")]
+            assert float(total.split()[-1]) == hist.sum == 0.1 + 0.2
+            assert 'compile_seconds_bucket{le="1"} 2' in body
+
+    def test_label_values_are_escaped(self):
+        registry = MetricsRegistry()
+        registry.counter("cluster_tenant_requests_total",
+                         labels={"tenant": self.FORGED}).inc()
+        registry.histogram("latency_seconds", buckets=(1.0,),
+                           labels={"tenant": self.FORGED}).observe(0.5)
+        escaped = 'x\\"} 1e9\\nfake_total 42\\n\\\\'
+        for body in self._bodies(registry):
+            samples = [line for line in body.splitlines()
+                       if not line.startswith("#")]
+            assert len(samples) == 5     # 1 counter + 4 histogram lines
+            assert not any(line.startswith("fake_total")
+                           for line in samples)
+            assert (f'cluster_tenant_requests_total{{tenant="{escaped}"}} 1'
+                    in samples)
+            assert (f'latency_seconds_bucket{{tenant="{escaped}",'
+                    f'le="+Inf"}} 1' in samples)

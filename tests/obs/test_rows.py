@@ -49,11 +49,11 @@ VARIANTS = {
         job="tune-bootstrap", workload="bootstrap", machine="Cinnamon-4",
         budget=8, candidates=8, default_cycles=405368, best_cycles=327000,
         best_config={"num_digits": 2}, cache_hits=3, seconds=12.8)),
-    "alert": ("alert", dict(
-        slo="lat", severity="page", burn_rate=20.0, long_window_s=60.0,
-        short_window_s=5.0, bad_fraction=0.2, objective=0.99,
-        threshold=14.4)),
 }
+#: A schema-8..10 ``alert`` row: schema 11 records no such kind.
+ALERT = dict(slo="lat", severity="page", burn_rate=20.0, long_window_s=60.0,
+             short_window_s=5.0, bad_fraction=0.2, objective=0.99,
+             threshold=14.4)
 for status in RequestStatus:
     VARIANTS[f"serve-{status.value}-unexecuted"] = (
         "serve", dict(SERVE, status=status.value))
@@ -87,7 +87,7 @@ class TestReplayEqualsLive:
         for kind, fields in VARIANTS.values():
             recorder.record(kind, **fields)
         assert {family.name for family in SERIES} == set(registry.snapshot())
-        assert len(SERIES) == 22
+        assert len(SERIES) == 21
         assert {family.kind for family in SERIES} == set(ROW_KINDS)
 
     def test_a_v7_serve_row_names_no_tenant_to_bill(self):
@@ -125,8 +125,6 @@ class TestRecord:
         _, _, row = recorded(*VARIANTS["trust-untargeted"])
         assert row == {"job": "trust", "kind": "trust",
                        "event": "tamper_detected", "target": ""}
-        _, _, row = recorded(*VARIANTS["alert"])
-        assert row["job"] == "lat" and row["message"] == ""
         _, _, row = recorded(*VARIANTS["simulate-memo-hit"])
         assert "error" not in row
         _, _, row = recorded(*VARIANTS["serve-ok-unexecuted"])
@@ -150,7 +148,9 @@ class TestRecord:
         ("serve", dict(status="ok")),
         ("compile", dict(key="k", cache="miss", seconds=0.0,
                          compile=None)),                    # missing job
-        ("alert", dict(VARIANTS["alert"][1], detail={"a": 1})),
+        ("alert", ALERT),                                   # removed kind
+        ("recovery", dict(VARIANTS["recovery"][1],
+                          detail={"a": 1})),                # no detail
     ])
     def test_bad_rows_are_type_errors(self, kind, fields):
         registry = MetricsRegistry()
@@ -173,8 +173,8 @@ class TestRecord:
     lambda: ClusterRouter(num_workers=1, spawn_workers=False),
 ], ids=["server", "router"])
 def test_serve_series_exist_at_zero_before_the_first_request(frontend):
-    """The live SLO windows measure increase from the first point they
-    see, so an unused front-end already exports the serve families."""
+    """An unused front-end already exports the serve families at zero,
+    so a scraper's first ``rate()`` sees every status's first request."""
     front = frontend()
     try:
         snapshot = front.metrics_snapshot()
