@@ -18,7 +18,6 @@ import time
 
 import pytest
 
-from repro.runtime import CinnamonSession
 from repro.serve import CinnamonServer
 from repro.serve.loadgen import LoadGenerator, build_report
 from repro.workloads.serving import serving_mix
@@ -33,9 +32,7 @@ def serve_burst(max_batch, max_wait_s, num_requests=NUM_REQUESTS, seed=5):
     server = CinnamonServer(
         num_workers=1, max_batch=max_batch, max_wait_s=max_wait_s,
         queue_depth=0,  # unbounded: compare throughput, not admission
-        seed=seed,
-        session_factory=lambda i: CinnamonSession(
-            capacity=SHARD_CACHE_CAPACITY))
+        seed=seed, capacity=SHARD_CACHE_CAPACITY)
     generator = LoadGenerator(server, serving_mix("small"), seed=seed)
     with server:
         start = time.monotonic()

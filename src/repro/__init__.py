@@ -11,18 +11,15 @@ Public surface:
   structured JSON traces;
 * :mod:`repro.serve` — the inference serving layer
   (:class:`~repro.serve.CinnamonServer` / :func:`repro.serve_requests`):
-  admission queue, adaptive batching, retries + fault injection,
-  metrics, and the ``python -m repro.serve.loadgen`` load generator;
+  admission queue, adaptive batching, retries, chip-crash injection and
+  the one degrade ladder (recompile for the surviving chips, replay
+  from cycle 0), metrics, and the ``python -m repro.serve.loadgen`` load
+  generator;
 * :mod:`repro.tune` — simulator-guided autotuning of compiler & machine
   configuration (:class:`~repro.tune.Tuner`, persisted
   :class:`~repro.tune.TuningDB`, ``python -m repro.tune`` CLI); tuned
   configs apply via ``repro.compile(tune=...)`` or, for a served
   request, ``InferenceRequest(options=TuningDB(...).tuned_options(...))``;
-* :mod:`repro.resilience` — machine-level fault tolerance: one fault, a
-  chip crash (:class:`~repro.resilience.FaultSchedule`, decided from the
-  finished clean run), and one degrade-ladder step
-  (:func:`~repro.resilience.descend_ladder`) that the serving executor
-  uses to recompile for the survivors and replay from cycle 0;
 * :mod:`repro.trust` — artifact integrity & key lifecycle: signed
   compile-cache manifests with tamper quarantine
   (:class:`~repro.trust.ArtifactManifest`), versioned evaluation-key
@@ -39,7 +36,9 @@ Public surface:
   backends (:func:`repro.set_kernel_backend`; see
   :mod:`repro.fhe.backend`);
 * :mod:`repro.core` — the Cinnamon DSL, compiler, ISA, and emulator;
-* :mod:`repro.sim` — the cycle-level scale-out simulator;
+* :mod:`repro.sim` — the cycle-level scale-out simulator and the one
+  machine fault it models, a chip crash (:class:`~repro.sim.ChipCrash`,
+  decided from the finished clean run);
 * :mod:`repro.arch` — area/yield/cost models;
 * :mod:`repro.workloads` — the paper's benchmark programs;
 * :mod:`repro.experiments` — table/figure regeneration harnesses.
@@ -137,8 +136,6 @@ _LAZY_ATTRS = {
     "KeyVault": ("repro.trust", "KeyVault"),
     "ReplayGuard": ("repro.trust", "ReplayGuard"),
     "trust": ("repro.trust", None),
-    "FaultSchedule": ("repro.resilience", "FaultSchedule"),
-    "resilience": ("repro.resilience", None),
     "obs": ("repro.obs", None),
     "enable_tracing": ("repro.obs", "enable"),
     "export_chrome_trace": ("repro.obs", "export_chrome_trace"),
@@ -188,7 +185,6 @@ __all__ = [
     "ArtifactManifest",
     "KeyVault",
     "ReplayGuard",
-    "FaultSchedule",
     "obs",
     "enable_tracing",
     "export_chrome_trace",

@@ -267,7 +267,6 @@ def pack_submit(request, resolved_options, key: str,
         "request_id": request.request_id,
         "name": request.label,
         "tenant": request.tenant,
-        "priority": int(request.priority),
         "deadline_s": request.deadline_s,
         "simulate": request.simulate,
         "tag": request.tag,

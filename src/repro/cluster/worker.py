@@ -98,7 +98,7 @@ class ClusterWorker:
         # max_retries=0: a failed attempt goes back to the router, whose
         # failover re-dispatches it (possibly to another worker).
         self.executor = ShardExecutor(
-            lambda: CinnamonSession(cache_dir=cache_dir, capacity=capacity),
+            CinnamonSession(cache_dir=cache_dir, capacity=capacity),
             self._metrics, shard=worker_id, max_retries=0,
             watchdog_s=watchdog_s,
             faults=FaultInjector().chip_crash(

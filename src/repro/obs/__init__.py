@@ -13,7 +13,7 @@ same trace.  Three consumers:
   utilization summaries, invariant checks, Prometheus textfile dumps,
   all from the trace journal alone;
 * :func:`default_registry` — the process-wide metrics registry every
-  layer (serve, runtime, cache, tune, resilience) reports into.
+  layer (serve, runtime, cache, tune) reports into.
 
 Tracing is off by default and costs one ``if`` per span site when
 disabled; ``repro.obs.enable()`` switches it on for the process.

@@ -33,10 +33,14 @@ from ..core.compiler import (
 )
 from ..core.dsl.program import CinnamonProgram
 from ..obs.tracing import NULL_SPAN, Span, tracer
-from ..resilience.faults import ChipFailure
 from ..sim import native as sim_native
 from ..sim.config import MachineConfig, resolve_machine
-from ..sim.simulator import SimulationResult, SimulatorEngine
+from ..sim.simulator import (
+    ChipCrash,
+    ChipFailure,
+    SimulationResult,
+    SimulatorEngine,
+)
 from ..sim.trace import recording_sink
 from .cache import MEMORY_HIT, MISS, CacheStats, CompileCache
 from .fingerprint import fingerprint
@@ -61,9 +65,9 @@ class CompileJob:
     sim_machine: object = None
     tag: str = ""
     name: Optional[str] = None
-    #: Chip crashes to inject into the simulation
-    #: (:meth:`CinnamonSession.simulate` decides one from the clean run).
-    fault_schedule: object = None
+    #: Chip crash to inject into the simulation
+    #: (:meth:`CinnamonSession.simulate` decides it from the clean run).
+    crash: Optional[ChipCrash] = None
     #: Wall-clock budget for this job's simulation (overrides the
     #: session-wide watchdog).
     watchdog_s: Optional[float] = None
@@ -155,7 +159,7 @@ class CinnamonSession:
         self.max_workers = max_workers
         self.schema_version = self._cache.schema_version
         #: Default wall-clock budget per simulation; a hung run raises
-        #: :class:`repro.resilience.WatchdogTimeout` instead of wedging
+        #: :class:`repro.sim.WatchdogTimeout` instead of wedging
         #: the worker thread.
         self.watchdog_s = watchdog_s
         # Build (or load) the simulator's C engine here, so that a cold
@@ -245,20 +249,18 @@ class CinnamonSession:
 
     def simulate(self, compiled: CompiledProgram, machine=None,
                  tag: str = "", job: str = None, *,
-                 fault_schedule=None,
+                 crash: Optional[ChipCrash] = None,
                  watchdog_s: Optional[float] = None) -> SimulationResult:
         """Cycle-simulate ``compiled`` on ``machine`` to completion,
         memoized per (artifact, machine, tag).
 
-        The keyword-only arguments thread the fault-tolerance machinery
-        (:mod:`repro.resilience`) through the session: ``watchdog_s``
-        (defaulting to the session-wide budget) bounds the wall time, and
-        ``fault_schedule`` arms chip crashes.  A crash perturbs nothing
-        before it fires, so a faulted run is the clean run — memoized
-        like any other — up to the crash, which fires when the clean run
-        reaches its cycle (:meth:`FaultSchedule.first_crash`): the
-        ``simulate`` row then carries the error and :class:`ChipFailure`
-        is raised.
+        ``watchdog_s`` (defaulting to the session-wide budget) bounds the
+        wall time, and ``crash`` arms a chip crash.  A crash perturbs
+        nothing before it fires, so a faulted run is the clean run —
+        memoized like any other — up to the crash, which fires when its
+        chip is in the module and the clean run reaches its cycle
+        (:meth:`ChipCrash.fires`): the ``simulate`` row then carries the
+        error and :class:`~repro.sim.ChipFailure` is raised.
         """
         resolved = resolve_machine(
             machine if machine is not None
@@ -301,20 +303,19 @@ class CinnamonSession:
                     raise
                 with self._lock:
                     self._sim_cache[key] = result
-            crash = (fault_schedule.first_crash(compiled.isa.streams,
-                                                result.cycles)
-                     if fault_schedule else None)
-            cycles = crash.cycle if crash is not None else result.cycles
+            fired = crash is not None and crash.fires(compiled.isa.streams,
+                                                      result.cycles)
+            cycles = crash.cycle if fired else result.cycles
             span.set_attr("cache", cache)
             span.set_attr("cycles", cycles)
             if events is not None:
                 span.sim_events = [event for event in events
                                    if event.start < cycles] \
-                    if crash is not None else events
+                    if fired else events
                 span.sim_cycles = max(1, cycles)
-            if crash is not None:
+            if fired:
                 error = ChipFailure(
-                    f"{crash.kind} on chip {crash.chip} of {resolved.name} "
+                    f"chip_crash on chip {crash.chip} of {resolved.name} "
                     f"at cycle {crash.cycle}", chip=crash.chip,
                     cycle=crash.cycle, machine=resolved.name)
                 journal(cache, None, error=f"{type(error).__name__}: {error}")
@@ -356,7 +357,7 @@ class CinnamonSession:
             if job.simulate and job.emit_isa:
                 result = self.simulate(
                     compiled, job.sim_machine or job.machine, tag=job.tag,
-                    job=job.label, fault_schedule=job.fault_schedule,
+                    job=job.label, crash=job.crash,
                     watchdog_s=job.watchdog_s)
             return JobResult(job=job.label, key=compiled.cache_key,
                              cache=entry["cache"], compiled=compiled,

@@ -4,16 +4,15 @@ The ROADMAP's "serve heavy traffic" layer: :class:`CinnamonServer` runs
 inference requests through a shard pool of cached
 :class:`~repro.runtime.CinnamonSession` workers with
 
-* a bounded, prioritized admission queue with explicit backpressure
+* a bounded FIFO admission queue with explicit backpressure
   (:class:`~repro.serve.queue.QueueSaturatedError`) and graceful drain;
 * an adaptive batcher coalescing same-fingerprint/machine requests under
   ``max_batch`` / ``max_wait_s``;
-* per-request deadlines, retry with exponential backoff + jitter, and a
-  scripted :class:`FaultInjector` (worker crash, latency spike, poisoned
-  cache entry, mid-simulation chip crash) the robustness tests drive;
-* machine-level fault tolerance: a chip killed mid-simulation triggers a
-  degraded-mode recompile onto fewer chips (:mod:`repro.resilience`) and
-  a transparent replay — the request still resolves ``OK``;
+* per-request deadlines and retry with exponential backoff + jitter;
+* machine-level fault tolerance: a chip killed mid-simulation (scripted
+  by a :class:`FaultInjector`) triggers a degraded-mode recompile onto
+  fewer chips (:func:`~repro.serve.executor.descend_ladder`) and a
+  transparent replay — the request still resolves ``OK``;
 * a counter/gauge/histogram :class:`MetricsRegistry` with Prometheus
   text exposition and JSON snapshots, plus ``serve`` entries in the
   runtime trace schema;
@@ -30,19 +29,12 @@ Quick start::
 """
 
 from .batcher import AdaptiveBatcher, Batch
-from .faults import (
-    Fault,
-    FaultInjector,
-    InjectedFault,
-    PoisonedCacheError,
-    WorkerCrashError,
-)
+from .faults import Fault, FaultInjector
 from ..obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .queue import AdmissionQueue, QueueClosedError, QueueSaturatedError
 from .request import (
     InferenceRequest,
     LatencyBreakdown,
-    Priority,
     RequestHandle,
     RequestResult,
     RequestStatus,
@@ -71,7 +63,6 @@ __all__ = [
     "RequestResult",
     "RequestHandle",
     "RequestStatus",
-    "Priority",
     "LatencyBreakdown",
     "AdmissionQueue",
     "QueueSaturatedError",
@@ -81,9 +72,6 @@ __all__ = [
     "Batch",
     "FaultInjector",
     "Fault",
-    "InjectedFault",
-    "WorkerCrashError",
-    "PoisonedCacheError",
     "MetricsRegistry",
     "Counter",
     "Gauge",

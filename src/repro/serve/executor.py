@@ -8,24 +8,33 @@ or ``TIMEOUT``, ``started``/``done`` stamps of the final attempt, and
 shard and a :class:`~repro.cluster.worker.ClusterWorker` each hold one
 and pass its results on (``lifecycle.ok/fail/timeout``, a ``result``
 frame).  docs/serving.md ("Executor") says what one attempt does and
-which failures retry, descend the degrade ladder or restart the session.
+which failures retry or descend the degrade ladder.
+
+The degrade ladder is the repo's one recovery: a
+:class:`~repro.sim.ChipFailure` ends the attempt it hit (simulator state
+is machine-shaped and dies with the machine), :func:`descend_ladder`
+picks the next rung (:func:`repro.sim.config.degraded_machine`, 12 -> 8
+-> 4 -> 2 -> 1), and the executor recompiles the batch for the
+survivors and replays it from cycle 0, so a ``recovery`` row's
+``lost_cycles`` is the fault cycle.  The caller's input ciphertexts are
+the only data frontier; the emulator's memory-image builder re-shards
+them for whatever machine the program was recompiled for.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import replace
-from typing import Callable, List, Optional, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import tracer
-from ..resilience.faults import MachineFaultError, WatchdogTimeout
-from ..resilience.recovery import RecoveryExhausted, descend_ladder
 from ..runtime.session import CinnamonSession, CompileJob
 from ..runtime.trace import TraceRecorder
-from .faults import FaultInjector, NO_FAULTS, PoisonedArtifact, \
-    PoisonedCacheError, WorkerCrashError
+from ..sim.config import MachineConfig, degraded_machine, resolve_machine
+from ..sim.simulator import ChipFailure, WatchdogTimeout
+from .faults import FaultInjector, NO_FAULTS
 from .request import InferenceRequest, LatencyBreakdown, RequestResult, \
     RequestStatus, cost_rollup
 
@@ -34,22 +43,74 @@ from .request import InferenceRequest, LatencyBreakdown, RequestResult, \
 RETRY_JITTER = 0.5
 
 
+class RecoveryExhausted(RuntimeError):
+    """The degrade ladder ran out before the program completed."""
+
+
+@dataclass(frozen=True)
+class RecoveryEvent:
+    """One fault -> degrade -> replay transition (a ``recovery`` row)."""
+
+    fault: str
+    chip: Optional[int]
+    cycle: int
+    machine_from: str
+    machine_to: str
+    lost_cycles: int = 0
+    detection_s: float = 0.0
+    replay_s: Optional[float] = None
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def descend_ladder(exc: ChipFailure, current, *, descents: int,
+                   max_recoveries: int, detection_s: float,
+                   label: str = "run") -> Tuple[MachineConfig, RecoveryEvent]:
+    """One chip crash, one rung down.
+
+    ``current`` is the machine the faulted attempt ran on (``None``: the
+    one the simulator named on ``exc``), ``descents`` the rungs this run
+    already took, ``detection_s`` the wall time from the start of that
+    attempt to the fault.  Returns the degraded machine and the
+    ``recovery`` row's fields (``lost_cycles`` is the fault cycle: the
+    replay starts over at cycle 0); the caller recompiles, replays, and
+    reports ``replay_s`` once the replay ends.  Raises
+    :class:`RecoveryExhausted` when ``max_recoveries`` is spent or no
+    rung fits the survivors.
+    """
+    source = resolve_machine(current if current is not None
+                             else exc.machine)
+    if descents >= max_recoveries:
+        raise RecoveryExhausted(
+            f"{label}: fault on {source.name} chip {exc.chip} after "
+            f"{descents} recoveries (budget exhausted)") from exc
+    try:
+        degraded = degraded_machine(source, dead_chips=1)
+    except ValueError:
+        raise RecoveryExhausted(
+            f"{label}: no degraded configuration left below "
+            f"{source.name}") from exc
+    return degraded, RecoveryEvent(
+        fault="chip_crash", chip=exc.chip, cycle=exc.cycle,
+        machine_from=source.name, machine_to=degraded.name,
+        lost_cycles=exc.cycle, detection_s=detection_s)
+
+
 class ShardExecutor:
-    """``session_factory()`` builds the session, and rebuilds it after an
-    injected crash.  ``recorder`` receives ``recovery`` rows (default:
-    the executing session's own journal); ``shard`` labels spans.
+    """Runs batches on ``session``.  ``recorder`` receives ``recovery``
+    rows (default: the session's own journal); ``shard`` labels spans.
     Thread-safe: a cluster worker calls :meth:`execute` from its pool.
     """
 
-    def __init__(self, session_factory: Callable[[], CinnamonSession],
+    def __init__(self, session: CinnamonSession,
                  metrics: MetricsRegistry, *,
                  recorder: Optional[TraceRecorder] = None,
                  faults: Optional[FaultInjector] = None, shard=None,
                  max_retries: int = 2, retry_backoff_s: float = 0.05,
                  max_recoveries: int = 2,
                  watchdog_s: Optional[float] = None, seed: int = 0):
-        self._session_factory = session_factory
-        self.session = session_factory()
+        self.session = session
         self.recorder = recorder
         self.faults = faults or NO_FAULTS
         self.shard = shard
@@ -63,12 +124,6 @@ class ShardExecutor:
         #: watchdog timeout instead of wedging the executor forever.
         self.watchdog_s = watchdog_s
         self._rng = random.Random(seed)
-        self._restarts_total = metrics.counter(
-            "serve_worker_restarts_total",
-            "Shard restarts after an (injected) crash.")
-        self._poisoned_total = metrics.counter(
-            "serve_cache_poisoned_total",
-            "Poisoned cache artifacts detected and invalidated.")
         self._chip_failures_total = metrics.counter(
             "serve_chip_failures_total",
             "Machine-level chip/link failures surfaced by simulations.")
@@ -131,29 +186,24 @@ class ShardExecutor:
                                       "batch_size": len(requests)})
                 for r in pending
             ]
-            session = self.session
             armed = None
             try:
-                # A ladder replay runs clean: each armed chip fault
+                # A ladder replay runs clean: each armed chip crash
                 # costs one batch one rung, not the whole ladder.
                 if recovering is None:
-                    armed = self.faults.on_dispatch(self.shard, pending,
-                                                    session)
+                    armed = self.faults.take()
                 jobs = [CompileJob(program=r.program, params=r.params,
                                    machine=machine, options=r.options,
                                    simulate=r.simulate,
                                    tag=r.tag, name=r.label,
-                                   fault_schedule=armed.schedule()
+                                   crash=armed.crash
                                    if armed is not None else None,
                                    watchdog_s=self.watchdog_s, span=span)
                         for r, span in zip(pending, spans)]
-                results = session.run_batch(
+                results = self.session.run_batch(
                     jobs, max_workers=min(4, len(jobs)))
-                for job_result in results:
-                    if isinstance(job_result.compiled, PoisonedArtifact):
-                        raise PoisonedCacheError(
-                            f"poisoned artifact for {job_result.job!r}")
-            except MachineFaultError as exc:
+            except ChipFailure as exc:
+                armed = None          # it fired: spent
                 last_error = exc
                 self._chip_failures_total.inc()
                 try:
@@ -175,31 +225,17 @@ class ShardExecutor:
             except WatchdogTimeout as exc:
                 last_error = exc
                 self._watchdog_total.inc()
-            except WorkerCrashError as exc:
-                last_error = exc
-                self._restarts_total.inc()
-                # The in-memory cache dies with the 'process'; a shared
-                # disk cache re-warms the replacement.
-                self.session = self._session_factory()
-            except PoisonedCacheError as exc:
-                last_error = exc
-                self._poisoned_total.inc()
-                session.invalidate(pending[0].key)
             except Exception as exc:
                 last_error = exc
             else:
                 done = time.monotonic()
-                if armed is not None:
-                    # Armed but never fired: the program ended before
-                    # the crash cycle.
-                    self.faults.refund(armed)
                 if recovering is not None:
                     journal_recovery(replay_s=done - started)
                     recovering = None
                 for request, job_result in zip(pending, results):
                     if request.expired(done):
-                        # Deadline lapsed mid-execution (e.g. a latency
-                        # spike): the client already gave up on it.
+                        # Deadline lapsed mid-execution: the client
+                        # already gave up on it.
                         settle(request, RequestStatus.TIMEOUT, done,
                                started=started)
                         continue
@@ -215,6 +251,10 @@ class ShardExecutor:
                 pending = []
                 break
             finally:
+                if armed is not None:
+                    # Armed but never fired: the program ended before
+                    # the crash cycle, or the attempt failed otherwise.
+                    self.faults.refund(armed)
                 # Close this attempt's execute spans on every exit path
                 # (success, retryable failure, recovery descent).
                 for span in spans:

@@ -73,7 +73,7 @@ from .faults import FaultInjector
 from ..obs.analyze import registry_from_journal
 from ..obs.metrics import MetricsRegistry
 from .queue import QueueSaturatedError
-from .request import InferenceRequest, Priority, RequestResult, RequestStatus
+from .request import InferenceRequest, RequestResult, RequestStatus
 from .server import CinnamonServer
 
 #: Wait bound for any single in-flight request during a loadgen run.
@@ -171,8 +171,7 @@ class LoadGenerator:
                   if self.tenants > 1 else "default")
         return InferenceRequest(
             program=self._programs[name], params=entry.params,
-            machine=machine, deadline_s=self.deadline_s,
-            priority=Priority.NORMAL, tenant=tenant,
+            machine=machine, deadline_s=self.deadline_s, tenant=tenant,
             name=f"{name}-{self._sent_per_class[name]}")
 
     def run_open_loop(self, num_requests: int, rate_rps: float,
@@ -248,7 +247,6 @@ def _histogram_summary(metrics: MetricsRegistry, name: str) -> dict:
 FRONTEND_CHAOS = {
     "chip_failures": "serve_chip_failures_total",
     "watchdog_timeouts": "serve_watchdog_timeouts_total",
-    "worker_restarts": "serve_worker_restarts_total",
     "worker_deaths": "cluster_worker_deaths_total",
     "requeued": "cluster_requeued_total",
     "retries": "serve_retries_total",
@@ -516,8 +514,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             entry = mix[name]
             return InferenceRequest(
                 program=generator._programs[name], params=entry.params,
-                machine=args.machine, priority=Priority.LOW,
-                name=f"attack-{tag}")
+                machine=args.machine, name=f"attack-{tag}")
 
         if args.chaos_kill_worker > 0:
             def _kill_loop():

@@ -1,9 +1,9 @@
-"""Bounded, prioritized admission queue with explicit backpressure.
+"""Bounded FIFO admission queue with explicit backpressure.
 
 The front door of both serving front ends,
 :class:`~repro.serve.CinnamonServer` and
-:class:`~repro.cluster.ClusterRouter`.  Unlike
-``queue.PriorityQueue``, saturation is an *immediate, explicit* rejection
+:class:`~repro.cluster.ClusterRouter`.  Unlike ``queue.Queue``,
+saturation is an *immediate, explicit* rejection
 (:class:`QueueSaturatedError`) rather than blocking the client — the
 serving contract is "shed load visibly, never hang" — and closing the
 queue lets producers drain gracefully: no new work is admitted but
@@ -12,10 +12,9 @@ everything already queued is still handed out.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import Deque, Optional
 
 from .request import InferenceRequest
 
@@ -40,18 +39,16 @@ class Empty(Exception):
 
 
 class AdmissionQueue:
-    """Thread-safe bounded priority queue of inference requests.
+    """Thread-safe bounded FIFO queue of inference requests.
 
-    Ordering is (priority, admission sequence): within a priority class
-    the queue is FIFO, so equal-priority requests cannot starve each
-    other.  ``maxsize <= 0`` means unbounded (the loadgen's closed loop
-    uses this).
+    Requests dequeue in admission order, so none can starve another.
+    ``maxsize <= 0`` means unbounded (the loadgen's closed loop uses
+    this).
     """
 
     def __init__(self, maxsize: int = 0):
         self.maxsize = maxsize
-        self._heap: List[Tuple[int, int, InferenceRequest]] = []
-        self._seq = itertools.count()
+        self._items: Deque[InferenceRequest] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
@@ -71,12 +68,10 @@ class AdmissionQueue:
             if not force:
                 if self._closed:
                     raise QueueClosedError("admission queue is closed")
-                depth = len(self._heap)
+                depth = len(self._items)
                 if self.maxsize > 0 and depth >= self.maxsize:
                     raise QueueSaturatedError(depth, self.maxsize)
-            heapq.heappush(
-                self._heap,
-                (int(request.priority), next(self._seq), request))
+            self._items.append(request)
             self._not_empty.notify()
 
     def get(self, timeout: Optional[float] = None) -> InferenceRequest:
@@ -87,8 +82,8 @@ class AdmissionQueue:
         """
         with self._not_empty:
             while True:
-                if self._heap:
-                    return heapq.heappop(self._heap)[2]
+                if self._items:
+                    return self._items.popleft()
                 if self._closed:
                     raise Empty
                 if not self._not_empty.wait(timeout):
@@ -109,7 +104,7 @@ class AdmissionQueue:
 
     def depth(self) -> int:
         with self._lock:
-            return len(self._heap)
+            return len(self._items)
 
     def __len__(self) -> int:
         return self.depth()

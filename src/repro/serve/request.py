@@ -2,7 +2,7 @@
 
 An :class:`InferenceRequest` is everything a client hands the server: the
 DSL program, its parameters, the machine to lay it out for, plus service
-metadata (priority, deadline).  The server answers with a
+metadata (deadline, tenant).  The server answers with a
 :class:`RequestResult` carrying the outcome and a full latency breakdown;
 clients wait on the :class:`RequestHandle` returned by ``submit``.
 """
@@ -19,14 +19,6 @@ from ..core.compiler import CompilerOptions
 from ..sim.simulator import SimulationResult
 
 _REQUEST_IDS = itertools.count(1)
-
-
-class Priority(enum.IntEnum):
-    """Admission priority: lower value dequeues first."""
-
-    HIGH = 0
-    NORMAL = 1
-    LOW = 2
 
 
 class RequestStatus(str, enum.Enum):
@@ -55,7 +47,6 @@ class InferenceRequest:
     params: object
     machine: object = None
     options: Optional[CompilerOptions] = None
-    priority: Priority = Priority.NORMAL
     deadline_s: Optional[float] = None
     simulate: bool = True
     tag: str = ""

@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..runtime.session import CinnamonSession
 from .batcher import AdaptiveBatcher, Batch
@@ -63,9 +63,9 @@ class CinnamonServer(ServingFrontend):
     ``max_wait_s`` tune the adaptive batcher, ``max_retries`` /
     ``retry_backoff_s`` shape the retry policy, and
     ``request_timeout_s`` is the default deadline for requests that do
-    not carry one.  ``session_factory(shard_id)`` customizes shard
-    construction (tests inject small caches; by default shards share one
-    on-disk ``cache_dir`` so a restarted shard re-warms from disk).
+    not carry one.  Each shard owns one :class:`CinnamonSession` with an
+    in-memory cache of ``capacity`` artifacts; shards share one on-disk
+    ``cache_dir`` when it is set.
     """
 
     def __init__(self, num_workers: int = 2, queue_depth: int = 64,
@@ -74,8 +74,6 @@ class CinnamonServer(ServingFrontend):
                  request_timeout_s: Optional[float] = None,
                  default_machine=None, faults: FaultInjector = None,
                  cache_dir=None, capacity: Optional[int] = None,
-                 session_factory: Optional[Callable[[int], CinnamonSession]]
-                 = None,
                  seed: int = 0, max_recoveries: int = 2,
                  watchdog_s: Optional[float] = None):
         if num_workers < 1:
@@ -86,12 +84,10 @@ class CinnamonServer(ServingFrontend):
         #: exposed so chaos tooling can aim tamper attacks at the disk
         #: layer (repro.trust).
         self.cache_dir = cache_dir
-        session_factory = session_factory or (
-            lambda shard_id: CinnamonSession(cache_dir=cache_dir,
-                                             capacity=capacity))
         self._shards = [
             _Shard(i, ShardExecutor(
-                lambda i=i: session_factory(i), self.metrics,
+                CinnamonSession(cache_dir=cache_dir, capacity=capacity),
+                self.metrics,
                 recorder=self._recorder, faults=faults, shard=i,
                 max_retries=max_retries, retry_backoff_s=retry_backoff_s,
                 max_recoveries=max_recoveries,

@@ -7,7 +7,9 @@ Consumes the per-chip ISA streams emitted by the compiler and models:
   width (Section 5: four 256-lane clusters at 1 GHz);
 * HBM bandwidth for loads/stores/spills;
 * the ring/switch interconnect with broadcast and aggregation collectives;
-* utilization accounting per resource (Figure 15).
+* utilization accounting per resource (Figure 15);
+* the one machine fault, a :class:`ChipCrash`, and the typed failures a
+  simulation raises (:class:`ChipFailure`, :class:`WatchdogTimeout`).
 """
 
 from .config import (
@@ -24,8 +26,11 @@ from .config import (
     resolve_machine,
 )
 from .simulator import (
+    ChipCrash,
+    ChipFailure,
     SimulationResult,
     SimulatorEngine,
+    WatchdogTimeout,
 )
 
 __all__ = [
@@ -42,4 +47,7 @@ __all__ = [
     "resolve_machine",
     "SimulatorEngine",
     "SimulationResult",
+    "ChipCrash",
+    "ChipFailure",
+    "WatchdogTimeout",
 ]

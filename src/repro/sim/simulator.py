@@ -17,13 +17,12 @@ one call, and the Python loop of :meth:`SimulatorEngine._run_reference`,
 which is its oracle (``tests/sim/test_engine_oracle.py``) and the
 fallback when no C compiler is available.
 
-The simulator knows nothing about machine faults: a chip crash perturbs
-nothing before it fires, so :meth:`repro.runtime.CinnamonSession.simulate`
-decides one from the finished clean run
-(:meth:`repro.resilience.faults.FaultSchedule.first_crash`).  A
-wall-clock deadline turns a hung simulation into a
-:class:`~repro.resilience.faults.WatchdogTimeout` instead of a wedged
-worker thread.
+The one machine fault is a :class:`ChipCrash`: a die lost mid-run.  It
+perturbs nothing before it fires, so the engine itself never sees it:
+:meth:`repro.runtime.CinnamonSession.simulate` decides it from the
+finished clean run (:meth:`ChipCrash.fires`) and raises
+:class:`ChipFailure`.  A wall-clock deadline turns a hung simulation
+into a :class:`WatchdogTimeout` instead of a wedged worker thread.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Collection, Dict, List, Optional
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from ..core.isa.instructions import (
     COL, LD, MOV, RCV, SND, ST, VADD, VAUTO, VBCV, VINTT, VMUL, VMULC, VNEG,
     VNTT, VPRNG, VRSV, VSUB,
 )
-from ..resilience.faults import WatchdogTimeout
 from . import native
 from .config import MachineConfig, resolve_machine
 
@@ -50,6 +48,52 @@ from .config import MachineConfig, resolve_machine
 #: additively.)  2: dropped the cycle-cap flag (every run completes).
 #: 3: dropped ``events`` (the simulator applies no machine faults).
 METRICS_SCHEMA_VERSION = 3
+
+
+class ChipFailure(RuntimeError):
+    """A chip died mid-run (the die the yield model says will fail):
+    which chip of which machine, at which cycle."""
+
+    def __init__(self, message: str, *, chip: int, cycle: int,
+                 machine: str = ""):
+        super().__init__(message)
+        self.chip = chip
+        self.cycle = cycle
+        self.machine = machine
+
+
+class WatchdogTimeout(TimeoutError):
+    """A simulation exceeded its wall-clock deadline and was cancelled."""
+
+    def __init__(self, message: str, *, deadline_s: float,
+                 elapsed_s: float, machine: str = ""):
+        super().__init__(message)
+        self.deadline_s = deadline_s
+        self.elapsed_s = elapsed_s
+        self.machine = machine
+
+
+@dataclass(frozen=True)
+class ChipCrash:
+    """Chip ``chip`` dies at simulated ``cycle``.
+
+    The crash is fatal and perturbs nothing before it fires, so a faulted
+    run *is* the clean run up to the crash.
+    """
+
+    chip: int
+    cycle: int
+
+    def __post_init__(self):
+        if self.cycle < 0:
+            raise ValueError("crash cycle must be >= 0")
+
+    def fires(self, chips: Collection[int], cycles: int) -> bool:
+        """Whether the crash ends a run over ``chips`` whose clean run
+        takes ``cycles``: its chip is in the run and the run reaches its
+        cycle."""
+        return self.chip in chips and self.cycle <= cycles
+
 
 _FU_CLASS = {
     VADD: "add",

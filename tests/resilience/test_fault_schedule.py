@@ -1,19 +1,19 @@
-"""Chip crashes: the schedule, the rule that decides one from the clean
-run, and its injection through ``CinnamonSession.simulate``."""
+"""Chip crashes: the crash value, the rule that decides one from the
+clean run, and its injection through ``CinnamonSession.simulate``."""
 
 from unittest import mock
 
 import pytest
 
 from repro import obs
-from repro.resilience import (
-    CHIP_CRASH,
+from repro.sim import (
+    CINNAMON_4,
+    DEGRADE_LADDER,
+    ChipCrash,
     ChipFailure,
-    FaultSchedule,
-    MachineFault,
-    NO_MACHINE_FAULTS,
+    SimulatorEngine,
+    degraded_machine,
 )
-from repro.sim import CINNAMON_4, DEGRADE_LADDER, SimulatorEngine, degraded_machine
 from repro.sim.config import config_for
 
 from .conftest import PARAMS, build_program
@@ -25,39 +25,25 @@ def simulate_rows(session, cursor):
 
 
 class TestSchedule:
-    def test_fluent_builders(self):
-        sched = FaultSchedule().chip_crash(3, 1000).chip_crash(1, 500)
-        assert len(sched) == 2
-        assert bool(sched)
-        assert not NO_MACHINE_FAULTS
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            MachineFault("meteor_strike", 0, 100)
-
     def test_negative_cycle_rejected(self):
         with pytest.raises(ValueError):
-            MachineFault(CHIP_CRASH, 0, -1)
+            ChipCrash(0, -1)
 
-    def test_first_crash_is_the_earliest_the_run_reaches(self):
-        sched = FaultSchedule().chip_crash(3, 500).chip_crash(1, 500) \
-                               .chip_crash(0, 900).chip_crash(7, 10)
-        # Chip 7 is not in the run; the tie at 500 goes to chip 1.
-        assert sched.first_crash(range(4), 1000) == \
-            MachineFault(CHIP_CRASH, 1, 500)
-        assert sched.first_crash(range(4), 500) == \
-            MachineFault(CHIP_CRASH, 1, 500)
-        assert sched.first_crash(range(4), 499) is None
-        assert NO_MACHINE_FAULTS.first_crash(range(4), 10 ** 9) is None
+    def test_fires_iff_its_chip_runs_and_the_run_reaches_its_cycle(self):
+        crash = ChipCrash(chip=1, cycle=500)
+        assert crash.fires(range(4), 1000)
+        assert crash.fires(range(4), 500)
+        assert not crash.fires(range(4), 499)
+        assert not ChipCrash(chip=7, cycle=10).fires(range(4), 10 ** 9)
 
 
 class TestInjection:
     def test_chip_crash_raises_at_scheduled_cycle(self, session, compiled_4):
         clean = session.simulate(compiled_4)
         cursor = session.rows_since(0)[1]
-        sched = FaultSchedule().chip_crash(2, clean.cycles // 2)
         with pytest.raises(ChipFailure) as info:
-            session.simulate(compiled_4, fault_schedule=sched)
+            session.simulate(compiled_4,
+                             crash=ChipCrash(2, clean.cycles // 2))
         assert info.value.chip == 2
         assert info.value.cycle == clean.cycles // 2
         assert info.value.machine == "Cinnamon-4"
@@ -67,18 +53,18 @@ class TestInjection:
                                 f"Cinnamon-4 at cycle {clean.cycles // 2}")
 
     def test_replay_is_deterministic(self, session, compiled_4):
-        sched = FaultSchedule().chip_crash(1, 5000)
+        crash = ChipCrash(1, 5000)
         seen = []
         for _ in range(2):
             with pytest.raises(ChipFailure) as info:
-                session.simulate(compiled_4, fault_schedule=sched)
+                session.simulate(compiled_4, crash=crash)
             seen.append((info.value.cycle, info.value.chip,
                          info.value.machine))
         assert seen[0] == seen[1] == (5000, 1, "Cinnamon-4")
 
     def test_empty_schedule_identical_to_clean(self, session, compiled_4):
         clean = SimulatorEngine(CINNAMON_4).run(compiled_4.isa)
-        noop = session.simulate(compiled_4, fault_schedule=NO_MACHINE_FAULTS)
+        noop = session.simulate(compiled_4, crash=None)
         assert noop.cycles == clean.cycles
         assert noop.instructions == clean.instructions
 
@@ -91,26 +77,26 @@ class TestInjection:
         compiled = session.compile(build_program(), PARAMS, machine=chips)
         clean = session.simulate(compiled)
         cycle = clean.cycles + offset
-        sched = FaultSchedule().chip_crash(chips - 1, cycle)
+        crash = ChipCrash(chips - 1, cycle)
         if fires:
             with pytest.raises(ChipFailure) as info:
-                session.simulate(compiled, fault_schedule=sched)
+                session.simulate(compiled, crash=crash)
             assert (info.value.chip, info.value.cycle) == (chips - 1, cycle)
         else:
-            assert session.simulate(compiled, fault_schedule=sched) is clean
+            assert session.simulate(compiled, crash=crash) is clean
         # A chip outside the module never fires, however early.
-        outside = FaultSchedule().chip_crash(chips, 0).chip_crash(chips, cycle)
-        assert session.simulate(compiled, fault_schedule=outside) is clean
+        for outside in (ChipCrash(chips, 0), ChipCrash(chips, cycle)):
+            assert session.simulate(compiled, crash=outside) is clean
 
     def test_faulted_simulate_of_simulated_artifact_is_memo_hit(
             self, session, compiled_4):
         clean = session.simulate(compiled_4, tag="memo")
         cursor = session.rows_since(0)[1]
-        sched = FaultSchedule().chip_crash(1, clean.cycles // 3)
+        crash = ChipCrash(1, clean.cycles // 3)
         with mock.patch.object(SimulatorEngine, "run",
                                side_effect=AssertionError("engine ran")):
             with pytest.raises(ChipFailure):
-                session.simulate(compiled_4, tag="memo", fault_schedule=sched)
+                session.simulate(compiled_4, tag="memo", crash=crash)
         (row,) = simulate_rows(session, cursor)
         assert row["cache"] == "memory"
         assert row["error"].startswith("ChipFailure: chip_crash on chip 1")
@@ -124,8 +110,7 @@ class TestInjection:
             session.simulate(compiled_4, tag="traced-clean")
             with pytest.raises(ChipFailure):
                 session.simulate(compiled_4, tag="traced-crash",
-                                 fault_schedule=FaultSchedule().chip_crash(
-                                     0, crash_at))
+                                 crash=ChipCrash(0, crash_at))
             full, cut = [s for s in obs.tracer().spans()
                          if s.kind == "simulate"]
         finally:

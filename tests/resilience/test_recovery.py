@@ -7,17 +7,16 @@ import pytest
 from repro.fhe import CKKSContext, make_params
 from repro.obs.analyze import registry_from_journal
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience import (
-    ChipFailure,
-    FaultSchedule,
-    RecoveryEvent,
-    RecoveryExhausted,
-    descend_ladder,
-)
 from repro.runtime import CinnamonSession
 from repro.runtime.trace import TRACE_SCHEMA_VERSION, TraceRecorder
 from repro.serve import FaultInjector, InferenceRequest, RequestStatus
-from repro.serve.executor import ShardExecutor
+from repro.serve.executor import (
+    RecoveryEvent,
+    RecoveryExhausted,
+    ShardExecutor,
+    descend_ladder,
+)
+from repro.sim import ChipCrash, ChipFailure
 from repro.serve.lifecycle import RequestLifecycle
 
 from .conftest import PARAMS, build_program
@@ -30,7 +29,7 @@ def serve_one(machine, faults=None):
     its result, the recorder and the executor."""
     metrics = MetricsRegistry()
     recorder = TraceRecorder(registry=metrics)
-    executor = ShardExecutor(CinnamonSession, metrics, recorder=recorder,
+    executor = ShardExecutor(CinnamonSession(), metrics, recorder=recorder,
                              faults=faults)
     request = InferenceRequest(program=build_program(), params=PARAMS,
                                machine=machine, name="traced-recovery")
@@ -42,8 +41,7 @@ def serve_one(machine, faults=None):
 def crash(session, compiled, machine, chip, cycle):
     """The ChipFailure ``session.simulate`` raises for one crash."""
     with pytest.raises(ChipFailure) as info:
-        session.simulate(compiled, machine,
-                         fault_schedule=FaultSchedule().chip_crash(chip, cycle))
+        session.simulate(compiled, machine, crash=ChipCrash(chip, cycle))
     return info.value
 
 

@@ -1,9 +1,12 @@
 """Shared helpers: fast small-scale inference requests."""
 
+import time
+
 import pytest
 
 from repro.fhe import ArchParams
 from repro.core.dsl.program import CinnamonProgram
+from repro.runtime import CinnamonSession
 from repro.serve import InferenceRequest
 
 PARAMS = ArchParams(max_level=6)
@@ -28,3 +31,15 @@ def make_request(name="req", rotation=1, program_name="serve-prog",
 @pytest.fixture
 def requests_factory():
     return make_request
+
+
+@pytest.fixture
+def slow_run(monkeypatch):
+    """Every job takes at least 0.3 s longer (a GC pause, a slow NIC)."""
+    run = CinnamonSession.run
+
+    def slow(session, job):
+        time.sleep(0.3)
+        return run(session, job)
+
+    monkeypatch.setattr(CinnamonSession, "run", slow)

@@ -2,12 +2,12 @@
 
 import json
 
-from repro.resilience import WatchdogTimeout
 from repro.runtime import CinnamonSession
 from repro.runtime.trace import TRACE_SCHEMA_VERSION
 from repro.serve import CinnamonServer, FaultInjector, RequestStatus, \
     serve_requests
 from repro.serve.loadgen import main as loadgen_main
+from repro.sim import WatchdogTimeout
 
 from .conftest import PARAMS, make_program, make_request
 

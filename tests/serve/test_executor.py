@@ -13,11 +13,11 @@ from repro.runtime.trace import TraceRecorder
 from repro.serve import FaultInjector, RequestStatus
 from repro.serve.executor import ShardExecutor
 from repro.serve.lifecycle import RequestLifecycle
+from repro.sim import ChipCrash
 
 from .conftest import make_request
 
 EXECUTOR_COUNTERS = {
-    "serve_worker_restarts_total", "serve_cache_poisoned_total",
     "serve_chip_failures_total", "serve_recoveries_total",
     "serve_watchdog_timeouts_total",
 }
@@ -30,16 +30,12 @@ class Rig:
     def __init__(self, max_retries, faults=None, **policy):
         self.metrics = MetricsRegistry()
         self.recorder = TraceRecorder(registry=self.metrics)
-        self.sessions = []
+        self.session = CinnamonSession()
         self.lifecycle = RequestLifecycle(self.metrics, self.recorder)
         self.executor = ShardExecutor(
-            self._new_session, self.metrics, recorder=self.recorder,
+            self.session, self.metrics, recorder=self.recorder,
             faults=faults, shard="rig", max_retries=max_retries,
             retry_backoff_s=0.001, **policy)
-
-    def _new_session(self):
-        self.sessions.append(CinnamonSession())
-        return self.sessions[-1]
 
     def run(self, *requests):
         for request in requests:
@@ -71,42 +67,12 @@ def test_clean_batch_and_the_counters_it_owns(max_retries):
     assert not rig.recoveries()
 
 
-def test_crash_rebuilds_the_session_and_retries(max_retries):
-    rig = Rig(max_retries, FaultInjector().crash(count=1))
-    (result,) = rig.run(make_request("crashy"))
-    assert rig.counter("serve_worker_restarts_total") == 1
-    assert len(rig.sessions) == 2
-    assert rig.executor.session is rig.sessions[1]
-    if max_retries:
-        assert result.status is RequestStatus.OK
-        assert result.attempts == 2 and result.cache == "miss"
-    else:   # a worker reports the failure; the router owns failover
-        assert result.status is RequestStatus.FAILED
-        assert result.attempts == 1
-        assert "WorkerCrashError" in result.error
-
-
-def test_poison_invalidates_and_recompiles(max_retries):
-    rig = Rig(max_retries, FaultInjector().poison(count=1))
-    request = make_request("venom")
-    (result,) = rig.run(request)
-    assert rig.counter("serve_cache_poisoned_total") == 1
-    assert len(rig.sessions) == 1           # same session, entry dropped
-    if max_retries:
-        assert result.status is RequestStatus.OK
-        assert result.attempts == 2 and result.cache == "miss"
-    else:
-        assert result.status is RequestStatus.FAILED
-        assert "PoisonedCacheError" in result.error
-        (again,) = rig.run(make_request("venom-again"))
-        assert again.status is RequestStatus.OK and again.cache == "miss"
-
-
-def test_latency_past_the_deadline_is_a_timeout(max_retries):
-    rig = Rig(max_retries, FaultInjector().latency(seconds=0.3, count=1))
+def test_latency_past_the_deadline_is_a_timeout(max_retries, slow_run):
+    rig = Rig(max_retries)
     late, fine = rig.run(make_request("late", deadline_s=0.15),
                          make_request("fine", deadline_s=30.0))
     assert late.status is RequestStatus.TIMEOUT and late.error is None
+    assert late.attempts == 1 and late.started is not None
     assert fine.status is RequestStatus.OK
     (expired,) = rig.run(make_request("expired", deadline_s=-1.0))
     assert expired.status is RequestStatus.TIMEOUT
@@ -120,8 +86,7 @@ def test_chip_crash_descends_once_without_spending_a_retry(max_retries):
         first, second = rig.run(make_request("die-0"),
                                 make_request("die-1"))
         document = rig.recorder.document({})
-        for session in rig.sessions:
-            document["jobs"].extend(session.trace()["jobs"])
+        document["jobs"].extend(rig.session.trace()["jobs"])
     finally:
         obs.disable()
         obs.tracer().reset()
@@ -147,9 +112,37 @@ def test_unfired_chip_fault_is_refunded_until_it_lands(max_retries):
     assert short.cycles < 10 ** 9
     assert faults.remaining() == 1 and faults.injected["chip_crash"] == 0
     assert not rig.recoveries()
-    faults.faults[0].cycle = 1000       # now inside the program
+    faults.faults[0].crash = ChipCrash(chip=1, cycle=1000)  # now inside
     (hit,) = rig.run(make_request("long-enough"))
     assert hit.status is RequestStatus.OK
+    assert faults.remaining() == 0 and faults.injected["chip_crash"] == 1
+    assert len(rig.recoveries()) == 1
+
+
+@pytest.mark.parametrize("failure", ["watchdog", "compile"])
+def test_crash_survives_an_attempt_that_fails_otherwise(max_retries, failure,
+                                                        monkeypatch):
+    """An armed crash is spent only when it fires: an attempt that fails
+    some other way hands it back, and it lands on a later batch."""
+    faults = FaultInjector().chip_crash(chip=1, cycle=1000)
+    rig = Rig(max_retries, faults)
+    if failure == "watchdog":
+        rig.executor.watchdog_s = 0.0
+    else:
+        def broken_compile(*args, **kwargs):
+            raise RuntimeError("compiler crashed")
+
+        monkeypatch.setattr(rig.session, "_compile", broken_compile)
+    (failed,) = rig.run(make_request("armed-but-failing"))
+    assert failed.status is RequestStatus.FAILED
+    assert failed.attempts == max_retries + 1
+    assert rig.counter("serve_chip_failures_total") == 0
+    assert faults.remaining() == 1 and faults.injected["chip_crash"] == 0
+    rig.executor.watchdog_s = None
+    monkeypatch.undo()
+    (hit,) = rig.run(make_request("lands"))
+    assert hit.status is RequestStatus.OK and hit.attempts == 1
+    assert rig.counter("serve_chip_failures_total") == 1
     assert faults.remaining() == 0 and faults.injected["chip_crash"] == 1
     assert len(rig.recoveries()) == 1
 

@@ -1,131 +1,46 @@
-"""Fault injection and recovery: the robustness acceptance tests.
-
-Worker crash -> shard restart -> retry succeeds; poisoned cache entry ->
-invalidate + recompile; latency spikes absorbed; retries exhausted ->
-explicit FAILED, never a hang.
-"""
+"""Fault injection and deadlines against a live server: a drained chip
+crash leaves the server clean, and a slow execution is absorbed within
+its deadline or resolves ``TIMEOUT`` past it."""
 
 import time
-
-import pytest
 
 from repro.serve import (
     CinnamonServer,
     FaultInjector,
     RequestStatus,
 )
-from repro.serve.faults import PoisonedArtifact, PoisonedCacheError
 
 from .conftest import make_request
 
 
-class TestWorkerCrash:
-    def test_request_succeeds_after_injected_crash(self):
-        """Acceptance: a request survives a worker crash via retry."""
-        faults = FaultInjector().crash(count=1)
-        with CinnamonServer(num_workers=1, faults=faults, max_retries=2,
-                            retry_backoff_s=0.01) as server:
-            result = server.submit(make_request("crashy")).result(60)
-        assert result.ok
-        assert result.attempts == 2  # one crash, one clean attempt
-        assert faults.injected["crash"] == 1
-        snapshot = server.metrics_snapshot()
-        assert snapshot["serve_worker_restarts_total"]["series"][0][
-            "value"] == 1
-        assert snapshot["serve_retries_total"]["series"][0]["value"] == 1
-
-    def test_crash_restarts_shard_with_cold_cache(self):
-        faults = FaultInjector().crash(count=1)
-        with CinnamonServer(num_workers=1, faults=faults, max_retries=1,
-                            retry_backoff_s=0.01, max_wait_s=0.0) as server:
-            warm = server.submit(make_request("warm", rotation=2)).result(60)
-            assert warm.cache == "miss"
-            # The crash kills the session; the retry recompiles from
-            # scratch (no disk layer here).
-            crashed = server.submit(make_request("c1")).result(60)
-            again = server.submit(make_request("c2")).result(60)
-        assert crashed.ok and crashed.cache == "miss"
-        assert again.ok and again.cache == "memory"
-
-    def test_crash_restarted_shard_rewarns_from_disk(self, tmp_path):
-        warmup = FaultInjector()
-        with CinnamonServer(num_workers=1, cache_dir=tmp_path,
-                            faults=warmup, max_wait_s=0.0) as server:
-            assert server.submit(make_request("w0")).result(60).ok
-        faults = FaultInjector().crash(count=1)
-        with CinnamonServer(num_workers=1, cache_dir=tmp_path,
-                            faults=faults, max_retries=1,
-                            retry_backoff_s=0.01) as server:
-            result = server.submit(make_request("w1")).result(60)
-        # Restarted shard finds the artifact in the shared disk layer.
-        assert result.ok and result.cache == "disk"
-
-    def test_retries_exhausted_fails_explicitly(self):
-        faults = FaultInjector().crash(count=10)
-        with CinnamonServer(num_workers=1, faults=faults, max_retries=1,
-                            retry_backoff_s=0.01) as server:
-            result = server.submit(make_request("doomed")).result(60)
-        assert result.status is RequestStatus.FAILED
-        assert result.attempts == 2
-        assert "WorkerCrashError" in result.error
-
-
-class TestPoisonedCache:
-    def test_poisoned_artifact_raises_on_use(self):
-        poisoned = PoisonedArtifact()
-        poisoned.cache_key = "abc"  # writes succeed (session stamps keys)
-        with pytest.raises(PoisonedCacheError):
-            poisoned.isa
-
-    def test_recovery_invalidates_and_recompiles(self):
-        faults = FaultInjector().poison(count=1)
-        with CinnamonServer(num_workers=1, faults=faults, max_retries=2,
-                            retry_backoff_s=0.01) as server:
-            result = server.submit(make_request("venom")).result(60)
-        assert result.ok and result.attempts >= 2
-        assert faults.injected["poison"] == 1
-        snapshot = server.metrics_snapshot()
-        assert snapshot["serve_cache_poisoned_total"]["series"][0][
-            "value"] >= 1
-
-
 class TestLatencySpike:
-    def test_spike_absorbed_within_deadline(self):
-        faults = FaultInjector().latency(seconds=0.2, count=1)
-        with CinnamonServer(num_workers=1, faults=faults) as server:
+    def test_spike_absorbed_within_deadline(self, slow_run):
+        with CinnamonServer(num_workers=1) as server:
             started = time.monotonic()
             result = server.submit(
                 make_request("slow", deadline_s=30.0)).result(60)
             elapsed = time.monotonic() - started
-        assert result.ok
-        assert elapsed >= 0.2  # the spike really happened
-        assert faults.injected["latency"] == 1
+        assert result.ok and result.attempts == 1
+        assert elapsed >= 0.3  # the spike really happened
 
-    def test_spike_past_deadline_times_out(self):
-        faults = FaultInjector().latency(seconds=0.3, count=1)
-        with CinnamonServer(num_workers=1, faults=faults, max_retries=0,
+    def test_spike_past_deadline_times_out(self, slow_run):
+        with CinnamonServer(num_workers=1, max_retries=0,
                             max_wait_s=0.0) as server:
             result = server.submit(
                 make_request("late", deadline_s=0.15)).result(60)
+        # Dispatched in time, the deadline lapsed mid-execution.
         assert result.status is RequestStatus.TIMEOUT
+        assert result.attempts == 1
 
 
 class TestScoping:
-    def test_match_scopes_faults_to_request_names(self):
-        faults = FaultInjector().crash(count=5, match="target")
-        with CinnamonServer(num_workers=1, faults=faults, max_retries=0,
-                            max_wait_s=0.0) as server:
-            clean = server.submit(
-                make_request("bystander", rotation=2)).result(60)
-            hit = server.submit(make_request("target-1")).result(60)
-        assert clean.ok
-        assert hit.status is RequestStatus.FAILED
-
     def test_drained_injector_is_inert(self):
-        faults = FaultInjector().crash(count=1)
-        with CinnamonServer(num_workers=1, faults=faults, max_retries=1,
-                            retry_backoff_s=0.01, max_wait_s=0.0) as server:
-            assert server.submit(make_request("x1")).result(60).ok
+        faults = FaultInjector().chip_crash(chip=1, cycle=1000)
+        with CinnamonServer(num_workers=1, faults=faults,
+                            max_wait_s=0.0) as server:
+            first = server.submit(make_request("x1")).result(60)
+            assert first.ok and first.sim.machine == "Cinnamon-1"
             assert faults.remaining() == 0
             follow_up = server.submit(make_request("x2")).result(60)
         assert follow_up.ok and follow_up.attempts == 1
+        assert follow_up.sim.machine == "Cinnamon-2"

@@ -1,17 +1,16 @@
-"""Admission queue semantics: priority, backpressure, drain."""
+"""Admission queue semantics: FIFO order, backpressure, drain."""
 
 import threading
 
 import pytest
 
-from repro.serve import AdmissionQueue, Priority, QueueSaturatedError
+from repro.serve import AdmissionQueue, QueueSaturatedError
 from repro.serve.queue import Empty, QueueClosedError
 from repro.serve.request import InferenceRequest
 
 
-def request(name, priority=Priority.NORMAL):
-    return InferenceRequest(program=None, params=None, name=name,
-                            priority=priority)
+def request(name):
+    return InferenceRequest(program=None, params=None, name=name)
 
 
 class TestOrdering:
@@ -21,15 +20,6 @@ class TestOrdering:
             queue.put(request(f"r{i}"))
         assert [queue.get(0).name for _ in range(5)] == \
             [f"r{i}" for i in range(5)]
-
-    def test_priority_classes(self):
-        queue = AdmissionQueue()
-        queue.put(request("low", Priority.LOW))
-        queue.put(request("normal", Priority.NORMAL))
-        queue.put(request("high", Priority.HIGH))
-        queue.put(request("high2", Priority.HIGH))
-        order = [queue.get(0).name for _ in range(4)]
-        assert order == ["high", "high2", "normal", "low"]
 
 
 class TestBackpressure:
@@ -104,19 +94,19 @@ class TestForcedRequeue:
     def test_force_bypasses_close_and_depth_bound(self):
         """``put(force=True)`` is a front-end's requeue of an already
         admitted request: neither a drain-closed queue nor a full one
-        may drop it, and it still dequeues in (priority, seq) order."""
+        may drop it, and it still dequeues in FIFO order."""
         queue = AdmissionQueue(maxsize=1)
-        queue.put(request("normal"))
+        queue.put(request("first"))
         with pytest.raises(QueueSaturatedError):
             queue.put(request("over"))
-        queue.put(request("low", Priority.LOW), force=True)
+        queue.put(request("forced"), force=True)
         queue.close()
         with pytest.raises(QueueClosedError):
             queue.put(request("late"))
-        queue.put(request("high", Priority.HIGH), force=True)
-        queue.put(request("normal2"), force=True)
+        queue.put(request("after-close"), force=True)
+        queue.put(request("last"), force=True)
         assert queue.depth() == 4
         assert [queue.get(0).name for _ in range(4)] == \
-            ["high", "normal", "normal2", "low"]
+            ["first", "forced", "after-close", "last"]
         with pytest.raises(Empty):
             queue.get(timeout=0)

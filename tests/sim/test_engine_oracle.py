@@ -23,9 +23,16 @@ from repro.core import CompilerDriver, CompilerOptions
 from repro.core.isa.codegen import IsaModule
 from repro.core.isa.instructions import COL, Instruction
 from repro.fhe import ArchParams
-from repro.resilience import ChipFailure, FaultSchedule, WatchdogTimeout
 from repro.runtime import CinnamonSession
-from repro.sim import CINNAMON_4, CINNAMON_M, SimulatorEngine, native
+from repro.sim import (
+    CINNAMON_4,
+    CINNAMON_M,
+    ChipCrash,
+    ChipFailure,
+    SimulatorEngine,
+    WatchdogTimeout,
+    native,
+)
 from repro.sim.config import config_for
 from repro.sim.trace import TracingSimulator
 from repro.workloads import bootstrap_program, nn_mix
@@ -157,9 +164,9 @@ def test_plain_runs_never_take_the_python_loop(golden):
         # each on a fresh memo key so the engine really runs.
         with pytest.raises(ChipFailure):
             session.simulate(compiled, "cinnamon_4", tag="fires",
-                             fault_schedule=FaultSchedule().chip_crash(1, 0))
+                             crash=ChipCrash(1, 0))
         session.simulate(compiled, "cinnamon_4", tag="ends-first",
-                         fault_schedule=FaultSchedule().chip_crash(1, 10 ** 12))
+                         crash=ChipCrash(1, 10 ** 12))
 
 
 # ---------------------------------------------------------------------- #
