@@ -269,10 +269,12 @@ class CompilerDriver:
             params=self.params,
         )
         if emit_isa:
-            from .isa.codegen import generate_isa
+            from .isa.codegen import abstract_streams, allocate_streams
 
-            compiled.isa = timed("codegen", lambda: generate_isa(
-                limb, opts.num_chips, opts.registers_per_chip))
+            streams = timed("codegen", lambda: abstract_streams(
+                limb, opts.num_chips))
+            compiled.isa = timed("regalloc", lambda: allocate_streams(
+                *streams, opts.registers_per_chip))
         stats.total_seconds = clock() - started
         stats.counters = {
             "ct_ops": len(prog.ops),

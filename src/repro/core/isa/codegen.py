@@ -8,10 +8,12 @@ per participating chip plus the per-limb ``rcv`` ops the lowering emitted.
 Belady's MIN then maps SSA values onto the physical register file,
 inserting loads/stores as early as possible (Section 4.4).
 
-Everything is columnar: one walk over the limb program's columns fills a
-per-chip :class:`~repro.core.isa.regalloc.AbstractStream`, and the
-allocator turns each into an
-:class:`~repro.core.isa.instructions.InstructionStream`.  A plain
+Everything is columnar: one walk over the limb program's columns
+(:func:`abstract_streams`) fills a per-chip
+:class:`~repro.core.isa.regalloc.AbstractStream`, and the allocator
+(:func:`allocate_streams`) turns each into an
+:class:`~repro.core.isa.instructions.InstructionStream`.  The compiler
+driver times the two as its ``codegen`` and ``regalloc`` passes.  A plain
 instruction carries no attrs of its own — it names its limb op, whose
 dict the stream shares by reference; only the instructions built here
 (``col``/``snd``/``mov``/``rcv``) get a dict, in the stream's sparse side
@@ -79,6 +81,15 @@ class IsaModule:
 def generate_isa(limb: lir.LimbProgram, num_chips: int,
                  registers_per_chip: int) -> IsaModule:
     """Generate register-allocated instruction streams, one per chip."""
+    return allocate_streams(*abstract_streams(limb, num_chips),
+                            registers_per_chip)
+
+
+def abstract_streams(limb: lir.LimbProgram, num_chips: int
+                     ) -> Tuple[List[AbstractStream],
+                                List[Dict[int, Tuple[str, str]]]]:
+    """The limb-column walk: each chip's abstract stream, and per chip the
+    values a load can rematerialise (``load_symbols``)."""
     opcodes, chips, inputs, limb_attrs = (
         limb.opcodes, limb.chips, limb.inputs, limb.attrs)
     abstract = [AbstractStream(limb_attrs) for _ in range(num_chips)]
@@ -146,12 +157,18 @@ def generate_isa(limb: lir.LimbProgram, num_chips: int,
                  "prime": op_attrs.get("prime")})
         else:
             raise ValueError(f"unknown limb opcode {opcode!r}")
+    return abstract, load_symbols
 
+
+def allocate_streams(abstract: List[AbstractStream],
+                     load_symbols: List[Dict[int, Tuple[str, str]]],
+                     registers_per_chip: int) -> IsaModule:
+    """Register-allocate every chip's abstract stream."""
     streams: Dict[int, InstructionStream] = {}
     stats: Dict[int, AllocationStats] = {}
     for chip, entries in enumerate(abstract):
         if not entries.opcodes:
-            streams[chip] = InstructionStream(limb_attrs)
+            streams[chip] = InstructionStream(entries.limb_attrs)
             stats[chip] = AllocationStats()
             continue
         streams[chip], stats[chip] = allocate_registers(

@@ -17,14 +17,28 @@ an instruction keeps is its ``srcs`` register tuple.  Next-use
 distances come from one backward pass (``following[k]`` is where the
 value in operand slot ``k`` is used next), so the eviction scan is a dict
 lookup per resident value.
+
+:func:`allocate_registers` runs the allocation in C (``_regalloc.c``, one
+call per stream, built on first use by :mod:`repro.cbuild`) and rebuilds
+the stream's columns from the arrays it returns.  The C loop is a port of
+:func:`_allocate_python`, which runs instead when the library cannot be
+built or loaded and is the oracle the C loop is tested against: the two
+produce the same instructions, registers included.  The C side takes
+value ids as non-negative int32s, checked here before it is called.
 """
 
 from __future__ import annotations
 
+import ctypes
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat, tee
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from ...cbuild import NativeLibrary
 from .instructions import LD, ST, InstructionStream
 
 _NEVER = 1 << 60
@@ -79,6 +93,19 @@ def allocate_registers(
     or on-chip regeneration (``vprng``) to ``(opcode, symbol)``, enabling
     rematerialization instead of spilling.
     """
+    lib = load_library()
+    if lib is None:
+        return _allocate_python(entries, num_registers, load_symbols)
+    return _allocate_native(lib, entries, num_registers, load_symbols)
+
+
+def _allocate_python(
+    entries: AbstractStream,
+    num_registers: int,
+    load_symbols: Dict[int, Tuple[str, str]],
+) -> Tuple[InstructionStream, AllocationStats]:
+    """:func:`allocate_registers` as a Python loop: the C allocator's
+    reference, and the path taken when it is unavailable."""
     if num_registers < 16:
         raise ValueError("register file too small for keyswitch working sets")
     uses = entries.uses
@@ -194,3 +221,201 @@ def allocate_registers(
     for idx, attrs in entries.side.items():
         side[idx + bisect_right(inserted, idx)] = attrs
     return out, stats
+
+
+# ---------------------------------------------------------------------- #
+# The C allocator
+
+_SOURCE = Path(__file__).with_name("_regalloc.c")
+
+#: Return codes of ``repro_allocate``.
+_OK, _PRESSURE, _UNDEFINED, _NO_MEMORY, _OVERFLOW = range(5)
+#: Kinds of the rows it inserts.
+_SPILL, _RELOAD, _REMAT = range(3)
+#: Value ids and register numbers cross into C as int32.
+_ID_LIMIT = 1 << 31
+
+
+def _configure(lib: ctypes.CDLL) -> None:
+    lib.repro_allocate.restype = ctypes.c_int
+    lib.repro_allocate.argtypes = [ctypes.c_void_p] * 13
+
+
+_LIBRARY = NativeLibrary(_SOURCE, _configure)
+#: The allocator library (compiled once), or None on failure.
+load_library = _LIBRARY.load
+#: Why the C allocator is unavailable (None when it is available).
+build_error = _LIBRARY.build_error
+
+
+def _bad_ids(what: str) -> ValueError:
+    return ValueError(f"{what} must be non-negative ints below 2**31")
+
+
+def _check_ids(column: np.ndarray, what: str) -> None:
+    if column.size and (column.min() < 0 or column.max() >= _ID_LIMIT):
+        raise _bad_ids(what)
+
+
+def _id_column(values, count: int, what: str) -> np.ndarray:
+    """``values`` as an int64 column, checked by :func:`_check_ids`."""
+    try:
+        column = np.fromiter(values, dtype=np.int64, count=count)
+    except OverflowError:
+        raise _bad_ids(what) from None
+    _check_ids(column, what)
+    return column
+
+
+def _renumber(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(real, local)``: the distinct ``ids`` in increasing order, and each
+    id's index among them.  A lookup table when the ids are dense enough
+    for one, else a sort."""
+    limit = int(ids.max(initial=-1)) + 1
+    if limit > 8 * len(ids) + (1 << 18):
+        real, local = np.unique(ids, return_inverse=True)
+        return real.astype(np.int32), local.astype(np.int32)
+    seen = np.zeros(limit, dtype=bool)
+    seen[ids] = True
+    real = np.flatnonzero(seen).astype(np.int32)
+    table = np.empty(limit, dtype=np.int32)
+    table[real] = np.arange(len(real), dtype=np.int32)
+    return real, table[ids]
+
+
+def _native_columns(entries: AbstractStream,
+                    load_symbols: Dict[int, Tuple[str, str]]):
+    """The C call's inputs: ``define`` / ``use_count`` / ``use`` over
+    chip-local values, and per local value its id and whether it
+    rematerialises.  ValueError for ids C cannot take."""
+    n = len(entries.opcodes)
+    uses = entries.uses
+    use_count = np.fromiter(map(len, uses), dtype=np.int32, count=n)
+    m = int(use_count.sum(dtype=np.int64))
+    use = _id_column(chain.from_iterable(uses), m, "operand value ids")
+    try:
+        define = np.array(entries.defines, dtype=np.float64)  # None: NaN
+    except (OverflowError, TypeError):
+        raise _bad_ids("defined value ids") from None
+    defined = ~np.isnan(define)
+    _check_ids(define[defined], "defined value ids")
+    real, local = _renumber(np.concatenate(
+        (define[defined].astype(np.int64), use)))
+    local_define = np.full(n, -1, dtype=np.int32)
+    local_define[defined] = local[:len(local) - m]
+    keys = _id_column(load_symbols, len(load_symbols), "load_symbols keys")
+    at = np.searchsorted(real, keys)
+    hit = at < len(real)
+    hit[hit] = real[at[hit]] == keys[hit]
+    is_load = np.zeros(len(real), dtype=np.uint8)
+    is_load[at[hit]] = 1
+    return local_define, use_count, local[len(local) - m:], real, is_load
+
+
+def _register_tuples(counts: np.ndarray, regs: np.ndarray) -> List[tuple]:
+    """Row ``i``'s tuple of its ``counts[i]`` registers, the rows' registers
+    lying back to back in ``regs``.
+
+    The rows of one width become tuples in one ``zip``.  Equal tuples are
+    kept once: a stream repeats few distinct register tuples.  The widths'
+    tuples are then merged back into row order.
+    """
+    singles = [(reg,) for reg in range(1 + int(regs.max(initial=-1)))]
+    starts = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    widths = np.flatnonzero(np.bincount(counts)).tolist()
+    interned: Dict[tuple, tuple] = {}
+    by_width: List = [None] * (widths[-1] + 1)
+    for width in widths:
+        rows = np.flatnonzero(counts == width)
+        if width == 0:
+            by_width[0] = repeat(())
+        elif width == 1:
+            by_width[1] = map(singles.__getitem__,
+                              regs[starts[rows]].tolist())
+        else:
+            columns = regs[starts[rows][:, None] + np.arange(width)]
+            keys, values = tee(zip(*columns.T.tolist()))
+            by_width[width] = map(interned.setdefault, keys, values)
+    return list(map(next, map(by_width.__getitem__, counts.tolist())))
+
+
+def _splice(items: list, inserted: list, before: List[int]) -> list:
+    """``items`` with each ``inserted[j]`` placed before ``items[before[j]]``
+    (``before`` ascending)."""
+    out = []
+    start = 0
+    for item, idx in zip(inserted, before):
+        out += items[start:idx]
+        out.append(item)
+        start = idx
+    out += items[start:]
+    return out
+
+
+def _allocate_native(
+    lib: ctypes.CDLL,
+    entries: AbstractStream,
+    num_registers: int,
+    load_symbols: Dict[int, Tuple[str, str]],
+) -> Tuple[InstructionStream, AllocationStats]:
+    """:func:`allocate_registers` in one C call."""
+    if num_registers < 16:
+        raise ValueError("register file too small for keyswitch working sets")
+    if num_registers >= _ID_LIMIT:
+        raise ValueError("num_registers must be below 2**31")
+    n = len(entries.opcodes)
+    out = InstructionStream(entries.limb_attrs)
+    if not n:
+        return out, AllocationStats()
+    define, use_count, use, real, is_load = _native_columns(
+        entries, load_symbols)
+
+    # Every operand slot reloads at most once, and each reload or
+    # definition evicts (and so spills) at most once.
+    m = len(use)
+    extras = 2 * m + n
+    cfg = np.array([n, num_registers, len(real), extras], dtype=np.int64)
+    out_dest = np.empty(n + extras, dtype=np.int32)
+    out_count = np.empty(n + extras, dtype=np.int32)
+    out_src = np.empty(m + extras, dtype=np.int32)
+    extra_kind = np.empty(extras, dtype=np.int8)
+    extra_value = np.empty(extras, dtype=np.int32)
+    extra_before = np.empty(extras, dtype=np.int32)
+    result = np.zeros(7, dtype=np.int64)
+    status = lib.repro_allocate(*(array.ctypes.data for array in (
+        cfg, define, use_count, use, real, is_load, out_dest, out_count,
+        out_src, extra_kind, extra_value, extra_before, result)))
+    if status == _PRESSURE:
+        raise RuntimeError("register pressure exceeds pinned operands")
+    if status == _UNDEFINED:
+        raise RuntimeError(
+            f"value %{int(result[6])} used before definition on this chip")
+    if status == _NO_MEMORY:
+        raise MemoryError("the C allocator could not allocate its state")
+    if status != _OK:
+        raise RuntimeError(f"the C allocator failed with status {status}")
+    rows, srcs, extras, spills, reloads, peak = result[:6].tolist()
+
+    dest = out_dest[:rows]
+    out.dests = dest.tolist()
+    for row in np.flatnonzero(dest < 0).tolist():     # no destination
+        out.dests[row] = None
+    out.srcs = _register_tuples(out_count[:rows], out_src[:srcs])
+    # Inserted rows: opcode and symbol; every column spliced like the
+    # Python loop's, row = entry + inserted rows before it.
+    before = extra_before[:extras].tolist()
+    opcodes = []
+    for j, (kind, value) in enumerate(zip(extra_kind[:extras].tolist(),
+                                          extra_value[:extras].tolist())):
+        if kind == _REMAT:
+            opcode, symbol = load_symbols[value]
+        else:
+            opcode, symbol = (ST if kind == _SPILL else LD), f"spill:{value}"
+        opcodes.append(opcode)
+        out.side[before[j] + j] = {"symbol": symbol}
+    out.opcodes = _splice(entries.opcodes, opcodes, before)
+    out.limb_ops = _splice(entries.limb_ops, [None] * extras, before)
+    for idx, attrs in entries.side.items():
+        out.side[idx + bisect_right(before, idx)] = attrs
+    return out, AllocationStats(spills, reloads, peak)

@@ -16,7 +16,7 @@ emulator group per call: gather, compute, write) and
 ``red(z)`` that equals ``z % p`` for every uint64 ``z``, so they evaluate
 the numpy reference expressions verbatim, whatever operands arrive.
 
-The shared library is built lazily by :func:`repro.cbuild.build_library`
+The shared library is built lazily by :class:`repro.cbuild.NativeLibrary`
 (the system C compiler; objects keyed by a hash of the C source, so stale
 ones are never reused).  Everything degrades gracefully: if no compiler
 is present, compilation fails, or the built library does not reproduce
@@ -33,26 +33,19 @@ delegates the rest.
 from __future__ import annotations
 
 import ctypes
-import threading
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..cbuild import build_library
+from ..cbuild import NativeLibrary
 from . import kernels as _kernels
 from .modmath import UINT
 
 _SOURCE = Path(__file__).with_name("_native.c")
 
-_LOCK = threading.Lock()
-_LIB: Optional[ctypes.CDLL] = None
-_ERROR: Optional[str] = None
-_TRIED = False
 
-
-def _compile() -> ctypes.CDLL:
-    lib = build_library(_SOURCE)
+def _configure(lib: ctypes.CDLL) -> None:
     # Addresses are passed as plain integers (``array.ctypes.data``):
     # building a typed pointer per argument costs more than a ring-256
     # transform.
@@ -70,7 +63,7 @@ def _compile() -> ctypes.CDLL:
     lib.repro_mulmod_rows.restype = None
     lib.repro_mulmod_rows.argtypes = [address, address, address, size, size,
                                       size, size, address]
-    return lib
+    _smoke_test(lib)
 
 
 _GROUP_CODE = {op: code for code, op in enumerate(_kernels.GROUP_OPS)}
@@ -221,30 +214,16 @@ def _smoke_test(lib: ctypes.CDLL) -> None:
             raise RuntimeError(f"limb group {op!r} smoke test mismatch")
 
 
-def load_library() -> Optional[ctypes.CDLL]:
-    """Compile (once) and return the shared library, or None on failure."""
-    global _LIB, _ERROR, _TRIED
-    with _LOCK:
-        if not _TRIED:
-            _TRIED = True
-            try:
-                lib = _compile()
-                _smoke_test(lib)
-                _LIB = lib
-            except Exception as exc:  # no compiler, bad toolchain, ...
-                _ERROR = f"{type(exc).__name__}: {exc}"
-        return _LIB
+_LIBRARY = NativeLibrary(_SOURCE, _configure)
+#: The shared library (compiled once, smoke-tested), or None on failure.
+load_library = _LIBRARY.load
+#: Why the native backend is unavailable (None when it is available).
+build_error = _LIBRARY.build_error
 
 
 def available() -> bool:
     """True when the compiled backend built and passed its smoke test."""
     return load_library() is not None
-
-
-def build_error() -> Optional[str]:
-    """Why the native backend is unavailable (None when it is available)."""
-    load_library()
-    return _ERROR
 
 
 class NativeBackend:

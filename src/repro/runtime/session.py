@@ -32,6 +32,7 @@ from ..core.compiler import (
     CompilerOptions,
 )
 from ..core.dsl.program import CinnamonProgram
+from ..core.isa import regalloc
 from ..obs.tracing import NULL_SPAN, Span, tracer
 from ..sim import native as sim_native
 from ..sim.config import MachineConfig, resolve_machine
@@ -162,9 +163,11 @@ class CinnamonSession:
         #: :class:`repro.sim.WatchdogTimeout` instead of wedging
         #: the worker thread.
         self.watchdog_s = watchdog_s
-        # Build (or load) the simulator's C engine here, so that a cold
-        # build never lands inside the first simulate.
+        # Build (or load) the simulator's C engine and the C register
+        # allocator here, so that a cold build never lands inside the
+        # first simulate or compile.
         sim_native.load_library()
+        regalloc.load_library()
 
     def _record_tamper(self, error) -> None:
         """Cache on_tamper hook: one journal row per detection."""

@@ -2,7 +2,7 @@
 
 :meth:`repro.sim.simulator.SimulatorEngine.run` hands a whole multi-chip
 module to ``_engine.c`` in one call.  This module owns that boundary: it
-builds the library on demand (:func:`repro.cbuild.build_library`),
+builds the library on demand (:class:`repro.cbuild.NativeLibrary`),
 flattens each stream's columns into int arrays, and returns what the C
 loop leaves behind.  The arrays live only for the call; nothing is cached
 on the artifact.
@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import ctypes
 import itertools
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..cbuild import build_library
+from ..cbuild import NativeLibrary
 from ..core.isa.instructions import COL, COMPUTE, LD, MOV, RCV, SND, ST
 
 _SOURCE = Path(__file__).with_name("_engine.c")
@@ -52,36 +51,17 @@ OK, DEADLOCK, UNKNOWN_OPCODE, NO_MEMORY = range(4)
 PC, FINISH, HBM_BUSY, HBM_BYTES, LINK_BUSY, LINK_BYTES = range(6)
 _FIELDS = 6
 
-_LOCK = threading.Lock()
-_LIB: Optional[ctypes.CDLL] = None
-_ERROR: Optional[str] = None
-_TRIED = False
 
-
-def _compile() -> ctypes.CDLL:
-    lib = build_library(_SOURCE)
+def _configure(lib: ctypes.CDLL) -> None:
     lib.repro_simulate.restype = ctypes.c_int
     lib.repro_simulate.argtypes = [ctypes.c_void_p] * 18
-    return lib
 
 
-def load_library() -> Optional[ctypes.CDLL]:
-    """Compile (once) and return the engine library, or None on failure."""
-    global _LIB, _ERROR, _TRIED
-    with _LOCK:
-        if not _TRIED:
-            _TRIED = True
-            try:
-                _LIB = _compile()
-            except Exception as exc:  # no compiler, bad toolchain, ...
-                _ERROR = f"{type(exc).__name__}: {exc}"
-        return _LIB
-
-
-def build_error() -> Optional[str]:
-    """Why the C engine is unavailable (None when it is available)."""
-    load_library()
-    return _ERROR
+_LIBRARY = NativeLibrary(_SOURCE, _configure)
+#: The engine library (compiled once), or None on failure.
+load_library = _LIBRARY.load
+#: Why the C engine is unavailable (None when it is available).
+build_error = _LIBRARY.build_error
 
 
 @dataclass

@@ -81,7 +81,7 @@ class TestMergedTrace:
             pass_names = [p["name"] for p in
                           compile_entry["compile"]["passes"]]
             assert "lower_to_limb" in pass_names
-            assert "codegen" in pass_names
+            assert pass_names[-2:] == ["codegen", "regalloc"]
             assert all(p["seconds"] >= 0 for p in
                        compile_entry["compile"]["passes"])
             sim_entry = kinds["simulate"]
