@@ -32,9 +32,9 @@ Public surface:
   unified metrics (:func:`repro.obs.default_registry`), and the
   ``python -m repro.obs`` journal analyzer;
 * :mod:`repro.fhe` — functional RNS-CKKS (parameters, contexts, evaluator,
-  hybrid keyswitching, bootstrapping) with pluggable limb-stack kernel
-  backends (:func:`repro.set_kernel_backend`; see
-  :mod:`repro.fhe.backend`);
+  hybrid keyswitching, bootstrapping); its limb-stack kernels
+  (:mod:`repro.fhe.kernels`) run C when it builds and numpy otherwise,
+  both bit-identical to the per-limb references;
 * :mod:`repro.core` — the Cinnamon DSL, compiler, ISA, and emulator;
 * :mod:`repro.sim` — the cycle-level scale-out simulator and the one
   machine fault it models, a chip crash (:class:`~repro.sim.ChipCrash`,
@@ -88,23 +88,6 @@ def serve_requests(requests, num_workers=2, **server_kwargs):
     from .serve.server import serve_requests as _serve
 
     return _serve(requests, num_workers=num_workers, **server_kwargs)
-
-
-def set_kernel_backend(backend):
-    """Select the FHE kernel backend for this thread by name or instance
-    (``"numpy"``, ``"numpy-batched"``, ``"native"``, or a registered
-    custom backend; see :mod:`repro.fhe.backend`).  Returns the previous
-    backend so callers can restore it."""
-    from .fhe.backend import set_backend
-
-    return set_backend(backend)
-
-
-def get_kernel_backend():
-    """The active FHE kernel backend (see :mod:`repro.fhe.backend`)."""
-    from .fhe.backend import get_backend
-
-    return get_backend()
 
 
 def default_session():
@@ -166,8 +149,6 @@ __all__ = [
     "fhe",
     "compile",
     "serve_requests",
-    "set_kernel_backend",
-    "get_kernel_backend",
     "default_session",
     "CinnamonServer",
     "ClusterRouter",

@@ -1,6 +1,6 @@
 """Build-on-demand for the package's C libraries.
 
-``fhe/_native.c`` (the kernel backend), ``sim/_engine.c`` (the cycle
+``fhe/_native.c`` (the FHE kernels), ``sim/_engine.c`` (the cycle
 simulator's inner loop) and ``core/isa/_regalloc.c`` (the register
 allocator) are compiled the first time they are needed, with the system C
 compiler (``$CC`` or ``cc``), into ``_native_build/`` beside this file — or
@@ -12,7 +12,9 @@ renames it into place, so processes building at once race harmlessly.
 Each library is one :class:`NativeLibrary`: built and loaded once per
 process, on first use.  When that fails — no compiler, a bad toolchain, a
 library its module's own checks refuse — ``load()`` returns None, the
-caller runs its pure-Python path, and ``build_error()`` says why.
+caller runs its Python path (the same results: each is its C code's
+oracle), and ``build_error()`` says why.  Nothing selects between the
+two; tests reach the Python path by patching the loader to return None.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ...fhe.backend import get_backend
+from ...fhe import kernels
 from ...fhe.ciphertext import Ciphertext
 from ...fhe.evaluator import CKKSContext
 from ...fhe.modmath import UINT
@@ -607,7 +607,6 @@ class IsaEmulator:
         """Execute all chips to completion (raises on deadlock)."""
         schedule = _schedule_of(self.compiled.isa)
         memory = self.memory
-        backend = get_backend()
         dst_column, src_column = schedule.dst, schedule.src
         p0_column, p1_column = schedule.p0, schedule.p1
         stored: Dict[str, np.ndarray] = {}
@@ -640,7 +639,7 @@ class IsaEmulator:
                 op = _GROUP_OP.get(code)
                 if op is not None:
                     table = _CONSTANTS.get(code)
-                    out = backend.limb_group(
+                    out = kernels.limb_group(
                         op, store, srcs, schedule.primes, rows,
                         None if table is None
                         else getattr(schedule, table)[p1_column[at:end]])
@@ -649,8 +648,8 @@ class IsaEmulator:
                         store[srcs[0]],
                         schedule.permutations(store.shape[1])[rows], axis=1)
                 else:
-                    transform = (backend.ntt_batch if code == _VNTT
-                                 else backend.intt_batch)
+                    transform = (kernels.ntt_batch if code == _VNTT
+                                 else kernels.intt_batch)
                     out = transform(store[srcs[0]], schedule.primes, rows)
                 store[dst] = out
             at = end

@@ -9,14 +9,7 @@ Cinnamon compiler, its parallel keyswitching placements, and the ISA
 emulator are validated.
 """
 
-from .backend import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
+from .kernels import get_backend
 from .packing import SlotCapacityError
 from .params import ArchParams, CKKSParams, make_params, toy_params
 from .polynomial import RnsPolynomial
@@ -42,12 +35,7 @@ from .serialize import (
 )
 
 __all__ = [
-    "KernelBackend",
-    "available_backends",
     "get_backend",
-    "register_backend",
-    "set_backend",
-    "use_backend",
     "SlotCapacityError",
     "ArchParams",
     "CKKSParams",

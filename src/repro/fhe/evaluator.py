@@ -22,7 +22,6 @@ from .encoding import (
 )
 from .keys import KeyChain
 from . import kernels as _kernels
-from .backend import get_backend
 from .keyswitch import hoisted_decompose, keyswitch, evalkey_accumulate, moddown_poly
 from .modmath import centered, mod_inv
 from .params import CKKSParams
@@ -347,7 +346,6 @@ class Evaluator:
         q_last = basis[-1]
         new_basis = basis[:-1]
         new_polys = []
-        backend = get_backend()
         inv_col = np.array(
             [mod_inv(q_last % q, q) for q in new_basis], dtype=np.uint64
         )[:, None]
@@ -357,13 +355,13 @@ class Evaluator:
             last_centered = centered(last_coeff.to_coeff().data[0], q_last)
             # One batched NTT of the correction term across all remaining
             # limbs, then stack-wide subtract and per-limb inverse scale.
-            correction = backend.ntt_batch(
+            correction = _kernels.ntt_batch(
                 integers_to_rns(last_centered, new_basis), new_basis
             )
             diff = _kernels.pointwise_submod(
                 poly.data[: len(new_basis)], correction, new_basis
             )
-            data = backend.pointwise_mulmod(diff, inv_col, new_basis)
+            data = _kernels.pointwise_mulmod(diff, inv_col, new_basis)
             new_polys.append(RnsPolynomial(new_basis, data, EVAL))
         out = Ciphertext(new_polys, ct.scale / q_last)
         if self._estimator is not None and getattr(ct, "noise", None) is not None:

@@ -1,8 +1,14 @@
-"""Limb-batched FHE kernels: whole ``(L, N)`` stacks per numpy op.
+"""The FHE limb-stack kernels: whole ``(L, N)`` stacks per call.
 
-This module is the fast half of the kernel-backend split (see
-:mod:`repro.fhe.backend`).  Where the seed kernels in :mod:`repro.fhe.ntt`
-and :mod:`repro.fhe.rns` loop over limbs in Python, everything here
+Every expensive primitive — NTT/INTT, pointwise modular multiplication,
+the ISA emulator's pointwise instruction groups, base conversion and
+mod-up / mod-down — has its one entry point here.  The NTTs, the
+pointwise product and the instruction groups run the C loops of
+:mod:`repro.fhe.native` when that library builds, and the numpy code below
+otherwise; both are bit-identical to the per-limb references
+(:func:`repro.fhe.ntt.ntt_reference`,
+:class:`repro.fhe.rns.BaseConversionPlan`), which stay the test oracles.
+Where those references loop over limbs in Python, the numpy code here
 processes the full limb stack with a *per-limb modulus column* so that one
 numpy op covers all ``L`` residue rings at once.
 
@@ -249,16 +255,21 @@ def plan_rows(shape: Tuple[int, int], primes: Sequence[int], rows=None):
     batched path.
     """
     length, ring_degree = shape
+    _check_named(length, len(primes) if rows is None else len(rows))
     plan = get_ntt_plan(ring_degree)
     table_rows = plan.rows(primes)
     if table_rows is None:
         return None, None
     if rows is not None:
         table_rows = table_rows[rows]       # bounds-checked here, not in C
-    if len(table_rows) != length:
-        raise ValueError(
-            f"{length} limbs but {len(table_rows)} moduli named")
     return plan.tables, table_rows
+
+
+def _check_named(limbs: int, named: int) -> None:
+    """One modulus per limb row, checked before either kernel path runs
+    (the C loops would read past the moduli they were handed)."""
+    if limbs != named:
+        raise ValueError(f"{limbs} limbs but {named} moduli named")
 
 
 class _RowTables:
@@ -497,6 +508,9 @@ def _transform(stack: np.ndarray, primes: Sequence[int], rows,
     tables, table_rows = plan_rows(stack.shape, primes, rows)
     if tables is None:
         return _reference_stack(stack, primes, rows, inverse)
+    lib = native.load_library()
+    if lib is not None:
+        return native._run(lib, stack, tables, table_rows, inverse)
     plan = get_ntt_plan(stack.shape[1])
     out = np.array(stack, dtype=UINT, order="C")
     wide = tables.wide[table_rows]
@@ -513,7 +527,7 @@ def _transform(stack: np.ndarray, primes: Sequence[int], rows,
 
 
 def ntt_batch(coeffs: np.ndarray, primes: Sequence[int], rows=None) -> np.ndarray:
-    """Forward negacyclic NTT of a limb stack ``(L, N)``, batched.
+    """Forward negacyclic NTT of a limb stack ``(L, N)`` (or one limb).
 
     Bit-identical to the per-limb reference (canonical residues, same
     bit-reversed output order).  See :func:`plan_rows` for ``rows``.
@@ -545,7 +559,19 @@ def _prime_column(primes: Sequence[int]) -> np.ndarray:
 
 
 def pointwise_mulmod(a: np.ndarray, b: np.ndarray, primes: Sequence[int]) -> np.ndarray:
-    """``a * b mod p`` per limb row via float-quotient Barrett.
+    """``a * b mod p`` per limb row of an ``(L, N)`` stack ``a``; ``b`` is a
+    stack or a per-limb ``(L, 1)`` column."""
+    a = np.asarray(a, dtype=UINT)
+    if a.ndim == 2:
+        _check_named(len(a), len(primes))
+        lib = native.load_library()
+        if lib is not None:
+            return native._mulmod(lib, a, b, primes)
+    return _mulmod_numpy(a, b, primes)
+
+
+def _mulmod_numpy(a: np.ndarray, b: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """``a * b mod p`` via float-quotient Barrett.
 
     Works for all primes below 2**31 (products stay below 2**62, and the
     float64 quotient estimate is off by at most one — repaired with two
@@ -606,10 +632,23 @@ def limb_group(op: str, store: np.ndarray, srcs: np.ndarray,
     per instruction the ``mulc`` scalar, the ``bcv`` factor row (``(count,
     >= arity)``) or the ``rsv`` source prime.
 
-    These are the reference expressions, uint64 wrap-around included: they
-    are applied verbatim to whatever operands arrive, canonical or not, and
-    every backend must agree with them bit for bit.
+    The numpy code below is the reference expressions, uint64 wrap-around
+    included: they are applied verbatim to whatever operands arrive,
+    canonical or not, and the C loops agree with them bit for bit.
     """
+    count = np.shape(srcs)[-1]
+    if len(rows) != count:
+        raise ValueError(f"{count} instructions but {len(rows)} moduli named")
+    lib = native.load_library()
+    if lib is not None:
+        return native._limb_group(lib, op, store, srcs, primes, rows,
+                                  constants)
+    return _limb_group_numpy(op, store, srcs, primes, rows, constants)
+
+
+def _limb_group_numpy(op: str, store: np.ndarray, srcs: np.ndarray,
+                      primes: Sequence[int], rows: np.ndarray,
+                      constants: Optional[np.ndarray]) -> np.ndarray:
     p = _prime_column(primes)[rows]
     a = store[srcs[0]]
     if op == "add":
@@ -763,3 +802,16 @@ def mod_down(limbs: np.ndarray, base: Sequence[int],
     approx = base_convert(limbs[n_base:], key[1], key[0])
     diff = pointwise_submod(limbs[:n_base], approx, key[0])
     return pointwise_mulmod(diff, plan.p_inv, key[0])
+
+
+def get_backend() -> SimpleNamespace:
+    """Which kernel path this process runs, as a read-only report:
+    ``.name`` is ``"native"`` when the C library loaded and
+    ``"numpy-batched"`` otherwise (:func:`repro.fhe.native.build_error`
+    says why)."""
+    lib = native.load_library()
+    return SimpleNamespace(name="numpy-batched" if lib is None else "native")
+
+
+# Last: ``native`` imports this module for its plans and its smoke test.
+from . import native  # noqa: E402

@@ -1,33 +1,30 @@
-"""Compile-on-demand C kernel backend ("native").
+"""The C half of the FHE kernels, compiled on demand.
 
 The butterfly loops in :mod:`repro.fhe.kernels` are one numpy op per stage
 across the whole limb stack — portable, but each stage streams the stack
 through memory several times.  ``_native.c`` implements the same
 Shoup/Harvey arithmetic as tight C loops that keep one limb cache-resident
 per transform; on a single core with auto-vectorization this is ~10x the
-seed per-limb loop and ~5x the batched numpy kernels at (L=24, N=8192).
+per-limb reference loop and ~5x the numpy kernels at (L=24, N=8192).
 Tables are the per-unique-prime rows of :class:`repro.fhe.kernels.NttPlan`;
 a call passes one table-row index per limb, and the C side picks the
 narrow (``p < 2**30``) or wide butterfly per limb.
 
-The pointwise primitives — :meth:`NativeBackend.limb_group` (one ISA
-emulator group per call: gather, compute, write) and
-:meth:`NativeBackend.pointwise_mulmod` — reduce with one Barrett step
+The pointwise primitives — one ISA emulator group per call (gather,
+compute, write) and ``pointwise_mulmod`` — reduce with one Barrett step
 ``red(z)`` that equals ``z % p`` for every uint64 ``z``, so they evaluate
 the numpy reference expressions verbatim, whatever operands arrive.
 
-The shared library is built lazily by :class:`repro.cbuild.NativeLibrary`
-(the system C compiler; objects keyed by a hash of the C source, so stale
-ones are never reused).  Everything degrades gracefully: if no compiler
-is present, compilation fails, or the built library does not reproduce
-the reference kernels bit-for-bit on a smoke test, the ``"native"``
-backend simply is not registered and the default stays
-``"numpy-batched"``.  ``build_error()`` reports why.
-
-This is also the in-tree demonstration of the :mod:`repro.fhe.backend`
-extension story: an accelerated backend only implements the primitives it
-accelerates (here the two NTT directions and the pointwise kernels) and
-delegates the rest.
+:mod:`repro.fhe.kernels` is the one entry point: its NTTs, pointwise
+product and instruction groups call the wrappers here when
+:func:`load_library` returns a library, and run their numpy code
+otherwise.  The library is built lazily by
+:class:`repro.cbuild.NativeLibrary` (the system C compiler; objects keyed
+by a hash of the C source, so stale ones are never reused), on first use,
+never on ``import repro``.  If no compiler is present, compilation fails,
+or the built library does not reproduce the reference kernels bit for bit
+on a smoke test, :func:`load_library` returns None and
+:func:`build_error` says why.
 """
 
 from __future__ import annotations
@@ -95,8 +92,6 @@ def _limb_group(lib, op, store, srcs, primes, rows, constants) -> np.ndarray:
     if srcs.size and (srcs.min() < 0 or srcs.max() >= len(store)):
         raise IndexError("operand row outside the store")
     pm = _barrett_rows(primes)[rows]        # bounds-checked here, not in C
-    if len(pm) != count:
-        raise ValueError(f"{count} instructions but {len(pm)} moduli named")
     if op not in _GROUP_CODE:
         raise ValueError(f"unknown limb group op {op!r}")
     width, address = 0, None
@@ -119,8 +114,6 @@ def _limb_group(lib, op, store, srcs, primes, rows, constants) -> np.ndarray:
 def _mulmod(lib, a, b, primes) -> np.ndarray:
     pm = _barrett_rows(primes)
     a = np.ascontiguousarray(a, dtype=UINT)
-    if len(pm) != len(a):
-        raise ValueError(f"{len(a)} limbs but {len(pm)} moduli named")
     b = np.broadcast_to(np.asarray(b, dtype=UINT), a.shape)
     out = np.empty_like(a)
     row, col = (stride // b.itemsize for stride in b.strides)
@@ -182,7 +175,7 @@ def _smoke_test(lib: ctypes.CDLL) -> None:
     for other in (got_fwd, got_fwd[:, :1]):     # a stack, a broadcast column
         if not np.array_equal(
                 _mulmod(lib, stack, other, stack_primes),
-                _kernels.pointwise_mulmod(stack, other, stack_primes)):
+                _kernels._mulmod_numpy(stack, other, stack_primes)):
             raise RuntimeError("pointwise_mulmod smoke test mismatch")
     # Operands below 2**32 in either ring: a vsub whose subtrahend passes
     # a + p wraps around 2**64, and the results must still match.  The
@@ -206,8 +199,8 @@ def _smoke_test(lib: ctypes.CDLL) -> None:
             "bcv": rng.integers(0, 1 << 31, size=(3, arity), dtype=UINT),
             "rsv": rsv_sources,
         }.get(op)
-        want = _kernels.limb_group(op, store, srcs, primes, group_rows,
-                                   constants)
+        want = _kernels._limb_group_numpy(op, store, srcs, primes,
+                                          group_rows, constants)
         got = _limb_group(lib, op, store, srcs, primes, group_rows,
                           constants)
         if not np.array_equal(got, want):
@@ -217,58 +210,6 @@ def _smoke_test(lib: ctypes.CDLL) -> None:
 _LIBRARY = NativeLibrary(_SOURCE, _configure)
 #: The shared library (compiled once, smoke-tested), or None on failure.
 load_library = _LIBRARY.load
-#: Why the native backend is unavailable (None when it is available).
+#: Why the library is unavailable (None when it loaded).
 build_error = _LIBRARY.build_error
 
-
-def available() -> bool:
-    """True when the compiled backend built and passed its smoke test."""
-    return load_library() is not None
-
-
-class NativeBackend:
-    """C NTT/INTT and pointwise kernels; base conversion and mod-up/-down
-    delegate to the batched ones."""
-
-    name = "native"
-
-    def ntt_batch(self, coeffs: np.ndarray, primes: Sequence[int],
-                  rows=None) -> np.ndarray:
-        return self._transform(coeffs, primes, rows, inverse=False)
-
-    def intt_batch(self, values: np.ndarray, primes: Sequence[int],
-                   rows=None) -> np.ndarray:
-        return self._transform(values, primes, rows, inverse=True)
-
-    def _transform(self, stack, primes, rows, inverse):
-        stack = np.asarray(stack, dtype=UINT)
-        if stack.ndim == 1:
-            return self._transform(stack[None, :], primes, rows, inverse)[0]
-        lib = load_library()
-        tables, table_rows = _kernels.plan_rows(stack.shape, primes, rows)
-        if lib is None or tables is None:
-            fall = _kernels.intt_batch if inverse else _kernels.ntt_batch
-            return fall(stack, primes, rows)
-        return _run(lib, stack, tables, table_rows, inverse)
-
-    def base_convert(self, limbs, source, target):
-        return _kernels.base_convert(limbs, source, target)
-
-    def mod_up(self, limbs, source, target):
-        return _kernels.mod_up(limbs, source, target)
-
-    def mod_down(self, limbs, base, extension):
-        return _kernels.mod_down(limbs, base, extension)
-
-    def pointwise_mulmod(self, a, b, primes):
-        lib = load_library()
-        if lib is None or np.ndim(a) != 2:
-            return _kernels.pointwise_mulmod(a, b, primes)
-        return _mulmod(lib, a, b, primes)
-
-    def limb_group(self, op, store, srcs, primes, rows, constants=None):
-        lib = load_library()
-        if lib is None:
-            return _kernels.limb_group(op, store, srcs, primes, rows,
-                                       constants)
-        return _limb_group(lib, op, store, srcs, primes, rows, constants)

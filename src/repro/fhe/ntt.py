@@ -73,9 +73,8 @@ def ntt_reference(coeffs: np.ndarray, prime: int) -> np.ndarray:
     """Forward negacyclic NTT of one limb. Output is in bit-reversed order.
 
     ``coeffs`` is a length-N uint64 array of residues mod ``prime``.  This
-    is the per-limb reference kernel; the public :func:`ntt` delegates to
-    the active backend (see :mod:`repro.fhe.backend`), which may batch
-    whole limb stacks instead.
+    is the per-limb reference kernel; the public :func:`ntt` runs
+    :func:`repro.fhe.kernels.ntt_batch`, which is bit-identical to it.
     """
     n = coeffs.shape[-1]
     tables = get_tables(prime, n)
@@ -147,31 +146,31 @@ def intt_reference(values: np.ndarray, prime: int) -> np.ndarray:
 
 
 def ntt(coeffs: np.ndarray, prime: int) -> np.ndarray:
-    """Forward negacyclic NTT (thin shim over the active kernel backend)."""
-    from .backend import get_backend
+    """Forward negacyclic NTT of one limb (see :mod:`repro.fhe.kernels`)."""
+    from . import kernels
 
-    return get_backend().ntt_batch(np.asarray(coeffs)[None, :], (int(prime),))[0]
+    return kernels.ntt_batch(coeffs, (int(prime),))
 
 
 def intt(values: np.ndarray, prime: int) -> np.ndarray:
-    """Inverse negacyclic NTT (thin shim over the active kernel backend)."""
-    from .backend import get_backend
+    """Inverse negacyclic NTT of one limb (see :mod:`repro.fhe.kernels`)."""
+    from . import kernels
 
-    return get_backend().intt_batch(np.asarray(values)[None, :], (int(prime),))[0]
+    return kernels.intt_batch(values, (int(prime),))
 
 
 def ntt_batch(coeffs: np.ndarray, primes) -> np.ndarray:
     """Forward NTT of a stack of limbs; ``coeffs`` has shape ``(L, N)``."""
-    from .backend import get_backend
+    from . import kernels
 
-    return get_backend().ntt_batch(coeffs, primes)
+    return kernels.ntt_batch(coeffs, primes)
 
 
 def intt_batch(values: np.ndarray, primes) -> np.ndarray:
     """Inverse NTT of a stack of limbs; ``values`` has shape ``(L, N)``."""
-    from .backend import get_backend
+    from . import kernels
 
-    return get_backend().intt_batch(values, primes)
+    return kernels.intt_batch(values, primes)
 
 
 _AUTO_PERM_CACHE: Dict[Tuple[int, int], np.ndarray] = {}

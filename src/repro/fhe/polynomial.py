@@ -20,7 +20,6 @@ import numpy as np
 
 from . import kernels as _kernels
 from .modmath import UINT
-from .ntt import intt_batch, ntt_batch
 
 COEFF = "coeff"
 EVAL = "eval"
@@ -116,9 +115,7 @@ class RnsPolynomial:
         self._check_compatible(other)
         if self.domain != EVAL:
             raise DomainError("polynomial multiplication requires the evaluation domain")
-        from .backend import get_backend
-
-        out = get_backend().pointwise_mulmod(self.data, other.data, self.basis)
+        out = _kernels.pointwise_mulmod(self.data, other.data, self.basis)
         return RnsPolynomial(self.basis, out, self.domain)
 
     def scalar_mul(self, scalar: int) -> "RnsPolynomial":
@@ -129,12 +126,10 @@ class RnsPolynomial:
         """Multiply limb ``j`` by ``residues[j]`` (per-limb scalar); any domain."""
         if len(residues) != self.level:
             raise ValueError("one residue per limb required")
-        from .backend import get_backend
-
         col = np.array(
             [int(r) % q for r, q in zip(residues, self.basis)], dtype=UINT
         )[:, None]
-        out = get_backend().pointwise_mulmod(self.data, col, self.basis)
+        out = _kernels.pointwise_mulmod(self.data, col, self.basis)
         return RnsPolynomial(self.basis, out, self.domain)
 
     # ------------------------------------------------------------------ #
@@ -143,12 +138,12 @@ class RnsPolynomial:
     def to_eval(self) -> "RnsPolynomial":
         if self.domain == EVAL:
             return self
-        return RnsPolynomial(self.basis, ntt_batch(self.data, self.basis), EVAL)
+        return RnsPolynomial(self.basis, _kernels.ntt_batch(self.data, self.basis), EVAL)
 
     def to_coeff(self) -> "RnsPolynomial":
         if self.domain == COEFF:
             return self
-        return RnsPolynomial(self.basis, intt_batch(self.data, self.basis), COEFF)
+        return RnsPolynomial(self.basis, _kernels.intt_batch(self.data, self.basis), COEFF)
 
     # ------------------------------------------------------------------ #
     # Structural ops

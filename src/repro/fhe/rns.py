@@ -91,28 +91,28 @@ def get_conversion_plan(source: Sequence[int], target: Sequence[int]) -> BaseCon
 
 
 def base_convert(limbs: np.ndarray, source: Sequence[int], target: Sequence[int]) -> np.ndarray:
-    """Approximate base conversion (shim over the active kernel backend)."""
-    from .backend import get_backend
+    """Approximate base conversion (see :mod:`repro.fhe.kernels`)."""
+    from . import kernels
 
-    return get_backend().base_convert(limbs, source, target)
+    return kernels.base_convert(limbs, source, target)
 
 
 def mod_up(
     limbs: np.ndarray, source: Sequence[int], target: Sequence[int]
 ) -> np.ndarray:
-    """Extend limbs to a superset basis (shim over the active backend)."""
-    from .backend import get_backend
+    """Extend limbs to a superset basis (see :mod:`repro.fhe.kernels`)."""
+    from . import kernels
 
-    return get_backend().mod_up(limbs, source, target)
+    return kernels.mod_up(limbs, source, target)
 
 
 def mod_down(
     limbs: np.ndarray, base: Sequence[int], extension: Sequence[int]
 ) -> np.ndarray:
-    """Scale down by the extension product (shim over the active backend)."""
-    from .backend import get_backend
+    """Scale down by the extension product (see :mod:`repro.fhe.kernels`)."""
+    from . import kernels
 
-    return get_backend().mod_down(limbs, base, extension)
+    return kernels.mod_down(limbs, base, extension)
 
 
 def mod_up_reference(
@@ -123,8 +123,8 @@ def mod_up_reference(
     Limbs whose prime already exists in ``source`` are copied verbatim (the
     conversion is exact for them by construction); the remaining limbs are
     produced by approximate base conversion.  All arrays are in the
-    coefficient domain.  This is the per-limb reference implementation the
-    ``"numpy"`` backend uses.
+    coefficient domain.  This is the per-limb reference implementation
+    :func:`repro.fhe.kernels.mod_up` is tested against.
     """
     source = tuple(int(p) for p in source)
     target = tuple(int(p) for p in target)
@@ -157,7 +157,8 @@ def mod_down_reference(
 
     ``limbs`` must be ordered with the ``base`` limbs first, then the
     ``extension`` limbs.  All arrays are in the coefficient domain.  This
-    is the per-limb reference implementation the ``"numpy"`` backend uses.
+    is the per-limb reference implementation
+    :func:`repro.fhe.kernels.mod_down` is tested against.
     """
     base = tuple(int(p) for p in base)
     extension = tuple(int(p) for p in extension)

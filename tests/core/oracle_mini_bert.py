@@ -8,9 +8,9 @@ runs it by name (``python -m pytest tests/core/oracle_mini_bert.py``).
 
 import pytest
 
-from repro.fhe.backend import available_backends, use_backend
 from repro.nn import build_bert_encoder
 
+from ..kernel_paths import KERNEL_PATHS, kernel_path
 from .test_emulator_oracle import encrypted_model, run_both
 
 
@@ -20,10 +20,10 @@ def forward():
     return encrypted_model(model, 50, 2, seed=7)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", KERNEL_PATHS)
 def test_mini_bert_matches_reference(forward, backend):
     compiled, image = forward
     assert compiled.instruction_count > 300_000
-    with use_backend(backend):
+    with kernel_path(backend):
         final = run_both(compiled, image)
     assert len(final) > 30_000

@@ -5,7 +5,7 @@ ran until PR 21; ``repro.core.isa.emulator`` renames registers, schedules
 instructions in same-opcode groups and executes each group as one stacked
 kernel call.  The two must leave the *same memory image* — every symbol,
 outputs and spill slots alike, bit for bit — and count the same number of
-executed instructions, on every kernel backend:
+executed instructions, on both kernel paths (C and the numpy fallback):
 
 * on seeded random hand-built streams (register reuse, ``st``/``ld`` of
   one symbol, ``vbcv`` of several widths, collectives expecting one and
@@ -39,12 +39,11 @@ from repro.core.isa.instructions import (
     VNTT, VPRNG, VRSV, VSUB, Instruction,
 )
 from repro.fhe import CKKSContext, make_params
-from repro.fhe.backend import available_backends, use_backend
 from repro.fhe.primes import generate_primes
 
+from ..kernel_paths import KERNEL_PATHS, kernel_path
 from .reference_emulator import IsaEmulator as ReferenceEmulator
 
-BACKENDS = available_backends()
 RING = 64
 REGISTERS = 6
 
@@ -192,12 +191,12 @@ def random_streams(seed: int, chips: int, steps: int):
     return module_of(streams), image
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_PATHS)
 @pytest.mark.parametrize("chips", [1, 2, 4])
 @pytest.mark.parametrize("seed", range(4))
 def test_random_streams_match_reference(backend, chips, seed):
     compiled, image = random_streams(seed, chips, steps=500)
-    with use_backend(backend):
+    with kernel_path(backend):
         final = run_both(compiled, image)
     assert any(name.startswith("out:") for name in final)
 
@@ -237,7 +236,7 @@ def _rotations():
     return prog
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_PATHS)
 @pytest.mark.parametrize("policy", ["cinnamon", "input_broadcast", "cifher"])
 @pytest.mark.parametrize("chips", [1, 2, 4])
 @pytest.mark.parametrize("build", [_chain, _rotations])
@@ -249,7 +248,7 @@ def test_compiled_programs_match_reference(env, rng, build, chips, policy,
     inputs = {name: ctx.encrypt_values(rng.uniform(-1, 1, params.slot_count))
               for name in ("a", "b")}
     plaintexts = {"w": rng.uniform(-1, 1, params.slot_count)}
-    with use_backend(backend):
+    with kernel_path(backend):
         image = build_memory_image(compiled, ctx, inputs, plaintexts)
         final = run_both(compiled, image.data)
     assert any(name.startswith("output:") for name in final)
@@ -291,15 +290,15 @@ def encrypted_model(model, levels, machine, seed=3):
     return compiled, image.data
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_PATHS)
 def test_helr_matches_reference(backend):
     from repro.nn import build_helr
 
-    with use_backend(backend):
+    with kernel_path(backend):
         run_both(*encrypted_model(build_helr(), 8, 4))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KERNEL_PATHS)
 def test_bootstrap_program_matches_reference(backend):
     """The expanded bootstrap graph (ModRaise, CoeffToSlot, EvalMod,
     SlotToCoeff) on functional parameters.  Its plaintext operands are
@@ -322,7 +321,7 @@ def test_bootstrap_program_matches_reference(backend):
         for definition in compiled.limb_program.plaintext_defs.values()
         if definition.get("constant") is None}
     ct = ctx.encrypt_values(rng.uniform(-1, 1, params.slot_count), level=2)
-    with use_backend(backend):
+    with kernel_path(backend):
         image = build_memory_image(compiled, ctx, {"x": ct}, plaintexts)
         run_both(compiled, image.data)
 

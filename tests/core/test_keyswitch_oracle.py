@@ -4,7 +4,8 @@ The compiled path — keyswitch pass, limb lowering, ISA, batch-scheduled
 emulator — must store, in every output limb, exactly what the functional
 math computes: RNS arithmetic is exact, so a single differing residue is a
 bug, never noise.  Every program runs under every keyswitch policy, on 1,
-2, 4 and 8 chips, with batching on and off, on every kernel backend.
+2, 4 and 8 chips, with batching on and off, on both kernel paths (C
+and the numpy fallback).
 
 Which math applies depends on the form the keyswitch pass chose, read back
 from ``compiled.pass_stats``:
@@ -36,7 +37,6 @@ import pytest
 from repro.core import CinnamonProgram, CompilerDriver, CompilerOptions
 from repro.core.ir.verifier import verify_limb_program
 from repro.fhe import CKKSContext, Evaluator, make_params
-from repro.fhe.backend import available_backends, use_backend
 from repro.fhe.ciphertext import Ciphertext
 from repro.fhe.encoding import (conjugation_galois_element,
                                 rotation_galois_element)
@@ -44,10 +44,11 @@ from repro.fhe.keyswitch import (evalkey_accumulate, hoisted_decompose,
                                  moddown_poly, modup_digit)
 from repro.fhe.params import partition_from_sig
 
+from ..kernel_paths import kernel_path, runnable_kernel_paths
+
 LEVEL = 6
 POLICIES = ("sequential", "cinnamon", "input_broadcast", "cifher")
 CHIPS = (1, 2, 4, 8)
-BACKENDS = available_backends()
 ROTATIONS = (1, 2, 5)
 CONJUGATE = "conj"
 
@@ -265,8 +266,8 @@ def test_bit_exact(env, name, policy, chips, batching):
 
     want = oracle(env, name, compiled)
     inputs = {x: cts[x] for x in PROGRAMS[name][0]}
-    for backend in BACKENDS:
-        with use_backend(backend):
+    for backend in runnable_kernel_paths():
+        with kernel_path(backend):
             got = compiled.emulate(inputs, context=ctx)
         assert set(got) == set(want)
         for out, ct in want.items():

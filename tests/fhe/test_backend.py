@@ -1,29 +1,18 @@
-"""Cross-backend golden parity for the kernel-backend registry.
+"""Golden parity of the two kernel paths.
 
-Every registered :class:`repro.fhe.backend.KernelBackend` must produce
-*bit-identical* limbs to the per-limb reference kernels — the batched
-numpy kernels and the compiled ``"native"`` backend are alternative
-evaluation strategies, never alternative semantics.  These tests pin
-that contract for every backend the running environment registers
-(including ``"native"`` when a C toolchain is present) and exercise the
-selection API (``get_backend``/``set_backend``/``use_backend`` and the
-``repro.set_kernel_backend`` facade).
+:mod:`repro.fhe.kernels` runs the C loops of :mod:`repro.fhe.native` when
+that library builds and its numpy code otherwise.  Both must produce
+*bit-identical* limbs to the per-limb reference kernels — they are
+alternative evaluation strategies, never alternative semantics — and
+refuse the same malformed calls.  Every test here runs on both paths
+(``tests/kernel_paths.py``; the C leg skips without a C toolchain).
 """
 
 import numpy as np
 import pytest
 
-import repro
-from repro.fhe import make_params
+from repro.fhe import get_backend, kernels, make_params, native
 from repro.nn import nn_params
-from repro.fhe.backend import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
 from repro.fhe.ntt import (
     intt_reference,
     negacyclic_convolve_reference,
@@ -32,7 +21,7 @@ from repro.fhe.ntt import (
 from repro.fhe.primes import generate_primes
 from repro.fhe.rns import mod_down_reference, mod_up_reference
 
-BACKENDS = available_backends()
+from ..kernel_paths import KERNEL_PATHS, kernel_path
 
 
 def _wide(count, n):
@@ -65,86 +54,18 @@ def reference_ntt_stack(stack, primes, inverse=False):
     return np.stack([fn(stack[i], int(q)) for i, q in enumerate(primes)])
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert "numpy" in BACKENDS
-        assert "numpy-batched" in BACKENDS
-
-    def test_every_backend_satisfies_protocol(self):
-        for name in BACKENDS:
-            with use_backend(name) as backend:
-                assert isinstance(backend, KernelBackend)
-                assert backend.name == name
-
-    def test_set_backend_returns_previous(self):
-        original = get_backend()
-        previous = set_backend("numpy")
-        try:
-            assert previous is original
-            assert get_backend().name == "numpy"
-        finally:
-            set_backend(original)
-
-    def test_unknown_backend_rejected_with_listing(self):
-        with pytest.raises(ValueError, match="numpy-batched"):
-            set_backend("does-not-exist")
-
-    def test_use_backend_restores_on_exit(self):
-        before = get_backend().name
-        with use_backend("numpy"):
-            assert get_backend().name == "numpy"
-        assert get_backend().name == before
-
-    def test_repro_facade(self):
-        previous = repro.set_kernel_backend("numpy")
-        try:
-            assert repro.get_kernel_backend().name == "numpy"
-        finally:
-            repro.set_kernel_backend(previous)
-
-    def test_register_backend_decorator_roundtrip(self):
-        from repro.fhe import backend as backend_mod
-
-        @register_backend("parity-test-dummy")
-        class Dummy:
-            def ntt_batch(self, coeffs, primes):
-                return coeffs
-
-            def intt_batch(self, values, primes):
-                return values
-
-            def base_convert(self, limbs, source, target):
-                return limbs
-
-            def mod_up(self, limbs, source, target):
-                return limbs
-
-            def mod_down(self, limbs, base, extension):
-                return limbs
-
-            def pointwise_mulmod(self, a, b, primes):
-                return a
-
-        try:
-            assert "parity-test-dummy" in available_backends()
-            with use_backend("parity-test-dummy") as active:
-                assert active.name == "parity-test-dummy"
-        finally:
-            backend_mod._REGISTRY.pop("parity-test-dummy", None)
-
-
-@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("name", KERNEL_PATHS)
 class TestGoldenParity:
-    """Bit-identity of every registered backend vs the reference kernels."""
+    """Bit-identity of both kernel paths vs the reference kernels."""
 
     @pytest.mark.parametrize("limbs,n", [(1, 64), (2, 64), (24, 64),
                                          (1, 8192), (2, 8192), (24, 8192)])
     def test_ntt_roundtrip_bit_identical(self, name, limbs, n):
         primes = generate_primes(limbs, 28, n)
         stack = seeded_stack(primes, n, seed=limbs * n)
-        with use_backend(name) as backend:
-            forward = backend.ntt_batch(stack, primes)
-            back = backend.intt_batch(forward, primes)
+        with kernel_path(name):
+            forward = kernels.ntt_batch(stack, primes)
+            back = kernels.intt_batch(forward, primes)
         assert np.array_equal(forward, reference_ntt_stack(stack, primes))
         assert np.array_equal(
             back, reference_ntt_stack(forward, primes, inverse=True))
@@ -155,11 +76,11 @@ class TestGoldenParity:
         primes = generate_primes(2, 28, n)
         a = seeded_stack(primes, n, seed=11)
         b = seeded_stack(primes, n, seed=22)
-        with use_backend(name) as backend:
-            prod = backend.intt_batch(
-                backend.pointwise_mulmod(
-                    backend.ntt_batch(a, primes),
-                    backend.ntt_batch(b, primes), primes),
+        with kernel_path(name):
+            prod = kernels.intt_batch(
+                kernels.pointwise_mulmod(
+                    kernels.ntt_batch(a, primes),
+                    kernels.ntt_batch(b, primes), primes),
                 primes)
         for i, q in enumerate(primes):
             want = negacyclic_convolve_reference(a[i], b[i], int(q))
@@ -171,9 +92,9 @@ class TestGoldenParity:
         base = params.moduli
         ext = params.extension_moduli
         stack = seeded_stack(base, params.ring_degree, seed=33)
-        with use_backend(name) as backend:
-            up = backend.mod_up(stack, base, base + ext)
-            down = backend.mod_down(up, base, ext)
+        with kernel_path(name):
+            up = kernels.mod_up(stack, base, base + ext)
+            down = kernels.mod_down(up, base, ext)
         # Golden parity: both directions bit-identical to the per-limb
         # reference (mod_down divides by the extension product, so the
         # round-trip is x/P — correctness of that rounding is pinned by
@@ -190,8 +111,8 @@ class TestGoldenParity:
         from repro.fhe.rns import get_conversion_plan
 
         want = get_conversion_plan(source, target).convert(stack)
-        with use_backend(name) as backend:
-            got = backend.base_convert(stack, source, target)
+        with kernel_path(name):
+            got = kernels.base_convert(stack, source, target)
         assert np.array_equal(got, want)
 
     def test_pointwise_mulmod_matches_reference(self, name):
@@ -201,8 +122,8 @@ class TestGoldenParity:
         b = seeded_stack(primes, n, seed=66)
         want = np.stack([(a[i] * b[i]) % np.uint64(q)
                          for i, q in enumerate(primes)])
-        with use_backend(name) as backend:
-            got = backend.pointwise_mulmod(a, b, primes)
+        with kernel_path(name):
+            got = kernels.pointwise_mulmod(a, b, primes)
         assert np.array_equal(got, want)
 
     def test_pointwise_mulmod_column_and_wide_primes(self, name):
@@ -215,8 +136,8 @@ class TestGoldenParity:
         for other in (b[:, :1], b[:, ::2]):
             want = np.stack([(a[i] * other[i]) % np.uint64(q)
                              for i, q in enumerate(primes)])
-            with use_backend(name) as backend:
-                got = backend.pointwise_mulmod(a, other, primes)
+            with kernel_path(name):
+                got = kernels.pointwise_mulmod(a, other, primes)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [64, 256, 8192])
@@ -231,11 +152,11 @@ class TestGoldenParity:
         want = reference_ntt_stack(stack, primes)
         table = tuple(dict.fromkeys(primes))[::-1]    # not in stack order
         rows = np.array([table.index(q) for q in primes], dtype=np.uint8)
-        with use_backend(name) as backend:
-            forward = backend.ntt_batch(stack, primes)
-            back = backend.intt_batch(forward, primes)
-            forward_rows = backend.ntt_batch(stack, table, rows)
-            back_rows = backend.intt_batch(forward, table, rows)
+        with kernel_path(name):
+            forward = kernels.ntt_batch(stack, primes)
+            back = kernels.intt_batch(forward, primes)
+            forward_rows = kernels.ntt_batch(stack, table, rows)
+            back_rows = kernels.intt_batch(forward, table, rows)
         assert np.array_equal(forward, want)
         assert np.array_equal(
             back, reference_ntt_stack(want, primes, inverse=True))
@@ -284,9 +205,9 @@ GROUP_ARITIES = {"add": [2], "sub": [2], "neg": [1], "mul": [2],
                  "rsv": [1]}
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("name", KERNEL_PATHS)
 class TestLimbGroupParity:
-    """The ISA emulator's pointwise groups: every backend equals the numpy
+    """The ISA emulator's pointwise groups: both paths equal the numpy
     expressions on any uint64 operands — not just canonical residues, as
     random cross-ring instruction streams feed them."""
 
@@ -322,8 +243,8 @@ class TestLimbGroupParity:
     def test_group_matches_numpy_expressions(self, name, op, arity):
         store, srcs, rows, constants = self._case(op, arity, seed=arity)
         want = group_oracle(op, store, srcs, self.table, rows, constants)
-        with use_backend(name) as backend:
-            got = backend.limb_group(op, store, srcs, self.table, rows,
+        with kernel_path(name):
+            got = kernels.limb_group(op, store, srcs, self.table, rows,
                                      constants)
         assert got.dtype == np.uint64
         assert np.array_equal(got, want)
@@ -334,8 +255,8 @@ class TestLimbGroupParity:
         p = np.array(self.table, dtype=np.uint64)[rows]
         store[srcs[1]] = store[srcs[0]] + p[:, None] + np.uint64(1)
         want = group_oracle("sub", store, srcs, self.table, rows, None)
-        with use_backend(name) as backend:
-            got = backend.limb_group("sub", store, srcs, self.table, rows)
+        with kernel_path(name):
+            got = kernels.limb_group("sub", store, srcs, self.table, rows)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("op", ["add", "mul", "bcv", "sum"])
@@ -350,8 +271,8 @@ class TestLimbGroupParity:
         want = store.copy()
         want[dst] = group_oracle(op, store, srcs, self.table, rows,
                                  constants)
-        with use_backend(name) as backend:
-            store[dst] = backend.limb_group(op, store, srcs, self.table,
+        with kernel_path(name):
+            store[dst] = kernels.limb_group(op, store, srcs, self.table,
                                             rows, constants)
         assert np.array_equal(store, want)
 
@@ -404,10 +325,10 @@ class TestIntegersToRns:
         assert seen == [list, np.ndarray]
 
 
-@pytest.mark.parametrize("name", [b for b in BACKENDS if b != "numpy"])
+@pytest.mark.parametrize("name", KERNEL_PATHS)
 class TestNoPerLimbFallback:
     """Every basis ``make_params`` / ``nn_params`` builds carries a 31-bit
-    ``q_0`` and 31-bit extension primes.  The fast backends must transform
+    ``q_0`` and 31-bit extension primes.  Both kernel paths must transform
     them without the per-limb reference loop: a silent return to it costs
     4x on every keyswitch and fails here, not in a benchmark."""
 
@@ -421,7 +342,7 @@ class TestNoPerLimbFallback:
 
         params = make()
         assert max(params.moduli + params.extension_moduli) >= 1 << 30
-        with use_backend(name):
+        with kernel_path(name):
             ctx = CKKSContext(params, seed=3)
             ev = Evaluator(ctx)
             ct = ctx.encrypt_values(
@@ -440,7 +361,7 @@ class TestNoPerLimbFallback:
         assert scaled.level == ct.level - 1
 
 
-@pytest.mark.parametrize("name", [b for b in BACKENDS if b != "numpy"])
+@pytest.mark.parametrize("name", KERNEL_PATHS)
 def test_moduli_must_match_the_stack(name):
     """The compiled kernel indexes tables by row: a stack with more limbs
     than moduli named, or a row index past the table, is refused in
@@ -448,14 +369,36 @@ def test_moduli_must_match_the_stack(name):
     n = 64
     primes = generate_primes(2, 28, n)
     stack = seeded_stack(primes + primes[:1], n)
-    with use_backend(name) as backend:
+    with kernel_path(name):
         with pytest.raises(ValueError, match="3 limbs but 2 moduli"):
-            backend.ntt_batch(stack, primes)
+            kernels.ntt_batch(stack, primes)
         with pytest.raises(IndexError):
-            backend.intt_batch(stack, primes, rows=[0, 1, 2])
+            kernels.intt_batch(stack, primes, rows=[0, 1, 2])
 
 
-@pytest.mark.skipif("native" not in BACKENDS, reason="no C toolchain")
+@pytest.mark.parametrize("name", KERNEL_PATHS)
+def test_limb_count_mismatch_is_refused_alike(name):
+    """One modulus per limb (per instruction of a group) on both paths:
+    the numpy fallback raises the C path's error rather than reducing
+    every row by the first prime or returning fewer limbs."""
+    n = 64
+    primes = generate_primes(3, 28, n)
+    stack = seeded_stack(primes, n)
+    with kernel_path(name):
+        with pytest.raises(ValueError, match="^3 limbs but 1 moduli named$"):
+            kernels.pointwise_mulmod(stack, stack, primes[:1])
+        with pytest.raises(ValueError, match="^3 limbs but 1 moduli named$"):
+            kernels.pointwise_mulmod(stack, stack[:, :1], primes[:1])
+        for transform in (kernels.ntt_batch, kernels.intt_batch):
+            with pytest.raises(ValueError,
+                               match="^3 limbs but 2 moduli named$"):
+                transform(stack, primes[:2])
+        srcs = np.array([[0, 1, 2], [1, 2, 0]])
+        with pytest.raises(ValueError,
+                           match="^3 instructions but 1 moduli named$"):
+            kernels.limb_group("add", stack, srcs, primes, np.array([0]))
+
+
 def test_native_group_refuses_what_c_would_read_out_of_bounds():
     """Operand rows, prime rows and constants are checked in Python."""
     n = 64
@@ -463,22 +406,23 @@ def test_native_group_refuses_what_c_would_read_out_of_bounds():
     store = seeded_stack(primes * 2, n)
     srcs = np.array([[0, 1], [2, 3]])
     rows = np.array([0, 1])
-    with use_backend("native") as backend:
+    with kernel_path("native"):
         with pytest.raises(IndexError):
-            backend.limb_group("add", store, srcs + 3, primes, rows)
+            kernels.limb_group("add", store, srcs + 3, primes, rows)
         with pytest.raises(IndexError):
-            backend.limb_group("add", store, srcs, primes, rows + 1)
+            kernels.limb_group("add", store, srcs, primes, rows + 1)
         with pytest.raises(ValueError, match="constants of shape"):
-            backend.limb_group("bcv", store, srcs, primes, rows,
+            kernels.limb_group("bcv", store, srcs, primes, rows,
                                np.ones((2, 1), dtype=np.uint64))
         with pytest.raises(ValueError, match="constants of shape"):
-            backend.limb_group("mulc", store, srcs[:1], primes, rows,
+            kernels.limb_group("mulc", store, srcs[:1], primes, rows,
                                np.ones(3, dtype=np.uint64))
         with pytest.raises(ValueError, match="unknown limb group op"):
-            backend.limb_group("div", store, srcs, primes, rows)
+            kernels.limb_group("div", store, srcs, primes, rows)
 
 
-def test_concurrent_first_use_of_primes_shares_one_plan():
+@pytest.mark.parametrize("name", KERNEL_PATHS)
+def test_concurrent_first_use_of_primes_shares_one_plan(name):
     """The per-ring-degree plan grows a row per new prime; threads meeting
     new primes at the same time must each still see their own rows."""
     import sys
@@ -491,45 +435,37 @@ def test_concurrent_first_use_of_primes_shares_one_plan():
     def transform(worker):
         mine = primes[worker::4] + primes[:2]
         stack = seeded_stack(mine, n, seed=worker)
-        with use_backend("numpy-batched") as backend:
-            for _ in range(5):
-                if not np.array_equal(backend.ntt_batch(stack, mine),
-                                      reference_ntt_stack(stack, mine)):
-                    failures.append(worker)
+        for _ in range(5):
+            if not np.array_equal(kernels.ntt_batch(stack, mine),
+                                  reference_ntt_stack(stack, mine)):
+                failures.append(worker)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=transform, args=(w,))
-                   for w in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        with kernel_path(name):
+            threads = [threading.Thread(target=transform, args=(w,))
+                       for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures
 
 
-class TestNativeBackendGating:
-    """The compiled backend registers itself only when usable."""
-
-    def test_availability_is_consistent(self):
-        from repro.fhe import native
-
-        if native.available():
-            assert "native" in available_backends()
-            assert native.build_error() is None
-        else:
-            assert "native" not in available_backends()
-            assert native.build_error()
+class TestDefaultPath:
+    """C whenever the library builds, numpy otherwise, and the report says
+    which."""
 
     def test_default_backend_prefers_native(self):
-        default = get_backend().name
-        from repro.fhe import native
-
-        if native.available():
-            assert default == "native"
+        if native.load_library() is not None:
+            assert get_backend().name == "native"
+            assert native.build_error() is None
         else:
-            assert default == "numpy-batched"
+            assert get_backend().name == "numpy-batched"
+            assert native.build_error()
+        with kernel_path("numpy-batched"):
+            assert get_backend().name == "numpy-batched"

@@ -10,7 +10,6 @@ acceptance bound is max abs error < 1e-2.
 import numpy as np
 import pytest
 
-from repro.fhe.backend import available_backends, use_backend
 from repro.nn import (
     build_bert_encoder,
     build_helr,
@@ -20,6 +19,8 @@ from repro.nn import (
     nn_params,
     sample_input,
 )
+
+from ..kernel_paths import KERNEL_PATHS, kernel_path
 
 TOLERANCE = 1e-2
 
@@ -34,13 +35,13 @@ class TestHelrParity:
     def test_helr(self):
         assert run_parity(build_helr(), levels=8) < TOLERANCE
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", KERNEL_PATHS)
     def test_helr_across_backends(self, backend):
         model = build_helr()
         low = lower(model, nn_params(8))
         x = sample_input(model)
         ref = model.reference(x)
-        with use_backend(backend):
+        with kernel_path(backend):
             err = np.abs(encrypted_forward(low, x) - ref).max()
         assert err < TOLERANCE
 
