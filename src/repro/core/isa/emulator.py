@@ -3,10 +3,10 @@
 The paper built "a CPU emulator for the Cinnamon ISA and used it to run all
 the benchmarks" to test compiler correctness (Section 6.2); this module is
 that emulator.  It executes the per-chip instruction streams with real
-numpy limb data — registers hold limbs, collectives synchronize chips, and
-the memory image is built from an actual :class:`repro.fhe.CKKSContext` —
-so a compiled program's outputs can be decrypted and compared against the
-functional evaluator.
+limb data — registers hold limbs, collectives synchronize chips, and the
+memory image is built from an actual :class:`repro.fhe.CKKSContext`, one
+entry per polynomial — so a compiled program's outputs can be decrypted
+and compared against the functional evaluator.
 
 What a stream computes does not depend on its data, so the emulator does
 not interpret it instruction by instruction.  Once per artifact it builds
@@ -25,10 +25,14 @@ a :class:`_Schedule` (docs/compiler.md, section 7):
   next.  Values live in rows of one ``(slots, N)`` array, a row being
   recycled when its value's last reader has issued.
 
-:meth:`IsaEmulator.run` then executes each group as a gather, one stacked
-kernel call and a scatter.  ``tests/core/reference_emulator.py`` keeps the
-per-instruction interpreter; the two agree bit for bit on every memory
-symbol.
+:meth:`IsaEmulator.run` then executes the whole schedule in one call into
+the FHE kernels' C library (``repro_replay`` in ``fhe/_native.c``), which
+writes each group's results straight into their rows.  Where that library
+does not load, or a prime is past its bounds, the Python loop
+:meth:`IsaEmulator._run_python` executes each group as a gather, one
+stacked kernel call and a scatter.  ``tests/core/reference_emulator.py``
+keeps the per-instruction interpreter; all three agree bit for bit on
+every memory symbol.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ...fhe import kernels
+from ...fhe import kernels, native
 from ...fhe.ciphertext import Ciphertext
 from ...fhe.evaluator import CKKSContext
 from ...fhe.modmath import UINT
@@ -55,22 +59,72 @@ from .instructions import (
 )
 
 
+def _split(symbol: str):
+    """``(prefix, row)`` of a symbol ``f"{prefix}:{row}"``; ``(symbol, -1)``
+    when it does not end in a row number."""
+    prefix, _, row = symbol.rpartition(":")
+    if prefix and row.isdigit() and row.isascii() and (
+            row == "0" or row[0] != "0"):
+        return prefix, int(row)
+    return symbol, -1
+
+
 class MemoryImage:
-    """Name -> limb array storage shared by all chips (models HBM)."""
+    """Symbol -> limb storage shared by all chips (models HBM).
+
+    A symbol names one limb.  Whole ``(L, N)`` polynomials are registered
+    under a prefix (:meth:`add_polynomial`): row ``i`` is the symbol
+    ``f"{prefix}:{i}"``.  Single limbs are assigned by symbol, as a stored
+    limb is, and shadow a polynomial row of the same name.
+    """
 
     def __init__(self):
-        self.data: Dict[str, np.ndarray] = {}
+        self._polynomials: Dict[str, np.ndarray] = {}
+        self._limbs: Dict[str, np.ndarray] = {}
+
+    def add_polynomial(self, prefix: str, limbs: np.ndarray) -> None:
+        """Register ``limbs[i]`` as the symbol ``f"{prefix}:{i}"``."""
+        limbs = np.ascontiguousarray(limbs, dtype=UINT)
+        if limbs.ndim != 2:
+            raise ValueError(f"polynomial {prefix!r} of shape {limbs.shape}: "
+                             "need (limbs, N)")
+        self._polynomials[prefix] = limbs
+
+    def copy(self) -> "MemoryImage":
+        """A new image holding the same limbs (shared, never written)."""
+        image = MemoryImage()
+        image._polynomials = dict(self._polynomials)
+        image._limbs = dict(self._limbs)
+        return image
 
     def __setitem__(self, symbol: str, limb: np.ndarray):
-        self.data[symbol] = np.asarray(limb, dtype=UINT)
+        self._limbs[symbol] = np.asarray(limb, dtype=UINT)
 
     def __getitem__(self, symbol: str) -> np.ndarray:
-        if symbol not in self.data:
-            raise KeyError(f"memory symbol {symbol!r} not populated")
-        return self.data[symbol]
+        limb = self._limbs.get(symbol)
+        if limb is None:
+            prefix, row = _split(symbol)
+            poly = self._polynomials.get(prefix)
+            if poly is None or not 0 <= row < len(poly):
+                raise KeyError(f"memory symbol {symbol!r} not populated")
+            limb = poly[row]
+        return limb
 
-    def __contains__(self, symbol):
-        return symbol in self.data
+    def __contains__(self, symbol) -> bool:
+        try:
+            self[symbol]
+        except KeyError:
+            return False
+        return True
+
+    def __iter__(self):
+        """Every symbol, polynomial rows first."""
+        for prefix, poly in self._polynomials.items():
+            for row in range(len(poly)):
+                symbol = f"{prefix}:{row}"
+                if symbol not in self._limbs:
+                    yield symbol
+        yield from self._limbs
 
 
 def build_memory_image(
@@ -79,15 +133,24 @@ def build_memory_image(
     inputs: Dict[str, Ciphertext],
     plaintexts: Dict[str, np.ndarray] = None,
 ) -> MemoryImage:
-    """Populate HBM for an emulation run.
+    """Populate HBM for an emulation run, one entry per polynomial:
 
     * program inputs from the given ciphertexts;
     * evaluation keys from the context's keychain (with the digit
       partitions the compiler chose);
     * plaintext operands encoded at the compiler-inferred scales.
+
+    The streams name the primes the program was compiled for, so the
+    context must carry the same prime chain.
     """
     plaintexts = plaintexts or {}
     params = context.params
+    compiled_for = getattr(compiled, "params", None)
+    if compiled_for is not None and _prime_chain(compiled_for) != \
+            _prime_chain(params):
+        raise ValueError(
+            "the context's prime chain is not the one the program was "
+            "compiled for: its limbs would be reduced by the wrong primes")
     memory = MemoryImage()
 
     for name, op_id in compiled.ct_program.inputs.items():
@@ -97,9 +160,8 @@ def build_memory_image(
         level = compiled.ct_program.ops[op_id].level
         ct = ct.at_level(level)
         for comp, poly in enumerate(ct.polys):
-            poly = poly.to_eval()
-            for i in range(poly.level):
-                memory[f"input:{name}:{comp}:{i}"] = poly.data[i]
+            memory.add_polynomial(f"input:{name}:{comp}",
+                                  poly.to_eval().data[:level])
 
     # Sorted: the keychain draws each key from one seeded stream as it is
     # first asked for, and a set of strings iterates in per-process order.
@@ -114,11 +176,9 @@ def build_memory_image(
             purpose, level, partition_from_sig(partition_sig, level, params))
         for digit_index, (b, a) in enumerate(evk.digits):
             for comp, poly in enumerate((b, a)):
-                for pos in range(poly.level):
-                    memory[
-                        f"evk:{key}:{level}:{partition_sig}:"
-                        f"{digit_index}:{comp}:{pos}"
-                    ] = poly.data[pos]
+                memory.add_polynomial(
+                    f"evk:{key}:{level}:{partition_sig}:{digit_index}:{comp}",
+                    poly.data)
 
     encoder = context.encoder
     for key, definition in compiled.limb_program.plaintext_defs.items():
@@ -134,10 +194,13 @@ def build_memory_image(
             if name not in plaintexts:
                 raise KeyError(f"no values bound for plaintext {name!r}")
             pt = encoder.encode(plaintexts[name], scale=scale, level=level)
-        poly = pt.poly.to_eval()
-        for i in range(level):
-            memory[f"{key}:{i}"] = poly.data[i]
+        memory.add_polynomial(key, pt.poly.to_eval().data[:level])
     return memory
+
+
+def _prime_chain(params) -> tuple:
+    return (tuple(getattr(params, "moduli", ())),
+            tuple(getattr(params, "extension_moduli", ())))
 
 
 #: Opcode numbering of the schedule's columns.
@@ -177,35 +240,40 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class _Schedule:
     """The data-independent execution plan of one :class:`IsaModule`.
 
-    Groups are ``(code, arity, count)`` rows; instruction columns
+    Groups are ``(code, arity, count)`` rows; int32 instruction columns
     (``dst``, ``p0``, ``p1``: slot and table indices) run in issue order
     and ``src`` holds each group's operand slots as an ``(arity, count)``
-    block.  What ``p0``/``p1`` index depends on the opcode: ``primes``
-    (modulus; for ``vrsv`` target and source), ``scalars`` (``vmulc``),
-    ``galois`` (``vauto``) or ``factors`` (``vbcv``: one row of
-    base-conversion constants per distinct source basis and target).
-    ``symbols`` lists the ``ld``/``st`` symbols in issue order.
+    block.  What ``p0``/``p1``
+    index depends on the opcode: ``primes`` (modulus; for ``vrsv`` target
+    and source), ``scalars`` (``vmulc``), ``galois`` (``vauto``) or
+    ``factors`` (``vbcv``: one row of base-conversion constants per
+    distinct source basis and target).
+
+    Memory symbols are interned here, once: ``load_ids`` gives per
+    ``ld``/``vprng`` in issue order its row of ``load_names``, which
+    ``load_prefix`` / ``load_row`` split into a polynomial (a row of
+    ``prefixes``) and a row of it (-1: not a row name).  ``store_names``
+    lists the ``st`` symbols in issue order.  ``replayable`` says whether
+    the C kernels take every prime named (all below ``2**31``);
+    ``ntt_primes`` are the rows of ``primes`` the transforms use.
     """
 
-    __slots__ = ("groups", "dst", "src", "p0", "p1", "symbols", "primes",
-                 "prime_column", "scalars", "galois", "factors", "slots",
-                 "instructions", "_permutations")
+    __slots__ = ("groups", "dst", "src", "p0", "p1",
+                 "load_ids", "load_names", "load_index", "load_prefix",
+                 "load_row", "prefixes", "store_names", "primes",
+                 "prime_column", "scalars", "galois", "factors",
+                 "ntt_primes", "replayable", "slots", "instructions",
+                 "_permutations")
 
     def permutations(self, ring_degree: int) -> np.ndarray:
         """``(len(galois), N)`` gather indices of the ``vauto`` elements."""
         table = self._permutations.get(ring_degree)
         if table is None:
-            table = self._permutations[ring_degree] = np.stack([
-                eval_automorphism_permutation(g, ring_degree)
-                for g in self.galois]) if self.galois else np.empty(
-                    (0, ring_degree), dtype=np.int64)
+            table = self._permutations[ring_degree] = np.ascontiguousarray(
+                np.stack([eval_automorphism_permutation(g, ring_degree)
+                          for g in self.galois]) if self.galois
+                else np.empty((0, ring_degree)), dtype=np.int64)
         return table
-
-
-def _compact(indices: np.ndarray, table_size: int) -> np.ndarray:
-    """``indices`` in the narrowest unsigned dtype that can name a table
-    of ``table_size`` rows."""
-    return indices.astype(np.min_scalar_type(max(table_size, 1)))
 
 
 class _Tables:
@@ -546,17 +614,17 @@ def _build_schedule(isa) -> _Schedule:
     del producer, ptr, width, live
 
     schedule = _Schedule()
-    schedule.groups = groups
+    schedule.groups = np.array(groups, dtype=np.int32).reshape(-1, 3)
     schedule.dst = slot_of[issue]
     schedule.src = src
-    schedule.p0 = _compact(p0[issue],
-                           max(len(tables.primes), len(tables.galois)))
-    schedule.p1 = _compact(p1[issue], max(
-        len(tables.primes), len(tables.scalars), len(tables.bases)))
-    in_memory = np.isin(code[issue], (_VPRNG, _LD, _ST))
+    schedule.p0 = p0[issue]
+    schedule.p1 = p1[issue]
+    issued = code[issue]
+    in_memory = np.isin(issued, (_VPRNG, _LD, _ST))
     position = np.searchsorted(np.asarray(memory_ops, dtype=np.int64),
                                issue[in_memory])
-    schedule.symbols = [memory_symbols[i] for i in position.tolist()]
+    _intern_symbols(schedule, [memory_symbols[i] for i in position.tolist()],
+                    (issued[in_memory] == _ST).tolist())
     schedule.primes = tuple(tables.primes)
     schedule.prime_column = np.array(schedule.primes, dtype=UINT)
     schedule.scalars = np.array(list(tables.scalars), dtype=UINT)
@@ -571,10 +639,84 @@ def _build_schedule(isa) -> _Schedule:
         q_total = basis_product(sources)
         schedule.factors[row, :len(sources)] = [
             (q_total // q) % target for q in sources]
+    schedule.ntt_primes = np.unique(
+        schedule.p0[np.isin(issued, (_VNTT, _VINTT))])
+    schedule.replayable = all(q < kernels.MAX_BATCHED_PRIME
+                              for q in schedule.primes)
     schedule.slots = slots
     schedule.instructions = len(code)
     schedule._permutations = {}
     return schedule
+
+
+def _intern_symbols(schedule: _Schedule, symbols: List[str],
+                    stores: List[bool]) -> None:
+    """Fill the schedule's symbol tables from the ``ld``/``vprng``/``st``
+    symbols in issue order."""
+    index: Dict[str, int] = {}
+    prefixes: Dict[str, int] = {}
+    load_ids, prefix_of, row_of = [], [], []
+    schedule.store_names = []
+    for symbol, store in zip(symbols, stores):
+        if store:
+            schedule.store_names.append(symbol)
+            continue
+        at = index.get(symbol)
+        if at is None:
+            at = index[symbol] = len(index)
+            prefix, row = _split(symbol)
+            prefix_of.append(prefixes.setdefault(prefix, len(prefixes)))
+            row_of.append(row)
+        load_ids.append(at)
+    schedule.load_ids = np.array(load_ids, dtype=np.int32)
+    schedule.load_index = index
+    schedule.load_names = list(index)
+    schedule.load_prefix = np.array(prefix_of, dtype=np.intp)
+    schedule.load_row = np.array(row_of, dtype=np.int64)
+    schedule.prefixes = list(prefixes)
+
+
+def _load_addresses(memory: MemoryImage, schedule: _Schedule):
+    """Where each of the schedule's distinct load symbols lives in
+    ``memory``, resolved a polynomial at a time.
+
+    Returns ``(addresses, N, keep)``: ``keep`` holds the arrays behind the
+    addresses (a copy of the single limbs that shadow polynomial rows).
+    ``N`` is None when nothing loads.  Raises the ``KeyError`` of
+    ``memory[symbol]`` for the first unpopulated symbol in issue order.
+    """
+    found = [memory._polynomials.get(prefix) for prefix in schedule.prefixes]
+    keep = [poly for poly in found if poly is not None]
+    widths = {poly.shape[1] for poly in keep}
+    lengths = np.array([0 if poly is None else len(poly) for poly in found],
+                       dtype=np.int64)
+    starts = np.array([0 if poly is None else poly.ctypes.data
+                       for poly in found], dtype=UINT)
+    row = schedule.load_row
+    resolved = (row >= 0) & (row < lengths[schedule.load_prefix])
+    shadowing = [schedule.load_index[name] for name in
+                 memory._limbs.keys() & schedule.load_index.keys()]
+    if shadowing:
+        limbs = np.stack([memory._limbs[schedule.load_names[at]]
+                          for at in shadowing])
+        keep.append(limbs)
+        widths.add(limbs.shape[1])
+        resolved[shadowing] = True
+    if not resolved.all():
+        first = np.flatnonzero(~resolved[schedule.load_ids])[0]
+        name = schedule.load_names[schedule.load_ids[first]]
+        raise KeyError(f"memory symbol {name!r} not populated")
+    if len(widths) > 1:
+        raise ValueError(f"memory limbs of {sorted(widths)} elements")
+    if not len(row):
+        return None, None, keep
+    n = widths.pop()
+    addresses = starts[schedule.load_prefix] + (
+        np.maximum(row, 0).astype(UINT) * UINT(8 * n))
+    if shadowing:
+        addresses[shadowing] = UINT(limbs.ctypes.data) + (
+            np.arange(len(shadowing), dtype=UINT) * UINT(8 * n))
+    return addresses, n, keep
 
 
 #: Schedules live beside their artifact, not in it: never pickled, not in
@@ -604,15 +746,48 @@ class IsaEmulator:
     # ------------------------------------------------------------------ #
 
     def run(self) -> None:
-        """Execute all chips to completion (raises on deadlock)."""
+        """Execute all chips to completion (raises on deadlock).
+
+        The whole schedule runs in one C call when the kernels' library
+        loads and every prime it names is below ``2**31``; the Python
+        loop :meth:`_run_python`, its oracle, runs otherwise.
+        """
         schedule = _schedule_of(self.compiled.isa)
+        lib = native.load_library() if schedule.replayable else None
+        if lib is None:
+            self._run_python(schedule)
+        else:
+            self._run_native(lib, schedule)
+        self.executed = schedule.instructions
+
+    def _run_native(self, lib, schedule: _Schedule) -> None:
+        loads, n, _keep = _load_addresses(self.memory, schedule)
+        if n is None:
+            return
+        ntt_rows = np.zeros(len(schedule.primes), dtype=np.int64)
+        if len(schedule.ntt_primes):
+            ntt_rows[schedule.ntt_primes] = kernels.get_ntt_plan(n).rows(
+                [schedule.primes[i] for i in schedule.ntt_primes.tolist()])
+        store = np.empty((schedule.slots, n), dtype=UINT)
+        stored = np.empty((len(schedule.store_names), n), dtype=UINT)
+        native._replay(lib, (schedule.groups, schedule.dst,
+                             schedule.src, schedule.p0, schedule.p1),
+                       store, schedule.primes, ntt_rows, schedule.scalars,
+                       schedule.factors, schedule.permutations(n), loads,
+                       schedule.load_ids, stored)
+        # Stores land together: a load never sees a later store's data.
+        self.memory._limbs.update(zip(schedule.store_names, stored))
+
+    def _run_python(self, schedule: _Schedule) -> None:
         memory = self.memory
         dst_column, src_column = schedule.dst, schedule.src
         p0_column, p1_column = schedule.p0, schedule.p1
+        loads = iter(schedule.load_ids.tolist())
+        stores = iter(schedule.store_names)
         stored: Dict[str, np.ndarray] = {}
         store = None                    # (slots, N), sized by the first ld
-        at = operand = symbol = 0
-        for code, arity, count in schedule.groups:
+        at = operand = 0
+        for code, arity, count in schedule.groups.tolist():
             end = at + count
             dst = dst_column[at:end]
             srcs = src_column[operand:operand + arity * count].reshape(
@@ -622,18 +797,15 @@ class IsaEmulator:
                 # vprng regenerates a pseudorandom limb; functionally that
                 # is the same data the keychain sampled, so read it from
                 # memory.
-                names = schedule.symbols[symbol:symbol + count]
-                symbol += count
-                if store is None:
-                    store = np.empty(
-                        (schedule.slots, len(memory[names[0]])), dtype=UINT)
-                for row, name in zip(dst.tolist(), names):
-                    store[row] = memory[name]
+                for row in dst.tolist():
+                    limb = memory[schedule.load_names[next(loads)]]
+                    if store is None:
+                        store = np.empty((schedule.slots, len(limb)),
+                                         dtype=UINT)
+                    store[row] = limb
             elif code == _ST:
-                names = schedule.symbols[symbol:symbol + count]
-                symbol += count
-                for row, name in zip(srcs[0].tolist(), names):
-                    stored[name] = store[row].copy()
+                for row in srcs[0].tolist():
+                    stored[next(stores)] = store[row].copy()
             else:
                 rows = p0_column[at:end]
                 op = _GROUP_OP.get(code)
@@ -656,7 +828,6 @@ class IsaEmulator:
         # Stores land together: a load never sees a later store's data.
         for name, limb in stored.items():
             memory[name] = limb
-        self.executed = schedule.instructions
 
     # ------------------------------------------------------------------ #
 

@@ -25,14 +25,14 @@ fidelity of this functional substrate (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .ciphertext import Ciphertext
 from .encoding import get_geometry
 from .evaluator import CKKSContext, Evaluator
-from .linear import bsgs_matvec
+from .linear import EncodedMatrix, bsgs_matvec, encode_matrix
 from .modmath import centered
 from .polyeval import ChebyshevEvaluator
 from .polynomial import COEFF, RnsPolynomial
@@ -93,6 +93,9 @@ class Bootstrapper:
         # SlotToCoeff matrices: column halves of U, scaled to undo the /q0.
         self._stc_lo = (q0 / s_in) * u[:, :half]
         self._stc_hi = (q0 / s_in) * u[:, half:]
+        # Each matrix encoded for the last (level, pt_scale) it ran at:
+        # every bootstrap of same-scale inputs reuses the diagonals.
+        self._encoded: Dict[str, Tuple[tuple, EncodedMatrix]] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -144,9 +147,8 @@ class Bootstrapper:
         pt_scale = (
             target * params.moduli[level - 1] * params.moduli[level - 2] / ct.scale
         )
-        kwargs = dict(pt_scale=pt_scale, rescales=2)
-        w_lo = bsgs_matvec(ev, ct, matrix=self._cts_lo, **kwargs)
-        w_hi = bsgs_matvec(ev, ct, matrix=self._cts_hi, **kwargs)
+        w_lo = self._matvec(ct, "_cts_lo", pt_scale, rescales=2)
+        w_hi = self._matvec(ct, "_cts_hi", pt_scale, rescales=2)
         t_lo = ev.add(w_lo, ev.conjugate(w_lo))
         t_hi = ev.add(w_hi, ev.conjugate(w_hi))
         return t_lo, t_hi
@@ -184,10 +186,20 @@ class Bootstrapper:
         return ev.mul_scalar(out, 1.0 / (2 * np.pi))
 
     def slot_to_coeff(self, t_lo: Ciphertext, t_hi: Ciphertext) -> Ciphertext:
-        ev = self.ev
-        z_lo = bsgs_matvec(ev, t_lo, matrix=self._stc_lo)
-        z_hi = bsgs_matvec(ev, t_hi, matrix=self._stc_hi)
-        return ev.add(z_lo, z_hi)
+        z_lo = self._matvec(t_lo, "_stc_lo")
+        z_hi = self._matvec(t_hi, "_stc_hi")
+        return self.ev.add(z_lo, z_hi)
+
+    def _matvec(self, ct: Ciphertext, matrix: str, pt_scale: float = None,
+                rescales: int = 1) -> Ciphertext:
+        """``bsgs_matvec`` by one of the four transform matrices, its
+        diagonals encoded once per ``(level, pt_scale)``."""
+        key = (ct.level, pt_scale)
+        cached = self._encoded.get(matrix)
+        if cached is None or cached[0] != key:
+            cached = self._encoded[matrix] = (key, encode_matrix(
+                self.ev, ct.level, getattr(self, matrix), pt_scale=pt_scale))
+        return bsgs_matvec(self.ev, ct, encoded=cached[1], rescales=rescales)
 
     # ------------------------------------------------------------------ #
 

@@ -3,9 +3,9 @@
 Every expensive primitive — NTT/INTT, pointwise modular multiplication,
 the ISA emulator's pointwise instruction groups, base conversion and
 mod-up / mod-down — has its one entry point here.  The NTTs, the
-pointwise product and the instruction groups run the C loops of
-:mod:`repro.fhe.native` when that library builds, and the numpy code below
-otherwise; both are bit-identical to the per-limb references
+pointwise product, the instruction groups and base conversion run the C
+loops of :mod:`repro.fhe.native` when that library builds, and the numpy
+code below otherwise; both are bit-identical to the per-limb references
 (:func:`repro.fhe.ntt.ntt_reference`,
 :class:`repro.fhe.rns.BaseConversionPlan`), which stay the test oracles.
 Where those references loop over limbs in Python, the numpy code here
@@ -713,6 +713,13 @@ class BatchedConversionPlan:
         )
         # factors.T as float64: (Lt, Ls); exact since factors < 2**31.
         self.factors_f = ref.factors.astype(np.float64).T.copy()
+        # The same conversion as one C ``bcv`` group: target row k sums
+        # every source row j times factors[j, k].
+        self.factors_t = np.ascontiguousarray(ref.factors.T)
+        self.source_rows = np.repeat(
+            np.arange(len(ref.source), dtype=np.int32)[:, None],
+            len(ref.target), axis=1)
+        self.target_rows = np.arange(len(ref.target))
 
     def convert(self, limbs: np.ndarray) -> np.ndarray:
         z = np.multiply(np.asarray(limbs, dtype=UINT), self.q_hat_inv)
@@ -741,11 +748,17 @@ def get_batched_conversion_plan(source: Sequence[int],
 
 def base_convert(limbs: np.ndarray, source: Sequence[int],
                  target: Sequence[int]) -> np.ndarray:
-    """Approximate base conversion, batched (falls back when unsupported)."""
+    """Approximate base conversion, batched (falls back when unsupported):
+    on the C kernels when the library loads, else in float64 GEMMs."""
     plan = get_batched_conversion_plan(source, target)
     if not plan.supported:
         return get_conversion_plan(source, target).convert(limbs)
-    return plan.convert(np.asarray(limbs, dtype=UINT))
+    limbs = np.asarray(limbs, dtype=UINT)
+    _check_named(len(limbs), len(plan.source))
+    lib = native.load_library()
+    if lib is not None:
+        return native._base_convert(lib, limbs, plan)
+    return plan.convert(limbs)
 
 
 class _ModUpPlan:

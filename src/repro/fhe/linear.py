@@ -15,11 +15,13 @@ keyswitch pass collapses to O(1) broadcasts/aggregations (Section 4.3.1).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 
 from .ciphertext import Ciphertext
+from .encoding import Plaintext
 from .evaluator import Evaluator
 
 
@@ -111,38 +113,30 @@ def plain_matvec_reference(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     return matrix @ x[:cols]
 
 
-def bsgs_matvec(
+@dataclass(frozen=True)
+class EncodedMatrix:
+    """A matrix's BSGS diagonals as :func:`bsgs_matvec` multiplies by them:
+    each rolled by its giant step, tiled across the slots and encoded at
+    ``level``.  ``giants[j][i]`` is the plaintext of diagonal
+    ``j * baby_steps + i``."""
+
+    level: int
+    baby_steps: int
+    giants: Dict[int, Dict[int, Plaintext]]
+
+
+def encode_matrix(
     ev: Evaluator,
-    ct: Ciphertext,
+    level: int,
     matrix: np.ndarray = None,
     diagonals: Dict[int, np.ndarray] = None,
     baby_steps: int = None,
     pt_scale: float = None,
-    rescales: int = 1,
     block: int = None,
-) -> Ciphertext:
-    """Homomorphic ``y = M @ x`` over the first ``n`` slots.
-
-    ``n`` (the matrix dimension) must divide the slot count.  The input is
-    assumed to be replicated modulo ``n`` across the slots when ``n`` is
-    smaller than the slot count (encrypt ``np.tile(x, slots//n)``), which
-    makes plain ``np.roll``-style rotation semantics exact.
-
-    Either a dense ``matrix`` or a precomputed ``diagonals`` dict may be
-    given.  A rectangular matrix is padded-and-masked into a ``block``-
-    sized square (defaulting to the covering power of two; see
-    :func:`pad_matrix_block`): the result lands in the leading ``rows``
-    slots of each block with an exactly-zero tail, and junk in the input
-    slots past ``cols`` is masked out by the zero pad columns.  Uses
-    hoisted rotations for the baby steps — exactly the "multiple
-    rotations on one ciphertext" pattern the Cinnamon compiler optimizes
-    with input-broadcast keyswitching.
-
-    ``pt_scale`` overrides the diagonal encoding scale and ``rescales``
-    sets how many limbs the product consumes (bootstrapping's CoeffToSlot
-    uses a wide plaintext scale with two rescales to bridge its
-    non-standard ciphertext scale back onto the level invariant).
-    """
+) -> EncodedMatrix:
+    """Encode a matrix for :func:`bsgs_matvec` on ciphertexts at ``level``
+    (the arguments are :func:`bsgs_matvec`'s).  Reused, it spares each
+    product the encoding of every diagonal."""
     if diagonals is None:
         if matrix is None:
             raise ValueError("need a matrix or its diagonals")
@@ -162,31 +156,74 @@ def bsgs_matvec(
     elif baby_steps is None:
         baby_steps = 1 << max(0, math.ceil(math.log2(math.sqrt(n))))
     n1 = min(baby_steps, n)
-    n2 = math.ceil(n / n1)
+    if pt_scale is None:
+        pt_scale = ev.params.scale_at_level(level)
 
     # Group diagonals by giant step: d = j*n1 + i.
-    groups: Dict[int, Dict[int, np.ndarray]] = {}
+    giants: Dict[int, Dict[int, Plaintext]] = {}
     for d, diag in diagonals.items():
         j, i = divmod(d, n1)
-        groups.setdefault(j, {})[i] = diag
+        # Giant-step correction: rot(diag * rot(x, d), 0) decomposes as
+        # rot_{j*n1}( rot_{-j*n1}(diag) * rot_i(x) ).
+        tiled = np.tile(np.roll(diag, j * n1), slots // n)
+        giants.setdefault(j, {})[i] = ev.encoder.encode(
+            tiled, scale=pt_scale, level=level)
+    return EncodedMatrix(level, n1, giants)
 
-    needed_babies = sorted({i for g in groups.values() for i in g})
+
+def bsgs_matvec(
+    ev: Evaluator,
+    ct: Ciphertext,
+    matrix: np.ndarray = None,
+    diagonals: Dict[int, np.ndarray] = None,
+    baby_steps: int = None,
+    pt_scale: float = None,
+    rescales: int = 1,
+    block: int = None,
+    encoded: EncodedMatrix = None,
+) -> Ciphertext:
+    """Homomorphic ``y = M @ x`` over the first ``n`` slots.
+
+    ``n`` (the matrix dimension) must divide the slot count.  The input is
+    assumed to be replicated modulo ``n`` across the slots when ``n`` is
+    smaller than the slot count (encrypt ``np.tile(x, slots//n)``), which
+    makes plain ``np.roll``-style rotation semantics exact.
+
+    Either a dense ``matrix``, a precomputed ``diagonals`` dict or the
+    matrix already ``encoded`` at the ciphertext's level
+    (:func:`encode_matrix`) may be given.  A rectangular matrix is
+    padded-and-masked into a ``block``-sized square (defaulting to the
+    covering power of two; see :func:`pad_matrix_block`): the result lands
+    in the leading ``rows`` slots of each block with an exactly-zero tail,
+    and junk in the input slots past ``cols`` is masked out by the zero pad
+    columns.  Uses hoisted rotations for the baby steps — exactly the
+    "multiple rotations on one ciphertext" pattern the Cinnamon compiler
+    optimizes with input-broadcast keyswitching.
+
+    ``pt_scale`` overrides the diagonal encoding scale and ``rescales``
+    sets how many limbs the product consumes (bootstrapping's CoeffToSlot
+    uses a wide plaintext scale with two rescales to bridge its
+    non-standard ciphertext scale back onto the level invariant).
+    """
+    if encoded is None:
+        encoded = encode_matrix(ev, ct.level, matrix, diagonals, baby_steps,
+                                pt_scale, block)
+    elif encoded.level != ct.level:
+        raise ValueError(f"matrix encoded at level {encoded.level}, "
+                         f"ciphertext at level {ct.level}")
+    giants = encoded.giants
+    needed_babies = sorted({i for g in giants.values() for i in g})
     rotated = ev.rotate_hoisted(ct, needed_babies)
 
     result = None
-    for j in sorted(groups):
+    for j in sorted(giants):
         inner = None
-        for i, diag in groups[j].items():
-            # Giant-step correction: rot(diag * rot(x, d), 0) decomposes as
-            # rot_{j*n1}( rot_{-j*n1}(diag) * rot_i(x) ).
-            adjusted = np.roll(diag, j * n1)
-            tiled = np.tile(adjusted, slots // n)
-            term = ev.mul_values(rotated[i], tiled, rescale=False,
-                                 pt_scale=pt_scale)
+        for i, pt in giants[j].items():
+            term = ev.mul_plain(rotated[i], pt, rescale=False)
             inner = term if inner is None else ev.add(inner, term)
         inner = ev.rescale(inner)
         if j:
-            inner = ev.rotate(inner, j * n1)
+            inner = ev.rotate(inner, j * encoded.baby_steps)
         result = inner if result is None else ev.add(result, inner)
     for _ in range(rescales - 1):
         result = ev.rescale(result)

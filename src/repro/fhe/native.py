@@ -11,14 +11,21 @@ a call passes one table-row index per limb, and the C side picks the
 narrow (``p < 2**30``) or wide butterfly per limb.
 
 The pointwise primitives — one ISA emulator group per call (gather,
-compute, write) and ``pointwise_mulmod`` — reduce with one Barrett step
+compute, write), ``pointwise_mulmod`` and base conversion (a
+``pointwise_mulmod`` and one ``bcv`` group) — reduce with one Barrett step
 ``red(z)`` that equals ``z % p`` for every uint64 ``z``, so they evaluate
 the numpy reference expressions verbatim, whatever operands arrive.
 
-:mod:`repro.fhe.kernels` is the one entry point: its NTTs, pointwise
-product and instruction groups call the wrappers here when
-:func:`load_library` returns a library, and run their numpy code
-otherwise.  The library is built lazily by
+``repro_replay`` runs a whole ISA emulator schedule in one call: its
+groups, loads from the memory image's polynomials and stores, with the
+same transforms and the same per-instruction group arithmetic
+(``group_row``) as the entry points above.  :func:`_replay` is its
+wrapper; :meth:`repro.core.isa.emulator.IsaEmulator.run` calls it.
+
+:mod:`repro.fhe.kernels` is the one entry point of the rest: its NTTs,
+pointwise product, instruction groups and base conversion call the
+wrappers here when :func:`load_library` returns a library, and run their
+numpy code otherwise.  The library is built lazily by
 :class:`repro.cbuild.NativeLibrary` (the system C compiler; objects keyed
 by a hash of the C source, so stale ones are never reused), on first use,
 never on ``import repro``.  If no compiler is present, compilation fails,
@@ -60,6 +67,9 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.repro_mulmod_rows.restype = None
     lib.repro_mulmod_rows.argtypes = [address, address, address, size, size,
                                       size, size, address]
+    lib.repro_replay.restype = None
+    lib.repro_replay.argtypes = ([address, size] + [address] * 5 + [size]
+                                 + [address] * 11 + [size] + [address] * 4)
     _smoke_test(lib)
 
 
@@ -84,13 +94,14 @@ def _barrett_rows(primes: Sequence[int]) -> np.ndarray:
 
 def _limb_group(lib, op, store, srcs, primes, rows, constants) -> np.ndarray:
     store = np.ascontiguousarray(store, dtype=UINT)
-    srcs = np.ascontiguousarray(srcs, dtype=np.int64)
+    srcs = np.asarray(srcs)
     if store.ndim != 2 or srcs.ndim != 2 or not srcs.shape[0]:
         raise ValueError("need a (slots, N) store and an (arity, count) "
                          "block of operand rows")
     arity, count = srcs.shape
     if srcs.size and (srcs.min() < 0 or srcs.max() >= len(store)):
         raise IndexError("operand row outside the store")
+    srcs = np.ascontiguousarray(srcs, dtype=np.int32)
     pm = _barrett_rows(primes)[rows]        # bounds-checked here, not in C
     if op not in _GROUP_CODE:
         raise ValueError(f"unknown limb group op {op!r}")
@@ -122,19 +133,60 @@ def _mulmod(lib, a, b, primes) -> np.ndarray:
     return out
 
 
+def _replay(lib, columns, store, primes, ntt_rows, scalars, factors,
+            permutations, loads, load_ids, stored) -> None:
+    """Run a whole ISA emulator schedule in ``store`` (``_native.c``,
+    ``repro_replay``).
+
+    ``columns`` are the schedule's int32 ``(groups, dst, src, p0, p1)``;
+    ``ntt_rows`` the NTT table row of each of ``primes``, which are all
+    below ``2**31``; ``loads`` the address of every distinct row the
+    ``ld`` / ``vprng`` instructions read (``load_ids``: which, per
+    instruction).  The caller keeps the arrays behind ``loads`` alive and
+    has checked every index the columns hold: C checks none.
+    """
+    groups, dst, src, p0, p1 = columns
+    n = store.shape[1]
+    tables = _kernels.get_ntt_plan(n).tables   # read after the rows resolved
+    pointers = _table_pointers(tables)
+    lib.repro_replay(
+        groups.ctypes.data, len(groups), dst.ctypes.data, src.ctypes.data,
+        p0.ctypes.data, p1.ctypes.data, store.ctypes.data, n,
+        _barrett_rows(primes).ctypes.data, ntt_rows.ctypes.data,
+        *pointers[:2], *pointers[3:5], pointers[2], *pointers[6:],
+        scalars.ctypes.data, factors.ctypes.data, factors.shape[1],
+        permutations.ctypes.data, loads.ctypes.data, load_ids.ctypes.data,
+        stored.ctypes.data)
+
+
+def _base_convert(lib, limbs, plan) -> np.ndarray:
+    """A supported :class:`repro.fhe.kernels.BatchedConversionPlan`'s
+    conversion on the C kernels: the limbs scaled by ``q_hat_inv``, then
+    one ``bcv`` group with a row per target prime."""
+    scaled = _mulmod(lib, limbs, plan.q_hat_inv, plan.source)
+    return _limb_group(lib, "bcv", scaled, plan.source_rows, plan.target,
+                       plan.target_rows, plan.factors_t)
+
+
+def _table_pointers(tables) -> tuple:
+    """Addresses of an NTT table snapshot's ``psi, psi_sh, p, ipsi,
+    ipsi_sh, p, n_inv, n_inv_sh``: cached on the snapshot (which keeps the
+    arrays alive); a racing thread stores the same values."""
+    pointers = getattr(tables, "pointers", None)
+    if pointers is None:
+        pointers = tables.pointers = tuple(
+            getattr(tables, name).ctypes.data
+            for name in ("psi", "psi_sh", "p",
+                         "ipsi", "ipsi_sh", "p", "n_inv", "n_inv_sh"))
+    return pointers
+
+
 def _run(lib: ctypes.CDLL, stack: np.ndarray, tables, rows: np.ndarray,
          inverse: bool) -> np.ndarray:
     """Transform a copy of ``stack``; row ``i`` uses table row ``rows[i]``."""
     out = np.array(stack, dtype=UINT, order="C")
     rows = np.ascontiguousarray(rows, dtype=np.int64)
-    pointers = getattr(tables, "pointers", None)
-    if pointers is None:
-        # Cached on the snapshot (which keeps the arrays alive); a racing
-        # thread stores the same values.
-        pointers = tables.pointers = tuple(
-            getattr(tables, name).ctypes.data
-            for name in ("psi", "psi_sh", "p",
-                         "ipsi", "ipsi_sh", "p", "n_inv", "n_inv_sh"))
+    pointers = _table_pointers(tables)
     limbs, n = out.shape
     if inverse:
         lib.repro_intt_rows(out.ctypes.data, limbs, n, rows.ctypes.data,

@@ -198,6 +198,33 @@ class TestMemoryImage:
             build_memory_image(compiled, ctx,
                                {"a": ctx.encrypt_values([1.0])})
 
+    def test_context_of_another_prime_chain_is_refused(self):
+        """HELR compiled for ``nn_params(8)`` and emulated with a context
+        of ``nn_params(9)`` used to decrypt with a max error of 43 and
+        raise nothing: its limbs were reduced by the other chain's
+        primes.  A fresh context of the same chain is accepted."""
+        from repro.nn import (build_helr, lower, nn_params, pack_input,
+                              sample_input)
+
+        model = build_helr()
+        lowered = lower(model, nn_params(8))
+        compiled = CompilerDriver(nn_params(8), CompilerOptions(
+            machine=4)).compile(lowered.program)
+        x = sample_input(model, seed=3)
+        for levels in (8, 9):
+            ctx = CKKSContext(nn_params(levels), seed=3)
+            slots = ctx.params.slot_count
+            ct = ctx.encrypt_values(pack_input(x, lowered.spec, slots),
+                                    level=lowered.plan.input_level)
+            build = lambda: build_memory_image(  # noqa: E731
+                compiled, ctx, {lowered.input_name: ct},
+                lowered.bind_plaintexts(slots))
+            if levels == 8:
+                build()
+            else:
+                with pytest.raises(ValueError, match="prime chain"):
+                    build()
+
     def test_unknown_output_raises(self, env):
         params, ctx = env
         prog = CinnamonProgram("m3", level=6)

@@ -24,6 +24,7 @@ import pickle
 import sys
 import threading
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,16 +49,16 @@ RING = 64
 REGISTERS = 6
 
 
-def run_both(compiled, image: dict):
+def run_both(compiled, image: MemoryImage):
     """Run both emulators on copies of ``image``; assert they agree.
-    Returns the final memory contents."""
+    Returns the final memory contents, every symbol's limb."""
     memories = []
     for cls in (ReferenceEmulator, IsaEmulator):
-        memory = MemoryImage()
-        memory.data = dict(image)
+        memory = image.copy()
         emulator = cls(compiled, memory)
         emulator.run()
-        memories.append((memory.data, emulator.executed))
+        memories.append(({name: memory[name] for name in memory},
+                         emulator.executed))
     (want, want_executed), (got, got_executed) = memories
     assert got_executed == want_executed
     assert set(got) == set(want)
@@ -70,6 +71,14 @@ def run_both(compiled, image: dict):
 def module_of(streams) -> SimpleNamespace:
     """A stand-in artifact: the emulators read only ``compiled.isa``."""
     return SimpleNamespace(isa=IsaModule(streams, {}))
+
+
+def image_of(limbs: dict) -> MemoryImage:
+    """An image of single limbs, one per symbol."""
+    memory = MemoryImage()
+    for symbol, limb in limbs.items():
+        memory[symbol] = limb
+    return memory
 
 
 # ---------------------------------------------------------------------- #
@@ -87,8 +96,10 @@ def random_streams(seed: int, chips: int, steps: int):
     """
     rng = np.random.default_rng(seed)
     primes = generate_primes(3, 28, RING) + generate_primes(2, 31, RING)
-    image = {f"in:{i}:{j}": rng.integers(0, p, RING, dtype=np.uint64)
-             for i, p in enumerate(primes) for j in range(3)}
+    image = MemoryImage()
+    for i, p in enumerate(primes):
+        image.add_polynomial(f"in:{i}", rng.integers(0, p, (3, RING),
+                                                     dtype=np.uint64))
     streams = {chip: [] for chip in range(chips)}
     ring = {chip: {} for chip in range(chips)}      # register -> prime
     spilled = {chip: {} for chip in range(chips)}   # symbol -> prime
@@ -250,7 +261,7 @@ def test_compiled_programs_match_reference(env, rng, build, chips, policy,
     plaintexts = {"w": rng.uniform(-1, 1, params.slot_count)}
     with kernel_path(backend):
         image = build_memory_image(compiled, ctx, inputs, plaintexts)
-        final = run_both(compiled, image.data)
+        final = run_both(compiled, image)
     assert any(name.startswith("output:") for name in final)
 
 
@@ -264,7 +275,7 @@ def test_spilling_program_matches_reference(env, rng):
     inputs = {name: ctx.encrypt_values(rng.uniform(-1, 1, params.slot_count))
               for name in ("a", "b")}
     image = build_memory_image(compiled, ctx, inputs)
-    final = run_both(compiled, image.data)
+    final = run_both(compiled, image)
     assert any(name.startswith("spill:") for name in final)
 
 
@@ -287,7 +298,7 @@ def encrypted_model(model, levels, machine, seed=3):
         level=lowered.plan.input_level)
     image = build_memory_image(compiled, ctx, {lowered.input_name: ct},
                                lowered.bind_plaintexts(slots))
-    return compiled, image.data
+    return compiled, image
 
 
 @pytest.mark.parametrize("backend", KERNEL_PATHS)
@@ -323,7 +334,7 @@ def test_bootstrap_program_matches_reference(backend):
     ct = ctx.encrypt_values(rng.uniform(-1, 1, params.slot_count), level=2)
     with kernel_path(backend):
         image = build_memory_image(compiled, ctx, {"x": ct}, plaintexts)
-        run_both(compiled, image.data)
+        run_both(compiled, image)
 
 
 # ---------------------------------------------------------------------- #
@@ -333,10 +344,8 @@ def test_bootstrap_program_matches_reference(backend):
 def _both_raise(streams, image, error, match):
     compiled = module_of(streams)
     for cls in (ReferenceEmulator, IsaEmulator):
-        memory = MemoryImage()
-        memory.data = dict(image)
         with pytest.raises(error, match=match):
-            cls(compiled, memory).run()
+            cls(compiled, image_of(image)).run()
 
 
 LIMB = {"x": np.arange(RING, dtype=np.uint64)}
@@ -389,7 +398,7 @@ def test_renaming_does_not_hide_an_allocator_bug(env, rng):
               for name in ("a", "b")}
     image = build_memory_image(
         compiled, ctx, inputs, {"w": rng.uniform(-1, 1, params.slot_count)})
-    good = run_both(compiled, image.data)
+    good = run_both(compiled, image)
 
     stream = list(compiled.isa.streams[0])
     first, second = next(
@@ -400,7 +409,7 @@ def test_renaming_does_not_hide_an_allocator_bug(env, rng):
     stream[first].dest, stream[second].dest = (stream[second].dest,
                                                stream[first].dest)
     corrupted = module_of({0: stream, 1: list(compiled.isa.streams[1])})
-    bad = run_both(corrupted, image.data)
+    bad = run_both(corrupted, image)
     assert any(not np.array_equal(bad[name], good[name])
                for name in good if name.startswith("output:"))
 
@@ -422,8 +431,7 @@ def test_streams_whose_result_depends_on_chip_timing_are_refused(streams,
                                                                  match):
     """Where the interpreter's answer is an accident of its round-robin
     order, the scheduler refuses instead of picking another."""
-    memory = MemoryImage()
-    memory.data = dict(LIMB, shared=LIMB["x"])
+    memory = image_of(dict(LIMB, shared=LIMB["x"]))
     with pytest.raises(ValueError, match=match):
         IsaEmulator(module_of(streams), memory).run()
 
@@ -458,10 +466,9 @@ def test_two_threads_build_one_schedule():
 
     def emulate():
         try:
-            memory = MemoryImage()
-            memory.data = dict(image)
+            memory = image.copy()
             IsaEmulator(compiled, memory).run()
-            results.append((memory.data,
+            results.append(({name: memory[name] for name in memory},
                             scheduled._schedule_of(compiled.isa)))
         except BaseException as exc:        # surfaced below
             errors.append(exc)
@@ -483,3 +490,89 @@ def test_two_threads_build_one_schedule():
     first = results[0][0]
     for data, _ in results[1:]:
         assert all(np.array_equal(data[name], first[name]) for name in first)
+
+
+# ---------------------------------------------------------------------- #
+# One C call per run
+
+
+def refuse_python_loop():
+    """The C replay must run the whole schedule: the loop raises."""
+    def refuse(self, schedule):
+        raise AssertionError("the Python loop ran")
+
+    return mock.patch.object(IsaEmulator, "_run_python", refuse)
+
+
+@pytest.mark.parametrize("chips", [1, 2, 4])
+@pytest.mark.parametrize("seed", range(2))
+def test_random_streams_replay_in_one_c_call(chips, seed):
+    compiled, image = random_streams(seed, chips, steps=500)
+    with kernel_path("native"), refuse_python_loop():
+        run_both(compiled, image)
+
+
+@pytest.mark.parametrize("build", [_chain, _rotations])
+def test_compiled_programs_replay_in_one_c_call(env, rng, build):
+    params, ctx = env
+    compiled = CompilerDriver(params, CompilerOptions(
+        num_chips=2, registers_per_chip=24)).compile(build())
+    inputs = {name: ctx.encrypt_values(rng.uniform(-1, 1, params.slot_count))
+              for name in ("a", "b")}
+    plaintexts = {"w": rng.uniform(-1, 1, params.slot_count)}
+    with kernel_path("native"), refuse_python_loop():
+        image = build_memory_image(compiled, ctx, inputs, plaintexts)
+        final = run_both(compiled, image)
+    assert any(name.startswith("output:") for name in final)
+
+
+def test_a_prime_the_replay_declines_takes_the_loop():
+    """2**32 - 5 is prime and past the C kernels' 2**31 bound."""
+    prime = 2**32 - 5
+    rng = np.random.default_rng(3)
+    image = MemoryImage()
+    image.add_polynomial("in", rng.integers(0, prime, (2, RING),
+                                            dtype=np.uint64))
+    streams = {0: [
+        Instruction(LD, 0, (), {"symbol": "in:0"}),
+        Instruction(LD, 1, (), {"symbol": "in:1"}),
+        Instruction(VMUL, 2, (0, 1), {"prime": prime}),
+        Instruction(VSUB, 3, (2, 0), {"prime": prime}),
+        Instruction(VMULC, 4, (3,), {"prime": prime, "scalar": prime - 2}),
+        Instruction(ST, None, (4,), {"symbol": "out"}),
+    ]}
+    compiled = module_of(streams)
+    loop = mock.patch.object(IsaEmulator, "_run_python", autospec=True,
+                             side_effect=IsaEmulator._run_python)
+    with kernel_path("native"), loop as ran:
+        final = run_both(compiled, image)
+    assert ran.call_count == 1
+    assert not scheduled._schedule_of(compiled.isa).replayable
+    assert "out" in final
+
+
+@pytest.mark.parametrize("backend", KERNEL_PATHS)
+def test_single_limbs_shadow_polynomial_rows(backend):
+    """``memory[symbol] = limb`` overrides that row of a polynomial, for
+    both emulators; a row past the polynomial is not populated."""
+    rng = np.random.default_rng(4)
+    prime = generate_primes(1, 28, RING)[0]
+    image = MemoryImage()
+    image.add_polynomial("in", rng.integers(0, prime, (2, RING),
+                                            dtype=np.uint64))
+    image["in:1"] = rng.integers(0, prime, RING, dtype=np.uint64)
+    streams = {0: [Instruction(LD, 0, (), {"symbol": "in:0"}),
+                   Instruction(LD, 1, (), {"symbol": "in:1"}),
+                   Instruction(VADD, 2, (0, 1), {"prime": prime}),
+                   Instruction(ST, None, (2,), {"symbol": "out"})]}
+    with kernel_path(backend):
+        final = run_both(module_of(streams), image)
+    assert np.array_equal(final["in:1"], image["in:1"])
+    assert np.array_equal(final["out"],
+                          (image["in:0"] + image["in:1"]) % np.uint64(prime))
+    assert sorted(image) == ["in:0", "in:1"] and "in:2" not in image
+    past = module_of({0: [Instruction(LD, 0, (), {"symbol": "in:2"})]})
+    for cls in (ReferenceEmulator, IsaEmulator):
+        with kernel_path(backend), pytest.raises(
+                KeyError, match="'in:2' not populated"):
+            cls(past, image.copy()).run()

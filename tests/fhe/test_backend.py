@@ -115,6 +115,30 @@ class TestGoldenParity:
             got = kernels.base_convert(stack, source, target)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("sources,targets", [(6, 18), (6, 8), (4, 14)])
+    def test_base_convert_at_bootstrap_shapes(self, name, sources, targets,
+                                              monkeypatch):
+        """The bootstrap's mod-up / mod-down shapes, 28- and 31-bit primes
+        on both sides; the C path never reaches the float64 GEMMs."""
+        from repro.fhe.rns import get_conversion_plan
+
+        n = 256
+        primes = (generate_primes(sources + targets - 6, 28, n)
+                  + generate_primes(6, 31, n))
+        rng = np.random.default_rng(sources * targets)
+        order = rng.permutation(len(primes))
+        source = [primes[i] for i in order[:sources]]
+        target = [primes[i] for i in order[sources:]]
+        stack = seeded_stack(source, n, seed=sources + targets)
+        want = get_conversion_plan(source, target).convert(stack)
+        if name == "native":
+            monkeypatch.setattr(kernels.BatchedConversionPlan, "convert",
+                                None)
+        with kernel_path(name):
+            got = kernels.base_convert(stack, source, target)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
     def test_pointwise_mulmod_matches_reference(self, name):
         n = 256
         primes = generate_primes(3, 28, n)
@@ -397,6 +421,8 @@ def test_limb_count_mismatch_is_refused_alike(name):
         with pytest.raises(ValueError,
                            match="^3 instructions but 1 moduli named$"):
             kernels.limb_group("add", stack, srcs, primes, np.array([0]))
+        with pytest.raises(ValueError, match="^1 limbs but 2 moduli named$"):
+            kernels.base_convert(stack[:1], primes[:2], primes[2:])
 
 
 def test_native_group_refuses_what_c_would_read_out_of_bounds():
