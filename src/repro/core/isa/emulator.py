@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from itertools import chain
 from typing import Dict, List
 
 import numpy as np
@@ -53,9 +52,10 @@ from ...fhe.params import partition_from_sig
 from ...fhe.polynomial import EVAL, RnsPolynomial
 from ...fhe.rns import basis_product
 from ..compiler import CompiledProgram
+from ..columns import ranges
 from .instructions import (
-    COL, LD, MOV, RCV, SND, ST, VADD, VAUTO, VBCV, VINTT, VMUL, VMULC, VNEG,
-    VNTT, VPRNG, VRSV, VSUB,
+    CODES, COL, LD, MOV, OPCODES, RCV, SND, ST, VADD, VAUTO, VBCV, VINTT,
+    VMUL, VMULC, VNEG, VNTT, VPRNG, VRSV, VSUB,
 )
 
 
@@ -203,12 +203,11 @@ def _prime_chain(params) -> tuple:
             tuple(getattr(params, "extension_moduli", ())))
 
 
-#: Opcode numbering of the schedule's columns.
-_OPCODES = (VADD, VSUB, VNEG, VMUL, VMULC, VNTT, VINTT, VAUTO, VRSV, VBCV,
-            VPRNG, LD, ST, SND, MOV, COL, RCV)
-_CODE = {opcode: code for code, opcode in enumerate(_OPCODES)}
+#: The schedule's columns number opcodes as the streams do.
 (_VADD, _VSUB, _VNEG, _VMUL, _VMULC, _VNTT, _VINTT, _VAUTO, _VRSV, _VBCV,
- _VPRNG, _LD, _ST, _SND, _MOV, _COL, _RCV) = range(len(_OPCODES))
+ _VPRNG, _LD, _ST, _SND, _MOV, _COL, _RCV) = (CODES[opcode] for opcode in (
+     VADD, VSUB, VNEG, VMUL, VMULC, VNTT, VINTT, VAUTO, VRSV, VBCV, VPRNG,
+     LD, ST, SND, MOV, COL, RCV))
 
 #: The pointwise opcodes, as :func:`repro.fhe.kernels.limb_group` names
 #: them (an ``rcv`` that issues is an aggregation: the sum).
@@ -228,13 +227,6 @@ _WINDOW = 1024
 
 #: Kinds are ``opcode * _KIND_STRIDE + operand count``.
 _KIND_STRIDE = 1 << 12
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
-    ends = np.cumsum(lengths)
-    return (np.repeat(starts - (ends - lengths), lengths)
-            + np.arange(ends[-1] if len(ends) else 0))
 
 
 class _Schedule:
@@ -295,17 +287,16 @@ def _row(table: dict, key) -> int:
 def _last_writers(stream, reads: np.ndarray, chip) -> np.ndarray:
     """Renaming: for every register read of one chip's stream, in stream
     order, the position of the instruction that last wrote the register.
+    ``reads`` is each instruction's count of register reads: its sources,
+    or none.
 
     Keys order (register, position); a read's producer is the greatest
     write key below its own — an instruction reads before it writes.
     """
     size = len(stream)
-    dest = np.fromiter((-1 if d is None else d for d in stream.dests),
-                       dtype=np.int64, count=size)
-    registers = np.fromiter(
-        chain.from_iterable(srcs for srcs, count
-                            in zip(stream.srcs, reads.tolist()) if count),
-        dtype=np.int64, count=int(reads.sum()))
+    dest = stream.dest.astype(np.int64)
+    counts = np.diff(stream.src_start)
+    registers = stream.src[np.repeat(reads > 0, counts)].astype(np.int64)
     span = size + 1
     writers = np.flatnonzero(dest >= 0)
     write_keys = dest[writers] * span + writers
@@ -349,14 +340,13 @@ def _read_streams(isa, chips, base, tables: _Tables):
     for chip, lo in zip(chips, base.tolist()):
         stream = isa.streams[chip]
         size = len(stream)
-        try:
-            local = code[lo:lo + size] = np.fromiter(
-                map(_CODE.__getitem__, stream.opcodes), dtype=np.int8,
-                count=size)
-        except KeyError as exc:
-            raise ValueError(f"unknown opcode {exc.args[0]!r}") from None
+        local = code[lo:lo + size] = stream.opcode
+        foreign = np.flatnonzero(local >= len(OPCODES))
+        if len(foreign):
+            raise ValueError(
+                f"unknown opcode {stream.opcodes[int(foreign[0])]!r}")
         takes_in = np.isin(local, (_MOV, _RCV))
-        reads = np.fromiter(map(len, stream.srcs), dtype=np.int32, count=size)
+        reads = np.diff(stream.src_start).astype(np.int32)
         reads[takes_in] = 0     # any srcs a mov / rcv carries are ignored
         edges = reads.copy()
         attrs = stream.operation_attrs()
@@ -563,10 +553,10 @@ def _issue_order(isa, chips, base, code, width, ptr, producer, live):
             del free[len(free) - (count - fresh):]
             slots += fresh
         first = consumer_ptr[group]
-        woken = consumers[_ranges(first, consumer_ptr[group + 1] - first)]
+        woken = consumers[ranges(first, consumer_ptr[group + 1] - first)]
         np.subtract.at(unmet, woken, 1)
         if arity:
-            operands = producer[_ranges(ptr[group], width[group])]
+            operands = producer[ranges(ptr[group], width[group])]
             src[filled:filled + arity * count] = slot_of[operands].reshape(
                 count, arity).T.ravel()
             filled += arity * count

@@ -8,38 +8,41 @@ re-loading their original symbol; computed values are spilled to HBM and
 reloaded.  The resulting load/store traffic is what makes the register-file
 size sweeps (Figure 6, Figure 16) meaningful.
 
-Both sides of the allocator are columnar.  Its input is an
-:class:`AbstractStream` — one chip's pre-allocation instructions as
-parallel ``opcodes`` / ``defines`` / ``uses`` / ``limb_ops`` lists over SSA
-value ids — and its output an
-:class:`~repro.core.isa.instructions.InstructionStream`; the only object
-an instruction keeps is its ``srcs`` register tuple.  Next-use
-distances come from one backward pass (``following[k]`` is where the
-value in operand slot ``k`` is used next), so the eviction scan is a dict
-lookup per resident value.
+Both sides of the allocator are typed columns.  Its input is an
+:class:`AbstractStream` — one chip's pre-allocation instructions as int
+arrays over SSA value ids (``opcode``, ``define``, the operands ``use`` in
+CSR form, ``limb_op``) — and its output an
+:class:`~repro.core.isa.instructions.InstructionStream` of the same kind
+over registers.  Next-use distances come from one backward pass
+(``following[k]`` is where the value in operand slot ``k`` is used next),
+so the eviction scan is a dict lookup per resident value.
 
 :func:`allocate_registers` runs the allocation in C (``_regalloc.c``, one
-call per stream, built on first use by :mod:`repro.cbuild`) and rebuilds
-the stream's columns from the arrays it returns.  The C loop is a port of
-:func:`_allocate_python`, which runs instead when the library cannot be
-built or loaded and is the oracle the C loop is tested against: the two
-produce the same instructions, registers included.  The C side takes
-value ids as non-negative int32s, checked here before it is called.
+call per stream, built on first use by :mod:`repro.cbuild`), handing it
+the stream's arrays and splicing the rows it inserts into the columns
+with numpy.  The C loop is a port of :func:`_allocate_python`, which runs
+instead when the library cannot be built or loaded and is the oracle the
+C loop is tested against: the two produce the same columns, registers
+included.  Value ids are non-negative int32s, checked when an abstract
+stream is built and, for ``load_symbols``, before either loop runs.
 """
 
 from __future__ import annotations
 
 import ctypes
-from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, repeat, tee
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from ...cbuild import NativeLibrary
-from .instructions import LD, ST, InstructionStream
+from ..columns import (CodeNames, OptionalIds, Rows, row_starts,
+                       splice_positions)
+from .instructions import (CODES, ID_LIMIT, LD, OPCODES, ST,
+                           InstructionStream, csr_column, id_column,
+                           opcode_column, optional_id_column)
 
 _NEVER = 1 << 60
 
@@ -47,32 +50,95 @@ _NEVER = 1 << 60
 class AbstractStream:
     """One chip's pre-allocation instructions: value ids, not registers.
 
-    Entry ``i`` is ``opcodes[i]`` defining value ``defines[i]`` (or None)
-    from the values ``uses[i]``.  Its attrs follow the
-    :class:`InstructionStream` convention: ``side[i]`` when present is the
-    complete dict, otherwise they are ``limb_attrs[limb_ops[i]]`` —
-    ``limb_attrs`` being the limb program's attrs column.
+    Entry ``i`` is ``opcode[i]`` (int8, numbered as
+    :data:`~repro.core.isa.instructions.OPCODES`) defining value
+    ``define[i]`` (int32, -1 for none) from the values
+    ``use[use_start[i]:use_start[i + 1]]`` (int32 in CSR form).  Its attrs
+    follow the :class:`InstructionStream` convention: ``side[i]`` when
+    present is the complete dict, otherwise they are
+    ``limb_attrs[limb_op[i]]`` — ``limb_attrs`` being the limb program's
+    attrs column.  ``opcodes`` / ``defines`` / ``uses`` / ``limb_ops``
+    read the columns as Python values.
     """
 
-    __slots__ = ("opcodes", "defines", "uses", "limb_ops", "limb_attrs",
-                 "side")
+    __slots__ = ("opcode", "define", "use_start", "use", "limb_op",
+                 "limb_attrs", "side", "foreign")
 
-    def __init__(self, limb_attrs: List[dict] = None):
-        self.opcodes: List[str] = []
-        self.defines: List[Optional[int]] = []
-        self.uses: List[Tuple[int, ...]] = []
-        self.limb_ops: List[Optional[int]] = []
+    def __init__(self, limb_attrs: List[dict], opcode: np.ndarray,
+                 define: np.ndarray, use_start: np.ndarray, use: np.ndarray,
+                 limb_op: np.ndarray, side: Dict[int, dict] = None,
+                 foreign: tuple = ()):
+        self.opcode = opcode
+        self.define = define
+        self.use_start = use_start
+        self.use = use
+        self.limb_op = limb_op
         self.limb_attrs = limb_attrs
-        self.side: Dict[int, dict] = {}
+        self.side: Dict[int, dict] = {} if side is None else side
+        self.foreign = foreign
 
-    def append(self, opcode: str, defines: Optional[int],
-               uses: Tuple[int, ...], attrs: dict) -> None:
-        """Add an entry that carries its own complete ``attrs``."""
-        self.side[len(self.opcodes)] = attrs
-        self.opcodes.append(opcode)
-        self.defines.append(defines)
-        self.uses.append(uses)
-        self.limb_ops.append(None)
+    @classmethod
+    def from_entries(cls, entries: Iterable[tuple]) -> "AbstractStream":
+        """A hand-built stream of ``(opcode, defines, uses, attrs)``
+        entries, each carrying its own complete attrs.  Raises
+        ``ValueError`` for a value id that is negative or not below
+        2**31."""
+        entries = list(entries)
+        opcode, foreign = opcode_column([entry[0] for entry in entries])
+        use_start, use = csr_column([tuple(entry[2]) for entry in entries],
+                                    _bad_ids("operand value ids"))
+        return cls(None, opcode, optional_id_column(
+            [entry[1] for entry in entries], _bad_ids("defined value ids")),
+            use_start, use, np.full(len(entries), -1, dtype=np.int32),
+            {i: entry[3] for i, entry in enumerate(entries)}, foreign)
+
+    @property
+    def opcodes(self) -> CodeNames:
+        return CodeNames(self.opcode, OPCODES + self.foreign)
+
+    @property
+    def defines(self) -> OptionalIds:
+        return OptionalIds(self.define)
+
+    @property
+    def uses(self) -> Rows:
+        return Rows(self.use_start, self.use)
+
+    @property
+    def limb_ops(self) -> OptionalIds:
+        return OptionalIds(self.limb_op)
+
+    def __len__(self) -> int:
+        return len(self.opcode)
+
+
+class LoadSymbols(Mapping):
+    """``load_symbols`` read off a stream's columns instead of built per
+    load: value ``ids[i]`` (ascending) came from an instruction with
+    opcode code ``codes[i]`` whose symbol is its limb op's, so it maps to
+    ``(OPCODES[codes[i]], limb_attrs[ids[i]]["symbol"])``.  The allocator
+    looks up only the values it rematerialises."""
+
+    __slots__ = ("ids", "codes", "limb_attrs")
+
+    def __init__(self, ids: np.ndarray, codes: np.ndarray,
+                 limb_attrs: List[dict]):
+        self.ids = ids
+        self.codes = codes
+        self.limb_attrs = limb_attrs
+
+    def __getitem__(self, value) -> Tuple[str, str]:
+        at = int(np.searchsorted(self.ids, value))
+        if at == len(self.ids) or self.ids[at] != value:
+            raise KeyError(value)
+        return (OPCODES[self.codes[at]],
+                self.limb_attrs[int(self.ids[at])]["symbol"])
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
@@ -91,7 +157,8 @@ def allocate_registers(
 
     ``load_symbols`` maps value ids that originated from a load (``ld``)
     or on-chip regeneration (``vprng``) to ``(opcode, symbol)``, enabling
-    rematerialization instead of spilling.
+    rematerialization instead of spilling: a dict, or the
+    :class:`LoadSymbols` codegen reads off the columns.
     """
     lib = load_library()
     if lib is None:
@@ -108,7 +175,8 @@ def _allocate_python(
     reference, and the path taken when it is unavailable."""
     if num_registers < 16:
         raise ValueError("register file too small for keyswitch working sets")
-    uses = entries.uses
+    _load_keys(load_symbols)
+    uses = list(entries.uses)
 
     # Backward pass.  Afterwards next_use[v] is v's first use, and
     # following[k] the next use of the value in the k-th operand slot of
@@ -125,24 +193,25 @@ def _allocate_python(
                 next_use[v] = idx
     following.reverse()
 
-    out = InstructionStream(entries.limb_attrs)
-    emit_opcode = out.opcodes.append
-    emit_dest = out.dests.append
-    emit_srcs = out.srcs.append
-    emit_limb_op = out.limb_ops.append
-    side = out.side
+    # The output columns, as lists.
+    out_opcode: List[int] = []
+    out_dest: List[int] = []
+    out_srcs: List[Tuple[int, ...]] = []
+    out_limb_op: List[int] = []
+    side: Dict[int, dict] = {}
     reg_of: Dict[int, int] = {}    # insertion order breaks eviction ties
     free = list(range(num_registers - 1, -1, -1))
     spilled: set = set()
     inserted: List[int] = []       # entry index each extra instruction precedes
     stats = AllocationStats()
 
-    def emit_extra(idx: int, opcode: str, dest, srcs, symbol: str) -> None:
-        side[len(out.opcodes)] = {"symbol": symbol}
-        emit_opcode(opcode)
-        emit_dest(dest)
-        emit_srcs(srcs)
-        emit_limb_op(None)
+    def emit_extra(idx: int, opcode: str, dest: int, srcs: tuple,
+                   symbol: str) -> None:
+        side[len(out_opcode)] = {"symbol": symbol}
+        out_opcode.append(CODES[opcode])
+        out_dest.append(dest)
+        out_srcs.append(srcs)
+        out_limb_op.append(-1)
         inserted.append(idx)
 
     def evict(idx: int, pinned) -> int:
@@ -161,7 +230,7 @@ def _allocate_python(
         reg = reg_of.pop(victim)
         if victim_use < _NEVER and victim not in load_symbols \
                 and victim not in spilled:
-            emit_extra(idx, ST, None, (reg,), f"spill:{victim}")
+            emit_extra(idx, ST, -1, (reg,), f"spill:{victim}")
             spilled.add(victim)
             stats.spill_stores += 1
         return reg
@@ -190,20 +259,21 @@ def _allocate_python(
     peak = 0
     slot = 0
     for idx, (opcode, define, operands, limb_op) in enumerate(
-            zip(entries.opcodes, entries.defines, uses, entries.limb_ops)):
+            zip(entries.opcode.tolist(), entries.define.tolist(), uses,
+                entries.limb_op.tolist())):
         srcs = load_operands(operands, idx)
         for v in operands:      # consume this use
             next_use[v] = following[slot]
             slot += 1
-        if define is None:
-            dest = None
+        if define < 0:
+            dest = -1
         else:
             dest = free.pop() if free else evict(idx, srcs)
             reg_of[define] = dest
-        emit_opcode(opcode)
-        emit_dest(dest)
-        emit_srcs(srcs)
-        emit_limb_op(limb_op)
+        out_opcode.append(opcode)
+        out_dest.append(dest)
+        out_srcs.append(srcs)
+        out_limb_op.append(limb_op)
         if len(reg_of) > peak:
             peak = len(reg_of)
         # Release values with no remaining uses: only this instruction's
@@ -211,16 +281,22 @@ def _allocate_python(
         # registers return to the free list decides every later register
         # number: it is the iteration order of this very set.
         candidates = set(operands)
-        if define is not None:
+        if define >= 0:
             candidates.add(define)
         for v in candidates:
             if v in reg_of and next_use.get(v, _NEVER) == _NEVER:
                 free.append(reg_of.pop(v))
     stats.peak_registers = peak
 
+    old_at, _ = splice_positions(len(uses), inserted)
     for idx, attrs in entries.side.items():
-        side[idx + bisect_right(inserted, idx)] = attrs
-    return out, stats
+        side[int(old_at[idx])] = attrs
+    src_start, src = csr_column(out_srcs, _bad_ids("registers"))
+    return InstructionStream(
+        entries.limb_attrs, opcode=np.array(out_opcode, dtype=np.int8),
+        dest=np.array(out_dest, dtype=np.int32), src_start=src_start,
+        src=src, limb_op=np.array(out_limb_op, dtype=np.int32), side=side,
+        foreign=entries.foreign), stats
 
 
 # ---------------------------------------------------------------------- #
@@ -232,8 +308,6 @@ _SOURCE = Path(__file__).with_name("_regalloc.c")
 _OK, _PRESSURE, _UNDEFINED, _NO_MEMORY, _OVERFLOW = range(5)
 #: Kinds of the rows it inserts.
 _SPILL, _RELOAD, _REMAT = range(3)
-#: Value ids and register numbers cross into C as int32.
-_ID_LIMIT = 1 << 31
 
 
 def _configure(lib: ctypes.CDLL) -> None:
@@ -252,19 +326,12 @@ def _bad_ids(what: str) -> ValueError:
     return ValueError(f"{what} must be non-negative ints below 2**31")
 
 
-def _check_ids(column: np.ndarray, what: str) -> None:
-    if column.size and (column.min() < 0 or column.max() >= _ID_LIMIT):
-        raise _bad_ids(what)
-
-
-def _id_column(values, count: int, what: str) -> np.ndarray:
-    """``values`` as an int64 column, checked by :func:`_check_ids`."""
-    try:
-        column = np.fromiter(values, dtype=np.int64, count=count)
-    except OverflowError:
-        raise _bad_ids(what) from None
-    _check_ids(column, what)
-    return column
+def _load_keys(load_symbols: Dict[int, Tuple[str, str]]) -> np.ndarray:
+    """The value ids of ``load_symbols``, checked like a stream's."""
+    if isinstance(load_symbols, LoadSymbols):
+        return load_symbols.ids
+    return id_column(load_symbols, len(load_symbols),
+                     _bad_ids("load_symbols keys"))
 
 
 def _renumber(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -287,70 +354,22 @@ def _native_columns(entries: AbstractStream,
                     load_symbols: Dict[int, Tuple[str, str]]):
     """The C call's inputs: ``define`` / ``use_count`` / ``use`` over
     chip-local values, and per local value its id and whether it
-    rematerialises.  ValueError for ids C cannot take."""
-    n = len(entries.opcodes)
-    uses = entries.uses
-    use_count = np.fromiter(map(len, uses), dtype=np.int32, count=n)
-    m = int(use_count.sum(dtype=np.int64))
-    use = _id_column(chain.from_iterable(uses), m, "operand value ids")
-    try:
-        define = np.array(entries.defines, dtype=np.float64)  # None: NaN
-    except (OverflowError, TypeError):
-        raise _bad_ids("defined value ids") from None
-    defined = ~np.isnan(define)
-    _check_ids(define[defined], "defined value ids")
-    real, local = _renumber(np.concatenate(
-        (define[defined].astype(np.int64), use)))
+    rematerialises."""
+    n = len(entries.opcode)
+    defined = entries.define >= 0
+    use = entries.use
+    real, local = _renumber(np.concatenate((entries.define[defined], use)))
     local_define = np.full(n, -1, dtype=np.int32)
-    local_define[defined] = local[:len(local) - m]
-    keys = _id_column(load_symbols, len(load_symbols), "load_symbols keys")
+    local_define[defined] = local[:len(local) - len(use)]
+    keys = _load_keys(load_symbols)
     at = np.searchsorted(real, keys)
     hit = at < len(real)
     hit[hit] = real[at[hit]] == keys[hit]
     is_load = np.zeros(len(real), dtype=np.uint8)
     is_load[at[hit]] = 1
-    return local_define, use_count, local[len(local) - m:], real, is_load
-
-
-def _register_tuples(counts: np.ndarray, regs: np.ndarray) -> List[tuple]:
-    """Row ``i``'s tuple of its ``counts[i]`` registers, the rows' registers
-    lying back to back in ``regs``.
-
-    The rows of one width become tuples in one ``zip``.  Equal tuples are
-    kept once: a stream repeats few distinct register tuples.  The widths'
-    tuples are then merged back into row order.
-    """
-    singles = [(reg,) for reg in range(1 + int(regs.max(initial=-1)))]
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    widths = np.flatnonzero(np.bincount(counts)).tolist()
-    interned: Dict[tuple, tuple] = {}
-    by_width: List = [None] * (widths[-1] + 1)
-    for width in widths:
-        rows = np.flatnonzero(counts == width)
-        if width == 0:
-            by_width[0] = repeat(())
-        elif width == 1:
-            by_width[1] = map(singles.__getitem__,
-                              regs[starts[rows]].tolist())
-        else:
-            columns = regs[starts[rows][:, None] + np.arange(width)]
-            keys, values = tee(zip(*columns.T.tolist()))
-            by_width[width] = map(interned.setdefault, keys, values)
-    return list(map(next, map(by_width.__getitem__, counts.tolist())))
-
-
-def _splice(items: list, inserted: list, before: List[int]) -> list:
-    """``items`` with each ``inserted[j]`` placed before ``items[before[j]]``
-    (``before`` ascending)."""
-    out = []
-    start = 0
-    for item, idx in zip(inserted, before):
-        out += items[start:idx]
-        out.append(item)
-        start = idx
-    out += items[start:]
-    return out
+    use_count = np.diff(entries.use_start).astype(np.int32)
+    return (local_define, use_count, local[len(local) - len(use):], real,
+            is_load)
 
 
 def _allocate_native(
@@ -362,12 +381,14 @@ def _allocate_native(
     """:func:`allocate_registers` in one C call."""
     if num_registers < 16:
         raise ValueError("register file too small for keyswitch working sets")
-    if num_registers >= _ID_LIMIT:
+    if num_registers >= ID_LIMIT:
         raise ValueError("num_registers must be below 2**31")
-    n = len(entries.opcodes)
-    out = InstructionStream(entries.limb_attrs)
+    n = len(entries.opcode)
     if not n:
-        return out, AllocationStats()
+        _load_keys(load_symbols)
+        return (InstructionStream(entries.limb_attrs,
+                                  foreign=entries.foreign),
+                AllocationStats())
     define, use_count, use, real, is_load = _native_columns(
         entries, load_symbols)
 
@@ -397,25 +418,27 @@ def _allocate_native(
         raise RuntimeError(f"the C allocator failed with status {status}")
     rows, srcs, extras, spills, reloads, peak = result[:6].tolist()
 
-    dest = out_dest[:rows]
-    out.dests = dest.tolist()
-    for row in np.flatnonzero(dest < 0).tolist():     # no destination
-        out.dests[row] = None
-    out.srcs = _register_tuples(out_count[:rows], out_src[:srcs])
     # Inserted rows: opcode and symbol; every column spliced like the
     # Python loop's, row = entry + inserted rows before it.
-    before = extra_before[:extras].tolist()
-    opcodes = []
-    for j, (kind, value) in enumerate(zip(extra_kind[:extras].tolist(),
-                                          extra_value[:extras].tolist())):
-        if kind == _REMAT:
-            opcode, symbol = load_symbols[value]
-        else:
-            opcode, symbol = (ST if kind == _SPILL else LD), f"spill:{value}"
-        opcodes.append(opcode)
-        out.side[before[j] + j] = {"symbol": symbol}
-    out.opcodes = _splice(entries.opcodes, opcodes, before)
-    out.limb_ops = _splice(entries.limb_ops, [None] * extras, before)
+    old_at, extra_at = splice_positions(n, extra_before[:extras])
+    opcode = np.empty(rows, dtype=np.int8)
+    opcode[old_at] = entries.opcode
+    limb_op = np.full(rows, -1, dtype=np.int32)
+    limb_op[old_at] = entries.limb_op
+    kinds = extra_kind[:extras]
+    values = extra_value[:extras].tolist()
+    codes = np.where(kinds == _SPILL, CODES[ST], CODES[LD]).astype(np.int8)
+    symbols = [f"spill:{value}" for value in values]
+    for j in np.flatnonzero(kinds == _REMAT).tolist():
+        name, symbols[j] = load_symbols[values[j]]
+        codes[j] = CODES[name]
+    opcode[extra_at] = codes
+    side = dict(zip(extra_at.tolist(),
+                    [{"symbol": symbol} for symbol in symbols]))
     for idx, attrs in entries.side.items():
-        out.side[idx + bisect_right(before, idx)] = attrs
-    return out, AllocationStats(spills, reloads, peak)
+        side[int(old_at[idx])] = attrs
+    return InstructionStream(
+        entries.limb_attrs, opcode=opcode, dest=out_dest[:rows].copy(),
+        src_start=row_starts(out_count[:rows]), src=out_src[:srcs].copy(),
+        limb_op=limb_op, side=side, foreign=entries.foreign), \
+        AllocationStats(spills, reloads, peak)

@@ -362,7 +362,7 @@ class Evaluator:
                 poly.data[: len(new_basis)], correction, new_basis
             )
             data = _kernels.pointwise_mulmod(diff, inv_col, new_basis)
-            new_polys.append(RnsPolynomial(new_basis, data, EVAL))
+            new_polys.append(RnsPolynomial._derived(new_basis, data, EVAL))
         out = Ciphertext(new_polys, ct.scale / q_last)
         if self._estimator is not None and getattr(ct, "noise", None) is not None:
             # Bare rescales of tracked values propagate; the composite

@@ -47,6 +47,19 @@ class RnsPolynomial:
         self.data = data
         self.domain = domain
 
+    @classmethod
+    def _derived(cls, basis: Tuple[int, ...], data: np.ndarray,
+                 domain: str) -> "RnsPolynomial":
+        """A polynomial whose ``basis`` is (a slice of) an existing
+        polynomial's, so already a tuple of ints, and whose ``data`` a
+        kernel computed as a matching ``uint64`` stack: the constructor's
+        normalising and checks are skipped."""
+        poly = object.__new__(cls)
+        poly.basis = basis
+        poly.data = data
+        poly.domain = domain
+        return poly
+
     # ------------------------------------------------------------------ #
     # Constructors
 
@@ -62,7 +75,8 @@ class RnsPolynomial:
         return cls(basis, integers_to_rns(values, basis), COEFF)
 
     def copy(self) -> "RnsPolynomial":
-        return RnsPolynomial(self.basis, self.data.copy(), self.domain)
+        return RnsPolynomial._derived(self.basis, self.data.copy(),
+                                      self.domain)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -99,16 +113,16 @@ class RnsPolynomial:
     def __add__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_compatible(other)
         out = _kernels.pointwise_addmod(self.data, other.data, self.basis)
-        return RnsPolynomial(self.basis, out, self.domain)
+        return RnsPolynomial._derived(self.basis, out, self.domain)
 
     def __sub__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         self._check_compatible(other)
         out = _kernels.pointwise_submod(self.data, other.data, self.basis)
-        return RnsPolynomial(self.basis, out, self.domain)
+        return RnsPolynomial._derived(self.basis, out, self.domain)
 
     def __neg__(self) -> "RnsPolynomial":
         out = _kernels.pointwise_negmod(self.data, self.basis)
-        return RnsPolynomial(self.basis, out, self.domain)
+        return RnsPolynomial._derived(self.basis, out, self.domain)
 
     def __mul__(self, other: "RnsPolynomial") -> "RnsPolynomial":
         """Pointwise product; both operands must be in the evaluation domain."""
@@ -116,7 +130,7 @@ class RnsPolynomial:
         if self.domain != EVAL:
             raise DomainError("polynomial multiplication requires the evaluation domain")
         out = _kernels.pointwise_mulmod(self.data, other.data, self.basis)
-        return RnsPolynomial(self.basis, out, self.domain)
+        return RnsPolynomial._derived(self.basis, out, self.domain)
 
     def scalar_mul(self, scalar: int) -> "RnsPolynomial":
         """Multiply by a Python-int scalar (reduced per limb); any domain."""
@@ -130,7 +144,7 @@ class RnsPolynomial:
             [int(r) % q for r, q in zip(residues, self.basis)], dtype=UINT
         )[:, None]
         out = _kernels.pointwise_mulmod(self.data, col, self.basis)
-        return RnsPolynomial(self.basis, out, self.domain)
+        return RnsPolynomial._derived(self.basis, out, self.domain)
 
     # ------------------------------------------------------------------ #
     # Domain conversion
@@ -138,12 +152,14 @@ class RnsPolynomial:
     def to_eval(self) -> "RnsPolynomial":
         if self.domain == EVAL:
             return self
-        return RnsPolynomial(self.basis, _kernels.ntt_batch(self.data, self.basis), EVAL)
+        return RnsPolynomial._derived(
+            self.basis, _kernels.ntt_batch(self.data, self.basis), EVAL)
 
     def to_coeff(self) -> "RnsPolynomial":
         if self.domain == COEFF:
             return self
-        return RnsPolynomial(self.basis, _kernels.intt_batch(self.data, self.basis), COEFF)
+        return RnsPolynomial._derived(
+            self.basis, _kernels.intt_batch(self.data, self.basis), COEFF)
 
     # ------------------------------------------------------------------ #
     # Structural ops
@@ -165,7 +181,8 @@ class RnsPolynomial:
             from .ntt import eval_automorphism_permutation
 
             perm = eval_automorphism_permutation(k % (2 * n), n)
-            return RnsPolynomial(self.basis, self.data[:, perm].copy(), EVAL)
+            return RnsPolynomial._derived(self.basis,
+                                          self.data[:, perm].copy(), EVAL)
         idx = np.arange(n, dtype=np.int64)
         dest = (idx * k) % (2 * n)
         sign_flip = dest >= n
@@ -173,19 +190,21 @@ class RnsPolynomial:
         negated = _kernels.pointwise_negmod(self.data, self.basis)
         out = np.empty_like(self.data)
         out[:, dest] = np.where(sign_flip[None, :], negated, self.data)
-        return RnsPolynomial(self.basis, out, COEFF)
+        return RnsPolynomial._derived(self.basis, out, COEFF)
 
     def drop_limbs(self, keep: int) -> "RnsPolynomial":
         """Truncate to the first ``keep`` limbs (used by level alignment)."""
         if not 1 <= keep <= self.level:
             raise ValueError(f"cannot keep {keep} of {self.level} limbs")
-        return RnsPolynomial(self.basis[:keep], self.data[:keep].copy(), self.domain)
+        return RnsPolynomial._derived(self.basis[:keep],
+                                      self.data[:keep].copy(), self.domain)
 
     def select_limbs(self, indices: Sequence[int]) -> "RnsPolynomial":
         """Extract an arbitrary subset of limbs (used by limb partitioning)."""
         indices = list(indices)
         basis = tuple(self.basis[i] for i in indices)
-        return RnsPolynomial(basis, self.data[indices].copy(), self.domain)
+        return RnsPolynomial._derived(basis, self.data[indices].copy(),
+                                      self.domain)
 
     def equals(self, other: "RnsPolynomial") -> bool:
         """Bit-exact equality (same basis, domain, and limb data)."""

@@ -31,7 +31,9 @@ from ..core.dsl.program import CinnamonProgram
 #: 3: columnar limb IR and ISA streams — a pickled artifact holds
 #:    LimbProgram / InstructionStream columns, not LimbOp / Instruction
 #:    lists.
-CACHE_SCHEMA_VERSION = 3
+#: 4: typed ISA streams — an InstructionStream holds int numpy columns
+#:    (opcode codes, -1-for-none registers, CSR sources), not lists.
+CACHE_SCHEMA_VERSION = 4
 
 
 def _canonical(value):

@@ -3,14 +3,16 @@
 :meth:`repro.sim.simulator.SimulatorEngine.run` hands a whole multi-chip
 module to ``_engine.c`` in one call.  This module owns that boundary: it
 builds the library on demand (:class:`repro.cbuild.NativeLibrary`),
-flattens each stream's columns into int arrays, and returns what the C
-loop leaves behind.  The arrays live only for the call; nothing is cached
-on the artifact.
+concatenates the streams' typed columns, and returns what the C loop
+leaves behind.  The concatenated arrays live only for the call; nothing
+is cached on the artifact.
 
 The encoding, over all chips' instructions concatenated in stream order:
 
-* ``opcode`` (int8) — :data:`OPCODE_CODES`, :data:`UNKNOWN` for anything
-  else (raised as ``ValueError`` if the run reaches it);
+* ``opcode`` (int8) — the streams' own codes
+  (:data:`repro.core.isa.instructions.OPCODES`); a code past the table
+  names an opcode outside the ISA, raised as ``ValueError`` if the run
+  reaches it;
 * ``dest`` (int32) — the destination register, -1 for None;
 * ``src_start`` (int64, one longer) / ``src`` (int32) — source registers
   in CSR form;
@@ -26,7 +28,6 @@ None and the simulator runs its Python loop; :func:`build_error` says why.
 from __future__ import annotations
 
 import ctypes
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -34,15 +35,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..cbuild import NativeLibrary
-from ..core.isa.instructions import COL, COMPUTE, LD, MOV, RCV, SND, ST
+from ..core.isa.instructions import CODES, COL, COMPUTE, RCV, SND
 
 _SOURCE = Path(__file__).with_name("_engine.c")
 
-#: Opcode -> code; the compute opcodes come first, in ``COMPUTE`` order.
-OPCODE_CODES = {op: code for code, op in
-                enumerate(COMPUTE + (LD, ST, SND, MOV, COL, RCV))}
-UNKNOWN = len(OPCODE_CODES)
-_SND, _COL, _RCV = OPCODE_CODES[SND], OPCODE_CODES[COL], OPCODE_CODES[RCV]
+_SND, _COL, _RCV = CODES[SND], CODES[COL], CODES[RCV]
 
 #: Return codes of ``repro_simulate``.
 OK, DEADLOCK, UNKNOWN_OPCODE, NO_MEMORY = range(4)
@@ -86,6 +83,10 @@ class NativeRun:
     duration: Optional[np.ndarray] = None
 
 
+def _concatenate(columns: List[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(columns) if columns else np.zeros(0, dtype=dtype)
+
+
 def _address(array: np.ndarray) -> int:
     return array.ctypes.data
 
@@ -98,32 +99,21 @@ def simulate(lib: ctypes.CDLL, streams: List, machine,
     reservation columns."""
     chip_cfg = machine.chip
     classes = list(chip_cfg.fu_counts)
-    lengths = [len(stream.opcodes) for stream in streams]
+    lengths = [len(stream) for stream in streams]
     chip_start = np.zeros(len(streams) + 1, dtype=np.int64)
     np.cumsum(lengths, out=chip_start[1:])
     total = int(chip_start[-1])
 
-    opcode = np.fromiter(
-        map(OPCODE_CODES.get,
-            itertools.chain.from_iterable(s.opcodes for s in streams),
-            itertools.repeat(UNKNOWN)),
-        dtype=np.int8, count=total)
-    dest = np.concatenate(
-        [np.array(s.dests, dtype=np.float64) for s in streams]
-        or [np.zeros(0)])                  # None -> NaN
-    if (dest < 0).any():
-        raise ValueError("register indices must be non-negative")
-    dest = np.nan_to_num(dest, nan=-1.0).astype(np.int32)
-    src_count = np.fromiter(
-        map(len, itertools.chain.from_iterable(s.srcs for s in streams)),
-        dtype=np.int64, count=total)
+    opcode = _concatenate([s.opcode for s in streams], np.int8)
+    dest = _concatenate([s.dest for s in streams], np.int32)
+    src = _concatenate([s.src for s in streams], np.int32)
     src_start = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(src_count, out=src_start[1:])
-    src = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.chain.from_iterable(s.srcs for s in streams)),
-        dtype=np.int32, count=int(src_start[-1]))
-    if src.min(initial=0) < 0:
+    offset = 0
+    for s, lo, hi in zip(streams, chip_start.tolist(),
+                         chip_start[1:].tolist()):
+        src_start[lo + 1:hi + 1] = s.src_start[1:] + offset
+        offset += len(s.src)
+    if dest.min(initial=-1) < -1 or src.min(initial=0) < 0:
         raise ValueError("register indices must be non-negative")
 
     # Send keys and collective ids, interned; a col's payload in limbs.
@@ -131,19 +121,20 @@ def simulate(lib: ctypes.CDLL, streams: List, machine,
     payload = np.zeros(total, dtype=np.int64)
     keys, cids = {}, {}
     network = np.flatnonzero((opcode >= _SND) & (opcode <= _RCV))
+    interned, payloads = [], []
     for k, stream in enumerate(streams):
         base = int(chip_start[k])
         rows = network[(network >= base) & (network < chip_start[k + 1])]
-        for row in rows.tolist():
+        for row, code in zip(rows.tolist(), opcode[rows].tolist()):
             attrs = stream.attrs_at(row - base)
-            code = opcode[row]
-            if code == _COL:
-                net[row] = cids.setdefault(attrs["cid"], len(cids))
-                payload[row] = attrs["bytes"]
-            elif code == _RCV:
-                net[row] = cids.setdefault(attrs["cid"], len(cids))
+            if code == _COL or code == _RCV:
+                interned.append(cids.setdefault(attrs["cid"], len(cids)))
+                payloads.append(attrs["bytes"] if code == _COL else 0)
             else:
-                net[row] = keys.setdefault(attrs["key"], len(keys))
+                interned.append(keys.setdefault(attrs["key"], len(keys)))
+                payloads.append(0)
+    net[network] = interned
+    payload[network] = payloads
     registers = 1 + max(int(dest.max(initial=-1)), int(src.max(initial=-1)))
 
     class_of_code = np.array([classes.index(fu_class[op]) for op in COMPUTE],

@@ -283,11 +283,11 @@ class _ChipState:
     def __init__(self, chip_id: int, stream, config,
                  sink: Optional[Sink] = None):
         self.id = chip_id
-        self.opcodes = stream.opcodes    # the stream's columns, by reference
-        self.dests = stream.dests
-        self.srcs = stream.srcs
+        self.opcodes = list(stream.opcodes)
+        self.dests = list(stream.dests)
+        self.srcs = list(stream.srcs)
         self.network = _network_operands(stream)
-        self.length = len(stream.opcodes)
+        self.length = len(stream)
         self.pc = 0
         self.reg_ready: Dict[int, int] = defaultdict(int)
         self.issue_time = 0
@@ -360,7 +360,7 @@ class SimulatorEngine:
             for k, (chip, stream) in enumerate(zip(ids, streams)):
                 base = int(run.chip_start[k])
                 reserved = np.flatnonzero(run.lane[base:base + pcs[k]] >= 0)
-                opcodes = stream.opcodes
+                opcodes = list(stream.opcodes)
                 for pc, lane, start, duration in zip(
                         reserved.tolist(),
                         run.lane[base + reserved].tolist(),
@@ -373,7 +373,7 @@ class SimulatorEngine:
         self._check_deadline(deadline_s, started_wall)
         if run.status == native.DEADLOCK:
             stuck = [(chip, pc) for chip, pc, stream
-                     in zip(ids, pcs, streams) if pc < len(stream.opcodes)]
+                     in zip(ids, pcs, streams) if pc < len(stream)]
             raise RuntimeError(f"simulation deadlock at {stuck}")
 
         finish = [row[native.FINISH] for row in rows]

@@ -13,10 +13,8 @@ def _op(defines=None, uses=(), opcode="vadd", **attrs):
 
 def allocate_registers(entries, num_registers, load_symbols):
     """Feed a list of ``_op`` entries to the columnar allocator."""
-    stream = AbstractStream()
-    for entry in entries:
-        stream.append(*entry)
-    return allocate_stream(stream, num_registers, load_symbols)
+    return allocate_stream(AbstractStream.from_entries(entries),
+                           num_registers, load_symbols)
 
 
 class TestBasicAllocation:

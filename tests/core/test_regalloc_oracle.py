@@ -74,10 +74,7 @@ def random_stream(seed: int):
 
 
 def abstract_stream(entries):
-    stream = AbstractStream()
-    for entry in entries:
-        stream.append(*entry)
-    return stream
+    return AbstractStream.from_entries(entries)
 
 
 def allocate_both(entries, symbols, num_registers, allocator):
@@ -209,6 +206,22 @@ def test_same_failures_as_reference(case, allocator):
         ALLOCATORS[allocator](abstract_stream(entries), num_registers,
                               symbols)
     assert str(got.value) == str(want.value) == message
+
+
+@pytest.mark.parametrize("allocator", ALLOCATOR_NAMES)
+@pytest.mark.parametrize("entries, symbols", [
+    ([("ld", -1, (), {"symbol": "a"})], {}),
+    ([("ld", 0, (), {"symbol": "a"}), ("vadd", 1, (0, 1 << 31), {})],
+     {0: ("ld", "a")}),
+    ([("ld", 0, (), {"symbol": "a"})], {0: ("ld", "a"), -5: ("ld", "b")}),
+], ids=["negative-define", "operand-past-int32", "negative-load-key"])
+def test_value_ids_out_of_int32_are_refused_on_both_paths(
+        entries, symbols, allocator):
+    """Value ids are int32 in the typed columns on either path: building
+    the stream, or the allocator reading ``load_symbols``, refuses the
+    rest before any allocation."""
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        ALLOCATORS[allocator](abstract_stream(entries), 16, symbols)
 
 
 @NO_C

@@ -1,6 +1,7 @@
 """Cache behaviour of the runtime session: hit/miss semantics, on-disk
 round trips, and schema-version invalidation."""
 
+import numpy as np
 import pytest
 
 from repro.core.compiler import CompilerOptions
@@ -13,6 +14,7 @@ from repro.runtime import (
     CompileCache,
     fingerprint,
 )
+from repro.trust import artifact_digest
 
 PARAMS = ArchParams(max_level=6)
 
@@ -126,6 +128,26 @@ class TestDiskCache:
         original = writer.compile(build_program(), PARAMS, machine=2)
         reader = CinnamonSession(cache_dir=tmp_path)
         restored = reader.compile(build_program(), PARAMS, machine=2)
+        assert restored.simulate(2).cycles == original.simulate(2).cycles
+
+    def test_restored_streams_keep_typed_columns(self, tmp_path):
+        """Schema 4: a stored artifact's streams come back as int numpy
+        columns, with the same content digest and simulated cycles."""
+        writer = CinnamonSession(cache_dir=tmp_path)
+        original = writer.compile(build_program(), PARAMS, machine=2)
+        reader = CinnamonSession(cache_dir=tmp_path)
+        restored = reader.compile(build_program(), PARAMS, machine=2)
+        assert reader.cache_stats.disk_hits == 1
+        assert CACHE_SCHEMA_VERSION == 4
+        for chip, stream in restored.isa.streams.items():
+            for column, dtype in (("opcode", np.int8), ("dest", np.int32),
+                                  ("src_start", np.int64),
+                                  ("src", np.int32), ("limb_op", np.int32)):
+                array = getattr(stream, column)
+                assert isinstance(array, np.ndarray) and array.dtype == dtype
+                assert np.array_equal(
+                    array, getattr(original.isa.streams[chip], column))
+        assert artifact_digest(restored) == artifact_digest(original)
         assert restored.simulate(2).cycles == original.simulate(2).cycles
 
     def test_schema_version_bump_invalidates(self, tmp_path):
