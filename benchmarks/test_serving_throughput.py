@@ -1,4 +1,4 @@
-"""Serving-layer throughput: adaptive batching on vs. batch-size-1.
+"""Serving-layer throughput: batching on vs. batch-size-1.
 
 Not a paper figure — this benchmarks the `repro.serve` subsystem in the
 regime batching exists for: a burst of mixed traffic (open-loop arrivals
@@ -6,8 +6,9 @@ far above the service rate) against shards whose in-memory artifact
 cache is capacity-bounded (the realistic setting: compiled bootstraps
 run to ~1 GB, so a shard holds a couple of artifacts, not the whole
 mix).  Batch-size-1 interleaves the four workload classes and thrashes
-the LRU — most requests recompile; the adaptive batcher groups
-same-fingerprint requests so each batch pays at most one compile.
+the LRU — most requests recompile; with batching on, the free shard
+takes the same-fingerprint requests queued behind the oldest one, so
+each batch pays at most one compile and runs its jobs in order.
 
 Asserts the acceptance shape: batching-on throughput strictly higher
 than batch-size-1, with p50/p95/p99 latency present in the metrics
@@ -27,10 +28,10 @@ BURST_RATE_RPS = 20000.0      # effectively: the whole load arrives at once
 SHARD_CACHE_CAPACITY = 2      # four workload classes > capacity => thrash
 
 
-def serve_burst(max_batch, max_wait_s, num_requests=NUM_REQUESTS, seed=5):
+def serve_burst(max_batch, num_requests=NUM_REQUESTS, seed=5):
     """One loadgen run; returns (report, metrics snapshot)."""
     server = CinnamonServer(
-        num_workers=1, max_batch=max_batch, max_wait_s=max_wait_s,
+        num_workers=1, max_batch=max_batch,
         queue_depth=0,  # unbounded: compare throughput, not admission
         seed=seed, capacity=SHARD_CACHE_CAPACITY)
     generator = LoadGenerator(server, serving_mix("small"), seed=seed)
@@ -50,13 +51,12 @@ def serve_burst(max_batch, max_wait_s, num_requests=NUM_REQUESTS, seed=5):
 
 class TestServingThroughput:
     def test_adaptive_batching_beats_batch_size_1(self, once):
-        batched, batched_metrics = once(serve_burst, max_batch=12,
-                                        max_wait_s=0.01)
-        unbatched, _ = serve_burst(max_batch=1, max_wait_s=0.0)
+        batched, batched_metrics = once(serve_burst, max_batch=12)
+        unbatched, _ = serve_burst(max_batch=1)
 
         print("\nServing throughput, 96-request mixed burst, "
               f"shard cache capacity {SHARD_CACHE_CAPACITY}:")
-        print(f"  adaptive batching (max_batch=12): "
+        print(f"  batching (max_batch=12):          "
               f"{batched.throughput_rps:7.1f} req/s  "
               f"(mean batch {batched.batch['mean']:.1f})")
         print(f"  batch-size-1:                     "
@@ -80,9 +80,8 @@ class TestServingThroughput:
         assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
 
     def test_batching_reduces_compiles_under_thrash(self, once):
-        batched, _ = once(serve_burst, max_batch=12, max_wait_s=0.01,
-                          seed=9)
-        unbatched, _ = serve_burst(max_batch=1, max_wait_s=0.0, seed=9)
+        batched, _ = once(serve_burst, max_batch=12, seed=9)
+        unbatched, _ = serve_burst(max_batch=1, seed=9)
         # Stores == real compiles; batching needs several times fewer.
         assert batched.cache["lookups"] > 0
         assert batched.cache["hit_rate"] > unbatched.cache["hit_rate"]

@@ -64,7 +64,7 @@ from typing import Dict, List, Optional
 
 from ..obs.metrics import render_snapshot_prometheus
 from ..obs.tracing import tracer
-from ..serve.lifecycle import IDLE_POLL_S, ServingFrontend
+from ..serve.lifecycle import ServingFrontend
 from ..serve.queue import Empty
 from ..serve.request import InferenceRequest
 from ..trust.errors import FreshnessError, KeyVaultError
@@ -74,6 +74,9 @@ from .protocol import (ConnectionClosed, PROTOCOL_VERSION, ProtocolError,
                        TOKEN_ENV, pack_keys, pack_submit, recv_frame,
                        send_frame, unpack_result, unpack_rows, unpack_state)
 from .ring import HashRing
+
+#: Poll period of the dispatcher while the admission queue is idle.
+IDLE_POLL_S = 0.05
 
 
 class _Worker:

@@ -8,8 +8,9 @@ tracer or registry required.
 
 The per-trace breakdown splits one request's wall time into
 
-* ``queue``   — admission-queue wait (``queue_s - batch_s``),
-* ``batch``   — batcher coalescing window,
+* ``queue``   — admission-queue wait (``queue_s``; a journal older
+  than schema 12 also carries ``batch_s``, a part of ``queue_s`` that
+  is ignored),
 * ``compile`` — wall time of the trace's compile rows (hits included),
 * ``sim``     — wall time of its simulate rows,
 * ``recovery``— detection + replay (which includes the degraded
@@ -26,7 +27,7 @@ from .metrics import MetricsRegistry
 from .rows import REMOVED_KINDS, observe_row
 
 #: Breakdown phases, in report order.
-PHASES = ("queue", "batch", "compile", "sim", "recovery", "other")
+PHASES = ("queue", "compile", "sim", "recovery", "other")
 
 
 def load_journal(path: str) -> dict:
@@ -59,18 +60,13 @@ def breakdown(rows: List[dict]) -> dict:
         "status": serve.get("status") if serve else None,
         "total_s": serve.get("seconds", 0.0) if serve else
                    compile_s + sim_s + recovery_s,
-        "queue": 0.0, "batch": 0.0,
+        "queue": (serve or {}).get("queue_s") or 0.0,
         "compile": compile_s, "sim": sim_s, "recovery": recovery_s,
         "other": 0.0,
         "rows": {kind: sum(1 for r in rows if r.get("kind") == kind)
                  for kind in ("serve", "compile", "simulate", "recovery",
                               "trust")},
     }
-    if serve is not None:
-        queue_s = serve.get("queue_s", 0.0) or 0.0
-        batch_s = serve.get("batch_s", 0.0) or 0.0
-        out["queue"] = max(0.0, queue_s - batch_s)
-        out["batch"] = batch_s
     accounted = sum(out[p] for p in PHASES if p != "other")
     out["other"] = max(0.0, out["total_s"] - accounted)
     return out

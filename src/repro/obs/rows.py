@@ -55,8 +55,8 @@ ROW_KINDS: Dict[str, RowKind] = {
     "serve": RowKind({
         "status": REQUIRED, "machine": REQUIRED, "shard": REQUIRED,
         "attempts": REQUIRED, "batch_size": REQUIRED, "cache": REQUIRED,
-        "seconds": REQUIRED, "queue_s": 0.0, "batch_s": 0.0,
-        "execute_s": 0.0, "tenant": "default",
+        "seconds": REQUIRED, "queue_s": 0.0, "execute_s": 0.0,
+        "tenant": "default",
         "cost": OMIT,                # serve.request.cost_rollup()
     }),
     "recovery": RowKind({
@@ -221,7 +221,7 @@ SERIES: Tuple[Series, ...] = (
     _seconds("serve", "serve_request_latency_seconds",
              "End-to-end latency, submit to resolution.", "seconds"),
     _seconds("serve", "serve_queue_wait_seconds",
-             "Admission (+ batching) wait before execution starts.",
+             "Admission-queue wait before execution starts.",
              "queue_s", when=_executed),
     _seconds("serve", "serve_execute_seconds",
              "Compile+simulate time in the executor.", "execute_s",

@@ -59,7 +59,11 @@ from ..obs.tracing import current_span
 #: 11: ``alert`` entries are gone with the live telemetry pipeline that
 #:    fired them; an older journal's ``alert`` rows still load, fold into
 #:    no series, and ``check()`` names each one.
-TRACE_SCHEMA_VERSION = 11
+#: 12: ``serve`` entries drop ``batch_s`` with the batching window that
+#:    timed it: a request waits only in the admission queue, so
+#:    ``queue_s`` is its whole wait.  An older journal's ``batch_s`` (a
+#:    part of its ``queue_s``) is ignored.
+TRACE_SCHEMA_VERSION = 12
 
 #: Most journal rows a recorder holds in memory.  Reaching it spills the
 #: older half to the recorder's temporary file in one write.

@@ -6,8 +6,9 @@ inference requests through a shard pool of cached
 
 * a bounded FIFO admission queue with explicit backpressure
   (:class:`~repro.serve.queue.QueueSaturatedError`) and graceful drain;
-* an adaptive batcher coalescing same-fingerprint/machine requests under
-  ``max_batch`` / ``max_wait_s``;
+* batching from the backlog: a free shard takes the oldest request it
+  owns plus the same-fingerprint/machine requests queued behind it, up
+  to ``max_batch`` — no batching window;
 * per-request deadlines and retry with exponential backoff + jitter;
 * machine-level fault tolerance: a chip killed mid-simulation (scripted
   by a :class:`FaultInjector`) triggers a degraded-mode recompile onto
@@ -28,7 +29,6 @@ Quick start::
         print(handle.result().latency.total_s)
 """
 
-from .batcher import AdaptiveBatcher, Batch
 from .faults import Fault, FaultInjector
 from ..obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .queue import AdmissionQueue, QueueClosedError, QueueSaturatedError
@@ -68,8 +68,6 @@ __all__ = [
     "QueueSaturatedError",
     "QueueClosedError",
     "ServerClosedError",
-    "AdaptiveBatcher",
-    "Batch",
     "FaultInjector",
     "Fault",
     "MetricsRegistry",

@@ -177,8 +177,8 @@ class ShardExecutor:
                 break
             started = time.monotonic()
             # One "execute" span per request per attempt: it rides the
-            # CompileJob onto the session worker pool, where the compile
-            # and simulate child spans attach to it (repro.obs).
+            # CompileJob into the session, where the compile and
+            # simulate child spans attach to it (repro.obs).
             spans = [
                 tracer().begin("execute", kind="execute", parent=r.span,
                                attrs={"shard": self.shard,
@@ -200,8 +200,9 @@ class ShardExecutor:
                                    if armed is not None else None,
                                    watchdog_s=self.watchdog_s, span=span)
                         for r, span in zip(pending, spans)]
-                results = self.session.run_batch(
-                    jobs, max_workers=min(4, len(jobs)))
+                # In order: the first job compiles and simulates, the
+                # rest of a same-key batch hit the cache and the memo.
+                results = [self.session.run(job) for job in jobs]
             except ChipFailure as exc:
                 armed = None          # it fired: spent
                 last_error = exc

@@ -32,9 +32,6 @@ from .queue import AdmissionQueue, Empty, QueueClosedError
 from .request import InferenceRequest, LatencyBreakdown, RequestHandle, \
     RequestResult, RequestStatus
 
-#: Poll period of a front-end's dispatcher while its queue is idle.
-IDLE_POLL_S = 0.05
-
 
 class ServerClosedError(RuntimeError):
     """``submit`` after ``shutdown``/``drain`` began."""
@@ -136,11 +133,10 @@ class RequestLifecycle:
             if request.dispatched_at is not None:
                 self.inflight.dec()
             # Close whatever request spans are still open (a timeout can
-            # resolve a request while its queue/batch span is live), then
+            # resolve a request while its queue span is live), then
             # journal the outcome under the root span so the serve row
             # joins the compile/simulate rows on trace_id.
-            for span in (request.queue_span, request.batch_span,
-                         request.span):
+            for span in (request.queue_span, request.span):
                 if span is not None:
                     span.finish()
             request.span.set_attr("status", result.status.value)
@@ -152,7 +148,6 @@ class RequestLifecycle:
                     attempts=result.attempts, batch_size=result.batch_size,
                     cache=result.cache, seconds=result.latency.total_s,
                     queue_s=result.latency.queue_s,
-                    batch_s=result.latency.batch_s,
                     execute_s=result.latency.execute_s,
                     tenant=request.tenant, cost=result.cost)
             handle.resolve(result)
@@ -170,8 +165,6 @@ class RequestLifecycle:
         latency = LatencyBreakdown(total_s=now - request.submitted_at)
         if started is not None:
             latency.queue_s = max(0.0, started - request.submitted_at)
-            if request.batched_at is not None:
-                latency.batch_s = started - request.batched_at
             latency.execute_s = execute_s
         return self.finish(request, RequestResult(
             request_id=request.request_id, name=request.label,

@@ -352,8 +352,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="serve through a ClusterRouter with N worker "
                              "processes instead of the in-process server")
     parser.add_argument("--max-batch", type=int, default=8)
-    parser.add_argument("--max-wait", type=float, default=0.005,
-                        help="batching window, seconds")
     parser.add_argument("--queue-depth", type=int, default=0,
                         help="admission bound; 0 = unbounded")
     parser.add_argument("--scale", choices=("small", "paper"),
@@ -473,10 +471,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 count=args.chaos_chip_crash)
         server = CinnamonServer(
             num_workers=args.workers, queue_depth=args.queue_depth,
-            max_batch=args.max_batch, max_wait_s=args.max_wait,
-            default_machine=args.machine, seed=args.seed, faults=faults,
-            cache_dir=args.cache_dir, capacity=args.capacity,
-            watchdog_s=args.watchdog)
+            max_batch=args.max_batch, default_machine=args.machine,
+            seed=args.seed, faults=faults, cache_dir=args.cache_dir,
+            capacity=args.capacity, watchdog_s=args.watchdog)
     if args.chaos_tamper_cache > 0 \
             and getattr(server, "cache_dir", None) is None:
         parser.error("--chaos-tamper-cache needs a server with an "

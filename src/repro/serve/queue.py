@@ -8,13 +8,20 @@ saturation is an *immediate, explicit* rejection
 serving contract is "shed load visibly, never hang" — and closing the
 queue lets producers drain gracefully: no new work is admitted but
 everything already queued is still handed out.
+
+It is also the in-process server's only queue: a free shard takes
+(:meth:`AdmissionQueue.take`) the oldest request it owns together with
+the same-key requests queued behind it, so a batch is whatever backlog
+has formed by itself, and ``maxsize`` bounds every request no shard has
+taken yet.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
-from typing import Deque, Optional
+from typing import Callable, Deque, List, Optional
 
 from .request import InferenceRequest
 
@@ -72,22 +79,58 @@ class AdmissionQueue:
                 if self.maxsize > 0 and depth >= self.maxsize:
                     raise QueueSaturatedError(depth, self.maxsize)
             self._items.append(request)
-            self._not_empty.notify()
+            # Every waiter: a shard woken for a request it does not own
+            # would go back to sleep and strand the request.
+            self._not_empty.notify_all()
 
     def get(self, timeout: Optional[float] = None) -> InferenceRequest:
-        """Pop the next request, waiting up to ``timeout``.
+        """Pop the oldest request, waiting up to ``timeout``.
 
         Raises :class:`Empty` on timeout, or immediately once the queue
         is both closed and drained.
         """
+        return self.take(timeout=timeout)[0]
+
+    def take(self, owns: Optional[Callable[[InferenceRequest], bool]]
+             = None, max_batch: int = 1,
+             timeout: Optional[float] = None) -> List[InferenceRequest]:
+        """Pop the oldest request ``owns`` accepts (any, when ``None``)
+        plus every later queued request with its
+        :attr:`~InferenceRequest.batch_key`, at most ``max_batch`` in
+        all, in queue order; wait up to ``timeout`` for one.
+
+        Raises :class:`Empty` on timeout, or immediately once the queue
+        is closed and holds nothing ``owns`` accepts.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._not_empty:
             while True:
-                if self._items:
-                    return self._items.popleft()
+                batch = self._pop(owns, max_batch)
+                if batch:
+                    return batch
                 if self._closed:
                     raise Empty
-                if not self._not_empty.wait(timeout):
+                left = (None if deadline is None
+                        else deadline - time.monotonic())
+                if left is not None and left <= 0:
                     raise Empty
+                self._not_empty.wait(left)
+
+    def _pop(self, owns, limit: int) -> List[InferenceRequest]:
+        """The one scan behind :meth:`take`; caller holds the lock."""
+        key = None
+        taken = []
+        for index, request in enumerate(self._items):
+            if key is None and (owns is None or owns(request)):
+                key = request.batch_key
+            if key is not None and request.batch_key == key:
+                taken.append(index)
+                if len(taken) >= limit:
+                    break
+        batch = [self._items[index] for index in taken]
+        for index in reversed(taken):
+            del self._items[index]
+        return batch
 
     def close(self) -> None:
         """Stop admitting; queued requests remain retrievable."""

@@ -13,7 +13,7 @@ import enum
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..core.compiler import CompilerOptions
 from ..sim.simulator import SimulationResult
@@ -63,14 +63,18 @@ class InferenceRequest:
     key: Optional[str] = None         # compile fingerprint
     machine_name: Optional[str] = None
     submitted_at: Optional[float] = None  # monotonic
-    batched_at: Optional[float] = None    # monotonic; set by the batcher
     dispatched_at: Optional[float] = None  # monotonic; None while queued
     attempts: int = 0                 # execution attempts so far
     # repro.obs spans carried across the thread hops of the data path
-    # (admission thread -> dispatcher -> shard executor):
+    # (admission thread -> shard or dispatcher -> executor):
     span: object = None               # root "serve" span of this request
     queue_span: object = None         # open while waiting for dispatch
-    batch_span: object = None         # open while coalescing in a bucket
+
+    @property
+    def batch_key(self) -> Tuple[Optional[str], str, bool]:
+        """Requests with equal keys may share one batch: the same
+        compile fingerprint, target machine and simulate flag."""
+        return (self.key, self.machine_name or "", bool(self.simulate))
 
     @property
     def label(self) -> str:
@@ -86,14 +90,13 @@ class InferenceRequest:
 class LatencyBreakdown:
     """Where one request's wall time went (seconds)."""
 
-    queue_s: float = 0.0        # admission queue + batcher wait
-    batch_s: float = 0.0        # batcher coalescing portion of queue_s
+    queue_s: float = 0.0        # admission queue wait for a free shard
     execute_s: float = 0.0      # compile + simulate inside the shard
     total_s: float = 0.0        # submit -> resolution
 
     def as_dict(self) -> dict:
-        return {"queue_s": self.queue_s, "batch_s": self.batch_s,
-                "execute_s": self.execute_s, "total_s": self.total_s}
+        return {"queue_s": self.queue_s, "execute_s": self.execute_s,
+                "total_s": self.total_s}
 
 
 @dataclass

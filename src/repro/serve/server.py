@@ -1,9 +1,10 @@
-"""The encrypted-inference server: queue + batcher + shard pool.
+"""The encrypted-inference server: admission queue + shard threads.
 
 Data path of one request::
 
-    submit() --admit--> AdmissionQueue --dispatcher--> AdaptiveBatcher
-        --batch--> shard (hash(fingerprint) % num_workers)
+    submit() --admit--> AdmissionQueue --take--> free shard
+        (int(fingerprint, 16) % num_workers, with the same-key requests
+        queued behind it, up to max_batch)
         --ShardExecutor.execute--> ok/fail/timeout --> RequestHandle
 
 Admission, deadlines, billing, journal rows and handle resolution are
@@ -11,16 +12,21 @@ the shared :class:`~repro.serve.lifecycle.RequestLifecycle`; retries,
 fault injection and the degrade ladder are the shared
 :class:`~repro.serve.executor.ShardExecutor`.  What is left here:
 
-* **Shards.** Each of ``num_workers`` shards is one single-thread pool
-  feeding one executor (one :class:`CinnamonSession`) — the in-process
-  model of one serving replica.  Batches route by fingerprint hash, so
-  repeats of a program land on the shard that already holds its
-  artifact; intra-batch parallelism comes from ``run_batch``'s own pool.
-  Each executor outcome is mapped onto ``lifecycle.ok/fail/timeout``.
+* **Shards.** Each of ``num_workers`` shards is one thread plus one
+  executor (one :class:`CinnamonSession`) — the in-process model of one
+  serving replica.  A request belongs to the shard its fingerprint
+  hashes to, so repeats of a program land on the shard that already
+  holds its artifact.  A free shard takes its next batch straight from
+  the admission queue: the same-key backlog that formed while it was
+  busy, up to ``max_batch``.  The batch's jobs run in order, so the
+  first compiles and the rest hit the cache.  Each
+  executor outcome is mapped onto ``lifecycle.ok/fail/timeout``.
 * **Backpressure.** ``submit`` never blocks: a saturated admission queue
   raises :class:`QueueSaturatedError` at the call site and the rejection
-  is counted and traced.  ``shutdown(drain=True)`` stops admission but
-  finishes everything already accepted.
+  is counted and traced.  The queue is the only place a request waits,
+  so ``queue_depth`` bounds every request no shard has taken.
+  ``shutdown(drain=True)`` stops admission but finishes everything
+  already accepted.
 * **Observability.** Every hop updates the
   :class:`~repro.obs.metrics.MetricsRegistry`; the server journal plus
   every shard session's journal merge in :meth:`CinnamonServer.trace`.
@@ -30,14 +36,12 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence
 
 from ..runtime.session import CinnamonSession
-from .batcher import AdaptiveBatcher, Batch
 from .executor import ShardExecutor
 from .faults import FaultInjector
-from .lifecycle import IDLE_POLL_S, ServingFrontend
+from .lifecycle import ServingFrontend
 from .queue import Empty, QueueSaturatedError
 from .request import InferenceRequest, RequestResult, RequestStatus
 
@@ -46,22 +50,21 @@ BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
 
 class _Shard:
-    """One serving replica: a single-thread pool plus its executor."""
+    """One serving replica: a thread plus its executor."""
 
     def __init__(self, shard_id: int, executor: ShardExecutor):
         self.id = shard_id
         self.executor = executor
-        self.pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"cinnamon-shard-{shard_id}")
+        self.thread: Optional[threading.Thread] = None
 
 
 class CinnamonServer(ServingFrontend):
     """Serve encrypted-inference requests over a pool of session shards.
 
     Parameters mirror the knobs of a real inference frontend:
-    ``queue_depth`` bounds admission (``0`` = unbounded), ``max_batch`` /
-    ``max_wait_s`` tune the adaptive batcher, ``max_retries`` /
-    ``retry_backoff_s`` shape the retry policy, and
+    ``queue_depth`` bounds admission (``0`` = unbounded), ``max_batch``
+    bounds how many same-key requests one shard takes at once,
+    ``max_retries`` / ``retry_backoff_s`` shape the retry policy, and
     ``request_timeout_s`` is the default deadline for requests that do
     not carry one.  Each shard owns one :class:`CinnamonSession` with an
     in-memory cache of ``capacity`` artifacts; shards share one on-disk
@@ -69,7 +72,7 @@ class CinnamonServer(ServingFrontend):
     """
 
     def __init__(self, num_workers: int = 2, queue_depth: int = 64,
-                 max_batch: int = 8, max_wait_s: float = 0.005,
+                 max_batch: int = 8,
                  max_retries: int = 2, retry_backoff_s: float = 0.05,
                  request_timeout_s: Optional[float] = None,
                  default_machine=None, faults: FaultInjector = None,
@@ -78,8 +81,11 @@ class CinnamonServer(ServingFrontend):
                  watchdog_s: Optional[float] = None):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
         super().__init__(queue_depth, default_machine, request_timeout_s)
         self.num_workers = num_workers
+        self.max_batch = max_batch
         #: Shared shard cache directory (None = memory-only shards);
         #: exposed so chaos tooling can aim tamper attacks at the disk
         #: layer (repro.trust).
@@ -93,10 +99,7 @@ class CinnamonServer(ServingFrontend):
                 max_recoveries=max_recoveries,
                 watchdog_s=watchdog_s, seed=seed))
             for i in range(num_workers)]
-        self._batcher = AdaptiveBatcher(max_batch=max_batch,
-                                        max_wait_s=max_wait_s)
         self._stopped = False
-        self._dispatcher: Optional[threading.Thread] = None
 
         m = self.metrics
         self._batches_total = m.counter(
@@ -113,10 +116,11 @@ class CinnamonServer(ServingFrontend):
         if self._started:
             return self
         self._started = True
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="cinnamon-dispatcher",
-            daemon=True)
-        self._dispatcher.start()
+        for shard in self._shards:
+            shard.thread = threading.Thread(
+                target=self._serve_shard, args=(shard,),
+                name=f"cinnamon-shard-{shard.id}", daemon=True)
+            shard.thread.start()
         return self
 
     def shutdown(self, drain: bool = True,
@@ -131,72 +135,57 @@ class CinnamonServer(ServingFrontend):
             self._queue.close()
             self._sweep_queue(self.lifecycle.reject, "shut down")
         self._stopped = True
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=10)
-        for shard in self._shards:
-            shard.pool.shutdown(wait=drain)
+        if drain:
+            # Closed and empty: each shard exits once its batch is done.
+            for shard in self._shards:
+                if shard.thread is not None:
+                    shard.thread.join(timeout=10)
 
     # ------------------------------------------------------------------ #
-    # Dispatcher
+    # Shards
 
-    def _dispatch_loop(self) -> None:
+    def _serve_shard(self, shard: _Shard) -> None:
+        """Shard-thread body: take the next batch this shard owns, run
+        it, repeat until the queue is closed and holds nothing of ours."""
+        def owns(request: InferenceRequest) -> bool:
+            return int(request.key, 16) % self.num_workers == shard.id
+
         while True:
-            now = time.monotonic()
-            wait = self._batcher.next_deadline(now)
-            if wait is None:
-                wait = IDLE_POLL_S
-            drained = False
             try:
-                request = self._queue.get(timeout=wait)
+                batch = self._queue.take(owns, self.max_batch)
             except Empty:
-                drained = self._queue.closed and self._queue.depth() == 0
-            else:
-                self._admit_to_batcher(request)
-                # Opportunistically pull everything already waiting so a
-                # burst coalesces in one pass.
-                while True:
-                    try:
-                        request = self._queue.get(timeout=0)
-                    except Empty:
-                        break
-                    self._admit_to_batcher(request)
-            self.lifecycle.queue_depth.set(self._queue.depth())
-            for batch in self._batcher.ready(time.monotonic(),
-                                             force=drained):
-                self._dispatch(batch)
-            if drained and self._batcher.pending() == 0:
                 return
+            now = time.monotonic()
+            self.lifecycle.queue_depth.set(self._queue.depth())
+            live = []
+            for request in batch:
+                if request.expired(now):
+                    self.lifecycle.timeout(request, now)
+                    continue
+                if request.queue_span is not None:
+                    request.queue_span.finish()
+                live.append(request)
+            if live:
+                self._batches_total.inc()
+                self._batch_size_h.observe(len(live))
+                self.lifecycle.dispatched(live, now)
+                self._run_batch(shard, live)
 
-    def _admit_to_batcher(self, request: InferenceRequest) -> None:
-        now = time.monotonic()
-        if request.expired(now):
-            self.lifecycle.timeout(request, now)
-            return
-        full = self._batcher.add(request, now)
-        if full is not None:
-            self._dispatch(full)
-
-    def _dispatch(self, batch: Batch) -> None:
-        shard = self._shards[int(batch.fingerprint, 16) % self.num_workers]
-        self._batches_total.inc()
-        self._batch_size_h.observe(len(batch))
-        self.lifecycle.dispatched(batch.requests, time.monotonic())
-        shard.pool.submit(self._run_batch, shard, batch)
-
-    def _run_batch(self, shard: _Shard, batch: Batch) -> None:
-        """Shard-thread body: execute, hand each result to the lifecycle."""
+    def _run_batch(self, shard: _Shard,
+                   batch: List[InferenceRequest]) -> None:
+        """Execute one batch, hand each result to the lifecycle."""
         where = {"shard": shard.id, "batch_size": len(batch)}
         try:
-            results = shard.executor.execute(batch.requests)
-        except BaseException:  # pragma: no cover - defensive: never lose
-            for request in batch.requests:  # a request to a bug here
-                self.lifecycle.fail(request, "internal dispatch error",
-                                    **where)
-            raise
+            results = shard.executor.execute(batch)
+        except Exception as exc:  # pragma: no cover - defensive: never
+            for request in batch:  # lose a request, or the shard, to a bug
+                self.lifecycle.fail(
+                    request, f"internal dispatch error: {exc!r}", **where)
+            return
         retries = max(r.attempts for r in results) - 1
         if retries > 0:
             self.lifecycle.retries_total.inc(retries)
-        for request, r in zip(batch.requests, results):
+        for request, r in zip(batch, results):
             if r.ok:
                 self.lifecycle.ok(
                     request, r.done, started=r.started,
@@ -264,12 +253,14 @@ def serve_requests(requests: Sequence[InferenceRequest],
                    num_workers: int = 2, queue_depth: int = 0,
                    trace_out=None, **server_kwargs) -> List[RequestResult]:
     """One-call facade: serve ``requests`` to completion, results in
-    submission order.  ``queue_depth=0`` (unbounded) by default so a
-    batch submission is never rejected; pass a bound to exercise
-    backpressure.  ``trace_out`` writes the merged trace journal (serve
-    + per-shard compile/simulate rows) before the transient server is
-    torn down — with :mod:`repro.obs` tracing enabled, that journal is
-    what ``python -m repro.obs`` analyzes."""
+    submission order.  ``server_kwargs`` go to :class:`CinnamonServer`
+    (``max_batch``, ``capacity``, ``faults``, ...).  ``queue_depth=0``
+    (unbounded) by default so a batch submission is never rejected;
+    pass a bound to exercise backpressure.  ``trace_out`` writes the
+    merged trace journal (serve + per-shard compile/simulate rows)
+    before the transient server is torn down — with :mod:`repro.obs`
+    tracing enabled, that journal is what ``python -m repro.obs``
+    analyzes."""
     server = CinnamonServer(num_workers=num_workers,
                             queue_depth=queue_depth, **server_kwargs)
     with server:

@@ -176,7 +176,7 @@ class TestOneTraceId:
         root = with_passes[0]
         kinds = {s.kind for s in traced.spans
                  if s.trace_id == root.trace_id}
-        assert {"serve", "queue", "batch", "execute", "compile",
+        assert {"serve", "queue", "execute", "compile",
                 "cache", "pass", "simulate"} <= kinds
         sims = [s for s in traced.spans
                 if s.trace_id == root.trace_id and s.kind == "simulate"]
@@ -225,7 +225,7 @@ class TestOneTraceId:
         for row in serve_rows:
             assert set(row) - {"cost"} == {
                 "job", "kind", "status", "machine", "shard", "attempts",
-                "batch_size", "cache", "seconds", "queue_s", "batch_s",
+                "batch_size", "cache", "seconds", "queue_s",
                 "execute_s", "tenant", "trace_id", "span_id"}
 
 
@@ -284,7 +284,7 @@ class TestCli:
         out = capsys.readouterr().out
         traces = len(trace_table(backend_journal.document))
         assert f"{traces} trace(s)" in out
-        for phase in ("queue", "batch", "compile", "sim", "recovery"):
+        for phase in ("queue", "compile", "sim", "recovery"):
             assert phase in out
         assert "utilization" in out
 
@@ -424,3 +424,29 @@ class TestSchemaBackCompat:
             "row 2: kind 'alert' removed in schema 11",
             "row 4: kind 'alert' removed in schema 11"]
         assert check(without) == []
+
+    def test_schema_11_batch_s_is_part_of_queue(self, tmp_path):
+        """A schema-11 serve row split its wait into ``queue_s`` and the
+        ``batch_s`` inside it; schema 12 has one wait, so the breakdown
+        reads ``queue_s`` whole, ignores ``batch_s``, and checks clean."""
+        stamp = {"trace_id": "t1", "span_id": "s1"}
+        path = tmp_path / "journal_v11.json"
+        path.write_text(json.dumps({
+            "schema": 11, "created_unix": 0.0, "cache": {},
+            "jobs": [
+                dict(stamp, job="r0", kind="compile", cache="miss",
+                     key="ab12", seconds=0.3, compile=None),
+                dict(stamp, job="r0", kind="simulate", cache="miss",
+                     machine="Cinnamon-4", tag="", seconds=0.1,
+                     simulate={"cycles": 1000}),
+                dict(stamp, job="r0", kind="serve", status="ok",
+                     machine="Cinnamon-4", shard=0, attempts=1,
+                     batch_size=2, cache="miss", seconds=0.6,
+                     queue_s=0.1, batch_s=0.04, execute_s=0.4,
+                     tenant="acme")]}))
+        document = load_journal(str(path))
+        assert check(document) == []
+        split = trace_table(document)["t1"]
+        assert split["queue"] == 0.1
+        assert "batch" not in split
+        assert split["other"] == pytest.approx(0.6 - 0.1 - 0.3 - 0.1)

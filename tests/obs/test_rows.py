@@ -20,7 +20,7 @@ COMPILE = dict(job="prog", key="ab12", seconds=0.4)
 SIMULATE = dict(job="prog", machine="Cinnamon-4", tag="", seconds=0.1)
 SERVE = dict(job="req-1", machine="Cinnamon-4", shard=0, attempts=1,
              batch_size=2, cache="miss", seconds=0.5, tenant="acme")
-EXECUTED = dict(queue_s=0.1, batch_s=0.01, execute_s=0.4)
+EXECUTED = dict(queue_s=0.1, execute_s=0.4)
 COST = {"sim_cycles": 1234, "bootstraps": 1, "bytes": 4096,
         "compile_s": 0.25}
 

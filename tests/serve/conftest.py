@@ -1,6 +1,8 @@
 """Shared helpers: fast small-scale inference requests."""
 
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.fhe import ArchParams
 from repro.core.dsl.program import CinnamonProgram
 from repro.runtime import CinnamonSession
 from repro.serve import InferenceRequest
+from repro.serve.executor import ShardExecutor
 
 PARAMS = ArchParams(max_level=6)
 
@@ -43,3 +46,21 @@ def slow_run(monkeypatch):
         return run(session, job)
 
     monkeypatch.setattr(CinnamonSession, "run", slow)
+
+
+@pytest.fixture
+def held_shard(monkeypatch):
+    """The first batch any shard executes blocks until ``release()``:
+    ``busy`` is set once a shard holds it, and everything submitted
+    meanwhile waits in the admission queue."""
+    busy, release = threading.Event(), threading.Event()
+    execute = ShardExecutor.execute
+
+    def held(executor, requests):
+        if not busy.is_set():
+            busy.set()
+            release.wait(30)
+        return execute(executor, requests)
+
+    monkeypatch.setattr(ShardExecutor, "execute", held)
+    return SimpleNamespace(busy=busy, release=release.set)

@@ -24,8 +24,7 @@ class TestLatencySpike:
         assert elapsed >= 0.3  # the spike really happened
 
     def test_spike_past_deadline_times_out(self, slow_run):
-        with CinnamonServer(num_workers=1, max_retries=0,
-                            max_wait_s=0.0) as server:
+        with CinnamonServer(num_workers=1, max_retries=0) as server:
             result = server.submit(
                 make_request("late", deadline_s=0.15)).result(60)
         # Dispatched in time, the deadline lapsed mid-execution.
@@ -36,8 +35,7 @@ class TestLatencySpike:
 class TestScoping:
     def test_drained_injector_is_inert(self):
         faults = FaultInjector().chip_crash(chip=1, cycle=1000)
-        with CinnamonServer(num_workers=1, faults=faults,
-                            max_wait_s=0.0) as server:
+        with CinnamonServer(num_workers=1, faults=faults) as server:
             first = server.submit(make_request("x1")).result(60)
             assert first.ok and first.sim.machine == "Cinnamon-1"
             assert faults.remaining() == 0

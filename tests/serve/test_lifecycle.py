@@ -18,7 +18,7 @@ from .conftest import make_request
 
 SERVE_ROW_KEYS = {
     "job", "kind", "status", "machine", "shard", "attempts", "batch_size",
-    "cache", "seconds", "queue_s", "batch_s", "execute_s", "tenant",
+    "cache", "seconds", "queue_s", "execute_s", "tenant",
     "trace_id", "span_id",
 }
 COST = {"sim_cycles": 1234, "bootstraps": 0, "bytes": 4096,

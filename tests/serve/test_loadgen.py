@@ -55,7 +55,7 @@ class TestRuns:
     def test_closed_loop_serves_everything(self):
         import time
 
-        with CinnamonServer(num_workers=2, max_wait_s=0.002) as server:
+        with CinnamonServer(num_workers=2) as server:
             generator = LoadGenerator(server, self.mix(), seed=7)
             start = time.monotonic()
             results = generator.run_closed_loop(24, concurrency=4,
@@ -90,8 +90,8 @@ class TestRuns:
         assert duration >= 16 / 400.0 * 0.5  # arrivals actually paced
 
     def test_open_loop_counts_rejections(self):
-        with CinnamonServer(num_workers=1, queue_depth=1, max_batch=64,
-                            max_wait_s=0.5) as server:
+        with CinnamonServer(num_workers=1, queue_depth=1,
+                            max_batch=64) as server:
             generator = LoadGenerator(server, self.mix(), seed=3)
             results = generator.run_open_loop(30, rate_rps=5000.0,
                                               machine=2)

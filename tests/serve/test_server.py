@@ -1,9 +1,16 @@
-"""CinnamonServer behaviour: serving, batching, backpressure, deadlines,
-drain, metrics, and the repro facade."""
+"""CinnamonServer behaviour: serving, batching from the backlog,
+backpressure, deadlines, drain, metrics, and the repro facade.
+
+Batching tests hold the one shard busy (``held_shard``) so the backlog
+they batch is built before it is taken: no test waits on a timer."""
+
+import time
 
 import pytest
 
 import repro
+from repro.runtime.fingerprint import fingerprint
+from repro.runtime.session import resolve_request_options
 from repro.runtime.trace import TRACE_SCHEMA_VERSION
 from repro.serve import (
     CinnamonServer,
@@ -29,7 +36,7 @@ class TestBasicServing:
         assert result.latency.total_s >= result.latency.execute_s
 
     def test_repeat_requests_hit_cache(self):
-        with CinnamonServer(num_workers=1, max_wait_s=0.0) as server:
+        with CinnamonServer(num_workers=1) as server:
             first = server.submit(make_request("a1")).result(60)
             second = server.submit(make_request("a2")).result(60)
         assert first.cache == "miss"
@@ -56,34 +63,60 @@ class TestBasicServing:
         assert result.ok and result.sim is None and result.cycles is None
 
 
+def hold(server, held_shard):
+    """Submit a blocker and wait until a shard is busy with it."""
+    handle = server.submit(make_request("blocker", program_name="blocker"))
+    assert held_shard.busy.wait(30)
+    return handle
+
+
+def owner(request, num_workers):
+    """The shard a request belongs to, computed as admission will."""
+    options = resolve_request_options(request.machine, request.options)
+    key = fingerprint(request.program, request.params, options)
+    return int(key, 16) % num_workers
+
+
 class TestAdaptiveBatching:
-    def test_same_fingerprint_requests_coalesce(self):
-        with CinnamonServer(num_workers=1, max_batch=8,
-                            max_wait_s=0.25) as server:
+    """A free shard takes its batch from the admission queue: the
+    same-key backlog that formed while it was busy, up to max_batch."""
+
+    def test_same_fingerprint_requests_coalesce(self, held_shard):
+        with CinnamonServer(num_workers=1, max_batch=8) as server:
+            blocker = hold(server, held_shard)
             handles = [server.submit(make_request(f"b{i}"))
                        for i in range(6)]
+            held_shard.release()
             results = [h.result(60) for h in handles]
+        assert blocker.result(60).ok
         assert all(r.ok for r in results)
-        # All six rode one coalesced batch through one compile.
-        assert {r.batch_size for r in results} == {6}
-        assert sum(1 for r in results if r.cache == "miss") == 1
+        # All six rode one batch through one compile.
+        assert [r.batch_size for r in results] == [6] * 6
+        assert [r.cache for r in results] == ["miss"] + ["memory"] * 5
 
-    def test_full_bucket_flushes_before_max_wait(self):
-        with CinnamonServer(num_workers=1, max_batch=2,
-                            max_wait_s=30.0) as server:
+    def test_max_batch_splits_the_backlog(self, held_shard):
+        with CinnamonServer(num_workers=1, max_batch=2) as server:
+            hold(server, held_shard)
             handles = [server.submit(make_request(f"b{i}"))
                        for i in range(4)]
-            # max_wait is 30 s: only the size trigger can flush in time.
-            results = [h.result(20) for h in handles]
-        assert all(r.ok and r.batch_size == 2 for r in results)
-
-    def test_distinct_fingerprints_not_batched_together(self):
-        with CinnamonServer(num_workers=2, max_batch=8,
-                            max_wait_s=0.05) as server:
-            handles = [server.submit(make_request(f"d{i}", rotation=i + 1))
-                       for i in range(3)]
+            held_shard.release()
             results = [h.result(60) for h in handles]
-        assert all(r.ok and r.batch_size == 1 for r in results)
+        assert all(r.ok and r.batch_size == 2 for r in results)
+        snapshot = server.metrics_snapshot()
+        assert snapshot["serve_batches_total"]["series"][0]["value"] == 3
+
+    def test_distinct_fingerprints_not_batched_together(self, held_shard):
+        with CinnamonServer(num_workers=1, max_batch=8) as server:
+            hold(server, held_shard)
+            rotations = {"a0": 1, "b0": 2, "a1": 1, "c0": 3, "b1": 2}
+            handles = [server.submit(make_request(name, rotation=rotation))
+                       for name, rotation in rotations.items()]
+            held_shard.release()
+            results = {h.request.name: h.result(60) for h in handles}
+        assert all(r.ok for r in results.values())
+        assert {name: r.batch_size for name, r in results.items()} == {
+            "a0": 2, "a1": 2, "b0": 2, "b1": 2, "c0": 1}
+        assert sum(r.cache == "miss" for r in results.values()) == 3
 
     def test_cache_affinity_routes_key_to_one_shard(self):
         with CinnamonServer(num_workers=4, max_batch=1) as server:
@@ -91,12 +124,24 @@ class TestAdaptiveBatching:
                        for i in range(6)]
         assert len({r.shard for r in results}) == 1
 
+    def test_idle_shard_wakes_for_a_request_it_owns(self):
+        """Both shards sleep in the queue; every put must wake both, or
+        the one woken may not own the request and it waits forever."""
+        rotation = next(r for r in range(1, 64)
+                        if owner(make_request(rotation=r), 2) == 1)
+        with CinnamonServer(num_workers=2) as server:
+            for i in range(3):
+                time.sleep(0.1)       # let both shards wait again
+                result = server.submit(make_request(
+                    f"w{i}", rotation=rotation)).result(5)
+                assert result.ok and result.shard == 1
+
 
 class TestBackpressure:
     def test_saturated_queue_rejects_not_hangs(self):
         """Acceptance: saturation is an immediate, explicit rejection."""
-        with CinnamonServer(num_workers=1, queue_depth=2, max_batch=64,
-                            max_wait_s=1.0) as server:
+        with CinnamonServer(num_workers=1, queue_depth=2,
+                            max_batch=64) as server:
             accepted, rejected = [], 0
             for i in range(40):
                 try:
@@ -112,6 +157,26 @@ class TestBackpressure:
         by_status = {s["labels"]["status"]: s["value"] for s in series}
         assert by_status["rejected"] == rejected
         assert by_status["ok"] == len(accepted)
+
+    def test_queue_depth_bounds_requests_no_shard_took(self, held_shard):
+        """The admission queue is the only place a request waits, so
+        ``queue_depth`` bounds everything no shard has taken: one busy
+        shard plus two queued, the rest refused.  Arrivals are spaced
+        so that nothing but the bound can refuse them."""
+        with CinnamonServer(num_workers=1, queue_depth=2) as server:
+            accepted = [hold(server, held_shard)]
+            rejected = 0
+            for i in range(19):
+                time.sleep(0.01)
+                try:
+                    accepted.append(server.submit(
+                        make_request(f"p{i}", rotation=i + 2)))
+                except QueueSaturatedError:
+                    rejected += 1
+            assert (len(accepted), rejected) == (3, 17)
+            held_shard.release()
+            results = [h.result(60) for h in accepted]
+        assert all(r.ok for r in results)
 
     def test_submit_after_shutdown_raises(self):
         server = CinnamonServer(num_workers=1)
@@ -135,6 +200,17 @@ class TestDeadlines:
             result = server.submit(make_request("dflt")).result(30)
         assert result.status is RequestStatus.TIMEOUT
 
+    def test_deadline_lapsing_in_the_queue_times_out(self, held_shard):
+        with CinnamonServer(num_workers=1) as server:
+            hold(server, held_shard)
+            handle = server.submit(make_request("stale", deadline_s=0.05))
+            time.sleep(0.1)
+            held_shard.release()
+            result = handle.result(60)
+        assert result.status is RequestStatus.TIMEOUT
+        assert result.error.endswith("while queued")
+        assert result.attempts == 0
+
     def test_generous_deadline_succeeds(self):
         with CinnamonServer(num_workers=1) as server:
             result = server.submit(
@@ -154,8 +230,7 @@ class TestDrainAndShutdown:
         assert all(h.result(0).ok for h in handles)
 
     def test_shutdown_without_drain_rejects_queued(self):
-        server = CinnamonServer(num_workers=1, max_wait_s=5.0,
-                                max_batch=64)
+        server = CinnamonServer(num_workers=1, max_batch=64)
         server.start()
         handles = [server.submit(make_request(f"q{i}")) for i in range(8)]
         server.shutdown(drain=False)
