@@ -29,7 +29,10 @@ Storage is columnar: a :class:`LimbProgram` holds parallel ``opcodes`` /
 ``chips`` / ``inputs`` / ``attrs`` lists indexed by op id, filled only by
 :meth:`LimbProgram.emit`.  :class:`LimbOp` is the value type its read-only
 ``ops`` view yields; hundreds of thousands of ops per program made one heap
-object each the dominant compile cost (docs/compiler.md, section 6).
+object each the dominant compile cost (docs/compiler.md, section 6).  For
+the same reason ops do not get an attrs dict each: the lowering builds one
+dict per op kind and limb position and hands that same object to every op
+it describes, so a program holds about one dict per four or five ops.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ...fhe.modmath import mod_inv
 from ...fhe.params import partition_from_sig
@@ -130,10 +133,11 @@ class LimbProgram:
 
     Ops are stored as four parallel columns indexed by op id —
     ``opcodes``, ``chips``, ``inputs`` (operand-id tuples) and ``attrs``
-    (the ``**attrs`` dict :meth:`emit` received) — not as one object per
-    op.  The back-end (:mod:`repro.core.isa.codegen`) walks the columns
-    and keeps referring to the ``attrs`` dicts from the instruction
-    streams it writes, so they must not be mutated after :meth:`emit`.
+    (the dict :meth:`emit` received) — not as one object per op.  One
+    attrs dict is shared by every op whose attrs are equal (the lowering
+    prebuilds them), and the back-end (:mod:`repro.core.isa.codegen`)
+    keeps referring to the same dicts from the instruction streams it
+    writes, so they must never be mutated after :meth:`emit`.
     :attr:`ops` is the sequence-of-:class:`LimbOp` view for everyone else.
     """
 
@@ -152,8 +156,11 @@ class LimbProgram:
 
     # ------------------------------------------------------------------ #
 
-    def emit(self, opcode: str, chip: int, inputs: Tuple[int, ...] = (),
-             domain: str = None, **attrs) -> int:
+    def emit(self, opcode: str, chip: int, inputs: Tuple[int, ...],
+             domain: Optional[str], attrs: dict) -> int:
+        """Append one op and return its id.  ``attrs`` is stored as given,
+        not copied: the lowering passes one dict to every op that shares
+        its contents, so it must not be mutated afterwards."""
         op_id = len(self.opcodes)
         self.opcodes.append(opcode)
         self.chips.append(chip)
@@ -207,14 +214,22 @@ class _KeyswitchContext:
     """What every keyswitch at one ``(level, partition)`` shares.
 
     Built once per ``(level, partition_sig)`` (:meth:`LimbLowering._ks_context`):
-    the digit layout; ``at[pos]``, the ``{prime, prime_index}`` keyword
-    arguments of every position of the extended basis ``Q u E`` (positions
-    ``level..`` are the extension limbs); and the scalar factors and
-    ``lbconv`` source descriptions of mod-up and mod-down.  Under symbolic
+    the digit layout, and the attrs dict of every keyswitch step at every
+    position, each passed by reference to all the ops of that step there.
+    ``at[pos]`` is ``{prime, prime_index}`` of position ``pos`` of the
+    extended basis ``Q u E`` (positions ``level..`` are the extension limbs;
+    ``at[:level]`` are the lowering's own base positions).  Mod-up:
+    ``modup_mulc[g][k]`` premultiplies digit ``g``'s ``k``-th limb and
+    ``modup_bconv[g][pos]`` converts the digit onto ``pos``.  Mod-down:
+    ``moddown_mulc_ext[e]`` premultiplies extension limb ``e``,
+    ``moddown_bconv[i]`` converts the extension onto position ``i`` and
+    ``moddown_mulc[i]`` scales it.  :meth:`auto_at` holds the ``lauto``
+    attrs of each galois element.  Under symbolic
     :class:`~repro.fhe.ArchParams` every prime and scalar is ``None``.
     """
 
-    def __init__(self, params, level: int, partition_sig: str):
+    def __init__(self, params, level: int, partition_sig: str,
+                 base: List[dict]):
         self.level = level
         self.partition_sig = partition_sig
         self.partition = partition_from_sig(partition_sig, level, params)
@@ -225,8 +240,9 @@ class _KeyswitchContext:
             extended = (None,) * (level + params.extension_count)
         symbolic = None in extended
         self.num_ext = len(extended) - level
-        self.at = [{"prime": p, "prime_index": pos}
-                   for pos, p in enumerate(extended)]
+        ext = range(level, len(extended))
+        at = self.at = [*base[:level], *(
+            {"prime": extended[pos], "prime_index": pos} for pos in ext)]
 
         def basis(positions):
             return tuple(extended[pos] for pos in positions)
@@ -238,27 +254,52 @@ class _KeyswitchContext:
             total = math.prod(primes)
             return tuple(mod_inv((total // p) % p, p) for p in primes)
 
-        ext = range(level, len(extended))
+        def scaled(scalars, positions):
+            return [{"scalar": scalar, **at[pos]}
+                    for scalar, pos in zip(scalars, positions)]
+
+        def bconv(sources, targets):
+            source = {"source_primes": basis(sources),
+                      "source_indices": tuple(sources)}
+            return {pos: {**source, "target_prime": at[pos]["prime"],
+                          **at[pos]} for pos in targets}
+
         # Mod-up premultiplies digit limb j by (Q_g/q_j)^-1 mod q_j before
         # the base conversion; mod-down does the same to the extension
         # limbs with (P/p_e)^-1 mod p_e, then scales position i by P^-1.
-        self.digit_scalars = [hat_inverses(basis(g)) for g in self.partition]
-        self.digit_source = [
-            {"source_primes": basis(g), "source_indices": tuple(g)}
+        self.modup_mulc = [scaled(hat_inverses(basis(g)), g)
+                           for g in self.partition]
+        self.modup_bconv = [
+            bconv(g, [pos for pos in range(len(extended)) if pos not in g])
             for g in self.partition]
-        self.ext_scalars = hat_inverses(basis(ext))
-        self.ext_source = {"source_primes": basis(ext),
-                           "source_indices": tuple(ext)}
+        self.moddown_mulc_ext = scaled(hat_inverses(basis(ext)), ext)
+        self.moddown_bconv = bconv(ext, range(level))
         if symbolic:
-            self.moddown_scalars = (None,) * level
+            moddown_scalars = (None,) * level
         else:
             p_total = math.prod(basis(ext))
-            self.moddown_scalars = tuple(
+            moddown_scalars = tuple(
                 mod_inv(p_total % q, q) for q in extended[:level])
+        self.moddown_mulc = scaled(moddown_scalars, range(level))
+        self._auto: Dict[int, List[dict]] = {}
+
+    def auto_at(self, galois_elt: int, base: List[dict]) -> List[dict]:
+        """``lauto``'s attrs for ``galois_elt`` at every position of
+        ``Q u E``; ``base`` is the lowering's table for ``Q``."""
+        table = self._auto.get(galois_elt)
+        if table is None:
+            table = self._auto[galois_elt] = [*base[:self.level], *(
+                {"galois": galois_elt, **at} for at in self.at[self.level:])]
+        return table
 
 
 class LimbLowering:
-    """Lowers a polynomial program onto a chip group layout."""
+    """Lowers a polynomial program onto a chip group layout.
+
+    Ops that agree on their attrs share one dict (:meth:`_shared_attrs`,
+    :class:`_KeyswitchContext`); only loads, PRNG ops and stores (their
+    ``symbol``) and ``lcomm`` / ``lrecv`` (their ``cid``) get their own.
+    """
 
     def __init__(self, poly: PolyProgram, params, num_chips: int,
                  chips_per_stream: int = None, num_digits: int = None,
@@ -282,6 +323,7 @@ class LimbLowering:
         self._ks_done: Dict[int, Tuple[PolyValue, PolyValue]] = {}
         self._ks_contexts: Dict[Tuple[int, str], _KeyswitchContext] = {}
         self._hoist_cache: Dict[str, dict] = {}  # batch -> mod-up'd digits
+        self._shared: Dict[tuple, List[dict]] = {}
 
     # ------------------------------------------------------------------ #
     # Placement helpers
@@ -308,32 +350,84 @@ class LimbLowering:
         return self.out
 
     # ------------------------------------------------------------------ #
-    # Simple ops
+    # Shared attrs
 
     def _prime(self, level_index: int):
         if hasattr(self.params, "moduli"):
             return self.params.moduli[level_index]
         return None
 
+    def _shared_attrs(self, key: tuple, length: int, make) -> List[dict]:
+        """The attrs dicts ``key`` names, one per limb position, grown with
+        ``make(position)`` to at least ``length`` entries.  Every op of one
+        kind at one position takes the same dict."""
+        table = self._shared.get(key)
+        if table is None:
+            table = self._shared[key] = []
+        for pos in range(len(table), length):
+            table.append(make(pos))
+        return table
+
+    def _at(self, level: int) -> List[dict]:
+        """``{prime, prime_index}`` of positions ``0..level-1``."""
+        return self._shared_attrs(
+            ("at",), level,
+            lambda i: {"prime": self._prime(i), "prime_index": i})
+
+    def _mov_at(self, from_chip: int, level: int) -> List[dict]:
+        at = self._at(level)
+        return self._shared_attrs(("mov", from_chip), level,
+                                  lambda i: {"from_chip": from_chip, **at[i]})
+
+    def _auto_at(self, galois_elt: int, level: int) -> List[dict]:
+        at = self._at(level)
+        return self._shared_attrs(("auto", galois_elt), level,
+                                  lambda i: {"galois": galois_elt, **at[i]})
+
+    def _rsv_at(self, source: int, level: int) -> List[dict]:
+        """``lrsv``'s attrs resolving position ``source`` onto each of
+        ``0..level-1``."""
+        at = self._at(max(level, source + 1))
+        return self._shared_attrs(
+            ("rsv", source), level,
+            lambda i: {"from_prime": at[source]["prime"],
+                       "to_prime": at[i]["prime"], **at[i]})
+
+    def _rescale_at(self, last: int) -> List[dict]:
+        """The final ``lmulc``'s attrs of a rescale dropping position
+        ``last``: ``q_last^-1 mod q_j`` at each position ``j < last``."""
+        at = self._at(last + 1)
+        q_last = at[last]["prime"]
+
+        def make(j):
+            q_j = at[j]["prime"]
+            scalar = None if q_last is None else mod_inv(q_last % q_j, q_j)
+            return {"scalar": scalar, **at[j]}
+
+        return self._shared_attrs(("rescale", last), last, make)
+
+    # ------------------------------------------------------------------ #
+    # Simple ops
+
     def _lower_pinput(self, op):
         name, comp = op.attrs["name"], op.attrs["component"]
+        at = self._at(op.level)
         limbs, chips = [], []
         for i in range(op.level):
             chip = self.chip_of(op.stream, i)
             limbs.append(self.out.emit(
-                L_LOAD, chip, domain=EVAL,
-                symbol=f"input:{name}:{comp}:{i}",
-                prime=self._prime(i), prime_index=i))
+                L_LOAD, chip, (), EVAL,
+                {"symbol": f"input:{name}:{comp}:{i}", **at[i]}))
             chips.append(chip)
         self.values[op.id] = PolyValue(limbs, chips, EVAL)
 
     def _lower_poutput(self, op):
         val = self.values[op.inputs[0]]
         name, comp = op.attrs["name"], op.attrs["component"]
+        at = self._at(val.level)
         for i, (limb, chip) in enumerate(zip(val.limbs, val.chips)):
-            self.out.emit(L_STORE, chip, (limb,),
-                          symbol=f"output:{name}:{comp}:{i}",
-                          prime=self._prime(i), prime_index=i)
+            self.out.emit(L_STORE, chip, (limb,), None,
+                          {"symbol": f"output:{name}:{comp}:{i}", **at[i]})
         pair = self.out.outputs.setdefault(name, [None, None])
         pair[comp] = val
 
@@ -345,30 +439,36 @@ class LimbLowering:
             "pt_scale": op.attrs.get("pt_scale"),
             "level": op.level,
         }
+        at = self._at(op.level)
         limbs, chips = [], []
         for i in range(op.level):
             chip = self.chip_of(op.stream, i)
-            limbs.append(self.out.emit(
-                L_LOAD, chip, domain=EVAL,
-                symbol=f"{key}:{i}", prime=self._prime(i), prime_index=i))
+            limbs.append(self.out.emit(L_LOAD, chip, (), EVAL,
+                                       {"symbol": f"{key}:{i}", **at[i]}))
             chips.append(chip)
         self.values[op.id] = PolyValue(limbs, chips, EVAL)
 
     def _binary(self, op, opcode):
         a = self._at_level(self.values[op.inputs[0]], op.level, op.stream)
         b = self._at_level(self.values[op.inputs[1]], op.level, op.stream)
+        self.values[op.id] = self._combine(opcode, a, b, op.level)
+
+    def _combine(self, opcode: str, a: PolyValue, b: PolyValue,
+                 level: int) -> PolyValue:
+        """``opcode`` over the first ``level`` limbs of ``a`` and ``b``, on
+        ``a``'s chips (``b``'s limbs move there when they live elsewhere)."""
+        emit = self.out.emit
+        at = self._at(level)
         limbs = []
-        for i in range(op.level):
+        for i in range(level):
             chip = a.chips[i]
             rhs = b.limbs[i]
             if b.chips[i] != chip:
-                rhs = self.out.emit(L_MOV, chip, (rhs,), domain=a.domain,
-                                    from_chip=b.chips[i], prime=self._prime(i),
-                                    prime_index=i)
-            limbs.append(self.out.emit(
-                opcode, chip, (a.limbs[i], rhs), domain=a.domain,
-                prime=self._prime(i), prime_index=i))
-        self.values[op.id] = PolyValue(limbs, list(a.chips[:op.level]), a.domain)
+                rhs = emit(L_MOV, chip, (rhs,), b.domain,
+                           self._mov_at(b.chips[i], level)[i])
+            limbs.append(emit(opcode, chip, (a.limbs[i], rhs), a.domain,
+                              at[i]))
+        return PolyValue(limbs, list(a.chips[:level]), a.domain)
 
     def _lower_padd(self, op):
         self._binary(op, L_ADD)
@@ -381,11 +481,10 @@ class LimbLowering:
 
     def _lower_pneg(self, op):
         a = self._at_level(self.values[op.inputs[0]], op.level, op.stream)
-        limbs = [
-            self.out.emit(L_NEG, a.chips[i], (a.limbs[i],), domain=a.domain,
-                          prime=self._prime(i), prime_index=i)
-            for i in range(op.level)
-        ]
+        at = self._at(op.level)
+        limbs = [self.out.emit(L_NEG, a.chips[i], (a.limbs[i],), a.domain,
+                               at[i])
+                 for i in range(op.level)]
         self.values[op.id] = PolyValue(limbs, list(a.chips[:op.level]), a.domain)
 
     def _lower_pauto(self, op):
@@ -407,28 +506,23 @@ class LimbLowering:
         src = self.values[op.inputs[0]]
         if src.level != 1:
             raise ValueError("mod raise expects a level-1 polynomial")
-        q0 = self._prime(0)
+        emit = self.out.emit
+        at, rsv = self._at(op.level), self._rsv_at(0, op.level)
         home = src.chips[0]
-        coeff = self.out.emit(L_INTT, home, (src.limbs[0],), domain=COEFF,
-                              prime=q0, prime_index=0)
-        copies = self._broadcast(
-            home, self.group(op.stream),
-            [(coeff, home, "x", {"prime": q0, "prime_index": 0})], COEFF)
+        coeff = emit(L_INTT, home, (src.limbs[0],), COEFF, at[0])
+        copies = self._broadcast(home, self.group(op.stream),
+                                 [(coeff, home, "x", at[0])], COEFF)
         limbs, chips = [], []
         for i in range(op.level):
             chip = self.chip_of(op.stream, i)
-            q_i = self._prime(i)
             if i == 0:
                 # Limb 0 is exact: re-use the original residues.
-                value = src.limbs[0] if chip == home else self.out.emit(
-                    L_NTT, chip, (copies[chip][0],), domain=EVAL,
-                    prime=q0, prime_index=0)
+                value = src.limbs[0] if chip == home else emit(
+                    L_NTT, chip, (copies[chip][0],), EVAL, at[0])
             else:
-                resolved = self.out.emit(
-                    L_RSV, chip, (copies[chip][0],), domain=COEFF,
-                    from_prime=q0, to_prime=q_i, prime=q_i, prime_index=i)
-                value = self.out.emit(L_NTT, chip, (resolved,), domain=EVAL,
-                                      prime=q_i, prime_index=i)
+                resolved = emit(L_RSV, chip, (copies[chip][0],), COEFF,
+                                rsv[i])
+                value = emit(L_NTT, chip, (resolved,), EVAL, at[i])
             limbs.append(value)
             chips.append(chip)
         self.values[op.id] = PolyValue(limbs, chips, EVAL)
@@ -460,31 +554,23 @@ class LimbLowering:
         out_level = op.level
         if in_level != out_level + 1:
             raise ValueError("rescale drops exactly one limb")
-        q_last = self._prime(in_level - 1)
-        last_chip = src.chips[in_level - 1]
-        last_coeff = self.out.emit(
-            L_INTT, last_chip, (src.limbs[in_level - 1],), domain=COEFF,
-            prime=q_last, prime_index=in_level - 1)
-        copies = self._broadcast(
-            last_chip, self.group(op.stream),
-            [(last_coeff, last_chip, "x",
-              {"prime": q_last, "prime_index": in_level - 1})], COEFF)
+        emit = self.out.emit
+        last = in_level - 1
+        at, rsv = self._at(in_level), self._rsv_at(last, out_level)
+        scale = self._rescale_at(last)
+        last_chip = src.chips[last]
+        last_coeff = emit(L_INTT, last_chip, (src.limbs[last],), COEFF,
+                          at[last])
+        copies = self._broadcast(last_chip, self.group(op.stream),
+                                 [(last_coeff, last_chip, "x", at[last])],
+                                 COEFF)
         limbs = []
         for j in range(out_level):
             chip = src.chips[j]
-            q_j = self._prime(j)
-            corr = self.out.emit(L_RSV, chip, (copies[chip][0],), domain=COEFF,
-                                 from_prime=q_last, to_prime=q_j,
-                                 prime=q_j, prime_index=j)
-            corr = self.out.emit(L_NTT, chip, (corr,), domain=EVAL,
-                                 prime=q_j, prime_index=j)
-            diff = self.out.emit(L_SUB, chip, (src.limbs[j], corr), domain=EVAL,
-                                 prime=q_j, prime_index=j)
-            scalar = None
-            if q_last is not None:
-                scalar = mod_inv(q_last % q_j, q_j)
-            limbs.append(self.out.emit(L_MULC, chip, (diff,), domain=EVAL,
-                                       scalar=scalar, prime=q_j, prime_index=j))
+            corr = emit(L_RSV, chip, (copies[chip][0],), COEFF, rsv[j])
+            corr = emit(L_NTT, chip, (corr,), EVAL, at[j])
+            diff = emit(L_SUB, chip, (src.limbs[j], corr), EVAL, at[j])
+            limbs.append(emit(L_MULC, chip, (diff,), EVAL, scale[j]))
         self.values[op.id] = PolyValue(limbs, list(src.chips[:out_level]), EVAL)
 
     # ------------------------------------------------------------------ #
@@ -493,21 +579,22 @@ class LimbLowering:
     def _collective(self, kind: str, root: int, group: List[int], sends,
                     receives, domain: str, limbs_moved: int) -> List[int]:
         """Emit one ``lcomm`` carrying ``sends`` — ``(value, tag)`` pairs —
-        and one ``lrecv`` per ``(chip, tag, position kwargs)`` of
+        and one ``lrecv`` per ``(chip, tag, position attrs)`` of
         ``receives``; returns the received values in that order."""
         emit = self.out.emit
         cid = self.out.new_comm_id()
-        comm = emit(L_COMM, root, tuple(value for value, _ in sends),
-                    kind=kind, cid=cid, group=tuple(group),
-                    tags=tuple(tag for _, tag in sends),
-                    limbs_moved=limbs_moved)
-        return [emit(L_RECV, chip, (comm,), domain=domain, tag=tag, cid=cid,
-                     **at) for chip, tag, at in receives]
+        comm = emit(L_COMM, root, tuple(value for value, _ in sends), None,
+                    {"kind": kind, "cid": cid, "group": tuple(group),
+                     "tags": tuple(tag for _, tag in sends),
+                     "limbs_moved": limbs_moved})
+        return [emit(L_RECV, chip, (comm,), domain,
+                     {"tag": tag, "cid": cid, **at})
+                for chip, tag, at in receives]
 
     def _broadcast(self, root: int, group: List[int], limbs,
                    domain: str) -> Dict[int, List[int]]:
         """Put every limb of ``limbs`` — ``(value, home chip, tag, position
-        kwargs)`` — on every chip of ``group`` with one broadcast.
+        attrs)`` — on every chip of ``group`` with one broadcast.
 
         Returns ``{chip: [the value of each limb on that chip]}``; nothing
         is emitted when every chip already holds everything.
@@ -555,7 +642,7 @@ class LimbLowering:
         ctx = self._ks_contexts.get((level, sig))
         if ctx is None:
             ctx = self._ks_contexts[level, sig] = _KeyswitchContext(
-                self.params, level, sig)
+                self.params, level, sig, self._at(level))
         return ctx
 
     def _evk_prefix(self, kind, ctx: _KeyswitchContext) -> str:
@@ -592,13 +679,10 @@ class LimbLowering:
     def _automorph(self, val: PolyValue, galois, level: int) -> PolyValue:
         """Apply one automorphism to ``val``'s first ``level`` limbs, each
         on its own chip."""
-        galois_elt = self._galois_element(galois)
-        limbs = [
-            self.out.emit(L_AUTO, val.chips[i], (val.limbs[i],), domain=EVAL,
-                          galois=galois_elt, prime=self._prime(i),
-                          prime_index=i)
-            for i in range(level)
-        ]
+        auto = self._auto_at(self._galois_element(galois), level)
+        limbs = [self.out.emit(L_AUTO, val.chips[i], (val.limbs[i],), EVAL,
+                               auto[i])
+                 for i in range(level)]
         return PolyValue(limbs, list(val.chips[:level]), EVAL)
 
     def _modup_digit(self, ctx: _KeyswitchContext, digit_index: int,
@@ -614,21 +698,18 @@ class LimbLowering:
         emit = self.out.emit
         at = ctx.at
         digit = ctx.partition[digit_index]
-        pre = tuple(
-            emit(L_MULC, chip, (coeff(j),), domain=COEFF, scalar=scalar,
-                 **at[j])
-            for j, scalar in zip(digit, ctx.digit_scalars[digit_index]))
-        source = ctx.digit_source[digit_index]
+        pre = tuple(emit(L_MULC, chip, (coeff(j),), COEFF, attrs)
+                    for j, attrs in zip(digit, ctx.modup_mulc[digit_index]))
+        bconv = ctx.modup_bconv[digit_index]
         extended = {}
         for pos in targets:
             if pos in digit:
                 # In-digit positions keep the original evaluation limb.
                 extended[pos] = d.limbs[pos] if d.chips[pos] == chip else \
-                    emit(L_NTT, chip, (coeff(pos),), domain=EVAL, **at[pos])
+                    emit(L_NTT, chip, (coeff(pos),), EVAL, at[pos])
                 continue
-            conv = emit(L_BCONV, chip, pre, domain=COEFF, **source,
-                        target_prime=at[pos]["prime"], **at[pos])
-            extended[pos] = emit(L_NTT, chip, (conv,), domain=EVAL, **at[pos])
+            conv = emit(L_BCONV, chip, pre, COEFF, bconv[pos])
+            extended[pos] = emit(L_NTT, chip, (conv,), EVAL, at[pos])
         return extended
 
     def _evk_inner_product(self, ctx: _KeyswitchContext, evk: str, chip: int,
@@ -641,6 +722,9 @@ class LimbLowering:
         through that automorphism.  Returns ``{position: accumulator}``.
         """
         emit = self.out.emit
+        at = ctx.at
+        auto = None if galois_elt is None else ctx.auto_at(
+            galois_elt, self._auto_at(galois_elt, ctx.level))
         # Component 1 of every evalkey digit is uniform pseudorandom: the
         # PRNG unit regenerates it on chip instead of streaming it from
         # HBM (ARK-style runtime data generation; Table 1's PRNG FU).
@@ -650,15 +734,13 @@ class LimbLowering:
         for digit_index, extended in digits.items():
             symbol = f"{evk}{digit_index}:{component}:"
             for pos, operand in extended.items():
-                at = ctx.at[pos]
-                if galois_elt is not None:
-                    operand = emit(L_AUTO, chip, (operand,), domain=EVAL,
-                                   galois=galois_elt, **at)
-                key = emit(fetch, chip, domain=EVAL, symbol=f"{symbol}{pos}",
-                           **at)
-                term = emit(L_MUL, chip, (operand, key), domain=EVAL, **at)
+                if auto is not None:
+                    operand = emit(L_AUTO, chip, (operand,), EVAL, auto[pos])
+                key = emit(fetch, chip, (), EVAL,
+                           {"symbol": f"{symbol}{pos}", **at[pos]})
+                term = emit(L_MUL, chip, (operand, key), EVAL, at[pos])
                 acc[pos] = term if pos not in acc else emit(
-                    L_ADD, chip, (acc[pos], term), domain=EVAL, **at)
+                    L_ADD, chip, (acc[pos], term), EVAL, at[pos])
         return acc
 
     def _moddown_positions(self, ctx: _KeyswitchContext, chip: int,
@@ -672,23 +754,19 @@ class LimbLowering:
         and they are INTT'd here.  Returns one limb per position.
         """
         emit = self.out.emit
-        ext_at = ctx.at[ctx.level:]
+        at = ctx.at
         if ext_coeff is None:
-            ext_coeff = [
-                emit(L_INTT, chip, (acc[at["prime_index"]],), domain=COEFF,
-                     **at) for at in ext_at]
-        pre = tuple(
-            emit(L_MULC, chip, (limb,), domain=COEFF, scalar=scalar, **at)
-            for limb, scalar, at in zip(ext_coeff, ctx.ext_scalars, ext_at))
+            ext_coeff = [emit(L_INTT, chip, (acc[pos],), COEFF, at[pos])
+                         for pos in range(ctx.level, len(at))]
+        pre = tuple(emit(L_MULC, chip, (limb,), COEFF, attrs)
+                    for limb, attrs in zip(ext_coeff, ctx.moddown_mulc_ext))
         out = []
         for i in positions:
-            at = ctx.at[i]
-            conv = emit(L_BCONV, chip, pre, domain=COEFF, **ctx.ext_source,
-                        target_prime=at["prime"], **at)
-            conv = emit(L_NTT, chip, (conv,), domain=EVAL, **at)
-            diff = emit(L_SUB, chip, (acc[i], conv), domain=EVAL, **at)
-            out.append(emit(L_MULC, chip, (diff,), domain=EVAL,
-                            scalar=ctx.moddown_scalars[i], **at))
+            conv = emit(L_BCONV, chip, pre, COEFF, ctx.moddown_bconv[i])
+            conv = emit(L_NTT, chip, (conv,), EVAL, at[i])
+            diff = emit(L_SUB, chip, (acc[i], conv), EVAL, at[i])
+            out.append(emit(L_MULC, chip, (diff,), EVAL,
+                            ctx.moddown_mulc[i]))
         return out
 
     # -- the placements ---------------------------------------------------- #
@@ -707,17 +785,18 @@ class LimbLowering:
         mod-up'd operands inside its inner product.
         """
         emit = self.out.emit
+        at = ctx.at
         level, num_ext, n = ctx.level, ctx.num_ext, len(group)
         hoisted = batch is not None and galois is not None
         digits = self._hoist_cache.get(batch)
         if digits is None:
             if galois is not None and not hoisted:
                 d = self._automorph(d, galois, level)
-            coeff = [emit(L_INTT, d.chips[i], (d.limbs[i],), domain=COEFF,
-                          **ctx.at[i]) for i in range(level)]
+            coeff = [emit(L_INTT, d.chips[i], (d.limbs[i],), COEFF, at[i])
+                     for i in range(level)]
             copies = self._broadcast(
                 group[0], group,
-                [(coeff[i], d.chips[i], f"l{i}", ctx.at[i])
+                [(coeff[i], d.chips[i], f"l{i}", at[i])
                  for i in range(level)], COEFF)
             digits = {}
             for c, chip in enumerate(group):
@@ -746,8 +825,8 @@ class LimbLowering:
                 # every position is mod-downed where it lives.
                 ext = self._broadcast(group[0], group, [
                     (emit(L_INTT, owner[pos], (acc[owner[pos], comp][pos],),
-                          domain=COEFF, **ctx.at[pos]),
-                     owner[pos], f"e{pos - level}", ctx.at[pos])
+                          COEFF, at[pos]),
+                     owner[pos], f"e{pos - level}", at[pos])
                     for pos in range(level, level + num_ext)], COEFF)
                 for i in range(level):
                     limbs[i], = self._moddown_positions(
@@ -772,6 +851,7 @@ class LimbLowering:
         rotate-sum after every member has been accumulated.
         """
         emit = self.out.emit
+        at = ctx.at
         level = ctx.level
         if galois is not None:
             d = self._automorph(d, galois, level)
@@ -782,8 +862,7 @@ class LimbLowering:
             chip = group[digit_index % len(group)]
 
             def coeff(j):
-                return emit(L_INTT, chip, (d.limbs[j],), domain=COEFF,
-                            **ctx.at[j])
+                return emit(L_INTT, chip, (d.limbs[j],), COEFF, at[j])
 
             extended = self._modup_digit(ctx, digit_index, chip, d, coeff,
                                          range(level + ctx.num_ext))
@@ -794,8 +873,7 @@ class LimbLowering:
                 for i, limb in enumerate(self._moddown_positions(
                         ctx, chip, acc, range(level))):
                     partial[i] = limb if i not in partial else emit(
-                        L_ADD, chip, (partial[i], limb), domain=EVAL,
-                        **ctx.at[i])
+                        L_ADD, chip, (partial[i], limb), EVAL, at[i])
 
     def _aggregate_partials(self, partials, comp: int,
                             ctx: _KeyswitchContext,
@@ -840,36 +918,24 @@ class LimbLowering:
             galois = ("rotation", rotation)
             if rotated:
                 c0 = self._automorph(c0, galois, level)
-            sum_c0 = c0 if sum_c0 is None else \
-                self._add_polys(sum_c0, c0, ctx)
+            sum_c0 = c0 if sum_c0 is None else self._add_polys(sum_c0, c0)
             if rotated:
                 self._ks_resident_digits(c1, ctx, ("galois", galois), galois,
                                          group, partials)
             else:
                 passthrough_c1 = c1 if passthrough_c1 is None else \
-                    self._add_polys(passthrough_c1, c1, ctx)
+                    self._add_polys(passthrough_c1, c1)
         if not partials:
             return sum_c0, passthrough_c1
         f0 = self._aggregate_partials(partials, 0, ctx, group)
         f1 = self._aggregate_partials(partials, 1, ctx, group)
-        out0 = self._add_polys(sum_c0, f0, ctx)
+        out0 = self._add_polys(sum_c0, f0)
         out1 = f1 if passthrough_c1 is None else \
-            self._add_polys(f1, passthrough_c1, ctx)
+            self._add_polys(f1, passthrough_c1)
         return out0, out1
 
-    def _add_polys(self, a: PolyValue, b: PolyValue,
-                   ctx: _KeyswitchContext) -> PolyValue:
-        emit = self.out.emit
-        limbs = []
-        for i in range(min(a.level, b.level)):
-            chip = a.chips[i]
-            rhs = b.limbs[i]
-            if b.chips[i] != chip:
-                rhs = emit(L_MOV, chip, (rhs,), domain=b.domain,
-                           from_chip=b.chips[i], **ctx.at[i])
-            limbs.append(emit(L_ADD, chip, (a.limbs[i], rhs),
-                              domain=a.domain, **ctx.at[i]))
-        return PolyValue(limbs, list(a.chips[:len(limbs)]), a.domain)
+    def _add_polys(self, a: PolyValue, b: PolyValue) -> PolyValue:
+        return self._combine(L_ADD, a, b, min(a.level, b.level))
 
 
 def lower_to_limb(poly: PolyProgram, params, num_chips: int,

@@ -54,8 +54,8 @@ def random_limb_program(seed: int):
 
     def load(chip):
         opcode = rng.choice((lir.L_LOAD, lir.L_PRNG))
-        values[chip].append(limb.emit(opcode, chip,
-                                      symbol=f"s{len(limb.opcodes)}"))
+        values[chip].append(limb.emit(
+            opcode, chip, (), None, {"symbol": f"s{len(limb.opcodes)}"}))
 
     for chip in range(chips):
         load(chip)
@@ -69,14 +69,15 @@ def random_limb_program(seed: int):
             width = {lir.L_BCONV: rng.randint(1, 5), lir.L_ADD: 2,
                      lir.L_MUL: 2}.get(opcode, 1)
             operands = tuple(rng.choice(values[chip]) for _ in range(width))
-            op = limb.emit(opcode, chip, operands, prime=17 + chip)
+            op = limb.emit(opcode, chip, operands, None,
+                           {"prime": 17 + chip})
             if opcode != lir.L_STORE:
                 values[chip].append(op)
         elif kind < 0.87:
             source = rng.randrange(chips)
             values[chip].append(limb.emit(
-                lir.L_MOV, chip, (rng.choice(values[source]),),
-                from_chip=source, prime=29))
+                lir.L_MOV, chip, (rng.choice(values[source]),), None,
+                {"from_chip": source, "prime": 29}))
         else:
             group = tuple(sorted(rng.sample(range(chips),
                                             rng.randint(1, chips))))
@@ -84,13 +85,16 @@ def random_limb_program(seed: int):
             senders = [rng.choice(group) for _ in range(rng.randint(1, 4))]
             tags = tuple(f"t{i % 2}" for i in range(len(senders)))
             limb.emit(lir.L_COMM, group[0],
-                      tuple(rng.choice(values[c]) for c in senders),
-                      cid=cid, kind=rng.choice(("broadcast", "aggregate")),
-                      tags=tags, group=group, limbs_moved=len(senders))
+                      tuple(rng.choice(values[c]) for c in senders), None,
+                      {"cid": cid,
+                       "kind": rng.choice(("broadcast", "aggregate")),
+                       "tags": tags, "group": group,
+                       "limbs_moved": len(senders)})
             for tag in sorted(set(tags)):
                 receiver = rng.choice(group)
                 values[receiver].append(limb.emit(
-                    lir.L_RECV, receiver, (), cid=cid, tag=tag, prime=31))
+                    lir.L_RECV, receiver, (), None,
+                    {"cid": cid, "tag": tag, "prime": 31}))
     return limb, chips
 
 
@@ -146,11 +150,11 @@ def test_random_limb_programs_cover_every_network_row():
 
 def test_unknown_limb_opcode_and_chip_are_refused():
     limb = lir.LimbProgram("bad", 2)
-    limb.emit("lfrob", 0)
+    limb.emit("lfrob", 0, (), None, {})
     with pytest.raises(ValueError, match="unknown limb opcode 'lfrob'"):
         abstract_streams(limb, 2)
     limb = lir.LimbProgram("bad", 2)
-    limb.emit(lir.L_LOAD, 2, symbol="x")
+    limb.emit(lir.L_LOAD, 2, (), None, {"symbol": "x"})
     with pytest.raises(ValueError, match="outside chips"):
         abstract_streams(limb, 2)
 

@@ -54,10 +54,10 @@ class TestLimbOpsView:
 
     def test_emit_is_the_only_way_in(self):
         program = lir.LimbProgram("p", 1)
-        first = program.emit(lir.L_LOAD, 0, domain=lir.EVAL, symbol="x",
-                             prime=17)
-        second = program.emit(lir.L_NEG, 0, [first], domain=lir.EVAL,
-                              prime=17)
+        first = program.emit(lir.L_LOAD, 0, (), lir.EVAL,
+                             {"symbol": "x", "prime": 17})
+        second = program.emit(lir.L_NEG, 0, [first], lir.EVAL,
+                              {"prime": 17})
         assert (first, second) == (0, 1)
         assert program.ops[1] == lir.LimbOp(1, lir.L_NEG, 0, (0,),
                                             {"prime": 17})

@@ -53,46 +53,52 @@ class TestRealLoweringsVerify:
 class TestViolationsDetected:
     def test_forward_reference(self):
         program = lir.LimbProgram("bad", 1)
-        program.emit(lir.L_ADD, 0, (5,), prime=17)
+        program.emit(lir.L_ADD, 0, (5,), None, {"prime": 17})
         with pytest.raises(VerificationError, match="not-yet-defined"):
             verify_limb_program(program)
 
     def test_cross_chip_read(self):
         program = lir.LimbProgram("bad", 2)
-        program.emit(lir.L_LOAD, 0, domain=lir.EVAL, symbol="x", prime=17)
-        program.emit(lir.L_NEG, 1, (0,), domain=lir.EVAL, prime=17)
+        program.emit(lir.L_LOAD, 0, (), lir.EVAL,
+                     {"symbol": "x", "prime": 17})
+        program.emit(lir.L_NEG, 1, (0,), lir.EVAL, {"prime": 17})
         with pytest.raises(VerificationError, match="without a move"):
             verify_limb_program(program)
 
     def test_wrong_domain_for_ntt(self):
         program = lir.LimbProgram("bad", 1)
-        program.emit(lir.L_LOAD, 0, domain=lir.EVAL, symbol="x", prime=17)
-        program.emit(lir.L_NTT, 0, (0,), domain=lir.EVAL, prime=17)
+        program.emit(lir.L_LOAD, 0, (), lir.EVAL,
+                     {"symbol": "x", "prime": 17})
+        program.emit(lir.L_NTT, 0, (0,), lir.EVAL, {"prime": 17})
         with pytest.raises(VerificationError, match="coeff-domain"):
             verify_limb_program(program)
 
     def test_unknown_collective(self):
         program = lir.LimbProgram("bad", 2)
-        program.emit(lir.L_RECV, 0, (), domain=lir.EVAL, cid=9, tag="t",
-                     prime=17)
+        program.emit(lir.L_RECV, 0, (), lir.EVAL,
+                     {"cid": 9, "tag": "t", "prime": 17})
         with pytest.raises(VerificationError, match="unknown collective"):
             verify_limb_program(program)
 
     def test_recv_outside_group(self):
         program = lir.LimbProgram("bad", 4)
-        v = program.emit(lir.L_LOAD, 0, domain=lir.COEFF, symbol="x", prime=17)
-        comm = program.emit(lir.L_COMM, 0, (v,), kind="broadcast", cid=1,
-                            group=(0, 1), tags=("t",), limbs_moved=1)
-        program.emit(lir.L_RECV, 3, (comm,), domain=lir.COEFF, cid=1,
-                     tag="t", prime=17)
+        v = program.emit(lir.L_LOAD, 0, (), lir.COEFF,
+                         {"symbol": "x", "prime": 17})
+        comm = program.emit(lir.L_COMM, 0, (v,), None,
+                            {"kind": "broadcast", "cid": 1, "group": (0, 1),
+                             "tags": ("t",), "limbs_moved": 1})
+        program.emit(lir.L_RECV, 3, (comm,), lir.COEFF,
+                     {"cid": 1, "tag": "t", "prime": 17})
         with pytest.raises(VerificationError, match="outside"):
             verify_limb_program(program)
 
     def test_bcu_input_bound(self):
         program = lir.LimbProgram("bad", 1)
-        sources = [program.emit(lir.L_LOAD, 0, domain=lir.COEFF,
-                                symbol=f"s{i}", prime=17) for i in range(14)]
-        program.emit(lir.L_BCONV, 0, tuple(sources), domain=lir.COEFF,
-                     source_primes=(17,) * 14, target_prime=19, prime=19)
+        sources = [program.emit(lir.L_LOAD, 0, (), lir.COEFF,
+                                {"symbol": f"s{i}", "prime": 17})
+                   for i in range(14)]
+        program.emit(lir.L_BCONV, 0, tuple(sources), lir.COEFF,
+                     {"source_primes": (17,) * 14, "target_prime": 19,
+                      "prime": 19})
         with pytest.raises(VerificationError, match="at most 13"):
             verify_limb_program(program)
