@@ -224,7 +224,8 @@ class _KeyswitchContext:
     ``moddown_mulc_ext[e]`` premultiplies extension limb ``e``,
     ``moddown_bconv[i]`` converts the extension onto position ``i`` and
     ``moddown_mulc[i]`` scales it.  :meth:`auto_at` holds the ``lauto``
-    attrs of each galois element.  Under symbolic
+    attrs of each galois element and :meth:`fetch_at` the ``lload`` /
+    ``lprng`` attrs of each evalkey limb.  Under symbolic
     :class:`~repro.fhe.ArchParams` every prime and scalar is ``None``.
     """
 
@@ -282,6 +283,17 @@ class _KeyswitchContext:
                 mod_inv(p_total % q, q) for q in extended[:level])
         self.moddown_mulc = scaled(moddown_scalars, range(level))
         self._auto: Dict[int, List[dict]] = {}
+        self._fetch: Dict[Tuple[str, int], dict] = {}
+
+    def fetch_at(self, symbol: str, pos: int) -> dict:
+        """``{symbol, prime, prime_index}`` of the evalkey limb
+        ``f"{symbol}{pos}"``: one dict per symbol and position, shared by
+        every keyswitch here that fetches it."""
+        attrs = self._fetch.get((symbol, pos))
+        if attrs is None:
+            attrs = self._fetch[symbol, pos] = {"symbol": f"{symbol}{pos}",
+                                                **self.at[pos]}
+        return attrs
 
     def auto_at(self, galois_elt: int, base: List[dict]) -> List[dict]:
         """``lauto``'s attrs for ``galois_elt`` at every position of
@@ -297,8 +309,9 @@ class LimbLowering:
     """Lowers a polynomial program onto a chip group layout.
 
     Ops that agree on their attrs share one dict (:meth:`_shared_attrs`,
-    :class:`_KeyswitchContext`); only loads, PRNG ops and stores (their
-    ``symbol``) and ``lcomm`` / ``lrecv`` (their ``cid``) get their own.
+    :class:`_KeyswitchContext`, whose evalkey fetches included); only
+    input and plaintext loads and stores (their ``symbol``) and ``lcomm``
+    / ``lrecv`` (their ``cid``) get their own.
     """
 
     def __init__(self, poly: PolyProgram, params, num_chips: int,
@@ -736,8 +749,7 @@ class LimbLowering:
             for pos, operand in extended.items():
                 if auto is not None:
                     operand = emit(L_AUTO, chip, (operand,), EVAL, auto[pos])
-                key = emit(fetch, chip, (), EVAL,
-                           {"symbol": f"{symbol}{pos}", **at[pos]})
+                key = emit(fetch, chip, (), EVAL, ctx.fetch_at(symbol, pos))
                 term = emit(L_MUL, chip, (operand, key), EVAL, at[pos])
                 acc[pos] = term if pos not in acc else emit(
                     L_ADD, chip, (acc[pos], term), EVAL, at[pos])

@@ -25,6 +25,13 @@ a :class:`_Schedule` (docs/compiler.md, section 7):
   next.  Values live in rows of one ``(slots, N)`` array, a row being
   recycled when its value's last reader has issued.
 
+The build reads the streams' typed columns with numpy, each distinct
+attrs dict once, and walks the issue order in one call into the FHE
+kernels' C library (``repro_issue_order``).  ``_build_schedule_python``,
+a Python row per instruction, is its oracle and runs where that library
+does not load; ``tests/core/test_schedule_oracle.py`` holds the two equal
+field by field.
+
 :meth:`IsaEmulator.run` then executes the whole schedule in one call into
 the FHE kernels' C library (``repro_replay`` in ``fhe/_native.c``), which
 writes each group's results straight into their rows.  Where that library
@@ -216,6 +223,13 @@ _GROUP_OP = {_VADD: "add", _VSUB: "sub", _VNEG: "neg", _VMUL: "mul",
 #: The schedule table a group's ``p1`` column indexes, where it has one.
 _CONSTANTS = {_VMULC: "scalars", _VBCV: "factors", _VRSV: "prime_column"}
 
+#: What the streams' attrs are read for: a ``prime`` (``p0``), the memory
+#: instructions (a ``symbol``) and the network ones.
+_PRIMED = (_VADD, _VSUB, _VNEG, _VMUL, _VMULC, _VNTT, _VINTT)
+_MEMORY = (_VPRNG, _LD, _ST)
+_NETWORK = (_SND, _MOV, _COL, _RCV)
+
+
 #: How far (in instructions that execute) past a chip's oldest unissued
 #: instruction the scheduler looks.  Measured on the mini-BERT artifact
 #: (329 k instructions, 2 chips): 64 gives groups of 26 and 1 194 live
@@ -284,6 +298,14 @@ def _row(table: dict, key) -> int:
     return table.setdefault(key, len(table))
 
 
+def _by_register(registers: np.ndarray) -> np.ndarray:
+    """Stable sort order of a register column: a radix sort when the
+    registers fit 16 bits, as an allocated stream's do."""
+    if not len(registers) or registers.max() < 1 << 16:
+        registers = registers.astype(np.uint16)
+    return np.argsort(registers, kind="stable")
+
+
 def _last_writers(stream, reads: np.ndarray, chip) -> np.ndarray:
     """Renaming: for every register read of one chip's stream, in stream
     order, the position of the instruction that last wrote the register.
@@ -292,27 +314,38 @@ def _last_writers(stream, reads: np.ndarray, chip) -> np.ndarray:
 
     Keys order (register, position); a read's producer is the greatest
     write key below its own — an instruction reads before it writes.
+    Writes and reads are put in key order by a stable sort on the
+    register alone, as they come in position order.
     """
     size = len(stream)
-    dest = stream.dest.astype(np.int64)
+    dest = stream.dest
     counts = np.diff(stream.src_start)
-    registers = stream.src[np.repeat(reads > 0, counts)].astype(np.int64)
+    registers = stream.src[np.repeat(reads > 0, counts)]
     span = size + 1
     writers = np.flatnonzero(dest >= 0)
-    write_keys = dest[writers] * span + writers
-    order = np.argsort(write_keys)
-    write_keys, writers = write_keys[order], writers[order]
-    readers = np.repeat(np.arange(size, dtype=np.int32), reads)
-    found = np.searchsorted(write_keys, registers * span + readers) - 1
+    writers = writers[_by_register(dest[writers])]
+    write_keys = dest[writers].astype(np.int64) * span + writers
+    readers = np.repeat(np.arange(size, dtype=np.int64), reads)
+    order = _by_register(registers)
+    registers, sorted_readers = registers[order], readers[order]
+    found = np.searchsorted(
+        write_keys, registers.astype(np.int64) * span + sorted_readers) - 1
     unwritten = found < 0
     unwritten[~unwritten] = (write_keys[found[~unwritten]] // span
                              != registers[~unwritten])
     if unwritten.any():
-        pc = int(readers[np.flatnonzero(unwritten)[0]])
+        pc = int(sorted_readers[unwritten].min())
         raise KeyError(
             f"chip {chip} pc {pc}: {stream[pc]!r} reads a register no "
             "earlier instruction wrote")
-    return writers[found]
+    producer = np.empty(len(order), dtype=np.int64)
+    producer[order] = writers[found]
+    return producer
+
+
+# ---------------------------------------------------------------------- #
+# The schedule built in Python, a row per instruction: the oracle of
+# _build_schedule and its fallback where the C library does not load.
 
 
 def _read_streams(isa, chips, base, tables: _Tables):
@@ -324,7 +357,7 @@ def _read_streams(isa, chips, base, tables: _Tables):
     Returns ``code``, ``width`` (operand edges per instruction), ``p0``,
     ``p1``, ``producer`` (per edge: the instruction whose destination it
     reads; the values a ``mov`` / ``rcv`` takes in are edges too, naming
-    the sentinel ``base[-1]`` until :func:`_link_chips` fills them in),
+    the sentinel ``base[-1]`` until :func:`_link_network` fills them in),
     the memory instructions with their symbols, and the network
     instructions with their attrs.
     """
@@ -341,14 +374,8 @@ def _read_streams(isa, chips, base, tables: _Tables):
         stream = isa.streams[chip]
         size = len(stream)
         local = code[lo:lo + size] = stream.opcode
-        foreign = np.flatnonzero(local >= len(OPCODES))
-        if len(foreign):
-            raise ValueError(
-                f"unknown opcode {stream.opcodes[int(foreign[0])]!r}")
-        takes_in = np.isin(local, (_MOV, _RCV))
-        reads = np.diff(stream.src_start).astype(np.int32)
-        reads[takes_in] = 0     # any srcs a mov / rcv carries are ignored
-        edges = reads.copy()
+        _check_opcodes(stream)
+        reads, edges = _reads(local, stream)
         attrs = stream.operation_attrs()
 
         def each(*codes):
@@ -356,7 +383,7 @@ def _read_streams(isa, chips, base, tables: _Tables):
             for block in range(0, len(pcs), 4096):
                 yield from pcs[block:block + 4096].tolist()
 
-        for pc in each(_VADD, _VSUB, _VNEG, _VMUL, _VMULC, _VNTT, _VINTT):
+        for pc in each(*_PRIMED):
             p0[lo + pc] = _row(tables.primes, attrs[pc]["prime"])
         for pc in each(_VMULC):
             p1[lo + pc] = _row(tables.scalars, attrs[pc]["scalar"])
@@ -371,24 +398,15 @@ def _read_streams(isa, chips, base, tables: _Tables):
             p0[lo + pc] = _row(tables.primes, a["target_prime"])
             p1[lo + pc] = _row(tables.bases, (tuple(a["source_primes"]),
                                               a["target_prime"]))
-        for pc in each(_VPRNG, _LD, _ST):
+        for pc in each(*_MEMORY):
             memory_ops.append(lo + pc)
             memory_symbols.append(attrs[pc]["symbol"])
-        for pc in each(_SND, _MOV, _COL, _RCV):
-            a = attrs[pc]
-            network.append((lo + pc, int(local[pc]), a))
-            if local[pc] == _MOV:
-                edges[pc] = 1
-            elif local[pc] == _RCV:
-                edges[pc] = max(1, a["expected"])
-                if a["expected"] > 1:
-                    p0[lo + pc] = _row(tables.primes, a["prime"])
+        network.extend(_read_network(
+            [(pc, attrs[pc]) for pc in each(*_NETWORK)], local, lo, edges,
+            p0, tables))
         del attrs
         width[lo:lo + size] = edges
-        producer = np.full(int(edges.sum()), total, dtype=np.int32)
-        producer[np.repeat(~takes_in, edges)] = (
-            _last_writers(stream, reads, chip) + lo)
-        producers.append(producer)
+        producers.append(_producers(stream, reads, edges, chip, lo, total))
     return (code, width, p0, p1, np.concatenate(producers),
             memory_ops, memory_symbols, network)
 
@@ -401,50 +419,13 @@ def _link_chips(chips, chip_of, code, ptr, width, producer,
     instruction that *computes* the value it reads, and returns ``live``:
     the instructions left with something to execute.  A ``mov`` is its
     ``snd``'s operand, an ``rcv`` expecting one contribution is that
-    contribution, an ``ld`` after an ``st`` of its symbol on the same chip
-    is the stored value, and only a symbol's last ``st`` reaches memory.
-    Operands nothing supplies keep naming the sentinel, which never
-    issues, so the instruction shows up in the deadlock report.
+    contribution (:func:`_link_network`), an ``ld`` after an ``st`` of its
+    symbol on the same chip is the stored value, and only a symbol's last
+    ``st`` reaches memory.  Operands nothing supplies keep naming the
+    sentinel, which never issues, so the instruction shows up in the
+    deadlock report.
     """
-    total = len(code)
-    # alias[i] is the value instruction i's destination *is* (itself when
-    # the instruction computes something).
-    alias = np.arange(total + 1, dtype=np.int32)
-    live = ~np.isin(code, (_SND, _COL))
-    sent: Dict[object, int] = {}
-    contributions: Dict[tuple, List[int]] = {}
-    for index, kind, a in network:
-        at = int(ptr[index])
-        if kind == _SND:
-            if a["key"] in sent:
-                raise ValueError(
-                    f"two snd instructions share key {a['key']!r}")
-            sent[a["key"]] = int(producer[at])
-        elif kind == _COL:
-            for offset, tag in zip(range(int(width[index])), a["tags"]):
-                contributions.setdefault((a["cid"], tag), []).append(
-                    int(producer[at + offset]))
-    for index, kind, a in network:
-        if kind == _MOV:
-            arrived = [sent[a["key"]]] if a["key"] in sent else []
-            expected = 1
-        elif kind == _RCV:
-            arrived = contributions.get((a["cid"], a["tag"]), [])
-            expected = max(1, a["expected"])
-        else:
-            continue
-        if len(arrived) > expected:
-            # The reference would take whichever arrived first.
-            raise ValueError(
-                f"collective {a['cid']} tag {a['tag']!r}: {len(arrived)} "
-                f"contributions for an rcv expecting {expected}")
-        if len(arrived) == expected:
-            at = int(ptr[index])
-            producer[at:at + expected] = arrived
-            if expected == 1:
-                alias[index] = arrived[0]
-                live[index] = False
-
+    alias, live = _link_network(code, ptr, width, producer, network)
     # Memory symbols are renamed like registers, per chip.  Chips exchange
     # values through the network, never through memory: when one chip
     # stores a symbol another touches, which of them runs first decides
@@ -471,16 +452,8 @@ def _link_chips(chips, chip_of, code, ptr, width, producer,
     for symbol, chip in stored_on.items():
         for other, symbols in enumerate(touched):
             if other != chip and symbol in symbols:
-                raise ValueError(
-                    f"memory symbol {symbol!r} is stored on chip "
-                    f"{chips[chip]} and accessed on chip {chips[other]}")
-
-    while True:                               # follow alias chains
-        hop = alias[alias]
-        if np.array_equal(hop, alias):
-            break
-        alias = hop
-    producer[:] = alias[producer]
+                _refuse_shared_symbol(symbol, chips, chip, other)
+    _follow_aliases(alias, producer)
     return live
 
 
@@ -495,12 +468,8 @@ def _issue_order(isa, chips, base, code, width, ptr, producer, live):
     each instruction's slot, the groups' operand slots and the slot count.
     """
     total = len(code)
-    # A group's kind is its opcode and operand count.
-    kind = code.astype(np.int32) * _KIND_STRIDE + width
-    kinds = np.unique(kind[live])
-    kind_of = np.searchsorted(kinds, kind).astype(np.int16)
+    kind_of, kinds = _kinds(code, width, live)
     has_dest = (kinds // _KIND_STRIDE) != _ST
-    del kind
     # Every operand edge of a live instruction waits for its producer:
     # ``unmet`` counts them per instruction, ``consumers`` lists them per
     # producer, ``remaining`` counts a value's readers yet to issue.
@@ -520,10 +489,9 @@ def _issue_order(isa, chips, base, code, width, ptr, producer, live):
     issued[:total] = ~live
     issued[total] = False                     # the sentinel never issues
 
-    live_ids = np.flatnonzero(live).astype(np.int32)
-    per_chip = [live_ids[np.searchsorted(live_ids, lo):
-                         np.searchsorted(live_ids, hi)]
-                for lo, hi in zip(base[:-1], base[1:])]
+    live_ids, chip_ptr = _live_ids(base, live)
+    per_chip = [live_ids[lo:hi] for lo, hi in zip(chip_ptr[:-1],
+                                                   chip_ptr[1:])]
     heads = [0] * len(chips)
     candidates = np.concatenate(
         [ids[:_WINDOW] for ids in per_chip] or [live_ids])
@@ -577,15 +545,12 @@ def _issue_order(isa, chips, base, code, width, ptr, producer, live):
             heads[chip] = head
         candidates = np.concatenate(arrivals)
     if done < len(issue):
-        stuck = [(chips[chip], int(ids[head] - base[chip]),
-                  repr(isa.streams[chips[chip]][int(ids[head] - base[chip])]))
-                 for chip, (ids, head) in enumerate(zip(per_chip, heads))
-                 if head < len(ids)]
-        raise RuntimeError(f"emulator deadlock at {stuck}")
-    return issue, groups, slot_of, src, slots
+        _deadlock(isa, chips, base, per_chip, heads)
+    return issue, np.array(groups, dtype=np.int32).reshape(-1, 3), \
+        slot_of, src, slots
 
 
-def _build_schedule(isa) -> _Schedule:
+def _build_schedule_python(isa) -> _Schedule:
     chips = sorted(isa.streams)
     sizes = [len(isa.streams[chip]) for chip in chips]
     base = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
@@ -593,8 +558,7 @@ def _build_schedule(isa) -> _Schedule:
     (code, width, p0, p1, producer,
      memory_ops, memory_symbols, network) = _read_streams(
          isa, chips, base, tables)
-    ptr = np.zeros(len(code) + 1, dtype=np.int32)
-    np.cumsum(width, out=ptr[1:])
+    ptr = _edge_starts(width)
     chip_of = np.repeat(np.arange(len(chips), dtype=np.int16), sizes)
     live = _link_chips(chips, chip_of, code, ptr, width, producer,
                        memory_ops, memory_symbols, network)
@@ -602,35 +566,191 @@ def _build_schedule(isa) -> _Schedule:
     issue, groups, slot_of, src, slots = _issue_order(
         isa, chips, base, code, width, ptr, producer, live)
     del producer, ptr, width, live
+    issued = code[issue]
+    in_memory = np.isin(issued, _MEMORY)
+    position = np.searchsorted(np.asarray(memory_ops, dtype=np.int64),
+                               issue[in_memory])
+    symbols = [memory_symbols[i] for i in position.tolist()]
+    stores = (issued[in_memory] == _ST).tolist()
+    index: Dict[str, int] = {}
+    load_ids = []
+    store_names = []
+    for symbol, store in zip(symbols, stores):
+        if store:
+            store_names.append(symbol)
+        else:
+            load_ids.append(index.setdefault(symbol, len(index)))
+    return _schedule(tables, code, issue, groups, slot_of, src, slots, p0,
+                     p1, np.array(load_ids, dtype=np.int32), list(index),
+                     store_names)
 
+
+# ---------------------------------------------------------------------- #
+# Shared by both builders
+
+
+def _check_opcodes(stream) -> None:
+    foreign = np.flatnonzero(stream.opcode >= len(OPCODES))
+    if len(foreign):
+        raise ValueError(
+            f"unknown opcode {stream.opcodes[int(foreign[0])]!r}")
+
+
+def _reads(local: np.ndarray, stream):
+    """``(reads, edges)`` per instruction of one chip: its register reads
+    (a ``mov`` / ``rcv`` reads none: any srcs it carries are ignored) and
+    its operand edges, which :func:`_read_network` completes for them."""
+    reads = np.diff(stream.src_start).astype(np.int32)
+    reads[np.isin(local, (_MOV, _RCV))] = 0
+    return reads, reads.copy()
+
+
+def _read_network(network, local, lo, edges, p0, tables) -> List[tuple]:
+    """``(instruction, code, attrs)`` of one chip's ``(pc, attrs)`` network
+    instructions; sets the edges a ``mov`` / ``rcv`` takes in and an
+    aggregating ``rcv``'s prime."""
+    out = []
+    for pc, a in network:
+        kind = int(local[pc])
+        out.append((lo + pc, kind, a))
+        if kind == _MOV:
+            edges[pc] = 1
+        elif kind == _RCV:
+            edges[pc] = max(1, a["expected"])
+            if a["expected"] > 1:
+                p0[lo + pc] = _row(tables.primes, a["prime"])
+    return out
+
+
+def _producers(stream, reads, edges, chip, lo, total) -> np.ndarray:
+    """Per operand edge of one chip, the instruction it reads (global
+    numbering); a ``mov`` / ``rcv`` edge names the sentinel ``total``."""
+    producer = np.full(int(edges.sum()), total, dtype=np.int32)
+    producer[np.repeat(reads == edges, edges)] = (
+        _last_writers(stream, reads, chip) + lo)
+    return producer
+
+
+def _edge_starts(width: np.ndarray) -> np.ndarray:
+    ptr = np.zeros(len(width) + 1, dtype=np.int32)
+    np.cumsum(width, out=ptr[1:])
+    return ptr
+
+
+def _link_network(code, ptr, width, producer, network):
+    """The network half of :func:`_link_chips`: fills the edges of every
+    ``mov`` / ``rcv`` its senders supply.  Returns ``(alias, live)``:
+    ``alias[i]`` is the value instruction ``i``'s destination *is* (itself
+    when it computes something; ``total`` is the sentinel)."""
+    total = len(code)
+    alias = np.arange(total + 1, dtype=np.int32)
+    live = ~np.isin(code, (_SND, _COL))
+    sent: Dict[object, int] = {}
+    contributions: Dict[tuple, List[int]] = {}
+    for index, kind, a in network:
+        at = int(ptr[index])
+        if kind == _SND:
+            if a["key"] in sent:
+                raise ValueError(
+                    f"two snd instructions share key {a['key']!r}")
+            sent[a["key"]] = int(producer[at])
+        elif kind == _COL:
+            for offset, tag in zip(range(int(width[index])), a["tags"]):
+                contributions.setdefault((a["cid"], tag), []).append(
+                    int(producer[at + offset]))
+    for index, kind, a in network:
+        if kind == _MOV:
+            arrived = [sent[a["key"]]] if a["key"] in sent else []
+            expected = 1
+        elif kind == _RCV:
+            arrived = contributions.get((a["cid"], a["tag"]), [])
+            expected = max(1, a["expected"])
+        else:
+            continue
+        if len(arrived) > expected:
+            # The reference would take whichever arrived first.
+            raise ValueError(
+                f"collective {a['cid']} tag {a['tag']!r}: {len(arrived)} "
+                f"contributions for an rcv expecting {expected}")
+        if len(arrived) == expected:
+            at = int(ptr[index])
+            producer[at:at + expected] = arrived
+            if expected == 1:
+                alias[index] = arrived[0]
+                live[index] = False
+    return alias, live
+
+
+def _refuse_shared_symbol(symbol, chips, chip, other):
+    raise ValueError(f"memory symbol {symbol!r} is stored on chip "
+                     f"{chips[chip]} and accessed on chip {chips[other]}")
+
+
+def _follow_aliases(alias: np.ndarray, producer: np.ndarray) -> None:
+    """Point every edge at the end of its alias chain, in place."""
+    while True:
+        hop = alias[alias]
+        if np.array_equal(hop, alias):
+            break
+        alias = hop
+    producer[:] = alias[producer]
+
+
+def _kinds(code, width, live):
+    """``(kind_of, kinds)``: a group's kind is its opcode and operand
+    count, ``kinds`` the live ones in ascending order and ``kind_of``
+    (int32) each live instruction's row of it (0 for the others)."""
+    kind = code.astype(np.int32) * _KIND_STRIDE + width
+    present = np.bincount(kind[live]) > 0
+    kind_of = np.zeros(len(code), dtype=np.int32)
+    kind_of[live] = (np.cumsum(present) - 1)[kind[live]]
+    return kind_of, np.flatnonzero(present).astype(np.int32)
+
+
+def _live_ids(base, live):
+    """The live instructions in order, and where each chip's begin."""
+    live_ids = np.flatnonzero(live).astype(np.int32)
+    return live_ids, np.searchsorted(live_ids, base)
+
+
+def _deadlock(isa, chips, base, per_chip, heads):
+    stuck = [(chips[chip], int(ids[head] - base[chip]),
+              repr(isa.streams[chips[chip]][int(ids[head] - base[chip])]))
+             for chip, (ids, head) in enumerate(zip(per_chip, heads))
+             if head < len(ids)]
+    raise RuntimeError(f"emulator deadlock at {stuck}")
+
+
+def _schedule(tables: _Tables, code, issue, groups, slot_of, src, slots,
+              p0, p1, load_ids, load_names, store_names) -> _Schedule:
+    """The :class:`_Schedule` of an issue order; ``load_names`` are the
+    distinct ``ld`` / ``vprng`` symbols in order of first issue."""
     schedule = _Schedule()
-    schedule.groups = np.array(groups, dtype=np.int32).reshape(-1, 3)
+    schedule.groups = groups
     schedule.dst = slot_of[issue]
     schedule.src = src
     schedule.p0 = p0[issue]
     schedule.p1 = p1[issue]
-    issued = code[issue]
-    in_memory = np.isin(issued, (_VPRNG, _LD, _ST))
-    position = np.searchsorted(np.asarray(memory_ops, dtype=np.int64),
-                               issue[in_memory])
-    _intern_symbols(schedule, [memory_symbols[i] for i in position.tolist()],
-                    (issued[in_memory] == _ST).tolist())
+    schedule.load_ids = load_ids
+    schedule.load_names = load_names
+    schedule.load_index = {name: at for at, name in enumerate(load_names)}
+    schedule.store_names = store_names
+    prefixes: Dict[str, int] = {}
+    prefix_of, row_of = [], []
+    for name in load_names:
+        prefix, row = _split(name)
+        prefix_of.append(prefixes.setdefault(prefix, len(prefixes)))
+        row_of.append(row)
+    schedule.load_prefix = np.array(prefix_of, dtype=np.intp)
+    schedule.load_row = np.array(row_of, dtype=np.int64)
+    schedule.prefixes = list(prefixes)
     schedule.primes = tuple(tables.primes)
     schedule.prime_column = np.array(schedule.primes, dtype=UINT)
     schedule.scalars = np.array(list(tables.scalars), dtype=UINT)
     schedule.galois = tuple(tables.galois)
-    # The base-conversion constants (q_total / q) mod target of each
-    # distinct (source basis, target): big-integer work done once here.
-    schedule.factors = np.zeros(
-        (len(tables.bases),
-         max((len(sources) for sources, _ in tables.bases), default=0)),
-        dtype=UINT)
-    for row, (sources, target) in enumerate(tables.bases):
-        q_total = basis_product(sources)
-        schedule.factors[row, :len(sources)] = [
-            (q_total // q) % target for q in sources]
+    schedule.factors = _factors(list(tables.bases))
     schedule.ntt_primes = np.unique(
-        schedule.p0[np.isin(issued, (_VNTT, _VINTT))])
+        schedule.p0[np.isin(code[issue], (_VNTT, _VINTT))])
     schedule.replayable = all(q < kernels.MAX_BATCHED_PRIME
                               for q in schedule.primes)
     schedule.slots = slots
@@ -639,31 +759,241 @@ def _build_schedule(isa) -> _Schedule:
     return schedule
 
 
-def _intern_symbols(schedule: _Schedule, symbols: List[str],
-                    stores: List[bool]) -> None:
-    """Fill the schedule's symbol tables from the ``ld``/``vprng``/``st``
-    symbols in issue order."""
-    index: Dict[str, int] = {}
-    prefixes: Dict[str, int] = {}
-    load_ids, prefix_of, row_of = [], [], []
-    schedule.store_names = []
-    for symbol, store in zip(symbols, stores):
-        if store:
-            schedule.store_names.append(symbol)
-            continue
-        at = index.get(symbol)
-        if at is None:
-            at = index[symbol] = len(index)
-            prefix, row = _split(symbol)
-            prefix_of.append(prefixes.setdefault(prefix, len(prefixes)))
-            row_of.append(row)
-        load_ids.append(at)
-    schedule.load_ids = np.array(load_ids, dtype=np.int32)
-    schedule.load_index = index
-    schedule.load_names = list(index)
-    schedule.load_prefix = np.array(prefix_of, dtype=np.intp)
-    schedule.load_row = np.array(row_of, dtype=np.int64)
-    schedule.prefixes = list(prefixes)
+def _factors(bases: List[tuple]) -> np.ndarray:
+    """The base-conversion constants ``(q_total / q) mod target`` of each
+    distinct ``(sources, target)``, one zero-padded row each: the product
+    of the other sources modulo the target, from prefix and suffix
+    products a column at a time (residues below ``2**32`` multiply within
+    64 bits), or in big integers where a prime is past ``2**32``."""
+    lengths = np.array([len(sources) for sources, _ in bases], dtype=np.intp)
+    width = int(lengths.max(initial=0))
+    flat = [q for sources, _ in bases for q in sources]
+    targets = [target for _, target in bases]
+    if max(flat + targets, default=0) >= 1 << 32:
+        factors = np.zeros((len(bases), width), dtype=UINT)
+        for row, (sources, target) in enumerate(bases):
+            q_total = basis_product(sources)
+            factors[row, :len(sources)] = [
+                (q_total // q) % target for q in sources]
+        return factors
+    target = np.array(targets, dtype=UINT)
+    held = np.arange(width) < lengths[:, None]
+    sources = np.ones((len(bases), width), dtype=UINT)
+    sources[held] = flat
+    sources %= target[:, None]
+    before = np.ones((len(bases), width + 1), dtype=UINT)
+    after = np.ones((len(bases), width + 1), dtype=UINT)
+    for j in range(width):
+        before[:, j + 1] = before[:, j] * sources[:, j] % target
+        k = width - 1 - j
+        after[:, k] = after[:, k + 1] * sources[:, k] % target
+    factors = before[:, :-1] * after[:, 1:] % target[:, None]
+    factors[~held] = 0
+    return factors
+
+
+# ---------------------------------------------------------------------- #
+# The schedule built from the columns, its issue order walked in C
+
+
+def _build_schedule(isa) -> _Schedule:
+    """The schedule of ``isa``: the streams' columns read with numpy (the
+    attrs once per distinct dict, the symbols once per distinct string)
+    and the issue order walked in one C call (``repro_issue_order``).
+    Equal field by field to :func:`_build_schedule_python`, which runs
+    where the C library does not load."""
+    lib = native.load_library()
+    if lib is None:
+        return _build_schedule_python(isa)
+    chips = sorted(isa.streams)
+    sizes = [len(isa.streams[chip]) for chip in chips]
+    base = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    tables = _Tables()
+    (code, width, p0, p1, producer, memory_ops, memory_sym, symbols,
+     network) = _read_columns(isa, chips, base, tables)
+    ptr = _edge_starts(width)
+    alias, live = _link_network(code, ptr, width, producer, network)
+    del network
+    _link_memory(chips, base, code, ptr, producer, alias, live, memory_ops,
+                 memory_sym, symbols)
+    _follow_aliases(alias, producer)
+    del alias
+
+    kind_of, kinds = _kinds(code, width, live)
+    live_ids, chip_ptr = _live_ids(base, live)
+    issue, groups, slot_of, src, slots, heads = native._issue_order(
+        lib, kind_of, kinds // _KIND_STRIDE, kinds // _KIND_STRIDE != _ST,
+        width, ptr, producer, live, live_ids, chip_ptr, _WINDOW)
+    if len(issue) < len(live_ids):
+        _deadlock(isa, chips, base,
+                  [live_ids[lo:hi] for lo, hi in zip(chip_ptr[:-1],
+                                                     chip_ptr[1:])],
+                  heads.tolist())
+    del producer, ptr, width, live, kind_of, live_ids
+
+    issued = code[issue]
+    in_memory = np.isin(issued, _MEMORY)
+    issued_sym = memory_sym[np.searchsorted(memory_ops, issue[in_memory])]
+    stores = issued[in_memory] == _ST
+    loads = issued_sym[~stores]
+    first, load_ids = _first_seen(loads)
+    return _schedule(tables, code, issue, groups, slot_of, src, slots, p0,
+                     p1, load_ids.astype(np.int32),
+                     [symbols[at] for at in loads[first].tolist()],
+                     [symbols[at] for at in issued_sym[stores].tolist()])
+
+
+def _first_seen(keys: np.ndarray):
+    """``(first, index)``: where each distinct key first appears, in that
+    order, and each key's position in that list."""
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def _attrs_ids(stream, limb_ids: dict) -> np.ndarray:
+    """``id()`` of every instruction's attrs dict (what
+    :meth:`InstructionStream.operation_attrs` lists), from the ids of the
+    module's shared limb-op attrs list, taken once per list."""
+    ids = np.zeros(len(stream), dtype=np.uintp)
+    limb_attrs = stream.limb_attrs
+    if limb_attrs:
+        shared = limb_ids.get(id(limb_attrs))
+        if shared is None:
+            shared = limb_ids[id(limb_attrs)] = np.fromiter(
+                map(id, limb_attrs), dtype=np.uintp, count=len(limb_attrs))
+        plain = stream.limb_op >= 0
+        ids[plain] = shared[stream.limb_op[plain]]
+    side = stream.side
+    if side:
+        ids[np.fromiter(side, dtype=np.intp, count=len(side))] = np.fromiter(
+            map(id, side.values()), dtype=np.uintp, count=len(side))
+    return ids
+
+
+def _read_columns(isa, chips, base, tables: _Tables):
+    """:func:`_read_streams` on the columns: each phase reads the attrs
+    of its instructions once per distinct dict (in order of first
+    appearance, so the tables come out in the same order), and memory
+    symbols become ints (``memory_sym``, rows of ``symbols``)."""
+    total = int(base[-1])
+    code = np.empty(total, dtype=np.int8)
+    width = np.empty(total, dtype=np.int32)
+    p0 = np.zeros(total, dtype=np.int32)
+    p1 = np.zeros(total, dtype=np.int32)
+    producers = [np.empty(0, dtype=np.int32)]
+    memory_ops, memory_sym = [], []
+    symbol_ids: Dict[str, int] = {}
+    network: List[tuple] = []
+    limb_ids: dict = {}
+    for chip, lo in zip(chips, base.tolist()):
+        stream = isa.streams[chip]
+        size = len(stream)
+        local = code[lo:lo + size] = stream.opcode
+        _check_opcodes(stream)
+        reads, edges = _reads(local, stream)
+        ids = _attrs_ids(stream, limb_ids)
+        side, limb_attrs, limb_op = (stream.side, stream.limb_attrs,
+                                     stream.limb_op)
+
+        def distinct(codes):
+            """The ``codes`` instructions (numbered across chips), their
+            attrs dicts once each in order of first appearance, and each
+            instruction's position in that list."""
+            pcs = np.flatnonzero(np.isin(local, codes))
+            first, index = _first_seen(ids[pcs])
+            firsts = pcs[first]
+            return lo + pcs, [
+                side[pc] if pc in side else limb_attrs[op]
+                for pc, op in zip(firsts.tolist(), limb_op[firsts].tolist())
+            ], index
+
+        # Table rows as _row gives them, the call inlined: one per dict
+        # is most of the read.
+        primes, scalars = tables.primes, tables.scalars
+        galois, bases = tables.galois, tables.bases
+        at, objects, index = distinct(_PRIMED)
+        p0[at] = _column([primes.setdefault(a["prime"], len(primes))
+                          for a in objects])[index, 0]
+        at, objects, index = distinct((_VMULC,))
+        p1[at] = _column([scalars.setdefault(a["scalar"], len(scalars))
+                          for a in objects])[index, 0]
+        at, objects, index = distinct((_VAUTO,))
+        p0[at] = _column([galois.setdefault(a["galois"], len(galois))
+                          for a in objects])[index, 0]
+        at, objects, index = distinct((_VRSV,))
+        p0[at], p1[at] = _column([
+            (primes.setdefault(a["to_prime"], len(primes)),
+             primes.setdefault(a["from_prime"], len(primes)))
+            for a in objects], 2)[index].T
+        at, objects, index = distinct((_VBCV,))
+        p0[at], p1[at] = _column([
+            (primes.setdefault(a["target_prime"], len(primes)),
+             bases.setdefault((tuple(a["source_primes"]), a["target_prime"]),
+                              len(bases)))
+            for a in objects], 2)[index].T
+        at, objects, index = distinct(_MEMORY)
+        memory_ops.append(at)
+        memory_sym.append(_column([
+            symbol_ids.setdefault(a["symbol"], len(symbol_ids))
+            for a in objects])[index, 0])
+        pcs = np.flatnonzero(np.isin(local, _NETWORK)).tolist()
+        network.extend(_read_network(
+            [(pc, side[pc] if pc in side else limb_attrs[limb_op[pc]])
+             for pc in pcs], local, lo, edges, p0, tables))
+        del ids
+        width[lo:lo + size] = edges
+        producers.append(_producers(stream, reads, edges, chip, lo, total))
+    return (code, width, p0, p1, np.concatenate(producers),
+            np.concatenate(memory_ops or [np.empty(0, dtype=np.int64)]),
+            np.concatenate(memory_sym or [np.empty(0, dtype=np.int32)]),
+            list(symbol_ids), network)
+
+
+def _column(rows: list, columns: int = 1) -> np.ndarray:
+    """Table rows, ``columns`` per dict, as an int32 block."""
+    return np.array(rows, dtype=np.int32).reshape(len(rows), columns)
+
+
+def _link_memory(chips, base, code, ptr, producer, alias, live, memory_ops,
+                 memory_sym, symbols) -> None:
+    """The memory half of :func:`_link_chips` on symbol ids, in numpy."""
+    if not len(memory_ops):
+        return
+    chip = np.searchsorted(base, memory_ops, side="right") - 1
+    store = code[memory_ops] == _ST
+    # An ld / vprng after an st of its symbol on the same chip is the
+    # value the latest such st stored.
+    key = chip * len(symbols) + memory_sym
+    order = np.argsort(key, kind="stable")
+    key, stored = key[order], store[order]
+    position = np.arange(len(order))
+    latest = np.maximum.accumulate(np.where(stored, position, -1))
+    begins = np.maximum.accumulate(
+        np.where(np.r_[True, key[1:] != key[:-1]], position, 0))
+    held = ~stored & (latest >= begins)
+    loads = memory_ops[order[held]]
+    alias[loads] = producer[ptr[memory_ops[order[latest[held]]]]]
+    live[loads] = False
+    # Only the last st of a symbol reaches memory.
+    store_ops, store_sym = memory_ops[store], memory_sym[store]
+    order = np.argsort(store_sym, kind="stable")
+    superseded = store_sym[order]
+    live[store_ops[order[:-1][superseded[1:] == superseded[:-1]]]] = False
+    # A symbol one chip stores and another touches is refused: the first
+    # stored such, named with the chip of its last st.
+    touching = np.unique(memory_sym.astype(np.int64) * len(chips) + chip)
+    on = touching // len(chips)
+    shared = np.isin(store_sym, on[1:][on[1:] == on[:-1]])
+    if shared.any():
+        symbol = store_sym[np.flatnonzero(shared)[0]]
+        owner = int(chip[store][store_sym == symbol][-1])
+        other = min(int(c) for c in touching[on == symbol] % len(chips)
+                    if c != owner)
+        _refuse_shared_symbol(symbols[symbol], chips, owner, other)
 
 
 def _load_addresses(memory: MemoryImage, schedule: _Schedule):

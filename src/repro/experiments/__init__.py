@@ -35,7 +35,5 @@ ALL_EXPERIMENTS = {
     "fig16": fig16_sensitivity,
 }
 
-__all__ = ["ALL_EXPERIMENTS"] + [f"fig{n}" for n in
-                                 (1, 6, 11, 12, 13, 14, 15, 16)] + [
-    "table1_area", "table2_performance", "table3_yield",
-]
+__all__ = ["ALL_EXPERIMENTS"] + [module.__name__.rpartition(".")[2]
+                                 for module in ALL_EXPERIMENTS.values()]

@@ -21,6 +21,14 @@ groups, loads from the memory image's polynomials and stores, with the
 same transforms and the same per-instruction group arithmetic
 (``group_row``) as the entry points above.  :func:`_replay` is its
 wrapper; :meth:`repro.core.isa.emulator.IsaEmulator.run` calls it.
+``repro_issue_order`` walks the issue order the emulator builds that
+schedule in (:func:`_issue_order`; its Python twin is
+``repro.core.isa.emulator._issue_order``).
+
+A call's constant operands — Barrett rows, NTT tables, a conversion
+plan's ``q_hat_inv``, operand rows and factors — are resolved to
+addresses once (per prime tuple, table snapshot or plan) and cached, so a
+wrapper converts only the arrays that change between calls.
 
 :mod:`repro.fhe.kernels` is the one entry point of the rest: its NTTs,
 pointwise product, instruction groups and base conversion call the
@@ -70,26 +78,30 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.repro_replay.restype = None
     lib.repro_replay.argtypes = ([address, size] + [address] * 5 + [size]
                                  + [address] * 11 + [size] + [address] * 4)
+    lib.repro_issue_order.restype = ctypes.c_long
+    lib.repro_issue_order.argtypes = ([size, address, size] + [address] * 8
+                                      + [size] * 2 + [address] * 6)
     _smoke_test(lib)
 
 
 _GROUP_CODE = {op: code for code, op in enumerate(_kernels.GROUP_OPS)}
-_BARRETT: Dict[Tuple[int, ...], np.ndarray] = {}
+_BARRETT: Dict[Tuple[int, ...], Tuple[np.ndarray, int]] = {}
 
 
-def _barrett_rows(primes: Sequence[int]) -> np.ndarray:
-    """``(L, 2)`` rows ``[p, floor((2**64 - 1) / p)]`` of a prime tuple —
-    the constants of ``red()`` — computed once per tuple."""
+def _barrett(primes: Sequence[int]) -> Tuple[np.ndarray, int]:
+    """``(table, address)``: the ``(L, 2)`` rows ``[p, floor((2**64 - 1)
+    / p)]`` of a prime tuple — the constants of ``red()`` — and where the
+    table lives, computed once per tuple."""
     key = primes if type(primes) is tuple else tuple(int(q) for q in primes)
-    table = _BARRETT.get(key)
-    if table is None:
+    entry = _BARRETT.get(key)
+    if entry is None:
         if any(not 1 < q < 1 << 32 for q in key):
             raise ValueError("native pointwise kernels need 1 < p < 2**32")
         table = np.array([(q, ((1 << 64) - 1) // q) for q in key],
                          dtype=UINT).reshape(len(key), 2)
         table.flags.writeable = False
-        _BARRETT[key] = table
-    return table
+        entry = _BARRETT[key] = (table, table.ctypes.data)
+    return entry
 
 
 def _limb_group(lib, op, store, srcs, primes, rows, constants) -> np.ndarray:
@@ -102,7 +114,7 @@ def _limb_group(lib, op, store, srcs, primes, rows, constants) -> np.ndarray:
     if srcs.size and (srcs.min() < 0 or srcs.max() >= len(store)):
         raise IndexError("operand row outside the store")
     srcs = np.ascontiguousarray(srcs, dtype=np.int32)
-    pm = _barrett_rows(primes)[rows]        # bounds-checked here, not in C
+    pm = _barrett(primes)[0][rows]          # bounds-checked here, not in C
     if op not in _GROUP_CODE:
         raise ValueError(f"unknown limb group op {op!r}")
     width, address = 0, None
@@ -123,13 +135,19 @@ def _limb_group(lib, op, store, srcs, primes, rows, constants) -> np.ndarray:
 
 
 def _mulmod(lib, a, b, primes) -> np.ndarray:
-    pm = _barrett_rows(primes)
     a = np.ascontiguousarray(a, dtype=UINT)
-    b = np.broadcast_to(np.asarray(b, dtype=UINT), a.shape)
+    b = np.asarray(b, dtype=UINT)
+    # Read b through its strides: a broadcast column costs nothing.
+    if b.shape == a.shape:
+        strides = b.strides
+    elif b.shape == (len(a), 1):
+        strides = b.strides[0], 0
+    else:
+        strides = np.broadcast_to(b, a.shape).strides
     out = np.empty_like(a)
-    row, col = (stride // b.itemsize for stride in b.strides)
     lib.repro_mulmod_rows(out.ctypes.data, a.ctypes.data, b.ctypes.data,
-                          a.shape[0], a.shape[1], row, col, pm.ctypes.data)
+                          a.shape[0], a.shape[1], strides[0] // 8,
+                          strides[1] // 8, _barrett(primes)[1])
     return out
 
 
@@ -152,20 +170,90 @@ def _replay(lib, columns, store, primes, ntt_rows, scalars, factors,
     lib.repro_replay(
         groups.ctypes.data, len(groups), dst.ctypes.data, src.ctypes.data,
         p0.ctypes.data, p1.ctypes.data, store.ctypes.data, n,
-        _barrett_rows(primes).ctypes.data, ntt_rows.ctypes.data,
+        _barrett(primes)[1], ntt_rows.ctypes.data,
         *pointers[:2], *pointers[3:5], pointers[2], *pointers[6:],
         scalars.ctypes.data, factors.ctypes.data, factors.shape[1],
         permutations.ctypes.data, loads.ctypes.data, load_ids.ctypes.data,
         stored.ctypes.data)
 
 
+def _issue_order(lib, kind_of, kind_code, kind_dest, width, ptr, producer,
+                 live, live_ids, chip_ptr, window):
+    """Walk an ISA emulator schedule's issue order (``_native.c``,
+    ``repro_issue_order``; :func:`repro.core.isa.emulator._issue_order` is
+    its oracle).
+
+    ``kind_of`` (int32, per instruction) indexes the kinds' ``kind_code``
+    (int32 opcode) and ``kind_dest`` (whether it writes a value); edges
+    are int32 ``ptr`` / ``producer``; ``live_ids`` (int32) lists the live
+    instructions chip by chip, ``chip_ptr`` (int64) where each chip's
+    begin.  Returns ``(issue, groups, slot_of, src, slots, heads)``:
+    ``issue`` is shorter than ``live_ids`` when the walk deadlocked, and
+    ``heads`` then says where each chip is stuck.
+    """
+    total, nchips = len(width), len(chip_ptr) - 1
+    kind_code = np.ascontiguousarray(kind_code, dtype=np.int32)
+    kind_dest = np.ascontiguousarray(kind_dest, dtype=np.uint8)
+    live = np.ascontiguousarray(live, dtype=np.uint8)
+    chip_ptr = np.ascontiguousarray(chip_ptr, dtype=np.int64)
+    issue = np.empty(len(live_ids), dtype=np.int32)
+    groups = np.empty((len(live_ids), 3), dtype=np.int32)
+    slot_of = np.empty(total + 1, dtype=np.int32)
+    src = np.empty(int(width[live_ids].sum()), dtype=np.int32)
+    heads = np.empty(nchips, dtype=np.int64)
+    result = np.zeros(3, dtype=np.int64)
+    for array, dtype in ((kind_of, np.int32), (width, np.int32),
+                         (ptr, np.int32), (producer, np.int32),
+                         (live_ids, np.int32)):
+        if array.dtype != dtype or not array.flags.c_contiguous:
+            raise TypeError(f"need a contiguous {np.dtype(dtype)} column")
+    if lib.repro_issue_order(
+            total, kind_of.ctypes.data, len(kind_code), kind_code.ctypes.data,
+            kind_dest.ctypes.data, width.ctypes.data, ptr.ctypes.data,
+            producer.ctypes.data, live.ctypes.data, live_ids.ctypes.data,
+            chip_ptr.ctypes.data, nchips, window, issue.ctypes.data,
+            groups.ctypes.data, slot_of.ctypes.data, src.ctypes.data,
+            heads.ctypes.data, result.ctypes.data):
+        raise MemoryError("no memory for the emulator's issue order")
+    count, done, slots = result.tolist()
+    return issue[:done], groups[:count].copy(), slot_of, src, slots, heads
+
+
 def _base_convert(lib, limbs, plan) -> np.ndarray:
     """A supported :class:`repro.fhe.kernels.BatchedConversionPlan`'s
     conversion on the C kernels: the limbs scaled by ``q_hat_inv``, then
-    one ``bcv`` group with a row per target prime."""
-    scaled = _mulmod(lib, limbs, plan.q_hat_inv, plan.source)
-    return _limb_group(lib, "bcv", scaled, plan.source_rows, plan.target,
-                       plan.target_rows, plan.factors_t)
+    one ``bcv`` group with a row per target prime.  ``limbs`` has a row
+    per source prime (:func:`repro.fhe.kernels.base_convert` checks)."""
+    held, (q_hat_inv, rows, target_pm, factors) = _plan_constants(plan)
+    limbs = np.ascontiguousarray(limbs, dtype=UINT)
+    arity, n = limbs.shape
+    scaled = np.empty_like(limbs)
+    lib.repro_mulmod_rows(scaled.ctypes.data, limbs.ctypes.data, q_hat_inv,
+                          arity, n, 1, 0, _barrett(plan.source)[1])
+    out = np.empty((len(plan.target), n), dtype=UINT)
+    lib.repro_limb_group(_GROUP_CODE["bcv"], out.ctypes.data,
+                         scaled.ctypes.data, n, rows, arity, len(out),
+                         target_pm, factors, arity)
+    return out
+
+
+def _plan_constants(plan) -> tuple:
+    """``(arrays, addresses)`` of a conversion plan's constants: its
+    ``q_hat_inv`` column, its ``(sources, targets)`` block of operand
+    rows, the Barrett rows of its targets and its factor rows.  Cached on
+    the plan in one attribute, so a racing thread replaces both at once;
+    a caller holds ``arrays`` while C reads them."""
+    cached = getattr(plan, "native", None)
+    if cached is None:
+        if not len(plan.source):
+            raise ValueError("a base conversion needs a source prime")
+        arrays = (np.ascontiguousarray(plan.q_hat_inv, dtype=UINT),
+                  np.ascontiguousarray(plan.source_rows, dtype=np.int32),
+                  _barrett(plan.target)[0][plan.target_rows],
+                  np.ascontiguousarray(plan.factors_t, dtype=UINT))
+        cached = plan.native = (
+            arrays, tuple(array.ctypes.data for array in arrays))
+    return cached
 
 
 def _table_pointers(tables) -> tuple:

@@ -22,6 +22,13 @@ class TestRegistry:
                     "fig15", "fig16", "table1", "table2", "table3"}
         assert set(ALL_EXPERIMENTS) == expected
 
+    def test_star_import_binds_every_experiment(self):
+        namespace = {}
+        exec("from repro.experiments import *", namespace)
+        assert namespace["ALL_EXPERIMENTS"] is ALL_EXPERIMENTS
+        for module in ALL_EXPERIMENTS.values():
+            assert namespace[module.__name__.rpartition(".")[2]] is module
+
     def test_every_module_has_interface(self):
         for name, module in ALL_EXPERIMENTS.items():
             assert hasattr(module, "run"), name
