@@ -13,6 +13,8 @@ separate *worker process* (its own GIL, its own
 
 The pieces, each importable on its own:
 
+* :mod:`~repro.cluster.core` — the router's decisions, a sans-IO state
+  machine;
 * :mod:`~repro.cluster.protocol` — length-prefixed JSON+blob framing;
 * :mod:`~repro.cluster.ring` — consistent-hash routing (cache affinity,
   ~1/N remap on membership change);

@@ -114,8 +114,8 @@ class ProtocolError(RuntimeError):
 
 class FrameTimeout(ProtocolError):
     """A bounded read expired at a clean frame boundary — no bytes were
-    consumed, the stream is still in sync, and the caller may retry,
-    probe liveness, or reconnect."""
+    consumed, the stream is still in sync, and the caller may retry or
+    probe liveness."""
 
 
 class ConnectionClosed(ConnectionError):

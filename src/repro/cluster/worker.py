@@ -1,40 +1,32 @@
 """The cluster worker process: one socket, one session, a small pool.
 
 ``python -m repro.cluster.worker --connect PORT --worker-id w0`` dials
-the router's loopback listener, authenticates with the token the router
-exported in ``CINNAMON_CLUSTER_TOKEN``, and then serves frames until the
-socket closes or a ``shutdown`` frame arrives:
+the router's loopback listener once, authenticates with the token the
+router exported in ``CINNAMON_CLUSTER_TOKEN`` (the trust model of
+``multiprocessing.connection``), and serves frames until a ``shutdown``
+frame arrives or the connection ends:
 
 * ``submit`` frames go to a pool of :data:`WORKER_THREADS` threads where the
   process's :class:`~repro.serve.executor.ShardExecutor` — the attempt
   loop a :class:`~repro.serve.CinnamonServer` shard runs, here as a
   batch of one with ``max_retries=0`` (the router owns failover) — runs
-  the job; its outcome goes back as a ``result`` frame;
+  the job under the router-side request's trace id; its outcome goes
+  back as a ``result`` frame;
 * ``ping`` is answered inline with ``pong`` so heartbeats stay timely
   while the pool is busy.  The pong is the one worker->router state
-  channel: it carries the process's cumulative metrics snapshot, its
-  compile-cache counters and the journal rows recorded since the
-  previous ship (a cursor, so nothing is ever shipped twice or lost) —
-  the router's heartbeat is also its metrics refresh;
+  channel: the process's cumulative metrics snapshot, its compile-cache
+  counters and the journal rows recorded since the previous ship (a
+  cursor, so nothing is ever shipped twice or lost);
 * ``drain`` stops accepting new submits, waits out the in-flight jobs,
   and answers ``drained`` with the final state.
-
-Trace propagation: a ``submit`` carrying ``trace_id``/``parent_span_id``
-executes under a re-hydrated :class:`~repro.obs.tracing.Span`, so the
-compile/simulate journal rows recorded in *this* process join the
-router-side serve row on the same ``trace_id`` (trace schema 6).
-
-The worker trusts its socket because the router spawned it and handed it
-a per-cluster random token over the environment — the same trust model
-as ``multiprocessing.connection`` — and listens on loopback only.
 
 Robustness & trust (:mod:`repro.trust`; details on :meth:`ClusterWorker.run`
 and :meth:`ClusterWorker._trust_check`):
 
-* reads are *bounded* (``read_timeout_s``): silence past
-  ``liveness_timeout_s`` means a half-open socket, and the worker
-  reconnects with exponential backoff, exiting cleanly only when the
-  router stays unreachable;
+* reads are *bounded* (``read_timeout_s``): EOF, a stream desync or
+  silence past ``liveness_timeout_s`` (a half-open socket) ends the
+  worker with exit code 0.  It never redials: a connection the router
+  dropped stays dropped, and the router respawns a replacement;
 * every frame carries (and is verified against) the cluster token's
   HMAC (:func:`~repro.cluster.protocol.frame_auth`);
 * ``keys`` frames install the router's signed key manifest, so each
@@ -85,7 +77,6 @@ class ClusterWorker:
                  watchdog_s: Optional[float] = None,
                  read_timeout_s: float = 5.0,
                  liveness_timeout_s: float = 15.0,
-                 reconnect_attempts: int = 5,
                  chaos_chip_crash: int = 0, chaos_cycle: int = 2000):
         self.worker_id = worker_id
         self.host = host
@@ -93,7 +84,6 @@ class ClusterWorker:
         self.token = token
         self.read_timeout_s = read_timeout_s
         self.liveness_timeout_s = liveness_timeout_s
-        self.reconnect_attempts = reconnect_attempts
         self._metrics = default_registry()
         # max_retries=0: a failed attempt goes back to the router, whose
         # failover re-dispatches it (possibly to another worker).
@@ -108,11 +98,8 @@ class ClusterWorker:
             thread_name_prefix=f"cluster-{worker_id}")
         self._sock: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
-        self._inflight = 0
-        self._inflight_cond = threading.Condition()
         self._draining = False
         self._journal_cursor = 0        # advanced under _send_lock
-        self._last_frame = time.monotonic()
         # Trust plumbing: an (initially empty) metadata-only vault filled
         # by the router's "keys" frames, and an independent replay guard.
         self._keyvault = KeyVault()
@@ -128,87 +115,50 @@ class ClusterWorker:
     # Lifecycle
 
     def run(self) -> int:
-        """Connect, say hello, serve frames until shutdown (or until the
-        router stays unreachable across the reconnect budget).
+        """Connect, say hello, serve frames until shutdown; 1 if the
+        router cannot be reached, else 0.
 
         Reads are bounded: a :class:`FrameTimeout` at a clean frame
         boundary is routine (the read timeout is shorter than the
         heartbeat gap only under load) and merely prompts a liveness
-        check — a socket silent past ``liveness_timeout_s`` is half-open
-        and gets replaced.  A mid-frame timeout or torn frame means the
-        stream lost sync; the connection is unusable and is replaced
-        too.
+        check — a socket silent past ``liveness_timeout_s`` is half-open,
+        and the worker exits.  So does it on EOF, a mid-frame timeout or
+        a torn frame (the stream lost sync).
         """
-        if not self._connect():
+        try:
+            self._sock = socket.create_connection((self.host, self.port),
+                                                  timeout=30)
+            # Frames are whole messages: send each at once, never wait
+            # on the router's delayed ACK.
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._sock.sendall(self._encode({
+                "kind": "hello", "worker_id": self.worker_id,
+                "token": self.token, "pid": os.getpid(),
+                "protocol": PROTOCOL_VERSION}, b""))
+        except OSError:
             return 1
+        self._sock.settimeout(self.read_timeout_s)
+        last_frame = time.monotonic()
         try:
             while True:
                 try:
                     header, blob = recv_frame(self._sock,
                                               token=self.token or None)
                 except FrameTimeout:
-                    # Nothing arrived within the read timeout.  The
-                    # router pings every ~0.5s, so prolonged total
+                    # The router pings every ~0.5s, so prolonged total
                     # silence means the connection is half-open.
-                    silent_s = time.monotonic() - self._last_frame
-                    if silent_s < self.liveness_timeout_s:
+                    if time.monotonic() - last_frame \
+                            < self.liveness_timeout_s:
                         continue
-                    if not self._reconnect():
-                        return 0
-                    continue
+                    return 0
                 except (ConnectionClosed, ProtocolError, OSError):
-                    # EOF or stream desync: this socket is done.  Come
-                    # back through a fresh one; exit cleanly when the
-                    # router is really gone.
-                    if not self._reconnect():
-                        return 0
-                    continue
-                self._last_frame = time.monotonic()
+                    return 0      # EOF or stream desync
+                last_frame = time.monotonic()
                 if not self._handle(header, blob):
                     return 0
         finally:
             self._pool.shutdown(wait=False)
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-
-    def _connect(self) -> bool:
-        """Dial the router and say hello; bounded reads from then on."""
-        try:
-            sock = socket.create_connection((self.host, self.port),
-                                            timeout=30)
-        except OSError:
-            return False
-        # Frames are whole messages: send each at once, never wait on
-        # the router's delayed ACK.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(self.read_timeout_s)
-        self._sock = sock
-        self._last_frame = time.monotonic()
-        try:
-            self._send({"kind": "hello", "worker_id": self.worker_id,
-                        "token": self.token, "pid": os.getpid(),
-                        "protocol": PROTOCOL_VERSION})
-        except OSError:
-            return False
-        return True
-
-    def _reconnect(self) -> bool:
-        """Replace a dead or half-open socket, with exponential backoff.
-        Returns ``False`` when the router stays unreachable — the caller
-        exits cleanly instead of spinning forever."""
-        try:
             self._sock.close()
-        except OSError:
-            pass
-        delay = 0.1
-        for _ in range(self.reconnect_attempts):
-            time.sleep(delay)
-            delay = min(delay * 2, 2.0)
-            if self._connect():
-                return True
-        return False
 
     def _handle(self, header: dict, blob: bytes) -> bool:
         """Process one frame; returns ``False`` to exit the loop."""
@@ -221,9 +171,7 @@ class ClusterWorker:
             self._install_keys(blob)
         elif kind == "drain":
             self._draining = True
-            with self._inflight_cond:
-                while self._inflight > 0:
-                    self._inflight_cond.wait(0.05)
+            self._pool.shutdown(wait=True)     # in-flight jobs finish
             self._send_state("drained")
         elif kind == "shutdown":
             return False
@@ -305,9 +253,7 @@ class ClusterWorker:
             self._send_error(header, reason, retryable=False)
             return
         self._submits_total.inc()
-        with self._inflight_cond:
-            self._inflight += 1
-        self._inflight_gauge.set(self._inflight)
+        self._inflight_gauge.inc()
         self._pool.submit(self._execute, header, blob)
 
     def _execute(self, header: dict, blob: bytes) -> None:
@@ -342,10 +288,7 @@ class ClusterWorker:
         finally:
             if span is not None:
                 span.finish()
-            with self._inflight_cond:
-                self._inflight -= 1
-                self._inflight_cond.notify_all()
-            self._inflight_gauge.set(self._inflight)
+            self._inflight_gauge.dec()
         try:
             self._send_result(result)
         except OSError:
@@ -395,10 +338,6 @@ class ClusterWorker:
                               self._fresh_journal_rows())
             self._sock.sendall(self._encode(header, blob))
 
-    def _send(self, header: dict, blob: bytes = b"") -> None:
-        with self._send_lock:
-            self._sock.sendall(self._encode(header, blob))
-
     def _encode(self, header: dict, blob: bytes) -> bytes:
         return encode_frame(header, blob, token=self.token or None)
 
@@ -423,7 +362,7 @@ def main(argv=None) -> int:
                         help="bounded per-read socket timeout")
     parser.add_argument("--liveness-timeout-s", type=float, default=15.0,
                         help="silence past this means a half-open router "
-                             "connection (reconnect with backoff)")
+                             "connection: the worker exits")
     parser.add_argument("--chaos-chip-crash", type=int, default=0,
                         help="arm N scripted chip-kill faults, one per "
                              "submit, refunded until each fires "

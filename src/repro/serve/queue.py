@@ -62,22 +62,14 @@ class AdmissionQueue:
 
     # ------------------------------------------------------------------ #
 
-    def put(self, request: InferenceRequest, force: bool = False) -> None:
-        """Admit ``request`` or raise (never blocks).
-
-        ``force`` is a front-end's internal requeue path (a cluster
-        failover, a park while no worker is live): it skips the closed
-        check and the depth bound, because the request was admitted
-        once already and must not be dropped by a drain that began
-        meanwhile.
-        """
+    def put(self, request: InferenceRequest) -> None:
+        """Admit ``request`` or raise (never blocks)."""
         with self._lock:
-            if not force:
-                if self._closed:
-                    raise QueueClosedError("admission queue is closed")
-                depth = len(self._items)
-                if self.maxsize > 0 and depth >= self.maxsize:
-                    raise QueueSaturatedError(depth, self.maxsize)
+            if self._closed:
+                raise QueueClosedError("admission queue is closed")
+            depth = len(self._items)
+            if self.maxsize > 0 and depth >= self.maxsize:
+                raise QueueSaturatedError(depth, self.maxsize)
             self._items.append(request)
             # Every waiter: a shard woken for a request it does not own
             # would go back to sleep and strand the request.

@@ -66,7 +66,7 @@ class InferenceRequest:
     dispatched_at: Optional[float] = None  # monotonic; None while queued
     attempts: int = 0                 # execution attempts so far
     # repro.obs spans carried across the thread hops of the data path
-    # (admission thread -> shard or dispatcher -> executor):
+    # (admission thread -> shard or router loop -> executor):
     span: object = None               # root "serve" span of this request
     queue_span: object = None         # open while waiting for dispatch
 

@@ -4,6 +4,7 @@ interpreters is the expensive part); the kill test restores the fleet
 before handing the cluster back.
 """
 
+import signal
 import socket
 import threading
 import time
@@ -12,18 +13,17 @@ import pytest
 
 from repro import obs
 from repro.cluster import ClusterRouter
+from repro.cluster import router as router_mod
+from repro.cluster.core import Close, Kill, Send
 from repro.cluster.merge import merged_scalar
-from repro.cluster.protocol import (ConnectionClosed, pack_result,
-                                    pack_rows, pack_state, recv_frame,
-                                    send_frame)
-from repro.cluster.router import _Worker
+from repro.cluster.protocol import (ConnectionClosed, pack_rows, pack_state,
+                                    pack_submit, recv_frame, send_frame)
 from repro.obs.analyze import check
 from repro.runtime import trace
-from repro.serve import (CinnamonServer, RequestResult, RequestStatus,
-                         ServerClosedError)
+from repro.serve import CinnamonServer, RequestStatus, ServerClosedError
 
 from ..replay import replay_mismatches
-from .conftest import dial_as_worker, make_request, stub_proc
+from .conftest import CoreDriver, dial_as_worker, make_request
 
 RESULT_TIMEOUT_S = 120.0
 
@@ -212,7 +212,7 @@ class TestFailover:
                   if row["kind"] == "cluster"]
         assert any(e["event"] == "worker_lost"
                    and e["worker"] == victim for e in events)
-        # The monitor respawns a replacement up to the target.
+        # The next heartbeat respawns a replacement up to the target.
         assert cluster.wait_ready(count=2, timeout=60)
 
     def test_replacement_serves_after_failover(self, cluster):
@@ -236,18 +236,6 @@ class TestLifecycle:
                 router.submit(make_request(name="d-1"))
 
 
-class _StubWorker(_Worker):
-    """A connected worker whose socket swallows every frame, so what the
-    router dispatched to it stays in flight until the test says so."""
-
-    def __init__(self, worker_id, index):
-        super().__init__(worker_id, index, proc=stub_proc())
-        self.connected.set()
-
-    def send(self, header, blob=b""):
-        pass
-
-
 def _wait_until(predicate, timeout=10.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline and not predicate():
@@ -258,116 +246,161 @@ def _wait_until(predicate, timeout=10.0):
 class TestOrphansOfGracefulExits:
     """Whatever was in flight on a lost worker must resolve: failed over
     to a survivor exactly once, or — for a worker lost during shutdown,
-    which is not counted as a death — failed, or ``drain()`` hangs."""
+    which is not counted as a death — failed, or ``drain()`` hangs.
+    Played against the router's core, one event at a time."""
 
     @staticmethod
-    def _router_with_inflight_request():
-        router = ClusterRouter(num_workers=1, spawn_workers=False,
-                               disk_cache=False)
-        router.start()
-        victim = _StubWorker("w-victim", 0)
-        router._workers[victim.id] = victim
-        router._ring.add(victim.id)
-        handle = router.submit(make_request(name="orphan"))
-        assert _wait_until(lambda: victim.pending), "never dispatched"
-        return router, victim, handle
+    def _core_with_inflight_request():
+        driver = CoreDriver()
+        driver.up("w-victim")
+        handle = driver.submit("orphan")
+        assert driver.submits_to("w-victim") == [handle.request.request_id]
+        return driver, handle
 
     def test_retired_workers_orphans_fail_over(self):
-        router, victim, handle = self._router_with_inflight_request()
-        try:
-            survivor = _StubWorker("w-survivor", 1)
-            router._workers[survivor.id] = survivor
-            router._ring.add(survivor.id)
-            router._on_worker_lost(victim)
-            router._on_worker_lost(victim)    # a second EOF is a no-op
-            assert _wait_until(lambda: survivor.pending), \
-                "orphan of a lost worker was dropped"
-            assert list(survivor.pending) == [handle.request.request_id]
-            assert handle.request.attempts == 2
-            snapshot = router.metrics.snapshot()
-            assert snapshot["cluster_requeued_total"][
-                "series"][0]["value"] == 1
-            assert snapshot["cluster_worker_deaths_total"][
-                "series"][0]["value"] == 1
-            done = RequestResult(
-                request_id=handle.request.request_id, name="orphan",
-                status=RequestStatus.OK, batch_size=1, cycles=7)
-            router._on_result(survivor, *pack_result(done))
-            result = handle.result(timeout=5)
-            assert result.ok and result.shard == 1 and result.attempts == 2
-            assert router.drain(timeout=5)
-        finally:
-            router.shutdown(drain=False)
+        driver, handle = self._core_with_inflight_request()
+        driver.up("w-survivor")
+        lost = driver.lost("w-victim")
+        assert driver.lost("w-victim") == []      # a second EOF is a no-op
+        assert [type(a) for a in lost[:2]] == [Close, Kill]
+        request = handle.request
+        assert driver.submits_to("w-survivor") == [request.request_id]
+        assert request.attempts == 2
+        assert driver.counter("cluster_requeued_total") == 1
+        assert driver.counter("cluster_worker_deaths_total") == 1
+        driver.result("w-survivor", request)
+        result = handle.result(timeout=0)
+        assert result.ok and result.shard == 1 and result.attempts == 2
+        assert driver.lifecycle.wait_drained(0)
 
     def test_orphans_fail_once_the_dispatcher_has_stopped(self):
-        router, victim, handle = self._router_with_inflight_request()
-        router.shutdown(drain=True, timeout=0.2)   # drain times out
+        driver, handle = self._core_with_inflight_request()
+        assert driver.shutdown(drain=True) == [
+            Send("w-victim", {"kind": "drain"})]
         assert not handle.done()
-        router._on_worker_lost(victim)             # EOF lands afterwards
-        result = handle.result(timeout=5)
+        driver.lost("w-victim")                   # EOF lands afterwards
+        result = handle.result(timeout=0)
         assert result.status is RequestStatus.FAILED
         assert "died mid-request" in result.error
-        assert router.drain(timeout=5)
-
+        assert driver.lifecycle.wait_drained(0)
+        assert driver.core.finished
 
     def test_requeue_racing_shutdown_still_resolves(self):
-        """A reader thread that passed ``_fail_or_retry``'s ``_stopping``
-        check and then lost the CPU must not requeue *after* shutdown's
-        sweep: check-and-requeue and set-``_stopping`` share a lock, so
-        the sweep sees the request (or the reader sees the flag)."""
-        router, victim, handle = self._router_with_inflight_request()
-        put = router._queue.put
-        past_the_check, resume = threading.Event(), threading.Event()
-
-        def descheduled_put(request, **kwargs):
-            past_the_check.set()
-            resume.wait(5)
-            return put(request, **kwargs)
-
-        router._queue.put = descheduled_put
-        reader = threading.Thread(target=router._on_worker_lost,
-                                  args=(victim,))
-        reader.start()
-        assert past_the_check.wait(5)
-        wake = threading.Timer(0.3, resume.set)
-        wake.start()
-        router.shutdown(drain=False)
-        wake.join(5)
-        reader.join(5)
-        assert not reader.is_alive()
-        result = handle.result(timeout=2)
-        assert result.status in (RequestStatus.FAILED,
-                                 RequestStatus.REJECTED)
+        """A worker lost just before shutdown re-queues its orphan into
+        the backlog, which shutdown resolves; one lost just after fails
+        it.  Either order resolves the request exactly once."""
+        for lost_first, status in ((True, RequestStatus.REJECTED),
+                                   (False, RequestStatus.FAILED)):
+            driver, handle = self._core_with_inflight_request()
+            if lost_first:
+                driver.lost("w-victim")
+                assert list(driver.core.backlog) == [handle.request]
+            driver.shutdown(drain=False)
+            driver.lost("w-victim")
+            assert handle.result(timeout=0).status is status
+            assert driver.lifecycle.wait_drained(0)
 
 
 class TestShutdownWithNoLiveWorker:
-    """With no worker live the dispatcher parks each request and
-    re-queues it; ``shutdown`` must stop it *before* sweeping the queue,
-    or a request it was holding is left unresolved forever."""
+    """With no worker live, requests wait for one; ``shutdown`` must
+    resolve every one of them, or it is left unresolved forever."""
 
     @staticmethod
-    def _router_with_queued_requests(count=8):
-        router = ClusterRouter(num_workers=1, spawn_workers=False,
-                               disk_cache=False)
-        router.start()
-        handles = [router.submit(make_request(name=f"stranded-{i}"))
-                   for i in range(count)]
-        time.sleep(0.1)     # let the dispatcher start cycling them
-        return router, handles
+    def _core_with_waiting_requests(count=8):
+        driver = CoreDriver()
+        handles = [driver.submit(f"stranded-{i}") for i in range(count)]
+        assert len(driver.core.backlog) == count
+        return driver, handles
 
     def test_shutdown_without_drain_rejects_everything_queued(self):
-        router, handles = self._router_with_queued_requests()
-        router.shutdown(drain=False)
-        results = [h.result(timeout=5) for h in handles]
+        driver, handles = self._core_with_waiting_requests()
+        driver.shutdown(drain=False)
+        results = [h.result(timeout=0) for h in handles]
         assert {r.status for r in results} == {RequestStatus.REJECTED}
         assert all("shut down" in r.error for r in results)
 
     def test_expired_drain_fails_everything_still_queued(self):
-        router, handles = self._router_with_queued_requests()
-        router.shutdown(drain=True, timeout=0.2)
-        results = [h.result(timeout=5) for h in handles]
+        driver, handles = self._core_with_waiting_requests()
+        driver.shutdown(drain=True)
+        results = [h.result(timeout=0) for h in handles]
         assert {r.status for r in results} == {RequestStatus.FAILED}
-        assert router.drain(timeout=5)
+        assert driver.lifecycle.wait_drained(0)
+
+    def test_router_resolves_its_admission_queue_at_shutdown(self):
+        """The router end: with no worker live, admitted requests wait
+        in the admission queue, and shutdown hands them to the core."""
+        router = ClusterRouter(num_workers=1, spawn_workers=False,
+                               disk_cache=False)
+        router.start()
+        handles = [router.submit(make_request(name=f"queued-{i}"))
+                   for i in range(8)]
+        router.shutdown(drain=False)
+        results = [h.result(timeout=5) for h in handles]
+        assert {r.status for r in results} == {RequestStatus.REJECTED}
+
+
+class TestStrandedRequest:
+    def test_worker_lost_while_its_submit_is_packed(self, monkeypatch):
+        """The only live worker hangs up while its submit is being packed.
+        The write may still succeed (the peer's FIN is in, no RST yet),
+        so the request must not be left pending on the lost worker:
+        it re-queues, and shutdown resolves it."""
+        router = ClusterRouter(num_workers=1, spawn_workers=False,
+                               disk_cache=False)
+        router.start()
+        try:
+            with dial_as_worker(router) as (record, client):
+                assert _wait_until(lambda: router.num_workers == 1, 5)
+                packed = []
+
+                def pack_then_hang_up(*args, **kwargs):
+                    frame = pack_submit(*args, **kwargs)
+                    client.close()
+                    # Give a concurrent reader the time to act on the EOF.
+                    _wait_until(lambda: record.dead, 0.5)
+                    packed.append(True)
+                    return frame
+
+                monkeypatch.setattr(router_mod, "pack_submit",
+                                    pack_then_hang_up)
+                handle = router.submit(make_request(name="stranded"))
+                assert _wait_until(lambda: packed, 5)
+                assert _wait_until(lambda: record.dead, 5)
+                assert not record.pending
+        finally:
+            router.shutdown(drain=False)
+        result = handle.result(timeout=5)
+        assert result.status in (RequestStatus.FAILED,
+                                 RequestStatus.REJECTED)
+
+
+class TestDroppedWorker:
+    def test_dropped_worker_is_killed_and_never_redials(self):
+        """A worker the router gives up on while its process lives (here:
+        what a reader posts on a bad frame) is closed and killed, so it
+        cannot linger or come back; a replacement takes its place."""
+        router = ClusterRouter(num_workers=1, disk_cache=False,
+                               heartbeat_s=0.2)
+        router.start()
+        try:
+            assert router.wait_ready(timeout=60)
+            (dropped,) = router.worker_ids()
+            proc = router._procs[dropped]
+            hellos = []
+            on_hello = router._on_hello
+
+            def counting_hello(worker_id, *args):
+                hellos.append(worker_id)
+                return on_hello(worker_id, *args)
+
+            router._on_hello = counting_hello
+            router._inbox.put((router._core.worker_lost, dropped))
+            assert proc.wait(timeout=10) == -signal.SIGKILL
+            assert _wait_until(lambda: router.worker_ids()
+                               and dropped not in router.worker_ids(), 60)
+            assert dropped not in hellos, hellos
+        finally:
+            router.shutdown(drain=False)
 
 
 class TestWorkerState:
@@ -389,7 +422,7 @@ class TestWorkerState:
                 {"labels": {}, "value": 3.0}]}},
             {"misses": 2}, [{"kind": "compile", "job": "from-pong"}])
         with dial_as_worker(router) as (record, client):
-            assert record.connected.wait(5)
+            assert _wait_until(lambda: record.live, 5)
             for blob in (good[:-7], b"", b"[1, 2]", b'"state"',
                          b'{"snapshot": {}, "cache": {}}',
                          b'{"snapshot": 1, "cache": {}, "journal": []}',
@@ -399,7 +432,7 @@ class TestWorkerState:
             send_frame(client, {"kind": "pong", "seq": "x"}, good,
                        token=router._token)
             assert _wait_until(lambda: record.snapshot)
-            assert record.reader.is_alive()
+            assert record.live         # the reader kept going
             assert record.pong_seq == 0      # nothing malformed counted
             assert record.cache == {"misses": 2}
             rows = [row for row in router._recorder.jobs
@@ -422,7 +455,7 @@ class TestWorkerState:
         """A journal blob that is not a JSON list of rows is dropped
         whole; the reader keeps going and a good one still lands."""
         with dial_as_worker(router) as (record, client):
-            assert record.connected.wait(5)
+            assert _wait_until(lambda: record.live, 5)
             for blob in (b"\x80\x04N.", b"{}", b"[1]", b'[{"kind"',
                          b"\xff\xfe[]"):
                 send_frame(client, {"kind": "journal"}, blob,
@@ -432,7 +465,7 @@ class TestWorkerState:
                        token=router._token)
             assert _wait_until(lambda: any(
                 row.get("job") == "shipped" for row in router._recorder.jobs))
-            assert record.reader.is_alive()
+            assert record.live
             rows = [row for row in router._recorder.jobs
                     if row["kind"] == "compile"]
             assert rows == [{"kind": "compile", "job": "shipped",
@@ -440,19 +473,19 @@ class TestWorkerState:
 
     def test_accepted_socket_has_nodelay(self, router):
         with dial_as_worker(router) as (record, _client):
-            assert record.connected.wait(5)
-            assert record.sock.getsockopt(socket.IPPROTO_TCP,
-                                          socket.TCP_NODELAY)
+            assert _wait_until(lambda: record.live, 5)
+            assert router._socks[record.id].getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
     def test_hello_with_the_wrong_protocol_is_refused(self, router):
         with dial_as_worker(router, protocol=1) as (record, client):
             with pytest.raises(ConnectionClosed):
                 recv_frame(client, token=router._token)
-            assert not record.connected.is_set()
+            assert not record.live
 
     def test_unsigned_frame_ends_the_connection(self, router):
         with dial_as_worker(router) as (record, client):
-            assert record.connected.wait(5)
+            assert _wait_until(lambda: record.live, 5)
             send_frame(client, {"kind": "result", "request_id": 1},
                        b"never-unpickled")
             assert _wait_until(lambda: record.dead)

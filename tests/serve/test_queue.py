@@ -88,25 +88,3 @@ class TestCloseAndDrain:
         queue.close()
         assert woke.wait(5)
         thread.join()
-
-
-class TestForcedRequeue:
-    def test_force_bypasses_close_and_depth_bound(self):
-        """``put(force=True)`` is a front-end's requeue of an already
-        admitted request: neither a drain-closed queue nor a full one
-        may drop it, and it still dequeues in FIFO order."""
-        queue = AdmissionQueue(maxsize=1)
-        queue.put(request("first"))
-        with pytest.raises(QueueSaturatedError):
-            queue.put(request("over"))
-        queue.put(request("forced"), force=True)
-        queue.close()
-        with pytest.raises(QueueClosedError):
-            queue.put(request("late"))
-        queue.put(request("after-close"), force=True)
-        queue.put(request("last"), force=True)
-        assert queue.depth() == 4
-        assert [queue.get(0).name for _ in range(4)] == \
-            ["first", "forced", "after-close", "last"]
-        with pytest.raises(Empty):
-            queue.get(timeout=0)
