@@ -24,12 +24,26 @@ from typing import Deque, Dict, List, NamedTuple, Optional
 
 from ..serve.lifecycle import RequestLifecycle
 from ..serve.request import InferenceRequest
+from .merge import merge_snapshots
 from .protocol import ProtocolError, unpack_result, unpack_rows, unpack_state
 from .ring import HashRing
 
 #: How long a shutdown waits for workers to drain and exit before it
 #: drops the stragglers (their in-flight requests then resolve FAILED).
 SHUTDOWN_GRACE_S = 15.0
+
+#: A fleet slot whose worker died before its hello waits this long
+#: before it starts the next one, doubling with each such death in a
+#: row up to RESPAWN_BACKOFF_MAX_S; a hello resets it.  A worker that
+#: cannot start (a broken install, a crash at import) then costs a few
+#: processes a minute, not one per heartbeat.
+RESPAWN_BACKOFF_S = 1.0
+RESPAWN_BACKOFF_MAX_S = 30.0
+
+#: Dead workers kept in :attr:`RouterCore.workers`; older ones leave it,
+#: their last metrics snapshot and cache counters folded into
+#: :attr:`RouterCore.retired_snapshot` / :attr:`RouterCore.retired_cache`.
+DEAD_WORKERS_KEPT = 16
 
 
 class Send(NamedTuple):
@@ -57,9 +71,11 @@ class WorkerState:
     """One worker: *starting* (no hello yet), then *live* (in the ring),
     then *dead*, never back."""
 
-    def __init__(self, worker_id: str, index: int):
+    def __init__(self, worker_id: str, index: int,
+                 slot: Optional["_Slot"] = None):
         self.id = worker_id
         self.index = index             # numeric shard id in results
+        self.slot = slot               # the fleet slot it was spawned for
         self.live = False
         self.dead = False
         self.pid: Optional[int] = None
@@ -68,6 +84,15 @@ class WorkerState:
         self.pong_seq = 0              # newest ping this worker answered
         self.snapshot: dict = {}
         self.cache: dict = {}
+
+
+class _Slot:
+    """One place in the fleet :meth:`RouterCore.tick` keeps filled."""
+
+    def __init__(self):
+        self.worker: Optional[str] = None
+        self.failures = 0              # deaths before a hello, in a row
+        self.not_before = 0.0          # no spawn for it before this time
 
 
 class RouterCore:
@@ -84,6 +109,10 @@ class RouterCore:
         self.liveness_timeout_s = liveness_timeout_s
         self.spawn = spawn
         self.workers: Dict[str, WorkerState] = {}
+        self.retired_snapshot: dict = {}
+        self.retired_cache: Dict[str, int] = {}
+        self._dead: Deque[str] = deque()   # dead ids in workers, oldest first
+        self._slots = [_Slot() for _ in range(target)]
         self.backlog: Deque[InferenceRequest] = deque()
         self.live: tuple = ()
         self.stopping = False
@@ -115,11 +144,14 @@ class RouterCore:
         """Shut down, and every worker is gone."""
         return self.stopping and all(w.dead for w in self.workers.values())
 
-    def add_worker(self, worker_id: Optional[str] = None) -> WorkerState:
+    def add_worker(self, worker_id: Optional[str] = None,
+                   slot: Optional[_Slot] = None) -> WorkerState:
         """Register a starting worker; only registered ids may say hello."""
         index = next(self._index)
-        worker = WorkerState(worker_id or f"w{index}", index)
+        worker = WorkerState(worker_id or f"w{index}", index, slot)
         self.workers[worker.id] = worker
+        if slot is not None:
+            slot.worker = worker.id
         return worker
 
     def submit(self, request: InferenceRequest, now: float) -> list:
@@ -135,6 +167,8 @@ class RouterCore:
         worker.live = True
         worker.pid = pid
         worker.last_pong = now
+        if worker.slot is not None:
+            worker.slot.failures = 0
         self._ring.add(worker_id)
         self._publish()
         out: list = [Journal("worker_spawned", worker_id,
@@ -148,7 +182,9 @@ class RouterCore:
               now: float) -> list:
         """One frame from ``worker_id``.  A malformed blob drops that
         frame only; a malformed state is no heartbeat either."""
-        worker = self.workers[worker_id]
+        worker = self.workers.get(worker_id)
+        if worker is None:
+            return []      # a late frame from a worker long retired
         kind = header.get("kind")
         if kind == "result":
             return self._on_result(worker, header, blob, now)
@@ -184,6 +220,13 @@ class RouterCore:
         if worker is None or worker.dead:
             return []
         was_live, worker.live, worker.dead = worker.live, False, True
+        self._retire(worker)
+        if not was_live and worker.slot is not None:
+            slot = worker.slot
+            slot.failures += 1
+            slot.not_before = now + min(
+                RESPAWN_BACKOFF_MAX_S,
+                RESPAWN_BACKOFF_S * 2 ** (slot.failures - 1))
         out: list = [Close(worker_id), Kill(worker_id)]
         orphans = list(worker.pending.values())
         worker.pending.clear()
@@ -214,7 +257,8 @@ class RouterCore:
         for worker_id in exited:
             # Died before its hello?  (A connected worker's exit shows
             # as EOF, once its last frames are read.)
-            if not self.workers[worker_id].live:
+            worker = self.workers.get(worker_id)
+            if worker is not None and not worker.live:
                 out += self.worker_lost(worker_id, now)
         if self.stopping:
             if now >= self._deadline:
@@ -229,9 +273,11 @@ class RouterCore:
         for worker_id in self.live:
             out.append(Send(worker_id, {"kind": "ping", "seq": seq}))
         if self.spawn:
-            alive = sum(not w.dead for w in self.workers.values())
-            for _ in range(self.target - alive):
-                out.append(Spawn(self.add_worker().id))
+            for slot in self._slots:
+                worker = self.workers.get(slot.worker)
+                if (worker is None or worker.dead) \
+                        and now >= slot.not_before:
+                    out.append(Spawn(self.add_worker(slot=slot).id))
         return out
 
     def ping(self, token) -> list:
@@ -326,11 +372,30 @@ class RouterCore:
         self.lifecycle.fail(request, error, now)
         return []
 
+    def _retire(self, worker: WorkerState) -> None:
+        """Keep the newest :data:`DEAD_WORKERS_KEPT` dead workers; fold
+        the state of older ones into the retired totals."""
+        self._dead.append(worker.id)
+        while len(self._dead) > DEAD_WORKERS_KEPT:
+            old = self.workers.pop(self._dead.popleft())
+            # Replaced, never mutated: other threads read both.
+            if old.snapshot:
+                self.retired_snapshot = merge_snapshots(
+                    [self.retired_snapshot, old.snapshot])
+            cache = dict(self.retired_cache)
+            for field, value in old.cache.items():
+                cache[field] = cache.get(field, 0) + value
+            self.retired_cache = cache
+
     def _answered(self) -> list:
-        """Wake every ping round whose workers have all answered or died."""
-        done = [wait for wait in self._waiters if all(
-            self.workers[w].dead or self.workers[w].pong_seq >= wait[0]
-            for w in wait[1])]
+        """Wake every ping round whose workers have all answered or died
+        (a worker no longer in :attr:`workers` died long ago)."""
+        def settled(worker_id, seq):
+            worker = self.workers.get(worker_id)
+            return worker is None or worker.dead or worker.pong_seq >= seq
+
+        done = [wait for wait in self._waiters
+                if all(settled(w, wait[0]) for w in wait[1])]
         self._waiters = [wait for wait in self._waiters if wait not in done]
         return [Wake(token) for _seq, _ids, token in done]
 

@@ -11,10 +11,10 @@ cluster's throughput ceiling.
 
 Data path of one request::
 
-    submit() --admit--> trust checks --> AdmissionQueue
+    submit() --admit (the one fingerprint)--> trust checks --> AdmissionQueue
         --loop--> RouterCore: HashRing.owner(fingerprint) --> worker socket
-        --worker session--> result frame --> reader --> inbox
-        --loop--> RouterCore: ok/fail/timeout, or failover
+        --worker session, cached under the header's key--> result frame
+        --> reader --> inbox --loop--> RouterCore: ok/fail/timeout, or failover
 
 Every decision is :class:`~repro.cluster.core.RouterCore`'s; this
 module is its IO shell, and its threads only move bytes.  The accept
@@ -242,6 +242,8 @@ class ClusterRouter(ServingFrontend):
                     exited = [worker_id for worker_id, proc
                               in self._procs.items()
                               if proc.poll() is not None]
+                    for worker_id in exited:
+                        del self._procs[worker_id]     # reaped by poll()
                     self._act(self._core.tick(now, exited))
                 self._act(self._feed(now))
             except Exception:
@@ -456,7 +458,7 @@ class ClusterRouter(ServingFrontend):
         return self._cache_totals()
 
     def _cache_totals(self) -> dict:
-        totals: Dict[str, int] = {}
+        totals: Dict[str, int] = dict(self._core.retired_cache)
         for worker in list(self._core.workers.values()):
             for field, value in worker.cache.items():
                 totals[field] = totals.get(field, 0) + value
@@ -464,12 +466,14 @@ class ClusterRouter(ServingFrontend):
 
     def metrics_snapshot(self) -> dict:
         """The router's own registry merged with every worker's last
-        reported snapshot (:func:`~repro.cluster.merge.merge_snapshots`)."""
+        reported snapshot (:func:`~repro.cluster.merge.merge_snapshots`),
+        retired workers' included."""
         self._ping_round()
         worker_snaps = [worker.snapshot
                         for worker in list(self._core.workers.values())
                         if worker.snapshot]
-        return merge_snapshots([self.metrics.snapshot()] + worker_snaps)
+        return merge_snapshots([self.metrics.snapshot(),
+                                self._core.retired_snapshot] + worker_snaps)
 
     def trace(self) -> dict:
         """The merged journal: router-side serve/cluster rows plus every

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import socket
 import sys
 import threading
@@ -66,6 +67,9 @@ from .protocol import (ConnectionClosed, FrameTimeout, PROTOCOL_VERSION,
 
 #: Submits a worker executes at once.
 WORKER_THREADS = 2
+
+#: What a compile fingerprint looks like (a SHA-256 hex digest).
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
 class ClusterWorker:
@@ -270,16 +274,22 @@ class ClusterWorker:
                 attrs={"worker": self.worker_id,
                        "request_id": request_id})
             tracing.tracer().add_span(span)
+        key = header.get("key")
         try:
             # Options arrive pre-resolved (machine folded in, tuning swap
-            # applied) so the fingerprint here matches the router's and
-            # the shared disk cache key lines up.
+            # applied), and the header's key is the router's fingerprint
+            # of this very frame's program, params and options: the
+            # session compiles and caches under it without hashing the
+            # program again.  The key names the shared disk cache's
+            # file, so anything but a SHA-256 hex digest is recomputed.
             program, params, _machine, options = unpack_submit(header, blob)
             (result,) = self.executor.execute([InferenceRequest(
                 program=program, params=params, options=options,
                 simulate=header.get("simulate", True),
                 tag=header.get("tag", ""), name=name,
-                request_id=request_id, key=header.get("key"), span=span)])
+                request_id=request_id, span=span,
+                key=key if isinstance(key, str)
+                and _FINGERPRINT.fullmatch(key) else None)])
         except Exception as exc:   # an undecodable submit blob
             result = RequestResult(
                 request_id=request_id, name=name,

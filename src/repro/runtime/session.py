@@ -44,7 +44,7 @@ from ..sim.simulator import (
 )
 from ..sim.trace import recording_sink
 from .cache import MEMORY_HIT, MISS, CacheStats, CompileCache
-from .fingerprint import fingerprint
+from .fingerprint import CACHE_SCHEMA_VERSION, fingerprint
 from .trace import TraceRecorder
 
 
@@ -77,6 +77,13 @@ class CompileJob:
     #: not follow; the span rides the job across the boundary and is
     #: re-activated inside :meth:`CinnamonSession.run`.
     span: object = None
+    #: The compile fingerprint admission computed for ``(program,
+    #: params, options)`` (:meth:`repro.serve.lifecycle.RequestLifecycle.admit`,
+    #: or the authenticated ``submit`` header on a cluster worker).  The
+    #: session uses it as the cache key unless the job changes the layout
+    #: admitted: a ``machine`` (the degrade ladder's survivors),
+    #: ``emit_isa=False`` or a session with a non-default cache schema.
+    key: Optional[str] = None
 
     @property
     def label(self) -> str:
@@ -198,10 +205,17 @@ class CinnamonSession:
         return compiled
 
     def _compile(self, program, params, machine, options, emit_isa, job,
-                 overrides) -> Tuple[CompiledProgram, dict]:
+                 overrides, key: Optional[str] = None
+                 ) -> Tuple[CompiledProgram, dict]:
+        """``key``: the fingerprint admission computed for ``(program,
+        params, options)`` as given (see :attr:`CompileJob.key`); it is
+        recomputed when the call changes that layout."""
         opts = self._resolve_options(machine, options, overrides)
-        key = fingerprint(program, params, opts, emit_isa,
-                          schema_version=self.schema_version)
+        if key is None or machine is not None or overrides \
+                or not emit_isa \
+                or self.schema_version != CACHE_SCHEMA_VERSION:
+            key = fingerprint(program, params, opts, emit_isa,
+                              schema_version=self.schema_version)
         label = job or program.name
         tr = tracer()
         with tr.start_span(f"compile:{label}", kind="compile",
@@ -355,7 +369,7 @@ class CinnamonSession:
         with tracer().use_span(job.span):
             compiled, entry = self._compile(
                 job.program, job.params, job.machine, job.options,
-                job.emit_isa, job.label, {})
+                job.emit_isa, job.label, {}, key=job.key)
             result = None
             if job.simulate and job.emit_isa:
                 result = self.simulate(

@@ -198,7 +198,8 @@ class ShardExecutor:
                                    tag=r.tag, name=r.label,
                                    crash=armed.crash
                                    if armed is not None else None,
-                                   watchdog_s=self.watchdog_s, span=span)
+                                   watchdog_s=self.watchdog_s, span=span,
+                                   key=r.key)
                         for r, span in zip(pending, spans)]
                 # In order: the first job compiles and simulates, the
                 # rest of a same-key batch hit the cache and the memo.

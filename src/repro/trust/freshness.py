@@ -21,15 +21,27 @@ and ``max_nonces`` caps the set against a flood (when full, the entries
 issued earliest fall out *and* the window conservatively shrinks to what
 is still covered: an envelope issued at or before the newest forgotten
 issue time is stale — never accept what we can no longer vouch for).
+
+A check costs the same however many nonces are tracked.  A nonce
+expires at its check time plus the window, so while the clock moves
+forward the expired nonces are a prefix of the insertion order and
+pruning pops them off the front (amortised O(1)); a nonce checked after
+a clock step back expires before ones already tracked and waits in a
+heap instead (O(log n)).  Overflow pops the earliest-issued nonce off a
+second heap (O(log n)).  The queues drop their entries lazily and are
+rebuilt from the table once stale entries outnumber live ones, so they
+stay within a constant multiple of the table.
 """
 
 from __future__ import annotations
 
+import heapq
 import secrets
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .errors import ReplayError, StaleRequestError
 
@@ -99,8 +111,20 @@ class ReplayGuard:
         self.enforce_sequence = enforce_sequence
         self._clock = clock
         self._lock = threading.Lock()
-        # nonce -> (expiry, issued_unix): pruning bounds both at once.
-        self._nonces: Dict[str, Tuple[float, float]] = {}
+        # nonce -> (expiry, issued_unix, insertion number).  The number
+        # tells a live entry of the queues below from a stale one left
+        # by an earlier insertion of the same nonce.
+        self._nonces: Dict[str, Tuple[float, float, int]] = {}
+        self._inserted = 0
+        # (expiry, number, nonce) with expiries non-decreasing: the
+        # insertion order while the clock moves forward.  An entry that
+        # would break it (inserted after a clock step back) goes to the
+        # heap _late.
+        self._expiring: Deque[Tuple[float, int, str]] = deque()
+        self._late: List[Tuple[float, int, str]] = []
+        # (issued_unix, number, nonce): the overflow victim is its head;
+        # ties go to the earliest inserted.
+        self._by_issue: List[Tuple[float, int, str]] = []
         # Newest issue time evicted on overflow; at or before it the
         # nonce table no longer vouches for uniqueness.
         self._horizon = float("-inf")
@@ -118,7 +142,8 @@ class ReplayGuard:
             self.checked += 1
             self._prune(now)
             age = now - envelope.issued_unix
-            if age > self.window_s or age < -self.skew_s:
+            # Written so that a NaN timestamp is stale, not admitted.
+            if not -self.skew_s <= age <= self.window_s:
                 self.rejected["stale"] += 1
                 raise StaleRequestError(age, self.window_s)
             if envelope.nonce in self._nonces:
@@ -138,30 +163,66 @@ class ReplayGuard:
                                       nonce=envelope.nonce,
                                       sender=envelope.sender)
                 self._watermarks[envelope.sender] = envelope.seq
-            self._nonces[envelope.nonce] = (now + self.window_s,
-                                            envelope.issued_unix)
+            self._insert(envelope.nonce, now + self.window_s,
+                         envelope.issued_unix)
             if len(self._nonces) > self.max_nonces:
                 self._evict_oldest()
 
+    def _insert(self, nonce: str, expiry: float, issued: float) -> None:
+        self._inserted += 1
+        number = self._inserted
+        self._nonces[nonce] = (expiry, issued, number)
+        if not self._expiring or expiry >= self._expiring[-1][0]:
+            self._expiring.append((expiry, number, nonce))
+        else:
+            heapq.heappush(self._late, (expiry, number, nonce))
+        heapq.heappush(self._by_issue, (issued, number, nonce))
+        # Each live entry sits in two queues; rebuild once the stale
+        # ones outnumber them (amortised O(1) per insert).
+        if len(self._by_issue) + len(self._expiring) + len(self._late) \
+                > 4 * len(self._nonces) + 128:
+            self._rebuild_queues()
+
+    def _forget(self, number: int, nonce: str) -> Optional[float]:
+        """Drop ``nonce`` if its entry is insertion ``number``; returns
+        its issue time, or ``None`` for a stale queue entry."""
+        entry = self._nonces.get(nonce)
+        if entry is None or entry[2] != number:
+            return None
+        del self._nonces[nonce]
+        return entry[1]
+
     def _prune(self, now: float) -> None:
-        if len(self._nonces) < 64:
-            for nonce, (expiry, _issued) in list(self._nonces.items()):
-                if expiry <= now:
-                    del self._nonces[nonce]
-            return
-        # Larger sets: one pass, rebuilt dict (cheaper than del-in-loop).
-        self._nonces = {nonce: entry
-                        for nonce, entry in self._nonces.items()
-                        if entry[0] > now}
+        """Forget every nonce whose expiry is at or before ``now``."""
+        expiring, late = self._expiring, self._late
+        while expiring and expiring[0][0] <= now:
+            _expiry, number, nonce = expiring.popleft()
+            self._forget(number, nonce)
+        while late and late[0][0] <= now:
+            _expiry, number, nonce = heapq.heappop(late)
+            self._forget(number, nonce)
 
     def _evict_oldest(self) -> None:
         """Forget the earliest-issued nonces past ``max_nonces`` and
         raise the horizon over them."""
-        overflow = len(self._nonces) - self.max_nonces
-        evicted = sorted(self._nonces,
-                         key=lambda nonce: self._nonces[nonce][1])[:overflow]
-        for nonce in evicted:
-            self._horizon = max(self._horizon, self._nonces.pop(nonce)[1])
+        while len(self._nonces) > self.max_nonces:
+            _issued, number, nonce = heapq.heappop(self._by_issue)
+            issued = self._forget(number, nonce)
+            if issued is not None:
+                self._horizon = max(self._horizon, issued)
+
+    def _rebuild_queues(self) -> None:
+        """Rebuild the three queues from the live table (drops the
+        stale entries pruning and eviction left behind)."""
+        live = [(expiry, number, nonce) for nonce, (expiry, _issued, number)
+                in self._nonces.items()]
+        live.sort()
+        self._expiring = deque(live)
+        self._late = []
+        self._by_issue = [(issued, number, nonce)
+                          for nonce, (_expiry, issued, number)
+                          in self._nonces.items()]
+        heapq.heapify(self._by_issue)
 
     # ------------------------------------------------------------------ #
 

@@ -8,8 +8,8 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from repro.cluster.core import (SHUTDOWN_GRACE_S, Absorb, Close, Kill,
-                                Send, Wake)
+from repro.cluster.core import (DEAD_WORKERS_KEPT, SHUTDOWN_GRACE_S,
+                                Absorb, Close, Kill, Send, Spawn, Wake)
 from repro.cluster.protocol import pack_rows, pack_state
 from repro.serve import RequestStatus
 
@@ -95,6 +95,73 @@ class TestDecisions:
             == Send("w0", {"kind": "shutdown"})
         driver.lost("w0")
         assert driver.core.finished
+
+
+class TestRespawn:
+    """A worker that dies before its hello is respawned with a per-slot
+    backoff, and dead workers do not pile up in the core."""
+
+    HEARTBEAT_S = 0.5
+    #: At most this many spawns in 100 heartbeats (50 s) of a worker that
+    #: always dies at start-up: 1 s doubling to 30 s allows 6.  Without
+    #: a backoff it is one per heartbeat, 100.
+    MAX_SPAWNS = 8
+
+    def spawns(self, actions):
+        return [a.worker for a in actions if type(a) is Spawn]
+
+    def test_a_worker_dying_before_its_hello_backs_off(self):
+        driver = CoreDriver(target=1, spawn=True)
+        started = self.spawns(driver.tick())
+        total = len(started)
+        for _ in range(100):
+            # Every process started at the last heartbeat has exited.
+            started = self.spawns(driver.tick(self.HEARTBEAT_S, started))
+            total += len(started)
+        assert 1 <= total <= self.MAX_SPAWNS
+        assert len(driver.core.workers) <= DEAD_WORKERS_KEPT + 1
+
+    def test_a_hello_resets_the_backoff(self):
+        driver = CoreDriver(target=1, spawn=True)
+        started = self.spawns(driver.tick())
+        for _ in range(20):       # the slot is well into its backoff
+            started = self.spawns(driver.tick(self.HEARTBEAT_S, started))
+        while not started:
+            started = self.spawns(driver.tick(self.HEARTBEAT_S))
+        (worker_id,) = started
+        assert driver.core.worker_up(worker_id, 4242, driver.now)
+        driver.lost(worker_id)    # a live worker's death: respawn at once
+        started = self.spawns(driver.tick(self.HEARTBEAT_S))
+        assert len(started) == 1
+        # Its successor dies at start-up: one base backoff (1 s), not
+        # the 30 s the slot had reached before the hello.
+        driver.tick(self.HEARTBEAT_S, started)
+        assert not self.spawns(driver.tick(self.HEARTBEAT_S))
+        assert len(self.spawns(driver.tick(self.HEARTBEAT_S))) == 1
+
+    def test_retired_workers_keep_their_counts(self):
+        """Past :data:`DEAD_WORKERS_KEPT`, a dead worker leaves
+        ``workers`` and its cache counters and metrics fold into the
+        retired totals, so nothing it reported is lost."""
+        driver = CoreDriver(target=1, spawn=True)
+        state = pack_state(
+            {"c": {"type": "counter",
+                   "series": [{"labels": {}, "value": 1.0}]}},
+            {"misses": 1}, [])
+        deaths = 3 * DEAD_WORKERS_KEPT
+        for _ in range(deaths):
+            (worker_id,) = self.spawns(driver.tick(self.HEARTBEAT_S))
+            driver.core.worker_up(worker_id, 4242, driver.now)
+            driver.frame(worker_id, {"kind": "pong"}, state)
+            driver.lost(worker_id)
+        core = driver.core
+        assert len(core.workers) == DEAD_WORKERS_KEPT
+        kept = sum(w.cache["misses"] for w in core.workers.values())
+        assert core.retired_cache["misses"] + kept == deaths
+        assert core.retired_snapshot["c"]["series"][0]["value"] \
+            == deaths - DEAD_WORKERS_KEPT
+        # A late frame from a retired worker changes nothing.
+        assert driver.frame("w0", {"kind": "pong"}, state) == []
 
 
 class RouterMachine(RuleBasedStateMachine):
@@ -320,6 +387,10 @@ class RouterMachine(RuleBasedStateMachine):
             == self._ids(live=True)
         assert not any(w.live and w.dead
                        for w in self.core.workers.values())
+
+    @invariant()
+    def workers_are_bounded(self):
+        assert len(self.core.workers) <= DEAD_WORKERS_KEPT + self.core.target
 
     @invariant()
     def nothing_outstanding_once_finished(self):
