@@ -564,3 +564,52 @@ void repro_mulmod_rows(uint64_t *restrict out, const uint64_t *restrict a,
         }
     }
 }
+
+/* Rescale: divide each of `count` evaluation-domain stacks (stack c at
+ * stacks[c], `limbs` rows over the basis whose NTT table rows are rows[])
+ * by its last prime q, rounding, into the limbs - 1 rows of out[c]:
+ *
+ *   out_j = (a_j - NTT_j(centered(INTT_q(a_last)) mod q_j)) * inv[j] mod q_j
+ *
+ * pm holds the [p, Barrett m] rows of the first limbs - 1 primes and inv[j]
+ * is q^-1 mod q_j.  The centering is vrsv's (group_row, OP_RSV), the
+ * transforms are the narrow or wide loops per prime, and every value is
+ * canonical, so the result is the numpy composition's bit for bit.
+ * Returns 0, or -1 when out of memory. */
+long repro_rescale(const uint64_t *const *stacks, long count, long limbs,
+                   long n, uint64_t *out, const int64_t *rows,
+                   const uint64_t *psi, const uint64_t *psi_sh,
+                   const uint64_t *ipsi, const uint64_t *ipsi_sh,
+                   const uint64_t *tp, const uint64_t *n_inv,
+                   const uint64_t *n_inv_sh, const uint64_t *pm,
+                   const uint64_t *inv) {
+    uint64_t *last = malloc(sizeof(uint64_t) * n);
+    if (!last)
+        return -1;
+    const long r = rows[limbs - 1];
+    const uint64_t q = tp[r];
+    const int32_t first = 0;
+    for (long c = 0; c < count; ++c) {
+        const uint64_t *a = stacks[c];
+        for (long k = 0; k < n; ++k)
+            last[k] = a[(limbs - 1) * n + k];
+        (q < WIDE_PRIME ? intt_limb : intt_limb_wide)(
+            last, n, ipsi + r * n, ipsi_sh + r * n, q, n_inv[r], n_inv_sh[r]);
+        for (long j = 0; j < limbs - 1; ++j) {
+            const long rj = rows[j];
+            const uint64_t p = pm[2 * j], m = pm[2 * j + 1], s = inv[j];
+            const uint64_t *x = a + j * n;
+            uint64_t *restrict o = out + (c * (limbs - 1) + j) * n;
+            group_row(OP_RSV, o, last, n, &first, 1, 1, p, m, &q);
+            (p < WIDE_PRIME ? ntt_limb : ntt_limb_wide)(
+                o, n, psi + rj * n, psi_sh + rj * n, p);
+            for (long k = 0; k < n; ++k) {
+                uint64_t d = x[k] + p - o[k];
+                d = umin(d, d - p);
+                o[k] = red(d * s, p, m);
+            }
+        }
+    }
+    free(last);
+    return 0;
+}

@@ -18,12 +18,14 @@ shifts to Galois elements.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+import math
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from .modmath import UINT
 from .params import CKKSParams
-from .polynomial import COEFF, RnsPolynomial
+from .polynomial import COEFF, EVAL, RnsPolynomial
 from .rns import crt_reconstruct, integers_to_rns
 
 _GEOM_CACHE: Dict[int, "SlotGeometry"] = {}
@@ -150,9 +152,43 @@ class CKKSEncoder:
         return slots
 
     def encode_constant(self, value: complex, scale: float = None, level: int = None) -> Plaintext:
-        """Encode a constant replicated across all slots."""
-        full = np.full(self.geometry.slot_count, value, dtype=np.complex128)
-        return self.encode(full, scale=scale, level=level)
+        """Encode a constant replicated across all slots.
+
+        A real constant is the degree-0 polynomial ``round(value * scale)``,
+        so every NTT slot of limb ``j`` holds that integer mod ``q_j``
+        (:meth:`constant_column`): no embedding, no transform, and the same
+        plaintext :meth:`encode` of the full slot vector gives.  A complex
+        or non-finite constant goes through :meth:`encode`.
+        """
+        scale = self.params.scale if scale is None else scale
+        level = self.params.max_level if level is None else level
+        column = self.constant_column(value, scale, level)
+        if column is None:
+            full = np.full(self.geometry.slot_count, value, dtype=np.complex128)
+            return self.encode(full, scale=scale, level=level)
+        data = np.repeat(column, self.geometry.ring_degree, axis=1)
+        return Plaintext(
+            RnsPolynomial(self.params.basis_at_level(level), data, EVAL), scale)
+
+    def constant_column(self, value: complex, scale: float,
+                        level: int) -> Optional[np.ndarray]:
+        """The ``(level, 1)`` uint64 residues of a real constant's plaintext
+        (each limb's NTT slots all hold ``round(value * scale) mod q_j``), or
+        None for a complex or non-finite one.
+
+        The inverse embedding of ``np.full(slots, value)`` puts all of the
+        scaled value in coefficient 0, exactly: every spectrum entry is
+        ``value * scale``, so the power-of-two FFT sums equal floats and
+        its other outputs are exact zeros.  Rounding to a Python int keeps
+        the residues exact at any scale, ``2**62`` and above too.
+        """
+        value = complex(value)
+        scaled = value.real * float(scale)
+        if value.imag != 0 or not math.isfinite(scaled):
+            return None
+        integer = round(scaled)
+        return np.array([integer % q for q in self.params.basis_at_level(level)],
+                        dtype=UINT)[:, None]
 
     def rotate_reference(self, values: Sequence[complex], rotation: int) -> np.ndarray:
         """Plaintext oracle for slot rotation (left shift by ``rotation``)."""

@@ -23,10 +23,8 @@ from .encoding import (
 from .keys import KeyChain
 from . import kernels as _kernels
 from .keyswitch import hoisted_decompose, keyswitch, evalkey_accumulate, moddown_poly
-from .modmath import centered, mod_inv
 from .params import CKKSParams
 from .polynomial import EVAL, RnsPolynomial
-from .rns import integers_to_rns
 
 # Scale drift tolerance for additions.  Chain primes sit within ~2**-12 of
 # the nominal scale, so each rescale drifts the scale by ~2.4e-4; treating
@@ -161,9 +159,31 @@ class Evaluator:
         ct = ct.at_level(level + 1)
         q = self.params.moduli[level]
         pt_scale = target_scale * q / ct.scale
-        one = self.encoder.encode_constant(1.0, scale=pt_scale, level=level + 1)
-        out = Ciphertext([p * one.poly for p in ct.polys], ct.scale * pt_scale)
+        one = self._constant(1.0, pt_scale, level + 1)
+        out = Ciphertext(self._times(ct.polys, one), ct.scale * pt_scale)
         return self.rescale(out)
+
+    def _constant(self, value: complex, scale: float, level: int) -> np.ndarray:
+        """A constant's plaintext residues at ``level``: the ``(level, 1)``
+        column of a real one (:meth:`CKKSEncoder.constant_column`), else
+        the full stack :meth:`CKKSEncoder.encode_constant` builds, its
+        errors included."""
+        column = self.encoder.constant_column(value, scale, level)
+        if column is None:
+            column = self.encoder.encode_constant(
+                value, scale=scale, level=level).poly.data
+        return column
+
+    @staticmethod
+    def _times(polys, residues: np.ndarray):
+        """Each polynomial times a constant's residues (a column or a
+        stack), in the evaluation domain: one pointwise product each."""
+        out = []
+        for poly in polys:
+            poly = poly.to_eval()
+            data = _kernels.pointwise_mulmod(poly.data, residues, poly.basis)
+            out.append(RnsPolynomial._derived(poly.basis, data, EVAL))
+        return out
 
     def _align(self, a: Ciphertext, b: Ciphertext, check_scale: bool = True):
         level = min(a.level, b.level)
@@ -222,15 +242,26 @@ class Evaluator:
         return Ciphertext(polys, a.scale)
 
     def add_scalar(self, a: Ciphertext, value: complex) -> Ciphertext:
-        pt = self.encoder.encode_constant(value, scale=a.scale, level=a.level)
-        return self.add_plain(a, pt)
+        """Add a constant to every slot: one pointwise sum with its
+        residues, encoded at ``a``'s scale and level."""
+        residues = self._constant(value, a.scale, a.level)
+        c0 = a.polys[0].to_eval()
+        first = RnsPolynomial._derived(c0.basis, _kernels.pointwise_addmod(
+            c0.data, residues, c0.basis), EVAL)
+        return Ciphertext([first] + [p.copy() for p in a.polys[1:]], a.scale)
 
     def mul_plain(self, a: Ciphertext, pt: Plaintext, rescale: bool = True) -> Ciphertext:
         level = min(a.level, pt.level)
         a = a.at_level(level)
         poly = pt.poly.drop_limbs(level)
-        polys = [p * poly for p in a.polys]
-        out = Ciphertext(polys, a.scale * pt.scale)
+        return self._scaled_by(a, [p * poly for p in a.polys], pt.scale,
+                               rescale)
+
+    def _scaled_by(self, a: Ciphertext, polys, scale: float,
+                   rescale: bool) -> Ciphertext:
+        """``a``'s polynomials times a plaintext at ``scale``, rescaled
+        (and tracked) when asked."""
+        out = Ciphertext(polys, a.scale * scale)
         if not rescale:
             return out
         estimate = (self._estimator.mul_plain(self.noise_of(a))
@@ -271,15 +302,19 @@ class Evaluator:
         return self.mul_plain(a, pt, rescale=rescale)
 
     def mul_scalar(self, a: Ciphertext, value: complex, rescale: bool = True) -> Ciphertext:
-        if rescale:
-            pt = self.encoder.encode_constant(
-                value, scale=self._invariant_plain_scale(a), level=a.level
-            )
-        else:
-            pt = self.encoder.encode_constant(
-                value, scale=self.params.scale_at_level(a.level), level=a.level
-            )
-        return self.mul_plain(a, pt, rescale=rescale)
+        """Multiply every slot by a constant, on the scale invariant.
+
+        A real constant is one residue per limb
+        (:meth:`CKKSEncoder.constant_column`), so the product is one
+        pointwise multiply by an ``(L, 1)`` column per polynomial — no
+        embedding, no NTT — and equals :meth:`mul_plain` by
+        :meth:`CKKSEncoder.encode_constant` bit for bit.
+        """
+        scale = (self._invariant_plain_scale(a) if rescale
+                 else self.params.scale_at_level(a.level))
+        residues = self._constant(value, scale, a.level)
+        return self._scaled_by(a, self._times(a.polys, residues), scale,
+                               rescale)
 
     # ------------------------------------------------------------------ #
     # Multiplication
@@ -338,31 +373,17 @@ class Evaluator:
 
         RNS rescale: for each remaining limb ``j``,
         ``c'_j = (c_j - [c]_{q_last}) * q_last^{-1} mod q_j`` with the
-        centered representative of the last limb.
+        centered representative of the last limb.  Every polynomial of
+        ``ct`` goes through one :func:`repro.fhe.kernels.rescale` call.
         """
         if ct.level <= 1:
             raise ValueError("cannot rescale a level-1 ciphertext")
         basis = ct.basis
         q_last = basis[-1]
         new_basis = basis[:-1]
-        new_polys = []
-        inv_col = np.array(
-            [mod_inv(q_last % q, q) for q in new_basis], dtype=np.uint64
-        )[:, None]
-        for poly in ct.polys:
-            poly = poly.to_eval()
-            last_coeff = poly.drop_limbs(ct.level).select_limbs([ct.level - 1])
-            last_centered = centered(last_coeff.to_coeff().data[0], q_last)
-            # One batched NTT of the correction term across all remaining
-            # limbs, then stack-wide subtract and per-limb inverse scale.
-            correction = _kernels.ntt_batch(
-                integers_to_rns(last_centered, new_basis), new_basis
-            )
-            diff = _kernels.pointwise_submod(
-                poly.data[: len(new_basis)], correction, new_basis
-            )
-            data = _kernels.pointwise_mulmod(diff, inv_col, new_basis)
-            new_polys.append(RnsPolynomial._derived(new_basis, data, EVAL))
+        data = _kernels.rescale([p.to_eval().data for p in ct.polys], basis)
+        new_polys = [RnsPolynomial._derived(new_basis, stack, EVAL)
+                     for stack in data]
         out = Ciphertext(new_polys, ct.scale / q_last)
         if self._estimator is not None and getattr(ct, "noise", None) is not None:
             # Bare rescales of tracked values propagate; the composite

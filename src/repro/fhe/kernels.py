@@ -1,9 +1,10 @@
 """The FHE limb-stack kernels: whole ``(L, N)`` stacks per call.
 
 Every expensive primitive — NTT/INTT, pointwise modular multiplication,
-the ISA emulator's pointwise instruction groups, base conversion and
-mod-up / mod-down — has its one entry point here.  The NTTs, the
-pointwise product, the instruction groups and base conversion run the C
+the ISA emulator's pointwise instruction groups, base conversion,
+mod-up / mod-down and the rescale — has its one entry point here.  The
+NTTs, the pointwise product, the instruction groups, base conversion and
+the rescale run the C
 loops of :mod:`repro.fhe.native` when that library builds, and the numpy
 code below otherwise; both are bit-identical to the per-limb references
 (:func:`repro.fhe.ntt.ntt_reference`,
@@ -49,9 +50,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modmath import MAX_PRIME_BITS, UINT, mod_inv, scratch_buffer
+from .modmath import MAX_PRIME_BITS, UINT, centered, mod_inv, scratch_buffer
 from .ntt import get_tables
-from .rns import basis_product, get_conversion_plan
+from .rns import basis_product, get_conversion_plan, integers_to_rns
 
 PrimeTuple = Tuple[int, ...]
 
@@ -815,6 +816,57 @@ def mod_down(limbs: np.ndarray, base: Sequence[int],
     approx = base_convert(limbs[n_base:], key[1], key[0])
     diff = pointwise_submod(limbs[:n_base], approx, key[0])
     return pointwise_mulmod(diff, plan.p_inv, key[0])
+
+
+class RescalePlan:
+    """Constants of a rescale by the last prime of ``basis``: the
+    ``q_last^-1 mod q_j`` column of the primes that remain."""
+
+    def __init__(self, basis: PrimeTuple):
+        q_last = basis[-1]
+        self.basis = basis
+        self.inv = np.array([mod_inv(q_last % q, q) for q in basis[:-1]],
+                            dtype=UINT)[:, None]
+
+
+_RESCALE_PLAN_CACHE: Dict[PrimeTuple, RescalePlan] = {}
+
+
+def rescale(stacks: Sequence[np.ndarray], basis: Sequence[int]) -> np.ndarray:
+    """Divide evaluation-domain stacks by the last prime of ``basis``.
+
+    For each ``(L, N)`` stack (a ciphertext's polynomials) and each
+    remaining limb ``j``: ``(a_j - [a_last]_{q_j}) * q_last^-1 mod q_j``,
+    with ``a_last`` brought to the coefficient domain and taken as its
+    centered representative.  Returns the ``(len(stacks), L - 1, N)``
+    results: one C call for every stack when the library loads, else the
+    same composition of the kernels above, stack by stack.
+    """
+    key = basis if type(basis) is tuple else tuple(int(q) for q in basis)
+    if len(key) < 2:
+        raise ValueError("cannot rescale a single-limb basis")
+    plan = _RESCALE_PLAN_CACHE.get(key)
+    if plan is None:
+        plan = _RESCALE_PLAN_CACHE[key] = RescalePlan(key)
+    stacks = [np.asarray(stack, dtype=UINT) for stack in stacks]
+    if not stacks or len({stack.shape for stack in stacks}) != 1:
+        raise ValueError("need one or more stacks of one shape")
+    _check_named(len(stacks[0]), len(key))
+    lib = native.load_library()
+    if lib is not None and max(key) < MAX_BATCHED_PRIME:
+        return native._rescale(lib, stacks, plan)
+    return np.stack([_rescale_stack(stack, plan) for stack in stacks])
+
+
+def _rescale_stack(stack: np.ndarray, plan: RescalePlan) -> np.ndarray:
+    """One stack's rescale from the entry points above: INTT of the last
+    limb, its centered residues NTT'd into every remaining limb, then a
+    subtract and the ``q_last^-1`` column."""
+    basis, q_last = plan.basis[:-1], plan.basis[-1]
+    last = centered(intt_batch(stack[-1:], plan.basis[-1:])[0], q_last)
+    correction = ntt_batch(integers_to_rns(last, basis), basis)
+    diff = pointwise_submod(stack[:-1], correction, basis)
+    return pointwise_mulmod(diff, plan.inv, basis)
 
 
 def get_backend() -> SimpleNamespace:

@@ -15,6 +15,9 @@ compute, write), ``pointwise_mulmod`` and base conversion (a
 ``pointwise_mulmod`` and one ``bcv`` group) — reduce with one Barrett step
 ``red(z)`` that equals ``z % p`` for every uint64 ``z``, so they evaluate
 the numpy reference expressions verbatim, whatever operands arrive.
+``repro_rescale`` divides every polynomial of a ciphertext by its last
+prime in one call (:func:`_rescale`), from the same transforms and
+``vrsv``'s centering rule.
 
 ``repro_replay`` runs a whole ISA emulator schedule in one call: its
 groups, loads from the memory image's polynomials and stores, with the
@@ -81,6 +84,8 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.repro_issue_order.restype = ctypes.c_long
     lib.repro_issue_order.argtypes = ([size, address, size] + [address] * 8
                                       + [size] * 2 + [address] * 6)
+    lib.repro_rescale.restype = ctypes.c_long
+    lib.repro_rescale.argtypes = [address] + [size] * 3 + [address] * 11
     _smoke_test(lib)
 
 
@@ -237,6 +242,32 @@ def _base_convert(lib, limbs, plan) -> np.ndarray:
     return out
 
 
+def _rescale(lib, stacks, plan) -> np.ndarray:
+    """A :class:`repro.fhe.kernels.RescalePlan`'s rescale of every stack
+    in one call (``repro_rescale``).  The stacks share one ``(L, N)``
+    shape, a row per prime of the plan's basis, every prime below
+    ``2**31`` (:func:`repro.fhe.kernels.rescale` checks)."""
+    cached = getattr(plan, "native", None)
+    if cached is None:
+        cached = plan.native = (plan.inv.ctypes.data,
+                                _barrett(plan.basis[:-1])[1])
+    inv, pm = cached
+    stacks = [np.ascontiguousarray(stack, dtype=UINT) for stack in stacks]
+    limbs, n = stacks[0].shape
+    tables, rows = _kernels.plan_rows((limbs, n), plan.basis)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    addresses = np.array([stack.ctypes.data for stack in stacks],
+                         dtype=np.uintp)
+    out = np.empty((len(stacks), limbs - 1, n), dtype=UINT)
+    pointers = _table_pointers(tables)
+    if lib.repro_rescale(addresses.ctypes.data, len(stacks), limbs, n,
+                         out.ctypes.data, rows.ctypes.data,
+                         *pointers[:2], *pointers[3:5], pointers[2],
+                         *pointers[6:], pm, inv):
+        raise MemoryError("no memory for a rescale")
+    return out
+
+
 def _plan_constants(plan) -> tuple:
     """``(arrays, addresses)`` of a conversion plan's constants: its
     ``q_hat_inv`` column, its ``(sources, targets)`` block of operand
@@ -287,8 +318,9 @@ def _run(lib: ctypes.CDLL, stack: np.ndarray, tables, rows: np.ndarray,
 
 def _smoke_test(lib: ctypes.CDLL) -> None:
     """Refuse to register a miscompiled library: NTT round-trip vs
-    reference and every pointwise kernel vs the numpy expressions, on a
-    narrow and a wide prime, rows out of table order."""
+    reference, every pointwise kernel vs the numpy expressions and the
+    rescale vs the reference transforms, on a narrow and a wide prime,
+    rows out of table order."""
     from .ntt import intt_reference, ntt_reference
     from .primes import generate_primes
 
@@ -345,6 +377,22 @@ def _smoke_test(lib: ctypes.CDLL) -> None:
                           constants)
         if not np.array_equal(got, want):
             raise RuntimeError(f"limb group {op!r} smoke test mismatch")
+
+    # Rescale two stacks by a wide and by a narrow last prime.
+    for basis in (primes, primes[::-1]):
+        stacks = rng.integers(0, np.array(basis, dtype=UINT)[:, None],
+                              size=(2, 2, n), dtype=UINT)
+        plan = _kernels.RescalePlan(basis)
+        q, p = basis[1], basis[0]
+        want = []
+        for stack in stacks:
+            last = intt_reference(stack[1], q).astype(np.int64)
+            last = np.where(last > q // 2, last - q, last)
+            correction = ntt_reference(np.mod(last, p).astype(UINT), p)
+            diff = (stack[0] + UINT(p) - correction) % UINT(p)
+            want.append([diff * plan.inv[0] % UINT(p)])
+        if not np.array_equal(_rescale(lib, list(stacks), plan), want):
+            raise RuntimeError("rescale smoke test mismatch")
 
 
 _LIBRARY = NativeLibrary(_SOURCE, _configure)

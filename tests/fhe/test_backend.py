@@ -349,6 +349,81 @@ class TestIntegersToRns:
         assert seen == [list, np.ndarray]
 
 
+def reference_rescale(stack, basis):
+    """The evaluator's per-polynomial rescale before ``kernels.rescale``,
+    on the per-limb reference transforms: INTT of the last limb, its
+    centered residues NTT'd into each remaining limb, a subtract and a
+    multiply by ``q_last^-1``."""
+    q_last = int(basis[-1])
+    last = intt_reference(stack[-1], q_last).astype(np.int64)
+    last = np.where(last > q_last // 2, last - q_last, last)
+    rows = []
+    for j, q in enumerate(int(q) for q in basis[:-1]):
+        correction = ntt_reference(np.mod(last, q).astype(np.uint64), q)
+        diff = (stack[j] + np.uint64(q) - correction) % np.uint64(q)
+        rows.append(diff * np.uint64(pow(q_last, -1, q)) % np.uint64(q))
+    return np.stack(rows)
+
+
+#: Prime chains to rescale down, by ring degree: every butterfly class.
+RESCALE_CHAINS = {
+    "narrow": lambda n: generate_primes(6, 28, n),
+    "wide": lambda n: _wide(6, n),
+    "make_params": lambda n: make_params(ring_degree=n, levels=6,
+                                         prime_bits=28,
+                                         num_digits=3).moduli,
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_PATHS)
+class TestRescaleOracle:
+    """``kernels.rescale`` divides every polynomial of a ciphertext by the
+    last prime in one call; both paths must equal the reference rescale
+    bit for bit, at every level, for degree-2 and degree-3 ciphertexts."""
+
+    @pytest.mark.parametrize("chain", sorted(RESCALE_CHAINS))
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_every_level_matches_reference(self, name, chain, degree):
+        n = 64
+        primes = tuple(RESCALE_CHAINS[chain](n))
+        for level in range(len(primes), 1, -1):
+            basis = primes[:level]
+            stacks = [seeded_stack(basis, n, seed=10 * level + k)
+                      for k in range(degree)]
+            with kernel_path(name):
+                got = kernels.rescale(stacks, basis)
+            assert got.shape == (degree, level - 1, n)
+            for out, stack in zip(got, stacks):
+                assert np.array_equal(out, reference_rescale(stack, basis))
+
+    def test_evaluator_rescale_is_the_kernel(self, name):
+        from repro.fhe import CKKSContext, Evaluator
+
+        params = make_params(ring_degree=64, levels=4, prime_bits=28,
+                             num_digits=2)
+        with kernel_path(name):
+            ctx = CKKSContext(params, seed=3)
+            ev = Evaluator(ctx)
+            ct = ctx.encrypt_values(np.linspace(-1, 1, params.slot_count))
+            raw = ev.mul_no_relin(ct, ct)
+            out = ev.rescale(raw)
+        assert out.level == raw.level - 1
+        for got, poly in zip(out.polys, raw.polys):
+            assert np.array_equal(got.data,
+                                  reference_rescale(poly.data, raw.basis))
+
+    def test_malformed_calls_are_refused(self, name):
+        basis = tuple(_narrow(3, 64))
+        stack = seeded_stack(basis, 64)
+        with kernel_path(name):
+            with pytest.raises(ValueError, match="single-limb"):
+                kernels.rescale([stack[:1]], basis[:1])
+            with pytest.raises(ValueError, match="4 limbs but 2 moduli"):
+                kernels.rescale([stack], basis[:2])
+            with pytest.raises(ValueError, match="one shape"):
+                kernels.rescale([stack, stack[:, :32]], basis)
+
+
 @pytest.mark.parametrize("name", KERNEL_PATHS)
 class TestNoPerLimbFallback:
     """Every basis ``make_params`` / ``nn_params`` builds carries a 31-bit

@@ -137,3 +137,94 @@ def test_property_encode_decode_within_tolerance(small_context, values):
     enc = small_context.encoder
     out = enc.decode(enc.encode(values), length=len(values))
     assert np.max(np.abs(out - np.array(values))) < 1e-3
+
+
+def _eval_mod_coefficients():
+    """The Chebyshev coefficients the bootstrap's EvalMod multiplies by."""
+    from repro.fhe.bootstrap import BootstrapConfig
+    from repro.fhe.polyeval import chebyshev_coefficients
+
+    config = BootstrapConfig()
+    k = config.eval_mod_interval
+    return chebyshev_coefficients(
+        lambda x: np.sin(2 * np.pi * x) / (2 * np.pi),
+        config.eval_mod_degree, interval=(-k, k)).tolist()
+
+
+class TestClosedFormConstant:
+    """A real constant is encoded without the embedding or an NTT
+    (``round(v * scale) mod q_j`` in every slot of limb ``j``); the
+    plaintext must be the one ``encode`` of the full slot vector builds,
+    bit for bit, at every scale — ``2**62`` and past it too."""
+
+    VALUES = [0.0, 1e-9, -1e-9, 0.37, -0.37, 1.0, -1.0, 12.5, -12.5,
+              -1 / (2 * np.pi)]
+
+    @staticmethod
+    def _full(enc, value, scale, level):
+        slots = np.full(enc.geometry.slot_count, value, dtype=np.complex128)
+        return enc.encode(slots, scale=scale, level=level)
+
+    @pytest.mark.parametrize("where", ["bottom", "middle", "top"])
+    def test_equals_encode_of_the_full_vector(self, small_context, where):
+        enc, params = small_context.encoder, small_context.params
+        level = {"bottom": 1, "middle": params.max_level // 2,
+                 "top": params.max_level}[where]
+        scales = [2.0 ** 20, 2.0 ** 28, 2.0 ** 40,
+                  params.scale_at_level(level),
+                  params.scale_at_level(level) ** 2, 2.0 ** 60, 2.0 ** 64]
+        assert max(scales) * 12.5 >= 2 ** 62
+        mismatches = []
+        for value in self.VALUES + _eval_mod_coefficients():
+            for scale in scales:
+                got = enc.encode_constant(value, scale=scale, level=level)
+                want = self._full(enc, value, scale, level)
+                if not (got.poly.equals(want.poly)
+                        and got.scale == want.scale):
+                    mismatches.append((value, scale))
+        assert mismatches == []
+
+    def test_random_values_and_scales(self, small_context):
+        enc, params = small_context.encoder, small_context.params
+        rng = np.random.default_rng(49)
+        values = rng.uniform(-20, 20, 300) * 10.0 ** rng.integers(-6, 1, 300)
+        scales = 2.0 ** rng.uniform(10, 40, 300)
+        levels = rng.integers(1, params.max_level + 1, 300)
+        for value, scale, level in zip(values, scales, levels.tolist()):
+            got = enc.encode_constant(value, scale=scale, level=level)
+            assert got.poly.equals(self._full(enc, value, scale, level).poly)
+
+    def test_half_way_ties_round_as_encode_does(self, small_context):
+        enc = small_context.encoder
+        for k in range(-40, 40):
+            value = (k + 0.5) / 2 ** 20
+            got = enc.encode_constant(value, scale=2.0 ** 20, level=3)
+            assert got.poly.equals(self._full(enc, value, 2.0 ** 20, 3).poly)
+
+    def test_column_is_every_slot(self, small_context):
+        enc = small_context.encoder
+        column = enc.constant_column(-0.37, 2.0 ** 30, 3)
+        assert column.shape == (3, 1) and column.dtype == np.uint64
+        pt = enc.encode_constant(-0.37, scale=2.0 ** 30, level=3)
+        assert np.array_equal(pt.poly.data,
+                              np.broadcast_to(column, pt.poly.data.shape))
+
+    @pytest.mark.parametrize("value", [0.5 + 0.25j, -1j])
+    def test_complex_constant_takes_the_embedding(self, small_context,
+                                                  value):
+        enc = small_context.encoder
+        assert enc.constant_column(value, 2.0 ** 30, 4) is None
+        got = enc.encode_constant(value, scale=2.0 ** 30, level=4)
+        assert got.poly.equals(self._full(enc, value, 2.0 ** 30, 4).poly)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     complex(0, np.nan)])
+    def test_non_finite_constant_raises_as_encode_does(self, small_context,
+                                                       bad):
+        enc = small_context.encoder
+        assert enc.constant_column(bad, 2.0 ** 30, 4) is None
+        with pytest.raises(ValueError) as want:
+            self._full(enc, bad, 2.0 ** 30, 4)
+        with pytest.raises(ValueError) as got:
+            enc.encode_constant(bad, scale=2.0 ** 30, level=4)
+        assert str(got.value) == str(want.value)

@@ -230,3 +230,57 @@ class TestMatchLevel:
         ct = small_context.encrypt_values([1.0], level=2)
         with pytest.raises(ValueError):
             small_evaluator.match_level(ct, 5)
+
+
+class TestConstantsAsColumns:
+    """``mul_scalar``, ``add_scalar`` and ``match_level`` multiply or add
+    a real constant's residue column; each must equal the same op on the
+    full plaintext ``encode`` builds for the constant slot vector."""
+
+    @staticmethod
+    def _plain(ctx, value, scale, level):
+        slots = np.full(ctx.params.slot_count, value, dtype=np.complex128)
+        return ctx.encoder.encode(slots, scale=scale, level=level)
+
+    @staticmethod
+    def _same(got, want):
+        return (got.scale == want.scale and len(got.polys) == len(want.polys)
+                and all(g.equals(w) for g, w in zip(got.polys, want.polys)))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, 0.37, -1 / (2 * np.pi)])
+    @pytest.mark.parametrize("rescale", [True, False])
+    def test_mul_scalar(self, small_context, small_evaluator, rng, value,
+                        rescale):
+        ev, params = small_evaluator, small_context.params
+        ct = small_context.encrypt_values(_vec(rng, params.slot_count))
+        scale = (ev._invariant_plain_scale(ct) if rescale
+                 else params.scale_at_level(ct.level))
+        want = ev.mul_plain(ct, self._plain(small_context, value, scale,
+                                            ct.level), rescale=rescale)
+        assert self._same(ev.mul_scalar(ct, value, rescale=rescale), want)
+
+    @pytest.mark.parametrize("value", [-1.0, 12.5, 1e-9])
+    def test_add_scalar(self, small_context, small_evaluator, rng, value):
+        ev, params = small_evaluator, small_context.params
+        ct = small_context.encrypt_values(_vec(rng, params.slot_count))
+        want = ev.add_plain(ct, self._plain(small_context, value, ct.scale,
+                                            ct.level))
+        assert self._same(ev.add_scalar(ct, value), want)
+
+    def test_match_level(self, small_context, small_evaluator, rng):
+        ev, params = small_evaluator, small_context.params
+        ct = small_context.encrypt_values(_vec(rng, params.slot_count))
+        level, target = 3, params.scale_at_level(3) * 1.001
+        raised = ct.at_level(level + 1)
+        pt_scale = target * params.moduli[level] / raised.scale
+        one = self._plain(small_context, 1.0, pt_scale, level + 1)
+        want = ev.rescale(ev.mul_plain(raised, one, rescale=False))
+        assert self._same(ev.match_level(ct, level, target), want)
+
+    def test_complex_scalar_still_multiplies(self, small_context,
+                                             small_evaluator, rng):
+        ev, params = small_evaluator, small_context.params
+        a = _vec(rng, params.slot_count)
+        ct = small_context.encrypt_values(a)
+        out = small_context.decrypt_values(ev.mul_scalar(ct, 0.5j))
+        assert np.max(np.abs(out - 0.5j * a)) < TOL
