@@ -3,9 +3,8 @@
  * Built on demand by repro.fhe.native with the system C compiler and
  * loaded via ctypes; see that module for the ABI.
  *
- * NTT.  The arithmetic is the same Shoup-multiplication / Harvey-lazy-
- * reduction scheme as the numpy-batched kernels in repro.fhe.kernels, so
- * outputs are canonical residues bit-identical to the per-limb reference:
+ * NTT.  Shoup multiplication with Harvey's lazy reduction; outputs are
+ * canonical residues bit-identical to the per-limb reference:
  *
  *   w_sh = floor(w * 2^32 / p),  q = (v * w_sh) >> 32,
  *   s = v*w - q*p  in [0, 2p)         (requires v < 2^32)

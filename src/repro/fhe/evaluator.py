@@ -239,7 +239,9 @@ class Evaluator:
         if not math.isclose(a.scale, pt.scale, rel_tol=_SCALE_RTOL):
             raise ValueError("plaintext scale must match ciphertext scale")
         polys = [a.polys[0] + poly] + [p.copy() for p in a.polys[1:]]
-        return Ciphertext(polys, a.scale)
+        out = Ciphertext(polys, a.scale)
+        out.noise = a.noise
+        return out
 
     def add_scalar(self, a: Ciphertext, value: complex) -> Ciphertext:
         """Add a constant to every slot: one pointwise sum with its
@@ -248,7 +250,9 @@ class Evaluator:
         c0 = a.polys[0].to_eval()
         first = RnsPolynomial._derived(c0.basis, _kernels.pointwise_addmod(
             c0.data, residues, c0.basis), EVAL)
-        return Ciphertext([first] + [p.copy() for p in a.polys[1:]], a.scale)
+        out = Ciphertext([first] + [p.copy() for p in a.polys[1:]], a.scale)
+        out.noise = a.noise
+        return out
 
     def mul_plain(self, a: Ciphertext, pt: Plaintext, rescale: bool = True) -> Ciphertext:
         level = min(a.level, pt.level)

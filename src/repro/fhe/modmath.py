@@ -24,8 +24,8 @@ _SCRATCH = threading.local()
 def scratch_buffer(name: str, size: int) -> np.ndarray:
     """A reusable flat ``uint64`` scratch array of at least ``size`` elements.
 
-    Buffers are keyed by ``name`` and grow monotonically, so hot kernels
-    (the NTT butterflies, the simulator) avoid per-call allocation churn.
+    Buffers are keyed by ``name`` and grow monotonically, so the per-limb
+    reference NTTs avoid per-call allocation churn.
     They are thread-local: each serving shard gets its own set.  Callers
     slice and ``reshape`` the returned array; contents are undefined.
     """

@@ -1,14 +1,12 @@
 """The C half of the FHE kernels, compiled on demand.
 
-The butterfly loops in :mod:`repro.fhe.kernels` are one numpy op per stage
-across the whole limb stack — portable, but each stage streams the stack
-through memory several times.  ``_native.c`` implements the same
-Shoup/Harvey arithmetic as tight C loops that keep one limb cache-resident
-per transform; on a single core with auto-vectorization this is ~10x the
-per-limb reference loop and ~5x the numpy kernels at (L=24, N=8192).
-Tables are the per-unique-prime rows of :class:`repro.fhe.kernels.NttPlan`;
-a call passes one table-row index per limb, and the C side picks the
-narrow (``p < 2**30``) or wide butterfly per limb.
+``_native.c`` runs the NTTs as Shoup/Harvey lazy butterflies in tight C
+loops that keep one limb cache-resident per transform; on a single core
+with auto-vectorization this is ~12x the per-limb reference loop at
+(L=24, N=8192).  Tables are the per-unique-prime rows of
+:class:`repro.fhe.kernels.NttPlan`; a call passes one table-row index per
+limb, and the C side picks the narrow (``p < 2**30``) or wide butterfly
+per limb.
 
 The pointwise primitives — one ISA emulator group per call (gather,
 compute, write), ``pointwise_mulmod`` and base conversion (a
@@ -35,14 +33,14 @@ wrapper converts only the arrays that change between calls.
 
 :mod:`repro.fhe.kernels` is the one entry point of the rest: its NTTs,
 pointwise product, instruction groups and base conversion call the
-wrappers here when :func:`load_library` returns a library, and run their
-numpy code otherwise.  The library is built lazily by
-:class:`repro.cbuild.NativeLibrary` (the system C compiler; objects keyed
-by a hash of the C source, so stale ones are never reused), on first use,
-never on ``import repro``.  If no compiler is present, compilation fails,
-or the built library does not reproduce the reference kernels bit for bit
-on a smoke test, :func:`load_library` returns None and
-:func:`build_error` says why.
+wrappers here when :func:`load_library` returns a library, and run the
+per-limb references or their numpy expressions otherwise.  The library is
+built lazily by :class:`repro.cbuild.NativeLibrary` (the system C
+compiler; objects keyed by a hash of the C source, so stale ones are
+never reused), on first use, never on ``import repro``.  If no compiler
+is present, compilation fails, or the built library does not reproduce
+the reference kernels bit for bit on a smoke test, :func:`load_library`
+returns None and :func:`build_error` says why.
 """
 
 from __future__ import annotations
@@ -226,9 +224,9 @@ def _issue_order(lib, kind_of, kind_code, kind_dest, width, ptr, producer,
 
 def _base_convert(lib, limbs, plan) -> np.ndarray:
     """A supported :class:`repro.fhe.kernels.BatchedConversionPlan`'s
-    conversion on the C kernels: the limbs scaled by ``q_hat_inv``, then
-    one ``bcv`` group with a row per target prime.  ``limbs`` has a row
-    per source prime (:func:`repro.fhe.kernels.base_convert` checks)."""
+    conversion: the limbs scaled by ``q_hat_inv``, then one ``bcv`` group
+    with a row per target prime.  ``limbs`` has a row per source prime
+    (:func:`repro.fhe.kernels.base_convert` checks)."""
     held, (q_hat_inv, rows, target_pm, factors) = _plan_constants(plan)
     limbs = np.ascontiguousarray(limbs, dtype=UINT)
     arity, n = limbs.shape

@@ -1,11 +1,13 @@
 """Golden parity of the two kernel paths.
 
 :mod:`repro.fhe.kernels` runs the C loops of :mod:`repro.fhe.native` when
-that library builds and its numpy code otherwise.  Both must produce
-*bit-identical* limbs to the per-limb reference kernels — they are
-alternative evaluation strategies, never alternative semantics — and
-refuse the same malformed calls.  Every test here runs on both paths
-(``tests/kernel_paths.py``; the C leg skips without a C toolchain).
+that library builds, and the per-limb references and numpy expressions
+otherwise.  Both must produce *bit-identical* limbs to the per-limb
+reference kernels — they are alternative evaluation strategies, never
+alternative semantics — and refuse the same malformed calls.  The tests
+here run on both paths (``tests/kernel_paths.py``; the C leg skips
+without a C toolchain), except ``TestNoPerLimbFallback``, which checks
+that the C path never reaches the per-limb loop.
 """
 
 import numpy as np
@@ -115,11 +117,12 @@ class TestGoldenParity:
             got = kernels.base_convert(stack, source, target)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("sources,targets", [(6, 18), (6, 8), (4, 14)])
-    def test_base_convert_at_bootstrap_shapes(self, name, sources, targets,
-                                              monkeypatch):
+    @pytest.mark.parametrize("sources,targets",
+                             [(6, 18), (6, 8), (4, 14), (70, 4)])
+    def test_base_convert_at_bootstrap_shapes(self, name, sources, targets):
         """The bootstrap's mod-up / mod-down shapes, 28- and 31-bit primes
-        on both sides; the C path never reaches the float64 GEMMs."""
+        on both sides, and a conversion from more than 64 source limbs,
+        which the C ``bcv`` group sums like any other."""
         from repro.fhe.rns import get_conversion_plan
 
         n = 256
@@ -131,11 +134,11 @@ class TestGoldenParity:
         target = [primes[i] for i in order[sources:]]
         stack = seeded_stack(source, n, seed=sources + targets)
         want = get_conversion_plan(source, target).convert(stack)
-        if name == "native":
-            monkeypatch.setattr(kernels.BatchedConversionPlan, "convert",
-                                None)
         with kernel_path(name):
             got = kernels.base_convert(stack, source, target)
+            if name == "native":    # no shape leaves the C kernels
+                assert kernels.get_batched_conversion_plan(
+                    source, target).supported
         assert got.dtype == np.uint64
         assert np.array_equal(got, want)
 
@@ -167,7 +170,7 @@ class TestGoldenParity:
     @pytest.mark.parametrize("n", [64, 256, 8192])
     @pytest.mark.parametrize("shape", sorted(WIDE_STACKS))
     def test_wide_and_mixed_stacks_bit_identical(self, name, shape, n):
-        """Primes in [2**30, 2**31) take the wide path, chosen per row:
+        """Primes in [2**30, 2**31) take C's wide path, chosen per row:
         alone, mixed with narrow rows, as a single row, and repeated
         within one call (what an ISA emulator group looks like) — through
         the per-tuple entry point and through the row-indexed one."""
@@ -424,13 +427,14 @@ class TestRescaleOracle:
                 kernels.rescale([stack, stack[:, :32]], basis)
 
 
-@pytest.mark.parametrize("name", KERNEL_PATHS)
 class TestNoPerLimbFallback:
     """Every basis ``make_params`` / ``nn_params`` builds carries a 31-bit
-    ``q_0`` and 31-bit extension primes.  Both kernel paths must transform
-    them without the per-limb reference loop: a silent return to it costs
-    4x on every keyswitch and fails here, not in a benchmark."""
+    ``q_0`` and 31-bit extension primes.  The C path must transform them
+    without the per-limb reference loop (the path without the library): a
+    silent return to it costs 12x on every transform and fails here, not
+    in a benchmark."""
 
+    @pytest.mark.parametrize("name", ["native"])
     @pytest.mark.parametrize("make", [
         lambda: make_params(ring_degree=256, levels=6, prime_bits=28,
                             num_digits=3),
@@ -558,15 +562,15 @@ def test_concurrent_first_use_of_primes_shares_one_plan(name):
 
 
 class TestDefaultPath:
-    """C whenever the library builds, numpy otherwise, and the report says
-    which."""
+    """C whenever the library builds, the per-limb references and numpy
+    otherwise, and the report says which."""
 
     def test_default_backend_prefers_native(self):
         if native.load_library() is not None:
             assert get_backend().name == "native"
             assert native.build_error() is None
         else:
-            assert get_backend().name == "numpy-batched"
+            assert get_backend().name == "numpy"
             assert native.build_error()
-        with kernel_path("numpy-batched"):
-            assert get_backend().name == "numpy-batched"
+        with kernel_path("numpy"):
+            assert get_backend().name == "numpy"

@@ -92,3 +92,22 @@ class TestBudget:
                 expect = expect * expect
                 assert measured_error_bits(small_context, ct,
                                            expect) < budget
+
+
+class TestPlainAdditions:
+    """Adding a plaintext or a constant leaves the noise as it was: the
+    result carries the ciphertext's estimate, not a fresh encryption's."""
+
+    def test_add_scalar_and_add_plain_carry_the_estimate(self, small_context,
+                                                         rng):
+        ev = Evaluator(small_context, track_noise=True)
+        z = rng.uniform(-1, 1, small_context.params.slot_count)
+        ct = small_context.encrypt_values(z)
+        prod = ev.mul(ev.mul(ct, ct), ct)
+        fresh = ev.noise_of(small_context.encrypt_values(z))
+        assert prod.noise.ring_std > 100 * fresh.ring_std
+        plain = small_context.encoder.encode(z, scale=prod.scale,
+                                             level=prod.level)
+        for out in (ev.add_scalar(prod, 1.0), ev.add_plain(prod, plain)):
+            assert out.noise is prod.noise
+            assert ev.noise_of(out).ring_std == prod.noise.ring_std

@@ -1,9 +1,12 @@
 """The two paths :mod:`repro.fhe.kernels` runs, for tests to run both.
 
 ``"native"`` is the C library; a test on it skips where the library does
-not build.  ``"numpy-batched"`` hides the library, so the numpy fallback
-runs as it does on a machine without a C compiler.  The names are what
-``repro.fhe.get_backend().name`` reports on each path.
+not build.  ``"numpy"`` hides the library, so the per-limb references and
+the numpy expressions run as they do on a machine without a C compiler.
+The names are what ``repro.fhe.get_backend().name`` reports on each path.
+The fallback's test id stays ``numpy-batched``, the name it reported
+while it had numpy butterflies of its own, so a test keeps its id across
+versions.
 """
 
 from contextlib import contextmanager
@@ -13,13 +16,14 @@ import pytest
 
 from repro.fhe import native
 
-KERNEL_PATHS = ("native", "numpy-batched")
+#: The paths as test parameters.
+KERNEL_PATHS = ("native", pytest.param("numpy", id="numpy-batched"))
 
 
 @contextmanager
 def kernel_path(name):
     """Run the block on one kernel path (skipping when it cannot run)."""
-    if name == "numpy-batched":
+    if name == "numpy":
         with mock.patch.object(native, "load_library", lambda: None):
             yield
         return
@@ -30,5 +34,5 @@ def kernel_path(name):
 
 def runnable_kernel_paths():
     """Both paths where the C library builds, the numpy one otherwise."""
-    return KERNEL_PATHS if native.load_library() is not None \
-        else KERNEL_PATHS[1:]
+    return ("native", "numpy") if native.load_library() is not None \
+        else ("numpy",)
